@@ -2,15 +2,20 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos tamper fuzz fuzz-smoke difftest bench bench-parallel bench-cache bench-alloc alloc-guard bench-update update-guard bench-load load-guard bench-mvcc mvcc-guard mvcc-race bench-plan plan-guard planner-diff overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
+.PHONY: check vet build bench-build test race chaos tamper fuzz fuzz-smoke difftest bench bench-parallel bench-load load-guard bench-mvcc mvcc-guard mvcc-race planner-diff overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
 
-check: vet build race tamper fuzz-smoke cache-stress mvcc-race bench-cache overload-smoke powercut soak-short soak-stream-short soak-update-short
+check: vet build bench-build race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut soak-short soak-stream-short soak-update-short
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# The benchmark is a nested module outside root ./..., so an internal/*
+# API change can break benchmark/layers.go unseen; build and vet it.
+bench-build:
+	cd benchmark && $(GO) build ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -35,7 +40,8 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalDB -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalQuery -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalAnswer -fuzztime 20s
-	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalUpdate -fuzztime 20s
+	$(GO) test ./internal/wire/ -fuzz 'FuzzUnmarshalUpdate$$' -fuzztime 20s
+	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalUpdateBatch -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeProof -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeStream -fuzztime 20s
 
@@ -62,38 +68,6 @@ bench-parallel:
 	SECXML_BENCH_JSON=BENCH_parallel.json \
 		$(GO) test -bench 'Parallel|ConcurrentQueries' -benchtime 3x -run '^$$' .
 
-# Cold-vs-hot caching-layer benchmarks; writes BENCH_cache.json.
-bench-cache:
-	SECXML_BENCH_CACHE_JSON=BENCH_cache.json \
-		$(GO) test -bench 'Hot' -benchtime 20x -run '^$$' .
-
-# Allocation benchmarks of the cold query path plus the
-# streaming-vs-envelope round-trip comparison; writes BENCH_alloc.json
-# (baseline tree recorded in alloc_bench_test.go).
-bench-alloc:
-	SECXML_BENCH_ALLOC_JSON=BENCH_alloc.json \
-		$(GO) test -bench 'Alloc|Stream' -benchtime 1x -run '^$$' .
-
-# Regression gate against the committed BENCH_alloc.json: fails when
-# any cold-path benchmark's allocs/op grew more than 20%.
-alloc-guard:
-	SECXML_BENCH_ALLOC_GUARD=BENCH_alloc.json \
-		$(GO) test -bench 'Alloc' -benchtime 1x -run '^$$' .
-
-# Group-commit update-throughput benchmarks (per-update baseline vs
-# batched, mixed reader/writer load over the durable remote stack);
-# writes BENCH_update.json.
-bench-update:
-	SECXML_BENCH_UPDATE_JSON=BENCH_update.json \
-		$(GO) test -bench UpdateThroughput -benchtime 200x -run '^$$' .
-
-# Regression gate against the committed BENCH_update.json: fails when
-# a batched configuration loses half its committed speedup, or the
-# batch-16 target drops under 3x over the per-update baseline.
-update-guard:
-	SECXML_BENCH_UPDATE_GUARD=BENCH_update.json \
-		$(GO) test -bench UpdateThroughput -benchtime 100x -run '^$$' .
-
 # MVCC snapshot-read contract under -race (part of `check`): the
 # NumBlocks data-race regression, the returned-bytes aliasing
 # contract, and the snapshot-isolation linearizability check (every
@@ -117,20 +91,6 @@ bench-mvcc:
 mvcc-guard:
 	SECXML_BENCH_MVCC_GUARD=BENCH_mvcc.json \
 		$(GO) test -bench QueryUnderWriteLoad -benchtime 1x -run '^$$' -timeout 600s .
-
-# Planner benchmarks: the twig-heavy / selective / worst-case suites
-# under forced twig vs forced pairwise strategies (answers asserted
-# byte-identical before timing); writes BENCH_plan.json.
-bench-plan:
-	SECXML_BENCH_PLAN_JSON=BENCH_plan.json \
-		$(GO) test -bench 'Plan$$' -benchtime 8x -run '^$$' .
-
-# Regression gate against the committed BENCH_plan.json: fails when
-# the twig-heavy speedup drops below half its committed value, or the
-# worst-case suite shows twig losing more than 30% to pairwise.
-plan-guard:
-	SECXML_BENCH_PLAN_GUARD=BENCH_plan.json \
-		$(GO) test -bench 'TwigHeavyPlan|WorstCasePlan' -benchtime 5x -run '^$$' .
 
 # Differential planner check: every difftest corpus case under both
 # forced strategies — byte-identical answers, identical Merkle proofs.

@@ -303,33 +303,6 @@ func TestMain(m *testing.M) {
 			code = 1
 		}
 	}
-	if v := os.Getenv("SECXML_BENCH_CACHE_JSON"); v != "" && len(cacheRows) > 0 {
-		if !writeBenchJSON(v, "BENCH_cache.json", cacheRows) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_ALLOC_JSON"); v != "" && (len(allocRows) > 0 || len(streamRowsSnapshot()) > 0) {
-		if !writeBenchJSON(v, "BENCH_alloc.json", allocReportData()) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_ALLOC_GUARD"); v != "" && len(allocRows) > 0 {
-		if err := allocGuard(v); err != nil {
-			fmt.Fprintf(os.Stderr, "alloc regression guard: %v\n", err)
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_UPDATE_JSON"); v != "" && len(updateRows) > 0 {
-		if !writeBenchJSON(v, "BENCH_update.json", updateRows) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_UPDATE_GUARD"); v != "" && len(updateRows) > 0 {
-		if err := updateGuard(v); err != nil {
-			fmt.Fprintf(os.Stderr, "update throughput regression guard: %v\n", err)
-			code = 1
-		}
-	}
 	if v := os.Getenv("SECXML_BENCH_MVCC_JSON"); v != "" && len(mvccRows) > 0 {
 		if !writeBenchJSON(v, "BENCH_mvcc.json", mvccRows) && code == 0 {
 			code = 1
@@ -338,17 +311,6 @@ func TestMain(m *testing.M) {
 	if v := os.Getenv("SECXML_BENCH_MVCC_GUARD"); v != "" && len(mvccRows) > 0 {
 		if err := mvccGuard(v); err != nil {
 			fmt.Fprintf(os.Stderr, "mvcc reader-latency guard: %v\n", err)
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_PLAN_JSON"); v != "" && len(planRows) > 0 {
-		if !writeBenchJSON(v, "BENCH_plan.json", planReportData()) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_PLAN_GUARD"); v != "" && len(planRows) > 0 {
-		if err := planGuard(v); err != nil {
-			fmt.Fprintf(os.Stderr, "planner speedup guard: %v\n", err)
 			code = 1
 		}
 	}

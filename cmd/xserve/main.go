@@ -58,8 +58,6 @@ func main() {
 	brownoutP99 := flag.Duration("brownout-p99", 0, "p99 latency target the brownout controller defends (0 = 250ms default)")
 	streamWriteTimeout := flag.Duration("stream-write-timeout", 0, "per-flush write deadline on streamed answers; slow readers are cut off (0 = 30s default, negative disables)")
 	walGroupWait := flag.Duration("wal-group-wait", 0, "group-commit window: how long a WAL fsync waits to absorb concurrent updates (0 = sync immediately)")
-	updateBatchSize := flag.Int("update-batch-size", 0, "coalesce concurrent single-update frames into batches of up to this many members (0/1 disables)")
-	updateMaxWait := flag.Duration("update-max-wait", 0, "how long a filling update batch waits for company before flushing anyway (0 = 2ms default)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between full checkpoints truncating the WAL (0 = default 64)")
 	chaosRate := flag.Float64("chaos", 0, "inject faults (latency/5xx/truncation) at this rate per request — testing only")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic seed for -chaos")
@@ -114,11 +112,6 @@ func main() {
 		})
 		fmt.Printf("admission: capacity %d cost units (cost-aware=%v), tenant rate %.1f/s, brownout=%v\n",
 			*maxCost, *costAware, *tenantRate, *brownout)
-	}
-	if *updateBatchSize > 1 {
-		svc = svc.WithUpdateBatching(*updateBatchSize, *updateMaxWait)
-		fmt.Printf("update batching: up to %d members per group commit (max wait %v)\n",
-			*updateBatchSize, *updateMaxWait)
 	}
 	if _, err := svc.WithPlannerStrategy(*planner); err != nil {
 		log.Fatal(err)

@@ -11,8 +11,8 @@ import (
 // levels instead of letting every request share the collapse equally.
 //
 //	L0 full service.
-//	L1 shrink the update-batch wait and disable streaming for small
-//	   answers (cut per-request overhead, keep semantics).
+//	L1 disable streaming for all but large answers (cut per-request
+//	   overhead, keep semantics).
 //	L2 serve generation-tagged cached answers only; shed cold
 //	   queries (cached answers carry their proofs — integrity is
 //	   untouched, only coverage shrinks).
@@ -27,7 +27,7 @@ import (
 // Degradation levels (see above).
 const (
 	LevelFull        = 0
-	LevelLean        = 1 // L1: shrink batch wait, stream large answers only
+	LevelLean        = 1 // L1: stream large answers only
 	LevelCachedOnly  = 2 // L2: answer cache only, cold queries shed
 	LevelCritical    = 3 // L3: highest priority class only
 	NumLevels        = 4

@@ -126,9 +126,9 @@ func (t *TamperBackend) ExtremeProof(ctx context.Context, lo, hi uint64, max boo
 	return pb.ExtremeProof(ctx, lo, hi, max)
 }
 
-// ApplyUpdate implements core.Backend (forwarded honestly: the
+// ApplyUpdateBatch implements core.Backend (forwarded honestly: the
 // rollback attack applies the update, then serves pre-update
 // answers).
-func (t *TamperBackend) ApplyUpdate(ctx context.Context, u *wire.Update) error {
-	return t.Inner.ApplyUpdate(ctx, u)
+func (t *TamperBackend) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
+	return t.Inner.ApplyUpdateBatch(ctx, b)
 }

@@ -23,9 +23,6 @@ func hostBatched(t *testing.T, size int, maxWait time.Duration) *System {
 func (s *System) queuedLen() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.updBatch == nil {
-		return 0
-	}
 	return len(s.updBatch.queue)
 }
 
@@ -90,9 +87,6 @@ func TestBatchedUpdatesShareOneCommit(t *testing.T) {
 		}
 		if ns[i] != 1 {
 			t.Fatalf("update %d edited %d values, want 1", i, ns[i])
-		}
-		if !tms[i].UpdateBatched {
-			t.Fatalf("update %d did not report batching", i)
 		}
 		if tms[i].UpdateFlushWait <= 0 {
 			t.Fatalf("update %d: zero flush wait", i)
@@ -163,8 +157,8 @@ func TestReaderBarrierFlushesConflictingQueue(t *testing.T) {
 	if uerr != nil {
 		t.Fatalf("queued update: %v", uerr)
 	}
-	if !tm.UpdateBatched || tm.UpdateBatchSize != 1 {
-		t.Fatalf("queued update settled oddly: batched=%v size=%d", tm.UpdateBatched, tm.UpdateBatchSize)
+	if tm.UpdateBatchSize != 1 {
+		t.Fatalf("queued update settled in a batch of %d, want 1", tm.UpdateBatchSize)
 	}
 }
 
@@ -255,43 +249,72 @@ func TestFlushUpdatesDrainsQueue(t *testing.T) {
 	if uerr != nil {
 		t.Fatalf("queued update: %v", uerr)
 	}
-	if !tm.UpdateBatched || tm.UpdateBatchSize != 1 {
-		t.Fatalf("flushed update: batched=%v size=%d", tm.UpdateBatched, tm.UpdateBatchSize)
+	if tm.UpdateBatchSize != 1 {
+		t.Fatalf("flushed update settled in a batch of %d, want 1", tm.UpdateBatchSize)
 	}
 	if got := queryValues(t, sys, "//patient[.//disease='cholera']/pname"); len(got) != 1 || got[0] != "Matt" {
 		t.Fatalf("after flush, cholera on %v", got)
 	}
 }
 
-// With batching off (or size 1) the Timings stay in the legacy shape:
-// no batch fields, and updates go out as single frames.
-func TestBatchingOffKeepsLegacyTimings(t *testing.T) {
+// A lone update is a batch of one, sent inline: its Timings say so,
+// and the shared round trip is inside the caller's total wait.
+func TestBatchOfOneTimings(t *testing.T) {
 	sys, _ := hostForUpdate(t)
-	sys.EnableUpdateBatching(1, 0) // size <= 1: off
 	n, tm, err := sys.UpdateLeafValuesTimed(context.Background(), "//patient[pname='Matt']/treat[1]/disease", "cholera")
 	if err != nil || n != 1 {
 		t.Fatalf("update: n=%d err=%v", n, err)
 	}
-	if tm.UpdateBatched || tm.UpdateBatchSize != 0 || tm.UpdateEnqueue != 0 || tm.UpdateFlushWait != 0 {
-		t.Fatalf("legacy update leaked batch fields: %+v", tm)
+	if tm.UpdateBatchSize != 1 {
+		t.Fatalf("lone update reported a batch of %d", tm.UpdateBatchSize)
 	}
-	if tm.UpdateApply <= 0 {
-		t.Fatal("apply time not recorded")
+	if tm.UpdateApply <= 0 || tm.UpdateFlushWait < tm.UpdateApply {
+		t.Fatalf("apply %v not inside flush wait %v", tm.UpdateApply, tm.UpdateFlushWait)
 	}
 }
 
-// lossyBatchBackend fails the next batch send AFTER the inner backend
+// Reconfiguring the batcher must not orphan a queued member: one
+// update waits on an hour-long timer for company that the new size of
+// one will never send, so the reconfiguration itself flushes it.
+func TestReconfigureFlushesQueuedUpdate(t *testing.T) {
+	sys := hostBatched(t, 8, time.Hour)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := sys.UpdateLeafValues("//patient[pname='Matt']/treat[1]/disease", "cholera")
+		done <- err
+	}()
+	waitQueued(t, sys, 1)
+	sys.EnableUpdateBatching(1, 0)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("queued update: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("queued update still blocked after EnableUpdateBatching(1, 0)")
+	}
+	if got := queryValues(t, sys, "//patient[.//disease='cholera']/pname"); len(got) != 1 || got[0] != "Matt" {
+		t.Fatalf("after reconfigure, cholera on %v", got)
+	}
+	// The new size is in force: the next update commits alone, inline.
+	if _, tm, err := sys.UpdateLeafValuesTimed(context.Background(), "//patient[pname='Ann']/insurance/policy", "55555"); err != nil || tm.UpdateBatchSize != 1 {
+		t.Fatalf("update after reconfigure: size=%d err=%v", tm.UpdateBatchSize, err)
+	}
+}
+
+// lostAckBackend fails the next batch send AFTER the inner backend
 // applied it — an acknowledgment lost in flight. Embedding Local in a
 // distinct type makes the failure classify as ambiguous (only a bare
 // Local is known to fail atomically).
-type lossyBatchBackend struct {
+type lostAckBackend struct {
 	Local
 	mu        sync.Mutex
 	failNext  bool
 	batchSent int
 }
 
-func (f *lossyBatchBackend) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
+func (f *lostAckBackend) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
 	f.mu.Lock()
 	fail := f.failNext
 	f.failNext = false
@@ -308,14 +331,14 @@ func (f *lossyBatchBackend) ApplyUpdateBatch(ctx context.Context, b *wire.Update
 
 // An ambiguous batch failure stashes the WHOLE batch: every member's
 // caller gets ErrUpdatePending, verified queries refuse, and one
-// Reconcile resends the frame under its original IDs and commits all
+// Reconcile resends the frame under its original ID and commits all
 // members together.
 func TestBatchAmbiguousFailureStashesAndReconciles(t *testing.T) {
 	sys, _ := hostForUpdate(t)
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	fb := &lossyBatchBackend{Local: sys.Server.(Local), failNext: true}
+	fb := &lostAckBackend{Local: sys.Server.(Local), failNext: true}
 	sys.UseBackend(fb)
 	sys.EnableUpdateBatching(2, 3*time.Second)
 
@@ -367,58 +390,6 @@ func TestBatchAmbiguousFailureStashesAndReconciles(t *testing.T) {
 		got := queryValues(t, sys, q)
 		if len(got) != 1 || got[0] != want {
 			t.Errorf("reconciled batch: %s = %v, want [%s]", q, got, want)
-		}
-	}
-}
-
-// plainBackend strips the BatchBackend extension off Local: flushes
-// must fall back to sequential member sends and still commit the
-// whole queue coherently (tail root included).
-type plainBackend struct{ l Local }
-
-func (p plainBackend) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, error) {
-	return p.l.Execute(ctx, q)
-}
-func (p plainBackend) Extreme(ctx context.Context, lo, hi uint64, max bool) (int, []byte, bool, error) {
-	return p.l.Extreme(ctx, lo, hi, max)
-}
-func (p plainBackend) ApplyUpdate(ctx context.Context, u *wire.Update) error {
-	return p.l.ApplyUpdate(ctx, u)
-}
-
-func TestSequentialFallbackWithoutBatchBackend(t *testing.T) {
-	sys, _ := hostForUpdate(t)
-	if err := sys.EnableIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	sys.UseBackend(plainBackend{l: sys.Server.(Local)})
-	sys.EnableUpdateBatching(2, 3*time.Second)
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, u := range []struct{ q, v string }{
-		{"//patient[pname='Ann']/insurance/policy", "77777"},
-		{"//patient[pname='Matt']/treat[1]/disease", "cholera"},
-	} {
-		wg.Add(1)
-		go func(i int, q, v string) {
-			defer wg.Done()
-			_, errs[i] = sys.UpdateLeafValuesContext(context.Background(), q, v)
-		}(i, u.q, u.v)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("member %d: %v", i, err)
-		}
-	}
-	for q, want := range map[string]string{
-		"//patient[.//policy>70000]/pname":      "Ann",
-		"//patient[.//disease='cholera']/pname": "Matt",
-	} {
-		got := queryValues(t, sys, q)
-		if len(got) != 1 || got[0] != want {
-			t.Errorf("sequential fallback: %s = %v, want [%s]", q, got, want)
 		}
 	}
 }

@@ -9,14 +9,15 @@ import (
 	"repro/internal/xpath"
 )
 
-// Owner-side group commit. With EnableUpdateBatching on, concurrent
-// UpdateLeafValues callers still serialize their read-modify-write
-// PREPARATION under the exclusive lock (the client's occurrence
-// tables and OPESS transformers mutate, so there is no way around
-// that), but the expensive tail — the backend round trip, the
-// server's Merkle advance and generation bump, the WAL fsync — is
-// shared: prepared updates enqueue, and the caller that fills the
-// queue (or a timer) flushes them as ONE wire.UpdateBatch.
+// The owner's one send path. UpdateLeafValues callers serialize their
+// read-modify-write PREPARATION under the exclusive lock (the client's
+// occurrence tables and OPESS transformers mutate, so there is no way
+// around that); every prepared update then joins the batch, and the
+// caller that fills it (or a timer) flushes it as ONE
+// wire.UpdateBatch. At the default size of one that is each caller,
+// inline; EnableUpdateBatching raises the size so concurrent callers
+// share the expensive tail — the backend round trip, the server's
+// Merkle advance and generation bump, the WAL fsync.
 //
 // Consistency between the queue and readers: a prepared-but-unflushed
 // update has already rewritten the client's value tables, while the
@@ -33,23 +34,6 @@ import (
 // It never escapes the package's public entry points.
 var errUpdateConflict = errors.New("core: queued update conflicts with this read")
 
-// BatchBackend is the optional backend extension for group-committed
-// updates: a whole wire.UpdateBatch applied atomically (one
-// generation, one root advance, one durability barrier). Local and
-// the remote client both implement it; a backend without it gets the
-// members sequentially.
-type BatchBackend interface {
-	ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error
-}
-
-// ApplyUpdateBatch implements BatchBackend.
-func (l Local) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.S.ApplyUpdateBatch(b.Updates)
-}
-
 // defaultUpdateMaxWait bounds how long the first queued update waits
 // for company before flushing anyway.
 const defaultUpdateMaxWait = 2 * time.Millisecond
@@ -57,7 +41,8 @@ const defaultUpdateMaxWait = 2 * time.Millisecond
 // updateBatcher is the queue of prepared updates awaiting one group
 // commit. All fields are guarded by the System's exclusive lock
 // (reads under either lock half are safe: mutation requires the
-// writer side).
+// writer side). The zero value is a batcher of size one: every member
+// fills it.
 type updateBatcher struct {
 	size    int
 	maxWait time.Duration
@@ -89,23 +74,22 @@ type batchOutcome struct {
 	applyDur   time.Duration
 }
 
-// EnableUpdateBatching opts this system into owner-side group commit:
-// concurrent updates coalesce into batches of up to size members,
-// flushed when full or after maxWait (whichever first; maxWait <= 0
-// selects a small default). size <= 1 turns batching off.
+// EnableUpdateBatching sets the owner-side group commit: concurrent
+// updates coalesce into batches of up to size members, flushed when
+// full or after maxWait (whichever first; maxWait <= 0 selects a small
+// default). size <= 1 makes every update a batch of one, sent inline.
+// Members queued under the previous settings are flushed first, so no
+// caller is left waiting on a timer or a fill the new settings would
+// never produce.
 func (s *System) EnableUpdateBatching(size int, maxWait time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if size <= 1 {
-		s.updBatch = nil
-		s.publishLocked()
-		return
-	}
+	// Any flush error was delivered to the waiting updaters.
+	_ = s.flushBatchLocked(context.TODO())
 	if maxWait <= 0 {
 		maxWait = defaultUpdateMaxWait
 	}
-	s.updBatch = &updateBatcher{size: size, maxWait: maxWait}
-	s.publishLocked()
+	s.updBatch.size, s.updBatch.maxWait = size, maxWait
 }
 
 // FlushUpdates forces any queued updates out as a group commit now.
@@ -143,8 +127,8 @@ func cmpKeys(p *xpath.Path) (keys []string, unknown bool) {
 // member rewrote one of their OPESS bands (or the key set is unknown
 // and anything at all is queued). Caller holds either half of s.mu.
 func (s *System) queuedBandConflictLocked(keys []string, unknown bool) bool {
-	b := s.updBatch
-	if b == nil || len(b.queue) == 0 {
+	b := &s.updBatch
+	if len(b.queue) == 0 {
 		return false
 	}
 	if unknown {
@@ -175,8 +159,8 @@ func (s *System) queuedBandConflictLocked(keys []string, unknown bool) bool {
 // pre-batch ciphertext, so a writer reading its target out of such a
 // block would lose the queued edit. Caller holds s.mu exclusively.
 func (s *System) queuedBlockConflictLocked(blockIDs []int) bool {
-	b := s.updBatch
-	if b == nil || len(b.queue) == 0 {
+	b := &s.updBatch
+	if len(b.queue) == 0 {
 		return false
 	}
 	touched := map[int]bool{}
@@ -202,13 +186,6 @@ func totalEdits(batch []*queuedEdit) int {
 	return n
 }
 
-// deliverBatch hands one shared outcome to every waiting caller.
-func deliverBatch(batch []*queuedEdit, out batchOutcome) {
-	for _, qe := range batch {
-		qe.done <- out
-	}
-}
-
 // flushBatchLocked sends the queued updates as one group commit and
 // settles every waiting caller. The verifier chain was built at
 // enqueue time (each member's clone extends its predecessor's), so
@@ -217,8 +194,8 @@ func deliverBatch(batch []*queuedEdit, out batchOutcome) {
 // s.mu exclusively. Uses ctx (the triggering caller's, or Background
 // from the timer) for the backend round trip.
 func (s *System) flushBatchLocked(ctx context.Context) error {
-	b := s.updBatch
-	if b == nil || len(b.queue) == 0 {
+	b := &s.updBatch
+	if len(b.queue) == 0 {
 		return nil
 	}
 	// However this flush ends, the queue and sequence changed:
@@ -231,148 +208,57 @@ func (s *System) flushBatchLocked(ctx context.Context) error {
 	}
 	batch := b.queue
 	b.queue = nil
-	us := make([]*wire.Update, len(batch))
+	// The request ID is assigned here (not left to the transport) so
+	// that if the send fails ambiguously, the stashed batch and its
+	// eventual resend carry the same ID and the server's dedup table
+	// collapses them to one application.
+	wb := &wire.UpdateBatch{RequestID: wire.NewRequestID(), Updates: make([]*wire.Update, len(batch))}
 	for i, qe := range batch {
-		us[i] = qe.prep.upd
+		wb.Updates[i] = qe.prep.upd
 	}
 	tail := batch[len(batch)-1].prep
 	if tail.next != nil {
 		root := tail.next.Root()
-		us[len(us)-1].NewRoot = root[:]
+		tail.upd.NewRoot = root[:]
 	}
-	// Flush starts: bump BEFORE any send (including the sequential
-	// fallback below), so a reader whose answer reflects this batch
-	// is guaranteed to observe the moved counter afterwards. The
-	// batch applies atomically, so only the tail's root can become
-	// visible; stage it so answers produced between the server-side
-	// commit and the ack verify without waiting. The sequential
-	// fallback stages member by member instead.
+	// Flush starts: bump the sequence BEFORE the send, so a reader
+	// whose answer reflects this batch is guaranteed to observe the
+	// moved counter afterwards (the server cannot apply before the
+	// frame is sent). The batch applies atomically, so only the tail's
+	// root can become visible; stage it so an answer the server
+	// produces after applying — but before the ack returns — verifies
+	// without waiting on the ack.
 	s.updSeq.Add(1)
-	staged := false
-	if tail.next != nil && s.ring != nil {
-		if _, seq := s.Server.(BatchBackend); seq || len(us) == 1 {
-			s.ring.Stage(tail.next)
-			staged = true
-		}
+	staged := tail.next != nil && s.ring != nil
+	if staged {
+		s.ring.Stage(tail.next)
 	}
 
-	flushStart := time.Now()
-	var err error
-	var wb *wire.UpdateBatch
-	if len(us) == 1 {
-		// A lone member goes out as the legacy single-update frame:
-		// byte-identical to the batching-off path, so old peers see
-		// nothing new.
-		err = s.Server.ApplyUpdate(ctx, us[0])
-	} else if bb, ok := s.Server.(BatchBackend); ok {
-		wb = &wire.UpdateBatch{RequestID: wire.NewRequestID(), Updates: us}
-		err = bb.ApplyUpdateBatch(ctx, wb)
-	} else {
-		return s.flushSequentiallyLocked(ctx, batch, us, flushStart)
-	}
-	applyDur := time.Since(flushStart)
-
-	if err == nil {
-		for _, qe := range batch {
-			s.mirrorUpdate(qe.prep.upd)
-		}
-		s.applyMirrorExec(us)
-		if tail.next != nil && s.ring != nil {
-			s.ring.Advance(tail.next)
-		}
-		if s.staleCache != nil {
-			s.staleCache.Clear()
-		}
-		deliverBatch(batch, batchOutcome{batchSize: len(batch), flushStart: flushStart, applyDur: applyDur})
-		return nil
-	}
-	if !ambiguousUpdateFailure(s.Server, err) {
-		// Definite rejection: the tail root never existed server-side.
+	out := batchOutcome{batchSize: len(batch), flushStart: time.Now()}
+	err := s.Server.ApplyUpdateBatch(ctx, wb)
+	out.applyDur = time.Since(out.flushStart)
+	switch {
+	case err == nil:
+		s.commitBatchLocked(wb, tail.next)
+	case ambiguousUpdateFailure(s.Server, err):
+		// The server may hold (durably, or about to recover to) the
+		// whole batch (atomic apply, lost ack) or none of it, and the
+		// client tables are already rewritten. Stash the exact frame
+		// for Reconcile, whose resend under the same request ID is
+		// correct in both worlds — a dedup ack if it landed, a fresh
+		// idempotent apply if it didn't.
+		s.pending = &pendingUpdate{batch: wb, nextVerifier: tail.next, edits: totalEdits(batch)}
+		out.err = errors.Join(err, ErrUpdatePending)
+	default:
+		// Definite rejection: the server's state did not change, so
+		// the staged root never existed server-side.
 		if staged {
 			s.ring.Unstage(tail.next)
 		}
-	} else {
-		// The server may durably hold the whole batch (atomic apply,
-		// lost ack) or none of it. Stash the exact frame — same batch
-		// and member request IDs — for Reconcile, which is correct in
-		// both worlds through the server's dedup table.
-		p := &pendingUpdate{nextVerifier: tail.next, edits: totalEdits(batch)}
-		if wb != nil {
-			p.batch = wb
-		} else {
-			p.upd = us[0]
-		}
-		s.pending = p
-		err = errors.Join(err, ErrUpdatePending)
+		out.err = err
 	}
-	deliverBatch(batch, batchOutcome{err: err, batchSize: len(batch), flushStart: flushStart, applyDur: applyDur})
-	return err
-}
-
-// flushSequentiallyLocked is the fallback for backends without
-// BatchBackend: members go out one at a time, in order. The prefix
-// the server acknowledged commits (mirror + verifier advance to the
-// last acknowledged member's chain point); the failing member and
-// everything after it fail together — on an ambiguous failure the
-// unsettled remainder is stashed as a pending batch for Reconcile.
-func (s *System) flushSequentiallyLocked(ctx context.Context, batch []*queuedEdit, us []*wire.Update, flushStart time.Time) error {
-	var firstErr error
-	failed := len(batch)
-	for i, qe := range batch {
-		if v := qe.prep.next; v != nil && s.ring != nil {
-			// Each member's root becomes visible individually here;
-			// stage it for the send, settle below.
-			s.ring.Stage(v)
-		}
-		if err := s.Server.ApplyUpdate(ctx, qe.prep.upd); err != nil {
-			firstErr, failed = err, i
-			break
-		}
-	}
-	applyDur := time.Since(flushStart)
-	for i := 0; i < failed; i++ {
-		s.mirrorUpdate(batch[i].prep.upd)
-	}
-	s.applyMirrorExec(us[:failed])
-	if failed > 0 {
-		if v := batch[failed-1].prep.next; v != nil && s.ring != nil {
-			// Advance finalizes the mid-chain clone's deferred root
-			// before it is shared with concurrent verifiers. The
-			// acknowledged prefix's intermediate roots stay staged —
-			// harmless (they were real server states) — until the
-			// failed member settles them below.
-			s.ring.Advance(v)
-		}
-		if s.staleCache != nil {
-			s.staleCache.Clear()
-		}
-	}
-	if s.ring != nil && firstErr != nil && !ambiguousUpdateFailure(s.Server, firstErr) {
-		// The failed member's rejection was definite: the server never
-		// held its root, so withdraw it if the prefix Advance (which
-		// sweeps the window's staged roots into the retired tail) did
-		// not already settle it. Ambiguous failures stay staged for
-		// Reconcile — the server may hold that root.
-		if v := batch[failed].prep.next; v != nil {
-			s.ring.Unstage(v)
-		}
-	}
-	memberErr := firstErr
-	if firstErr != nil && ambiguousUpdateFailure(s.Server, firstErr) {
-		rest := batch[failed:]
-		s.pending = &pendingUpdate{
-			batch:        &wire.UpdateBatch{RequestID: wire.NewRequestID(), Updates: us[failed:]},
-			nextVerifier: batch[len(batch)-1].prep.next,
-			edits:        totalEdits(rest),
-		}
-		memberErr = errors.Join(firstErr, ErrUpdatePending)
-	}
-	for i, qe := range batch {
-		out := batchOutcome{batchSize: len(batch), flushStart: flushStart, applyDur: applyDur}
-		if i >= failed {
-			out.err = memberErr
-		}
+	for _, qe := range batch {
 		qe.done <- out
 	}
-	return memberErr
+	return out.err
 }

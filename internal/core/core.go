@@ -67,8 +67,10 @@ type Backend interface {
 	// Extreme serves MIN/MAX aggregates (§6.4): the ciphertext block
 	// holding the extreme indexed value within [lo, hi].
 	Extreme(ctx context.Context, lo, hi uint64, max bool) (blockID int, block []byte, found bool, err error)
-	// ApplyUpdate applies an owner-issued mutation (see wire.Update).
-	ApplyUpdate(ctx context.Context, u *wire.Update) error
+	// ApplyUpdateBatch applies one or more owner-issued mutations
+	// atomically: one generation, one root advance, one durability
+	// barrier (see wire.UpdateBatch). A lone update is a batch of one.
+	ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error
 }
 
 // Local adapts the in-process server.Server to the context-aware
@@ -92,12 +94,12 @@ func (l Local) Extreme(ctx context.Context, lo, hi uint64, max bool) (int, []byt
 	return l.S.Extreme(lo, hi, max)
 }
 
-// ApplyUpdate implements Backend.
-func (l Local) ApplyUpdate(ctx context.Context, u *wire.Update) error {
+// ApplyUpdateBatch implements Backend.
+func (l Local) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return l.S.ApplyUpdate(u)
+	return l.S.ApplyUpdateBatch(b.Updates)
 }
 
 // System is one hosted database: the owner's client state, the
@@ -135,7 +137,7 @@ type System struct {
 	snap atomic.Pointer[readSnap]
 
 	// updSeq counts update flushes, bumped BEFORE the backend send of
-	// every commit path (inline, batched, sequential, reconcile). A
+	// every flush and reconcile. A
 	// reader whose answer arrives after the sequence moved past its
 	// pinned snapshot cannot tell whether the server executed it
 	// before or after the commit — for value queries (whose OPESS
@@ -178,7 +180,7 @@ type System struct {
 	// Merkle commitment to the hosted state — the current verifier
 	// plus a short tail of retired ones (see verifierRing); every
 	// answer and aggregate is verified against it before decryption,
-	// and updates advance it so freshness survives ApplyUpdate.
+	// and updates advance it so freshness survives ApplyUpdateBatch.
 	ring *verifierRing
 
 	// pending, when non-nil, is an update whose outcome is ambiguous:
@@ -190,10 +192,10 @@ type System struct {
 	// the server's dedup table makes the resend exact-once either way.
 	pending *pendingUpdate
 
-	// updBatch, when installed via EnableUpdateBatching, is the queue
-	// of prepared-but-unsent updates awaiting one group commit (see
-	// batcher.go). Guarded by mu like everything else here.
-	updBatch *updateBatcher
+	// updBatch is the queue of prepared-but-unsent updates awaiting
+	// one group commit (see batcher.go); EnableUpdateBatching sizes
+	// it. Guarded by mu like everything else here.
+	updBatch updateBatcher
 
 	// mirrorExec, when installed via EnableMirrorReads, is an
 	// owner-side replica server built over the HostedDB mirror. The
@@ -205,11 +207,9 @@ type System struct {
 	mirrorExec *server.Server
 }
 
-// pendingUpdate is the stashed tail of an ambiguous update: the wire
-// frame to resend — a single update or a whole batch, exactly one of
-// upd/batch is set — and the verifier state to promote once it lands.
+// pendingUpdate is the stashed tail of an ambiguous update: the exact
+// batch to resend and the verifier state to promote once it lands.
 type pendingUpdate struct {
-	upd          *wire.Update
 	batch        *wire.UpdateBatch
 	nextVerifier *wire.AuthVerifier
 	edits        int
@@ -291,10 +291,10 @@ func (s *System) publishLocked() *readSnap {
 	if s.ring != nil {
 		sn.verSeq = s.ring.pinSeq()
 	}
-	if b := s.updBatch; b != nil && len(b.queue) > 0 {
+	if q := s.updBatch.queue; len(q) > 0 {
 		sn.queuedAny = true
 		sn.queuedBands = map[uint8]bool{}
-		for _, qe := range b.queue {
+		for _, qe := range q {
 			for _, band := range qe.prep.upd.DropBands {
 				sn.queuedBands[band] = true
 			}
@@ -579,14 +579,12 @@ type Timings struct {
 	StreamChunks int
 	StreamBytes  int
 
-	// UpdateBatched marks an update that went through the group-commit
-	// queue (EnableUpdateBatching); UpdateBatchSize is how many
-	// members its batch carried. UpdateEnqueue is the time this update
-	// sat queued before its flush began, UpdateApply the shared
-	// backend round trip, and UpdateFlushWait the caller's total wall
-	// time from enqueue to settled outcome. All zero when batching is
-	// off (legacy callers see exactly the old Timings shape).
-	UpdateBatched   bool
+	// UpdateBatchSize is how many members this update's batch carried
+	// (one unless EnableUpdateBatching raised the size and other
+	// callers joined). UpdateEnqueue is the time this update sat
+	// queued before its flush began, UpdateApply the shared backend
+	// round trip, and UpdateFlushWait the caller's total wall time
+	// from enqueue to settled outcome. All zero on a query.
 	UpdateBatchSize int
 	UpdateEnqueue   time.Duration
 	UpdateFlushWait time.Duration

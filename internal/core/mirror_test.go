@@ -18,7 +18,6 @@ type countingBackend struct {
 
 	executes int
 	batches  int
-	applies  int
 }
 
 func (c *countingBackend) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, error) {
@@ -36,13 +35,6 @@ func (c *countingBackend) ExtremeProof(ctx context.Context, lo, hi uint64, max b
 	return c.l.ExtremeProof(ctx, lo, hi, max)
 }
 
-func (c *countingBackend) ApplyUpdate(ctx context.Context, u *wire.Update) error {
-	c.mu.Lock()
-	c.applies++
-	c.mu.Unlock()
-	return c.l.ApplyUpdate(ctx, u)
-}
-
 func (c *countingBackend) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
 	c.mu.Lock()
 	c.batches++
@@ -50,10 +42,10 @@ func (c *countingBackend) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBa
 	return c.l.ApplyUpdateBatch(ctx, b)
 }
 
-func (c *countingBackend) counts() (executes, batches, applies int) {
+func (c *countingBackend) counts() (executes, batches int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.executes, c.batches, c.applies
+	return c.executes, c.batches
 }
 
 // With mirror reads on, the update pipeline's read half never reaches
@@ -90,18 +82,17 @@ func TestMirrorReadsServeUpdateReadsLocally(t *testing.T) {
 		if err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}
-		if !tms[i].UpdateBatched || tms[i].UpdateBatchSize != 2 {
-			t.Fatalf("member %d: batched=%v size=%d, want a 2-member batch",
-				i, tms[i].UpdateBatched, tms[i].UpdateBatchSize)
+		if tms[i].UpdateBatchSize != 2 {
+			t.Fatalf("member %d: batch of %d, want a 2-member batch", i, tms[i].UpdateBatchSize)
 		}
 	}
 
-	executes, batches, applies := cb.counts()
+	executes, batches := cb.counts()
 	if executes != 0 {
 		t.Errorf("update reads reached the backend %d times, want 0 (mirror reads)", executes)
 	}
-	if batches != 1 || applies != 0 {
-		t.Errorf("backend saw %d batch frames and %d single frames, want 1 and 0", batches, applies)
+	if batches != 1 {
+		t.Errorf("backend saw %d batch frames, want 1", batches)
 	}
 
 	// The replica consumed the committed frames: its generation moved
@@ -122,8 +113,8 @@ func TestMirrorReadsServeUpdateReadsLocally(t *testing.T) {
 	}
 }
 
-// Mirror reads also back the inline (batching-off) path, where each
-// commit replays its lone frame onto the replica.
+// Mirror reads also back batches of one, where each commit replays
+// its lone member onto the replica.
 func TestMirrorReadsInlineUpdates(t *testing.T) {
 	sys, _ := hostForUpdate(t)
 	if err := sys.EnableIntegrity(); err != nil {
@@ -142,12 +133,12 @@ func TestMirrorReadsInlineUpdates(t *testing.T) {
 			t.Fatalf("update to %s touched %d values, want 1", v, n)
 		}
 	}
-	executes, _, applies := cb.counts()
+	executes, batches := cb.counts()
 	if executes != 0 {
 		t.Errorf("update reads reached the backend %d times, want 0", executes)
 	}
-	if applies != 2 {
-		t.Errorf("backend saw %d single-update frames, want 2", applies)
+	if batches != 2 {
+		t.Errorf("backend saw %d frames, want 2", batches)
 	}
 	got := queryValues(t, sys, "//patient[.//policy>90000]/pname")
 	if len(got) != 1 || got[0] != "Ann" {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/wire"
 )
 
-// lossyUpdateBackend wraps another Backend and fails the next ApplyUpdate
+// lossyUpdateBackend wraps another Backend and fails the next ApplyUpdateBatch
 // with failErr; when applyFirst is set the update still reaches the
 // inner backend before the error — modelling an acknowledgment lost
 // after the server durably applied.
@@ -19,19 +19,19 @@ type lossyUpdateBackend struct {
 	sent       int
 }
 
-func (f *lossyUpdateBackend) ApplyUpdate(ctx context.Context, u *wire.Update) error {
+func (f *lossyUpdateBackend) ApplyUpdateBatch(ctx context.Context, u *wire.UpdateBatch) error {
 	f.sent++
 	if f.failErr != nil {
 		err := f.failErr
 		f.failErr = nil
 		if f.applyFirst {
-			if aerr := f.Backend.ApplyUpdate(ctx, u); aerr != nil {
+			if aerr := f.Backend.ApplyUpdateBatch(ctx, u); aerr != nil {
 				return aerr
 			}
 		}
 		return err
 	}
-	return f.Backend.ApplyUpdate(ctx, u)
+	return f.Backend.ApplyUpdateBatch(ctx, u)
 }
 
 // definiteErr mimics a remote 4xx: Temporary() == false, so the

@@ -41,11 +41,11 @@ func (f *flakyBackend) Extreme(ctx context.Context, lo, hi uint64, max bool) (in
 	return f.real.Extreme(ctx, lo, hi, max)
 }
 
-func (f *flakyBackend) ApplyUpdate(ctx context.Context, u *wire.Update) error {
+func (f *flakyBackend) ApplyUpdateBatch(ctx context.Context, u *wire.UpdateBatch) error {
 	if f.down {
 		return errBackendDown
 	}
-	return f.real.ApplyUpdate(ctx, u)
+	return f.real.ApplyUpdateBatch(ctx, u)
 }
 
 // TestStaleFallback: with the fallback enabled, a query that

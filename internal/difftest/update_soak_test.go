@@ -80,9 +80,9 @@ func TestUpdateSoak(t *testing.T) {
 	sys.EnableBlockCache(0, 0)
 	sys.Client.SetParallelism(4)
 
-	// The full remote stack: SXB1 batch frames over HTTP, verified
-	// answers, and the service-side group-commit machinery behind it.
-	svc := remote.NewService().WithUpdateBatching(writers, 2*time.Millisecond)
+	// The full remote stack: update-batch frames over HTTP, verified
+	// answers, and the service's commit path behind it.
+	svc := remote.NewService()
 	if err := remote.RegisterLocal(svc, "soak", sys.HostedDB); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -142,10 +142,6 @@ func TestUpdateSoak(t *testing.T) {
 				}
 				if n != leavesPerFamily {
 					record("writer %d: update touched %d leaves, want %d", w, n, leavesPerFamily)
-					return
-				}
-				if !tm.UpdateBatched {
-					record("writer %d: update bypassed the batcher", w)
 					return
 				}
 				for {

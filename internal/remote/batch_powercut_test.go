@@ -17,7 +17,7 @@ import (
 
 // TestPowercutBatchAtomicity crashes the durable service around the
 // group commit of whole update batches: every cycle, K concurrent
-// writers to disjoint leaf families coalesce into exactly one SXB1
+// writers to disjoint leaf families coalesce into exactly one update-batch
 // frame (batch size K, a generous timer), and a power cut armed at a
 // random write offset lands before, inside, or after that batch's WAL
 // append + fsync. Invariants, checked every cycle:

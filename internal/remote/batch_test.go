@@ -2,12 +2,15 @@ package remote
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
-	"sync"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/walog"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
@@ -35,8 +38,13 @@ func hostHospital(t *testing.T, svc *Service) (*core.System, *httptest.Server, *
 
 // blockUpdate replaces block 0's ciphertext (transport-level tests
 // don't decrypt afterwards, so any bytes do).
-func blockUpdate(id uint64, ct ...byte) *wire.Update {
-	return &wire.Update{RequestID: id, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: ct}}}
+func blockUpdate(ct ...byte) *wire.Update {
+	return &wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: ct}}}
+}
+
+// batchOf frames members under a request ID.
+func batchOf(id uint64, us ...*wire.Update) *wire.UpdateBatch {
+	return &wire.UpdateBatch{RequestID: id, Updates: us}
 }
 
 func (s *Service) hospital(t *testing.T) *hosted {
@@ -52,146 +60,64 @@ func (s *Service) hospital(t *testing.T) *hosted {
 
 func TestRemoteBatchFrame(t *testing.T) {
 	svc := NewService()
-	_, _, cl := hostHospital(t, svc)
+	_, ts, cl := hostHospital(t, svc)
+	cl.WithRetry(NoRetry)
 	h := svc.hospital(t)
 	gen0 := h.srv.Generation()
 
-	b := &wire.UpdateBatch{
-		RequestID: 77,
-		Updates:   []*wire.Update{blockUpdate(1, 9, 9), blockUpdate(2, 8, 8, 8)},
-	}
+	b := batchOf(77, blockUpdate(9, 9), blockUpdate(8, 8, 8))
 	if err := cl.ApplyUpdateBatch(context.Background(), b); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
 	if got := h.srv.Generation(); got != gen0+1 {
 		t.Fatalf("batch of 2 bumped generation %d times, want 1", got-gen0)
 	}
-	if h.updBatches.Load() != 1 || h.updBatched.Load() != 2 {
-		t.Fatalf("batch counters: batches=%d batched=%d", h.updBatches.Load(), h.updBatched.Load())
+	if h.updBatches.Load() != 1 || h.updBatched.Load() != 2 || h.updMaxBatch.Load() != 2 || h.updSingles.Load() != 0 {
+		t.Fatalf("batch counters: batches=%d batched=%d maxBatch=%d singles=%d",
+			h.updBatches.Load(), h.updBatched.Load(), h.updMaxBatch.Load(), h.updSingles.Load())
 	}
 
-	// A retry of the whole batch dedups at the batch level.
+	// A retry of the frame dedups on its request ID.
 	if err := cl.ApplyUpdateBatch(context.Background(), b); err != nil {
 		t.Fatalf("batch retry: %v", err)
 	}
 	if svc.DedupHits() != 1 {
 		t.Fatalf("dedup hits = %d after batch retry", svc.DedupHits())
 	}
-	// A single-update retry of a member dedups too.
-	if err := cl.ApplyUpdate(context.Background(), blockUpdate(1, 9, 9)); err != nil {
-		t.Fatalf("member retry: %v", err)
-	}
-	if svc.DedupHits() != 2 {
-		t.Fatalf("dedup hits = %d after member retry", svc.DedupHits())
-	}
 	if got := h.srv.Generation(); got != gen0+1 {
-		t.Fatalf("retries moved the generation to %d", got)
+		t.Fatalf("retry moved the generation to %d", got)
 	}
-}
 
-func TestUpdateCoalescingBySize(t *testing.T) {
-	// maxWait is deliberately huge: only the size trigger may flush,
-	// which proves the four concurrent requests really shared one
-	// group commit.
-	svc := NewService().WithUpdateBatching(4, time.Minute)
-	_, _, cl := hostHospital(t, svc)
-	h := svc.hospital(t)
-	gen0 := h.srv.Generation()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = cl.ApplyUpdate(context.Background(), blockUpdate(uint64(100+i), byte(i)))
-		}(i)
+	// A batch of one is still a batch: same path, counted as a single.
+	if err := cl.ApplyUpdateBatch(context.Background(), batchOf(78, blockUpdate(7))); err != nil {
+		t.Fatalf("batch of one: %v", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
+	if h.updSingles.Load() != 1 || h.updBatches.Load() != 1 {
+		t.Fatalf("after a lone update: singles=%d batches=%d", h.updSingles.Load(), h.updBatches.Load())
+	}
+
+	// One bad member rejects the whole batch (422) and moves nothing;
+	// a frame that does not decode — garbage, or a retired SXU2 single
+	// update — is a 400.
+	gen1 := h.srv.Generation()
+	bad := &wire.Update{Blocks: []wire.BlockUpdate{{ID: 1 << 20, Ciphertext: []byte{1}}}}
+	err := cl.ApplyUpdateBatch(context.Background(), batchOf(79, blockUpdate(5, 5), bad))
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("batch with an out-of-range member: %v", err)
+	}
+	for _, body := range []string{"garbage", "SXU2\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"} {
+		resp, err := ts.Client().Post(ts.URL+"/db/hospital/update", "application/octet-stream", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("update %d: %v", i, err)
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("undecodable frame %q answered %d, want 400", body, resp.StatusCode)
 		}
 	}
-	if got := h.srv.Generation(); got != gen0+1 {
-		t.Fatalf("4 coalesced updates bumped generation %d times, want 1", got-gen0)
-	}
-	if h.updBatches.Load() != 1 || h.updBatched.Load() != 4 || h.updFlushSize.Load() != 1 {
-		t.Fatalf("counters: batches=%d batched=%d bySize=%d",
-			h.updBatches.Load(), h.updBatched.Load(), h.updFlushSize.Load())
-	}
-	if h.updMaxBatch.Load() != 4 {
-		t.Fatalf("maxBatch = %d", h.updMaxBatch.Load())
-	}
-	if h.updEnqueueNs.Load() <= 0 || h.updApplyNs.Load() <= 0 {
-		t.Fatal("batching timings not recorded")
-	}
-}
-
-func TestUpdateCoalescingByTimer(t *testing.T) {
-	// Queue far larger than the traffic: only the timer can flush.
-	svc := NewService().WithUpdateBatching(64, 5*time.Millisecond)
-	_, _, cl := hostHospital(t, svc)
-	h := svc.hospital(t)
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = cl.ApplyUpdate(context.Background(), blockUpdate(uint64(200+i), byte(i)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("update %d: %v", i, err)
-		}
-	}
-	if h.updFlushTime.Load() == 0 {
-		t.Fatal("no timer-triggered flush")
-	}
-	if h.updSingles.Load() != 0 {
-		t.Fatalf("%d updates bypassed the coalescer", h.updSingles.Load())
-	}
-	if got := h.updBatched.Load(); got != 2 {
-		t.Fatalf("batched = %d, want 2", got)
-	}
-}
-
-func TestCoalescingFallbackIsolatesBadMember(t *testing.T) {
-	svc := NewService().WithUpdateBatching(2, time.Minute)
-	_, _, cl := hostHospital(t, svc)
-	h := svc.hospital(t)
-	gen0 := h.srv.Generation()
-
-	cl.WithRetry(NoRetry)
-	bad := &wire.Update{RequestID: 301, Blocks: []wire.BlockUpdate{{ID: 1 << 20, Ciphertext: []byte{1}}}}
-	good := blockUpdate(302, 5, 5)
-	var wg sync.WaitGroup
-	var badErr, goodErr error
-	wg.Add(2)
-	go func() { defer wg.Done(); badErr = cl.ApplyUpdate(context.Background(), bad) }()
-	go func() { defer wg.Done(); goodErr = cl.ApplyUpdate(context.Background(), good) }()
-	wg.Wait()
-
-	// The malformed member rejects alone; its co-batched neighbor
-	// commits through the one-at-a-time fallback.
-	if badErr == nil {
-		t.Fatal("out-of-range update acknowledged")
-	}
-	if goodErr != nil {
-		t.Fatalf("good update rejected alongside the bad one: %v", goodErr)
-	}
-	if got := h.srv.Generation(); got != gen0+1 {
-		t.Fatalf("generation moved %d, want 1 (good member only)", got-gen0)
-	}
-	if h.updSingles.Load() != 1 {
-		t.Fatalf("fallback singles = %d, want 1", h.updSingles.Load())
-	}
-	if h.updBatches.Load() != 0 {
-		t.Fatalf("failed batch counted as committed: %d", h.updBatches.Load())
+	if got := h.srv.Generation(); got != gen1 {
+		t.Fatalf("rejected frames moved the generation %d -> %d", gen1, got)
 	}
 }
 
@@ -204,14 +130,11 @@ func TestBatchRecordReplaysAtomically(t *testing.T) {
 	_, ts, cl := hostHospital(t, svc)
 	h := svc.hospital(t)
 
-	b := &wire.UpdateBatch{
-		RequestID: 401,
-		Updates: []*wire.Update{
-			{RequestID: 402, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{1, 2, 3}}}},
-			{RequestID: 403, Blocks: []wire.BlockUpdate{{ID: 1, Ciphertext: []byte{4, 5}}}},
-			{RequestID: 404, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{6, 7, 8}}}},
-		},
-	}
+	b := batchOf(401,
+		&wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{1, 2, 3}}}},
+		&wire.Update{Blocks: []wire.BlockUpdate{{ID: 1, Ciphertext: []byte{4, 5}}}},
+		&wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{6, 7, 8}}}},
+	)
 	if err := cl.ApplyUpdateBatch(context.Background(), b); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -245,64 +168,105 @@ func TestBatchRecordReplaysAtomically(t *testing.T) {
 	if got := h2.srv.CurrentDB().Blocks[1]; len(got) != 2 || got[0] != 4 {
 		t.Fatalf("block 1 after replay = %v", got)
 	}
-	// The dedup table is re-armed for the batch AND its members.
-	for _, id := range []uint64{401, 402, 403, 404} {
-		if !h2.seen[id] {
-			t.Fatalf("request id %d not re-armed after replay", id)
-		}
+	if !h2.seen[401] {
+		t.Fatal("request id 401 not re-armed after replay")
 	}
 }
 
-func TestCoalescedUpdatesAreDurable(t *testing.T) {
-	dir := t.TempDir()
+// mixedLog commits a one-member, a three-member and another
+// one-member batch to a fresh durable service and shuts it down,
+// leaving all three records in the WAL of the returned directory.
+func mixedLog(t *testing.T) (dir string, ids []uint64, gen, epoch uint64) {
+	t.Helper()
+	dir = t.TempDir()
 	svc, err := NewPersistentService(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.WithUpdateBatching(4, time.Minute)
 	_, ts, cl := hostHospital(t, svc)
-	h := svc.hospital(t)
-
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = cl.ApplyUpdate(context.Background(), blockUpdate(uint64(500+i), byte(10+i)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("update %d: %v", i, err)
+	for _, b := range []*wire.UpdateBatch{
+		batchOf(601, blockUpdate(1)),
+		batchOf(602, blockUpdate(2, 2), blockUpdate(3, 3, 3), blockUpdate(4, 4, 4, 4)),
+		batchOf(603, blockUpdate(5)),
+	} {
+		if err := cl.ApplyUpdateBatch(context.Background(), b); err != nil {
+			t.Fatalf("batch %d: %v", b.RequestID, err)
 		}
+		ids = append(ids, b.RequestID)
 	}
-	wantGen := h.srv.Generation()
-	lastCT := append([]byte(nil), h.srv.CurrentDB().Blocks[0]...)
+	h := svc.hospital(t)
+	gen, epoch = h.srv.Generation(), h.srv.Epoch()
 	ts.Close()
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, ids, gen, epoch
+}
 
-	svc2, err := NewPersistentService(dir)
+// TestRecoveryReplaysMixedBatchSizes: one log holding one-member and
+// many-member records recovers through the one decode, record by
+// record; a record of a type recovery does not know, or one whose
+// payload stops inside a member, quarantines the database instead of
+// serving a guess.
+func TestRecoveryReplaysMixedBatchSizes(t *testing.T) {
+	dir, ids, wantGen, _ := mixedLog(t)
+	svc, err := NewPersistentService(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc2.Close()
-	h2 := svc2.hospital(t)
-	if got := h2.srv.Generation(); got != wantGen {
-		t.Fatalf("recovered generation %d, want %d", got, wantGen)
+	defer svc.Close()
+	if q := svc.Quarantined(); len(q) != 0 {
+		t.Fatalf("quarantined on reload: %+v", q)
 	}
-	if rec := svc2.Recoveries()["hospital"]; rec.Replayed != 1 {
-		t.Fatalf("replayed %d records, want 1 (one record per group commit)", rec.Replayed)
+	h := svc.hospital(t)
+	if rec := svc.Recoveries()["hospital"]; rec.Replayed != 3 || rec.RecoveredGen != wantGen {
+		t.Fatalf("recovery: %+v, want 3 records to gen %d", rec, wantGen)
 	}
-	if got := h2.srv.CurrentDB().Blocks[0]; string(got) != string(lastCT) {
-		t.Fatalf("block 0 after replay = %v, want %v", got, lastCT)
+	if got := h.srv.CurrentDB().Blocks[0]; len(got) != 1 || got[0] != 5 {
+		t.Fatalf("block 0 after replay = %v, want the last record's", got)
 	}
-	for i := 0; i < 4; i++ {
-		if !h2.seen[uint64(500+i)] {
-			t.Fatalf("member id %d not re-armed", 500+i)
+	for _, id := range ids {
+		if !h.seen[id] {
+			t.Fatalf("request id %d not re-armed after replay", id)
 		}
+	}
+
+	// One more CRC-valid record behind the three good ones: whatever
+	// recovery cannot decode must quarantine.
+	good, err := wire.MarshalUpdateBatch(batchOf(604, blockUpdate(6), blockUpdate(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]walog.Record{
+		"unknown type":   {Type: 9, Payload: good},
+		"damaged member": {Type: recUpdateBatch, Payload: good[:len(good)-2]},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, _, gen, epoch := mixedLog(t)
+			log, _, err := walog.Open(filepath.Join(dir, "hospital"+walDirExt), walog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Epoch, rec.Gen = epoch, gen+1
+			tk, err := log.Append(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			svc, err := NewPersistentService(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			if q := svc.Quarantined(); len(q) != 1 {
+				t.Fatalf("quarantined %d databases, want 1", len(q))
+			}
+			if _, ok := svc.Recoveries()["hospital"]; ok {
+				t.Fatal("database with an undecodable record is being served")
+			}
+		})
 	}
 }

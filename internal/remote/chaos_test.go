@@ -591,7 +591,7 @@ func TestRetryRecoversFromTransientResets(t *testing.T) {
 
 	// Two resets, no retries: fails with a transport error.
 	cl = mk(2, NoRetry)
-	err = cl.ApplyUpdate(context.Background(), &wire.Update{})
+	err = cl.ApplyUpdateBatch(context.Background(), &wire.UpdateBatch{Updates: []*wire.Update{{}}})
 	var ue *url.Error
 	if !errors.As(err, &ue) {
 		t.Fatalf("want transport error without retries, got %v", err)

@@ -12,7 +12,7 @@ import (
 )
 
 // Durable update path. An acknowledged update is durable the moment
-// the client sees 200: the raw update frame is appended to the
+// the client sees 200: the raw update-batch frame is appended to the
 // database's write-ahead log and group-fsynced before the request ID
 // enters the dedup table or the response goes out. Checkpoints — a
 // full snapshot (metadata) plus the dirty blocks (block store) — run
@@ -20,15 +20,12 @@ import (
 // (persist.go) replays whatever the log holds past the last
 // checkpoint. See DESIGN.md, "Durability model".
 
-// WAL record types. recUpdate carries one raw wire.Update frame
-// exactly as the client sent it; recUpdateBatch carries a raw SXB1
-// batch frame (wire.UpdateBatch) — one record per committed batch, so
-// a group of updates that committed as one generation replays as one
-// atomic unit or not at all.
-const (
-	recUpdate      byte = 1
-	recUpdateBatch byte = 2
-)
+// recUpdateBatch is the one WAL record type: a raw wire.UpdateBatch
+// frame exactly as the client sent it — one record per commit, so
+// updates that committed as one generation replay as one atomic unit
+// or not at all. (Types 1 and 2 carried frame formats since retired;
+// recovery quarantines a log that still holds them.)
+const recUpdateBatch byte = 3
 
 // defaultCheckpointEvery bounds how many WAL records accumulate
 // before a checkpoint truncates the log. Small enough that recovery
@@ -173,16 +170,16 @@ func (d *durable) close() {
 	}
 }
 
-// stageDurable records an applied update (or update batch) in the
-// WAL. Called under h.mu immediately after the apply succeeded, so
-// records enter the log in commit order. One batch is ONE record —
+// stageDurable records an applied update batch in the WAL. Called
+// under h.mu immediately after the apply succeeded, so records enter
+// the log in commit order. One batch is ONE record —
 // one CRC frame, one group fsync, one atomic replay unit. It returns
 // a ticket whose Wait blocks until the record's group fsync — the
 // caller waits *outside* h.mu so one update's fsync doesn't serialize
 // the next update's apply. A nil ticket with nil error means the
 // update is already durable (a checkpoint ran instead of, or in
 // addition to, the append).
-func (s *Service) stageDurable(h *hosted, typ byte, raw []byte, us []*wire.Update) (*walog.Ticket, error) {
+func (s *Service) stageDurable(h *hosted, raw []byte, us []*wire.Update) (*walog.Ticket, error) {
 	d := h.dur
 	var tk *walog.Ticket
 	if d.wal != nil && !d.degraded {
@@ -190,7 +187,7 @@ func (s *Service) stageDurable(h *hosted, typ byte, raw []byte, us []*wire.Updat
 		tk, err = d.wal.Append(walog.Record{
 			Epoch:   h.srv.Epoch(),
 			Gen:     h.srv.Generation(),
-			Type:    typ,
+			Type:    recUpdateBatch,
 			Payload: raw,
 		})
 		if err != nil {

@@ -237,30 +237,15 @@ func (s *Service) loadDB(fileName string) error {
 	replayed, rootChecked := 0, false
 	var replayErr error
 	for i, rec := range rep.Records {
-		// Decode the record into the batch it commits: a legacy record
-		// is a batch of one; a batch record replays all-or-nothing,
-		// exactly as it originally acknowledged.
-		var us []*wire.Update
-		var batchID uint64
-		switch rec.Type {
-		case recUpdate:
-			upd, err := wire.UnmarshalUpdate(rec.Payload)
-			if err != nil {
-				replayErr = fmt.Errorf("wal record %d: %w", i, err)
-			} else {
-				us = []*wire.Update{upd}
-			}
-		case recUpdateBatch:
-			b, err := wire.UnmarshalUpdateBatch(rec.Payload)
-			if err != nil {
-				replayErr = fmt.Errorf("wal record %d: %w", i, err)
-			} else {
-				us, batchID = b.Updates, b.RequestID
-			}
-		default:
+		// Decode the record into the batch it commits; it replays
+		// all-or-nothing, exactly as it originally acknowledged.
+		if rec.Type != recUpdateBatch {
 			replayErr = fmt.Errorf("wal record %d has unknown type %d", i, rec.Type)
+			break
 		}
-		if replayErr != nil {
+		b, err := wire.UnmarshalUpdateBatch(rec.Payload)
+		if err != nil {
+			replayErr = fmt.Errorf("wal record %d: %w", i, err)
 			break
 		}
 		if rec.Gen <= snapGen {
@@ -271,14 +256,14 @@ func (s *Service) loadDB(fileName string) error {
 		// cross-check validate the very last update's NewRoot against
 		// the fully recovered state.
 		final := i == len(rep.Records)-1
-		for j, upd := range us {
-			if !final || j != len(us)-1 {
+		for j, upd := range b.Updates {
+			if !final || j != len(b.Updates)-1 {
 				upd.NewRoot = nil
 			} else if len(upd.NewRoot) > 0 {
 				rootChecked = true
 			}
 		}
-		if err := srv.ApplyUpdateBatch(us); err != nil {
+		if err := srv.ApplyUpdateBatch(b.Updates); err != nil {
 			replayErr = fmt.Errorf("wal record %d (gen %d): %w", i, rec.Gen, err)
 			break
 		}
@@ -286,15 +271,12 @@ func (s *Service) loadDB(fileName string) error {
 			replayErr = fmt.Errorf("wal generation gap: record %d claims gen %d, replay reached %d", i, rec.Gen, got)
 			break
 		}
-		if batchID != 0 {
-			h.rememberLocked(batchID)
+		if b.RequestID != 0 {
+			h.rememberLocked(b.RequestID)
 		}
-		for _, upd := range us {
-			for _, b := range upd.Blocks {
-				dirty[b.ID] = struct{}{}
-			}
-			if upd.RequestID != 0 {
-				h.rememberLocked(upd.RequestID)
+		for _, upd := range b.Updates {
+			for _, blk := range upd.Blocks {
+				dirty[blk.ID] = struct{}{}
 			}
 		}
 		replayed++

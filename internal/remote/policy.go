@@ -13,7 +13,7 @@ import (
 // Idempotency: queries, aggregates and stats are read-only and retry
 // freely. Uploads are full-state PUTs (replaying the same bytes is a
 // no-op), and updates carry a request ID the server deduplicates
-// (see wire.Update.RequestID), so both also retry safely — a retry
+// (see wire.UpdateBatch.RequestID), so both also retry safely — a retry
 // of an update the server already applied is acknowledged without
 // being applied twice.
 type RetryPolicy struct {

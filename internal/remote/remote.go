@@ -146,10 +146,6 @@ type Service struct {
 	// advertise support; 0 selects defaultStreamCutoff, negative
 	// disables streaming (see WithStreamCutoff).
 	streamCutoff int
-	// batching, when non-nil, coalesces concurrent single-update
-	// requests into server-side group commits (see
-	// WithUpdateBatching).
-	batching *updateBatching
 	// plannerMode, when non-empty, forces every hosted server's
 	// twig-vs-pairwise planner strategy (see WithPlannerStrategy and
 	// server.ForceStrategy) — a debugging and benchmarking control.
@@ -191,27 +187,18 @@ type hosted struct {
 	streamBytes   atomic.Int64
 	streamChunks  atomic.Int64
 
-	// updQ is the group-commit coalescer for single-update requests
-	// (active only when the service enables batching; see batcher.go).
-	updQ updateQueue
-	// Update-pipeline counters, surfaced by the stats endpoint.
-	// updBatches counts committed group commits, updBatched the
-	// updates they carried, updSingles updates that went through the
-	// one-at-a-time path (legacy frames, root-bearing updates, batch
-	// apply fallback), updMaxBatch the largest batch committed.
-	// updFlushSize/updFlushTimer split flushes by trigger.
-	// updEnqueueNs/updApplyNs/updFsyncNs are cumulative: time callers
-	// spent waiting in the queue, time in ApplyUpdateBatch, and time
-	// waiting on the batch's group fsync.
-	updBatches   atomic.Int64
-	updBatched   atomic.Int64
-	updSingles   atomic.Int64
-	updMaxBatch  atomic.Int64
-	updFlushSize atomic.Int64
-	updFlushTime atomic.Int64
-	updEnqueueNs atomic.Int64
-	updApplyNs   atomic.Int64
-	updFsyncNs   atomic.Int64
+	// Update counters, surfaced by the stats endpoint. updSingles
+	// counts committed one-member batches; updBatches counts committed
+	// multi-member ones, updBatched the updates they carried and
+	// updMaxBatch the largest. updApplyNs/updFsyncNs are cumulative
+	// over every commit: time in ApplyUpdateBatch, and time waiting on
+	// the commit's WAL fsync.
+	updBatches  atomic.Int64
+	updBatched  atomic.Int64
+	updSingles  atomic.Int64
+	updMaxBatch atomic.Int64
+	updApplyNs  atomic.Int64
+	updFsyncNs  atomic.Int64
 }
 
 func newHosted(srv *server.Server) *hosted {
@@ -385,29 +372,6 @@ func (s *Service) Rejected() int { return int(s.adm().QueueRejected()) }
 // Returns s for chaining.
 func (s *Service) WithStreamCutoff(n int) *Service {
 	s.streamCutoff = n
-	return s
-}
-
-// WithUpdateBatching turns on server-side group commit for the update
-// endpoint: concurrent single-update requests enqueue into a
-// per-database coalescer that flushes when size updates are pending
-// or maxWait has elapsed since the first, whichever comes first. One
-// flush applies the whole batch atomically (one write-lock
-// acquisition, one incremental Merkle advance, one generation bump)
-// and stages ONE WAL record covering every member, so the group
-// fsync is amortized across the batch. Each caller still gets its own
-// acknowledgment, and the ack-after-fsync ordering is unchanged: no
-// caller sees 200 before the batch is durable. size <= 1 disables
-// batching. Call before serving traffic; returns s for chaining.
-func (s *Service) WithUpdateBatching(size int, maxWait time.Duration) *Service {
-	if size <= 1 {
-		s.batching = nil
-	} else {
-		if maxWait <= 0 {
-			maxWait = defaultUpdateMaxWait
-		}
-		s.batching = &updateBatching{size: size, maxWait: maxWait}
-	}
 	return s
 }
 
@@ -871,21 +835,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request, name stri
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if wire.IsUpdateBatchFrame(data) {
-		// Client-assembled SXB1 batch: apply as one atomic group
-		// commit regardless of the service's coalescing setting.
-		b, err := wire.UnmarshalUpdateBatch(data)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if canceled(w, r) {
-			return
-		}
-		s.applyBatchFrame(w, h, data, b)
-		return
-	}
-	upd, err := wire.UnmarshalUpdate(data)
+	b, err := wire.UnmarshalUpdateBatch(data)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -893,60 +843,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request, name stri
 	if canceled(w, r) {
 		return
 	}
-	if s.batching != nil && len(upd.NewRoot) == 0 {
-		// Coalesce concurrent rootless updates into a group commit.
-		// Root-bearing updates stay on the one-at-a-time path: their
-		// root describes the state after exactly this update, which a
-		// batch with interleaved members would never expose.
-		applyErr, persistErr := s.enqueueUpdate(h, data, upd)
-		s.answerUpdate(w, h, applyErr, persistErr)
-		return
-	}
-	h.mu.Lock()
-	if upd.RequestID != 0 && h.seen[upd.RequestID] {
-		// A retry of an update we already applied: acknowledge
-		// without re-applying.
-		h.mu.Unlock()
-		s.dedupHits.Add(1)
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	err = h.srv.ApplyUpdate(upd)
-	var persistErr error
-	var tk *walog.Ticket
-	if err == nil {
-		h.updSingles.Add(1)
-		if h.dur != nil {
-			// Stage the WAL record while still holding the update lock, so
-			// records enter the log in commit order; the fsync wait happens
-			// outside the lock so one update's disk latency doesn't
-			// serialize the next update's apply.
-			tk, persistErr = s.stageDurable(h, recUpdate, data, []*wire.Update{upd})
-		}
-	}
-	h.mu.Unlock()
-	if err == nil && persistErr == nil {
-		persistErr = s.ensureDurable(h, tk)
-	}
-	// Durability ordering: the request ID enters the dedup table only
-	// after the update is durable (WAL fsynced or checkpoint written).
-	// Recording it before would let a failed persist + client retry be
-	// dedup-acked without re-persisting — the client believes the
-	// update durable while the disk still holds the old state.
-	// (Updates are idempotent — whole-band index replacement, same
-	// ciphertexts — so the retry's re-apply is harmless.)
-	if err == nil && persistErr == nil && upd.RequestID != 0 {
-		h.mu.Lock()
-		h.rememberLocked(upd.RequestID)
-		h.mu.Unlock()
-	}
-	s.answerUpdate(w, h, err, persistErr)
-}
-
-// answerUpdate maps an update's (apply, persist) outcome onto the
-// HTTP response, shared by the inline, coalesced and batch-frame
-// paths.
-func (s *Service) answerUpdate(w http.ResponseWriter, h *hosted, applyErr, persistErr error) {
+	applyErr, persistErr := s.commitUpdate(h, data, b)
 	if applyErr != nil {
 		http.Error(w, applyErr.Error(), http.StatusUnprocessableEntity)
 		return
@@ -959,9 +856,65 @@ func (s *Service) answerUpdate(w http.ResponseWriter, h *hosted, applyErr, persi
 	w.WriteHeader(http.StatusOK)
 }
 
-// noteBatch records a committed group commit of n updates in the
-// stats counters.
-func (h *hosted) noteBatch(n int) {
+// commitUpdate is the one commit path behind /update: dedup, one
+// atomic server apply (single generation bump, single incremental
+// Merkle advance), ONE WAL record carrying the client's exact frame
+// bytes, its fsync, then the dedup entry. raw is b's encoding as
+// received. A nil, nil return means the batch is applied and durable
+// (now, or by an earlier attempt) and may be acknowledged.
+func (s *Service) commitUpdate(h *hosted, raw []byte, b *wire.UpdateBatch) (applyErr, persistErr error) {
+	h.mu.Lock()
+	if b.RequestID != 0 && h.seen[b.RequestID] {
+		// A retry of a batch we already committed: acknowledge
+		// without re-applying.
+		h.mu.Unlock()
+		s.dedupHits.Add(1)
+		return nil, nil
+	}
+	t0 := time.Now()
+	applyErr = h.srv.ApplyUpdateBatch(b.Updates)
+	h.updApplyNs.Add(int64(time.Since(t0)))
+	if applyErr != nil {
+		h.mu.Unlock()
+		return applyErr, nil
+	}
+	h.noteCommit(len(b.Updates))
+	var tk *walog.Ticket
+	if h.dur != nil {
+		// Stage the WAL record while still holding the update lock, so
+		// records enter the log in commit order; the fsync wait happens
+		// outside the lock so one commit's disk latency doesn't
+		// serialize the next commit's apply.
+		tk, persistErr = s.stageDurable(h, raw, b.Updates)
+	}
+	h.mu.Unlock()
+	if persistErr == nil {
+		t1 := time.Now()
+		persistErr = s.ensureDurable(h, tk)
+		h.updFsyncNs.Add(int64(time.Since(t1)))
+	}
+	// Durability ordering: the request ID enters the dedup table only
+	// after the batch is durable (WAL fsynced or checkpoint written).
+	// Recording it before would let a failed persist + client retry be
+	// dedup-acked without re-persisting — the client believes the
+	// update durable while the disk still holds the old state.
+	// (Updates are idempotent — whole-band index replacement, same
+	// ciphertexts — so the retry's re-apply is harmless.)
+	if persistErr == nil && b.RequestID != 0 {
+		h.mu.Lock()
+		h.rememberLocked(b.RequestID)
+		h.mu.Unlock()
+	}
+	return nil, persistErr
+}
+
+// noteCommit records a committed batch of n updates in the stats
+// counters.
+func (h *hosted) noteCommit(n int) {
+	if n == 1 {
+		h.updSingles.Add(1)
+		return
+	}
 	h.updBatches.Add(1)
 	h.updBatched.Add(int64(n))
 	for {
@@ -970,54 +923,6 @@ func (h *hosted) noteBatch(n int) {
 			return
 		}
 	}
-}
-
-// applyBatchFrame applies a client-assembled SXB1 batch: one atomic
-// server apply (single generation bump, single incremental Merkle
-// advance), ONE WAL record carrying the client's exact frame bytes,
-// one group fsync. Dedup runs at the batch level — the batch request
-// ID is what a retry of this POST re-presents — and member IDs are
-// remembered too, so a later single-update retry of a member is also
-// dedup-acked. All IDs enter the table only after durability, exactly
-// like the single path.
-func (s *Service) applyBatchFrame(w http.ResponseWriter, h *hosted, raw []byte, b *wire.UpdateBatch) {
-	h.mu.Lock()
-	if b.RequestID != 0 && h.seen[b.RequestID] {
-		h.mu.Unlock()
-		s.dedupHits.Add(1)
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	t0 := time.Now()
-	err := h.srv.ApplyUpdateBatch(b.Updates)
-	h.updApplyNs.Add(int64(time.Since(t0)))
-	var persistErr error
-	var tk *walog.Ticket
-	if err == nil {
-		h.noteBatch(len(b.Updates))
-		if h.dur != nil {
-			tk, persistErr = s.stageDurable(h, recUpdateBatch, raw, b.Updates)
-		}
-	}
-	h.mu.Unlock()
-	if err == nil && persistErr == nil {
-		t1 := time.Now()
-		persistErr = s.ensureDurable(h, tk)
-		h.updFsyncNs.Add(int64(time.Since(t1)))
-	}
-	if err == nil && persistErr == nil {
-		h.mu.Lock()
-		if b.RequestID != 0 {
-			h.rememberLocked(b.RequestID)
-		}
-		for _, u := range b.Updates {
-			if u.RequestID != 0 {
-				h.rememberLocked(u.RequestID)
-			}
-		}
-		h.mu.Unlock()
-	}
-	s.answerUpdate(w, h, err, persistErr)
 }
 
 // setPlanHeaders echoes the planner's chosen strategy and cost
@@ -1049,15 +954,12 @@ func (s *Service) handleStats(w http.ResponseWriter, h *hosted) {
 			"chunks":  h.streamChunks.Load(),
 		},
 		"updates": map[string]int64{
-			"batches":      h.updBatches.Load(),
-			"batched":      h.updBatched.Load(),
-			"singles":      h.updSingles.Load(),
-			"maxBatch":     h.updMaxBatch.Load(),
-			"flushBySize":  h.updFlushSize.Load(),
-			"flushByTimer": h.updFlushTime.Load(),
-			"enqueueNs":    h.updEnqueueNs.Load(),
-			"applyNs":      h.updApplyNs.Load(),
-			"fsyncNs":      h.updFsyncNs.Load(),
+			"batches":  h.updBatches.Load(),
+			"batched":  h.updBatched.Load(),
+			"singles":  h.updSingles.Load(),
+			"maxBatch": h.updMaxBatch.Load(),
+			"applyNs":  h.updApplyNs.Load(),
+			"fsyncNs":  h.updFsyncNs.Load(),
 		},
 	}
 	if h.dur != nil {
@@ -1719,44 +1621,15 @@ func (c *Client) ExtremeProof(ctx context.Context, lo, hi uint64, max bool) (*wi
 	return res, nil
 }
 
-// ApplyUpdate implements core.Backend over HTTP: it sends an owner
-// update to the service. A zero RequestID is replaced with a fresh
-// random one so retries of this call are deduplicated server-side.
-func (c *Client) ApplyUpdate(ctx context.Context, upd *wire.Update) error {
-	if upd.RequestID == 0 {
-		upd.RequestID = wire.NewRequestID()
-	}
-	data, err := wire.MarshalUpdate(upd)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, "update", func(ctx context.Context) error {
-		status, body, hdr, err := c.request(ctx, http.MethodPost, c.url("update"), data)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return statusError("update", status, body, hdr)
-		}
-		return nil
-	})
-}
-
-// ApplyUpdateBatch implements core.BatchBackend over HTTP: it sends a
-// group of owner updates as one SXB1 frame the service applies
-// atomically — one generation bump, one incremental Merkle advance,
-// one WAL record and group fsync for the whole batch. A zero batch
-// request ID (and zero member IDs) are replaced with fresh random
-// ones so retries of this call are deduplicated server-side at the
-// batch level.
+// ApplyUpdateBatch implements core.Backend over HTTP: it sends one or
+// more owner updates as the one update frame, which the service
+// applies atomically — one generation bump, one incremental Merkle
+// advance, one WAL record and fsync for the whole batch. A zero
+// request ID is replaced with a fresh random one so retries of this
+// call are deduplicated server-side.
 func (c *Client) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
 	if b.RequestID == 0 {
 		b.RequestID = wire.NewRequestID()
-	}
-	for _, u := range b.Updates {
-		if u.RequestID == 0 {
-			u.RequestID = wire.NewRequestID()
-		}
 	}
 	data, err := wire.MarshalUpdateBatch(b)
 	if err != nil {

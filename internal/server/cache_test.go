@@ -88,7 +88,7 @@ func TestPlanCacheAcrossGenerations(t *testing.T) {
 		t.Errorf("plan compiled %d times for one frame, want 1", st["plans"].Misses)
 	}
 	// An (empty but committed) update bumps the generation…
-	if err := s.ApplyUpdate(&wire.Update{}); err != nil {
+	if err := s.ApplyUpdateBatch([]*wire.Update{{}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Generation(); got != 2 {
@@ -188,7 +188,7 @@ func TestStaleRangeNotServedAcrossGenerations(t *testing.T) {
 	if _, err := s.Execute(tq); err != nil { // warm ranges + answer at gen 1
 		t.Fatal(err)
 	}
-	if err := s.ApplyUpdate(&wire.Update{}); err != nil {
+	if err := s.ApplyUpdateBatch([]*wire.Update{{}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Execute(tq); err != nil {

@@ -20,8 +20,7 @@ import (
 // blockUpdate builds a valid single-block replacement frame.
 func blockUpdate(id int, fill byte) *wire.Update {
 	return &wire.Update{
-		RequestID: wire.NewRequestID(),
-		Blocks:    []wire.BlockUpdate{{ID: id, Ciphertext: []byte{fill, fill, fill, fill}}},
+		Blocks: []wire.BlockUpdate{{ID: id, Ciphertext: []byte{fill, fill, fill, fill}}},
 	}
 }
 
@@ -39,7 +38,7 @@ func TestNumBlocksRaceWithUpdates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
-			if err := s.ApplyUpdate(blockUpdate(i%want, byte(i))); err != nil {
+			if err := s.ApplyUpdateBatch([]*wire.Update{blockUpdate(i%want, byte(i))}); err != nil {
 				t.Errorf("update %d: %v", i, err)
 				return
 			}
@@ -87,7 +86,7 @@ func TestReturnedBytesImmutableUnderUpdates(t *testing.T) {
 			// Replace every block, including the ones whose old bytes
 			// the main goroutine is holding.
 			for id := 0; id < s.NumBlocks(); id++ {
-				if err := s.ApplyUpdate(blockUpdate(id, byte(i))); err != nil {
+				if err := s.ApplyUpdateBatch([]*wire.Update{blockUpdate(id, byte(i))}); err != nil {
 					t.Errorf("update: %v", err)
 					return
 				}

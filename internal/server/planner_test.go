@@ -30,7 +30,7 @@ func TestSynopsisIncrementalEqualsRebuild(t *testing.T) {
 		var batch []*wire.Update
 		for i := 0; i < 1+r.Intn(3); i++ {
 			band := opess.Band(entries[r.Intn(len(entries))].Key)
-			u := &wire.Update{RequestID: wire.NewRequestID(), DropBands: []uint8{band}}
+			u := &wire.Update{DropBands: []uint8{band}}
 			for _, e := range entries {
 				if opess.Band(e.Key) != band || r.Intn(3) == 0 {
 					continue // random deletions within the reissued band

@@ -189,7 +189,7 @@ func (s *Server) IndexSize() int { return s.current().index.Len() }
 // NumBlocks returns the number of hosted encryption blocks. It pins
 // the current snapshot like every other reader — the pre-MVCC
 // version read len(s.db.Blocks) with no synchronization at all,
-// racing ApplyUpdate's block replacement.
+// racing ApplyUpdateBatch's block replacement.
 func (s *Server) NumBlocks() int { return len(s.current().db.Blocks) }
 
 // ExtremeBlock serves MIN/MAX aggregates (§6.4): it returns the ID

@@ -10,25 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// ApplyUpdate applies an owner-issued mutation: block ciphertexts
-// are replaced and the value index is rebuilt with the dropped
-// attribute bands removed and the replacement entries inserted.
-// Structure (DSI tables, block table, forest) is untouched — updates
-// in this extension are value-level and structure-preserving (see
-// wire.Update). Under MVCC the mutation builds the next snapshot off
-// to the side and publishes it atomically: concurrent queries keep
-// running against the generation they pinned and are never blocked.
-func (s *Server) ApplyUpdate(u *wire.Update) error {
-	return s.ApplyUpdateBatch([]*wire.Update{u})
-}
-
-// ApplyUpdateBatch applies a group of updates as one atomic step: all
-// members commit or none do, with ONE value-index rebuild, ONE
-// incremental Merkle advance (a multi-leaf delta over the whole batch
-// — never a per-update from-scratch BuildAuthState) and ONE
-// generation bump. Members are applied in order, so a later member's
-// band replacement supersedes an earlier one's, exactly as sequential
-// ApplyUpdate calls would.
+// ApplyUpdateBatch applies one or more owner-issued mutations as one
+// atomic step: block ciphertexts are replaced and the value index is
+// rebuilt with the dropped attribute bands removed and the replacement
+// entries inserted. Structure (DSI tables, block table, forest) is
+// untouched — updates in this extension are value-level and
+// structure-preserving (see wire.Update). All members commit or none
+// do, with ONE value-index rebuild, ONE incremental Merkle advance (a
+// multi-leaf delta over the whole batch — never a per-update
+// from-scratch BuildAuthState) and ONE generation bump. Members are
+// applied in order, so a later member's band replacement supersedes an
+// earlier one's.
 //
 // Copy-on-write: the batch never mutates the committed snapshot. It
 // copies the block map header, folds the index entries, bulk-loads a

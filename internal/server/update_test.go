@@ -14,7 +14,7 @@ import (
 // the whole drop-and-replace path).
 func bandUpdate(s *Server) *wire.Update {
 	band := uint8(s.CurrentDB().IndexEntries[0].Key >> 56)
-	u := &wire.Update{RequestID: wire.NewRequestID(), DropBands: []uint8{band}}
+	u := &wire.Update{DropBands: []uint8{band}}
 	for _, e := range s.CurrentDB().IndexEntries {
 		if uint8(e.Key>>56) == band {
 			u.AddEntries = append(u.AddEntries, e)
@@ -33,9 +33,9 @@ func TestApplyUpdateBatchAtomicAndIncremental(t *testing.T) {
 	gen0 := s.Generation()
 	preIndexLen := s.IndexSize()
 
-	u1 := &wire.Update{RequestID: 1, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{1, 2, 3}}}}
+	u1 := &wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{1, 2, 3}}}}
 	u2 := bandUpdate(s)
-	u3 := &wire.Update{RequestID: 3, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{4, 5, 6}}}}
+	u3 := &wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{4, 5, 6}}}}
 	if err := s.ApplyUpdateBatch([]*wire.Update{u1, u2, u3}); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestApplyUpdateBatchFinalRootChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := st.Verifier()
-	u1 := &wire.Update{RequestID: 1, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{7, 7}}}}
+	u1 := &wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{7, 7}}}}
 	u2 := bandUpdate(s)
 	for _, u := range []*wire.Update{u1, u2} {
 		if err := v.ApplyUpdate(u); err != nil {
@@ -107,7 +107,7 @@ func TestApplyUpdateBatchRootMismatchRevertsAll(t *testing.T) {
 	prevCT := append([]byte(nil), s.CurrentDB().Blocks[0]...)
 	prevEntries := len(s.CurrentDB().IndexEntries)
 
-	good := &wire.Update{RequestID: 1, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{9, 9}}}}
+	good := &wire.Update{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{9, 9}}}}
 	bad := bandUpdate(s)
 	bad.NewRoot = make([]byte, 32) // wrong final root
 	if err := s.ApplyUpdateBatch([]*wire.Update{good, bad}); err == nil {
@@ -141,13 +141,13 @@ func TestApplyUpdateBatchValidatesUpFront(t *testing.T) {
 		t.Fatal("empty batch accepted")
 	}
 	us := []*wire.Update{
-		{RequestID: 1, Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{1}}}},
-		{RequestID: 2, Blocks: []wire.BlockUpdate{{ID: 1 << 20, Ciphertext: []byte{2}}}},
+		{Blocks: []wire.BlockUpdate{{ID: 0, Ciphertext: []byte{1}}}},
+		{Blocks: []wire.BlockUpdate{{ID: 1 << 20, Ciphertext: []byte{2}}}},
 	}
 	if err := s.ApplyUpdateBatch(us); err == nil {
 		t.Fatal("out-of-range member accepted")
 	}
-	us[1] = &wire.Update{RequestID: 2, AddEntries: []btree.Entry{{Key: 1, BlockID: 1 << 20}}}
+	us[1] = &wire.Update{AddEntries: []btree.Entry{{Key: 1, BlockID: 1 << 20}}}
 	us[1].DropBands = []uint8{0}
 	if err := s.ApplyUpdateBatch(us); err == nil {
 		t.Fatal("out-of-range entry accepted")

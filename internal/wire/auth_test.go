@@ -337,31 +337,6 @@ func TestVersionedFramesBackCompat(t *testing.T) {
 	if string(gotA.Proof) != "SXP1whatever" {
 		t.Fatal("answer proof lost in round trip")
 	}
-
-	u := &Update{RequestID: 5}
-	data, err = MarshalUpdate(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:4]) != "SXU2" {
-		t.Fatalf("plain update framed as %q", data[:4])
-	}
-	u.NewRoot = make([]byte, 32)
-	u.NewRoot[0] = 0xAB
-	data, err = MarshalUpdate(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:4]) != "SXU3" {
-		t.Fatalf("rooted update framed as %q", data[:4])
-	}
-	gotU, err := UnmarshalUpdate(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotU.RequestID != 5 || len(gotU.NewRoot) != 32 || gotU.NewRoot[0] != 0xAB {
-		t.Fatal("SXU3 round trip mismatch")
-	}
 }
 
 func BenchmarkVerifyAnswer(b *testing.B) {

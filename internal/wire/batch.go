@@ -5,41 +5,34 @@ import (
 	"fmt"
 )
 
-// UpdateBatch is a group of owner updates applied as one atomic step:
-// the server commits either every member or none, bumps its
-// generation once, advances its Merkle state with a single multi-leaf
-// delta, and makes the whole group durable under one WAL record (so
-// one group-commit fsync covers every member). Members keep their own
-// request IDs — a member retried individually after the batch landed
-// still deduplicates — and the batch carries its own ID so a resend
-// of the whole frame (core.Reconcile after an ambiguous failure)
-// collapses to one application.
+// UpdateBatch is the unit of update at every layer: one or more owner
+// updates applied as one atomic step. The server commits either every
+// member or none, bumps its generation once, advances its Merkle
+// state with a single multi-leaf delta, and makes the whole group
+// durable under one WAL record (so one fsync covers every member).
 //
 // Member updates are chained: each was prepared against the state the
 // previous members produce, so only the LAST member's NewRoot is the
 // commitment to the post-batch state. The server checks exactly that
 // root; a corrupted member anywhere in the chain makes the final root
-// diverge, which rejects (and reverts) the whole batch.
+// diverge, which rejects (and discards) the whole batch.
 type UpdateBatch struct {
-	// RequestID identifies the batch for at-most-once application,
-	// exactly like Update.RequestID does for a single update.
+	// RequestID identifies the batch for at-most-once application:
+	// the server remembers recently committed IDs and acknowledges a
+	// resend (a lost response, a client-side timeout, core.Reconcile
+	// after an ambiguous failure) without re-applying it. Zero means
+	// "no ID"; the remote client assigns a random one before the first
+	// attempt. The ID is random and carries no information about the
+	// batch's content.
 	RequestID uint64
-	// Updates are the member frames, in application order.
+	// Updates are the members, in application order; never empty.
 	Updates []*Update
 }
 
-// batchMagic frames an update batch (SXB1). The member updates are
-// embedded as their own length-prefixed SXU2/SXU3 frames, byte for
-// byte what MarshalUpdate produces — a batch of one carries the
-// identical inner bytes a lone update would have sent, so legacy
-// peers and golden tests see unchanged SXU encodings whenever
-// batching is off.
-var batchMagic = []byte("SXB1")
-
-// IsUpdateBatchFrame reports whether data starts like an SXB1 batch.
-func IsUpdateBatchFrame(data []byte) bool {
-	return len(data) >= len(batchMagic) && bytes.Equal(data[:len(batchMagic)], batchMagic)
-}
+// batchMagic frames the one update frame /update accepts and the WAL
+// stores: magic, request ID, member count, then each member in the
+// encoding of writeUpdate.
+var batchMagic = []byte("SXB2")
 
 // MarshalUpdateBatch serializes a batch.
 func MarshalUpdateBatch(b *UpdateBatch) ([]byte, error) {
@@ -50,13 +43,8 @@ func MarshalUpdateBatch(b *UpdateBatch) ([]byte, error) {
 	w.buf.Write(batchMagic)
 	w.u64(b.RequestID)
 	w.uvarint(uint64(len(b.Updates)))
-	for i, u := range b.Updates {
-		inner, err := MarshalUpdate(u)
-		if err != nil {
-			w.finish()
-			return nil, fmt.Errorf("wire: batch member %d: %w", i, err)
-		}
-		w.bytes(inner)
+	for _, u := range b.Updates {
+		writeUpdate(w, u)
 	}
 	return w.finish(), nil
 }
@@ -73,7 +61,7 @@ func UnmarshalUpdateBatch(data []byte) (*UpdateBatch, error) {
 		return nil, fmt.Errorf("wire: batch request id: %w", err)
 	}
 	b.RequestID = id
-	n, err := r.count("batch member")
+	n, err := r.countOf("batch member", minUpdateBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +69,7 @@ func UnmarshalUpdateBatch(data []byte) (*UpdateBatch, error) {
 		return nil, fmt.Errorf("wire: empty update batch")
 	}
 	for i := 0; i < n; i++ {
-		inner, err := r.bytesN()
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch member %d: %w", i, err)
-		}
-		u, err := UnmarshalUpdate(inner)
+		u, err := readUpdate(r)
 		if err != nil {
 			return nil, fmt.Errorf("wire: batch member %d: %w", i, err)
 		}

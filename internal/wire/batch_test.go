@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/btree"
@@ -13,15 +14,13 @@ func sampleBatch() *UpdateBatch {
 		RequestID: 0xCAFE,
 		Updates: []*Update{
 			{
-				RequestID:  1,
 				Blocks:     []BlockUpdate{{ID: 0, Ciphertext: []byte{9, 9}}},
 				DropBands:  []uint8{0},
 				AddEntries: []btree.Entry{{Key: 42, BlockID: 0}},
 			},
 			{
-				RequestID: 2,
-				Blocks:    []BlockUpdate{{ID: 0, Ciphertext: []byte{8, 8, 8}}},
-				NewRoot:   bytes.Repeat([]byte{0xAB}, 32),
+				Blocks:  []BlockUpdate{{ID: 0, Ciphertext: []byte{8, 8, 8}}},
+				NewRoot: bytes.Repeat([]byte{0xAB}, 32),
 			},
 		},
 	}
@@ -33,9 +32,6 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsUpdateBatchFrame(data) {
-		t.Fatal("batch frame not recognized")
-	}
 	got, err := UnmarshalUpdateBatch(data)
 	if err != nil {
 		t.Fatal(err)
@@ -44,54 +40,14 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: id=%d n=%d", got.RequestID, len(got.Updates))
 	}
 	u0, u1 := got.Updates[0], got.Updates[1]
-	if u0.RequestID != 1 || len(u0.Blocks) != 1 || u0.Blocks[0].ID != 0 ||
+	if len(u0.Blocks) != 1 || u0.Blocks[0].ID != 0 ||
 		!bytes.Equal(u0.Blocks[0].Ciphertext, []byte{9, 9}) ||
 		len(u0.DropBands) != 1 || u0.DropBands[0] != 0 ||
 		len(u0.AddEntries) != 1 || u0.AddEntries[0] != (btree.Entry{Key: 42, BlockID: 0}) {
 		t.Fatalf("member 0 mismatch: %+v", u0)
 	}
-	if u1.RequestID != 2 || !bytes.Equal(u1.NewRoot, b.Updates[1].NewRoot) {
+	if !bytes.Equal(u1.NewRoot, b.Updates[1].NewRoot) {
 		t.Fatalf("member 1 mismatch: %+v", u1)
-	}
-
-	// A single update frame must never be mistaken for a batch.
-	single, err := MarshalUpdate(b.Updates[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsUpdateBatchFrame(single) {
-		t.Fatal("single update frame recognized as batch")
-	}
-}
-
-func TestUpdateBatchEmbedsExactUpdateFrames(t *testing.T) {
-	// The batch frame must carry the member updates as their exact
-	// MarshalUpdate bytes: legacy single-update encodings and the
-	// batch encoding share one inner format, so turning batching on
-	// cannot perturb what any SXU decoder sees.
-	b := sampleBatch()
-	data, err := MarshalUpdateBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest := data[4+8:] // magic + batch request id
-	r := &reader{r: bytes.NewReader(rest)}
-	n, err := r.count("member")
-	if err != nil || n != 2 {
-		t.Fatalf("member count: %d, %v", n, err)
-	}
-	for i, u := range b.Updates {
-		inner, err := r.bytesN()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := MarshalUpdate(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(inner, want) {
-			t.Fatalf("member %d: embedded bytes differ from MarshalUpdate", i)
-		}
 	}
 }
 
@@ -112,11 +68,42 @@ func TestUpdateBatchErrors(t *testing.T) {
 	if _, err := UnmarshalUpdateBatch(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// A corrupted member magic must be rejected.
-	bad := append([]byte(nil), data...)
-	bad[4+8+1] ^= 0xFF // first byte of member 0's length-prefixed frame... flip length instead
-	if _, err := UnmarshalUpdateBatch(bad); err == nil {
-		t.Fatal("corrupted member accepted")
+	// A member count the frame cannot hold is rejected up front.
+	lying := append([]byte(nil), data...)
+	lying[4+8] = 0x7F
+	if _, err := UnmarshalUpdateBatch(lying); err == nil {
+		t.Fatal("lying member count accepted")
+	}
+}
+
+// TestUpdateDecodeBoundsAllocation: a dozen bytes claiming 2^28 index
+// entries, members or ciphertext bytes must fail on the count, before
+// anything is allocated for it.
+func TestUpdateDecodeBoundsAllocation(t *testing.T) {
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x01} // uvarint 1<<28
+	frame := func(body ...[]byte) []byte {
+		out := append([]byte("SXB2"), make([]byte, 8)...)
+		for _, b := range body {
+			out = append(out, b...)
+		}
+		return out
+	}
+	cases := map[string][]byte{
+		"members": frame(huge),
+		"entries": frame([]byte{1, 0, 0}, huge),
+		"bytes":   frame([]byte{1, 1, 0}, huge),
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalUpdateBatch(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: frame of %d bytes claiming 2^28 accepted", name, len(data))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: decode allocated %d bytes for a %d-byte frame", name, grew, len(data))
+		}
 	}
 }
 
@@ -197,45 +184,37 @@ func TestAuthStateApplyUpdates(t *testing.T) {
 	}
 }
 
-// TestGoldenUpdateFrameBytes pins the exact SXU3 encoding. The update
-// path with batching off must keep emitting these bytes forever —
-// batching-related fields (timings, batch IDs) live outside the SXU
-// frame, and this test is the tripwire should anyone try to sneak one
-// in.
+// TestGoldenUpdateFrameBytes pins the exact bytes of the one update
+// frame: what /update accepts is what the WAL stores and recovery
+// replays, so a drift here strands every log on disk.
 func TestGoldenUpdateFrameBytes(t *testing.T) {
 	root := make([]byte, 32)
 	for i := range root {
 		root[i] = byte(i)
 	}
-	u := &Update{
-		RequestID:  0x1122334455667788,
-		Blocks:     []BlockUpdate{{ID: 1, Ciphertext: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
-		DropBands:  []uint8{0x07},
-		AddEntries: []btree.Entry{{Key: 0x0700000000000001, BlockID: 1}},
-		NewRoot:    root,
+	b := &UpdateBatch{
+		RequestID: 0x1122334455667788,
+		Updates: []*Update{{
+			Blocks:     []BlockUpdate{{ID: 1, Ciphertext: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
+			DropBands:  []uint8{0x07},
+			AddEntries: []btree.Entry{{Key: 0x0700000000000001, BlockID: 1}},
+			NewRoot:    root,
+		}},
 	}
-	const golden = "53585533" + // magic "SXU3"
+	const golden = "53584232" + // magic "SXB2"
 		"1122334455667788" + // request id (fixed u64)
+		"01" + // 1 member
 		"01" + // 1 block update
 		"01" + "04" + "deadbeef" + // block 1, 4-byte ciphertext
 		"01" + "07" + // 1 dropped band: 7
 		"01" + "0700000000000001" + "01" + // 1 entry: key (fixed u64), block 1
 		"20" + // 32-byte root
 		"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
-	data, err := MarshalUpdate(u)
+	data, err := MarshalUpdateBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := hex.EncodeToString(data); got != golden {
-		t.Fatalf("SXU3 frame drifted:\n got %s\nwant %s", got, golden)
-	}
-
-	// The same bytes ride inside a batch frame unchanged.
-	bdata, err := MarshalUpdateBatch(&UpdateBatch{RequestID: 5, Updates: []*Update{u}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(bdata, data) {
-		t.Fatal("batch frame does not embed the golden SXU3 bytes verbatim")
+		t.Fatalf("update frame drifted:\n got %s\nwant %s", got, golden)
 	}
 }

@@ -49,7 +49,6 @@ func fuzzDB() []byte {
 
 func fuzzUpdate() *Update {
 	return &Update{
-		RequestID: 42,
 		Blocks:    []BlockUpdate{{ID: 1, Ciphertext: []byte{9, 9, 9}}, {ID: 4, Ciphertext: nil}},
 		DropBands: []uint8{3, 7},
 		AddEntries: []btree.Entry{
@@ -126,24 +125,62 @@ func FuzzUnmarshalAnswer(f *testing.F) {
 	})
 }
 
+// memberBytes is the one member encoding of u, on its own.
+func memberBytes(u *Update) []byte {
+	w := getWriter()
+	writeUpdate(w, u)
+	return w.finish()
+}
+
+// FuzzUnmarshalUpdate drives the member decoder directly, so the
+// fuzzer need not get past the batch header to reach it.
 func FuzzUnmarshalUpdate(f *testing.F) {
-	if seed, err := MarshalUpdate(fuzzUpdate()); err == nil {
-		f.Add(seed) // SXU2
-		// And the legacy SXU1 framing of the same body.
-		if len(seed) > 12 {
-			f.Add(append([]byte("SXU1"), seed[12:]...)) // strip magic+request ID
-		}
-	}
+	seed := memberBytes(fuzzUpdate())
+	rooted := fuzzUpdate()
+	rooted.NewRoot = bytes.Repeat([]byte{0xAB}, 32)
+	f.Add(seed)
+	f.Add(memberBytes(rooted))
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x01}) // 2^28 entries, no bytes behind them
 	f.Add([]byte{})
-	f.Add([]byte("SXU1"))
-	f.Add([]byte("SXU2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := UnmarshalUpdate(data)
+		u, err := readUpdate(&reader{r: bytes.NewReader(data)})
 		if err != nil {
 			return
 		}
-		if _, err := MarshalUpdate(u); err != nil {
+		if _, err := readUpdate(&reader{r: bytes.NewReader(memberBytes(u))}); err != nil {
+			t.Fatalf("accepted member does not re-decode: %v", err)
+		}
+	})
+}
+
+// FuzzUnmarshalUpdateBatch drives the only decoder /update bodies and
+// WAL payloads go through.
+func FuzzUnmarshalUpdateBatch(f *testing.F) {
+	one, _ := MarshalUpdateBatch(&UpdateBatch{RequestID: 7, Updates: []*Update{fuzzUpdate()}})
+	many := &UpdateBatch{RequestID: 8}
+	for i := 0; i < 16; i++ {
+		many.Updates = append(many.Updates, fuzzUpdate())
+	}
+	sixteen, _ := MarshalUpdateBatch(many)
+	lying := append([]byte(nil), sixteen...)
+	lying[4+8] = 0x7F // claims 127 members, holds 16
+	f.Add(one)
+	f.Add(sixteen)
+	f.Add(sixteen[:len(sixteen)-len(one)/2]) // truncated member
+	f.Add(lying)
+	f.Add(append(append([]byte(nil), one...), 0)) // trailing byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := UnmarshalUpdateBatch(data)
+		if err != nil {
+			return
+		}
+		out, err := MarshalUpdateBatch(b)
+		if err != nil {
 			t.Fatalf("accepted input cannot re-marshal: %v", err)
+		}
+		if _, err := UnmarshalUpdateBatch(out); err != nil {
+			t.Fatalf("re-marshal does not decode: %v", err)
 		}
 	})
 }
@@ -204,7 +241,7 @@ func TestStrictPrefixesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	updateBytes, err := MarshalUpdate(fuzzUpdate())
+	updateBytes, err := MarshalUpdateBatch(&UpdateBatch{RequestID: 42, Updates: []*Update{fuzzUpdate(), fuzzUpdate()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +258,7 @@ func TestStrictPrefixesError(t *testing.T) {
 		{"db", dbBytes, func(b []byte) error { _, err := UnmarshalDB(b); return err }},
 		{"query", queryBytes, func(b []byte) error { _, err := UnmarshalQuery(b); return err }},
 		{"answer", answerBytes, func(b []byte) error { _, err := UnmarshalAnswer(b); return err }},
-		{"update", updateBytes, func(b []byte) error { _, err := UnmarshalUpdate(b); return err }},
+		{"update", updateBytes, func(b []byte) error { _, err := UnmarshalUpdateBatch(b); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

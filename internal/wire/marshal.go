@@ -126,6 +126,9 @@ func (r *reader) bytesN() ([]byte, error) {
 	if n > maxWireSlice {
 		return nil, fmt.Errorf("wire: slice length %d exceeds limit", n)
 	}
+	if n > uint64(r.r.Len()) {
+		return nil, fmt.Errorf("wire: slice length %d with %d bytes left: %w", n, r.r.Len(), io.ErrUnexpectedEOF)
+	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r.r, b); err != nil {
 		return nil, err
@@ -152,6 +155,20 @@ func (r *reader) count(what string) (int, error) {
 		return 0, fmt.Errorf("wire: %s count %d exceeds limit", what, n)
 	}
 	return int(n), nil
+}
+
+// countOf is count for elements that each encode to at least elem
+// bytes: a count the rest of the input cannot hold is rejected before
+// the caller allocates for it.
+func (r *reader) countOf(what string, elem int) (int, error) {
+	n, err := r.count(what)
+	if err != nil {
+		return 0, err
+	}
+	if n > r.r.Len()/elem {
+		return 0, fmt.Errorf("wire: %s count %d with %d bytes left: %w", what, n, r.r.Len(), io.ErrUnexpectedEOF)
+	}
+	return n, nil
 }
 
 func expectMagic(r *bytes.Reader, magic []byte) error {

@@ -6,10 +6,10 @@ import (
 )
 
 // NewRequestID returns a fresh nonzero random request ID for an
-// Update. IDs come from the system CSPRNG so they are unpredictable
-// and collision-free for any realistic dedup window, and — being
-// independent of the update's content — reveal nothing to the
-// untrusted server.
+// UpdateBatch. IDs come from the system CSPRNG so they are
+// unpredictable and collision-free for any realistic dedup window,
+// and — being independent of the batch's content — reveal nothing to
+// the untrusted server.
 func NewRequestID() uint64 {
 	var b [8]byte
 	for {

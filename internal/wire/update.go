@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/btree"
@@ -16,14 +15,10 @@ import (
 // so per-entry patching would leak which value changed, while a
 // whole-band replacement looks identical for every possible update.
 // Structure-preserving updates keep the DSI tables untouched.
+//
+// An Update travels, commits and replays only as a member of an
+// UpdateBatch; a lone update is a batch of one.
 type Update struct {
-	// RequestID identifies this update for at-most-once application:
-	// the server remembers recently applied IDs and acknowledges a
-	// retry (a lost response, a client-side timeout) without
-	// re-applying it. Zero means "no ID"; the remote client assigns
-	// a random one before the first attempt. The ID is random and
-	// carries no information about the update's content.
-	RequestID uint64
 	// Blocks replaces the ciphertext of existing blocks, by ID.
 	Blocks []BlockUpdate
 	// DropBands removes every value-index entry whose key lies in
@@ -31,11 +26,11 @@ type Update struct {
 	DropBands []uint8
 	// AddEntries are the replacement value-index entries.
 	AddEntries []btree.Entry
-	// NewRoot, when non-empty, is the client's precomputed post-update
-	// Merkle root (32 bytes). A server holding auth state cross-checks
-	// its own recomputed root against it and rejects (reverting the
-	// update) on mismatch, so a corrupted update can never become the
-	// committed state. Updates without it encode as SXU2 unchanged.
+	// NewRoot, when non-empty, is the client's precomputed Merkle root
+	// (32 bytes) of the state after this member. A server holding auth
+	// state cross-checks its own recomputed root against the batch
+	// tail's and rejects (discarding the whole batch) on mismatch, so a
+	// corrupted update can never become the committed state.
 	NewRoot []byte
 }
 
@@ -45,73 +40,36 @@ type BlockUpdate struct {
 	Ciphertext []byte
 }
 
-// Update format versions: SXU1 has no request ID; SXU2 prefixes the
-// body with one; SXU3 additionally appends the client's expected
-// post-update root. MarshalUpdate writes SXU3 only when NewRoot is
-// set (SXU2 otherwise); UnmarshalUpdate accepts all three (an SXU1
-// decode gets RequestID 0).
-var (
-	updateMagicV1 = []byte("SXU1")
-	updateMagic   = []byte("SXU2")
-	updateMagicV3 = []byte("SXU3")
+// Smallest encodings of the repeated elements of a member, used to
+// bound a claimed count by the bytes actually left in the frame.
+const (
+	minBlockUpdateBytes = 2 // uvarint id + uvarint length
+	minIndexEntryBytes  = 9 // fixed u64 key + uvarint block id
+	minUpdateBytes      = 4 // three empty counts + empty root
 )
 
-// MarshalUpdate serializes an update.
-func MarshalUpdate(u *Update) ([]byte, error) {
-	w := getWriter()
-	if len(u.NewRoot) > 0 {
-		w.buf.Write(updateMagicV3)
-	} else {
-		w.buf.Write(updateMagic)
-	}
-	w.u64(u.RequestID)
+// writeUpdate appends the one member encoding.
+func writeUpdate(w *writer, u *Update) {
 	w.uvarint(uint64(len(u.Blocks)))
 	for _, b := range u.Blocks {
 		w.uvarint(uint64(b.ID))
 		w.bytes(b.Ciphertext)
 	}
-	w.uvarint(uint64(len(u.DropBands)))
-	for _, b := range u.DropBands {
-		w.buf.WriteByte(b)
-	}
+	w.bytes(u.DropBands)
 	w.uvarint(uint64(len(u.AddEntries)))
 	for _, e := range u.AddEntries {
 		w.u64(e.Key)
 		w.uvarint(uint64(e.BlockID))
 	}
-	if len(u.NewRoot) > 0 {
-		w.bytes(u.NewRoot)
-	}
-	return w.finish(), nil
+	w.bytes(u.NewRoot)
 }
 
-// UnmarshalUpdate reverses MarshalUpdate. Both format versions are
-// accepted; see updateMagic.
-func UnmarshalUpdate(data []byte) (*Update, error) {
-	r := &reader{r: bytes.NewReader(data)}
+// readUpdate reverses writeUpdate. /update bodies and WAL payloads are
+// outside input: every count is checked against the bytes left before
+// anything is allocated for it.
+func readUpdate(r *reader) (*Update, error) {
 	u := &Update{}
-	hasRoot, hasID := false, true
-	if err := expectMagic(r.r, updateMagicV3); err == nil {
-		hasRoot = true
-	} else {
-		r.r = bytes.NewReader(data)
-		if err2 := expectMagic(r.r, updateMagic); err2 != nil {
-			// Neither SXU3 nor SXU2 — rewind and try legacy SXU1.
-			r.r = bytes.NewReader(data)
-			if errV1 := expectMagic(r.r, updateMagicV1); errV1 != nil {
-				return nil, err2
-			}
-			hasID = false
-		}
-	}
-	if hasID {
-		id, err := r.u64()
-		if err != nil {
-			return nil, fmt.Errorf("wire: request id: %w", err)
-		}
-		u.RequestID = id
-	}
-	nb, err := r.count("block update")
+	nb, err := r.countOf("block update", minBlockUpdateBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -126,18 +84,10 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 		}
 		u.Blocks = append(u.Blocks, BlockUpdate{ID: int(id), Ciphertext: ct})
 	}
-	ndb, err := r.count("drop band")
-	if err != nil {
-		return nil, err
+	if u.DropBands, err = r.bytesN(); err != nil {
+		return nil, fmt.Errorf("wire: drop bands: %w", err)
 	}
-	for i := 0; i < ndb; i++ {
-		b, err := r.r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		u.DropBands = append(u.DropBands, b)
-	}
-	ne, err := r.count("add entry")
+	ne, err := r.countOf("add entry", minIndexEntryBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -152,15 +102,8 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 		}
 		u.AddEntries[i].BlockID = int(bid)
 	}
-	if hasRoot {
-		root, err := r.bytesN()
-		if err != nil {
-			return nil, fmt.Errorf("wire: new root: %w", err)
-		}
-		u.NewRoot = root
-	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes", r.r.Len())
+	if u.NewRoot, err = r.bytesN(); err != nil {
+		return nil, fmt.Errorf("wire: new root: %w", err)
 	}
 	return u, nil
 }
