@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build bench-build test race chaos tamper fuzz fuzz-smoke difftest bench bench-parallel bench-load load-guard bench-mvcc mvcc-guard mvcc-race planner-diff overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
+.PHONY: check vet build bench-build test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
 
 check: vet build bench-build race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut soak-short soak-stream-short soak-update-short
 
@@ -63,11 +63,6 @@ difftest:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Sequential-vs-parallel pipeline benchmarks; writes BENCH_parallel.json.
-bench-parallel:
-	SECXML_BENCH_JSON=BENCH_parallel.json \
-		$(GO) test -bench 'Parallel|ConcurrentQueries' -benchtime 3x -run '^$$' .
-
 # MVCC snapshot-read contract under -race (part of `check`): the
 # NumBlocks data-race regression, the returned-bytes aliasing
 # contract, and the snapshot-isolation linearizability check (every
@@ -77,44 +72,6 @@ mvcc-race:
 	$(GO) test -race -count=1 \
 		-run 'TestNumBlocksRaceWithUpdates|TestReturnedBytesImmutableUnderUpdates|TestSnapshotIsolationLinearizable' \
 		./internal/server/
-
-# Reader-latency-under-write-load benchmarks: MVCC snapshot reads vs
-# a coarse-RWMutex baseline at 0/4/16 paced durable writers; writes
-# BENCH_mvcc.json with reader p50/p99 per configuration.
-bench-mvcc:
-	SECXML_BENCH_MVCC_JSON=BENCH_mvcc.json \
-		$(GO) test -bench QueryUnderWriteLoad -benchtime 1x -run '^$$' -timeout 600s .
-
-# Regression gate against the committed BENCH_mvcc.json: fails unless
-# reader p99 under 16 writers stays at least 5x better than the
-# RWMutex baseline (and the committed artifact itself held the bar).
-mvcc-guard:
-	SECXML_BENCH_MVCC_GUARD=BENCH_mvcc.json \
-		$(GO) test -bench QueryUnderWriteLoad -benchtime 1x -run '^$$' -timeout 600s .
-
-# Differential planner check: every difftest corpus case under both
-# forced strategies — byte-identical answers, identical Merkle proofs.
-planner-diff:
-	$(GO) test -race -count=1 -run TestDifferentialPlannerStrategies ./internal/difftest/
-
-# Sustained-load overload measurement: calibrates the host's shed-free
-# knee, then runs open-loop 1x/2x/4x phases (Zipf mix, mixed priority
-# classes, slow background readers) against the full protection stack;
-# writes BENCH_load.json with goodput/p50/p99/shed-rate per phase plus
-# the brownout level mix and post-overload recovery time.
-bench-load:
-	SECXML_BENCH_LOAD_JSON=BENCH_load.json \
-		$(GO) test -bench SustainedLoad -benchtime 1x -run '^$$' -timeout 600s .
-
-# Regression gate against the committed BENCH_load.json: fails when
-# the 1x phase sheds over 1%, 1x p99 regresses more than 25% (plus
-# absolute slack) over the committed run, any answer fails
-# verification under load, the 4x phase shows no overload pressure,
-# overload goodput collapses, or the brownout controller fails to
-# return to full service after the load drops.
-load-guard:
-	SECXML_BENCH_LOAD_GUARD=BENCH_load.json \
-		$(GO) test -bench SustainedLoad -benchtime 1x -run '^$$' -timeout 600s .
 
 # Quick overload-protection smoke (part of `check`): deadline
 # rejection on arrival, queue shed, brownout degradation ladder and

@@ -16,7 +16,6 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -248,85 +247,7 @@ func BenchmarkFig6(b *testing.B) {
 // reporting the ratio as a "speedup" metric on the par run. Answers
 // are asserted byte-identical across widths first — the pipeline's
 // order-preserving merges make parallel output deterministic, so no
-// sorting is needed. TestMain writes the collected rows to
-// BENCH_parallel.json when SECXML_BENCH_JSON is set.
-
-// parallelRow is one seq/par measurement pair for the JSON report.
-type parallelRow struct {
-	Benchmark  string  `json:"benchmark"`
-	Workers    int     `json:"workers"`
-	SeqNsPerOp float64 `json:"seq_ns_per_op"`
-	ParNsPerOp float64 `json:"par_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
-var (
-	parallelRowsMu sync.Mutex
-	parallelRows   []parallelRow
-)
-
-// recordParallel stores one measurement pair and returns the speedup
-// for b.ReportMetric.
-func recordParallel(name string, workers int, seqNs, parNs float64) float64 {
-	speedup := 0.0
-	if parNs > 0 {
-		speedup = seqNs / parNs
-	}
-	parallelRowsMu.Lock()
-	parallelRows = append(parallelRows, parallelRow{name, workers, seqNs, parNs, speedup})
-	parallelRowsMu.Unlock()
-	return speedup
-}
-
-// writeBenchJSON marshals rows to dest (envVal "1" picks def) and
-// returns false on failure.
-func writeBenchJSON(envVal, def string, rows any) bool {
-	dest := envVal
-	if dest == "1" {
-		dest = def
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err == nil {
-		err = os.WriteFile(dest, append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench json %s: %v\n", dest, err)
-		return false
-	}
-	return true
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if v := os.Getenv("SECXML_BENCH_JSON"); v != "" && len(parallelRows) > 0 {
-		if !writeBenchJSON(v, "BENCH_parallel.json", parallelRows) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_MVCC_JSON"); v != "" && len(mvccRows) > 0 {
-		if !writeBenchJSON(v, "BENCH_mvcc.json", mvccRows) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_MVCC_GUARD"); v != "" && len(mvccRows) > 0 {
-		if err := mvccGuard(v); err != nil {
-			fmt.Fprintf(os.Stderr, "mvcc reader-latency guard: %v\n", err)
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_LOAD_JSON"); v != "" && len(loadRows) > 0 {
-		if !writeBenchJSON(v, "BENCH_load.json", loadRows) && code == 0 {
-			code = 1
-		}
-	}
-	if v := os.Getenv("SECXML_BENCH_LOAD_GUARD"); v != "" && len(loadRows) > 0 {
-		if err := loadGuard(v); err != nil {
-			fmt.Fprintf(os.Stderr, "overload protection guard: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
+// sorting is needed.
 
 // parWorkers is the parallel width for the Benchmark*Parallel pairs:
 // every available CPU, but at least 4 so the fan-out code path is
@@ -403,7 +324,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 			}
 		}
 		if parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N); seqNs > 0 {
-			b.ReportMetric(recordParallel("QueryParallel", workers, seqNs, parNs), "speedup")
+			b.ReportMetric(seqNs/parNs, "speedup")
 		}
 	})
 }
@@ -441,7 +362,7 @@ func BenchmarkServerExecParallel(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { seqNs = run(b, 1) })
 	b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
 		if parNs := run(b, workers); seqNs > 0 {
-			b.ReportMetric(recordParallel("ServerExecParallel", workers, seqNs, parNs), "speedup")
+			b.ReportMetric(seqNs/parNs, "speedup")
 		}
 	})
 }
@@ -478,7 +399,7 @@ func BenchmarkDecryptParallel(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { seqNs = run(b, 1) })
 	b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
 		if parNs := run(b, workers); seqNs > 0 {
-			b.ReportMetric(recordParallel("DecryptParallel", workers, seqNs, parNs), "speedup")
+			b.ReportMetric(seqNs/parNs, "speedup")
 		}
 	})
 }
@@ -518,7 +439,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			}
 		})
 		if parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N); seqNs > 0 {
-			b.ReportMetric(recordParallel("ConcurrentQueries", runtime.GOMAXPROCS(0), seqNs, parNs), "speedup")
+			b.ReportMetric(seqNs/parNs, "speedup")
 		}
 	})
 }

@@ -49,7 +49,6 @@ func main() {
 	stream := flag.Bool("stream", false, "negotiate chunked answer streaming with the server (requires -remote; large answers only, see xserve -stream-cutoff)")
 	integrity := flag.Bool("integrity", false, "verify every remote answer against a local Merkle commitment (requires -remote)")
 	xmlOut := flag.Bool("xml", false, "print results as XML instead of string values")
-	planner := flag.String("planner", "auto", "force the in-process planner strategy: auto, twig, or pairwise (answers are identical; with -remote, set it on the server instead)")
 	var scs multiFlag
 	flag.Var(&scs, "sc", "security constraint (repeatable)")
 	flag.Parse()
@@ -98,9 +97,6 @@ func main() {
 		Scheme:    *schemeName,
 	})
 	if err != nil {
-		fatal(err)
-	}
-	if err := db.ForcePlannerStrategy(*planner); err != nil {
 		fatal(err)
 	}
 

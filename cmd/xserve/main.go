@@ -61,7 +61,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between full checkpoints truncating the WAL (0 = default 64)")
 	chaosRate := flag.Float64("chaos", 0, "inject faults (latency/5xx/truncation) at this rate per request — testing only")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic seed for -chaos")
-	planner := flag.String("planner", "auto", "force the query planner strategy: auto, twig, or pairwise (answers are identical; debugging/benchmarking)")
 	demo := flag.String("demo", "", "optional XML file to encrypt and pre-host")
 	name := flag.String("name", "demo", "database name for the pre-hosted document")
 	key := flag.String("key", "", "master key for the pre-hosted document")
@@ -112,12 +111,6 @@ func main() {
 		})
 		fmt.Printf("admission: capacity %d cost units (cost-aware=%v), tenant rate %.1f/s, brownout=%v\n",
 			*maxCost, *costAware, *tenantRate, *brownout)
-	}
-	if _, err := svc.WithPlannerStrategy(*planner); err != nil {
-		log.Fatal(err)
-	}
-	if *planner != "auto" {
-		fmt.Printf("planner: strategy forced to %s\n", *planner)
 	}
 
 	if *demo != "" {

@@ -10,8 +10,8 @@ import (
 // Controller composes the gate, the tenant quotas and the brownout
 // loop behind one Admit call. Every feature is individually optional
 // (zero config = observe-only: everything admits, stats still work),
-// so the remote service always holds a non-nil controller and the
-// legacy WithMaxInFlight semantics are just a unit-cost gate.
+// so the remote service always holds a non-nil controller, and a
+// plain in-flight bound is just a unit-cost gate (MaxCost = n).
 
 // Config selects which protections run.
 type Config struct {

@@ -481,19 +481,6 @@ func (s *System) UseBackend(b Backend) {
 	s.publishLocked()
 }
 
-// ForcePlannerStrategy pins the in-process server's twig-vs-pairwise
-// planner choice ("auto", "twig" or "pairwise") — the xquery -planner
-// debug control. Answers are byte-identical under every mode. Only
-// meaningful with the in-process backend; a remote server's planner
-// is controlled by its own -planner flag (xserve).
-func (s *System) ForcePlannerStrategy(mode string) error {
-	l, ok := s.Server.(Local)
-	if !ok {
-		return fmt.Errorf("core: planner strategy is server-side; set it on the remote server (xserve -planner)")
-	}
-	return l.S.ForceStrategy(mode)
-}
-
 // EnableMirrorReads opts the update pipeline into serving its read
 // half from an owner-side replica instead of the backend. The owner
 // already holds a byte-exact mirror of the hosted state (HostedDB,

@@ -38,7 +38,7 @@ const batchSplitEdits = 20
 // and answer every corpus query with the same bytes, proof included
 // (only the generation echo differs: one bump per batch).
 func TestBatchSplitEquivalence(t *testing.T) {
-	seeds := corpusSeeds
+	seeds := CorpusSeeds
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
@@ -136,7 +136,7 @@ func runBatchSplit(c *Case, name core.SchemeName) error {
 		}
 		var wires [2][]byte
 		for i, srv := range []*server.Server{ones, sixteens} {
-			ans, err := srv.ExecuteFrame(frame)
+			ans, err := srv.ExecuteFrameCtx(context.Background(), frame)
 			if err != nil {
 				return fmt.Errorf("query %q: %w", q, err)
 			}

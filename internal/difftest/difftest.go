@@ -32,6 +32,22 @@ var Schemes = []core.SchemeName{
 	core.SchemeOpt, core.SchemeApp, core.SchemeSub, core.SchemeTop, core.SchemeLeaf,
 }
 
+// CorpusSeeds is the checked-in corpus: a fixed spread of seeds (odd
+// = XMark, even = NASA) that runs on every `go test`. When the
+// open-ended mode finds a counterexample, its seed belongs here.
+// The two large seeds were found by the open-ended mode:
+// 1785901620815951921 — an empty server answer let the client's
+// synthetic reassembly root satisfy "//site[not(closed_auctions)]"
+// (fixed in client.PostProcessFull); 1785901796407847193 — the
+// matcher claimed certain existence at a grouped in-block context,
+// so "not(bidder)" under the top scheme dropped every grouped
+// open_auction (fixed in exec.evalPred).
+var CorpusSeeds = []uint64{
+	1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+	1785901620815951921,
+	1785901796407847193,
+}
+
 // Case is one generated differential test case: a document, the
 // security constraints to enforce on it, and the queries to compare.
 type Case struct {

@@ -13,24 +13,8 @@ import (
 var difftestDuration = flag.Duration("difftest.duration", 0,
 	"run randomized differential cases for this long (0 = fixed corpus only)")
 
-// corpusSeeds is the checked-in corpus: a fixed spread of seeds (odd
-// = XMark, even = NASA) that runs on every `go test`. When the
-// open-ended mode finds a counterexample, its seed belongs here.
-// The two large seeds were found by the open-ended mode:
-// 1785901620815951921 — an empty server answer let the client's
-// synthetic reassembly root satisfy "//site[not(closed_auctions)]"
-// (fixed in client.PostProcessFull); 1785901796407847193 — the
-// matcher claimed certain existence at a grouped in-block context,
-// so "not(bidder)" under the top scheme dropped every grouped
-// open_auction (fixed in exec.evalPred).
-var corpusSeeds = []uint64{
-	1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-	1785901620815951921,
-	1785901796407847193,
-}
-
 func TestDifferentialCorpus(t *testing.T) {
-	seeds := corpusSeeds
+	seeds := CorpusSeeds
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
@@ -50,7 +34,7 @@ func TestDifferentialCorpus(t *testing.T) {
 // updates land between passes, and every post-update pass must match
 // the mirrored plaintext — the caching layer's end-to-end contract.
 func TestDifferentialCorpusWithUpdates(t *testing.T) {
-	seeds := corpusSeeds
+	seeds := CorpusSeeds
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
@@ -73,7 +57,7 @@ func TestDifferentialCorpusWithUpdates(t *testing.T) {
 // waits on batch timers, so the every-`go test` run uses a subset;
 // the full corpus runs from the soak targets.
 func TestDifferentialCorpusBatchedUpdates(t *testing.T) {
-	seeds := corpusSeeds
+	seeds := CorpusSeeds
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
@@ -91,7 +75,7 @@ func TestDifferentialCorpusBatchedUpdates(t *testing.T) {
 // TestDifferentialOpenEnded draws fresh seeds for the configured
 // duration. The starting seed is the wall clock, so successive runs
 // explore different cases; the failure message carries the seed for
-// replay (add it to corpusSeeds to pin the regression). Every case
+// replay (add it to CorpusSeeds to pin the regression). Every case
 // runs in the update-interleaved mode — with the caches enabled and
 // queries repeated hot, the soak exercises exactly the invalidation
 // story the generation counter is supposed to guarantee.

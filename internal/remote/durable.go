@@ -96,9 +96,6 @@ type RecoveryStats struct {
 	// against an owner-signed Merkle root (the snapshot's, or the
 	// last replayed update's).
 	RootChecked bool `json:"rootChecked"`
-	// LegacyFile marks a database loaded from a whole-file SXDB1
-	// image written before the snapshot+WAL format existed.
-	LegacyFile bool `json:"legacyFile,omitempty"`
 }
 
 // fs resolves the service's filesystem seam.

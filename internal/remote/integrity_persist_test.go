@@ -2,15 +2,18 @@ package remote
 
 import (
 	"context"
+	"crypto/sha256"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -119,40 +122,62 @@ func TestTruncationQuarantined(t *testing.T) {
 	}
 }
 
-// TestLegacyFileWithoutTrailerLoads: files persisted before the
-// checksum trailer existed have no "SXCK" suffix; they must still
-// load (their decode is the only check available).
-func TestLegacyFileWithoutTrailerLoads(t *testing.T) {
+// TestTrailerlessSnapshotQuarantined: a snapshot that lost exactly
+// its "SXCK" trailer (the body still decodes) is damage like any
+// other — every file this service writes carries one. It must be set
+// aside, never served, and a re-upload under the same name must start
+// clean beside the corpse.
+func TestTrailerlessSnapshotQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	sys := persistDB(t, dir, "legacy")
-	path := filepath.Join(dir, "legacy"+dbFileExt)
+	sys := persistDB(t, dir, "bare")
+	path := filepath.Join(dir, "bare"+dbFileExt)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := splitChecksum(data)
-	if err != nil {
-		t.Fatal(err)
+	tlen := len(trailerMagic) + sha256.Size
+	if _, _, _, err := wire.UnmarshalSnapshot(data[:len(data)-tlen]); err != nil {
+		t.Fatalf("stripped body is not a whole snapshot; test premise broken: %v", err)
 	}
-	if len(body) == len(data) {
-		t.Fatal("persisted file has no trailer; test premise broken")
-	}
-	// Rewrite the file as a pre-trailer version would have.
-	if err := os.WriteFile(path, body, 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-tlen], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := NewPersistentService(dir)
 	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
+		t.Fatalf("reload with trailerless file must not be fatal: %v", err)
 	}
-	if q := svc.Quarantined(); len(q) != 0 {
-		t.Fatalf("legacy file quarantined: %+v", q)
+	q := svc.Quarantined()
+	if len(q) != 1 || q[0].File != "bare"+dbFileExt || !strings.Contains(q[0].Reason, "trailer missing") {
+		t.Fatalf("quarantined = %+v, want bare%s for its missing trailer", q, dbFileExt)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("trailerless file still in serving directory")
 	}
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	sys.UseBackend(Dial(ts.URL, "legacy").WithHTTPClient(ts.Client()))
-	if _, _, _, err := sys.Query("//patient/pname"); err != nil {
-		t.Errorf("query against reloaded legacy file: %v", err)
+	resp, err := ts.Client().Get(ts.URL + "/db/bare/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("quarantined database answered %d, want 404", resp.StatusCode)
+	}
+
+	// Re-hosting under the same name starts clean: generation 1, no
+	// recovery history. (TestRehostAfterQuarantinePersists covers the
+	// restart after a re-host, whatever the quarantine cause.)
+	cl := Dial(ts.URL, "bare").WithHTTPClient(ts.Client())
+	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
+		t.Fatalf("re-upload: %v", err)
+	}
+	sys.UseBackend(cl)
+	_, _, tm, err := sys.Query("//patient/pname")
+	if err != nil || tm.Generation != 1 {
+		t.Fatalf("query after re-upload: generation %d, err %v", tm.Generation, err)
+	}
+	if rec, ok := svc.Recoveries()["bare"]; ok {
+		t.Errorf("re-uploaded database carries recovery history: %+v", rec)
 	}
 }
 

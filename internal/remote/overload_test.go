@@ -413,10 +413,16 @@ func (c *captureFrame) lastFrame() []byte {
 }
 
 // TestOverloadSmoke is the short open-loop overload check wired into
-// `make check`: a burst against a saturated one-unit gate must shed
-// with Retry-After rather than queue without bound, every success must
-// still be integrity-checksummed, and once the pressure lifts the
-// service serves normally with sane counters.
+// `make check`, integrity on: a burst against a saturated one-unit
+// gate must shed with Retry-After rather than queue without bound and
+// push the brownout controller off full service; once the gate frees,
+// the queued remainder is served, and every success carries its
+// checksum and a Merkle proof the owner's verifier accepts — overload
+// never relaxes integrity. After the pressure lifts the controller
+// returns to L0 with sane counters. Only queue depth drives the
+// controller here (the latency target and window are out of reach),
+// and the gate frees on the first observed shed, so nothing depends
+// on how fast the box is.
 func TestOverloadSmoke(t *testing.T) {
 	doc, err := xmltree.ParseString(hospitalXML)
 	if err != nil {
@@ -426,16 +432,25 @@ func TestOverloadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Host: %v", err)
 	}
+	if err := sys.EnableIntegrity(); err != nil {
+		t.Fatalf("EnableIntegrity: %v", err)
+	}
+	ver := sys.Verifier()
 	svc := NewService().WithAdmission(admission.Config{
 		MaxCost:   1,
 		MaxQueue:  4,
-		QueueWait: 50 * time.Millisecond,
+		QueueWait: time.Minute,
 		Brownout:  true,
+		BrownoutConfig: admission.BrownoutConfig{
+			HighQueueDepth: 2,
+			TargetP99:      time.Hour,
+			Window:         time.Hour,
+		},
 	})
 	cap := &captureFrame{svc: svc}
 	ts := httptest.NewServer(cap)
 	t.Cleanup(ts.Close)
-	cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client())
+	cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithVerifier(ver)
 	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
@@ -456,11 +471,8 @@ func TestOverloadSmoke(t *testing.T) {
 	}
 	const burst = 24
 	codes := make(chan int, burst)
-	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
-		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
 			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/db/hospital/query", bytes.NewReader(frame))
 			req.Header.Set(wire.HeaderPriority, []string{"interactive", "aggregate", "background"}[i%3])
 			req.Header.Set(wire.HeaderClientID, fmt.Sprintf("smoke-%d", i%4))
@@ -469,37 +481,63 @@ func TestOverloadSmoke(t *testing.T) {
 				codes <- -1
 				return
 			}
-			if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
-				t.Errorf("shed without Retry-After")
+			defer resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusServiceUnavailable:
+				if resp.Header.Get("Retry-After") == "" {
+					t.Errorf("shed without Retry-After")
+				}
+			case http.StatusOK:
+				if resp.Header.Get(checksumHeader) == "" {
+					t.Errorf("success without integrity checksum")
+				}
+				body, err := readChecksummedBody(resp, 1<<20)
+				if err != nil {
+					t.Errorf("success body: %v", err)
+					break
+				}
+				ans, err := wire.UnmarshalAnswer(body)
+				if err != nil {
+					t.Errorf("success decode: %v", err)
+					break
+				}
+				if err := ver.VerifyAnswer(ans); err != nil {
+					t.Errorf("answer served under overload fails verification: %v", err)
+				}
 			}
-			if resp.StatusCode == http.StatusOK && resp.Header.Get(checksumHeader) == "" {
-				t.Errorf("success without integrity checksum")
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
 			codes <- resp.StatusCode
 		}(i)
 	}
-	wg.Wait()
-	close(codes)
-	shed := 0
-	for code := range codes {
-		switch code {
-		case http.StatusOK, http.StatusServiceUnavailable:
-			if code == http.StatusServiceUnavailable {
-				shed++
+	// The first shed means the queue is full behind the held unit:
+	// that backlog must degrade the service one level. Then the gate
+	// frees and the queued requests drain through it.
+	shed, served := 0, 0
+	for i := 0; i < burst; i++ {
+		switch code := <-codes; code {
+		case http.StatusServiceUnavailable:
+			if shed++; shed == 1 {
+				svc.Admission().Tick()
+				if lvl := svc.Admission().Level(); lvl == admission.LevelFull {
+					t.Errorf("brownout still at L0 with the queue full")
+				}
+				tk.Done()
 			}
+		case http.StatusOK:
+			served++
 		default:
 			t.Errorf("unexpected status under overload: %d", code)
 		}
 	}
 	if shed == 0 {
-		t.Errorf("saturated gate shed nothing across %d open-loop arrivals", burst)
+		t.Fatalf("saturated gate shed nothing across %d open-loop arrivals", burst)
+	}
+	if served == 0 {
+		t.Errorf("nothing queued behind the saturated gate was served once it freed")
 	}
 
-	// Pressure lifts: capacity frees, the next request serves, and the
-	// brownout controller settles back at L0 within one window.
-	tk.Done()
+	// Pressure lifted: the next request serves (and verifies, through
+	// the client), and the brownout controller settles back at L0
+	// within one window.
 	if _, _, _, err := sys.Query("//patient/pname"); err != nil {
 		t.Fatalf("query after overload: %v", err)
 	}

@@ -63,13 +63,12 @@ func appendChecksum(data []byte) []byte {
 	return append(out, sum[:]...)
 }
 
-// splitChecksum validates and strips the trailer. Files without a
-// trailer (written before checksumming existed) pass through
-// unchanged — their decode is the only check available.
+// splitChecksum validates and strips the trailer. Every snapshot this
+// service writes carries one, so a file without it has lost its tail.
 func splitChecksum(data []byte) ([]byte, error) {
 	tlen := len(trailerMagic) + sha256.Size
 	if len(data) < tlen || !bytes.Equal(data[len(data)-tlen:len(data)-sha256.Size], trailerMagic) {
-		return data, nil // legacy file, no trailer
+		return nil, errors.New("checksum trailer missing")
 	}
 	body := data[:len(data)-tlen]
 	want := data[len(data)-sha256.Size:]
@@ -184,41 +183,25 @@ func (s *Service) loadDB(fileName string) error {
 		return fail(err)
 	}
 
-	var (
-		db       *wire.HostedDB
-		snapGen  uint64
-		snapRoot []byte
-		legacy   bool
-	)
 	bs, err := blockstore.Open(s.blkDir(name), fsys)
 	if err != nil {
 		return fail(err)
 	}
-	if wire.IsSnapshot(body) {
-		db, snapGen, snapRoot, err = wire.UnmarshalSnapshot(body)
-		if err != nil {
-			return fail(err)
+	// Anything but an SXDS1 snapshot frame fails its magic check here.
+	db, snapGen, snapRoot, err := wire.UnmarshalSnapshot(body)
+	if err != nil {
+		return fail(err)
+	}
+	all, err := bs.LoadAll()
+	if err != nil {
+		return fail(err)
+	}
+	for i := range db.Blocks {
+		ct, ok := all[i]
+		if !ok {
+			return fail(fmt.Errorf("block %d missing from block store", i))
 		}
-		all, err := bs.LoadAll()
-		if err != nil {
-			return fail(err)
-		}
-		for i := range db.Blocks {
-			ct, ok := all[i]
-			if !ok {
-				return fail(fmt.Errorf("block %d missing from block store", i))
-			}
-			db.Blocks[i] = ct
-		}
-	} else {
-		// Legacy whole-file SXDB1 image: the file is the complete
-		// state at generation 1 (pre-WAL services rewrote it on every
-		// update, so nothing can be newer).
-		db, err = wire.UnmarshalDB(body)
-		if err != nil {
-			return fail(err)
-		}
-		snapGen, legacy = 1, true
+		db.Blocks[i] = ct
 	}
 
 	wal, rep, err := walog.Open(s.walDir(name), s.walOpts())
@@ -232,7 +215,6 @@ func (s *Service) loadDB(fileName string) error {
 	srv := server.New(db)
 	srv.RestoreGeneration(snapGen)
 	h := newHosted(srv)
-	s.applyPlannerMode(h)
 	dirty := map[int]struct{}{}
 	replayed, rootChecked := 0, false
 	var replayErr error
@@ -311,7 +293,6 @@ func (s *Service) loadDB(fileName string) error {
 		TornTail:       rep.TornTail,
 		TruncatedBytes: rep.TruncatedBytes,
 		RootChecked:    rootChecked,
-		LegacyFile:     legacy,
 	}
 	s.dbs[name] = h
 	return nil

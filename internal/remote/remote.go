@@ -121,8 +121,7 @@ type Service struct {
 	dedupHits atomic.Int64
 	// admCfg + admv are the overload-protection layer: cost-aware
 	// admission, per-tenant quotas, deadline feasibility and the
-	// brownout controller (see WithAdmission; WithMaxInFlight and
-	// WithQueueWait remain as the legacy unit-cost configuration).
+	// brownout controller (see WithAdmission).
 	// admv is never nil — the zero config admits everything and only
 	// keeps counters — so handlers call it unconditionally. It is an
 	// atomic pointer so the controller can be swapped on a live
@@ -146,10 +145,6 @@ type Service struct {
 	// advertise support; 0 selects defaultStreamCutoff, negative
 	// disables streaming (see WithStreamCutoff).
 	streamCutoff int
-	// plannerMode, when non-empty, forces every hosted server's
-	// twig-vs-pairwise planner strategy (see WithPlannerStrategy and
-	// server.ForceStrategy) — a debugging and benchmarking control.
-	plannerMode string
 }
 
 type hosted struct {
@@ -224,43 +219,6 @@ func NewService() *Service {
 	return s
 }
 
-// WithPlannerStrategy forces the query planner strategy ("auto",
-// "twig" or "pairwise") on every database the service hosts now or
-// later — answers are byte-identical under every mode, so this only
-// redirects which execution path produces them (the -planner debug
-// flag of cmd/xserve). Returns an error on an unknown mode.
-func (s *Service) WithPlannerStrategy(mode string) (*Service, error) {
-	if mode == "" {
-		mode = "auto"
-	}
-	if err := validatePlannerMode(mode); err != nil {
-		return s, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plannerMode = mode
-	for _, h := range s.dbs {
-		h.srv.ForceStrategy(mode)
-	}
-	return s, nil
-}
-
-func validatePlannerMode(mode string) error {
-	switch mode {
-	case "auto", server.StrategyTwig, server.StrategyPairwise:
-		return nil
-	}
-	return fmt.Errorf("remote: unknown planner strategy %q", mode)
-}
-
-// applyPlannerMode applies the service-wide forced strategy to a
-// freshly hosted server (upload, local registration, disk load).
-func (s *Service) applyPlannerMode(h *hosted) {
-	if s.plannerMode != "" && s.plannerMode != "auto" {
-		h.srv.ForceStrategy(s.plannerMode)
-	}
-}
-
 // rebuildAdm reconstitutes the admission controller from the current
 // config, wiring brownout transitions into the service log. Called by
 // the With* configuration methods, before traffic.
@@ -281,47 +239,13 @@ func (s *Service) rebuildAdm() {
 // adm returns the current admission controller (never nil).
 func (s *Service) adm() *admission.Controller { return s.admv.Load() }
 
-// WithMaxInFlight bounds the number of query/extreme requests the
-// service executes at once to n; further requests queue until a slot
-// frees or their own context expires, at which point they are turned
-// away with 503. n <= 0 removes the bound. With the server-side
-// matcher itself fanning out across GOMAXPROCS workers per query
-// (internal/server), the bound keeps p concurrent clients from
-// oversubscribing the host with p×GOMAXPROCS runnable goroutines.
-// This is the legacy unit-cost spelling of WithAdmission: each
-// request costs one unit against a capacity of n. Call before serving
-// traffic; returns s for chaining.
-func (s *Service) WithMaxInFlight(n int) *Service {
-	if n <= 0 {
-		s.admCfg.MaxCost = 0
-	} else {
-		s.admCfg.MaxCost = int64(n)
-	}
-	s.rebuildAdm()
-	return s
-}
-
-// defaultQueueWait is how long a request queues for an execution
-// slot before the service sheds it with 503 (overridable with
-// WithQueueWait). Bounded so a saturated service degrades into fast,
-// retryable rejections instead of an unbounded backlog.
-const defaultQueueWait = 2 * time.Second
-
-// WithQueueWait bounds how long a request may wait for an execution
-// slot before being shed with 503. Only meaningful together with a
-// gate (WithMaxInFlight or WithAdmission). Returns s for chaining.
-func (s *Service) WithQueueWait(d time.Duration) *Service {
-	s.admCfg.QueueWait = d
-	s.rebuildAdm()
-	return s
-}
-
 // WithAdmission installs the full overload-protection configuration:
 // cost-aware gating (capacity in predicted-blocks-touched units),
 // per-tenant token buckets, deadline feasibility rejection and the
-// brownout controller. It subsumes WithMaxInFlight/WithQueueWait —
-// last caller wins. Call before serving traffic; returns s for
-// chaining.
+// brownout controller. A unit-cost gate is MaxCost = n with
+// CostAware off: each request costs one unit against a capacity of n,
+// queues up to QueueWait for a slot, then is shed with 503. Last
+// caller wins. Call before serving traffic; returns s for chaining.
 func (s *Service) WithAdmission(cfg admission.Config) *Service {
 	s.admCfg = cfg
 	s.rebuildAdm()
@@ -530,7 +454,6 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request, name stri
 	}
 	h := newHosted(server.New(db))
 	s.mu.Lock()
-	s.applyPlannerMode(h)
 	old := s.dbs[name]
 	s.dbs[name] = h
 	s.mu.Unlock()
@@ -1014,7 +937,6 @@ func (s *Service) registerLocal(name string, db *wire.HostedDB) error {
 	}
 	s.mu.Lock()
 	h := newHosted(server.New(decoded))
-	s.applyPlannerMode(h)
 	s.dbs[name] = h
 	s.mu.Unlock()
 	return nil

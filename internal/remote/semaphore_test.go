@@ -16,9 +16,10 @@ import (
 )
 
 // boundedSystem hosts the hospital DB on a service whose in-flight
-// query slots are capped at n, with client retries disabled so a 503
+// query slots are capped at n (a unit-cost gate; a queued request is
+// shed after queueWait), with client retries disabled so a 503
 // surfaces instead of being papered over.
-func boundedSystem(t *testing.T, n int) (*core.System, *Service) {
+func boundedSystem(t *testing.T, n int, queueWait time.Duration) (*core.System, *Service) {
 	t.Helper()
 	doc, err := xmltree.ParseString(hospitalXML)
 	if err != nil {
@@ -28,7 +29,7 @@ func boundedSystem(t *testing.T, n int) (*core.System, *Service) {
 	if err != nil {
 		t.Fatalf("Host: %v", err)
 	}
-	svc := NewService().WithMaxInFlight(n)
+	svc := NewService().WithAdmission(admission.Config{MaxCost: int64(n), QueueWait: queueWait})
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
 	cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithRetry(NoRetry)
@@ -43,8 +44,7 @@ func boundedSystem(t *testing.T, n int) (*core.System, *Service) {
 // checks a query is shed with 503 once the queue-wait bound passes,
 // and that the rejection is counted.
 func TestMaxInFlightRejectsWhenSaturated(t *testing.T) {
-	sys, svc := boundedSystem(t, 1)
-	svc.WithQueueWait(20 * time.Millisecond)
+	sys, svc := boundedSystem(t, 1, 20*time.Millisecond)
 	// Saturate the single cost unit by holding a ticket of our own.
 	tk, rej := svc.Admission().Admit(context.Background(), admission.Request{Cost: 1})
 	if rej != nil {
@@ -78,8 +78,7 @@ func TestMaxInFlightRejectsWhenSaturated(t *testing.T) {
 // TestMaxInFlightQueuesUntilFree checks a queued query waits for a
 // slot rather than failing, when its context allows the wait.
 func TestMaxInFlightQueuesUntilFree(t *testing.T) {
-	sys, svc := boundedSystem(t, 1)
-	svc.WithQueueWait(10 * time.Second)
+	sys, svc := boundedSystem(t, 1, 10*time.Second)
 	tk, rej := svc.Admission().Admit(context.Background(), admission.Request{Cost: 1})
 	if rej != nil {
 		t.Fatalf("saturating admit rejected: %+v", rej)
@@ -113,7 +112,7 @@ func TestMaxInFlightQueuesUntilFree(t *testing.T) {
 // slots and checks they all succeed (queueing, not rejection, is the
 // steady-state behavior for patient callers) with identical answers.
 func TestMaxInFlightManyClients(t *testing.T) {
-	sys, _ := boundedSystem(t, 2)
+	sys, _ := boundedSystem(t, 2, 0)
 	want, _, _, err := sys.Query("//patient[.//disease='leukemia']/pname")
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -143,22 +142,5 @@ func TestMaxInFlightManyClients(t *testing.T) {
 		if err != nil {
 			t.Errorf("client %d: %v", g, err)
 		}
-	}
-}
-
-// TestWithMaxInFlightDisabled checks n <= 0 removes the bound.
-func TestWithMaxInFlightDisabled(t *testing.T) {
-	svc := NewService().WithMaxInFlight(4).WithMaxInFlight(0)
-	if svc.admCfg.MaxCost != 0 {
-		t.Fatalf("WithMaxInFlight(0) left a gate capacity of %d", svc.admCfg.MaxCost)
-	}
-	// The gateless controller still admits and counts.
-	tk, rej := svc.Admission().Admit(context.Background(), admission.Request{})
-	if rej != nil {
-		t.Fatalf("gateless admit rejected: %+v", rej)
-	}
-	tk.Done()
-	if got := svc.Admission().Snapshot().Admitted[admission.Background.String()]; got != 1 {
-		t.Errorf("gateless admitted count = %d, want 1", got)
 	}
 }

@@ -63,25 +63,22 @@ type plan struct {
 	// order (cheap/selective first) for steps where it differs from
 	// the query's; the query itself is never mutated (see planner.go).
 	predOrder map[*wire.QStep][]wire.QPred
-	// stepEst sizes each main-path step's full candidate universe —
-	// the pairwise-side capacity hints and the twig pruning baseline.
-	stepEst map[*wire.QStep]int
-	// twig is the synopsis match: restricted per-step candidate lists
-	// plus estimates. nil when the snapshot has no usable guide.
-	twig *twigInfo
-	// strategy is the cost-based twig-vs-pairwise choice (the forced
-	// mode may override it at execution, see resolveStrategy).
-	strategy string
+	// steps holds, per main-path step, the candidate lists and the
+	// capacity estimate the matcher uses: the synopsis-restricted
+	// lists where the class-set pass pruned, the full table lists
+	// otherwise (see planSteps). pruned counts the intervals removed.
+	steps  map[*wire.QStep]stepPlan
+	pruned int
 	// cost is the admission estimate derived from the plan (one cost
 	// currency: EstimateFrameCost returns exactly this).
 	cost int64
 }
 
 // compilePlan compiles a query against a pinned snapshot: shape-only
-// work (lift depth, predicate fingerprints) plus the synopsis twig
-// match and the cost model. Plans are cached per (epoch, generation),
-// so baking snapshot-derived estimates in is safe — an update
-// invalidates them wholesale.
+// work (lift depth, predicate fingerprints) plus the per-step
+// candidate lists and the cost model. Plans are cached per (epoch,
+// generation), so baking snapshot-derived lists and estimates in is
+// safe — an update invalidates them wholesale.
 func compilePlan(sn *snapshot, q *wire.Query) *plan {
 	pl := &plan{
 		q:         q,
@@ -92,21 +89,21 @@ func compilePlan(sn *snapshot, q *wire.Query) *plan {
 	for st := q.First; st != nil; st = st.Next {
 		collectPredFPs(st.Preds, pl.predFP)
 	}
-	pl.stepEst = fullStepEstimates(sn, q)
-	pl.twig = planTwig(sn, q, pl.stepEst)
+	pl.steps, pl.pruned = planSteps(sn, q)
 	orderPreds(sn.stats, q, pl.predOrder)
-	pl.strategy = StrategyPairwise
-	anchorEst := pl.stepEst[q.First]
-	if pl.twig != nil && pl.twig.pruned > 0 {
-		// The synopsis removed candidates somewhere on the main path;
-		// running the twig-restricted lists strictly shrinks the join
-		// work. With nothing pruned the two strategies do identical
-		// work and pairwise is reported (honest observability).
-		pl.strategy = StrategyTwig
-		anchorEst = pl.twig.anchorEst
-	}
-	pl.cost = estimateCost(sn, anchorEst, pl.predFP)
+	pl.cost = estimateCost(sn, pl.steps[q.First].est, pl.predFP)
 	return pl
+}
+
+// strategy is the label Answer.PlanStrategy and /stats report — pure
+// observability, computed, never chosen: "twig" when the synopsis
+// removed at least one candidate interval from the main path,
+// "pairwise" when the joins ran over the full table lists.
+func (pl *plan) strategy() string {
+	if pl.pruned > 0 {
+		return "twig"
+	}
+	return "pairwise"
 }
 
 func collectPredFPs(preds []wire.QPred, into map[*wire.PredValue]string) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestRangeCacheSharedAcrossFrames(t *testing.T) {
 }
 
 // TestFrameAndParsedPathsShareCaches: Execute (parsed query) and
-// ExecuteFrame (raw frame, the remote path) fingerprint the same
+// ExecuteFrameCtx (raw frame, the remote path) fingerprint the same
 // canonical bytes, so one warms the cache for the other.
 func TestFrameAndParsedPathsShareCaches(t *testing.T) {
 	c, s := boot(t, "opt")
@@ -158,7 +159,7 @@ func TestFrameAndParsedPathsShareCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.ExecuteFrame(frame)
+	a2, err := s.ExecuteFrameCtx(context.Background(), frame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/wire"
 )
 
@@ -18,48 +20,57 @@ const costCeil = 1 << 20
 // EstimateFrameCost predicts how many hosted blocks the query frame
 // will touch, in admission cost units. Since the cost-based planner
 // this is exactly the plan's own estimate (see estimateCost in
-// planner.go): anchor fan-out under the chosen strategy — the twig
-// match's surviving interval-group count when the synopsis pruned,
-// the full DSI label fan-out otherwise — plus the OPESS band
-// occupancy of every translated value predicate, read from the
-// snapshot's synopsis histogram. Admission and planning price
-// queries in one currency, and pricing a frame compiles (and caches)
-// the very plan its execution reuses.
+// planner.go): the first step's candidate count — the surviving
+// interval-group count where the synopsis pruned, the full DSI label
+// fan-out otherwise — plus the OPESS band occupancy of every
+// translated value predicate, read from the snapshot's synopsis
+// histogram. Admission and planning price queries in one currency,
+// and pricing a frame compiles (and caches) the very plan its
+// execution reuses.
 //
 // The estimate is intentionally coarse (it prices relative
 // displacement, not wall time) and always >= 1. An unparseable frame
 // costs 1: it will be rejected cheaply downstream anyway.
 func (s *Server) EstimateFrameCost(frame []byte) int64 {
-	sn := s.current()
-	pl, err := s.planForFrame(sn, frame)
-	if err != nil || pl == nil {
+	pl, err := s.planForFrame(s.current(), frame, s.fingerprint(frame), nil)
+	if err != nil {
 		return 1
 	}
 	return pl.cost
 }
 
+// fingerprint keys the frame in the plan and answer caches; "" while
+// caching is off, which every cache user reads as "do not consult".
+func (s *Server) fingerprint(frame []byte) string {
+	if s.cachingOff.Load() {
+		return ""
+	}
+	return frameFingerprint(frame)
+}
+
 // planForFrame resolves (or compiles and caches) the frame's plan
-// against the caller's pinned snapshot, sharing the plan cache with
-// execution so pricing a query warms the very plan its execution
-// reuses.
-func (s *Server) planForFrame(sn *snapshot, frame []byte) (*plan, error) {
-	caching := !s.cachingOff.Load()
-	var fp string
-	if caching {
-		fp = frameFingerprint(frame)
+// against the caller's pinned snapshot — the one lookup-or-compile
+// pricing and execution share, so pricing a query warms the very plan
+// its execution reuses. fp is s.fingerprint(frame); parsed, when the
+// caller already holds the decoded frame, saves the re-parse.
+func (s *Server) planForFrame(sn *snapshot, frame []byte, fp string, parsed *wire.Query) (*plan, error) {
+	if fp != "" {
 		if v, ok := s.caches.plans.Get(s.epoch, sn.gen, fp); ok {
 			return v.(*plan), nil
 		}
 	}
-	q, err := wire.UnmarshalQuery(frame)
-	if err != nil {
-		return nil, err
+	q := parsed
+	if q == nil {
+		var err error
+		if q, err = wire.UnmarshalQuery(frame); err != nil {
+			return nil, err
+		}
 	}
 	if q == nil || q.First == nil {
-		return nil, nil
+		return nil, fmt.Errorf("server: empty query")
 	}
 	pl := compilePlan(sn, q)
-	if caching {
+	if fp != "" {
 		s.caches.plans.Put(s.epoch, sn.gen, fp, pl, len(frame))
 	}
 	return pl, nil

@@ -58,7 +58,7 @@ func TestCachedAnswerHitAfterExecution(t *testing.T) {
 	if _, ok := s.CachedAnswer(frame); ok {
 		t.Fatalf("cold cache reported a hit")
 	}
-	live, err := s.ExecuteFrame(frame)
+	live, err := s.ExecuteFrameCtx(context.Background(), frame)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}

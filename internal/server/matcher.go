@@ -41,11 +41,6 @@ type exec struct {
 	sn   *snapshot
 	pl   *plan
 	pool tokens
-	// twig selects the plan's synopsis-restricted candidate lists for
-	// main-path steps (see stepLists); set by executePlan from the
-	// resolved strategy. Predicate sub-paths always run on the full
-	// lists — the restriction is keyed by main-path step identity.
-	twig bool
 
 	cacheMu   sync.Mutex
 	rangeMemo map[*wire.PredValue]map[int]bool
@@ -231,7 +226,7 @@ func (e *exec) matchRelative(ctx dsi.Interval, st *wire.QStep, upper bool) []dsi
 
 // stepFrom applies one step's axis and node test from one context
 // interval, appending survivors to dst (which may be a pooled
-// buffer owned by the caller). lists must be e.labelLists(st.Labels),
+// buffer owned by the caller). lists must be e.stepLists(st),
 // resolved once per step rather than once per context. In upper mode,
 // sibling axes additionally match the context's own interval when it
 // lies inside an encryption block: such an interval may be a group
@@ -322,19 +317,16 @@ func (e *exec) stepFrom(dst []dsi.Interval, ctx dsi.Interval, st *wire.QStep, li
 	return out
 }
 
-// stepLists returns a step's candidate lists: under the twig
-// strategy, the plan's synopsis-restricted lists when the planner
-// pruned the step; otherwise (pairwise, predicate sub-paths, steps
-// with nothing pruned) the full table lists. Restricted lists keep
-// the labelLists shape and sort order, so every join below runs
-// unchanged — just over fewer intervals.
+// stepLists returns a step's candidate lists: the plan's for a
+// main-path step (synopsis-restricted where the planner pruned), the
+// full table lists for predicate sub-path steps, which the plan does
+// not key. Restricted lists keep the labelLists shape and sort order,
+// so every join below runs unchanged — just over fewer intervals.
 func (e *exec) stepLists(st *wire.QStep) [][]dsi.Interval {
-	if e.twig {
-		if lists, ok := e.pl.twig.lists[st]; ok {
-			return lists
-		}
+	if sp, ok := e.pl.steps[st]; ok {
+		return sp.lists
 	}
-	return e.labelLists(st.Labels)
+	return e.sn.labelLists(st.Labels)
 }
 
 // orderedPreds returns the planner's predicate evaluation order for a
@@ -342,39 +334,28 @@ func (e *exec) stepLists(st *wire.QStep) [][]dsi.Interval {
 // Predicates are conjunctive filters, so the order changes work, not
 // answers.
 func (e *exec) orderedPreds(st *wire.QStep) []wire.QPred {
-	if e.pl != nil {
-		if ord, ok := e.pl.predOrder[st]; ok {
-			return ord
-		}
+	if ord, ok := e.pl.predOrder[st]; ok {
+		return ord
 	}
 	return st.Preds
 }
 
-// stepEstimate returns the planner's cardinality estimate for a
-// step's candidate set — the twig survivor count under the twig
-// strategy, the full label-universe size otherwise; 0 (no hint) for
-// predicate sub-path steps the planner did not size.
+// stepEstimate returns the size of a main-path step's candidate
+// lists; 0 (no hint) for predicate sub-path steps the planner did not
+// size.
 func (e *exec) stepEstimate(st *wire.QStep) int {
-	if e.pl == nil {
-		return 0
-	}
-	if e.twig {
-		if n, ok := e.pl.twig.est[st]; ok {
-			return n
-		}
-	}
-	return e.pl.stepEst[st]
+	return e.pl.steps[st].est
 }
 
 // labelLists returns the Lo-sorted interval list of each table label
 // the node test matches; a wildcard yields the full sorted universe.
-func (e *exec) labelLists(labels []string) [][]dsi.Interval {
+func (sn *snapshot) labelLists(labels []string) [][]dsi.Interval {
 	if labels == nil {
-		return [][]dsi.Interval{e.sn.st.allIntervals}
+		return [][]dsi.Interval{sn.st.allIntervals}
 	}
 	out := make([][]dsi.Interval, 0, len(labels))
 	for _, l := range labels {
-		if ivs := e.sn.db.Table.Lookup(l); len(ivs) > 0 {
+		if ivs := sn.db.Table.Lookup(l); len(ivs) > 0 {
 			out = append(out, ivs)
 		}
 	}
@@ -573,10 +554,7 @@ func (e *exec) rangeBlocksFor(v *wire.PredValue) map[int]bool {
 	if cached, ok := e.rangeMemo[v]; ok {
 		return cached
 	}
-	fp := ""
-	if e.pl != nil {
-		fp = e.pl.predFP[v]
-	}
+	fp := e.pl.predFP[v]
 	if fp == "" {
 		fp = predFingerprint(v)
 	}

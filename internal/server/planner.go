@@ -22,14 +22,17 @@ import (
 //     REST of the chain — an interval matching step k is useless if
 //     no step-(k+1) transition from its class reaches a completing
 //     class.
-//  3. The surviving classes' (Lo-sorted) member lists become the
-//     step's restricted candidate lists; the existing interval-join
-//     machinery then runs unchanged over far fewer intervals.
+//  3. Where that removed intervals, the surviving classes' (Lo-sorted)
+//     member lists replace the step's full table lists; the
+//     interval-join machinery runs unchanged over fewer intervals.
 //
-// Soundness (answers stay byte-identical to pairwise): the class
-// transitions over-approximate the interval-level axes — every
-// interval a step can produce lies in a class the class-level
-// transition produces (the guide's parent map mirrors the forest's,
+// There is one join engine and no mode: the synopsis only narrows the
+// candidate lists a plan hands the matcher, step by step.
+//
+// Soundness (answers are byte-identical with and without narrowing,
+// checked by TestPruningOnOffIdentical): the class transitions
+// over-approximate the interval-level axes — every interval a step
+// can produce lies in a class the class-level transition produces (the guide's parent map mirrors the forest's,
 // so Parent/Ancestor are exact; Within yields forest descendants,
 // whose classes are guide-subtree classes; siblings share the parent
 // class; the grouped-self sibling case stays in its own class). The
@@ -43,44 +46,18 @@ import (
 //
 // The same pass yields per-step cardinality estimates (class member
 // counts are exactly the DSI interval-group counts the server is
-// allowed to see), which drive the twig-vs-pairwise choice, the
-// matcher's buffer capacity hints, predicate ordering (together with
-// OPESS band occupancy from synStats) and the admission cost
-// estimate — one cost currency end to end.
+// allowed to see), which drive the matcher's buffer capacity hints,
+// predicate ordering (together with OPESS band occupancy from
+// synStats) and the admission cost estimate — one cost currency end
+// to end.
 
-// Planner strategy modes (ForceStrategy / the -planner debug flag).
-const (
-	planAuto int32 = iota
-	planForceTwig
-	planForcePairwise
-)
-
-// Strategy names, as reported in Answer.PlanStrategy and /stats.
-const (
-	StrategyTwig     = "twig"
-	StrategyPairwise = "pairwise"
-)
-
-// twigInfo is the synopsis half of a compiled plan: the per-step
-// restricted candidate lists plus the cardinality estimates the
-// matcher and the admission gate price from. Read-only after
-// compilation, like the rest of the plan.
-type twigInfo struct {
-	// lists holds a main-path step's restricted per-label candidate
-	// lists (intervals of surviving classes, SortIntervals order). A
-	// step absent from the map had nothing pruned — the matcher uses
-	// the full table lists. Present-but-empty means the synopsis
-	// proved the step unsatisfiable.
-	lists map[*wire.QStep][][]dsi.Interval
-	// est is the step's surviving interval count (capacity hint and
-	// selectivity signal).
-	est map[*wire.QStep]int
-	// anchorEst is est for the first step — the matcher's outer
-	// fan-out width under the twig strategy.
-	anchorEst int
-	// pruned counts intervals removed across all main-path steps
-	// (fullEst minus est, summed) — the observability counter.
-	pruned int
+// stepPlan is what the matcher reads for one main-path step: the
+// per-label candidate lists its joins run over (SortIntervals order;
+// empty means the synopsis proved the step unsatisfiable) and their
+// total size — the buffer capacity hint and the cost model's fan-out.
+type stepPlan struct {
+	lists [][]dsi.Interval
+	est   int
 }
 
 // classSet is a bitset over guide classes (guides are small: one
@@ -343,25 +320,14 @@ func (b *twigBuilder) restrictedLists(set classSet, labels []string) [][]dsi.Int
 	return out
 }
 
-// planTwig runs the forward/backward twig match for a query's main
-// path. Returns nil when the snapshot has no usable guide.
-func planTwig(sn *snapshot, q *wire.Query, fullEst map[*wire.QStep]int) *twigInfo {
-	g := sn.st.guide
-	if g == nil {
-		return nil
-	}
-	b := &twigBuilder{g: g}
-
-	var steps []*wire.QStep
-	for st := q.First; st != nil; st = st.Next {
-		steps = append(steps, st)
-	}
-
+// survivors runs the forward/backward class-set passes over a main
+// path and returns each step's surviving classes.
+func (b *twigBuilder) survivors(steps []*wire.QStep) []classSet {
 	// Forward: axis transitions plus per-step predicate-skeleton
 	// filtering.
 	forward := make([]classSet, len(steps))
-	cur := b.firstSet(q.First)
-	cur = b.filterPreds(cur, q.First.Preds)
+	cur := b.firstSet(steps[0])
+	cur = b.filterPreds(cur, steps[0].Preds)
 	forward[0] = cur
 	for k := 1; k < len(steps); k++ {
 		cur = b.stepOnce(cur, steps[k])
@@ -371,12 +337,13 @@ func planTwig(sn *snapshot, q *wire.Query, fullEst map[*wire.QStep]int) *twigInf
 
 	// Backward: a class survives step k only if some single-class
 	// transition through step k+1 lands in a surviving class.
-	survivors := make([]classSet, len(steps))
-	survivors[len(steps)-1] = forward[len(steps)-1]
-	single := make(classSet, g.NumClasses())
+	n := b.g.NumClasses()
+	out := make([]classSet, len(steps))
+	out[len(steps)-1] = forward[len(steps)-1]
+	single := make(classSet, n)
 	for k := len(steps) - 2; k >= 0; k-- {
-		surv := make(classSet, g.NumClasses())
-		next := survivors[k+1]
+		surv := make(classSet, n)
+		next := out[k+1]
 		for ci, in := range forward[k] {
 			if !in {
 				continue
@@ -392,42 +359,41 @@ func planTwig(sn *snapshot, q *wire.Query, fullEst map[*wire.QStep]int) *twigInf
 				}
 			}
 		}
-		survivors[k] = surv
-	}
-
-	info := &twigInfo{
-		lists: map[*wire.QStep][][]dsi.Interval{},
-		est:   map[*wire.QStep]int{},
-	}
-	for k, st := range steps {
-		est := b.setCount(survivors[k])
-		info.est[st] = est
-		if full := fullEst[st]; est < full {
-			info.pruned += full - est
-			info.lists[st] = b.restrictedLists(survivors[k], st.Labels)
-		}
-	}
-	info.anchorEst = info.est[q.First]
-	return info
-}
-
-// fullStepEstimates sizes each main-path step's unrestricted
-// candidate universe from the DSI table — the pairwise-side
-// cardinality hints and the twig pass's pruning baseline.
-func fullStepEstimates(sn *snapshot, q *wire.Query) map[*wire.QStep]int {
-	out := map[*wire.QStep]int{}
-	for st := q.First; st != nil; st = st.Next {
-		if st.Labels == nil {
-			out[st] = len(sn.st.allIntervals)
-			continue
-		}
-		n := 0
-		for _, l := range st.Labels {
-			n += len(sn.db.Table.Lookup(l))
-		}
-		out[st] = n
+		out[k] = surv
 	}
 	return out
+}
+
+// planSteps gives every main-path step the candidate lists the
+// matcher will join over: the full table lists, replaced by the
+// surviving classes' members wherever the class-set pass removed
+// intervals. The second result counts the intervals removed across
+// all steps (0 when the snapshot has no usable guide).
+func planSteps(sn *snapshot, q *wire.Query) (map[*wire.QStep]stepPlan, int) {
+	steps := map[*wire.QStep]stepPlan{}
+	var path []*wire.QStep
+	for st := q.First; st != nil; st = st.Next {
+		sp := stepPlan{lists: sn.labelLists(st.Labels)}
+		for _, list := range sp.lists {
+			sp.est += len(list)
+		}
+		steps[st] = sp
+		path = append(path, st)
+	}
+	g := sn.st.guide
+	if g == nil {
+		return steps, 0
+	}
+	b := &twigBuilder{g: g}
+	pruned := 0
+	for k, surv := range b.survivors(path) {
+		st := path[k]
+		if est, full := b.setCount(surv), steps[st].est; est < full {
+			pruned += full - est
+			steps[st] = stepPlan{lists: b.restrictedLists(surv, st.Labels), est: est}
+		}
+	}
+	return steps, pruned
 }
 
 // Predicate ordering: cheap and selective predicates run first so
@@ -522,10 +488,9 @@ func orderPreds(st *synStats, q *wire.Query, into map[*wire.QStep][]wire.QPred) 
 
 // estimateCost turns the plan's cardinality estimates into admission
 // cost units — the same formula the pre-planner EstimateFrameCost
-// used, now fed from the planner (anchor fan-out under the chosen
-// strategy) and the synopsis histogram (band occupancy instead of
-// exact B-tree counts), so admission and planning price queries in
-// one currency.
+// used, now fed from the planner (the first step's candidate count)
+// and the synopsis histogram (band occupancy instead of exact B-tree
+// counts), so admission and planning price queries in one currency.
 func estimateCost(sn *snapshot, anchorEst int, predFP map[*wire.PredValue]string) int64 {
 	occupancy := 0
 	if sn.stats != nil {
@@ -543,70 +508,15 @@ func estimateCost(sn *snapshot, anchorEst int, predFP map[*wire.PredValue]string
 	return cost
 }
 
-// ForceStrategy pins the planner's twig-vs-pairwise choice: "twig",
-// "pairwise", or "auto" (the default cost-based decision). Forcing
-// is a debugging and benchmarking tool — answers are byte-identical
-// under every mode. The answer cache is dropped so cached envelopes
-// never report a stale strategy.
-func (s *Server) ForceStrategy(mode string) error {
-	var v int32
-	switch mode {
-	case "auto", "":
-		v = planAuto
-	case StrategyTwig:
-		v = planForceTwig
-	case StrategyPairwise:
-		v = planForcePairwise
-	default:
-		return errUnknownStrategy(mode)
-	}
-	s.planMode.Store(v)
-	s.caches.answers.Clear()
-	return nil
-}
-
-type errUnknownStrategy string
-
-func (e errUnknownStrategy) Error() string {
-	return "server: unknown planner strategy " + string(e) + ` (want "auto", "twig" or "pairwise")`
-}
-
-// PlannerMode reports the forced strategy ("auto" when unforced).
-func (s *Server) PlannerMode() string {
-	switch s.planMode.Load() {
-	case planForceTwig:
-		return StrategyTwig
-	case planForcePairwise:
-		return StrategyPairwise
-	}
-	return "auto"
-}
-
-// resolveStrategy applies the server's forced mode to a plan's
-// cost-based choice and returns the strategy to execute with.
-func (s *Server) resolveStrategy(pl *plan) string {
-	switch s.planMode.Load() {
-	case planForceTwig:
-		if pl.twig != nil {
-			return StrategyTwig
-		}
-		return StrategyPairwise // no synopsis: nothing to force
-	case planForcePairwise:
-		return StrategyPairwise
-	}
-	return pl.strategy
-}
-
 // PlanStats are the planner's lifetime counters (stats endpoint).
 type PlanStats struct {
-	// Twig / Pairwise count executed queries by chosen strategy.
+	// Twig counts executed queries whose plan pruned at least one
+	// interval, Pairwise the rest.
 	Twig     int64 `json:"twig"`
 	Pairwise int64 `json:"pairwise"`
 	// PrunedIntervals is the total number of candidate intervals the
 	// synopsis removed from main-path steps before interval joins.
 	PrunedIntervals int64 `json:"prunedIntervals"`
-	// Mode is the forced strategy ("auto" when unforced).
-	Mode string `json:"mode"`
 }
 
 // PlannerStats snapshots the planner counters.
@@ -615,6 +525,5 @@ func (s *Server) PlannerStats() PlanStats {
 		Twig:            s.planTwigN.Load(),
 		Pairwise:        s.planPairN.Load(),
 		PrunedIntervals: s.planPruned.Load(),
-		Mode:            s.PlannerMode(),
 	}
 }

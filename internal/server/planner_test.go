@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -100,77 +99,11 @@ func TestGuideInvariants(t *testing.T) {
 	}
 }
 
-// TestForcedStrategiesAgree pins the planner's central contract on
-// the paper's running example: under forced twig, forced pairwise and
-// auto, every query's answer is byte-identical on the wire, the
-// reported strategy matches the forced mode, and the lifetime
-// counters advance.
-func TestForcedStrategiesAgree(t *testing.T) {
-	c, s := boot(t, "opt")
-	s.SetCaching(false)
-	queries := []string{
-		"//patient[.//disease='diarrhea']/pname",
-		"//patient[insurance]/age",
-		"//treat/doctor",
-		"/hospital/patient/pname",
-		"//insurance/policy",
-		"//patient[not(insurance)]/pname",
-		"//patient/*",
-	}
-	for _, q := range queries {
-		tq, err := c.Translate(xpath.MustParse(q))
-		if err != nil {
-			t.Fatalf("translate %s: %v", q, err)
-		}
-		frame, err := wire.MarshalQuery(tq)
-		if err != nil {
-			t.Fatalf("marshal %s: %v", q, err)
-		}
-		var wires [][]byte
-		for _, mode := range []string{StrategyTwig, StrategyPairwise, "auto"} {
-			if err := s.ForceStrategy(mode); err != nil {
-				t.Fatalf("force %s: %v", mode, err)
-			}
-			if got := s.PlannerMode(); got != mode {
-				t.Fatalf("PlannerMode = %s after forcing %s", got, mode)
-			}
-			ans, err := s.ExecuteFrame(frame)
-			if err != nil {
-				t.Fatalf("execute %s (%s): %v", q, mode, err)
-			}
-			if ans.PlanStrategy == "" {
-				t.Fatalf("query %s (%s): answer reports no strategy", q, mode)
-			}
-			if mode != "auto" && ans.PlanStrategy != mode {
-				t.Fatalf("query %s: forced %s but answer reports %s", q, mode, ans.PlanStrategy)
-			}
-			b, err := wire.MarshalAnswer(ans)
-			if err != nil {
-				t.Fatalf("marshal answer %s (%s): %v", q, mode, err)
-			}
-			wires = append(wires, b)
-		}
-		if !bytes.Equal(wires[0], wires[1]) || !bytes.Equal(wires[1], wires[2]) {
-			t.Fatalf("query %s: answers differ across strategies", q)
-		}
-	}
-	if err := s.ForceStrategy("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
-	}
-	st := s.PlannerStats()
-	if st.Twig == 0 || st.Pairwise == 0 {
-		t.Fatalf("planner counters did not advance: %+v", st)
-	}
-	if st.Mode != "auto" {
-		t.Fatalf("rejected ForceStrategy changed the mode to %s", st.Mode)
-	}
-}
-
 // TestTwigPrunesImpossibleStructure: insurance is never a child of
 // treat in the hospital document, so the synopsis must prove the
 // second step of //treat/insurance unsatisfiable — estimate zero,
-// intervals pruned, auto choosing twig — while the answer stays the
-// (empty) pairwise answer.
+// intervals pruned, the plan labelled twig — while the answer stays
+// the (empty) answer the full lists give.
 func TestTwigPrunesImpossibleStructure(t *testing.T) {
 	c, s := boot(t, "opt")
 	tq, err := c.Translate(xpath.MustParse("//treat/insurance"))
@@ -178,16 +111,13 @@ func TestTwigPrunesImpossibleStructure(t *testing.T) {
 		t.Fatalf("translate: %v", err)
 	}
 	pl := compilePlan(s.current(), tq)
-	if pl.twig == nil {
-		t.Fatal("no twig info despite a guide")
-	}
-	if pl.twig.pruned == 0 {
+	if pl.pruned == 0 {
 		t.Fatal("synopsis pruned nothing from //treat/insurance")
 	}
-	if pl.strategy != StrategyTwig {
-		t.Fatalf("auto chose %s for a prunable query", pl.strategy)
+	if got := pl.strategy(); got != "twig" {
+		t.Fatalf("a pruned plan is labelled %s", got)
 	}
-	if n := pl.twig.est[tq.First.Next]; n != 0 {
+	if n := pl.steps[tq.First.Next].est; n != 0 {
 		t.Fatalf("estimate %d for a structurally impossible step", n)
 	}
 	ans, err := s.Execute(tq)

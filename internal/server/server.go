@@ -44,9 +44,8 @@ type Server struct {
 	// par is the matcher's worker-pool width (see parallel.go).
 	par atomic.Int32
 
-	// planMode pins the planner's twig-vs-pairwise choice (see
-	// ForceStrategy); the counters below feed the stats endpoint.
-	planMode   atomic.Int32
+	// Planner counters for the stats endpoint: executed queries whose
+	// plan pruned (twig) or did not (pairwise), and intervals pruned.
 	planTwigN  atomic.Int64
 	planPairN  atomic.Int64
 	planPruned atomic.Int64
@@ -83,7 +82,7 @@ type structure struct {
 	// guide is the structural half of the synopsis: the strong
 	// DataGuide of path classes the planner's twig matcher prunes
 	// against (see synopsis.go and planner.go). nil when the table
-	// yields no usable guide — every query then runs pairwise.
+	// yields no usable guide — plans then keep the full table lists.
 	guide *dsi.Guide
 }
 
@@ -327,21 +326,16 @@ func (s *Server) Execute(q *wire.Query) (*wire.Answer, error) {
 	return s.executeFrame(context.Background(), frame, q)
 }
 
-// ExecuteFrame is Execute for a marshaled query frame (the remote
-// service's path): on a plan-cache hit the frame is not even
-// re-parsed.
-func (s *Server) ExecuteFrame(frame []byte) (*wire.Answer, error) {
-	return s.executeFrame(context.Background(), frame, nil)
-}
-
-// ExecuteFrameCtx is ExecuteFrame under a caller context: the
-// pipeline checks for cancellation between its stages (after the
-// anchor match, per anchor in the fan-out, before assembly, before
-// the proof), so a request whose caller deadline passed stops burning
-// matcher workers instead of computing an answer nobody will read.
-// The check granularity is a stage, not an instruction — a lone
-// anchor's chain match runs to completion — which bounds wasted work
-// without peppering the hot loops.
+// ExecuteFrameCtx is Execute for a marshaled query frame (the remote
+// service's path; on a plan-cache hit the frame is not even
+// re-parsed) under a caller context: the pipeline checks for
+// cancellation between its stages (after the anchor match, per anchor
+// in the fan-out, before assembly, before the proof), so a request
+// whose caller deadline passed stops burning matcher workers instead
+// of computing an answer nobody will read. The check granularity is a
+// stage, not an instruction — a lone anchor's chain match runs to
+// completion — which bounds wasted work without peppering the hot
+// loops.
 func (s *Server) ExecuteFrameCtx(ctx context.Context, frame []byte) (*wire.Answer, error) {
 	return s.executeFrame(ctx, frame, nil)
 }
@@ -356,33 +350,15 @@ func (s *Server) executeFrame(ctx context.Context, frame []byte, parsed *wire.Qu
 	// assemble and prove all see this generation, no matter how many
 	// updates commit while we run.
 	sn := s.current()
-	caching := !s.cachingOff.Load()
-	var fp string
-	if caching {
-		fp = frameFingerprint(frame)
+	fp := s.fingerprint(frame)
+	if fp != "" {
 		if v, ok := s.caches.answers.Get(s.epoch, sn.gen, fp); ok {
 			return copyAnswer(v.(*wire.Answer)), nil
 		}
 	}
-	var pl *plan
-	if v, ok := s.caches.plans.Get(s.epoch, sn.gen, fp); caching && ok {
-		pl = v.(*plan)
-	} else {
-		q := parsed
-		if q == nil {
-			var err error
-			q, err = wire.UnmarshalQuery(frame)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if q == nil || q.First == nil {
-			return nil, fmt.Errorf("server: empty query")
-		}
-		pl = compilePlan(sn, q)
-		if caching {
-			s.caches.plans.Put(s.epoch, sn.gen, fp, pl, len(frame))
-		}
+	pl, err := s.planForFrame(sn, frame, fp, parsed)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -392,7 +368,7 @@ func (s *Server) executeFrame(ctx context.Context, frame []byte, parsed *wire.Qu
 		return nil, err
 	}
 	ans.Epoch, ans.Generation = s.epoch, sn.gen
-	if caching {
+	if fp != "" {
 		// A stale reader's insert (pinned generation already
 		// superseded) is rejected by the cache's monotonic policy —
 		// the answer itself is still correct for the caller.
@@ -405,12 +381,10 @@ func (s *Server) executeFrame(ctx context.Context, frame []byte, parsed *wire.Qu
 // abandoning it between stages if ctx dies.
 func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire.Answer, error) {
 	q := pl.q
-	strategy := s.resolveStrategy(pl)
 	e := s.newExec(sn, pl)
-	e.twig = strategy == StrategyTwig && pl.twig != nil
-	if e.twig {
+	if pl.pruned > 0 {
 		s.planTwigN.Add(1)
-		s.planPruned.Add(int64(pl.twig.pruned))
+		s.planPruned.Add(int64(pl.pruned))
 	} else {
 		s.planPairN.Add(1)
 	}
@@ -455,7 +429,7 @@ func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire
 	if err != nil {
 		return nil, err
 	}
-	ans.PlanStrategy, ans.PlanCost = strategy, pl.cost
+	ans.PlanStrategy, ans.PlanCost = pl.strategy(), pl.cost
 	if q.WantProof {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -224,17 +224,6 @@ func (db *Database) Update(path, newValue string) (int, error) {
 	return db.sys.UpdateLeafValues(path, newValue)
 }
 
-// ForcePlannerStrategy pins the server's query-planner choice:
-// "auto" (cost-based, the default), "twig" (always match the whole
-// query twig against the structure synopsis first) or "pairwise"
-// (always the classic per-step interval joins). Answers are
-// byte-identical under every mode — this is a debugging and
-// benchmarking control. In-process backends only; a remote server's
-// planner is set by its own -planner flag.
-func (db *Database) ForcePlannerStrategy(mode string) error {
-	return db.sys.ForcePlannerStrategy(mode)
-}
-
 // NaiveQuery evaluates the query with the baseline of §7.3: the
 // server ships the entire database and the client does everything.
 func (db *Database) NaiveQuery(query string) (*Result, error) {
