@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build bench-build test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
+.PHONY: check vet build bench-build bench-smoke test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
 
-check: vet build bench-build race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut soak-short soak-stream-short soak-update-short
+check: vet build bench-build bench-smoke race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut soak-short soak-stream-short soak-update-short
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +16,13 @@ build:
 # API change can break benchmark/layers.go unseen; build and vet it.
 bench-build:
 	cd benchmark && $(GO) build ./... && $(GO) vet ./...
+
+# The benchmark's quick end-to-end pass (128 KB document, one second
+# per workload) with the traced layer replay on: a change that trips a
+# workload guard, fails an operation or breaks a call benchmark/layers.go
+# makes shows up here, not as a failed run in the benchmark pipeline.
+bench-smoke:
+	bash benchmark/run.sh -smoke --trace 1
 
 test:
 	$(GO) test ./...
@@ -44,14 +51,18 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalUpdateBatch -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeProof -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeStream -fuzztime 20s
+	$(GO) test ./internal/wire/ -fuzz FuzzPlaceholderScan -fuzztime 20s
 
 # Quick fuzz pass over the two text parsers (query strings and SC
-# specs are operator input) plus the WAL record decoder (crash-torn
-# frames are hostile input to recovery); part of `check`.
+# specs are operator input), the WAL record decoder (crash-torn
+# frames are hostile input to recovery) and the placeholder scanner
+# (server, verifier and client all read fragments through it); part
+# of `check`.
 fuzz-smoke:
 	$(GO) test ./internal/xpath/ -fuzz FuzzParseXPath -fuzztime 10s
 	$(GO) test ./internal/sc/ -fuzz FuzzParseSC -fuzztime 10s
 	$(GO) test ./internal/walog/ -fuzz FuzzDecodeWALRecord -fuzztime 10s
+	$(GO) test ./internal/wire/ -fuzz FuzzPlaceholderScan -fuzztime 10s
 
 # Open-ended differential fuzzing: encrypted pipeline vs plaintext
 # evaluator on randomized documents/SCs/queries under every scheme.

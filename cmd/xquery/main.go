@@ -225,8 +225,8 @@ func runRemote(f *os.File, scs []string, key, schemeName string, rc remoteConfig
 		if strat == "" {
 			strat = "?"
 		}
-		fmt.Printf("  [%d results | plan %s | server+network %v | %d blocks, %d bytes%s%s]\n",
-			len(nodes), strat, tm.ServerExec, tm.BlocksShipped, tm.AnswerBytes, streamNote, staleNote)
+		fmt.Printf("  [%d results | plan %s | server+network %v | verify %v | %d blocks, %d bytes%s%s]\n",
+			len(nodes), strat, tm.ServerExec, tm.Verify, tm.BlocksShipped, tm.AnswerBytes, streamNote, staleNote)
 	}
 }
 

@@ -16,9 +16,10 @@
 package authtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cryptoprim"
 )
@@ -118,37 +119,31 @@ func (t *Tree) Root() Digest {
 // range ones are an error.
 func (t *Tree) Prove(indices []int) ([]Digest, error) {
 	n := t.NumLeaves()
-	known := map[int]bool{}
 	for _, idx := range indices {
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("authtree: leaf index %d out of range [0,%d)", idx, n)
 		}
-		known[idx] = true
 	}
-	if len(known) == 0 {
-		return nil, nil
-	}
+	// One sorted slice of known node indices, halved in place level by
+	// level — the same walk VerifyMulti makes over (index, digest) pairs.
+	known := append([]int(nil), indices...)
+	slices.Sort(known)
+	known = slices.Compact(known)
 	var siblings []Digest
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		width := len(t.levels[lvl])
-		idxs := sortedKeys(known)
-		next := map[int]bool{}
-		for i := 0; i < len(idxs); i++ {
-			idx := idxs[i]
-			sib := idx ^ 1
-			if sib >= width {
-				next[idx/2] = true // odd node promoted
-				continue
+	for lvl := 0; lvl < len(t.levels)-1 && len(known) > 0; lvl++ {
+		level := t.levels[lvl]
+		next := known[:0]
+		for i := 0; i < len(known); i++ {
+			idx := known[i]
+			switch sib := idx ^ 1; {
+			case sib >= len(level):
+				// Odd node promoted unchanged.
+			case idx&1 == 0 && i+1 < len(known) && known[i+1] == sib:
+				i++ // both halves known: no sibling needed
+			default:
+				siblings = append(siblings, level[sib])
 			}
-			if known[sib] {
-				// Both halves known: handled once, at the left index.
-				if idx&1 == 1 && known[idx-1] {
-					continue
-				}
-			} else {
-				siblings = append(siblings, t.levels[lvl][sib])
-			}
-			next[idx/2] = true
+			next = append(next, idx/2)
 		}
 		known = next
 	}
@@ -166,77 +161,63 @@ type LeafItem struct {
 // from Prove, it recomputes the root and compares. The leaf count is
 // part of the client's trusted state, so a server cannot shift the
 // tree shape. Returns nil on success and ErrTampered (wrapped with
-// detail) on any mismatch.
+// detail) on any mismatch. items is not modified: the walk runs over
+// one sorted copy, halved in place per level, so a proof of any size
+// costs one allocation.
 func VerifyMulti(root Digest, numLeaves int, items []LeafItem, siblings []Digest) error {
 	if numLeaves <= 0 {
 		return fmt.Errorf("%w: empty tree cannot prove membership", ErrTampered)
 	}
-	known := map[int]Digest{}
-	for _, it := range items {
-		if it.Index < 0 || it.Index >= numLeaves {
-			return fmt.Errorf("%w: leaf index %d out of range [0,%d)", ErrTampered, it.Index, numLeaves)
-		}
-		if d, dup := known[it.Index]; dup && d != it.Digest {
-			return fmt.Errorf("%w: conflicting digests for leaf %d", ErrTampered, it.Index)
-		}
-		known[it.Index] = it.Digest
-	}
-	if len(known) == 0 {
+	if len(items) == 0 {
 		return fmt.Errorf("%w: proof covers no leaves", ErrTampered)
 	}
-	width := numLeaves
-	pos := 0
-	for width > 1 {
-		idxs := make([]int, 0, len(known))
-		for idx := range known {
-			idxs = append(idxs, idx)
+	known := append([]LeafItem(nil), items...)
+	slices.SortFunc(known, func(a, b LeafItem) int { return cmp.Compare(a.Index, b.Index) })
+	if lo, hi := known[0].Index, known[len(known)-1].Index; lo < 0 || hi >= numLeaves {
+		return fmt.Errorf("%w: leaf index outside [0,%d)", ErrTampered, numLeaves)
+	}
+	// A leaf claimed twice must be claimed with one digest.
+	uniq := known[:1]
+	for _, it := range known[1:] {
+		if last := uniq[len(uniq)-1]; it.Index != last.Index {
+			uniq = append(uniq, it)
+		} else if it.Digest != last.Digest {
+			return fmt.Errorf("%w: conflicting digests for leaf %d", ErrTampered, it.Index)
 		}
-		sort.Ints(idxs)
-		next := map[int]Digest{}
-		for i := 0; i < len(idxs); i++ {
-			idx := idxs[i]
-			sib := idx ^ 1
-			if sib >= width {
-				next[idx/2] = known[idx]
-				continue
-			}
-			var l, r Digest
-			if sd, ok := known[sib]; ok {
-				if idx&1 == 1 {
-					continue // handled at the left index
-				}
-				l, r = known[idx], sd
-			} else {
-				if pos >= len(siblings) {
-					return fmt.Errorf("%w: proof too short", ErrTampered)
-				}
-				sd := siblings[pos]
+	}
+	known = uniq
+	pos := 0
+	for width := numLeaves; width > 1; width = (width + 1) / 2 {
+		// next trails the read position (every step consumes at least
+		// the node it emits), so it can reuse known's backing array.
+		next := known[:0]
+		for i := 0; i < len(known); i++ {
+			it := known[i]
+			parent := LeafItem{Index: it.Index / 2, Digest: it.Digest}
+			switch sib := it.Index ^ 1; {
+			case sib >= width:
+				// Odd node promoted unchanged.
+			case it.Index&1 == 0 && i+1 < len(known) && known[i+1].Index == sib:
+				parent.Digest = nodeHash(it.Digest, known[i+1].Digest)
+				i++
+			case pos >= len(siblings):
+				return fmt.Errorf("%w: proof too short", ErrTampered)
+			case it.Index&1 == 0:
+				parent.Digest = nodeHash(it.Digest, siblings[pos])
 				pos++
-				if idx&1 == 0 {
-					l, r = known[idx], sd
-				} else {
-					l, r = sd, known[idx]
-				}
+			default:
+				parent.Digest = nodeHash(siblings[pos], it.Digest)
+				pos++
 			}
-			next[idx/2] = nodeHash(l, r)
+			next = append(next, parent)
 		}
 		known = next
-		width = (width + 1) / 2
 	}
 	if pos != len(siblings) {
 		return fmt.Errorf("%w: %d unused sibling digests", ErrTampered, len(siblings)-pos)
 	}
-	if got := known[0]; got != root {
+	if got := known[0].Digest; got != root {
 		return fmt.Errorf("%w: recomputed root %x does not match committed root %x", ErrTampered, got[:8], root[:8])
 	}
 	return nil
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -20,12 +20,13 @@ import (
 // Insertion happens only after the block authenticated: AES-GCM
 // decryption is itself an integrity check, and when Merkle
 // verification is enabled the whole answer was verified before
-// decryption even starts (core.System verifies in
-// executeWithFallback, and stale fallback answers bypass this cache
-// entirely) — so a cache hit is never an unverified byte.
+// decryption even starts (in the verifying transport, or in
+// core.System's executeWithFallback when the transport did not; stale
+// fallback answers bypass this cache entirely) — so a cache hit is
+// never an unverified byte.
 //
 // Cached plaintexts are shared, not copied: post-processing only
-// reads them (splice and annotateBlockID write into fresh buffers),
+// reads them (splice and appendAnnotated write into fresh buffers),
 // and every consumer must preserve that read-only discipline.
 type BlockCache struct {
 	c *gencache.Cache

@@ -143,7 +143,7 @@ func (c *Client) PostProcessFull(q *xpath.Path, ans *wire.Answer, blocks map[int
 		if !ok {
 			return nil, fmt.Errorf("client: answer references undecrypted block %d", id)
 		}
-		parts = append(parts, annotateBlockID(pt, id))
+		parts = append(parts, appendAnnotated(nil, pt, id))
 	}
 
 	// An empty answer is the server's proof that no anchor can match
@@ -165,16 +165,18 @@ func (c *Client) PostProcessFull(q *xpath.Path, ans *wire.Answer, blocks map[int
 	return &PostResult{Nodes: xpath.Evaluate(doc, q), Doc: doc, BlockOf: prov}, nil
 }
 
-// annotateBlockID rewrites a block's <_blk> envelope head to carry
-// its block ID, so provenance survives the combined parse.
-func annotateBlockID(pt []byte, id int) []byte {
-	head := []byte("<" + wire.BlockWrapTag + ">")
-	if !bytes.HasPrefix(pt, head) {
-		return pt
+// appendAnnotated appends a decrypted block to dst with its <_blk>
+// envelope head rewritten to carry the block ID, so provenance
+// survives the combined parse.
+func appendAnnotated(dst, pt []byte, id int) []byte {
+	head := "<" + wire.BlockWrapTag + ">"
+	if !bytes.HasPrefix(pt, []byte(head)) {
+		return append(dst, pt...)
 	}
-	out := make([]byte, 0, len(pt)+16)
-	out = append(out, []byte("<"+wire.BlockWrapTag+" id=\""+strconv.Itoa(id)+"\">")...)
-	return append(out, pt[len(head):]...)
+	dst = append(dst, "<"+wire.BlockWrapTag+` id="`...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, `">`...)
+	return append(dst, pt[len(head):]...)
 }
 
 // splice replaces every <EncBlock id="N".../> placeholder in a
@@ -182,50 +184,34 @@ func annotateBlockID(pt []byte, id int) []byte {
 // blocks were used. Blocks never contain placeholders (blocks are
 // not nested), so one pass suffices.
 func (c *Client) splice(fragment []byte, blocks map[int][]byte, used map[int]bool) ([]byte, error) {
-	marker := []byte("<" + wire.PlaceholderTag + " ")
-	if !bytes.Contains(fragment, marker) {
-		return fragment, nil
-	}
-	var out bytes.Buffer
-	out.Grow(len(fragment) * 2)
-	rest := fragment
-	for {
-		i := bytes.Index(rest, marker)
-		if i < 0 {
-			out.Write(rest)
-			return out.Bytes(), nil
-		}
-		out.Write(rest[:i])
-		end := bytes.Index(rest[i:], []byte("/>"))
-		if end < 0 {
-			return nil, fmt.Errorf("client: malformed placeholder in fragment")
-		}
-		tag := rest[i : i+end]
-		id, err := placeholderID(tag)
-		if err != nil {
-			return nil, err
-		}
+	var out []byte
+	copied, missing := 0, -1
+	err := wire.PlaceholderIDs(fragment, func(id, start, end int) {
 		pt, ok := blocks[id]
 		if !ok {
-			return nil, fmt.Errorf("client: fragment references undecrypted block %d", id)
+			if missing < 0 {
+				missing = id
+			}
+			return
 		}
-		out.Write(annotateBlockID(pt, id))
+		if out == nil {
+			out = make([]byte, 0, len(fragment)*2)
+		}
+		out = append(out, fragment[copied:start]...)
+		out = appendAnnotated(out, pt, id)
 		used[id] = true
-		rest = rest[i+end+2:]
+		copied = end
+	})
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
-}
-
-func placeholderID(tag []byte) (int, error) {
-	const attr = `id="`
-	i := bytes.Index(tag, []byte(attr))
-	if i < 0 {
-		return 0, fmt.Errorf("client: placeholder without id: %q", tag)
+	if missing >= 0 {
+		return nil, fmt.Errorf("client: fragment references undecrypted block %d", missing)
 	}
-	j := bytes.IndexByte(tag[i+len(attr):], '"')
-	if j < 0 {
-		return 0, fmt.Errorf("client: malformed placeholder id: %q", tag)
+	if out == nil {
+		return fragment, nil
 	}
-	return strconv.Atoi(string(tag[i+len(attr) : i+len(attr)+j]))
+	return append(out, fragment[copied:]...), nil
 }
 
 // assemble parses the spliced parts (one fast parse over the whole
@@ -247,11 +233,13 @@ func (c *Client) assemble(parts [][]byte, prov map[*xmltree.Node]int) (*xmltree.
 		buf.WriteString("</" + c.rootTag + ">")
 		combined = buf.Bytes()
 	}
-	doc, err := xmltree.ParseCompact(combined)
+	// The parsed tree is rewritten below (envelopes unwrapped, decoys
+	// dropped), so it is numbered once, at the end.
+	root, err := xmltree.ParseCompactRoot(combined)
 	if err != nil {
 		return nil, fmt.Errorf("client: reassemble answer: %w", err)
 	}
-	root, err := c.resolveTree(doc.Root, prov)
+	root, err = c.resolveTree(root, prov)
 	if err != nil {
 		return nil, err
 	}

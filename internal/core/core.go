@@ -366,7 +366,9 @@ func (s *System) EnableIntegrity() error {
 // Verifier returns the integrity verifier, or nil when
 // EnableIntegrity was not called. The remote client shares it (via
 // remote.WithVerifier) so tampering is detected per-attempt, before
-// the retry policy sees the error. The returned value is the live
+// the retry policy sees the error — and per read: the ring is a
+// wire.ContextVerifier, so that check is made at the floor the read
+// pinned and is the answer's only one. The returned value is the live
 // verifier ring: updates advance it in place, and an answer produced
 // just before a concurrent commit still verifies against the ring's
 // retired tail.
@@ -507,10 +509,13 @@ func (s *System) EnableMirrorReads() {
 // Timings is the per-stage cost breakdown of one query (§7.2).
 type Timings struct {
 	ClientTranslate time.Duration
-	ServerExec      time.Duration
-	Transmit        time.Duration // simulated: answer bytes over Link
-	ClientDecrypt   time.Duration
-	ClientPost      time.Duration
+	// ServerExec is the backend round trip (server execution plus, when
+	// remote, wire and codec) without the owner's Merkle check: Verify.
+	ServerExec    time.Duration
+	Verify        time.Duration // the one accepted integrity pass; zero with integrity off
+	Transmit      time.Duration // simulated: answer bytes over Link
+	ClientDecrypt time.Duration
+	ClientPost    time.Duration
 
 	QueryBytes    int // translated query size (up-link, negligible)
 	AnswerBytes   int
@@ -591,7 +596,7 @@ type Timings struct {
 
 // Total sums every stage.
 func (t Timings) Total() time.Duration {
-	return t.ClientTranslate + t.ServerExec + t.Transmit + t.ClientDecrypt + t.ClientPost
+	return t.ClientTranslate + t.ServerExec + t.Verify + t.Transmit + t.ClientDecrypt + t.ClientPost
 }
 
 // Query runs the full Figure 1 round trip for an XPath query string
@@ -742,7 +747,7 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 
 	start = time.Now()
 	ans, err := s.executeWithFallback(ctx, sn, qs, sink, &tm)
-	tm.ServerExec = time.Since(start)
+	tm.ServerExec = time.Since(start) - tm.Verify
 	if err != nil {
 		return nil, nil, tm, err
 	}
@@ -812,12 +817,21 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 // mutated by) a previous caller.
 //
 // With integrity enabled, a live answer is verified against the
-// Merkle root before it is accepted or cached; a verification
-// failure is treated like a backend failure, except the stale copy
-// is additionally marked Unverified — it was checked when cached,
-// but its freshness can no longer be established against a server
-// that just proved itself byzantine.
+// Merkle root before it is accepted or cached — once, with the
+// commitment current at this read's pin as the floor: answers from
+// either side of a commit that raced the round trip verify, a
+// replayed pre-pin answer does not. The context tells a verifying
+// transport that floor (see answerCheck), so its in-attempt check is
+// the one; only an answer nobody checked for this read is checked
+// here. A verification failure is treated like a backend failure,
+// except the stale copy is additionally marked Unverified — it was
+// checked when cached, but its freshness can no longer be established
+// against a server that just proved itself byzantine.
 func (s *System) executeWithFallback(ctx context.Context, sn *readSnap, qs *wire.Query, sink wire.BlockSink, tm *Timings) (*wire.Answer, error) {
+	ck := &answerCheck{ring: sn.ring, floor: sn.verSeq}
+	if sn.ring != nil {
+		ctx = context.WithValue(ctx, answerCheckKey{}, ck)
+	}
 	var key string
 	if sn.stale != nil {
 		if k, err := wire.MarshalQuery(qs); err == nil {
@@ -839,14 +853,12 @@ func (s *System) executeWithFallback(ctx context.Context, sn *readSnap, qs *wire
 	} else {
 		ans, err = sn.backend.Execute(ctx, qs)
 	}
-	if err == nil && sn.ring != nil {
-		// The floor is the commitment current at this read's pin:
-		// answers from either side of a commit that raced the round
-		// trip verify, a replayed pre-pin answer does not.
-		if vErr := sn.ring.verifyAnswerSince(sn.verSeq, ans); vErr != nil {
+	if err == nil && sn.ring != nil && ck.accepted != ans {
+		if vErr := sn.ring.VerifyAnswerContext(ctx, ans); vErr != nil {
 			ans, err = nil, vErr
 		}
 	}
+	tm.Verify = ck.took
 	if err == nil {
 		// Feed the stale cache only when no flush raced the round
 		// trip: a skewed answer may describe a state a commit just

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -20,12 +21,14 @@ import (
 //
 // Freshness is preserved by sequence pinning: every Advance stamps a
 // monotonically increasing sequence, and a read records the sequence
-// current at its pin. Core accepts an answer only against verifiers
+// current at its pin. An answer is accepted only against verifiers
 // AT LEAST AS NEW as the read's pin (verifyAnswerSince) — so a read
 // that pinned before a commit legitimately accepts either side of
 // it, while a read that pinned after rejects a replayed pre-commit
 // answer outright: the rollback-replay attack stays detected (see
-// internal/attack). The tail additionally bounds the window to
+// internal/attack). The read hands its pin to whoever checks the
+// answer through its context (answerCheck), so each answer is checked
+// once, at that floor. The tail additionally bounds the window to
 // ringRetain commits. Readers that need the exact current root — the
 // update pipeline's own read half, Reconcile — run under the
 // System's exclusive lock where the ring cannot advance
@@ -232,9 +235,42 @@ func (r *verifierRing) verifyExtremeSince(minSeq uint64, lo, hi uint64, max bool
 	})
 }
 
-// VerifyAnswer implements wire.Verifier (used by the shared remote
-// transport, which has no pin — core re-checks with the reader's
-// pinned floor).
+// answerCheck is how a read and the check of its answer find each
+// other. The read puts one in the context it hands the backend, naming
+// its ring and its pinned floor; a verifying transport passes that
+// context to VerifyAnswerContext, which checks at the floor and records
+// the answer it accepted and how long that pass took. Core then checks
+// only an answer the carrier does not name (an in-process backend's, a
+// transport's with no verifier or another system's ring), through the
+// same method. One read, one goroutine: no lock.
+type answerCheck struct {
+	ring     *verifierRing
+	floor    uint64
+	accepted *wire.Answer
+	took     time.Duration
+}
+
+type answerCheckKey struct{}
+
+// VerifyAnswerContext implements wire.ContextVerifier: one pass, at
+// the floor of the read whose answerCheck ctx carries for this ring, or
+// with no floor when it carries none (the update pipeline's read half,
+// which runs under the exclusive lock).
+func (r *verifierRing) VerifyAnswerContext(ctx context.Context, ans *wire.Answer) error {
+	ck, _ := ctx.Value(answerCheckKey{}).(*answerCheck)
+	if ck == nil || ck.ring != r {
+		return r.verifyAnswerSince(0, ans)
+	}
+	start := time.Now()
+	if err := r.verifyAnswerSince(ck.floor, ans); err != nil {
+		return err
+	}
+	ck.accepted, ck.took = ans, time.Since(start)
+	return nil
+}
+
+// VerifyAnswer implements wire.Verifier: a check with no read behind
+// it, hence no floor.
 func (r *verifierRing) VerifyAnswer(ans *wire.Answer) error {
 	return r.verifyAnswerSince(0, ans)
 }
@@ -247,4 +283,4 @@ func (r *verifierRing) VerifyExtreme(lo, hi uint64, max bool, found bool, blockI
 // Root implements wire.Verifier: the latest committed root.
 func (r *verifierRing) Root() authtree.Digest { return r.Current().Root() }
 
-var _ wire.Verifier = (*verifierRing)(nil)
+var _ wire.ContextVerifier = (*verifierRing)(nil)

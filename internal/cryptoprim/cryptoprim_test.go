@@ -2,6 +2,7 @@ package cryptoprim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -237,5 +238,28 @@ func TestPRFStable(t *testing.T) {
 	}
 	if ks.PRFUint64("y", []byte("data")) == a {
 		t.Errorf("PRF label ignored")
+	}
+}
+
+// TestMerkleHashesAreThePrefixedSHA256: the leaf and node hashes are
+// SHA-256 over (domain prefix || input) whichever way they are
+// computed — from the stack buffer short leaves take, or from the
+// streaming hasher long ones fall back to. Every committed root and
+// every proof in flight depends on these bytes not moving.
+func TestMerkleHashesAreThePrefixedSHA256(t *testing.T) {
+	for _, n := range []int{0, 1, 55, 56, 64, leafStackMax - 1, leafStackMax, leafStackMax + 1, 10_000} {
+		data := bytes.Repeat([]byte{0xA7}, n)
+		for i := range data {
+			data[i] ^= byte(i)
+		}
+		want := sha256.Sum256(append([]byte{0x00}, data...))
+		if got := MerkleLeafHash(data); got != want {
+			t.Errorf("MerkleLeafHash(%d bytes) = %x, want %x", n, got[:8], want[:8])
+		}
+	}
+	l, r := MerkleLeafHash([]byte("l")), MerkleLeafHash([]byte("r"))
+	want := sha256.Sum256(append(append([]byte{0x01}, l[:]...), r[:]...))
+	if got := MerkleNodeHash(l, r); got != want {
+		t.Errorf("MerkleNodeHash = %x, want %x", got[:8], want[:8])
 	}
 }

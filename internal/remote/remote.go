@@ -1088,9 +1088,13 @@ func (c *Client) respLimit() int64 {
 
 // WithVerifier installs the owner's integrity verifier: every query
 // answer and extreme result is checked against its Merkle root
-// before being returned. The instance is shared with core.System
-// (typically its live verifier ring), so owner updates (which
-// advance the root) are visible here without re-dialing.
+// inside the attempt that fetched it. The instance is shared with
+// core.System (typically its live verifier ring), so owner updates
+// (which advance the root) are visible here without re-dialing. The
+// ring is a wire.ContextVerifier: it reads the read's pinned floor
+// from the attempt's context, so this is the answer's one check — at
+// the reader's floor, in the transport; core checks only what did
+// not pass through it.
 func (c *Client) WithVerifier(v wire.Verifier) *Client {
 	c.verifier = v
 	return c
@@ -1355,9 +1359,10 @@ func (c *Client) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, erro
 //
 // Retry semantics are those of Execute: a stream that dies mid-body
 // surfaces as a torn read and the whole attempt is retried — sink
-// gets a fresh Reset and the caller never sees a truncated answer. A
-// verification failure (WithVerifier) is terminal, exactly as on the
-// envelope path.
+// gets a fresh Reset and the caller never sees a truncated answer.
+// Every attempt's answer is verified (WithVerifier) before it is
+// returned, a retried attempt's included; a verification failure is
+// terminal, exactly as on the envelope path.
 func (c *Client) ExecuteStream(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
 	return c.executeQuery(ctx, q, sink)
 }
@@ -1374,10 +1379,8 @@ func (c *Client) executeQuery(ctx context.Context, q *wire.Query, sink wire.Bloc
 		if err != nil {
 			return err
 		}
-		if c.verifier != nil {
-			if vErr := c.verifier.VerifyAnswer(a); vErr != nil {
-				return vErr
-			}
+		if vErr := c.verifyAnswer(ctx, a); vErr != nil {
+			return vErr
 		}
 		ans, stats = a, st
 		return nil
@@ -1386,6 +1389,20 @@ func (c *Client) executeQuery(ctx context.Context, q *wire.Query, sink wire.Bloc
 		return nil, nil, err
 	}
 	return ans, stats, nil
+}
+
+// verifyAnswer checks an answer inside its attempt. A ContextVerifier
+// gets the attempt's context, which carries the floor of the read the
+// query belongs to, so this is the strict check and the only one.
+func (c *Client) verifyAnswer(ctx context.Context, a *wire.Answer) error {
+	switch v := c.verifier.(type) {
+	case nil:
+		return nil
+	case wire.ContextVerifier:
+		return v.VerifyAnswerContext(ctx, a)
+	default:
+		return v.VerifyAnswer(a)
+	}
 }
 
 // queryAttempt performs one query exchange and decodes whichever

@@ -562,7 +562,11 @@ func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interv
 		}
 		ans.Fragments = append(ans.Fragments, frag)
 		fragIvs = append(fragIvs, a)
-		collectBlockIDs(n, blockSet)
+		// The blocks to ship are the placeholders in the bytes being
+		// shipped, read the way the verifier and the client read them.
+		if err := wire.PlaceholderIDs(frag, func(id, _, _ int) { blockSet[id] = true }); err != nil {
+			return nil, nil, fmt.Errorf("server: fragment %v: %w", a, err)
+		}
 	}
 	ids := make([]int, 0, len(blockSet))
 	for id := range blockSet {
@@ -574,20 +578,6 @@ func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interv
 		ans.Blocks = append(ans.Blocks, sn.db.Blocks[id])
 	}
 	return ans, fragIvs, nil
-}
-
-func collectBlockIDs(n *xmltree.Node, into map[int]bool) {
-	n.Walk(func(m *xmltree.Node) bool {
-		if m.Kind == xmltree.Element && m.Tag == wire.PlaceholderTag {
-			if idStr, ok := m.Attr("id"); ok {
-				var id int
-				if _, err := fmt.Sscanf(idStr, "%d", &id); err == nil {
-					into[id] = true
-				}
-			}
-		}
-		return true
-	})
 }
 
 // dedupeOutermost keeps only anchors not contained in another anchor

@@ -24,8 +24,10 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -393,6 +395,18 @@ type Verifier interface {
 	Root() authtree.Digest
 }
 
+// ContextVerifier is a Verifier whose answer check depends on which
+// read is asking: core's ring accepts an answer only against roots at
+// least as new as the commitment the read pinned, and the read states
+// that floor through its context. A transport holding one passes each
+// attempt's context along, so the check inside the attempt — where a
+// rejection stops the retries and trips the breaker — is the strict
+// one, and nobody repeats it.
+type ContextVerifier interface {
+	Verifier
+	VerifyAnswerContext(ctx context.Context, ans *Answer) error
+}
+
 // AuthVerifier is the owner-side integrity state: the committed root
 // plus the leaf digest vector. All Verify* methods return an error
 // wrapping authtree.ErrTampered on any mismatch; ApplyUpdate
@@ -490,41 +504,31 @@ func (v *AuthVerifier) VerifyAnswer(ans *Answer) error {
 	if err := authtree.VerifyMulti(v.Root(), v.numLeaves(), items, p.Siblings); err != nil {
 		return err
 	}
-	return v.checkReferencedBlocks(ans)
+	return checkReferencedBlocks(ans)
 }
 
-// checkReferencedBlocks parses the (now authenticated) fragments and
+// checkReferencedBlocks scans the (now authenticated) fragments and
 // confirms every <EncBlock> placeholder they reference arrived in
 // the answer — a server silently dropping a referenced block is an
-// omission, not a smaller answer.
-func (v *AuthVerifier) checkReferencedBlocks(ans *Answer) error {
-	have := make(map[int]bool, len(ans.BlockIDs))
-	for _, id := range ans.BlockIDs {
-		have[id] = true
-	}
+// omission, not a smaller answer. A placeholder the scanner cannot
+// read is tampering too: the client's splice would refuse it, and the
+// verdict belongs here.
+func checkReferencedBlocks(ans *Answer) error {
+	have := slices.Clone(ans.BlockIDs) // an honest server ships them sorted already
+	slices.Sort(have)
 	for _, frag := range ans.Fragments {
-		doc, err := xmltree.ParseCompact(frag)
-		if err != nil {
-			return fmt.Errorf("%w: unparseable fragment: %v", authtree.ErrTampered, err)
-		}
-		var missing error
-		doc.Root.Walk(func(m *xmltree.Node) bool {
-			if missing != nil {
-				return false
+		missing := -1
+		err := PlaceholderIDs(frag, func(id, _, _ int) {
+			if _, ok := slices.BinarySearch(have, id); !ok && missing < 0 {
+				missing = id
 			}
-			if m.Kind == xmltree.Element && m.Tag == PlaceholderTag {
-				if idStr, ok := m.Attr("id"); ok {
-					var id int
-					if _, err := fmt.Sscanf(idStr, "%d", &id); err == nil && !have[id] {
-						missing = fmt.Errorf("%w: fragment references block %d, which the answer omits",
-							authtree.ErrTampered, id)
-					}
-				}
-			}
-			return true
 		})
-		if missing != nil {
-			return missing
+		if err != nil {
+			return fmt.Errorf("%w: %v", authtree.ErrTampered, err)
+		}
+		if missing >= 0 {
+			return fmt.Errorf("%w: fragment references block %d, which the answer omits",
+				authtree.ErrTampered, missing)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -14,22 +15,67 @@ import (
 // blocks that this library serialized itself. Parse remains the
 // entry point for arbitrary external XML.
 func ParseCompact(data []byte) (*Document, error) {
-	p := &fastParser{data: data}
-	root, err := p.parse()
+	root, err := ParseCompactRoot(data)
 	if err != nil {
 		return nil, err
 	}
 	return NewDocument(root), nil
 }
 
+// ParseCompactRoot is ParseCompact without the Document: the parsed
+// root, not yet numbered, for a caller that rewrites the tree before
+// wrapping it. The nodes of one parse share slab allocations, so
+// holding any of them keeps its slab alive.
+func ParseCompactRoot(data []byte) (*Node, error) {
+	p := &fastParser{data: data, chunk: len(data)/32 + 1}
+	return p.parse()
+}
+
 type fastParser struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	slab  []Node            // unused tail of the current node chunk
+	chunk int               // size of the next chunk
+	names map[string]string // interned tag and attribute names
+}
+
+// Node chunks start at a node per 32 input bytes and double up to
+// slabMax: a small fragment costs one small allocation, a large
+// answer a few dozen.
+const slabMax = 1024
+
+func (p *fastParser) newNode(kind Kind, tag, value string) *Node {
+	if len(p.slab) == 0 {
+		p.chunk = min(p.chunk, slabMax)
+		p.slab = make([]Node, p.chunk)
+		p.chunk *= 2
+	}
+	n := &p.slab[0]
+	p.slab = p.slab[1:]
+	n.Kind, n.Tag, n.Value = kind, tag, value
+	return n
+}
+
+func (p *fastParser) intern(name []byte) string {
+	if s, ok := p.names[string(name)]; ok {
+		return s
+	}
+	if p.names == nil {
+		p.names = make(map[string]string)
+	}
+	s := string(name)
+	p.names[s] = s
+	return s
 }
 
 func (p *fastParser) parse() (*Node, error) {
 	var root *Node
-	var stack []*Node
+	// hasElem: an element child is attached, so text would be mixed content.
+	type open struct {
+		n       *Node
+		hasElem bool
+	}
+	var stack []open
 	n := len(p.data)
 	for p.pos < n {
 		c := p.data[p.pos]
@@ -39,29 +85,29 @@ func (p *fastParser) parse() (*Node, error) {
 			for p.pos < n && p.data[p.pos] != '<' {
 				p.pos++
 			}
-			text := string(p.data[start:p.pos])
-			if strings.TrimSpace(text) == "" {
+			text := p.data[start:p.pos]
+			if len(bytes.TrimSpace(text)) == 0 {
 				continue
 			}
 			if len(stack) == 0 {
 				return nil, fmt.Errorf("xmltree: text outside root at %d", start)
 			}
 			cur := stack[len(stack)-1]
-			if len(cur.ElementChildren()) > 0 {
-				return nil, fmt.Errorf("xmltree: mixed content under <%s>", cur.Tag)
+			if cur.hasElem {
+				return nil, fmt.Errorf("xmltree: mixed content under <%s>", cur.n.Tag)
 			}
-			cur.AppendChild(NewText(unescapeXML(text)))
+			cur.n.AppendChild(p.newNode(Text, "", unescapeXML(string(text))))
 			continue
 		}
 		// A tag.
 		if p.pos+1 < n && p.data[p.pos+1] == '/' {
 			// Closing tag.
-			end := p.find('>', p.pos)
-			if end < 0 {
+			end := p.pos + bytes.IndexByte(p.data[p.pos:], '>')
+			if end < p.pos {
 				return nil, fmt.Errorf("xmltree: unterminated closing tag at %d", p.pos)
 			}
-			name := string(p.data[p.pos+2 : end])
-			if len(stack) == 0 || stack[len(stack)-1].Tag != name {
+			name := p.data[p.pos+2 : end]
+			if len(stack) == 0 || stack[len(stack)-1].n.Tag != string(name) {
 				return nil, fmt.Errorf("xmltree: mismatched closing </%s> at %d", name, p.pos)
 			}
 			stack = stack[:len(stack)-1]
@@ -78,10 +124,12 @@ func (p *fastParser) parse() (*Node, error) {
 			}
 			root = e
 		} else {
-			stack[len(stack)-1].AppendChild(e)
+			parent := &stack[len(stack)-1]
+			parent.n.AppendChild(e)
+			parent.hasElem = true
 		}
 		if !selfClosed {
-			stack = append(stack, e)
+			stack = append(stack, open{n: e})
 		}
 	}
 	if root == nil {
@@ -103,7 +151,7 @@ func (p *fastParser) parseOpenTag() (*Node, bool, error) {
 	if p.pos == start {
 		return nil, false, fmt.Errorf("xmltree: empty tag name at %d", start)
 	}
-	e := NewElement(string(p.data[start:p.pos]))
+	e := p.newNode(Element, p.intern(p.data[start:p.pos]), "")
 	for {
 		// Skip whitespace.
 		for p.pos < n && (p.data[p.pos] == ' ' || p.data[p.pos] == '\n' || p.data[p.pos] == '\t') {
@@ -131,7 +179,7 @@ func (p *fastParser) parseOpenTag() (*Node, bool, error) {
 		if p.pos >= n || p.data[p.pos] != '=' {
 			return nil, false, fmt.Errorf("xmltree: malformed attribute in <%s>", e.Tag)
 		}
-		name := string(p.data[aStart:p.pos])
+		name := p.intern(p.data[aStart:p.pos])
 		p.pos++ // '='
 		if p.pos >= n || p.data[p.pos] != '"' {
 			return nil, false, fmt.Errorf("xmltree: attribute %s not double-quoted", name)
@@ -144,18 +192,9 @@ func (p *fastParser) parseOpenTag() (*Node, bool, error) {
 		if p.pos >= n {
 			return nil, false, fmt.Errorf("xmltree: unterminated attribute %s", name)
 		}
-		e.AppendChild(NewAttribute(name, unescapeXML(string(p.data[vStart:p.pos]))))
+		e.AppendChild(p.newNode(Attribute, name, unescapeXML(string(p.data[vStart:p.pos]))))
 		p.pos++ // closing quote
 	}
-}
-
-func (p *fastParser) find(b byte, from int) int {
-	for i := from; i < len(p.data); i++ {
-		if p.data[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 func isTagEnd(c byte) bool {

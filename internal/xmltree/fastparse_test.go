@@ -1,20 +1,39 @@
 package xmltree
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
+// compactDocs and compactBad are the fastparse corpus: what ParseCompact
+// must read exactly as Parse does, and what it must refuse.
+var compactDocs = []string{
+	`<a/>`,
+	`<a>text</a>`,
+	`<a k="v"/>`,
+	`<a k="v" m="n"><b>1</b><c><d>2</d></c></a>`,
+	`<r><v>a&lt;b&amp;c&gt;d</v><w q="x&quot;y"/></r>`,
+	hospitalXML,
+}
+
+var compactBad = []string{
+	"",
+	"text only",
+	"<a>",
+	"<a></b>",
+	"</a>",
+	"<a/><b/>",
+	"<a b=c/>",
+	"<a b='single'/>",
+	`<a b="unterminated/>`,
+	"<a><b>x</b>mixed</a>",
+	"< a/>",
+	"<a",
+}
+
 func TestParseCompactMatchesParse(t *testing.T) {
-	docs := []string{
-		`<a/>`,
-		`<a>text</a>`,
-		`<a k="v"/>`,
-		`<a k="v" m="n"><b>1</b><c><d>2</d></c></a>`,
-		`<r><v>a&lt;b&amp;c&gt;d</v><w q="x&quot;y"/></r>`,
-		hospitalXML,
-	}
-	for _, in := range docs {
+	for _, in := range compactDocs {
 		want, err := ParseString(in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", in, err)
@@ -33,21 +52,7 @@ func TestParseCompactMatchesParse(t *testing.T) {
 }
 
 func TestParseCompactErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"text only",
-		"<a>",
-		"<a></b>",
-		"</a>",
-		"<a/><b/>",
-		"<a b=c/>",
-		"<a b='single'/>",
-		`<a b="unterminated/>`,
-		"<a><b>x</b>mixed</a>",
-		"< a/>",
-		"<a",
-	}
-	for _, in := range bad {
+	for _, in := range compactBad {
 		if _, err := ParseCompact([]byte(in)); err == nil {
 			t.Errorf("ParseCompact(%q) succeeded, want error", in)
 		}
@@ -92,5 +97,92 @@ func TestQuickParseCompactRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameTree reports the first difference between two parsed trees:
+// kind, tag, value, preorder ID, parent link and child order.
+func sameTree(a, b *Node) error {
+	if a.Kind != b.Kind || a.Tag != b.Tag || a.Value != b.Value || a.ID != b.ID || len(a.Children) != len(b.Children) {
+		return fmt.Errorf("%s: (%v %q %q id %d, %d children) vs (%v %q %q id %d, %d children)",
+			a.Path(), a.Kind, a.Tag, a.Value, a.ID, len(a.Children), b.Kind, b.Tag, b.Value, b.ID, len(b.Children))
+	}
+	for i := range a.Children {
+		if a.Children[i].Parent != a || b.Children[i].Parent != b {
+			return fmt.Errorf("%s: child %d has the wrong parent", a.Path(), i)
+		}
+		if err := sameTree(a.Children[i], b.Children[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestParseCompactUnchanged holds the slab-allocating, name-interning
+// parser to the one it replaced (refParseCompact): on the fastparse
+// corpus, on random generated documents, and on those documents with
+// bytes deleted, doubled or replaced — most of which no longer parse —
+// the tree is node-for-node the same, IDs included, and an error is the
+// same error, message and all. ParseCompactRoot is the same tree with
+// no IDs assigned.
+func TestParseCompactUnchanged(t *testing.T) {
+	var inputs []string
+	for _, in := range compactDocs {
+		d, err := ParseString(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, in, d.String(), d.Pretty())
+	}
+	inputs = append(inputs, compactBad...)
+	inputs = append(inputs, "<a>\n  <b>1</b>\n  <c>2</c>\n</a>", `<a><b/><c x="1"/></a>`, "<a>x<b/></a>", "<a> <b/> </a>",
+		"<a>x</a>y", "<a b/>", `<a b="1"c="2"/>`, "<a/ >", "<a></a >", "<a><b></a></b>", "<>")
+	for seed := uint32(0); seed < 200; seed++ {
+		s := genDoc(seed).String()
+		inputs = append(inputs, s)
+		r := seed*2654435761 + 1
+		for k := 0; k < 8; k++ {
+			r = r*1664525 + 1013904223
+			i := int(r>>8) % len(s)
+			switch k % 4 {
+			case 0:
+				inputs = append(inputs, s[:i]+s[i+1:])
+			case 1:
+				inputs = append(inputs, s[:i]+s[i:i+1]+s[i:])
+			case 2:
+				inputs = append(inputs, s[:i]+string(`<>/"= &x`[int(r>>20)%8])+s[i+1:])
+			case 3:
+				inputs = append(inputs, s[:i])
+			}
+		}
+	}
+	parsed, refused := 0, 0
+	for _, in := range inputs {
+		want, wantErr := refParseCompact([]byte(in))
+		got, gotErr := ParseCompact([]byte(in))
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("ParseCompact(%q): error %v, the reference %v", in, gotErr, wantErr)
+		}
+		root, rootErr := ParseCompactRoot([]byte(in))
+		if (rootErr == nil) != (gotErr == nil) {
+			t.Fatalf("ParseCompactRoot(%q): error %v, ParseCompact %v", in, rootErr, gotErr)
+		}
+		if wantErr != nil {
+			refused++
+			continue
+		}
+		parsed++
+		if err := sameTree(got.Root, want.Root); err != nil {
+			t.Fatalf("ParseCompact(%q): %v", in, err)
+		}
+		if got.Size() != want.Size() || got.String() != want.String() {
+			t.Fatalf("ParseCompact(%q): document differs from the reference", in)
+		}
+		if err := sameTree(NewDocument(root).Root, want.Root); err != nil {
+			t.Fatalf("ParseCompactRoot(%q): %v", in, err)
+		}
+	}
+	if parsed < 200 || refused < 200 {
+		t.Fatalf("corpus too thin: %d inputs parsed, %d refused", parsed, refused)
 	}
 }
