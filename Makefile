@@ -84,11 +84,12 @@ mvcc-race:
 		-run 'TestNumBlocksRaceWithUpdates|TestReturnedBytesImmutableUnderUpdates|TestSnapshotIsolationLinearizable' \
 		./internal/server/
 
-# Quick overload-protection smoke (part of `check`): deadline
-# rejection on arrival, queue shed, brownout degradation ladder and
-# recovery, tenant quotas, Retry-After honored by the client.
+# Quick overload-protection smoke (part of `check`): the cost gate's
+# FIFO, sheds and abandoned-waiter cleanup, the drain-rate
+# Retry-After, deadline rejection on arrival and cancellation of
+# queued work, Retry-After honored by the client, slow-loris cutoff.
 overload-smoke:
-	$(GO) test -race -count=1 -run 'TestOverload|TestDeadline|TestBrownout|TestTenantQuota|TestClientHonorsRetryAfter|TestSlowLoris' ./internal/remote/ ./internal/admission/
+	$(GO) test -race -count=1 -run 'TestOverload|TestDeadline|TestGate|TestRetryAfter|TestControllerDeadline|TestClientHonorsRetryAfter|TestSlowLoris' ./internal/remote/ ./internal/admission/
 
 # The caching-layer correctness suite under -race: generation
 # invalidation, stale-answer isolation, concurrent readers racing an

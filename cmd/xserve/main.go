@@ -52,10 +52,6 @@ func main() {
 	costAware := flag.Bool("cost-aware", false, "price each query by its predicted blocks touched instead of one unit")
 	maxQueue := flag.Int("max-queue", 0, "max queued requests before instant shed (0 = 64 default)")
 	queueWait := flag.Duration("queue-wait", 0, "max time a request queues for capacity before a 503 (0 = 2s default)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant quota: cost units per second each X-Client-ID may spend (0 disables)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant bucket ceiling (0 = 4x tenant-rate)")
-	brownout := flag.Bool("brownout", false, "enable the brownout controller (graceful degradation under sustained overload)")
-	brownoutP99 := flag.Duration("brownout-p99", 0, "p99 latency target the brownout controller defends (0 = 250ms default)")
 	streamWriteTimeout := flag.Duration("stream-write-timeout", 0, "per-flush write deadline on streamed answers; slow readers are cut off (0 = 30s default, negative disables)")
 	walGroupWait := flag.Duration("wal-group-wait", 0, "group-commit window: how long a WAL fsync waits to absorb concurrent updates (0 = sync immediately)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between full checkpoints truncating the WAL (0 = default 64)")
@@ -98,19 +94,14 @@ func main() {
 		svc = remote.NewService()
 	}
 	svc = svc.WithStreamCutoff(*streamCutoff).WithWriteTimeout(*streamWriteTimeout)
-	if *maxCost > 0 || *tenantRate > 0 || *brownout {
+	if *maxCost > 0 {
 		svc = svc.WithAdmission(admission.Config{
-			MaxCost:        *maxCost,
-			MaxQueue:       *maxQueue,
-			QueueWait:      *queueWait,
-			CostAware:      *costAware,
-			TenantRate:     *tenantRate,
-			TenantBurst:    *tenantBurst,
-			Brownout:       *brownout,
-			BrownoutConfig: admission.BrownoutConfig{TargetP99: *brownoutP99},
+			MaxCost:   *maxCost,
+			MaxQueue:  *maxQueue,
+			QueueWait: *queueWait,
+			CostAware: *costAware,
 		})
-		fmt.Printf("admission: capacity %d cost units (cost-aware=%v), tenant rate %.1f/s, brownout=%v\n",
-			*maxCost, *costAware, *tenantRate, *brownout)
+		fmt.Printf("admission: capacity %d cost units (cost-aware=%v)\n", *maxCost, *costAware)
 	}
 
 	if *demo != "" {
@@ -144,8 +135,8 @@ func main() {
 	// JSON at /debug/vars (mounted outside the chaos wrapper so fault
 	// injection never garbles monitoring).
 	expvar.Publish("secxml_caches", expvar.Func(func() any { return svc.CacheStats() }))
-	// Overload observability: brownout level, queue depth, shed and
-	// per-priority admit counters — one snapshot for the whole service.
+	// Overload observability: queue depth, shed and admit counters —
+	// one snapshot for the whole service.
 	expvar.Publish("secxml_overload", expvar.Func(func() any { return svc.Admission().Snapshot() }))
 
 	var handler http.Handler = svc

@@ -2,42 +2,22 @@ package admission
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"net/http"
+	"slices"
 	"time"
 )
 
-// gate.go: the cost-weighted admission gate. Replaces the flat
-// channel semaphore the remote service used to run: capacity is
-// measured in cost units (predicted blocks touched), waiters queue in
-// per-priority FIFO lists drained highest class first, the queue
-// depth is bounded, and sheds carry a Retry-After computed from the
-// observed drain rate instead of a constant.
-
-// ShedError reports a request the gate turned away, with the backoff
-// hint the HTTP layer forwards as Retry-After.
-type ShedError struct {
-	// Full is true when the bounded queue had no room (instant shed);
-	// false when the request queued but no capacity freed within the
-	// queue-wait bound.
-	Full bool
-	// RetryAfter is the computed backoff hint (>= 1s floor).
-	RetryAfter time.Duration
-}
-
-func (e *ShedError) Error() string {
-	if e.Full {
-		return fmt.Sprintf("admission: queue full, retry after %s", e.RetryAfter)
-	}
-	return fmt.Sprintf("admission: no capacity within queue wait, retry after %s", e.RetryAfter)
-}
+// gate.go: the cost-weighted FIFO gate. Capacity is measured in cost
+// units (predicted blocks touched), waiters queue in one FIFO drained
+// head first, the queue depth is bounded, and sheds carry a
+// Retry-After computed from the observed drain rate instead of a
+// constant.
 
 // waiter is one queued request.
 type waiter struct {
 	cost     int64
 	ready    chan struct{}
-	admitted bool // set under gate.mu before ready closes
-	canceled bool // set under gate.mu; wake passes skip it
+	admitted bool // set under Controller.mu before ready closes
 }
 
 // drainWindow paces the drain-rate estimate: completed cost is
@@ -48,248 +28,139 @@ const drainWindow = 250 * time.Millisecond
 // queue cannot tell clients to go away for minutes.
 const retryAfterCeil = 30 * time.Second
 
-// Gate is the cost-weighted, priority-ordered admission gate.
-type Gate struct {
-	capacity  int64
-	maxQueue  int
-	queueWait time.Duration
-
-	mu          sync.Mutex
-	inFlight    int64
-	queues      [numPriorities][]*waiter
-	queuedCount int
-	queuedCost  int64
-
-	// Drain-rate bookkeeping (cost units completed per second),
-	// folded into an EWMA once per drainWindow.
-	drainRate   float64
-	windowStart time.Time
-	windowCost  int64
-
-	admitted        [numPriorities]int64
-	rejectedFull    int64
-	rejectedTimeout int64
-}
-
-// newGate builds a gate with capacity cost units; maxQueue bounds the
-// number of queued requests and queueWait how long any one of them
-// may wait.
-func newGate(capacity int64, maxQueue int, queueWait time.Duration) *Gate {
-	return &Gate{
-		capacity:    capacity,
-		maxQueue:    maxQueue,
-		queueWait:   queueWait,
-		windowStart: time.Now(),
-	}
-}
-
-// Acquire admits a request of the given cost, queueing when the gate
-// is at capacity. It returns a release func on success and a
-// *ShedError (or the context's error, when the caller gave up while
-// queued) otherwise. Cost is clamped to [1, capacity] so one huge
-// request can still run alone rather than being unadmittable.
-func (g *Gate) Acquire(ctx context.Context, pri Priority, cost int64) (func(), error) {
-	if cost < 1 {
-		cost = 1
-	}
-	if cost > g.capacity {
-		cost = g.capacity
-	}
-	if pri < 0 {
-		pri = 0
-	}
-	if pri >= numPriorities {
-		pri = numPriorities - 1
-	}
-	g.mu.Lock()
+// acquire takes cost units from the gate, queueing when it is at
+// capacity, and returns the units held. Cost is clamped to
+// [1, capacity] so one huge request can still run alone rather than
+// being unadmittable.
+func (c *Controller) acquire(ctx context.Context, cost int64) (int64, *Rejection) {
+	cost = min(max(cost, 1), c.capacity)
+	c.mu.Lock()
 	// Fast path: capacity available and nobody queued ahead of us.
-	if g.queuedCount == 0 && g.inFlight+cost <= g.capacity {
-		g.inFlight += cost
-		g.admitted[pri]++
-		g.mu.Unlock()
-		return g.releaseFunc(cost), nil
+	if len(c.queue) == 0 && c.inFlight+cost <= c.capacity {
+		c.inFlight += cost
+		c.admitted++
+		c.mu.Unlock()
+		return cost, nil
 	}
-	if g.queuedCount >= g.maxQueue {
-		g.rejectedFull++
-		ra := g.retryAfterLocked()
-		g.mu.Unlock()
-		return nil, &ShedError{Full: true, RetryAfter: ra}
+	if len(c.queue) >= c.maxQueue {
+		c.rejectedFull++
+		rej := c.shedLocked("admission: queue full")
+		c.mu.Unlock()
+		return 0, rej
 	}
 	w := &waiter{cost: cost, ready: make(chan struct{})}
-	g.queues[pri] = append(g.queues[pri], w)
-	g.queuedCount++
-	g.queuedCost += cost
-	g.mu.Unlock()
+	c.queue = append(c.queue, w)
+	c.queuedCost += cost
+	c.mu.Unlock()
 
-	timer := time.NewTimer(g.queueWait)
+	timer := time.NewTimer(c.queueWait)
 	defer timer.Stop()
 	select {
 	case <-w.ready:
-		return g.releaseFunc(cost), nil
+		return cost, nil
 	case <-ctx.Done():
-		if g.cancelWaiter(w) {
-			return nil, ctx.Err()
+		if !c.dequeue(w) {
+			// Lost the race: a wake pass admitted us before the cancel
+			// registered. Give the capacity straight back.
+			c.release(cost)
 		}
-		// Lost the race: a wake pass admitted us before the cancel
-		// registered. Give the capacity straight back.
-		<-w.ready
-		g.releaseFunc(cost)()
-		return nil, ctx.Err()
+		return 0, &Rejection{Status: 499, Reason: "client canceled while queued"}
 	case <-timer.C:
-		if g.cancelWaiter(w) {
-			g.mu.Lock()
-			g.rejectedTimeout++
-			ra := g.retryAfterLocked()
-			g.mu.Unlock()
-			return nil, &ShedError{RetryAfter: ra}
+		if c.dequeue(w) {
+			c.mu.Lock()
+			c.rejectedTimeout++
+			rej := c.shedLocked("admission: no capacity within queue wait")
+			c.mu.Unlock()
+			return 0, rej
 		}
 		// Admitted at the wire: take the slot rather than wasting the
 		// work of the wake pass.
-		<-w.ready
-		return g.releaseFunc(cost), nil
+		return cost, nil
 	}
 }
 
-// cancelWaiter removes w from the queue; false means a wake pass
-// already admitted it.
-func (g *Gate) cancelWaiter(w *waiter) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// dequeue removes w from the FIFO; false means a wake pass already
+// admitted it.
+func (c *Controller) dequeue(w *waiter) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if w.admitted {
 		return false
 	}
-	w.canceled = true
-	g.queuedCount--
-	g.queuedCost -= w.cost
+	if i := slices.Index(c.queue, w); i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
+	}
+	c.queuedCost -= w.cost
 	return true
 }
 
-func (g *Gate) releaseFunc(cost int64) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.mu.Lock()
-			g.inFlight -= cost
-			g.noteDrainLocked(cost)
-			g.wakeLocked()
-			g.mu.Unlock()
-		})
-	}
-}
-
-// wakeLocked admits queued waiters in priority order (Interactive
-// first), stopping at the first live waiter that does not fit — FIFO
-// head-of-line within a class, strict ordering across classes.
-func (g *Gate) wakeLocked() {
-	for p := numPriorities - 1; p >= 0; p-- {
-		q := g.queues[p]
-		i := 0
-		for ; i < len(q); i++ {
-			w := q[i]
-			if w.canceled {
-				continue // removed from the counters already
-			}
-			if g.inFlight+w.cost > g.capacity {
-				// Head of line does not fit; lower classes must wait
-				// behind it too (no sneak-past for cheap requests, so
-				// an expensive interactive query cannot starve).
-				g.queues[p] = compactQueue(q[i:])
-				return
-			}
-			g.inFlight += w.cost
-			g.queuedCount--
-			g.queuedCost -= w.cost
-			g.admitted[p]++
-			w.admitted = true
-			close(w.ready)
+// release returns cost units to the gate and admits queued waiters
+// from the head of the FIFO, stopping at the first that does not fit
+// (no sneak-past for cheap requests, so an expensive one cannot
+// starve).
+func (c *Controller) release(cost int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inFlight -= cost
+	c.noteDrainLocked(cost)
+	n := 0
+	for _, w := range c.queue {
+		if c.inFlight+w.cost > c.capacity {
+			break
 		}
-		g.queues[p] = q[:0]
+		c.inFlight += w.cost
+		c.queuedCost -= w.cost
+		c.admitted++
+		w.admitted = true
+		close(w.ready)
+		n++
 	}
-}
-
-// compactQueue drops canceled waiters from the head segment that
-// stays queued (allocation-free shift in place).
-func compactQueue(q []*waiter) []*waiter {
-	out := q[:0]
-	for _, w := range q {
-		if !w.canceled {
-			out = append(out, w)
-		}
-	}
-	return out
+	c.queue = slices.Delete(c.queue, 0, n)
 }
 
 // noteDrainLocked folds completed cost into the drain-rate EWMA once
 // per drainWindow.
-func (g *Gate) noteDrainLocked(cost int64) {
-	g.windowCost += cost
+func (c *Controller) noteDrainLocked(cost int64) {
+	c.windowCost += cost
 	now := time.Now()
-	el := now.Sub(g.windowStart)
+	el := now.Sub(c.windowStart)
 	if el < drainWindow {
 		return
 	}
-	inst := float64(g.windowCost) / el.Seconds()
-	if g.drainRate == 0 {
-		g.drainRate = inst
+	inst := float64(c.windowCost) / el.Seconds()
+	if c.drainRate == 0 {
+		c.drainRate = inst
 	} else {
-		g.drainRate += 0.3 * (inst - g.drainRate)
+		c.drainRate += 0.3 * (inst - c.drainRate)
 	}
-	g.windowCost = 0
-	g.windowStart = now
+	c.windowCost = 0
+	c.windowStart = now
 }
 
-// retryAfterLocked computes the backoff hint for a shed: the time the
-// current backlog (queued plus in-flight cost) needs to drain at the
-// observed rate, floored at one second — the old constant — and
-// capped at retryAfterCeil.
-func (g *Gate) retryAfterLocked() time.Duration {
+// shedLocked builds a 503 whose Retry-After is the time the current
+// backlog (queued plus in-flight cost) needs to drain at the observed
+// rate, floored at one second and capped at retryAfterCeil.
+func (c *Controller) shedLocked(reason string) *Rejection {
 	ra := time.Second
-	if g.drainRate > 0 {
-		secs := float64(g.queuedCost+g.inFlight) / g.drainRate
+	if c.drainRate > 0 {
+		secs := float64(c.queuedCost+c.inFlight) / c.drainRate
 		if d := time.Duration(secs * float64(time.Second)); d > ra {
 			ra = d
 		}
 	}
-	if ra > retryAfterCeil {
-		ra = retryAfterCeil
-	}
 	// Whole seconds: Retry-After is specified in seconds and a
 	// fractional hint would round to zero on old clients.
-	return ra.Round(time.Second)
+	ra = min(ra, retryAfterCeil).Round(time.Second)
+	return &Rejection{
+		Status:     http.StatusServiceUnavailable,
+		Reason:     reason + ", retry after " + ra.String(),
+		RetryAfter: ra,
+	}
 }
 
 // QueueDepth reports how many requests are queued right now.
-func (g *Gate) QueueDepth() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.queuedCount
-}
-
-// InFlightCost reports the cost units currently executing.
-func (g *Gate) InFlightCost() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inFlight
-}
-
-// Admitted returns per-priority admission counters.
-func (g *Gate) Admitted() [numPriorities]int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admitted
-}
-
-// Rejected reports queue sheds (full queue + queue-wait timeouts).
-func (g *Gate) Rejected() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.rejectedFull + g.rejectedTimeout
-}
-
-// RetryAfter computes the current backoff hint (for sheds decided
-// outside the gate, e.g. brownout class filtering).
-func (g *Gate) RetryAfter() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.retryAfterLocked()
+func (c *Controller) QueueDepth() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue)
 }

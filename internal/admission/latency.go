@@ -1,15 +1,12 @@
 package admission
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// Latency tracking for two consumers: the deadline check needs a
-// rolling expectation of how long an admitted request takes (EWMA),
-// and the brownout controller needs a windowed p99. Both feed from
-// the same Observe call on ticket release.
+// Latency tracking for the deadline check: a rolling expectation of
+// how long an admitted request takes, fed on ticket release.
 
 // ewma is a thread-safe exponentially weighted moving average over
 // durations. Zero value = no observations yet.
@@ -54,49 +51,4 @@ func (e *ewma) seed(d time.Duration) {
 	e.mu.Lock()
 	e.val, e.init = float64(d), true
 	e.mu.Unlock()
-}
-
-// latWindow collects latency samples for one brownout control window.
-// Bounded: past the cap new samples overwrite a rotating slot, which
-// keeps the quantile representative without unbounded growth under
-// overload (exactly when samples arrive fastest).
-const latWindowCap = 2048
-
-type latWindow struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	next    int // overwrite cursor once full
-	total   int // samples observed this window (may exceed cap)
-}
-
-func (w *latWindow) observe(d time.Duration) {
-	w.mu.Lock()
-	if len(w.samples) < latWindowCap {
-		w.samples = append(w.samples, d)
-	} else {
-		w.samples[w.next] = d
-		w.next = (w.next + 1) % latWindowCap
-	}
-	w.total++
-	w.mu.Unlock()
-}
-
-// snapshotAndReset returns this window's sample count and p99, then
-// starts the next window. p99 is zero when the window was empty.
-func (w *latWindow) snapshotAndReset() (int, time.Duration) {
-	w.mu.Lock()
-	n := w.total
-	samples := w.samples
-	w.samples = nil
-	w.next, w.total = 0, 0
-	w.mu.Unlock()
-	if len(samples) == 0 {
-		return n, 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := (len(samples)*99 + 99) / 100
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
-	return n, samples[idx]
 }

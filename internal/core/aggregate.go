@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -31,9 +30,6 @@ func (s *System) AggregateMinMax(pathStr string, max bool) (string, Timings, err
 // AggregateMinMaxContext is AggregateMinMax with a caller-supplied
 // context bounding the backend round trips.
 func (s *System) AggregateMinMaxContext(ctx context.Context, pathStr string, max bool) (string, Timings, error) {
-	// Aggregates ride the middle priority class: below a waiting
-	// user's query, above background updates.
-	ctx = admission.ContextWithDefaultPriority(ctx, admission.Aggregate)
 	path, err := xpath.Parse(pathStr)
 	if err != nil {
 		return "", Timings{}, err

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/client"
 	"repro/internal/gencache"
 	"repro/internal/netsim"
@@ -531,13 +530,10 @@ type Timings struct {
 	// Callers surfacing such an answer must label it.
 	Unverified bool
 
-	// Degraded marks an answer a browned-out server produced in a
-	// degraded mode (today: served from its generation-tagged answer
-	// cache without executing). The answer verified exactly like a
-	// full-service one; BrownoutLevel echoes the server's degradation
-	// level (0 = full service) at answer time.
-	Degraded      bool
-	BrownoutLevel int
+	// Degraded is always false: the server has no reduced serving
+	// mode, every answer is a full execution. Kept because callers
+	// already test it alongside Stale and Unverified.
+	Degraded bool
 
 	// PlanStrategy and PlanEstimate echo the server planner's report
 	// for this query: which execution strategy produced the answer
@@ -686,13 +682,6 @@ var errSnapshotSkew = errors.New("core: update committed during read; retry on a
 // caller chose to hold one for skew-free execution.
 func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Path) ([]*xmltree.Node, *xmltree.Document, Timings, error) {
 	var tm Timings
-	// Overload protocol: queries default to the interactive class (a
-	// caller can stamp another via admission.WithPriority), and the
-	// response-meta carrier lets the remote transport report degraded
-	// (browned-out) service back into the Timings.
-	ctx = admission.ContextWithDefaultPriority(ctx, admission.Interactive)
-	respMeta := &admission.ResponseMeta{}
-	ctx = admission.ContextWithResponseMeta(ctx, respMeta)
 	if sn.pending && sn.ring != nil {
 		// An ambiguous update is outstanding: the live verifier may be
 		// one root behind the server, so any verified answer could be
@@ -765,7 +754,6 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 		tm.Generation, tm.Epoch = ans.Generation, ans.Epoch
 		tm.PlanStrategy, tm.PlanEstimate = ans.PlanStrategy, ans.PlanCost
 	}
-	tm.Degraded, tm.BrownoutLevel = respMeta.Degraded, respMeta.BrownoutLevel
 
 	// The block cache serves verified-live answers only: a stale
 	// fallback copy's freshness is unknown, so it must neither be

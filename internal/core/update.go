@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/btree"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
@@ -49,9 +48,6 @@ func (s *System) UpdateLeafValuesContext(ctx context.Context, q string, newValue
 // the default size of one) sends it before releasing the lock, and
 // the others wait off the lock for that shared commit.
 func (s *System) UpdateLeafValuesTimed(ctx context.Context, q string, newValue string) (int, Timings, error) {
-	// Updates are write-behind the owner retries anyway: the lowest
-	// class, shed first under brownout.
-	ctx = admission.ContextWithDefaultPriority(ctx, admission.Background)
 	path, err := xpath.Parse(q)
 	if err != nil {
 		return 0, Timings{}, err

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,9 +19,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Overload-protection tests: deadline propagation and rejection,
-// brownout degradation levels over real HTTP, per-tenant quotas, and
-// the client side of the shed protocol (Retry-After honoring).
+// Overload-protection tests: deadline propagation and rejection, the
+// cost gate's sheds over real HTTP, and the client side of the shed
+// protocol (Retry-After honoring).
 
 // overloadSystem hosts the hospital DB on a service built by
 // configure and returns the owner system plus the raw test server.
@@ -161,172 +158,6 @@ func TestDeadlineCancelsQueuedWork(t *testing.T) {
 	}
 }
 
-// brownoutSystem is overloadSystem with the brownout controller on and
-// its evaluation window pushed out so a forced level stays put, plus
-// integrity verification so the degraded path's proofs are checked.
-func brownoutSystem(t *testing.T) (*core.System, *Client, *httptest.Server, *Service) {
-	sys, cl, ts, svc := overloadSystem(t, func(s *Service) *Service {
-		return s.WithAdmission(admission.Config{
-			Brownout:       true,
-			BrownoutConfig: admission.BrownoutConfig{Window: time.Hour},
-		})
-	})
-	if err := sys.EnableIntegrity(); err != nil {
-		t.Fatalf("EnableIntegrity: %v", err)
-	}
-	cl.WithVerifier(sys.Verifier()).WithRetry(NoRetry)
-	return sys, cl, ts, svc
-}
-
-// TestBrownoutCachedOnlyServing: at L2 the service answers only from
-// the generation-tagged answer cache — warm queries still come back
-// complete, verified, and marked degraded; cold queries shed with a
-// Retry-After. Integrity is never relaxed: the cached answer carries
-// the same Merkle proof a live execution produced.
-func TestBrownoutCachedOnlyServing(t *testing.T) {
-	sys, _, _, svc := brownoutSystem(t)
-
-	// Warm the answer cache at full service.
-	const warm = "//patient/pname"
-	nodes, _, tm, err := sys.Query(warm)
-	if err != nil {
-		t.Fatalf("warm query: %v", err)
-	}
-	if tm.Degraded || tm.BrownoutLevel != 0 {
-		t.Fatalf("full-service answer marked degraded: %+v", tm)
-	}
-	want := core.ResultStrings(nodes)
-	sort.Strings(want)
-
-	svc.Admission().ForceBrownoutLevel(admission.LevelCachedOnly)
-
-	// The warm query is served from the cache, verified, and flagged.
-	nodes, _, tm, err = sys.Query(warm)
-	if err != nil {
-		t.Fatalf("cached query under brownout: %v", err)
-	}
-	got := core.ResultStrings(nodes)
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("degraded answer %v != full-service answer %v", got, want)
-	}
-	if !tm.Degraded {
-		t.Errorf("cache-served answer not marked degraded")
-	}
-	if tm.BrownoutLevel != admission.LevelCachedOnly {
-		t.Errorf("answer reports brownout level %d, want %d", tm.BrownoutLevel, admission.LevelCachedOnly)
-	}
-
-	// A cold query sheds with a computed Retry-After.
-	_, _, _, err = sys.Query("//treat/doctor")
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("cold query under L2: err = %v, want 503", err)
-	}
-	if !strings.Contains(se.Body, "cached answers only") {
-		t.Errorf("shed body: %q", se.Body)
-	}
-	if se.RetryAfter < time.Second {
-		t.Errorf("shed Retry-After = %v, want >= 1s floor", se.RetryAfter)
-	}
-	if svc.Admission().Snapshot().DegradedServed == 0 {
-		t.Errorf("degraded serving not counted")
-	}
-
-	// Back at L0 the cold query executes normally again.
-	svc.Admission().ForceBrownoutLevel(admission.LevelFull)
-	if _, _, _, err := sys.Query("//treat/doctor"); err != nil {
-		t.Fatalf("query after recovery: %v", err)
-	}
-}
-
-// TestBrownoutCriticalClassFilter: at L3 only the interactive class is
-// admitted at all — aggregates and updates shed before touching the
-// database, and interactive queries still get cache-only service.
-func TestBrownoutCriticalClassFilter(t *testing.T) {
-	sys, _, ts, svc := brownoutSystem(t)
-	const warm = "//patient/pname"
-	if _, _, _, err := sys.Query(warm); err != nil {
-		t.Fatalf("warm query: %v", err)
-	}
-	svc.Admission().ForceBrownoutLevel(admission.LevelCritical)
-
-	// Aggregate-class extreme probe: shed by the class filter.
-	resp, err := ts.Client().Get(ts.URL + "/db/hospital/extreme?lo=1&hi=2&max=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("aggregate under L3: %d %q, want 503", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "interactive") {
-		t.Errorf("class-filter body: %q", body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Errorf("class-filter shed carries no Retry-After")
-	}
-
-	// Background update: shed before a byte of body is parsed.
-	resp, err = ts.Client().Post(ts.URL+"/db/hospital/update", "application/octet-stream", strings.NewReader("ignored"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("update under L3: %d %q, want 503", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "deferring") {
-		t.Errorf("update shed body: %q", body)
-	}
-
-	// Interactive warm query: cache-only service still answers it.
-	_, _, tm, err := sys.Query(warm)
-	if err != nil {
-		t.Fatalf("interactive warm query under L3: %v", err)
-	}
-	if !tm.Degraded || tm.BrownoutLevel != admission.LevelCritical {
-		t.Errorf("L3 cached answer flags: %+v", tm)
-	}
-}
-
-// TestTenantQuota: per-tenant token buckets bound each client ID
-// separately — one tenant exhausting its budget gets 429 with a
-// Retry-After while another tenant's requests keep flowing.
-func TestTenantQuota(t *testing.T) {
-	_, _, ts, svc := overloadSystem(t, func(s *Service) *Service {
-		return s.WithAdmission(admission.Config{TenantRate: 1, TenantBurst: 2})
-	})
-	ctx := context.Background()
-	greedy := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithRetry(NoRetry).WithTenant("greedy")
-	polite := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithRetry(NoRetry).WithTenant("polite")
-
-	// Burst of 2 is fine; the third request overdraws the bucket.
-	for i := 0; i < 2; i++ {
-		if _, _, _, err := greedy.Extreme(ctx, 1, 2, false); err != nil {
-			t.Fatalf("in-quota probe %d: %v", i, err)
-		}
-	}
-	_, _, _, err := greedy.Extreme(ctx, 1, 2, false)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
-		t.Fatalf("over-quota probe: err = %v, want 429", err)
-	}
-	if se.RetryAfter < time.Second {
-		t.Errorf("quota 429 Retry-After = %v, want >= 1s", se.RetryAfter)
-	}
-
-	// The other tenant is untouched by the greedy one's exhaustion.
-	if _, _, _, err := polite.Extreme(ctx, 1, 2, false); err != nil {
-		t.Fatalf("other tenant blocked: %v", err)
-	}
-	if svc.Admission().Snapshot().RejectedTenant == 0 {
-		t.Errorf("tenant shed not counted")
-	}
-}
-
 // TestClientHonorsRetryAfter: the retry loop waits at least the
 // server's Retry-After hint before the next attempt, and gives up
 // without sleeping when the hint exceeds the caller's remaining
@@ -414,15 +245,12 @@ func (c *captureFrame) lastFrame() []byte {
 
 // TestOverloadSmoke is the short open-loop overload check wired into
 // `make check`, integrity on: a burst against a saturated one-unit
-// gate must shed with Retry-After rather than queue without bound and
-// push the brownout controller off full service; once the gate frees,
-// the queued remainder is served, and every success carries its
-// checksum and a Merkle proof the owner's verifier accepts — overload
-// never relaxes integrity. After the pressure lifts the controller
-// returns to L0 with sane counters. Only queue depth drives the
-// controller here (the latency target and window are out of reach),
-// and the gate frees on the first observed shed, so nothing depends
-// on how fast the box is.
+// gate must shed with Retry-After rather than queue without bound;
+// once the gate frees, the queued remainder is served, and every
+// success carries its checksum and a Merkle proof the owner's
+// verifier accepts — overload never relaxes integrity. The gate frees
+// on the first observed shed, so nothing depends on how fast the box
+// is.
 func TestOverloadSmoke(t *testing.T) {
 	doc, err := xmltree.ParseString(hospitalXML)
 	if err != nil {
@@ -440,12 +268,6 @@ func TestOverloadSmoke(t *testing.T) {
 		MaxCost:   1,
 		MaxQueue:  4,
 		QueueWait: time.Minute,
-		Brownout:  true,
-		BrownoutConfig: admission.BrownoutConfig{
-			HighQueueDepth: 2,
-			TargetP99:      time.Hour,
-			Window:         time.Hour,
-		},
 	})
 	cap := &captureFrame{svc: svc}
 	ts := httptest.NewServer(cap)
@@ -472,11 +294,8 @@ func TestOverloadSmoke(t *testing.T) {
 	const burst = 24
 	codes := make(chan int, burst)
 	for i := 0; i < burst; i++ {
-		go func(i int) {
-			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/db/hospital/query", bytes.NewReader(frame))
-			req.Header.Set(wire.HeaderPriority, []string{"interactive", "aggregate", "background"}[i%3])
-			req.Header.Set(wire.HeaderClientID, fmt.Sprintf("smoke-%d", i%4))
-			resp, err := ts.Client().Do(req)
+		go func() {
+			resp, err := ts.Client().Post(ts.URL+"/db/hospital/query", "application/octet-stream", bytes.NewReader(frame))
 			if err != nil {
 				codes <- -1
 				return
@@ -506,20 +325,15 @@ func TestOverloadSmoke(t *testing.T) {
 				}
 			}
 			codes <- resp.StatusCode
-		}(i)
+		}()
 	}
 	// The first shed means the queue is full behind the held unit:
-	// that backlog must degrade the service one level. Then the gate
-	// frees and the queued requests drain through it.
+	// the gate frees and the queued requests drain through it.
 	shed, served := 0, 0
 	for i := 0; i < burst; i++ {
 		switch code := <-codes; code {
 		case http.StatusServiceUnavailable:
 			if shed++; shed == 1 {
-				svc.Admission().Tick()
-				if lvl := svc.Admission().Level(); lvl == admission.LevelFull {
-					t.Errorf("brownout still at L0 with the queue full")
-				}
 				tk.Done()
 			}
 		case http.StatusOK:
@@ -534,26 +348,10 @@ func TestOverloadSmoke(t *testing.T) {
 	if served == 0 {
 		t.Errorf("nothing queued behind the saturated gate was served once it freed")
 	}
-
-	// Pressure lifted: the next request serves (and verifies, through
-	// the client), and the brownout controller settles back at L0
-	// within one window.
-	if _, _, _, err := sys.Query("//patient/pname"); err != nil {
-		t.Fatalf("query after overload: %v", err)
+	if d := svc.Admission().QueueDepth(); d != 0 {
+		t.Errorf("QueueDepth = %d after the burst drained, want 0", d)
 	}
-	svc.Admission().Tick()
-	if lvl := svc.Admission().Level(); lvl != admission.LevelFull {
-		t.Errorf("brownout level %d after recovery, want 0", lvl)
-	}
-	st := svc.Admission().Snapshot()
-	if st.Rejected < int64(shed) {
+	if st := svc.Admission().Snapshot(); st.Rejected < int64(shed) {
 		t.Errorf("snapshot rejected %d < observed sheds %d", st.Rejected, shed)
-	}
-	var admitted int64
-	for _, v := range st.Admitted {
-		admitted += v
-	}
-	if admitted == 0 {
-		t.Errorf("no admits counted")
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -119,9 +118,8 @@ type Service struct {
 	// dedupHits counts update requests answered from the dedup table
 	// instead of being re-applied (observability + tests).
 	dedupHits atomic.Int64
-	// admCfg + admv are the overload-protection layer: cost-aware
-	// admission, per-tenant quotas, deadline feasibility and the
-	// brownout controller (see WithAdmission).
+	// admv is the overload-protection layer: the cost gate and the
+	// deadline feasibility check (see WithAdmission).
 	// admv is never nil — the zero config admits everything and only
 	// keeps counters — so handlers call it unconditionally. It is an
 	// atomic pointer so the controller can be swapped on a live
@@ -129,8 +127,7 @@ type Service struct {
 	// between phases); tickets keep a reference to the controller
 	// that admitted them, so in-flight requests release correctly
 	// across a swap.
-	admCfg admission.Config
-	admv   atomic.Pointer[admission.Controller]
+	admv atomic.Pointer[admission.Controller]
 	// writeTimeout bounds each flush stride of a streamed answer: a
 	// reader that stops draining (slow loris) trips the connection's
 	// write deadline instead of pinning the worker. Zero selects
@@ -215,45 +212,27 @@ func (h *hosted) rememberLocked(id uint64) {
 // NewService returns an empty service.
 func NewService() *Service {
 	s := &Service{dbs: map[string]*hosted{}}
-	s.rebuildAdm()
+	s.admv.Store(admission.New(admission.Config{}))
 	return s
-}
-
-// rebuildAdm reconstitutes the admission controller from the current
-// config, wiring brownout transitions into the service log. Called by
-// the With* configuration methods, before traffic.
-func (s *Service) rebuildAdm() {
-	cfg := s.admCfg
-	if cfg.Brownout {
-		user := cfg.BrownoutConfig.OnTransition
-		cfg.BrownoutConfig.OnTransition = func(from, to int) {
-			log.Printf("remote: brownout %s -> %s", admission.LevelName(from), admission.LevelName(to))
-			if user != nil {
-				user(from, to)
-			}
-		}
-	}
-	s.admv.Store(admission.New(cfg))
 }
 
 // adm returns the current admission controller (never nil).
 func (s *Service) adm() *admission.Controller { return s.admv.Load() }
 
-// WithAdmission installs the full overload-protection configuration:
-// cost-aware gating (capacity in predicted-blocks-touched units),
-// per-tenant token buckets, deadline feasibility rejection and the
-// brownout controller. A unit-cost gate is MaxCost = n with
-// CostAware off: each request costs one unit against a capacity of n,
-// queues up to QueueWait for a slot, then is shed with 503. Last
-// caller wins. Call before serving traffic; returns s for chaining.
+// WithAdmission installs the overload-protection configuration: a
+// FIFO cost gate (capacity in predicted-blocks-touched units when
+// CostAware) in front of the deadline feasibility check. A unit-cost
+// gate is MaxCost = n with CostAware off: each request costs one unit
+// against a capacity of n, queues up to QueueWait for a slot, then is
+// shed with 503. Last caller wins. Call before serving traffic;
+// returns s for chaining.
 func (s *Service) WithAdmission(cfg admission.Config) *Service {
-	s.admCfg = cfg
-	s.rebuildAdm()
+	s.admv.Store(admission.New(cfg))
 	return s
 }
 
-// Admission exposes the service's admission controller (stats,
-// brownout level, test hooks).
+// Admission exposes the service's admission controller (stats, test
+// hooks).
 func (s *Service) Admission() *admission.Controller { return s.adm() }
 
 // defaultWriteTimeout bounds one flush stride of a streamed answer.
@@ -286,7 +265,7 @@ func (s *Service) writeTimeoutBounds() (time.Duration, bool) {
 
 // Rejected reports how many requests were shed with 503 because no
 // execution slot freed up within the queue-wait bound.
-func (s *Service) Rejected() int { return int(s.adm().QueueRejected()) }
+func (s *Service) Rejected() int { return int(s.adm().Snapshot().RejectedQueue) }
 
 // WithStreamCutoff sets the answer size (envelope bytes) at which
 // query responses to stream-capable clients switch from the
@@ -312,15 +291,11 @@ func (s *Service) streamCutoffBytes() (int, bool) {
 	}
 }
 
-// requestMeta reads the overload-protocol headers off one arrival:
-// priority class (def when absent), tenant, and the relative deadline
-// budget turned into an absolute deadline against this host's clock.
-func requestMeta(r *http.Request, def admission.Priority) admission.Request {
-	req := admission.Request{
-		Priority: admission.ParsePriority(r.Header.Get(wire.HeaderPriority), def),
-		Cost:     1,
-		Tenant:   r.Header.Get(wire.HeaderClientID),
-	}
+// requestMeta reads the overload-protocol header off one arrival:
+// the relative deadline budget turned into an absolute deadline
+// against this host's clock.
+func requestMeta(r *http.Request) admission.Request {
+	req := admission.Request{Cost: 1}
 	if ms := r.Header.Get(wire.HeaderDeadlineMS); ms != "" {
 		if v, err := strconv.ParseInt(ms, 10, 64); err == nil && v > 0 {
 			req.Deadline = time.Now().Add(time.Duration(v) * time.Millisecond)
@@ -512,49 +487,9 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, h *hosted)
 	if canceled(w, r) {
 		return
 	}
-	req := requestMeta(r, admission.Interactive)
+	req := requestMeta(r)
 	if s.adm().CostAware() {
 		req.Cost = h.srv.EstimateFrameCost(data)
-	}
-	// Brownout L2 and above: serve from the generation-tagged answer
-	// cache only. A cached answer is bit-identical to what a live
-	// execution at this generation produced (proofs included — the
-	// cache key covers the WantProof bit), so degraded service never
-	// relaxes integrity; it only narrows which queries get answered.
-	// Cold queries shed; at L3 lower classes shed before the cache is
-	// even consulted.
-	if lvl := s.adm().Level(); lvl >= admission.LevelCachedOnly {
-		s.adm().Pulse()
-		if lvl >= admission.LevelCritical && req.Priority < admission.Interactive {
-			s.adm().NoteBrownoutShed()
-			shed(w, &admission.Rejection{
-				Status:     http.StatusServiceUnavailable,
-				Reason:     "brownout: admitting " + admission.Interactive.String() + " requests only",
-				RetryAfter: s.adm().RetryAfter(),
-			})
-			return
-		}
-		if ans, ok := h.srv.CachedAnswer(data); ok {
-			s.adm().NoteDegraded()
-			w.Header().Set(wire.HeaderBrownoutLevel, strconv.Itoa(lvl))
-			w.Header().Set(wire.HeaderDegraded, "cached")
-			setPlanHeaders(w, ans)
-			out, err := wire.MarshalAnswer(ans)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set(generationHeader, fmt.Sprintf("%d:%d", ans.Epoch, ans.Generation))
-			writeChecksummed(w, out)
-			return
-		}
-		s.adm().NoteBrownoutShed()
-		shed(w, &admission.Rejection{
-			Status:     http.StatusServiceUnavailable,
-			Reason:     "brownout: serving cached answers only",
-			RetryAfter: s.adm().RetryAfter(),
-		})
-		return
 	}
 	tk := s.admit(w, r, req)
 	if tk == nil {
@@ -581,9 +516,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, h *hosted)
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		}
 		return
-	}
-	if lvl := s.adm().Level(); lvl > admission.LevelFull {
-		w.Header().Set(wire.HeaderBrownoutLevel, strconv.Itoa(lvl))
 	}
 	setPlanHeaders(w, ans)
 	if s.streamQuery(w, r, h, ans) {
@@ -612,13 +544,6 @@ func (s *Service) streamQuery(w http.ResponseWriter, r *http.Request, h *hosted,
 	cutoff, enabled := s.streamCutoffBytes()
 	if !enabled || r.Header.Get(acceptStreamHeader) != streamProto {
 		return false
-	}
-	// Brownout L1 ("lean"): streaming only pays for itself on large
-	// answers, and each stream holds a flusher and buffer for its whole
-	// transfer; under pressure, quadruple the cutoff so mid-size
-	// answers take the single-write envelope instead.
-	if s.adm().Level() >= admission.LevelLean {
-		cutoff *= 4
 	}
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush || ans.ByteSize() < cutoff {
@@ -664,9 +589,7 @@ func (s *Service) handleExtreme(w http.ResponseWriter, r *http.Request, h *hoste
 	if canceled(w, r) {
 		return
 	}
-	// Extreme probes drive aggregates: their default class sits below
-	// interactive queries, so a browned-out service sheds them first.
-	tk := s.admit(w, r, requestMeta(r, admission.Aggregate))
+	tk := s.admit(w, r, requestMeta(r))
 	if tk == nil {
 		return
 	}
@@ -733,21 +656,9 @@ func decodeExtremeResult(body []byte) (*wire.ExtremeResult, error) {
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request, name string, h *hosted) {
 	// Updates never take the query gate (they serialize on the hosted
 	// lock and must not compete with reads for cost units), but they
-	// do honor the overload protocol: background-class work sheds
-	// under deep brownout — applying updates would invalidate the very
-	// answer cache L2 serves from — and an already-dead caller
-	// deadline is turned away before any byte of body is read.
-	s.adm().Pulse()
-	req := requestMeta(r, admission.Background)
-	if lvl := s.adm().Level(); lvl >= admission.LevelCachedOnly && req.Priority < admission.Interactive {
-		s.adm().NoteBrownoutShed()
-		shed(w, &admission.Rejection{
-			Status:     http.StatusServiceUnavailable,
-			Reason:     "brownout: deferring " + req.Priority.String() + " updates",
-			RetryAfter: s.adm().RetryAfter(),
-		})
-		return
-	}
+	// do honor the overload protocol: an already-dead caller deadline
+	// is turned away before any byte of body is read.
+	req := requestMeta(r)
 	if !req.Deadline.IsZero() && time.Until(req.Deadline) <= 0 {
 		s.adm().NoteDeadlineShed()
 		http.Error(w, "caller deadline already passed", http.StatusGatewayTimeout)
@@ -859,9 +770,6 @@ func setPlanHeaders(w http.ResponseWriter, ans *wire.Answer) {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, h *hosted) {
-	// Stats polls advance the brownout window too, so the level keeps
-	// stepping down while an operator watches a drained service.
-	s.adm().Pulse()
 	stats := map[string]any{
 		"overload":     s.adm().Snapshot(),
 		"blocks":       h.srv.NumBlocks(),
@@ -962,10 +870,6 @@ type Client struct {
 	// acceptStream advertises SXS1 stream support on queries (see
 	// WithStreaming); the server still decides per answer.
 	acceptStream bool
-	// tenant, when set, names this client on every request (the
-	// X-Client-ID header) so the service's per-tenant quotas meter it
-	// separately from the shared anonymous bucket (see WithTenant).
-	tenant string
 	// maxResp caps how many response-body bytes any operation will
 	// read; 0 selects the maxUpload default (see WithMaxResponseBytes).
 	maxResp int64
@@ -1040,31 +944,16 @@ func (c *Client) WithStreaming(on bool) *Client {
 	return c
 }
 
-// WithTenant names this client for the service's per-tenant quotas:
-// every request carries the ID in X-Client-ID. An empty ID shares the
-// anonymous bucket with every other unnamed client.
-func (c *Client) WithTenant(id string) *Client {
-	c.tenant = id
-	return c
-}
-
-// stampOverloadHeaders attaches the overload-protocol request headers:
-// the remaining deadline budget (relative milliseconds, so clock skew
-// between the hosts cannot corrupt it), the priority class when the
-// calling operation stamped one on the context, and the tenant ID.
-func (c *Client) stampOverloadHeaders(req *http.Request, ctx context.Context) {
+// stampDeadline attaches the overload-protocol request header: the
+// remaining deadline budget (relative milliseconds, so clock skew
+// between the hosts cannot corrupt it).
+func stampDeadline(ctx context.Context, req *http.Request) {
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms < 1 {
 			ms = 1 // expired budgets still propagate; the server rejects them
 		}
 		req.Header.Set(wire.HeaderDeadlineMS, strconv.FormatInt(ms, 10))
-	}
-	if pri, ok := admission.PriorityFromContext(ctx); ok {
-		req.Header.Set(wire.HeaderPriority, pri.String())
-	}
-	if c.tenant != "" {
-		req.Header.Set(wire.HeaderClientID, c.tenant)
 	}
 }
 
@@ -1215,7 +1104,7 @@ func (c *Client) request(ctx context.Context, method, url string, payload []byte
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
 	}
-	c.stampOverloadHeaders(req, ctx)
+	stampDeadline(ctx, req)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -1418,7 +1307,7 @@ func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.Blo
 	if c.acceptStream {
 		req.Header.Set(acceptStreamHeader, streamProto)
 	}
-	c.stampOverloadHeaders(req, ctx)
+	stampDeadline(ctx, req)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, nil, err
@@ -1427,17 +1316,6 @@ func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.Blo
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrBody))
 		return nil, nil, statusError("query", resp.StatusCode, body, resp.Header)
-	}
-	// Surface degraded-mode response markers to the caller (core fills
-	// its Timings from the context carrier) — observability only, the
-	// answer itself verifies exactly like a full-service one.
-	if meta := admission.ResponseMetaFromContext(ctx); meta != nil {
-		if lvl := resp.Header.Get(wire.HeaderBrownoutLevel); lvl != "" {
-			if v, err := strconv.Atoi(lvl); err == nil {
-				meta.BrownoutLevel = v
-			}
-		}
-		meta.Degraded = resp.Header.Get(wire.HeaderDegraded) != ""
 	}
 	if resp.Header.Get("Content-Type") != streamContentType {
 		body, err := readChecksummedBody(resp, c.respLimit())

@@ -181,34 +181,31 @@ func TestServiceStats(t *testing.T) {
 		t.Fatalf("stats body: %v", err)
 	}
 	body := string(raw)
-	for _, key := range []string{
-		"blocks", "indexEntries", "indexHeight",
-		// Overload-protection snapshot (always present; zero-config
-		// controller still reports its counters).
-		"overload", "brownout_level", "queue_depth", "rejected", "admitted",
-	} {
+	for _, key := range []string{"blocks", "indexEntries", "indexHeight", "overload"} {
 		if !strings.Contains(body, key) {
 			t.Errorf("stats missing %s: %s", key, body)
 		}
 	}
-	// The overload block must decode as the admission snapshot, not
-	// just appear as a substring.
+	// The overload block (always present; the zero-config controller
+	// still reports its counters) carries exactly the gate's keys.
 	var stats struct {
-		Overload struct {
-			BrownoutLevel int              `json:"brownout_level"`
-			QueueDepth    int              `json:"queue_depth"`
-			Rejected      int64            `json:"rejected"`
-			Admitted      map[string]int64 `json:"admitted"`
-		} `json:"overload"`
+		Overload map[string]json.Number `json:"overload"`
 	}
 	if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatalf("stats decode: %v", err)
 	}
-	if stats.Overload.Admitted == nil {
-		t.Errorf("overload snapshot missing per-priority admit map: %s", body)
+	var keys []string
+	for k := range stats.Overload {
+		keys = append(keys, k)
 	}
-	if stats.Overload.BrownoutLevel != 0 {
-		t.Errorf("idle service reports brownout level %d", stats.Overload.BrownoutLevel)
+	sort.Strings(keys)
+	want := []string{"admitted", "expected_latency_ms", "in_flight_cost", "queue_depth",
+		"rejected", "rejected_deadline", "rejected_queue"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("overload keys = %v, want %v", keys, want)
+	}
+	if stats.Overload["rejected"] != "0" {
+		t.Errorf("idle service reports %s rejections", stats.Overload["rejected"])
 	}
 }
 

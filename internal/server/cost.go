@@ -7,9 +7,8 @@ import (
 )
 
 // Admission-control support: the server prices queries for the
-// overload layer (internal/admission) and exposes a cache-only lookup
-// the brownout controller's L2 mode serves from. Both pin one
-// snapshot (no locks) and touch no block bytes — pricing a request
+// overload layer's cost gate (internal/admission). Pricing pins one
+// snapshot (no locks) and touches no block bytes — pricing a request
 // must stay far cheaper than running it.
 
 // costCeil bounds a single request's estimate so pathological inputs
@@ -74,23 +73,4 @@ func (s *Server) planForFrame(sn *snapshot, frame []byte, fp string, parsed *wir
 		s.caches.plans.Put(s.epoch, sn.gen, fp, pl, len(frame))
 	}
 	return pl, nil
-}
-
-// CachedAnswer serves the frame from the generation-tagged answer
-// cache without executing anything — the brownout controller's L2
-// ("cached answers only") mode. The returned answer is exactly what a
-// live execution of the same frame at this generation produced,
-// proofs included (the fingerprint covers the WantProof bit), so a
-// degraded answer verifies like any other. ok is false on a cache
-// miss or when caching is off.
-func (s *Server) CachedAnswer(frame []byte) (*wire.Answer, bool) {
-	if s.cachingOff.Load() {
-		return nil, false
-	}
-	sn := s.current()
-	v, ok := s.caches.answers.Get(s.epoch, sn.gen, frameFingerprint(frame))
-	if !ok {
-		return nil, false
-	}
-	return copyAnswer(v.(*wire.Answer)), true
 }

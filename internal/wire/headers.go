@@ -12,24 +12,6 @@ const (
 	// deadline into an instant rejection.
 	HeaderDeadlineMS = "X-Deadline-Ms"
 
-	// HeaderPriority carries the request's priority class
-	// ("interactive", "aggregate", "background"); absent means the
-	// endpoint's default class.
-	HeaderPriority = "X-Priority"
-
-	// HeaderClientID names the tenant for per-tenant quotas. Absent
-	// means the shared anonymous bucket when quotas are on.
-	HeaderClientID = "X-Client-ID"
-
-	// HeaderBrownoutLevel echoes the server's degradation level
-	// (0-3) on responses produced while browned out.
-	HeaderBrownoutLevel = "X-Brownout-Level"
-
-	// HeaderDegraded marks a response served by a degraded mode; the
-	// value names the mode ("cached" = answered from the
-	// generation-tagged answer cache without executing).
-	HeaderDegraded = "X-Degraded"
-
 	// HeaderPlanStrategy names the planner strategy that produced the
 	// answer ("twig" or "pairwise"). Answer bytes are strategy-
 	// independent by contract, so this travels out-of-band.

@@ -64,9 +64,3 @@ func UnmarshalSnapshot(data []byte) (h *HostedDB, gen uint64, root []byte, err e
 	}
 	return h, gen, root, nil
 }
-
-// IsSnapshot reports whether data is an SXDS1 snapshot frame (as
-// opposed to a legacy whole-database SXDB1 file).
-func IsSnapshot(data []byte) bool {
-	return len(data) >= len(snapshotMagic) && bytes.Equal(data[:len(snapshotMagic)], snapshotMagic)
-}

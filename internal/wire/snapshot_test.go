@@ -12,9 +12,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsSnapshot(data) {
-		t.Fatal("IsSnapshot = false for snapshot frame")
-	}
 	got, gen, gotRoot, err := UnmarshalSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
@@ -55,14 +52,11 @@ func TestSnapshotNilRoot(t *testing.T) {
 	}
 }
 
-func TestIsSnapshotRejectsLegacyDB(t *testing.T) {
+func TestSnapshotRejectsLegacyDB(t *testing.T) {
 	h := sampleDB(t)
 	data, err := MarshalDB(h)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if IsSnapshot(data) {
-		t.Fatal("legacy SXDB1 frame misidentified as snapshot")
 	}
 	if _, _, _, err := UnmarshalSnapshot(data); err == nil {
 		t.Fatal("UnmarshalSnapshot accepted a legacy frame")
