@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build bench-build bench-smoke test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut soak soak-short soak-stream soak-stream-short soak-update soak-update-short profile fmt
+.PHONY: check vet build bench-build bench-smoke test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut soak soak-short soak-update soak-update-short profile fmt
 
-check: vet build bench-build bench-smoke race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut soak-short soak-stream-short soak-update-short
+check: vet build bench-build bench-smoke race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut soak-short soak-update-short
 
 vet:
 	$(GO) vet ./...
@@ -46,7 +46,6 @@ tamper:
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalDB -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalQuery -fuzztime 20s
-	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalAnswer -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz 'FuzzUnmarshalUpdate$$' -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalUpdateBatch -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeProof -fuzztime 20s
@@ -55,14 +54,16 @@ fuzz:
 
 # Quick fuzz pass over the two text parsers (query strings and SC
 # specs are operator input), the WAL record decoder (crash-torn
-# frames are hostile input to recovery) and the placeholder scanner
-# (server, verifier and client all read fragments through it); part
-# of `check`.
+# frames are hostile input to recovery), the placeholder scanner
+# (server, verifier and client all read fragments through it) and
+# the one answer decoder (every query answer the untrusted server
+# sends); part of `check`.
 fuzz-smoke:
 	$(GO) test ./internal/xpath/ -fuzz FuzzParseXPath -fuzztime 10s
 	$(GO) test ./internal/sc/ -fuzz FuzzParseSC -fuzztime 10s
 	$(GO) test ./internal/walog/ -fuzz FuzzDecodeWALRecord -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzPlaceholderScan -fuzztime 10s
+	$(GO) test ./internal/wire/ -fuzz FuzzDecodeStream -fuzztime 10s
 
 # Open-ended differential fuzzing: encrypted pipeline vs plaintext
 # evaluator on randomized documents/SCs/queries under every scheme.
@@ -136,17 +137,6 @@ soak-update:
 
 soak-update-short:
 	$(GO) test -race ./internal/difftest/ -run UpdateSoak -updatesoak.duration 30s
-
-# Streamed mixed-peer differential soak: every case runs its queries
-# through a streaming client and an envelope client against the same
-# HTTP service, concurrently, under -race. STREAM_SOAK_DURATION=10m
-# reproduces the release gate; `check` runs the 1-minute variant.
-STREAM_SOAK_DURATION ?= 10m
-soak-stream:
-	$(GO) test -race ./internal/difftest/ -run StreamSoak -difftest.duration $(STREAM_SOAK_DURATION) -timeout 0
-
-soak-stream-short:
-	$(GO) test -race ./internal/difftest/ -run StreamSoak -difftest.duration 1m
 
 # Profile the server: boots xserve with pprof on, reminds how to grab
 # a profile. (Profiles also work against any running xserve.)

@@ -46,7 +46,6 @@ func main() {
 	retries := flag.Int("retries", remote.DefaultRetryPolicy.MaxAttempts, "total attempts per remote operation (1 disables retries)")
 	retryBase := flag.Duration("retry-base", remote.DefaultRetryPolicy.BaseDelay, "initial retry backoff (doubles per attempt, jittered)")
 	stale := flag.Bool("stale", false, "serve cached stale answers when the remote server is unreachable")
-	stream := flag.Bool("stream", false, "negotiate chunked answer streaming with the server (requires -remote; large answers only, see xserve -stream-cutoff)")
 	integrity := flag.Bool("integrity", false, "verify every remote answer against a local Merkle commitment (requires -remote)")
 	xmlOut := flag.Bool("xml", false, "print results as XML instead of string values")
 	var scs multiFlag
@@ -78,7 +77,6 @@ func main() {
 			retries:   *retries,
 			retryBase: *retryBase,
 			stale:     *stale,
-			stream:    *stream,
 			integrity: *integrity,
 			xmlOut:    *xmlOut,
 		}
@@ -141,7 +139,6 @@ type remoteConfig struct {
 	retries            int
 	retryBase          time.Duration
 	stale              bool
-	stream             bool
 	integrity          bool
 	xmlOut             bool
 }
@@ -178,9 +175,6 @@ func runRemote(f *os.File, scs []string, key, schemeName string, rc remoteConfig
 	policy.MaxAttempts = rc.retries
 	policy.BaseDelay = rc.retryBase
 	cl := remote.Dial(rc.baseURL, rc.name).WithRetry(policy).WithTimeout(rc.timeout)
-	if rc.stream {
-		cl = cl.WithStreaming(true)
-	}
 	if rc.integrity {
 		cl = cl.WithVerifier(sys.Verifier())
 	}

@@ -47,12 +47,11 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "max keep-alive idle time")
 	grace := flag.Duration("shutdown-grace", 15*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 	pprofOn := flag.Bool("pprof", true, "serve net/http/pprof profiles at /debug/pprof/ (CPU profiles longer than -write-timeout are cut off)")
-	streamCutoff := flag.Int("stream-cutoff", 0, "min answer bytes before chunked streaming to negotiating clients (0 = 64 KiB default, negative disables)")
 	maxCost := flag.Int64("max-cost", 0, "admission gate capacity in cost units (predicted blocks touched; 0 disables the gate)")
 	costAware := flag.Bool("cost-aware", false, "price each query by its predicted blocks touched instead of one unit")
 	maxQueue := flag.Int("max-queue", 0, "max queued requests before instant shed (0 = 64 default)")
 	queueWait := flag.Duration("queue-wait", 0, "max time a request queues for capacity before a 503 (0 = 2s default)")
-	streamWriteTimeout := flag.Duration("stream-write-timeout", 0, "per-flush write deadline on streamed answers; slow readers are cut off (0 = 30s default, negative disables)")
+	streamWriteTimeout := flag.Duration("stream-write-timeout", 0, "write deadline per 16 KiB flush stride of a query answer; slow readers are cut off (0 = 30s default, negative disables)")
 	walGroupWait := flag.Duration("wal-group-wait", 0, "group-commit window: how long a WAL fsync waits to absorb concurrent updates (0 = sync immediately)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between full checkpoints truncating the WAL (0 = default 64)")
 	chaosRate := flag.Float64("chaos", 0, "inject faults (latency/5xx/truncation) at this rate per request — testing only")
@@ -93,7 +92,7 @@ func main() {
 	} else {
 		svc = remote.NewService()
 	}
-	svc = svc.WithStreamCutoff(*streamCutoff).WithWriteTimeout(*streamWriteTimeout)
+	svc = svc.WithWriteTimeout(*streamWriteTimeout)
 	if *maxCost > 0 {
 		svc = svc.WithAdmission(admission.Config{
 			MaxCost:   *maxCost,

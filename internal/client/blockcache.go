@@ -67,25 +67,6 @@ func (b *BlockCache) put(epoch, gen uint64, id int, pt []byte) {
 	b.c.Put(epoch, gen, strconv.Itoa(id), pt, len(pt))
 }
 
-// SeedBlockCache inserts already-decrypted plaintexts into bc under
-// the answer's generation echo. This is how the streaming pipeline —
-// which decrypts blocks while the answer is still arriving, before
-// any cache or verifier has seen it — feeds the cache once the answer
-// has been verified and accepted. Callers must only pass plaintexts
-// whose decryption (an AES-GCM authentication) succeeded against this
-// answer's ciphertexts. A nil cache or an answer without a generation
-// echo caches nothing, exactly as DecryptBlocksCached would.
-func (c *Client) SeedBlockCache(bc *BlockCache, ans *wire.Answer, blocks map[int][]byte) {
-	if bc == nil || ans.Generation == 0 {
-		return
-	}
-	for _, id := range ans.BlockIDs {
-		if pt, ok := blocks[id]; ok {
-			bc.put(ans.Epoch, ans.Generation, id, pt)
-		}
-	}
-}
-
 // DecryptBlocksCached is DecryptBlocks backed by a BlockCache:
 // blocks already decrypted under the answer's (epoch, generation)
 // pair are reused, the rest are decrypted across the client's

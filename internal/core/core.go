@@ -328,11 +328,9 @@ type ProofBackend interface {
 // StreamBackend is the optional backend extension for chunked
 // answers: Execute, but with every block ciphertext handed to sink as
 // it arrives, so the client can decrypt while later chunks are still
-// on the wire. Backends fall back to the envelope freely (a small
-// answer, a legacy server); nil stats mean the sink was never fed and
-// the caller should treat the result exactly like Execute's. The
-// in-process Local backend deliberately does not implement it — with
-// no network to overlap, streaming is pure overhead.
+// on the wire, and stats describing the SXS1 transfer. The in-process
+// Local backend deliberately does not implement it — with no network
+// to overlap, streaming is pure overhead.
 type StreamBackend interface {
 	ExecuteStream(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error)
 }
@@ -559,10 +557,10 @@ type Timings struct {
 	BlockCacheHits   int
 	BlockCacheMisses int
 
-	// Streamed marks an answer that arrived as a chunked SXS1 stream
-	// (see StreamBackend), with decryption overlapping the receive;
-	// StreamChunks and StreamBytes describe that transfer. All zero
-	// when the answer came as a monolithic envelope.
+	// Streamed marks an answer that arrived as an SXS1 stream through a
+	// StreamBackend (every remote answer); StreamChunks and StreamBytes
+	// describe that transfer. All zero for an in-process backend or a
+	// stale-cache answer.
 	Streamed     bool
 	StreamChunks int
 	StreamBytes  int
@@ -725,10 +723,12 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	// A streaming-capable backend gets a decrypt pipeline to feed:
 	// blocks decrypt while the rest of the answer is still on the
 	// wire. Collect (below) releases that work only if it matches the
-	// answer the transport finally settled on.
+	// answer the transport finally settled on. With a block cache the
+	// blocks decrypt after verification instead, so a block the cache
+	// already holds is not decrypted again.
 	var sd *client.StreamDecryptor
 	var sink wire.BlockSink
-	if _, ok := sn.backend.(StreamBackend); ok {
+	if _, ok := sn.backend.(StreamBackend); ok && sn.blocks == nil {
 		sd = s.Client.NewStreamDecryptor()
 		defer sd.Close()
 		sink = sd
@@ -767,13 +767,11 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	var cacheHits int
 	if sd != nil {
 		// Streamed decryption ran before verification; the results
-		// surface (and the cache is seeded) only now, after the
-		// answer passed the verifier and was accepted. A mismatch —
-		// envelope fallback, stale answer, torn attempt — falls
+		// surface only now, after the answer passed the verifier and
+		// was accepted. A mismatch — stale answer, torn attempt — falls
 		// through to the normal decrypt path below.
 		if m, ok := sd.Collect(ans); ok {
 			blocks = m
-			s.Client.SeedBlockCache(bc, ans, m)
 		}
 	}
 	if blocks == nil {
@@ -828,11 +826,9 @@ func (s *System) executeWithFallback(ctx context.Context, sn *readSnap, qs *wire
 	}
 	var ans *wire.Answer
 	var err error
-	if sink != nil {
-		// The caller only passes a sink when the backend implements
-		// StreamBackend (see queryAttempt).
+	if sb, ok := sn.backend.(StreamBackend); ok {
 		var st *wire.StreamStats
-		ans, st, err = sn.backend.(StreamBackend).ExecuteStream(ctx, qs, sink)
+		ans, st, err = sb.ExecuteStream(ctx, qs, sink)
 		if st != nil {
 			tm.Streamed = true
 			tm.StreamChunks = st.Chunks

@@ -313,6 +313,16 @@ func RunCase(c *Case) error {
 // hostScheme boots one scheme's system for a case: integrity on,
 // block cache on, both sides forced to the parallel code paths.
 func hostScheme(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.System, error) {
+	sys, err := hostSchemeUncached(c, name, doc)
+	if err != nil {
+		return nil, err
+	}
+	sys.EnableBlockCache(0, 0)
+	return sys, nil
+}
+
+// hostSchemeUncached is hostScheme without the block cache.
+func hostSchemeUncached(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.System, error) {
 	sys, err := core.Host(doc, c.SCs, name, []byte(fmt.Sprintf("difftest-%d", c.Seed)))
 	if err != nil {
 		return nil, fmt.Errorf("seed %d (%s): host scheme %s (SCs %v): %w",
@@ -322,7 +332,6 @@ func hostScheme(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.Sys
 		return nil, fmt.Errorf("seed %d (%s): scheme %s: EnableIntegrity: %w",
 			c.Seed, c.DocName, name, err)
 	}
-	sys.EnableBlockCache(0, 0)
 	// Exercise the parallel matcher and decrypt paths regardless
 	// of GOMAXPROCS.
 	sys.Client.SetParallelism(4)

@@ -12,15 +12,12 @@ import (
 )
 
 // RunCaseStreamed runs the case's queries through a real HTTP round
-// trip with chunked-answer streaming negotiated, interleaving a
-// streaming peer and a legacy envelope peer against the same hosted
-// service. The streamed and envelope encodings of every answer must
-// decode to the same result as the plaintext evaluation, and the
-// block cache seeded by one peer's pass must keep serving the other
-// correctly — the mixed-fleet deployment the negotiation is for.
-// Queries within a pass run concurrently, so under -race this doubles
-// as a data-race probe of the stream decode + overlapped-decrypt
-// pipeline.
+// trip, where every answer is an SXS1 stream: a pass that decrypts
+// blocks while they arrive, then, with the block cache on, a cold pass
+// that decrypts after verification and a hot one served from the
+// cache. Every pass must match the plaintext evaluation. Queries
+// within a pass run concurrently, so under -race this doubles as a
+// data-race probe of the stream decode + overlapped-decrypt pipeline.
 func RunCaseStreamed(c *Case) error {
 	for _, name := range Schemes {
 		if err := runStreamedScheme(c, name); err != nil {
@@ -36,36 +33,22 @@ func RunCaseStreamed(c *Case) error {
 const streamWorkers = 4
 
 func runStreamedScheme(c *Case, name core.SchemeName) error {
-	sys, err := hostScheme(c, name, c.Doc)
+	sys, err := hostSchemeUncached(c, name, c.Doc)
 	if err != nil {
 		return err
 	}
-	svc := remote.NewService().WithStreamCutoff(1) // stream every non-trivial answer
+	svc := remote.NewService()
 	if err := remote.RegisterLocal(svc, "d", sys.HostedDB); err != nil {
 		return fmt.Errorf("seed %d (%s): scheme %s: register: %w", c.Seed, c.DocName, name, err)
 	}
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-
-	streaming := remote.Dial(ts.URL, "d").WithHTTPClient(ts.Client()).
-		WithStreaming(true).WithVerifier(sys.Verifier())
-	envelope := remote.Dial(ts.URL, "d").WithHTTPClient(ts.Client()).
-		WithVerifier(sys.Verifier())
-
-	// Cold pass streamed, hot pass through the envelope peer (served
-	// partly from the cache the stream seeded), then streamed again:
-	// every transition between the two formats is covered.
-	passes := []struct {
-		label string
-		cl    *remote.Client
-	}{
-		{"stream-cold", streaming},
-		{"envelope-hot", envelope},
-		{"stream-hot", streaming},
-	}
-	for _, p := range passes {
-		sys.UseBackend(p.cl)
-		if err := runQueriesConcurrent(c, name, sys, c.Doc, p.label); err != nil {
+	sys.UseBackend(remote.Dial(ts.URL, "d").WithHTTPClient(ts.Client()).WithVerifier(sys.Verifier()))
+	for _, pass := range []string{"overlapped", "cold", "hot"} {
+		if pass == "cold" {
+			sys.EnableBlockCache(0, 0)
+		}
+		if err := runQueriesConcurrent(c, name, sys, c.Doc, pass); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,6 @@
 package difftest
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // streamedCorpusSeeds is the subset of the fixed corpus the streamed
 // harness runs on every `go test`: each case spins up five HTTP
@@ -12,10 +9,10 @@ import (
 // coverage — the protocol is the same for every seed.
 var streamedCorpusSeeds = []uint64{1, 2, 1785901620815951921, 1785901796407847193}
 
-// TestStreamedDifferentialCorpus runs the streamed-peer differential
-// harness on the fixed seed subset: streamed answers, envelope
-// answers, and plaintext evaluation must all agree, across the cache
-// one peer seeds for the other.
+// TestStreamedDifferentialCorpus runs the streamed differential
+// harness on the fixed seed subset: streamed answers and plaintext
+// evaluation must agree, with overlapped decryption and across the
+// block cache.
 func TestStreamedDifferentialCorpus(t *testing.T) {
 	seeds := streamedCorpusSeeds
 	if testing.Short() {
@@ -30,27 +27,4 @@ func TestStreamedDifferentialCorpus(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestStreamSoak draws fresh seeds through the streamed mixed-peer
-// harness for the configured duration (same flag as the open-ended
-// differential soak, but a distinct name so `-run OpenEnded` budgets
-// are not silently doubled):
-//
-//	go test ./internal/difftest -race -run StreamSoak -difftest.duration=10m
-func TestStreamSoak(t *testing.T) {
-	if *difftestDuration <= 0 {
-		t.Skip("enable with -difftest.duration=<d>")
-	}
-	deadline := time.Now().Add(*difftestDuration)
-	seed := uint64(time.Now().UnixNano())
-	cases := 0
-	for time.Now().Before(deadline) {
-		if err := RunCaseStreamed(GenCase(seed)); err != nil {
-			t.Fatal(err)
-		}
-		seed++
-		cases++
-	}
-	t.Logf("stream soak: %d randomized mixed-peer cases passed in %v", cases, *difftestDuration)
 }

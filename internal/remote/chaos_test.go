@@ -372,8 +372,8 @@ func (l smallWriteBufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// TestSlowLorisStreamCutOff: a client that requests a streamed SXS1
-// answer and then stops draining the socket must not pin a worker —
+// TestSlowLorisStreamCutOff: a client that asks a query and then stops
+// draining the SXS1 answer stream must not pin a worker —
 // the per-flush write deadline trips, the stream encoder unwinds on
 // the sticky write error, and the handler returns within the deadline
 // bound instead of blocking until the peer goes away.
@@ -399,7 +399,7 @@ func TestSlowLorisStreamCutOff(t *testing.T) {
 	}
 
 	const writeTimeout = 150 * time.Millisecond
-	svc := NewService().WithStreamCutoff(1).WithWriteTimeout(writeTimeout)
+	svc := NewService().WithWriteTimeout(writeTimeout)
 	var frameMu sync.Mutex
 	var frame []byte
 	handlerDone := make(chan struct{})
@@ -423,7 +423,7 @@ func TestSlowLorisStreamCutOff(t *testing.T) {
 	ts.Start()
 	t.Cleanup(ts.Close)
 
-	cl := Dial(ts.URL, "big").WithHTTPClient(ts.Client()).WithStreaming(true)
+	cl := Dial(ts.URL, "big").WithHTTPClient(ts.Client())
 	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
@@ -459,8 +459,8 @@ func TestSlowLorisStreamCutOff(t *testing.T) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetReadBuffer(4 << 10)
 	}
-	fmt.Fprintf(conn, "POST /db/big/query HTTP/1.1\r\nHost: loris\r\n%s: %s\r\nX-Loris: 1\r\nContent-Length: %d\r\n\r\n",
-		acceptStreamHeader, streamProto, len(raw))
+	fmt.Fprintf(conn, "POST /db/big/query HTTP/1.1\r\nHost: loris\r\nX-Loris: 1\r\nContent-Length: %d\r\n\r\n",
+		len(raw))
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatalf("write frame: %v", err)
 	}

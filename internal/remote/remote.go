@@ -11,7 +11,8 @@
 // exponential-backoff policy (see RetryPolicy for the idempotency
 // reasoning), a circuit breaker fails fast while the service is down
 // and half-opens on a /healthz probe, response bodies carry an
-// integrity checksum so damaged bytes are detected and retried, and
+// integrity checksum (query answers in their SXS1 trailer, extreme
+// probes in a header) so damaged bytes are detected and retried, and
 // updates carry request IDs the server deduplicates so a retried
 // update is never applied twice. See the chaos test suite and the
 // README's "Failure semantics" section.
@@ -59,45 +60,27 @@ import (
 const maxUpload = 1 << 30
 
 // checksumHeader carries a hex SHA-256 of the response body on the
-// binary endpoints, so the client can tell damaged bytes from real
+// extreme endpoint, so the client can tell damaged bytes from real
 // ones and retry instead of failing on (or worse, accepting) a torn
-// read.
+// read. Query answers carry theirs in the SXS1 trailer instead.
 const checksumHeader = "X-Body-Sha256"
 
 // generationHeader carries the serving database's "epoch:generation"
-// pair on query responses — the same values the SXA3 answer frame
+// pair on query responses — the same values the SXS1 stream header
 // echoes in-band. Observability only; clients key their caches off
-// the in-band copy, which is covered by the body checksum.
+// the in-band copy, which the stream trailer's checksum covers.
 const generationHeader = "X-DB-Generation"
 
 // dedupWindow bounds the per-database set of remembered update
 // request IDs (oldest forgotten first).
 const dedupWindow = 4096
 
-// acceptStreamHeader is the request header a client sends to
-// advertise that it can decode chunked SXS1 answers; its value names
-// the protocol version. A server that doesn't understand the header
-// ignores it and answers with the envelope, so negotiation degrades
-// to the legacy format in both directions.
-const acceptStreamHeader = "X-Accept-Stream"
-
-// streamProto is the one streaming protocol version this build
-// speaks.
-const streamProto = "sxs1"
-
-// streamContentType marks a chunked SXS1 response body. Integrity for
-// streamed bodies rides in the stream trailer (a running SHA-256 the
-// decoder verifies), not in the X-Body-Sha256 header — a whole-body
-// checksum cannot be sent before a body that is produced
-// incrementally.
+// streamContentType marks an SXS1 answer body, the one format every
+// query answer takes. Its integrity rides in the stream trailer (a
+// running SHA-256 the decoder verifies), not in the X-Body-Sha256
+// header — a whole-body checksum cannot be sent before a body that is
+// produced incrementally.
 const streamContentType = "application/x-secxml-stream"
-
-// defaultStreamCutoff is the answer size (its envelope encoding, in
-// bytes) below which the service answers with the envelope even for
-// stream-capable clients: for small answers the envelope's single
-// write beats the chunked framing, and nothing meaningful can overlap
-// anyway.
-const defaultStreamCutoff = 64 << 10
 
 // Service is the HTTP-facing untrusted server. It can host several
 // databases, keyed by name.
@@ -128,7 +111,7 @@ type Service struct {
 	// that admitted them, so in-flight requests release correctly
 	// across a swap.
 	admv atomic.Pointer[admission.Controller]
-	// writeTimeout bounds each flush stride of a streamed answer: a
+	// writeTimeout bounds each flush stride of an answer stream: a
 	// reader that stops draining (slow loris) trips the connection's
 	// write deadline instead of pinning the worker. Zero selects
 	// defaultWriteTimeout; negative disables the deadline.
@@ -137,11 +120,6 @@ type Service struct {
 	// (see NewPersistentService); written once at startup, read-only
 	// afterwards.
 	quarantined []QuarantineRecord
-	// streamCutoff is the answer size at which query responses switch
-	// from the envelope to the chunked stream for clients that
-	// advertise support; 0 selects defaultStreamCutoff, negative
-	// disables streaming (see WithStreamCutoff).
-	streamCutoff int
 }
 
 type hosted struct {
@@ -172,9 +150,9 @@ type hosted struct {
 	persistFailures  atomic.Int64
 	diskFullFailures atomic.Int64
 
-	// Streamed-answer counters for this database, surfaced by the
-	// stats endpoint: how many query answers went out as chunked
-	// streams, and the total bytes and chunks they carried.
+	// Answer-stream counters for this database, surfaced by the stats
+	// endpoint: how many query answers went out, and the total bytes
+	// and chunks they carried.
 	streamAnswers atomic.Int64
 	streamBytes   atomic.Int64
 	streamChunks  atomic.Int64
@@ -235,13 +213,13 @@ func (s *Service) WithAdmission(cfg admission.Config) *Service {
 // hooks).
 func (s *Service) Admission() *admission.Controller { return s.adm() }
 
-// defaultWriteTimeout bounds one flush stride of a streamed answer.
+// defaultWriteTimeout bounds one flush stride of an answer stream.
 // Generous: it only needs to be shorter than "forever" to unpin
 // workers from dead peers.
 const defaultWriteTimeout = 30 * time.Second
 
-// WithWriteTimeout bounds how long one flush stride of a streamed
-// answer may block on the connection before the write deadline trips
+// WithWriteTimeout bounds how long one flush stride of an answer
+// stream may block on the connection before the write deadline trips
 // and the stream is abandoned (the decoder on a live client sees a
 // torn body and retries). Zero restores the default (30s); negative
 // disables the deadline. Returns s for chaining.
@@ -250,7 +228,7 @@ func (s *Service) WithWriteTimeout(d time.Duration) *Service {
 	return s
 }
 
-// writeTimeoutBounds resolves the configured stream write timeout; ok
+// writeTimeoutBounds resolves the configured answer write timeout; ok
 // is false when disabled.
 func (s *Service) writeTimeoutBounds() (time.Duration, bool) {
 	switch {
@@ -266,30 +244,6 @@ func (s *Service) writeTimeoutBounds() (time.Duration, bool) {
 // Rejected reports how many requests were shed with 503 because no
 // execution slot freed up within the queue-wait bound.
 func (s *Service) Rejected() int { return int(s.adm().Snapshot().RejectedQueue) }
-
-// WithStreamCutoff sets the answer size (envelope bytes) at which
-// query responses to stream-capable clients switch from the
-// monolithic envelope to the chunked SXS1 stream. Zero restores the
-// default (64 KiB); a negative value disables streaming entirely, so
-// every client gets the envelope regardless of what it advertises.
-// Returns s for chaining.
-func (s *Service) WithStreamCutoff(n int) *Service {
-	s.streamCutoff = n
-	return s
-}
-
-// streamCutoffBytes resolves the configured cutoff; ok is false when
-// streaming is disabled.
-func (s *Service) streamCutoffBytes() (int, bool) {
-	switch {
-	case s.streamCutoff < 0:
-		return 0, false
-	case s.streamCutoff == 0:
-		return defaultStreamCutoff, true
-	default:
-		return s.streamCutoff, true
-	}
-}
 
 // requestMeta reads the overload-protocol header off one arrival:
 // the relative deadline budget turned into an absolute deadline
@@ -518,64 +472,60 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, h *hosted)
 		return
 	}
 	setPlanHeaders(w, ans)
-	if s.streamQuery(w, r, h, ans) {
-		return
-	}
-	out, err := wire.MarshalAnswer(ans)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// Echo the db generation out-of-band too (the answer frame
-	// carries it in-band), so operators and proxies can observe cache
-	// epochs without decoding frames.
-	w.Header().Set(generationHeader, fmt.Sprintf("%d:%d", ans.Epoch, ans.Generation))
-	writeChecksummed(w, out)
+	s.writeAnswer(w, h, ans)
 }
 
-// streamQuery sends ans as a chunked SXS1 body when the client
-// advertised stream support, streaming is enabled, the answer is
-// large enough to be worth it, and the connection can flush
-// incrementally. It reports whether it handled the response; false
-// means the caller should answer with the envelope. The generation
-// header is set either way; the body checksum header is not — for a
-// streamed body, integrity rides in the stream trailer.
-func (s *Service) streamQuery(w http.ResponseWriter, r *http.Request, h *hosted, ans *wire.Answer) bool {
-	cutoff, enabled := s.streamCutoffBytes()
-	if !enabled || r.Header.Get(acceptStreamHeader) != streamProto {
-		return false
-	}
-	fl, canFlush := w.(http.Flusher)
-	if !canFlush || ans.ByteSize() < cutoff {
-		return false
-	}
+// answerWriters recycles the buffers answer streams are written
+// through; a stream's small frame writes (tags, varints) coalesce in
+// one before they reach the connection.
+var answerWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
+// writeAnswer sends ans as an SXS1 stream, the one answer format,
+// whatever the client and the ResponseWriter support. Frames coalesce
+// in a pooled buffer and reach the peer one 16 KiB flush stride at a
+// time, so an answer smaller than a stride leaves in one write when the
+// handler returns. The connection's write deadline is armed before the
+// first byte and re-armed at every stride: a peer that stops draining
+// (slow loris) trips it, the buffered writer goes sticky-errored, and
+// the encoder unwinds — the worker is freed instead of pinned on a dead
+// socket. The generation is echoed out-of-band too (the stream header
+// carries it in-band), so operators and proxies can observe cache
+// epochs without decoding frames.
+func (s *Service) writeAnswer(w http.ResponseWriter, h *hosted, ans *wire.Answer) {
 	w.Header().Set("Content-Type", streamContentType)
 	w.Header().Set(generationHeader, fmt.Sprintf("%d:%d", ans.Epoch, ans.Generation))
-	// The encoder's own writes are small (tags, varints); batch them
-	// so each flush stride costs one chunk, not dozens of tiny ones.
-	// Each flush stride re-arms the connection's write deadline: a
-	// peer that stops draining (slow loris) trips the deadline, the
-	// bufio writer goes sticky-errored, and the encoder unwinds — the
-	// worker is freed instead of being pinned on a dead socket.
 	rc := http.NewResponseController(w)
 	wt, bounded := s.writeTimeoutBounds()
-	bw := bufio.NewWriterSize(w, 32<<10)
-	flush := func() {
+	arm := func() {
 		if bounded {
 			rc.SetWriteDeadline(time.Now().Add(wt))
 		}
-		bw.Flush()
-		fl.Flush()
 	}
-	n, chunks, err := wire.EncodeStreamAnswer(bw, ans, flush)
-	// A mid-stream write error means the peer is gone; the torn body
-	// is exactly what the decoder reports as retryable, and there is
-	// no channel left to say more. Count what actually went out.
+	bw := answerWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil)
+		answerWriters.Put(bw)
+	}()
+	arm()
+	n, chunks, err := wire.EncodeStreamAnswer(bw, ans, func() {
+		arm()
+		// A failed flush sticks in bw and ends the encode at its next
+		// write; a ResponseWriter that cannot flush sends everything
+		// when the handler returns.
+		bw.Flush()
+		rc.Flush()
+	})
+	if err == nil {
+		err = bw.Flush()
+	}
+	// A write error means the peer is gone; the torn body is exactly
+	// what the decoder reports as retryable, and there is no channel
+	// left to say more. Count what actually went out.
 	_ = err
 	h.streamAnswers.Add(1)
 	h.streamBytes.Add(int64(n))
 	h.streamChunks.Add(int64(chunks))
-	return true
 }
 
 func (s *Service) handleExtreme(w http.ResponseWriter, r *http.Request, h *hosted) {
@@ -867,9 +817,6 @@ type Client struct {
 	timeout time.Duration // per-attempt bound; 0 = none
 	breaker *breaker      // nil = disabled
 
-	// acceptStream advertises SXS1 stream support on queries (see
-	// WithStreaming); the server still decides per answer.
-	acceptStream bool
 	// maxResp caps how many response-body bytes any operation will
 	// read; 0 selects the maxUpload default (see WithMaxResponseBytes).
 	maxResp int64
@@ -932,17 +879,10 @@ func (c *Client) WithBreaker(cfg BreakerConfig) *Client {
 	return c
 }
 
-// WithStreaming advertises (or stops advertising) chunked-answer
-// support on query requests. A streaming-capable server answers
-// large queries with the SXS1 chunked format, which the client
-// decodes incrementally — and hands to a wire.BlockSink when the
-// query came through ExecuteStream — instead of buffering the whole
-// envelope first. Servers that predate the protocol ignore the
-// advertisement, so this is always safe to enable.
-func (c *Client) WithStreaming(on bool) *Client {
-	c.acceptStream = on
-	return c
-}
+// WithStreaming does nothing: every query answer is an SXS1 stream,
+// which the client always decodes incrementally. It remains only so
+// that existing callers keep compiling.
+func (c *Client) WithStreaming(bool) *Client { return c }
 
 // stampDeadline attaches the overload-protocol request header: the
 // remaining deadline budget (relative milliseconds, so clock skew
@@ -1166,15 +1106,19 @@ func (c *cappedReader) Read(p []byte) (int, error) {
 }
 
 // countingReader counts the bytes read through it (stream transfer
-// accounting).
+// accounting) and keeps the first read error other than a clean EOF.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r   io.Reader
+	n   int64
+	err error
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
 	return n, err
 }
 
@@ -1238,20 +1182,17 @@ func (c *Client) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, erro
 	return ans, err
 }
 
-// ExecuteStream implements core.StreamBackend over HTTP: when the
-// server answers with the chunked SXS1 format, every block ciphertext
-// is handed to sink the moment its frame decodes — while later chunks
-// are still on the wire — and the returned stats describe the
-// transfer. Envelope answers (a legacy server, a small answer below
-// the server's cutoff, streaming not advertised) return nil stats and
-// never touch the sink.
+// ExecuteStream implements core.StreamBackend over HTTP: every block
+// ciphertext of the SXS1 answer is handed to sink the moment its frame
+// decodes — while later chunks are still on the wire — and the returned
+// stats describe the transfer.
 //
 // Retry semantics are those of Execute: a stream that dies mid-body
 // surfaces as a torn read and the whole attempt is retried — sink
 // gets a fresh Reset and the caller never sees a truncated answer.
 // Every attempt's answer is verified (WithVerifier) before it is
 // returned, a retried attempt's included; a verification failure is
-// terminal, exactly as on the envelope path.
+// terminal.
 func (c *Client) ExecuteStream(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
 	return c.executeQuery(ctx, q, sink)
 }
@@ -1294,19 +1235,14 @@ func (c *Client) verifyAnswer(ctx context.Context, a *wire.Answer) error {
 	}
 }
 
-// queryAttempt performs one query exchange and decodes whichever
-// response format the server chose: the chunked stream (decoded
-// incrementally, blocks forwarded to sink) or the checksummed
-// envelope.
+// queryAttempt performs one query exchange and decodes its SXS1
+// answer incrementally, forwarding blocks to sink as they arrive.
 func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("query"), bytes.NewReader(payload))
 	if err != nil {
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if c.acceptStream {
-		req.Header.Set(acceptStreamHeader, streamProto)
-	}
 	stampDeadline(ctx, req)
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -1317,31 +1253,23 @@ func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.Blo
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrBody))
 		return nil, nil, statusError("query", resp.StatusCode, body, resp.Header)
 	}
-	if resp.Header.Get("Content-Type") != streamContentType {
-		body, err := readChecksummedBody(resp, c.respLimit())
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := wire.UnmarshalAnswer(body)
-		if err != nil {
-			return nil, nil, err
-		}
-		readPlanHeaders(resp, a)
-		return a, nil, nil
-	}
-	// Streamed answer: every attempt starts the sink over, so a retry
-	// after a torn stream can never leave a previous attempt's blocks
-	// mingled with this one's.
-	if sink != nil {
-		sink.Reset()
-	}
-	cr := &countingReader{r: &cappedReader{r: resp.Body, n: c.respLimit()}}
+	// Every attempt starts the sink over, so a retry after a torn
+	// stream can never leave a previous attempt's blocks mingled with
+	// this one's.
 	var sinkFn func(int, []byte)
 	if sink != nil {
+		sink.Reset()
 		sinkFn = sink.Block
 	}
+	cr := &countingReader{r: &cappedReader{r: resp.Body, n: c.respLimit()}}
 	a, err := wire.DecodeStreamAnswer(cr, sinkFn)
 	if err != nil {
+		if cr.err == nil {
+			// The body arrived whole but is not a well-formed stream. Its
+			// checksum sits in the trailer, so damage before it shows up
+			// as a malformed frame: the same class as a trailer mismatch.
+			err = fmt.Errorf("%w: %w", ErrChecksum, err)
+		}
 		return nil, nil, err
 	}
 	readPlanHeaders(resp, a)

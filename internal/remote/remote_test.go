@@ -43,6 +43,13 @@ var scs = []string{
 // service, and points the owner's system at the remote backend.
 func remoteSystem(t *testing.T) (*core.System, *httptest.Server) {
 	t.Helper()
+	sys, _, ts := remoteSystemClient(t)
+	return sys, ts
+}
+
+// remoteSystemClient is remoteSystem that also hands back the client.
+func remoteSystemClient(t *testing.T) (*core.System, *Client, *httptest.Server) {
+	t.Helper()
 	doc, err := xmltree.ParseString(hospitalXML)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -58,7 +65,7 @@ func remoteSystem(t *testing.T) (*core.System, *httptest.Server) {
 		t.Fatalf("Upload: %v", err)
 	}
 	sys.UseBackend(cl)
-	return sys, ts
+	return sys, cl, ts
 }
 
 func TestRemoteQueryEquivalence(t *testing.T) {

@@ -19,8 +19,7 @@ import (
 )
 
 // streamQueries is the comparison set for the streamed path; the
-// last one matches nothing (an empty answer must stream or fall back
-// cleanly too).
+// last one matches nothing (an empty answer must stream cleanly too).
 var streamQueries = []string{
 	"//patient/pname",
 	"//patient[.//disease='diarrhea']/SSN",
@@ -29,30 +28,7 @@ var streamQueries = []string{
 	"//nosuch",
 }
 
-// streamedSystem is remoteSystem with streaming negotiated on both
-// sides and the server's cutoff dropped to 1 byte, so every non-empty
-// answer streams.
-func streamedSystem(t *testing.T, cutoff int) (*core.System, *Client, *httptest.Server) {
-	t.Helper()
-	doc, err := xmltree.ParseString(hospitalXML)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("remote-test"))
-	if err != nil {
-		t.Fatalf("Host: %v", err)
-	}
-	ts := httptest.NewServer(NewService().WithStreamCutoff(cutoff))
-	t.Cleanup(ts.Close)
-	cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithStreaming(true)
-	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
-		t.Fatalf("Upload: %v", err)
-	}
-	sys.UseBackend(cl)
-	return sys, cl, ts
-}
-
-func checkQueries(t *testing.T, sys *core.System, wantStreamed bool) {
+func checkQueries(t *testing.T, sys *core.System) {
 	t.Helper()
 	doc, _ := xmltree.ParseString(hospitalXML)
 	for _, q := range streamQueries {
@@ -67,23 +43,18 @@ func checkQueries(t *testing.T, sys *core.System, wantStreamed bool) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n got  %v\n want %v", q, got, want)
 		}
-		if wantStreamed && tm.AnswerBytes > 0 {
-			if !tm.Streamed {
-				t.Errorf("%s: answer (%d bytes) was not streamed", q, tm.AnswerBytes)
-			}
-			if tm.StreamBytes <= 0 || tm.StreamChunks <= 0 {
-				t.Errorf("%s: streamed but stats empty: %d bytes, %d chunks", q, tm.StreamBytes, tm.StreamChunks)
-			}
+		if !tm.Streamed {
+			t.Errorf("%s: answer (%d bytes) was not streamed", q, tm.AnswerBytes)
 		}
-		if !wantStreamed && tm.Streamed {
-			t.Errorf("%s: unexpectedly streamed", q)
+		if tm.StreamBytes <= 0 || tm.StreamChunks <= 0 {
+			t.Errorf("%s: streamed but stats empty: %d bytes, %d chunks", q, tm.StreamBytes, tm.StreamChunks)
 		}
 	}
 }
 
 func TestStreamedQueryEquivalence(t *testing.T) {
-	sys, _, ts := streamedSystem(t, 1)
-	checkQueries(t, sys, true)
+	sys, _, ts := remoteSystemClient(t)
+	checkQueries(t, sys)
 
 	// The per-database stats must account for the streamed answers.
 	resp, err := ts.Client().Get(ts.URL + "/db/hospital/stats")
@@ -101,29 +72,9 @@ func TestStreamedQueryEquivalence(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatalf("stats decode: %v", err)
 	}
-	if stats.Stream.Answers == 0 || stats.Stream.Bytes == 0 || stats.Stream.Chunks == 0 {
-		t.Errorf("stream stats not counted: %+v", stats.Stream)
+	if stats.Stream.Answers != int64(len(streamQueries)) || stats.Stream.Bytes == 0 || stats.Stream.Chunks == 0 {
+		t.Errorf("stream stats do not count every answer: %+v after %d queries", stats.Stream, len(streamQueries))
 	}
-}
-
-// TestStreamNegotiation pins the fallback matrix: either side not
-// opting in means the envelope path, byte-compatible with old peers.
-func TestStreamNegotiation(t *testing.T) {
-	t.Run("server-disabled", func(t *testing.T) {
-		sys, _, _ := streamedSystem(t, -1)
-		checkQueries(t, sys, false)
-	})
-	t.Run("client-not-advertising", func(t *testing.T) {
-		sys, cl, _ := streamedSystem(t, 1)
-		cl.WithStreaming(false)
-		checkQueries(t, sys, false)
-	})
-	t.Run("below-cutoff", func(t *testing.T) {
-		// The hospital answers are all far below the default 64 KiB
-		// cutoff, so nothing streams even though both sides can.
-		sys, _, _ := streamedSystem(t, 0)
-		checkQueries(t, sys, false)
-	})
 }
 
 // faultOnce proxies one service and corrupts the first streamed query
@@ -173,11 +124,9 @@ func TestStreamFaultRetries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Host: %v", err)
 			}
-			svc := NewService().WithStreamCutoff(1)
-			ts := httptest.NewServer(&faultOnce{svc: svc, mode: mode})
+			ts := httptest.NewServer(&faultOnce{svc: NewService(), mode: mode})
 			t.Cleanup(ts.Close)
 			cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).
-				WithStreaming(true).
 				WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1}).
 				withJitterSeed(1)
 			if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
@@ -211,7 +160,7 @@ func ft(ts *httptest.Server) *faultOnce { return ts.Config.Handler.(*faultOnce) 
 // streamed path: a body that would exceed WithMaxResponseBytes
 // surfaces as ErrResponseTooLarge and is not retried.
 func TestStreamResponseTooLarge(t *testing.T) {
-	sys, cl, _ := streamedSystem(t, 1)
+	sys, cl, _ := remoteSystemClient(t)
 	cl.WithMaxResponseBytes(128).
 		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1})
 	_, _, _, err := sys.Query("//patient")
@@ -222,10 +171,11 @@ func TestStreamResponseTooLarge(t *testing.T) {
 
 // TestStreamWithIntegrityAndCache runs the streamed path with the
 // Merkle verifier and the block cache on: streamed answers verify,
-// and the plaintexts decrypted mid-stream seed the cache only after
-// verification — visible when a later envelope query hits the cache.
+// their blocks decrypt only after verification and enter the cache,
+// and the same query, asked again through the same client, is served
+// every block from the cache.
 func TestStreamWithIntegrityAndCache(t *testing.T) {
-	sys, cl, _ := streamedSystem(t, 1)
+	sys, cl, _ := remoteSystemClient(t)
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatalf("EnableIntegrity: %v", err)
 	}
@@ -243,18 +193,14 @@ func TestStreamWithIntegrityAndCache(t *testing.T) {
 		t.Fatalf("query shipped no blocks; cache check is vacuous")
 	}
 
-	// Same query as an envelope peer: the blocks the stream decrypted
-	// must already be in the cache.
-	cl.WithStreaming(false)
+	// The same query again: the blocks the first stream decrypted must
+	// already be in the cache.
 	_, _, tm2, err := sys.Query("//patient")
 	if err != nil {
-		t.Fatalf("envelope query: %v", err)
-	}
-	if tm2.Streamed {
-		t.Fatalf("second query unexpectedly streamed")
+		t.Fatalf("repeated query: %v", err)
 	}
 	if tm2.BlockCacheHits != tm.BlocksShipped {
-		t.Errorf("envelope pass hit %d cached blocks, want %d (stream did not seed the cache?)",
+		t.Errorf("repeated query hit %d cached blocks, want %d",
 			tm2.BlockCacheHits, tm.BlocksShipped)
 	}
 }
@@ -263,7 +209,7 @@ func TestStreamWithIntegrityAndCache(t *testing.T) {
 // streaming — when the service dies, a streaming client still serves
 // the cached answer, marked stale, never a partial stream.
 func TestStreamStaleFallback(t *testing.T) {
-	sys, cl, ts := streamedSystem(t, 1)
+	sys, cl, ts := remoteSystemClient(t)
 	cl.WithRetry(NoRetry).WithBreaker(BreakerConfig{})
 	sys.EnableStaleFallback(0, 0)
 

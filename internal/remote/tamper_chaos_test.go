@@ -20,7 +20,7 @@ import (
 // TestTamperTripsBreakerAndServesStale is the full degradation story
 // for a server that turns byzantine mid-flight:
 //
-//  1. the tampered answer carries a valid transport checksum (the
+//  1. the tampered answer carries a valid stream trailer checksum (the
 //     bytes are exactly what the server sent) but fails Merkle
 //     verification — caught in-attempt as ErrTampered;
 //  2. ErrTampered is NOT retried: retrying a byzantine server hands
@@ -47,7 +47,7 @@ func TestTamperTripsBreakerAndServesStale(t *testing.T) {
 		if r.Method == http.MethodPost && r.URL.Path == "/db/hospital/query" {
 			queryHits.Add(1)
 			if tampering.Load() {
-				// Serve a tampered answer with a VALID transport
+				// Serve a tampered answer with a VALID trailer
 				// checksum: the server really sent these bytes, they
 				// just don't hash to the committed state.
 				rec := &bufferedResponse{header: http.Header{}, code: http.StatusOK}
@@ -65,8 +65,6 @@ func TestTamperTripsBreakerAndServesStale(t *testing.T) {
 					t.Errorf("remarshal: %v", err)
 					return
 				}
-				sum := sha256.Sum256(out)
-				w.Header().Set(checksumHeader, hex.EncodeToString(sum[:]))
 				w.Write(out)
 				return
 			}

@@ -43,8 +43,8 @@ func (c *countingVerifier) VerifyAnswer(ans *wire.Answer) error {
 }
 
 // replayProxy fronts a Service: it can fail the next N query requests
-// with 503, record one query response as sent (status, headers, body,
-// stream or envelope), and later answer queries with that recording.
+// with 503, record one query response as sent (status, headers, body),
+// and later answer queries with that recording.
 type replayProxy struct {
 	svc http.Handler
 
@@ -128,78 +128,73 @@ func TestAnswerVerifiedOncePerQuery(t *testing.T) {
 		return tm
 	}
 
-	for _, row := range []struct {
-		name   string
-		stream bool
-	}{{"stream", true}, {"envelope", false}} {
-		t.Run(row.name, func(t *testing.T) {
-			sys := host(t)
-			proxy := &replayProxy{svc: NewService().WithStreamCutoff(1)}
-			ts := httptest.NewServer(proxy)
-			defer ts.Close()
-			cv := &countingVerifier{ContextVerifier: sys.Verifier().(wire.ContextVerifier), spent: true}
-			cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithStreaming(row.stream).
-				WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}).
-				WithBreaker(BreakerConfig{FailureThreshold: 100, Cooldown: time.Hour}).
-				WithVerifier(cv)
-			if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
-				t.Fatalf("Upload: %v", err)
-			}
-			sys.UseBackend(cl)
+	t.Run("stream", func(t *testing.T) {
+		sys := host(t)
+		proxy := &replayProxy{svc: NewService()}
+		ts := httptest.NewServer(proxy)
+		defer ts.Close()
+		cv := &countingVerifier{ContextVerifier: sys.Verifier().(wire.ContextVerifier), spent: true}
+		cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).
+			WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}).
+			WithBreaker(BreakerConfig{FailureThreshold: 100, Cooldown: time.Hour}).
+			WithVerifier(cv)
+		if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
+			t.Fatalf("Upload: %v", err)
+		}
+		sys.UseBackend(cl)
 
-			// One query, one pass: the transport's, with the read's pin.
-			// The accepted answer comes back with its proof spent, so a
-			// second pass in core would have rejected it.
-			proxy.set(func(p *replayProxy) { p.record = true })
-			tm := mustMatt(t, sys)
-			if got, bare := cv.pinned.Load(), cv.bare.Load(); got != 1 || bare != 0 {
-				t.Fatalf("one query: %d pinned + %d unpinned transport checks, want 1 + 0", got, bare)
-			}
-			if tm.Streamed != row.stream {
-				t.Fatalf("streamed = %v, want %v", tm.Streamed, row.stream)
-			}
-			if tm.Verify <= 0 || tm.Total() != tm.ClientTranslate+tm.ServerExec+tm.Verify+tm.Transmit+tm.ClientDecrypt+tm.ClientPost {
-				t.Errorf("Timings.Verify = %v, Total %v: the accepted pass is not reported", tm.Verify, tm.Total())
-			}
+		// One query, one pass: the transport's, with the read's pin.
+		// The accepted answer comes back with its proof spent, so a
+		// second pass in core would have rejected it.
+		proxy.set(func(p *replayProxy) { p.record = true })
+		tm := mustMatt(t, sys)
+		if got, bare := cv.pinned.Load(), cv.bare.Load(); got != 1 || bare != 0 {
+			t.Fatalf("one query: %d pinned + %d unpinned transport checks, want 1 + 0", got, bare)
+		}
+		if !tm.Streamed {
+			t.Fatal("answer was not streamed")
+		}
+		if tm.Verify <= 0 || tm.Total() != tm.ClientTranslate+tm.ServerExec+tm.Verify+tm.Transmit+tm.ClientDecrypt+tm.ClientPost {
+			t.Errorf("Timings.Verify = %v, Total %v: the accepted pass is not reported", tm.Verify, tm.Total())
+		}
 
-			// A retry inside Client.do verifies the attempt that finally
-			// produced an answer — once.
-			proxy.set(func(p *replayProxy) { p.failNext = 2 })
-			before, wire0 := cv.pinned.Load(), proxy.seen()
-			mustMatt(t, sys)
-			if got, sent := cv.pinned.Load()-before, proxy.seen()-wire0; got != 1 || sent != 3 {
-				t.Errorf("two refused attempts then an answer: %d checks over %d wire attempts, want 1 over 3", got, sent)
-			}
+		// A retry inside Client.do verifies the attempt that finally
+		// produced an answer — once.
+		proxy.set(func(p *replayProxy) { p.failNext = 2 })
+		before, wire0 := cv.pinned.Load(), proxy.seen()
+		mustMatt(t, sys)
+		if got, sent := cv.pinned.Load()-before, proxy.seen()-wire0; got != 1 || sent != 3 {
+			t.Errorf("two refused attempts then an answer: %d checks over %d wire attempts, want 1 over 3", got, sent)
+		}
 
-			// The freshness attack of attack.TestTamperRollbackReplay,
-			// over the wire: the pre-update response recorded above,
-			// replayed byte for byte after the owner's root advanced.
-			// The update's own read half is a transport check with no
-			// read pinned behind it (it runs under the owner's lock).
-			if _, err := sys.UpdateLeafValues("//patient[pname='Matt']//disease", "cholera"); err != nil {
-				t.Fatalf("update: %v", err)
-			}
-			if cv.bare.Load() != 0 {
-				t.Errorf("%d checks bypassed the context-carrying call", cv.bare.Load())
-			}
-			proxy.set(func(p *replayProxy) { p.replaying = true })
-			wire0 = proxy.seen()
-			_, _, _, err := sys.Query(q)
-			if !errors.Is(err, authtree.ErrTampered) {
-				t.Fatalf("replayed pre-update answer: %v, want ErrTampered", err)
-			}
-			if sent := proxy.seen() - wire0; sent != 1 {
-				t.Errorf("replayed answer cost %d wire attempts, want 1 (tampering is not retried)", sent)
-			}
-			// Rejected inside the attempt, at the read's floor: the
-			// breaker is open. (A transport check without the floor
-			// accepts this answer against the retired root, and the
-			// breaker never hears of it.)
-			if _, _, _, err := sys.Query(q); !errors.Is(err, ErrCircuitOpen) {
-				t.Errorf("query after the replay: %v, want ErrCircuitOpen", err)
-			}
-		})
-	}
+		// The freshness attack of attack.TestTamperRollbackReplay,
+		// over the wire: the pre-update response recorded above,
+		// replayed byte for byte after the owner's root advanced.
+		// The update's own read half is a transport check with no
+		// read pinned behind it (it runs under the owner's lock).
+		if _, err := sys.UpdateLeafValues("//patient[pname='Matt']//disease", "cholera"); err != nil {
+			t.Fatalf("update: %v", err)
+		}
+		if cv.bare.Load() != 0 {
+			t.Errorf("%d checks bypassed the context-carrying call", cv.bare.Load())
+		}
+		proxy.set(func(p *replayProxy) { p.replaying = true })
+		wire0 = proxy.seen()
+		_, _, _, err := sys.Query(q)
+		if !errors.Is(err, authtree.ErrTampered) {
+			t.Fatalf("replayed pre-update answer: %v, want ErrTampered", err)
+		}
+		if sent := proxy.seen() - wire0; sent != 1 {
+			t.Errorf("replayed answer cost %d wire attempts, want 1 (tampering is not retried)", sent)
+		}
+		// Rejected inside the attempt, at the read's floor: the
+		// breaker is open. (A transport check without the floor
+		// accepts this answer against the retired root, and the
+		// breaker never hears of it.)
+		if _, _, _, err := sys.Query(q); !errors.Is(err, ErrCircuitOpen) {
+			t.Errorf("query after the replay: %v, want ErrCircuitOpen", err)
+		}
+	})
 
 	// A transport that checked against ANOTHER system's ring — here a
 	// twin over the same hosted bytes, so the same commitment, as the

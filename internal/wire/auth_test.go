@@ -286,59 +286,6 @@ func TestProofRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVersionedFramesBackCompat(t *testing.T) {
-	// Integrity-disabled messages must be byte-identical to the
-	// legacy framing, and V2 frames must round-trip the new fields.
-	q := sampleQuery()
-	q.WantProof = false
-	data, err := MarshalQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:4]) != "SXQ1" {
-		t.Fatalf("plain query framed as %q", data[:4])
-	}
-	q.WantProof = true
-	data, err = MarshalQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:4]) != "SXQ2" {
-		t.Fatalf("proof query framed as %q", data[:4])
-	}
-	got, err := UnmarshalQuery(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.WantProof {
-		t.Fatal("WantProof lost in round trip")
-	}
-
-	a := &Answer{Fragments: [][]byte{[]byte("<x/>")}}
-	data, err = MarshalAnswer(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:4]) != "SXA1" {
-		t.Fatalf("plain answer framed as %q", data[:4])
-	}
-	a.Proof = []byte("SXP1whatever")
-	data, err = MarshalAnswer(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:4]) != "SXA2" {
-		t.Fatalf("proof answer framed as %q", data[:4])
-	}
-	gotA, err := UnmarshalAnswer(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotA.Proof) != "SXP1whatever" {
-		t.Fatal("answer proof lost in round trip")
-	}
-}
-
 func BenchmarkVerifyAnswer(b *testing.B) {
 	db := sampleDBForBench(b)
 	st, err := BuildAuthState(db)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/hex"
 	"runtime"
 	"testing"
 
@@ -181,40 +180,5 @@ func TestAuthStateApplyUpdates(t *testing.T) {
 	}
 	if _, err := st.ApplyUpdates([]*Update{{Blocks: []BlockUpdate{{ID: 9, Ciphertext: []byte{1}}}}}); err == nil {
 		t.Fatal("out-of-range block accepted")
-	}
-}
-
-// TestGoldenUpdateFrameBytes pins the exact bytes of the one update
-// frame: what /update accepts is what the WAL stores and recovery
-// replays, so a drift here strands every log on disk.
-func TestGoldenUpdateFrameBytes(t *testing.T) {
-	root := make([]byte, 32)
-	for i := range root {
-		root[i] = byte(i)
-	}
-	b := &UpdateBatch{
-		RequestID: 0x1122334455667788,
-		Updates: []*Update{{
-			Blocks:     []BlockUpdate{{ID: 1, Ciphertext: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
-			DropBands:  []uint8{0x07},
-			AddEntries: []btree.Entry{{Key: 0x0700000000000001, BlockID: 1}},
-			NewRoot:    root,
-		}},
-	}
-	const golden = "53584232" + // magic "SXB2"
-		"1122334455667788" + // request id (fixed u64)
-		"01" + // 1 member
-		"01" + // 1 block update
-		"01" + "04" + "deadbeef" + // block 1, 4-byte ciphertext
-		"01" + "07" + // 1 dropped band: 7
-		"01" + "0700000000000001" + "01" + // 1 entry: key (fixed u64), block 1
-		"20" + // 32-byte root
-		"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
-	data, err := MarshalUpdateBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(data); got != golden {
-		t.Fatalf("update frame drifted:\n got %s\nwant %s", got, golden)
 	}
 }

@@ -82,8 +82,9 @@ func FuzzUnmarshalQuery(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("SXQ1"))
-	f.Add([]byte("SXQ1\x01\x00"))
+	f.Add([]byte("SXQ2"))
+	f.Add([]byte("SXQ2\x01\x00"))
+	f.Add([]byte("SXQ1\x01\x00")) // retired: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := UnmarshalQuery(data)
 		if err != nil {
@@ -100,6 +101,9 @@ func FuzzUnmarshalQuery(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalAnswer drives the buffered answer decoder: anything it
+// accepts is an SXS1 stream that re-encodes to the same bytes, and the
+// retired SXA1 envelope is rejected.
 func FuzzUnmarshalAnswer(f *testing.F) {
 	if seed, err := MarshalAnswer(&Answer{
 		Fragments: [][]byte{[]byte("<patient/>")},
@@ -114,6 +118,9 @@ func FuzzUnmarshalAnswer(f *testing.F) {
 		a, err := UnmarshalAnswer(data)
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, streamMagic) {
+			t.Fatalf("accepted an answer without the SXS1 magic")
 		}
 		out, err := MarshalAnswer(a)
 		if err != nil {

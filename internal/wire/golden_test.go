@@ -1,0 +1,178 @@
+package wire
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
+	"testing"
+
+	"repro/internal/btree"
+	"repro/internal/opess"
+	"repro/internal/xpath"
+)
+
+// Golden bytes of the frames that cross the trust boundary. A drift in
+// any of them strands every peer, log or cached copy written before it.
+
+// TestGoldenUpdateFrameBytes pins the exact bytes of the one update
+// frame: what /update accepts is what the WAL stores and recovery
+// replays, so a drift here strands every log on disk.
+func TestGoldenUpdateFrameBytes(t *testing.T) {
+	root := make([]byte, 32)
+	for i := range root {
+		root[i] = byte(i)
+	}
+	b := &UpdateBatch{
+		RequestID: 0x1122334455667788,
+		Updates: []*Update{{
+			Blocks:     []BlockUpdate{{ID: 1, Ciphertext: []byte{0xDE, 0xAD, 0xBE, 0xEF}}},
+			DropBands:  []uint8{0x07},
+			AddEntries: []btree.Entry{{Key: 0x0700000000000001, BlockID: 1}},
+			NewRoot:    root,
+		}},
+	}
+	const golden = "53584232" + // magic "SXB2"
+		"1122334455667788" + // request id (fixed u64)
+		"01" + // 1 member
+		"01" + // 1 block update
+		"01" + "04" + "deadbeef" + // block 1, 4-byte ciphertext
+		"01" + "07" + // 1 dropped band: 7
+		"01" + "0700000000000001" + "01" + // 1 entry: key (fixed u64), block 1
+		"20" + // 32-byte root
+		"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+	data, err := MarshalUpdateBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("update frame drifted:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// mustHex decodes a golden hex string.
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// rejectsMagic asserts that a frame in a retired format fails on its
+// magic, not somewhere deeper where it could have been misparsed.
+func rejectsMagic(t *testing.T, name string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("retired %s frame: err = %v, want a bad-magic rejection", name, err)
+	}
+}
+
+// TestGoldenAnswerFrameBytes pins SXS1, the one answer format: the
+// stream a server writes and the bytes the stale-answer cache keeps.
+// The retired SXA envelopes must be refused by their magic.
+func TestGoldenAnswerFrameBytes(t *testing.T) {
+	a := &Answer{
+		Fragments:  [][]byte{[]byte("<x/>")},
+		BlockIDs:   []int{5},
+		Blocks:     [][]byte{{0xAB, 0xCD}},
+		Proof:      []byte("P"),
+		Epoch:      0x0102030405060708,
+		Generation: 9,
+	}
+	body := "53585331" + // magic "SXS1"
+		"0102030405060708" + // epoch (fixed u64)
+		"09" + "01" + "01" + // generation 9, 1 fragment, 1 block
+		"01" + "00" + "04" + "3c782f3e" + // fragment chunk, seq 0, "<x/>"
+		"02" + "01" + "05" + "02" + "abcd" + // block chunk, seq 1, block 5, 2 bytes
+		"03" + "02" + "01" + "50" // trailer chunk, seq 2, proof "P"
+	sum := sha256.Sum256(mustHex(t, body))
+	golden := body + hex.EncodeToString(sum[:]) // SHA-256 of every byte before it
+
+	data, err := MarshalAnswer(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("answer frame drifted:\n got %s\nwant %s", got, golden)
+	}
+	got, err := UnmarshalAnswer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !answersEqual(a, got) {
+		t.Fatalf("golden answer decoded to %+v", got)
+	}
+
+	for name, frame := range map[string]string{
+		// Answer{Fragments: ["<x/>"]} as the retired plain envelope.
+		"SXA1": "53584131" + "01" + "04" + "3c782f3e" + "00",
+		// ...and with epoch 1, generation 2 and an empty proof.
+		"SXA3": "53584133" + "0000000000000001" + "02" + "00" + "01" + "04" + "3c782f3e" + "00",
+	} {
+		_, err := UnmarshalAnswer(mustHex(t, frame))
+		rejectsMagic(t, name, err)
+	}
+}
+
+// TestGoldenQueryFrameBytes pins SXQ2, the one query frame: it carries
+// the want-proof byte whether or not a proof is wanted, and the server's
+// caches key on these exact bytes. The retired SXQ1 frame must be
+// refused by its magic.
+func TestGoldenQueryFrameBytes(t *testing.T) {
+	q := &Query{
+		WantProof: true,
+		First: &QStep{
+			Axis:   xpath.AxisChild,
+			Desc:   true,
+			Labels: []string{"TENC0"},
+			Preds: []QPred{
+				&PredValue{
+					Path:   &QStep{Axis: xpath.AxisChild, Labels: []string{"age"}},
+					Op:     xpath.OpGt,
+					Ranges: []opess.Range{{Lo: 1, Hi: 2}},
+				},
+				&PredPos{N: 2},
+			},
+		},
+	}
+	const golden = "53585132" + // magic "SXQ2"
+		"01" + // want proof
+		"01" + // 1 step
+		"00" + "01" + "01" + "01" + "05" + "54454e4330" + // child, desc, 1 label "TENC0"
+		"02" + // 2 predicates
+		"02" + // value predicate
+		"01" + "00" + "00" + "01" + "01" + "03" + "616765" + "00" + // path: child, 1 label "age", no preds
+		"00" + "04" + "00" + // not plain, op >, empty literal
+		"01" + "0000000000000001" + "0000000000000002" + // 1 range (fixed u64 bounds)
+		"06" + "02" // position predicate, N = 2
+	data, err := MarshalQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("query frame drifted:\n got %s\nwant %s", got, golden)
+	}
+
+	// Not wanting a proof changes the flag byte, not the frame.
+	q.WantProof = false
+	data, err = MarshalQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden[:8]+"00"+golden[10:] {
+		t.Fatalf("proofless query frame drifted: %s", got)
+	}
+	if back, err := UnmarshalQuery(data); err != nil || back.WantProof {
+		t.Fatalf("proofless query round trip: %+v, %v", back, err)
+	}
+
+	// The same one-step query without predicates as a retired SXQ1
+	// frame.
+	sxq1 := mustHex(t, "53585131"+"01"+"00"+"01"+"01"+"01"+"05"+"54454e4330"+"00")
+	_, err = UnmarshalQuery(sxq1)
+	rejectsMagic(t, "SXQ1", err)
+	if IsQueryFrame(sxq1) {
+		t.Error("IsQueryFrame accepted a retired SXQ1 frame")
+	}
+}

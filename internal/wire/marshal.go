@@ -28,17 +28,11 @@ import (
 	"repro/internal/xpath"
 )
 
-// Format magic and version. The V2 query/answer magics carry the
-// integrity-layer fields (Query.WantProof, Answer.Proof); they are
-// emitted only when those fields are set, so integrity-disabled
-// deployments produce byte-identical V1 frames.
+// Format magics. There is one query frame, SXQ2, which always carries
+// its want-proof byte; answers are SXS1 streams (stream.go).
 var (
-	dbMagic       = []byte("SXDB1")
-	queryMagic    = []byte("SXQ1")
-	queryMagicV2  = []byte("SXQ2")
-	answerMagic   = []byte("SXA1")
-	answerMagicV2 = []byte("SXA2")
-	answerMagicV3 = []byte("SXA3")
+	dbMagic    = []byte("SXDB1")
+	queryMagic = []byte("SXQ2")
 )
 
 type writer struct {
@@ -365,16 +359,11 @@ const (
 	predPos    byte = 6
 )
 
-// MarshalQuery serializes a translated query. Queries that do not
-// request a proof encode to the legacy SXQ1 bytes unchanged.
+// MarshalQuery serializes a translated query.
 func MarshalQuery(q *Query) ([]byte, error) {
 	w := getWriter()
-	if q.WantProof {
-		w.buf.Write(queryMagicV2)
-		w.bool(q.WantProof)
-	} else {
-		w.buf.Write(queryMagic)
-	}
+	w.buf.Write(queryMagic)
+	w.bool(q.WantProof)
 	if err := writeSteps(w, q.First); err != nil {
 		return nil, err
 	}
@@ -457,26 +446,20 @@ func writePred(w *writer, p QPred) error {
 // reject garbage cheaply (without a full parse) before handing the
 // frame to the server's fingerprint-keyed caches.
 func IsQueryFrame(data []byte) bool {
-	return bytes.HasPrefix(data, queryMagic) || bytes.HasPrefix(data, queryMagicV2)
+	return bytes.HasPrefix(data, queryMagic)
 }
 
-// UnmarshalQuery reverses MarshalQuery; both SXQ1 and SXQ2 frames
-// are accepted.
+// UnmarshalQuery reverses MarshalQuery.
 func UnmarshalQuery(data []byte) (*Query, error) {
 	r := &reader{r: bytes.NewReader(data)}
-	q := &Query{}
-	if err := expectMagic(r.r, queryMagicV2); err != nil {
-		r.r = bytes.NewReader(data)
-		if errV1 := expectMagic(r.r, queryMagic); errV1 != nil {
-			return nil, err
-		}
-	} else {
-		wp, err := r.bool()
-		if err != nil {
-			return nil, fmt.Errorf("wire: want-proof flag: %w", err)
-		}
-		q.WantProof = wp
+	if err := expectMagic(r.r, queryMagic); err != nil {
+		return nil, err
 	}
+	wp, err := r.bool()
+	if err != nil {
+		return nil, fmt.Errorf("wire: want-proof flag: %w", err)
+	}
+	q := &Query{WantProof: wp}
 	first, err := readSteps(r)
 	if err != nil {
 		return nil, err
@@ -615,101 +598,4 @@ func readPred(r *reader) (QPred, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown predicate tag %d", kind)
 	}
-}
-
-// MarshalAnswer serializes an answer. The frame version is the
-// lowest that can carry the populated fields: a generation echo
-// selects SXA3, a bare proof SXA2, and an answer with neither
-// encodes to the legacy SXA1 bytes unchanged.
-func MarshalAnswer(a *Answer) ([]byte, error) {
-	w := getWriter()
-	switch {
-	case a.Epoch != 0 || a.Generation != 0:
-		w.buf.Write(answerMagicV3)
-		w.u64(a.Epoch)
-		w.uvarint(a.Generation)
-		w.bytes(a.Proof)
-	case len(a.Proof) > 0:
-		w.buf.Write(answerMagicV2)
-		w.bytes(a.Proof)
-	default:
-		w.buf.Write(answerMagic)
-	}
-	w.uvarint(uint64(len(a.Fragments)))
-	for _, f := range a.Fragments {
-		w.bytes(f)
-	}
-	w.uvarint(uint64(len(a.BlockIDs)))
-	for i, id := range a.BlockIDs {
-		w.uvarint(uint64(id))
-		w.bytes(a.Blocks[i])
-	}
-	return w.finish(), nil
-}
-
-// UnmarshalAnswer reverses MarshalAnswer; SXA1, SXA2 and SXA3
-// frames are all accepted.
-func UnmarshalAnswer(data []byte) (*Answer, error) {
-	r := &reader{r: bytes.NewReader(data)}
-	a := &Answer{}
-	if err := expectMagic(r.r, answerMagicV3); err == nil {
-		epoch, err := r.u64()
-		if err != nil {
-			return nil, fmt.Errorf("wire: answer epoch: %w", err)
-		}
-		gen, err := r.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("wire: answer generation: %w", err)
-		}
-		proof, err := r.bytesN()
-		if err != nil {
-			return nil, fmt.Errorf("wire: answer proof: %w", err)
-		}
-		a.Epoch, a.Generation = epoch, gen
-		if len(proof) > 0 {
-			a.Proof = proof
-		}
-	} else if r.r = bytes.NewReader(data); expectMagic(r.r, answerMagicV2) == nil {
-		proof, err := r.bytesN()
-		if err != nil {
-			return nil, fmt.Errorf("wire: answer proof: %w", err)
-		}
-		a.Proof = proof
-	} else {
-		r.r = bytes.NewReader(data)
-		if errV1 := expectMagic(r.r, answerMagic); errV1 != nil {
-			return nil, err
-		}
-	}
-	nf, err := r.count("fragment")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nf; i++ {
-		f, err := r.bytesN()
-		if err != nil {
-			return nil, err
-		}
-		a.Fragments = append(a.Fragments, f)
-	}
-	nb, err := r.count("block")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nb; i++ {
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		blk, err := r.bytesN()
-		if err != nil {
-			return nil, err
-		}
-		a.BlockIDs = append(a.BlockIDs, int(id))
-		a.Blocks = append(a.Blocks, blk)
-	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes", r.r.Len())
-	}
-	return a, nil
 }

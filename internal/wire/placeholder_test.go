@@ -139,6 +139,7 @@ func FuzzPlaceholderScan(f *testing.F) {
 	}
 	f.Add([]byte(`<a x="<EncBlock q=" id="5"/>`))
 	f.Add([]byte(`<a x="<EncBlock id=" 7="/>"/>`))
+	f.Add([]byte(`<0 ="<EncBlock =""id="0"/>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ids []int
 		last := 0
@@ -156,12 +157,14 @@ func FuzzPlaceholderScan(f *testing.F) {
 		if perr != nil {
 			return
 		}
-		// ParseCompact lets '<' into a tag or attribute name; no XML
-		// name has one, and the scanner's reading of '<' as "a tag
-		// starts here" is only claimed for names that could be real.
+		// ParseCompact lets a raw '<' into a tag name, an attribute
+		// name or an attribute value; XML allows none of them and the
+		// serializer escapes it in values, so the scanner's reading of
+		// '<' as "a tag starts here" is only claimed where none sits.
 		sane := true
 		doc.Root.Walk(func(n *xmltree.Node) bool {
-			sane = sane && !strings.Contains(n.Tag, "<")
+			sane = sane && !strings.Contains(n.Tag, "<") &&
+				(n.Kind != xmltree.Attribute || !strings.Contains(n.Value, "<"))
 			return sane
 		})
 		if !sane {

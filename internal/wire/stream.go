@@ -1,21 +1,22 @@
 package wire
 
-// Chunked answer framing (SXS1): the streaming alternative to the
-// monolithic SXA answer envelope. Where MarshalAnswer materializes
-// the whole answer into one buffer before a single write, the stream
-// encoder emits a header frame (generation echo + fragment/block
-// counts), then one frame per fragment and per block, then a trailer
-// carrying the Merkle proof and a running SHA-256 checksum of every
-// byte before it. The decoder consumes an io.Reader incrementally, so
-// a receiver can hand each block to the decrypt pipeline while later
-// chunks are still in flight.
+// SXS1, the one answer format. An answer is a header frame (generation
+// echo + fragment/block counts), then one frame per fragment and per
+// block, then a trailer carrying the Merkle proof and a running
+// SHA-256 checksum of every byte before it. The decoder consumes an
+// io.Reader incrementally, so a receiver can hand each block to the
+// decrypt pipeline while later chunks are still in flight; the
+// buffered form (MarshalAnswer / UnmarshalAnswer) is the same bytes in
+// one slice, for the stale-answer cache and for callers without a
+// connection.
 //
-// Integrity: the trailer checksum replaces the whole-body checksum
-// header of the envelope path (which cannot be sent before a streamed
-// body). A decoder returns an answer only after the trailer verifies;
-// a truncated, reordered, duplicated or bit-flipped stream surfaces
-// as an error, never as a partial answer. Per-block confidentiality
-// and authenticity remain AES-GCM's job, exactly as in the envelope.
+// Integrity: the trailer checksum covers the whole body, which is why
+// no body-checksum header travels with an answer (one cannot be sent
+// before a body that is produced incrementally). A decoder returns an
+// answer only after the trailer verifies; a truncated, reordered,
+// duplicated or bit-flipped stream surfaces as an error, never as a
+// partial answer. Per-block confidentiality and authenticity remain
+// AES-GCM's job.
 //
 // Layout (integers are uvarints unless noted, byte strings are
 // length-prefixed, seq counts every chunk from 0):
@@ -24,11 +25,6 @@ package wire
 //	{ 0x01 seq fragmentBytes }  × nFragments
 //	{ 0x02 seq blockID blockBytes } × nBlocks
 //	  0x03 seq proofBytes sha256(32, fixed)   — exactly once, last
-//
-// The server decides per answer whether to stream (see
-// internal/remote); SXA envelopes remain the format for small
-// answers, legacy peers and persisted/stale copies, and the two
-// formats decode to identical Answer values.
 
 import (
 	"bufio"
@@ -48,15 +44,6 @@ const (
 	chunkBlock    byte = 2
 	chunkTrailer  byte = 3
 )
-
-// IsStreamPrefix reports whether data begins with the streaming
-// answer magic (enough of it to rule the format in or out).
-func IsStreamPrefix(data []byte) bool {
-	if len(data) >= len(streamMagic) {
-		return bytes.Equal(data[:len(streamMagic)], streamMagic)
-	}
-	return bytes.Equal(data, streamMagic[:len(data)])
-}
 
 // StreamHeader is the first frame of a chunked answer.
 type StreamHeader struct {
@@ -125,7 +112,8 @@ func (e *StreamEncoder) Header(h StreamHeader) error {
 }
 
 func (e *StreamEncoder) chunk(tag byte) {
-	e.write([]byte{tag})
+	e.tmp[0] = tag
+	e.write(e.tmp[:1])
 	e.uvarint(e.seq)
 	e.seq++
 }
@@ -166,14 +154,15 @@ func (e *StreamEncoder) Trailer(proof []byte) error {
 // between flushes. Flushing after every block would cost one write
 // syscall (and one HTTP chunk) per block, which for answers made of
 // many small blocks erases the streaming win; the stride batches
-// small blocks while still pushing large ones out promptly.
+// small frames while still pushing large answers out promptly.
 const flushStride = 16 << 10
 
-// EncodeStreamAnswer writes a whole answer as one chunked stream,
-// calling flush (when non-nil) after the header, roughly every
-// flushStride bytes of block data, and after the trailer, so frames
-// reach the peer while later ones are still being produced. It
-// returns the total bytes and chunks written.
+// EncodeStreamAnswer writes a whole answer as one SXS1 stream, calling
+// flush (when non-nil) each time a stride of flushStride bytes has
+// filled, so frames reach the peer while later ones are still being
+// produced. It never flushes after the header or the trailer: an
+// answer smaller than one stride leaves in the caller's single final
+// write. It returns the total bytes and chunks written.
 func EncodeStreamAnswer(w io.Writer, a *Answer, flush func()) (int, int, error) {
 	e := NewStreamEncoder(w)
 	e.Header(StreamHeader{
@@ -182,27 +171,41 @@ func EncodeStreamAnswer(w io.Writer, a *Answer, flush func()) (int, int, error) 
 		Fragments:  len(a.Fragments),
 		Blocks:     len(a.Blocks),
 	})
-	flushed := e.bytes
-	if flush != nil {
-		flush()
-	}
-	for _, f := range a.Fragments {
-		e.Fragment(f)
-	}
-	for i, id := range a.BlockIDs {
-		if err := e.Block(id, a.Blocks[i]); err != nil {
-			return e.bytes, int(e.seq), err
-		}
+	flushed := 0
+	stride := func() {
 		if flush != nil && e.bytes-flushed >= flushStride {
 			flush()
 			flushed = e.bytes
 		}
 	}
-	err := e.Trailer(a.Proof)
-	if flush != nil {
-		flush()
+	for _, f := range a.Fragments {
+		e.Fragment(f)
+		stride()
 	}
+	for i, id := range a.BlockIDs {
+		if err := e.Block(id, a.Blocks[i]); err != nil {
+			return e.bytes, int(e.seq), err
+		}
+		stride()
+	}
+	err := e.Trailer(a.Proof)
 	return e.bytes, int(e.seq), err
+}
+
+// MarshalAnswer is the buffered form of SXS1: the bytes
+// EncodeStreamAnswer writes, as one exact-size frame.
+func MarshalAnswer(a *Answer) ([]byte, error) {
+	w := getWriter()
+	if _, _, err := EncodeStreamAnswer(&w.buf, a, nil); err != nil {
+		return nil, err
+	}
+	return w.finish(), nil
+}
+
+// UnmarshalAnswer reverses MarshalAnswer, through the same decoder a
+// live stream goes through.
+func UnmarshalAnswer(data []byte) (*Answer, error) {
+	return DecodeStreamAnswer(bytes.NewReader(data), nil)
 }
 
 // BlockSink receives block ciphertexts as their stream frames decode,
@@ -218,8 +221,7 @@ type BlockSink interface {
 }
 
 // StreamStats reports what a streamed transfer moved: the chunked
-// body's size and frame count. Transports return nil stats when the
-// peer fell back to the monolithic envelope.
+// body's size and frame count.
 type StreamStats struct {
 	Bytes  int
 	Chunks int
@@ -227,8 +229,9 @@ type StreamStats struct {
 
 // StreamDecoder reads one chunked answer from r incrementally.
 type StreamDecoder struct {
-	r      *bufio.Reader
+	r      byteReader
 	sum    hash.Hash
+	tmp    [8]byte // magic, epoch and single-byte reads
 	seq    uint64
 	header StreamHeader
 	// remaining per-kind chunk budget, enforced against the header.
@@ -237,9 +240,20 @@ type StreamDecoder struct {
 	done                bool
 }
 
+// byteReader is what the decoder reads through: a bytes.Reader as is,
+// anything else behind a bufio.Reader.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // NewStreamDecoder starts decoding a chunked answer from r.
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
-	return &StreamDecoder{r: bufio.NewReader(r), sum: sha256.New()}
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	return &StreamDecoder{r: br, sum: sha256.New()}
 }
 
 // readByte reads one byte, feeding the running checksum.
@@ -248,7 +262,8 @@ func (d *StreamDecoder) readByte() (byte, error) {
 	if err != nil {
 		return 0, eofIsUnexpected(err)
 	}
-	d.sum.Write([]byte{b})
+	d.tmp[0] = b
+	d.sum.Write(d.tmp[:1])
 	return b, nil
 }
 
@@ -277,6 +292,13 @@ func (d *StreamDecoder) readFull(p []byte) error {
 	return nil
 }
 
+// frameStep is the buffer a frame body starts in. A length prefix is
+// untrusted until the trailer verifies, so a frame's buffer doubles
+// only once the bytes already read fill it: what a forged length costs
+// grows with the bytes the peer actually sent, not with the length it
+// claimed.
+const frameStep = 64 << 10
+
 func (d *StreamDecoder) prefixed(what string) ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -285,10 +307,20 @@ func (d *StreamDecoder) prefixed(what string) ([]byte, error) {
 	if n > maxWireSlice {
 		return nil, fmt.Errorf("wire: stream %s length %d exceeds limit", what, n)
 	}
-	b := make([]byte, n)
-	if err := d.readFull(b); err != nil {
-		return nil, fmt.Errorf("wire: stream %s: %w", what, err)
+	b := make([]byte, min(int(n), frameStep))
+	for off := 0; ; {
+		m, err := io.ReadFull(d.r, b[off:])
+		if err != nil {
+			return nil, fmt.Errorf("wire: stream %s: %w", what, eofIsUnexpected(err))
+		}
+		if off += m; off == int(n) {
+			break
+		}
+		grown := make([]byte, min(int(n), 2*off))
+		copy(grown, b)
+		b = grown
 	}
+	d.sum.Write(b)
 	return b, nil
 }
 
@@ -307,18 +339,17 @@ func (d *StreamDecoder) Header() (StreamHeader, error) {
 	if d.headerRead {
 		return d.header, nil
 	}
-	magic := make([]byte, len(streamMagic))
+	magic := d.tmp[:len(streamMagic)]
 	if err := d.readFull(magic); err != nil {
 		return StreamHeader{}, fmt.Errorf("wire: stream magic: %w", err)
 	}
 	if !bytes.Equal(magic, streamMagic) {
-		return StreamHeader{}, fmt.Errorf("wire: bad stream magic %q", magic)
+		return StreamHeader{}, fmt.Errorf("wire: bad stream magic %q, want %q", magic, streamMagic)
 	}
-	var buf [8]byte
-	if err := d.readFull(buf[:]); err != nil {
+	if err := d.readFull(d.tmp[:8]); err != nil {
 		return StreamHeader{}, fmt.Errorf("wire: stream epoch: %w", err)
 	}
-	d.header.Epoch = binary.BigEndian.Uint64(buf[:])
+	d.header.Epoch = binary.BigEndian.Uint64(d.tmp[:8])
 	gen, err := d.uvarint()
 	if err != nil {
 		return StreamHeader{}, fmt.Errorf("wire: stream generation: %w", err)

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // streamSample returns a representative answer and its chunked
@@ -67,9 +70,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamRoundTripShapes exercises the degenerate shapes the
-// envelope path supports: no blocks, no fragments, no proof, empty
-// answer.
+// TestStreamRoundTripShapes exercises the degenerate shapes an
+// answer can take: no blocks, no fragments, no proof, empty answer.
 func TestStreamRoundTripShapes(t *testing.T) {
 	cases := []*Answer{
 		{},
@@ -240,46 +242,83 @@ func TestStreamHeaderCountsEnforced(t *testing.T) {
 	}
 }
 
-func TestIsStreamPrefix(t *testing.T) {
-	_, enc := streamSample(t)
-	if !IsStreamPrefix(enc) {
-		t.Fatal("valid stream not recognized")
-	}
-	if !IsStreamPrefix([]byte("SX")) {
-		t.Fatal("short prefix of magic should be indeterminate-true")
-	}
-	if IsStreamPrefix([]byte("SXA1")) {
-		t.Fatal("envelope magic misidentified as stream")
+// forgedLength is a 22-byte body whose one fragment frame claims
+// 2^28 bytes and carries none: SXS1, a zero epoch, generation 1, one
+// fragment, no blocks, then tag 1, seq 0 and the length.
+var forgedLength = []byte("SXS1\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x01\x00\x80\x80\x80\x80\x01")
+
+// TestStreamForgedLengthBoundsAllocation: a frame length is untrusted
+// until the trailer verifies, so the decoder must not allocate what a
+// length prefix claims before the bytes arrive.
+func TestStreamForgedLengthBoundsAllocation(t *testing.T) {
+	for name, decode := range map[string]func([]byte) error{
+		"stream": func(b []byte) error {
+			_, err := DecodeStreamAnswer(io.MultiReader(bytes.NewReader(b)), nil)
+			return err
+		},
+		"buffered": func(b []byte) error { _, err := UnmarshalAnswer(b); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(forgedLength)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: forged length: err = %v, want a torn read", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: decode allocated %d bytes for a %d-byte body claiming 2^28", name, grew, len(forgedLength))
+		}
 	}
 }
 
-// TestStreamEquivalentToEnvelope: the two encodings of one answer
-// must decode to the same value, so transports can pick either
-// without the layers above noticing.
-func TestStreamEquivalentToEnvelope(t *testing.T) {
-	want, enc := streamSample(t)
-	env, err := MarshalAnswer(want)
+// TestStreamFrameGrowsToFit: a genuine frame larger than the first
+// buffer step still decodes whole, through a reader that hands over
+// one byte at a time.
+func TestStreamFrameGrowsToFit(t *testing.T) {
+	big := bytes.Repeat([]byte{0x5A}, 3*frameStep+17)
+	want := &Answer{Fragments: [][]byte{big}, BlockIDs: []int{1}, Blocks: [][]byte{big[:frameStep]}}
+	enc, err := MarshalAnswer(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromEnv, err := UnmarshalAnswer(env)
+	got, err := DecodeStreamAnswer(iotest.OneByteReader(bytes.NewReader(enc)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStream, err := DecodeStreamAnswer(bytes.NewReader(enc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !answersEqual(fromEnv, fromStream) {
-		t.Fatalf("envelope and stream decode differently: %+v vs %+v", fromEnv, fromStream)
+	if !answersEqual(want, got) {
+		t.Fatal("large frames drifted through the growing buffer")
 	}
 }
 
-// FuzzDecodeStream drives the chunked decoder with hostile bytes:
-// truncations, duplicate trailers, out-of-order chunk IDs and
-// arbitrary mutations must error (never panic, never over-allocate
-// past the decode caps), and anything accepted must re-encode and
-// re-decode to the same answer.
+// TestStreamCodecAllocs pins the codec's allocations: encoding costs a
+// constant number whatever the answer's size, decoding one per block
+// (its ciphertext) plus amortized slice growth — no allocation per tag
+// or varint byte.
+func TestStreamCodecAllocs(t *testing.T) {
+	const n = 64
+	a := &Answer{Fragments: [][]byte{[]byte("<a/>")}, Proof: []byte("p"), Generation: 1}
+	for i := 0; i < n; i++ {
+		a.BlockIDs = append(a.BlockIDs, 1000+i)
+		a.Blocks = append(a.Blocks, bytes.Repeat([]byte{byte(i)}, 200))
+	}
+	enc, err := MarshalAnswer(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { MarshalAnswer(a) }); got > 8 {
+		t.Errorf("encoding a %d-block answer: %.0f allocs, want a constant <= 8", n, got)
+	}
+	if got := testing.AllocsPerRun(20, func() { UnmarshalAnswer(enc) }); got > 2*n+16 {
+		t.Errorf("decoding a %d-block answer: %.0f allocs, want <= %d", n, got, 2*n+16)
+	}
+}
+
+// FuzzDecodeStream drives the one answer decoder with hostile bytes:
+// truncations, duplicate trailers, out-of-order chunk IDs, forged
+// lengths, retired envelope frames and arbitrary mutations must error
+// (never panic, never over-allocate past the decode caps), the live
+// and buffered paths must agree, and anything accepted must re-encode
+// and re-decode to the same answer.
 func FuzzDecodeStream(f *testing.F) {
 	a := &Answer{
 		Fragments:  [][]byte{[]byte("<patient/>")},
@@ -289,9 +328,7 @@ func FuzzDecodeStream(f *testing.F) {
 		Epoch:      7,
 		Generation: 3,
 	}
-	var buf bytes.Buffer
-	if _, _, err := EncodeStreamAnswer(&buf, a, nil); err == nil {
-		seed := buf.Bytes()
+	if seed, err := MarshalAnswer(a); err == nil {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncation
 		f.Add(append(append([]byte{}, seed...), 0x03)) // trailing bytes
@@ -299,16 +336,27 @@ func FuzzDecodeStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SXS1"))
 	f.Add([]byte("SXS1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(forgedLength)
+	// Retired envelopes: they must be rejected, never misparsed.
+	f.Add([]byte("SXA1\x01\x0a<patient/>\x01\x03\x03\x09\x09\x09"))
+	f.Add([]byte("SXA3\x00\x00\x00\x00\x00\x00\x00\x07\x03\x01p\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeStreamAnswer(bytes.NewReader(data), nil)
+		got, err := UnmarshalAnswer(data)
+		_, liveErr := DecodeStreamAnswer(io.MultiReader(bytes.NewReader(data)), nil)
+		if (err == nil) != (liveErr == nil) {
+			t.Fatalf("buffered and live decoders disagree: %v vs %v", err, liveErr)
+		}
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if _, _, err := EncodeStreamAnswer(&out, got, nil); err != nil {
+		if !bytes.HasPrefix(data, streamMagic) {
+			t.Fatalf("accepted a body without the SXS1 magic")
+		}
+		out, err := MarshalAnswer(got)
+		if err != nil {
 			t.Fatalf("accepted stream cannot re-encode: %v", err)
 		}
-		again, err := DecodeStreamAnswer(bytes.NewReader(out.Bytes()), nil)
+		again, err := UnmarshalAnswer(out)
 		if err != nil {
 			t.Fatalf("re-encoded stream does not decode: %v", err)
 		}

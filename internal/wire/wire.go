@@ -82,8 +82,7 @@ const (
 type Query struct {
 	First *QStep
 	// WantProof asks the server to attach a Merkle verification
-	// object (see auth.go) to the answer. Queries without it encode
-	// to the legacy SXQ1 bytes unchanged.
+	// object (see auth.go) to the answer.
 	WantProof bool
 }
 
@@ -158,18 +157,16 @@ type Answer struct {
 	// BlockIDs.
 	Blocks [][]byte
 	// Proof is the encoded Merkle verification object (AnswerProof),
-	// present only when the query asked for one. Answers without it
-	// encode to the legacy SXA1 bytes unchanged.
+	// present only when the query asked for one; it rides in the SXS1
+	// trailer.
 	Proof []byte
 	// Epoch and Generation echo the answering server's boot nonce
 	// and monotonic db generation counter (bumped by every applied
 	// update): the client keys its decrypted-block cache under the
 	// pair, so an answer from a restarted or rolled-back server makes
-	// it drop cached plaintext instead of serving stale data. A
-	// generation of zero means the server predates the counter (or
-	// the answer came from a legacy frame); caching layers treat it
-	// as "unknown" and skip reuse. Answers with both fields zero
-	// encode to the legacy SXA1/SXA2 bytes unchanged.
+	// it drop cached plaintext instead of serving stale data. Both
+	// ride in the SXS1 header. A generation of zero means "unknown"
+	// (an answer built outside a server); caching layers skip reuse.
 	Epoch      uint64
 	Generation uint64
 	// PlanStrategy and PlanCost report which strategy the server's
