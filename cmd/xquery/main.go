@@ -45,7 +45,6 @@ func main() {
 	opTimeout := flag.Duration("op-timeout", time.Minute, "overall deadline per remote operation including retries (0 disables)")
 	retries := flag.Int("retries", remote.DefaultRetryPolicy.MaxAttempts, "total attempts per remote operation (1 disables retries)")
 	retryBase := flag.Duration("retry-base", remote.DefaultRetryPolicy.BaseDelay, "initial retry backoff (doubles per attempt, jittered)")
-	stale := flag.Bool("stale", false, "serve cached stale answers when the remote server is unreachable")
 	integrity := flag.Bool("integrity", false, "verify every remote answer against a local Merkle commitment (requires -remote)")
 	xmlOut := flag.Bool("xml", false, "print results as XML instead of string values")
 	var scs multiFlag
@@ -76,7 +75,6 @@ func main() {
 			opTimeout: *opTimeout,
 			retries:   *retries,
 			retryBase: *retryBase,
-			stale:     *stale,
 			integrity: *integrity,
 			xmlOut:    *xmlOut,
 		}
@@ -138,7 +136,6 @@ type remoteConfig struct {
 	timeout, opTimeout time.Duration
 	retries            int
 	retryBase          time.Duration
-	stale              bool
 	integrity          bool
 	xmlOut             bool
 }
@@ -185,9 +182,6 @@ func runRemote(f *os.File, scs []string, key, schemeName string, rc remoteConfig
 		fatal(err)
 	}
 	sys.UseBackend(cl)
-	if rc.stale {
-		sys.EnableStaleFallback(0, 0) // package defaults
-	}
 	fmt.Printf("uploaded %q to %s (%d blocks)\n", rc.name, rc.baseURL, sys.Scheme.NumBlocks())
 	if rc.integrity {
 		root := sys.Verifier().Root()
@@ -204,13 +198,6 @@ func runRemote(f *os.File, scs []string, key, schemeName string, rc remoteConfig
 		for _, line := range resultLines(nodes, rc.xmlOut) {
 			fmt.Printf("  %s\n", line)
 		}
-		staleNote := ""
-		if tm.Stale {
-			staleNote = " | STALE (served from cache; server unreachable)"
-			if tm.Unverified {
-				staleNote = " | STALE+UNVERIFIED (served from cache; live answer failed verification)"
-			}
-		}
 		streamNote := ""
 		if tm.Streamed {
 			streamNote = fmt.Sprintf(" | streamed %d chunks", tm.StreamChunks)
@@ -219,8 +206,8 @@ func runRemote(f *os.File, scs []string, key, schemeName string, rc remoteConfig
 		if strat == "" {
 			strat = "?"
 		}
-		fmt.Printf("  [%d results | plan %s | server+network %v | verify %v | %d blocks, %d bytes%s%s]\n",
-			len(nodes), strat, tm.ServerExec, tm.Verify, tm.BlocksShipped, tm.AnswerBytes, streamNote, staleNote)
+		fmt.Printf("  [%d results | plan %s | server+network %v | verify %v | %d blocks, %d bytes%s]\n",
+			len(nodes), strat, tm.ServerExec, tm.Verify, tm.BlocksShipped, tm.AnswerBytes, streamNote)
 	}
 }
 

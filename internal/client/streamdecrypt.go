@@ -25,13 +25,13 @@ const streamBacklog = 32
 // they provably belong to the answer the transport finally returned —
 // each recorded ciphertext must be the very slice the answer carries
 // (pointer identity, not byte equality), and coverage must be exact.
-// Anything else (a stale-cache answer, a half-fed attempt) reports
-// ok=false and the caller decrypts the answer itself, so a wrong or
-// partial result can never surface.
+// Anything else (an answer from another attempt, a half-fed one)
+// reports ok=false and the caller decrypts the answer itself, so a
+// wrong or partial result can never surface.
 //
 // All methods are called from one goroutine at a time (the transport
-// attempt loop, then the query pipeline); only the internal workers
-// run concurrently.
+// attempt loop, then the owner's query or update read); only the
+// internal workers run concurrently.
 type StreamDecryptor struct {
 	c   *Client
 	cur *streamAttempt

@@ -26,7 +26,6 @@ func srvOf(t *testing.T, sys *System) *server.Server {
 // cached emptiness.
 func TestCachedRangeNotAnsweredAfterUpdate(t *testing.T) {
 	sys, _ := hostForUpdate(t)
-	sys.EnableBlockCache(0, 0)
 
 	const q = "//patient[.//disease='cholera']/pname"
 	for i := 0; i < 2; i++ { // second run lands in every cache
@@ -67,45 +66,6 @@ func TestCachedRangeNotAnsweredAfterUpdate(t *testing.T) {
 	}
 }
 
-// TestBlockCacheHitsAndInvalidation: a repeated query decrypts zero
-// blocks the second time; an update drops every cached plaintext.
-func TestBlockCacheHitsAndInvalidation(t *testing.T) {
-	sys, _ := hostForUpdate(t)
-	sys.EnableBlockCache(0, 0)
-
-	const q = "//patient[.//disease='diarrhea']/pname"
-	_, _, cold, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.BlockCacheHits != 0 || cold.BlockCacheMisses == 0 {
-		t.Fatalf("cold query hits=%d misses=%d, want 0/>0", cold.BlockCacheHits, cold.BlockCacheMisses)
-	}
-	_, _, warm, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.BlockCacheMisses != 0 || warm.BlockCacheHits != cold.BlockCacheMisses {
-		t.Errorf("warm query hits=%d misses=%d, want %d/0",
-			warm.BlockCacheHits, warm.BlockCacheMisses, cold.BlockCacheMisses)
-	}
-
-	if _, err := sys.UpdateLeafValues("//patient[pname='Betty']//disease", "gout"); err != nil {
-		t.Fatal(err)
-	}
-	_, _, after, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.BlockCacheHits != 0 {
-		t.Errorf("query after update served %d blocks from the cache, want 0 (generation should have dropped them)",
-			after.BlockCacheHits)
-	}
-	if st := sys.BlockCacheStats(); st.Invalidations == 0 {
-		t.Errorf("block cache reports no invalidation after update")
-	}
-}
-
 // TestCacheConcurrentStress hammers the full pipeline from parallel
 // readers while an updater flips both diarrhea occurrences back and
 // forth, bumping the generation each time. Invariants (checked under
@@ -114,7 +74,6 @@ func TestBlockCacheHitsAndInvalidation(t *testing.T) {
 // monotonic.
 func TestCacheConcurrentStress(t *testing.T) {
 	sys, _ := hostForUpdate(t)
-	sys.EnableBlockCache(0, 0)
 	srv := srvOf(t, sys)
 
 	const (
@@ -181,23 +140,5 @@ func TestCacheConcurrentStress(t *testing.T) {
 	st := srv.CacheStats()
 	if st["answers"].Hits+st["ranges"].Hits == 0 {
 		t.Logf("note: stress run produced no cache hits (hits are timing-dependent, not required)")
-	}
-}
-
-// TestBlockCacheOffByDefault: a System without EnableBlockCache
-// reports zero counters and caches nothing — the layer is strictly
-// opt-in.
-func TestBlockCacheOffByDefault(t *testing.T) {
-	sys, _ := hostForUpdate(t)
-	for i := 0; i < 2; i++ {
-		if _, _, tm, err := sys.Query("//patient/pname"); err != nil {
-			t.Fatal(err)
-		} else if tm.BlockCacheHits != 0 || tm.BlockCacheMisses != 0 {
-			t.Fatalf("cache counters non-zero with cache disabled: %d/%d",
-				tm.BlockCacheHits, tm.BlockCacheMisses)
-		}
-	}
-	if st := sys.BlockCacheStats(); st.Hits != 0 || st.Entries != 0 {
-		t.Errorf("disabled cache has state: %+v", st)
 	}
 }

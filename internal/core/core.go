@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/gencache"
 	"repro/internal/netsim"
 	"repro/internal/sc"
 	"repro/internal/scheme"
@@ -107,7 +106,7 @@ func (l Local) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error 
 // A System is safe for concurrent use, and queries never block
 // behind updates. Reads are MVCC-style: every query and aggregate
 // pins a readSnap — an immutable view of the translation state
-// (OPESS transformer table), backend, verifier ring, caches and
+// (OPESS transformer table), backend, verifier ring and
 // queued-batch fingerprint, published through one atomic pointer —
 // and runs its whole pipeline against that pin without touching mu.
 // Updates still serialize under the exclusive lock (the occurrence
@@ -162,19 +161,6 @@ type System struct {
 	// metadata and the value index (§7.4's encryption-cost metric).
 	EncryptTime time.Duration
 
-	// staleCache, when installed via EnableStaleFallback, holds the
-	// encoded answers of recent successful queries; when the backend
-	// is unreachable, queries are served from it with Timings.Stale
-	// set instead of failing.
-	staleCache *client.AnswerCache
-
-	// blockCache, when installed via EnableBlockCache, holds
-	// decrypted block plaintexts keyed by the server's (epoch,
-	// generation) echo, so repeated queries skip AES-GCM work.
-	// Verified-live answers only: the stale-fallback path neither
-	// reads nor feeds it (see queryPathLocked).
-	blockCache *client.BlockCache
-
 	// ring, when installed via EnableIntegrity, holds the owner's
 	// Merkle commitment to the hosted state — the current verifier
 	// plus a short tail of retired ones (see verifierRing); every
@@ -195,15 +181,6 @@ type System struct {
 	// one group commit (see batcher.go); EnableUpdateBatching sizes
 	// it. Guarded by mu like everything else here.
 	updBatch updateBatcher
-
-	// mirrorExec, when installed via EnableMirrorReads, is an
-	// owner-side replica server built over the HostedDB mirror. The
-	// update pipeline's read half executes against it instead of the
-	// remote backend: the mirror IS the state the owner's commitment
-	// was built from and advances with, so the read needs neither a
-	// proof nor a round trip. Committed frames are replayed onto it
-	// (applyMirrorExec) so its value index tracks the server's.
-	mirrorExec *server.Server
 }
 
 // pendingUpdate is the stashed tail of an ambiguous update: the exact
@@ -220,15 +197,13 @@ type pendingUpdate struct {
 // client's pinned OPESS transformer table (view) together with the
 // queued-batch band fingerprint, so "which bands are ahead of the
 // server" and "which transformers translate my comparisons" are the
-// SAME moment's answer. The structs it points to (caches, ring,
-// backend) are themselves safe for concurrent use; the snapshot pins
+// SAME moment's answer. The structs it points to (ring, backend) are
+// themselves safe for concurrent use; the snapshot pins
 // which instances this read talks to.
 type readSnap struct {
 	view    *client.View
 	backend Backend
 	ring    *verifierRing
-	stale   *client.AnswerCache
-	blocks  *client.BlockCache
 
 	// pending mirrors System.pending != nil at publish time.
 	pending bool
@@ -282,13 +257,9 @@ func (s *System) publishLocked() *readSnap {
 		view:    s.Client.Snapshot(),
 		backend: s.Server,
 		ring:    s.ring,
-		stale:   s.staleCache,
-		blocks:  s.blockCache,
 		pending: s.pending != nil,
 		updSeq:  s.updSeq.Load(),
-	}
-	if s.ring != nil {
-		sn.verSeq = s.ring.pinSeq()
+		verSeq:  s.ring.pinSeq(),
 	}
 	if q := s.updBatch.queue; len(q) > 0 {
 		sn.queuedAny = true
@@ -378,62 +349,6 @@ func (s *System) Verifier() wire.Verifier {
 	return s.ring
 }
 
-// EnableBlockCache opts this system into cross-query reuse of
-// decrypted blocks: plaintexts are kept in a bounded LRU keyed by
-// (blockID, server generation), so a repeated query decrypts only
-// blocks it has not seen at the current db generation. Entries are
-// inserted only after the block authenticated (AES-GCM tag, plus
-// Merkle verification when EnableIntegrity is on), and any change
-// of the server's generation echo — update, restart, rollback —
-// drops the whole cache. Non-positive limits pick defaults (see
-// client.NewBlockCache).
-func (s *System) EnableBlockCache(maxEntries, maxBytes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blockCache = client.NewBlockCache(maxEntries, maxBytes)
-	s.publishLocked()
-}
-
-// BlockCacheStats snapshots the block cache's counters (zero value
-// when EnableBlockCache was not called).
-func (s *System) BlockCacheStats() gencache.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.blockCache == nil {
-		return gencache.Stats{}
-	}
-	return s.blockCache.Stats()
-}
-
-// ResetCaches drops everything the caching layer holds — the
-// client's decrypted-block cache and, when the server is in-process,
-// its plan/range/answer caches — without touching the db generation.
-// Benchmarks use it to re-measure the cold path; production code
-// never needs it.
-func (s *System) ResetCaches() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.blockCache != nil {
-		s.blockCache.Clear()
-	}
-	if l, ok := s.Server.(Local); ok {
-		l.S.ResetCaches()
-	}
-}
-
-// EnableStaleFallback opts this system into graceful degradation:
-// answers of successful queries are kept in a bounded cache
-// (maxEntries entries, maxBytes total encoded bytes), and when the
-// backend fails, a cached answer for the same translated query is
-// served with Timings.Stale set — possibly out of date, clearly
-// marked. Cached entries are invalidated on update.
-func (s *System) EnableStaleFallback(maxEntries, maxBytes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.staleCache = client.NewAnswerCache(maxEntries, maxBytes)
-	s.publishLocked()
-}
-
 // Host encrypts doc under the named scheme with the given SCs and
 // boots a server on the upload. The SCs are validated against the
 // scheme before anything is hosted.
@@ -480,29 +395,6 @@ func (s *System) UseBackend(b Backend) {
 	s.publishLocked()
 }
 
-// EnableMirrorReads opts the update pipeline into serving its read
-// half from an owner-side replica instead of the backend. The owner
-// already holds a byte-exact mirror of the hosted state (HostedDB,
-// kept fresh by mirrorUpdate), so an update's read-modify-write can
-// read from a local server booted over that mirror: no HTTP round
-// trip, no proof (the owner trusts its own mirror — it is exactly the
-// state its Merkle commitment describes). The server stays untrusted
-// and root-checked on every write; if replica and server ever
-// diverged, the batch root cross-check at the next flush would
-// reject. Call it after UseBackend: with an in-process backend the
-// read is already local and this is a no-op. All replica access runs
-// under the System's exclusive lock, so its internal locking is never
-// contended.
-func (s *System) EnableMirrorReads() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.Server.(Local); ok {
-		return
-	}
-	s.mirrorExec = server.New(s.HostedDB)
-	s.publishLocked()
-}
-
 // Timings is the per-stage cost breakdown of one query (§7.2).
 type Timings struct {
 	ClientTranslate time.Duration
@@ -518,49 +410,32 @@ type Timings struct {
 	AnswerBytes   int
 	BlocksShipped int
 
-	// Stale marks an answer served from the stale-fallback cache
-	// because the backend was unreachable (see EnableStaleFallback).
-	Stale bool
-	// Unverified marks a stale answer that could NOT be checked
-	// against the integrity root — it is set when integrity is
-	// enabled and the live answer failed verification (or the backend
-	// failed outright), so the cached copy's freshness is unknown.
-	// Callers surfacing such an answer must label it.
-	Unverified bool
-
-	// Degraded is always false: the server has no reduced serving
-	// mode, every answer is a full execution. Kept because callers
-	// already test it alongside Stale and Unverified.
-	Degraded bool
+	// Stale, Unverified and Degraded are always false: every answer
+	// the owner returns is live, verified when integrity is on, and a
+	// full execution; a backend that fails or tampers yields its
+	// error, never a cached or reduced answer. Kept because callers
+	// still test them.
+	Stale, Unverified, Degraded bool
 
 	// PlanStrategy and PlanEstimate echo the server planner's report
 	// for this query: which execution strategy produced the answer
 	// ("twig" = holistic twig match over the structure synopsis,
 	// "pairwise" = classic per-step interval joins) and the plan's
 	// admission-cost estimate. Empty/zero when the backend predates
-	// the planner or the answer came from the stale cache.
+	// the planner.
 	PlanStrategy string
 	PlanEstimate int64
 
 	// Generation and Epoch echo the server's db generation counter
 	// and boot nonce as carried by this query's answer (zero when the
-	// backend predates the echo or the answer came from the stale
-	// cache). Readers can assert monotonicity: under one epoch, a
+	// backend predates the echo). Readers can assert monotonicity: under one epoch, a
 	// later query must never observe a smaller generation.
 	Generation uint64
 	Epoch      uint64
 
-	// BlockCacheHits / BlockCacheMisses count how many of this
-	// query's blocks were served from the decrypted-block cache vs
-	// decrypted fresh (both zero when EnableBlockCache is off or the
-	// answer was stale).
-	BlockCacheHits   int
-	BlockCacheMisses int
-
 	// Streamed marks an answer that arrived as an SXS1 stream through a
 	// StreamBackend (every remote answer); StreamChunks and StreamBytes
-	// describe that transfer. All zero for an in-process backend or a
-	// stale-cache answer.
+	// describe that transfer. All zero for an in-process backend.
 	Streamed     bool
 	StreamChunks int
 	StreamBytes  int
@@ -718,29 +593,12 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	if err != nil {
 		return nil, nil, tm, err
 	}
-	qs.WantProof = sn.ring != nil
 
-	// A streaming-capable backend gets a decrypt pipeline to feed:
-	// blocks decrypt while the rest of the answer is still on the
-	// wire. Collect (below) releases that work only if it matches the
-	// answer the transport finally settled on. With a block cache the
-	// blocks decrypt after verification instead, so a block the cache
-	// already holds is not decrypted again.
-	var sd *client.StreamDecryptor
-	var sink wire.BlockSink
-	if _, ok := sn.backend.(StreamBackend); ok && sn.blocks == nil {
-		sd = s.Client.NewStreamDecryptor()
-		defer sd.Close()
-		sink = sd
-	}
-
-	start = time.Now()
-	ans, err := s.executeWithFallback(ctx, sn, qs, sink, &tm)
-	tm.ServerExec = time.Since(start) - tm.Verify
+	ans, blocks, err := s.execute(ctx, sn.backend, sn.ring, sn.verSeq, qs, &tm)
 	if err != nil {
 		return nil, nil, tm, err
 	}
-	if cmpSensitive && !tm.Stale && s.updSeq.Load() != sn.updSeq {
+	if cmpSensitive && s.updSeq.Load() != sn.updSeq {
 		// A flush started (or finished) during the round trip: the
 		// server may have answered from a generation whose OPESS bands
 		// this query's pinned translation predates — a silent miss,
@@ -750,41 +608,8 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	tm.AnswerBytes = ans.ByteSize()
 	tm.BlocksShipped = len(ans.Blocks)
 	tm.Transmit = s.Link.TransferTime(tm.AnswerBytes)
-	if !tm.Stale {
-		tm.Generation, tm.Epoch = ans.Generation, ans.Epoch
-		tm.PlanStrategy, tm.PlanEstimate = ans.PlanStrategy, ans.PlanCost
-	}
-
-	// The block cache serves verified-live answers only: a stale
-	// fallback copy's freshness is unknown, so it must neither be
-	// served from the cache nor seed it.
-	bc := sn.blocks
-	if tm.Stale {
-		bc = nil
-	}
-	start = time.Now()
-	var blocks map[int][]byte
-	var cacheHits int
-	if sd != nil {
-		// Streamed decryption ran before verification; the results
-		// surface only now, after the answer passed the verifier and
-		// was accepted. A mismatch — stale answer, torn attempt — falls
-		// through to the normal decrypt path below.
-		if m, ok := sd.Collect(ans); ok {
-			blocks = m
-		}
-	}
-	if blocks == nil {
-		blocks, cacheHits, err = s.Client.DecryptBlocksCached(ans, bc)
-	}
-	tm.ClientDecrypt = time.Since(start)
-	if err != nil {
-		return nil, nil, tm, err
-	}
-	if bc != nil {
-		tm.BlockCacheHits = cacheHits
-		tm.BlockCacheMisses = len(ans.Blocks) - cacheHits
-	}
+	tm.Generation, tm.Epoch = ans.Generation, ans.Epoch
+	tm.PlanStrategy, tm.PlanEstimate = ans.PlanStrategy, ans.PlanCost
 	s.applySimDecrypt(&tm, ans)
 
 	start = time.Now()
@@ -796,77 +621,72 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	return nodes, doc, tm, nil
 }
 
-// executeWithFallback runs the translated query against the backend,
-// feeding the stale cache on success and serving from it on failure
-// when EnableStaleFallback opted in. Cached answers are stored and
-// re-read as wire bytes, so a served copy can never alias (or be
-// mutated by) a previous caller.
+// execute is the one way an answer reaches the owner, for a query and
+// for an update's read half alike: it sends the translated query to
+// the live backend, verifies the answer once, and decrypts its blocks.
 //
-// With integrity enabled, a live answer is verified against the
-// Merkle root before it is accepted or cached — once, with the
-// commitment current at this read's pin as the floor: answers from
-// either side of a commit that raced the round trip verify, a
-// replayed pre-pin answer does not. The context tells a verifying
-// transport that floor (see answerCheck), so its in-attempt check is
-// the one; only an answer nobody checked for this read is checked
-// here. A verification failure is treated like a backend failure,
-// except the stale copy is additionally marked Unverified — it was
-// checked when cached, but its freshness can no longer be established
-// against a server that just proved itself byzantine.
-func (s *System) executeWithFallback(ctx context.Context, sn *readSnap, qs *wire.Query, sink wire.BlockSink, tm *Timings) (*wire.Answer, error) {
-	ck := &answerCheck{ring: sn.ring, floor: sn.verSeq}
-	if sn.ring != nil {
+// A streaming backend gets a decrypt pipeline to feed, so blocks
+// decrypt while the rest of the answer is still on the wire; Collect
+// releases that work only if it matches the answer the transport
+// finally settled on, and anything else is decrypted here.
+//
+// With integrity on (a non-nil ring), the answer is checked at floor:
+// the commitment current at a read's pin, or the ring's current
+// sequence for an update read, which runs under the exclusive lock.
+// Answers from either side of a commit that raced the round trip
+// verify; a replayed pre-pin answer does not. The context tells a
+// verifying transport that floor (see answerCheck), so its in-attempt
+// check is the one; only an answer nobody checked for this read is
+// checked here.
+func (s *System) execute(ctx context.Context, backend Backend, ring *verifierRing, floor uint64, qs *wire.Query, tm *Timings) (*wire.Answer, map[int][]byte, error) {
+	qs.WantProof = ring != nil
+	var ck *answerCheck
+	if ring != nil {
+		ck = &answerCheck{ring: ring, floor: floor}
 		ctx = context.WithValue(ctx, answerCheckKey{}, ck)
 	}
-	var key string
-	if sn.stale != nil {
-		if k, err := wire.MarshalQuery(qs); err == nil {
-			key = string(k)
-		}
-	}
+	start := time.Now()
 	var ans *wire.Answer
 	var err error
-	if sb, ok := sn.backend.(StreamBackend); ok {
+	var sd *client.StreamDecryptor
+	if sb, ok := backend.(StreamBackend); ok {
+		sd = s.Client.NewStreamDecryptor()
+		defer sd.Close()
 		var st *wire.StreamStats
-		ans, st, err = sb.ExecuteStream(ctx, qs, sink)
+		ans, st, err = sb.ExecuteStream(ctx, qs, sd)
 		if st != nil {
 			tm.Streamed = true
 			tm.StreamChunks = st.Chunks
 			tm.StreamBytes = st.Bytes
 		}
 	} else {
-		ans, err = sn.backend.Execute(ctx, qs)
+		ans, err = backend.Execute(ctx, qs)
 	}
-	if err == nil && sn.ring != nil && ck.accepted != ans {
-		if vErr := sn.ring.VerifyAnswerContext(ctx, ans); vErr != nil {
-			ans, err = nil, vErr
+	if err == nil && ck != nil {
+		if ck.accepted != ans {
+			err = ring.VerifyAnswerContext(ctx, ans)
 		}
+		tm.Verify = ck.took
 	}
-	tm.Verify = ck.took
-	if err == nil {
-		// Feed the stale cache only when no flush raced the round
-		// trip: a skewed answer may describe a state a commit just
-		// replaced, and while stale fallbacks are marked as such,
-		// there is no reason to seed the cache with one. Best-effort —
-		// an update committing right after this check still clears
-		// the cache itself.
-		if key != "" && s.updSeq.Load() == sn.updSeq {
-			if enc, mErr := wire.MarshalAnswer(ans); mErr == nil {
-				sn.stale.Put(key, enc)
-			}
-		}
-		return ans, nil
+	tm.ServerExec = time.Since(start) - tm.Verify
+	if err != nil {
+		return nil, nil, err
 	}
-	if key != "" {
-		if enc, ok := sn.stale.Get(key); ok {
-			if cached, uErr := wire.UnmarshalAnswer(enc); uErr == nil {
-				tm.Stale = true
-				tm.Unverified = sn.ring != nil
-				return cached, nil
-			}
-		}
+
+	start = time.Now()
+	var blocks map[int][]byte
+	ok := false
+	if sd != nil {
+		blocks, ok = sd.Collect(ans)
 	}
-	return nil, err
+	if !ok {
+		blocks, err = s.Client.DecryptBlocks(ans)
+	}
+	tm.ClientDecrypt = time.Since(start)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ans, blocks, nil
 }
 
 // applySimDecrypt substitutes the paper-era decryption cost model

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/authtree"
@@ -29,10 +30,10 @@ import (
 // internal/attack). The read hands its pin to whoever checks the
 // answer through its context (answerCheck), so each answer is checked
 // once, at that floor. The tail additionally bounds the window to
-// ringRetain commits. Readers that need the exact current root — the
-// update pipeline's own read half, Reconcile — run under the
-// System's exclusive lock where the ring cannot advance
-// concurrently.
+// ringRetain commits. The update pipeline's own read half runs under
+// the System's exclusive lock, where the ring cannot advance, and
+// pins the current sequence: it accepts only the current root (or a
+// staged one).
 //
 // Every verifier inside the ring is finalized (Root() called) before
 // it is published, and never mutated afterwards, so Verify* calls
@@ -56,6 +57,9 @@ type verifierRing struct {
 	// (Advance, Stage); verifySince waits on it as the last resort
 	// when an answer matches nothing yet.
 	advanced chan struct{}
+	// checks counts answer passes, whoever asked for them: core, or a
+	// transport holding the ring.
+	checks atomic.Uint64
 }
 
 // ringEntry is a retired verifier with the sequence it was current
@@ -156,8 +160,12 @@ func (r *verifierRing) unstageLocked(v *wire.AuthVerifier) {
 }
 
 // pinSeq returns the sequence of the current commitment; a read
-// records it at pin time and verifies with it as the floor.
+// records it at pin time and verifies with it as the floor. Zero on a
+// nil ring (integrity off).
 func (r *verifierRing) pinSeq() uint64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.curSeq
@@ -224,6 +232,7 @@ func (r *verifierRing) verifySince(minSeq uint64, check func(*wire.AuthVerifier)
 // verifyAnswerSince checks an answer with the reader's pinned
 // sequence as the acceptance floor.
 func (r *verifierRing) verifyAnswerSince(minSeq uint64, ans *wire.Answer) error {
+	r.checks.Add(1)
 	return r.verifySince(minSeq, func(v *wire.AuthVerifier) error { return v.VerifyAnswer(ans) })
 }
 
@@ -254,8 +263,8 @@ type answerCheckKey struct{}
 
 // VerifyAnswerContext implements wire.ContextVerifier: one pass, at
 // the floor of the read whose answerCheck ctx carries for this ring, or
-// with no floor when it carries none (the update pipeline's read half,
-// which runs under the exclusive lock).
+// with no floor when it carries none (a check with no owner read
+// behind it).
 func (r *verifierRing) VerifyAnswerContext(ctx context.Context, ans *wire.Answer) error {
 	ck, _ := ctx.Value(answerCheckKey{}).(*answerCheck)
 	if ck == nil || ck.ring != r {
@@ -279,6 +288,10 @@ func (r *verifierRing) VerifyAnswer(ans *wire.Answer) error {
 func (r *verifierRing) VerifyExtreme(lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error {
 	return r.verifyExtremeSince(0, lo, hi, max, found, blockID, block, proof)
 }
+
+// AnswerChecks reports how many answer passes the ring has made. With
+// integrity on, every answer the owner uses costs exactly one.
+func (r *verifierRing) AnswerChecks() uint64 { return r.checks.Load() }
 
 // Root implements wire.Verifier: the latest committed root.
 func (r *verifierRing) Root() authtree.Digest { return r.Current().Root() }

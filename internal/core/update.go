@@ -153,30 +153,17 @@ func (s *System) prepareUpdateLocked(ctx context.Context, path *xpath.Path, q, n
 	if err != nil {
 		return nil, false, err
 	}
-	// The read half of the read-modify-write is verified like any
-	// query: a verifying transport (remote.WithVerifier) rejects
-	// proofless answers, and an update must not be computed from an
-	// answer the server could have forged. With EnableMirrorReads on,
-	// the read is served by the owner's own replica instead — trusted
-	// by construction, so proofless and round-trip-free; this takes
-	// the serialized backend RTT out from under the exclusive lock,
-	// which is the batched pipeline's floor.
-	backend := s.Server
-	if s.mirrorExec != nil {
-		backend = Local{S: s.mirrorExec}
-	} else {
-		qs.WantProof = s.ring != nil
-	}
-	ans, err := backend.Execute(ctx, qs)
+	// The read half of the read-modify-write travels the query path:
+	// an update must not be computed from an answer the server could
+	// have forged, whether or not the transport verifies. The
+	// exclusive lock keeps the ring from advancing, so the check is at
+	// its current commitment.
+	ans, blocks, err := s.execute(ctx, s.Server, s.ring, s.ring.pinSeq(), qs, &Timings{})
 	if err != nil {
 		return nil, false, err
 	}
 	if s.queuedBlockConflictLocked(ans.BlockIDs) {
 		return nil, true, nil
-	}
-	blocks, err := s.Client.DecryptBlocks(ans)
-	if err != nil {
-		return nil, false, err
 	}
 	res, err := s.Client.PostProcessFull(path, ans, blocks)
 	if err != nil {
@@ -265,8 +252,8 @@ func (s *System) prepareUpdateLocked(ctx context.Context, path *xpath.Path, q, n
 }
 
 // commitBatchLocked finishes an acknowledged batch: promote the tail
-// member's verifier clone, apply the mirror, drop stale answers.
-// Caller holds the exclusive lock.
+// member's verifier clone and apply the mirror. Caller holds the
+// exclusive lock.
 func (s *System) commitBatchLocked(b *wire.UpdateBatch, nextVerifier *wire.AuthVerifier) {
 	if nextVerifier != nil && s.ring != nil {
 		// Advance the ring: remote.WithVerifier shares the RING, so
@@ -279,42 +266,6 @@ func (s *System) commitBatchLocked(b *wire.UpdateBatch, nextVerifier *wire.AuthV
 	}
 	for _, u := range b.Updates {
 		s.mirrorUpdate(u)
-	}
-	s.applyMirrorExec(b.Updates)
-	// Cached answers may now reference replaced blocks; drop them
-	// rather than serve a provably outdated fallback.
-	if s.staleCache != nil {
-		s.staleCache.Clear()
-	}
-}
-
-// applyMirrorExec replays committed frames onto the mirror-read
-// replica (no-op when EnableMirrorReads is off) so its value index
-// and generation track the server's. The replica shares the HostedDB
-// object, so mirrorUpdate has already written the blocks and folded
-// the index entries; replaying the band drop-and-re-add is idempotent
-// over that, and the replay is what rebuilds the replica's B-tree.
-// NewRoot is stripped: the replica keeps no Merkle state (the root
-// cross-check already ran on the real server), and carrying it would
-// make the replica build one lazily. A replica that rejects a frame
-// is dropped — reads fall back to the backend rather than run against
-// a replica that missed a commit. Caller holds s.mu exclusively.
-func (s *System) applyMirrorExec(us []*wire.Update) {
-	if s.mirrorExec == nil || len(us) == 0 {
-		return
-	}
-	stripped := make([]*wire.Update, len(us))
-	for i, u := range us {
-		if len(u.NewRoot) == 0 {
-			stripped[i] = u
-			continue
-		}
-		cp := *u
-		cp.NewRoot = nil
-		stripped[i] = &cp
-	}
-	if err := s.mirrorExec.ApplyUpdateBatch(stripped); err != nil {
-		s.mirrorExec = nil
 	}
 }
 

@@ -293,10 +293,9 @@ func pickLeaf(r *datagen.Rand, sh *docShape) *xmltree.Node {
 // proof must verify on every generated document, SC set, and query
 // shape.
 //
-// The client block cache is enabled and every query runs twice, so
-// the hot path — answer envelope and decrypted blocks served from
-// the generation-keyed caches — must agree with the plaintext
-// evaluation exactly as the cold path does.
+// Every query runs twice, so the hot path — plan, ranges and answer
+// served from the server's generation-keyed caches — must agree with
+// the plaintext evaluation exactly as the cold path does.
 func RunCase(c *Case) error {
 	for _, name := range Schemes {
 		sys, err := hostScheme(c, name, c.Doc)
@@ -311,18 +310,8 @@ func RunCase(c *Case) error {
 }
 
 // hostScheme boots one scheme's system for a case: integrity on,
-// block cache on, both sides forced to the parallel code paths.
+// both sides forced to the parallel code paths.
 func hostScheme(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.System, error) {
-	sys, err := hostSchemeUncached(c, name, doc)
-	if err != nil {
-		return nil, err
-	}
-	sys.EnableBlockCache(0, 0)
-	return sys, nil
-}
-
-// hostSchemeUncached is hostScheme without the block cache.
-func hostSchemeUncached(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.System, error) {
 	sys, err := core.Host(doc, c.SCs, name, []byte(fmt.Sprintf("difftest-%d", c.Seed)))
 	if err != nil {
 		return nil, fmt.Errorf("seed %d (%s): host scheme %s (SCs %v): %w",
@@ -372,8 +361,8 @@ func runQueries(c *Case, name core.SchemeName, sys *core.System, ref *xmltree.Do
 // edit renames every occurrence of some encrypted leaf value, the
 // same edit is mirrored onto a plaintext reference clone, and the
 // whole query list runs again. Every post-update pass therefore
-// checks that the generation bump really invalidated the answer,
-// range, plan and block caches — a stale cache serving the pre-update
+// checks that the generation bump really invalidated the server's
+// answer, range and plan caches — a stale cache serving the pre-update
 // state diverges from the mirrored plaintext immediately.
 func RunCaseWithUpdates(c *Case) error {
 	const updateRounds = 2

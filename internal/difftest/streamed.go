@@ -12,12 +12,12 @@ import (
 )
 
 // RunCaseStreamed runs the case's queries through a real HTTP round
-// trip, where every answer is an SXS1 stream: a pass that decrypts
-// blocks while they arrive, then, with the block cache on, a cold pass
-// that decrypts after verification and a hot one served from the
-// cache. Every pass must match the plaintext evaluation. Queries
-// within a pass run concurrently, so under -race this doubles as a
-// data-race probe of the stream decode + overlapped-decrypt pipeline.
+// trip, where every answer is an SXS1 stream whose blocks decrypt
+// while they arrive: an overlapped pass, then a repeat pass answered
+// from the server's caches. Every pass must match the plaintext
+// evaluation. Queries within a pass run concurrently, so under -race
+// this doubles as a data-race probe of the stream decode +
+// overlapped-decrypt pipeline.
 func RunCaseStreamed(c *Case) error {
 	for _, name := range Schemes {
 		if err := runStreamedScheme(c, name); err != nil {
@@ -33,7 +33,7 @@ func RunCaseStreamed(c *Case) error {
 const streamWorkers = 4
 
 func runStreamedScheme(c *Case, name core.SchemeName) error {
-	sys, err := hostSchemeUncached(c, name, c.Doc)
+	sys, err := hostScheme(c, name, c.Doc)
 	if err != nil {
 		return err
 	}
@@ -44,10 +44,7 @@ func runStreamedScheme(c *Case, name core.SchemeName) error {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	sys.UseBackend(remote.Dial(ts.URL, "d").WithHTTPClient(ts.Client()).WithVerifier(sys.Verifier()))
-	for _, pass := range []string{"overlapped", "cold", "hot"} {
-		if pass == "cold" {
-			sys.EnableBlockCache(0, 0)
-		}
+	for _, pass := range []string{"overlapped", "repeat"} {
 		if err := runQueriesConcurrent(c, name, sys, c.Doc, pass); err != nil {
 			return err
 		}
@@ -57,7 +54,7 @@ func runStreamedScheme(c *Case, name core.SchemeName) error {
 
 // runQueriesConcurrent is runQueries with the case's queries spread
 // across streamWorkers goroutines (single pass; the caller sequences
-// cold/hot passes explicitly).
+// the passes explicitly).
 func runQueriesConcurrent(c *Case, name core.SchemeName, sys *core.System, ref *xmltree.Document, label string) error {
 	var (
 		mu       sync.Mutex

@@ -11,8 +11,8 @@ var streamedCorpusSeeds = []uint64{1, 2, 1785901620815951921, 178590179640784719
 
 // TestStreamedDifferentialCorpus runs the streamed differential
 // harness on the fixed seed subset: streamed answers and plaintext
-// evaluation must agree, with overlapped decryption and across the
-// block cache.
+// evaluation must agree, with overlapped decryption, cold and when
+// answered from the server's caches.
 func TestStreamedDifferentialCorpus(t *testing.T) {
 	seeds := streamedCorpusSeeds
 	if testing.Short() {

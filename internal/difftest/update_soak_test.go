@@ -77,7 +77,6 @@ func TestUpdateSoak(t *testing.T) {
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatalf("EnableIntegrity: %v", err)
 	}
-	sys.EnableBlockCache(0, 0)
 	sys.Client.SetParallelism(4)
 
 	// The full remote stack: update-batch frames over HTTP, verified
@@ -90,7 +89,6 @@ func TestUpdateSoak(t *testing.T) {
 	defer ts.Close()
 	sys.UseBackend(remote.Dial(ts.URL, "soak").WithHTTPClient(ts.Client()).
 		WithVerifier(sys.Verifier()))
-	sys.EnableMirrorReads()
 	sys.EnableUpdateBatching(writers, 2*time.Millisecond)
 
 	// Every value any writer will ever commit, precomputed so readers

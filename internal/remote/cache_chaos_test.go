@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -12,20 +13,15 @@ import (
 	"repro/internal/xmltree"
 )
 
-// TestBlockCacheNeverServesOrStoresStale pins the two cache/breaker
-// interaction invariants down under an injected outage:
+// TestCachedAnswerOutageAndRecovery flips the breaker open mid-sequence
+// (threshold 1, injected 503) on a query the server's answer cache
+// already holds:
 //
-//  1. a block-cache hit is never served with Unverified set — hits
-//     only happen on live, integrity-checked answers;
-//  2. a stale fallback answer is never inserted into the block cache
-//     — the degraded path neither reads nor feeds it, so a later
-//     recovery resumes from exactly the plaintexts the last verified
-//     generation left behind.
-//
-// The breaker flips open mid-sequence (threshold 1, injected 503),
-// the query degrades to the stale cache, and the block cache's
-// counters must not move at all while degraded.
-func TestBlockCacheNeverServesOrStoresStale(t *testing.T) {
+//  1. during the outage the owner returns the typed error — the
+//     injected 503, then ErrCircuitOpen — never an answer;
+//  2. after the cooldown the same query is answered live and
+//     verified, at the generation it had before the outage.
+func TestCachedAnswerOutageAndRecovery(t *testing.T) {
 	doc, _ := xmltree.ParseString(hospitalXML)
 	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("cache-chaos"))
 	if err != nil {
@@ -34,8 +30,6 @@ func TestBlockCacheNeverServesOrStoresStale(t *testing.T) {
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatalf("EnableIntegrity: %v", err)
 	}
-	sys.EnableStaleFallback(16, 1<<20)
-	sys.EnableBlockCache(64, 1<<20)
 
 	svc := NewService()
 	var failing atomic.Bool
@@ -52,93 +46,51 @@ func TestBlockCacheNeverServesOrStoresStale(t *testing.T) {
 	cl := Dial(ts.URL, "hospital").
 		WithHTTPClient(ts.Client()).
 		WithRetry(NoRetry).
-		WithBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: 30 * time.Millisecond, ProbeTimeout: time.Second})
+		WithBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: 30 * time.Millisecond, ProbeTimeout: time.Second}).
+		WithVerifier(sys.Verifier())
 	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	sys.UseBackend(cl)
 
 	const q = "//patient[.//disease='leukemia']/pname"
-
-	// Phase 1: cold verified query seeds the block cache.
-	_, _, cold, err := sys.Query(q)
-	if err != nil {
-		t.Fatalf("cold query: %v", err)
-	}
-	if cold.Stale || cold.Unverified {
-		t.Fatalf("cold answer marked stale=%v unverified=%v", cold.Stale, cold.Unverified)
-	}
-	if cold.BlockCacheMisses == 0 {
-		t.Fatalf("cold query decrypted no blocks — test needs a block-shipping query")
-	}
-	if cold.Generation == 0 || cold.Epoch == 0 {
-		t.Fatalf("remote answer did not echo the generation (epoch=%d gen=%d)", cold.Epoch, cold.Generation)
-	}
-
-	// Phase 2: warm verified query — hits, and invariant (1): a hit is
-	// never Unverified.
-	nodes, _, warm, err := sys.Query(q)
-	if err != nil {
-		t.Fatalf("warm query: %v", err)
-	}
-	if warm.BlockCacheHits != cold.BlockCacheMisses || warm.BlockCacheMisses != 0 {
-		t.Fatalf("warm query hits=%d misses=%d, want %d/0", warm.BlockCacheHits, warm.BlockCacheMisses, cold.BlockCacheMisses)
-	}
-	if warm.Unverified || warm.Stale {
-		t.Fatalf("block-cache hit served with stale=%v unverified=%v", warm.Stale, warm.Unverified)
-	}
-	if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" {
-		t.Fatalf("warm answer: %v", core.ResultStrings(nodes))
-	}
-	quiet := sys.BlockCacheStats()
-
-	// Phase 3: outage. The first failure trips the breaker
-	// (threshold 1); this query and the next degrade to the stale
-	// cache. Neither may touch the block cache.
-	failing.Store(true)
-	for i := 0; i < 2; i++ {
+	var warm core.Timings
+	for i := 0; i < 2; i++ { // the second run is served from the answer cache
 		nodes, _, tm, err := sys.Query(q)
 		if err != nil {
-			t.Fatalf("degraded query %d: %v", i, err)
-		}
-		if !tm.Stale || !tm.Unverified {
-			t.Fatalf("degraded query %d not marked: stale=%v unverified=%v", i, tm.Stale, tm.Unverified)
+			t.Fatalf("query %d: %v", i, err)
 		}
 		if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" {
-			t.Fatalf("degraded answer %d: %v", i, core.ResultStrings(nodes))
+			t.Fatalf("answer %d: %v", i, core.ResultStrings(nodes))
 		}
-		if tm.BlockCacheHits != 0 || tm.BlockCacheMisses != 0 {
-			t.Errorf("degraded query %d touched the block cache: hits=%d misses=%d",
-				i, tm.BlockCacheHits, tm.BlockCacheMisses)
-		}
-		if tm.Generation != 0 {
-			t.Errorf("degraded query %d echoes generation %d; stale freshness is unknown, want 0", i, tm.Generation)
-		}
+		warm = tm
 	}
-	// Invariant (2): the whole degraded phase left the cache
-	// untouched — no hit, no miss, no insertion, no eviction.
-	if got := sys.BlockCacheStats(); got != quiet {
-		t.Errorf("block cache moved while degraded:\n before %+v\n after  %+v", quiet, got)
+	if warm.Generation == 0 || warm.Epoch == 0 {
+		t.Fatalf("remote answer did not echo the generation (epoch=%d gen=%d)", warm.Epoch, warm.Generation)
 	}
 
-	// Phase 4: recovery. Heal, wait out the cooldown; the live path
-	// resumes from the still-valid cached plaintexts (same epoch and
-	// generation), verified again.
+	failing.Store(true)
+	for i := 0; i < 2; i++ {
+		nodes, _, _, err := sys.Query(q)
+		if err == nil || nodes != nil {
+			t.Fatalf("query %d during the outage: %d nodes, err %v; want a typed error and no answer", i, len(nodes), err)
+		}
+		if i == 1 && !errors.Is(err, ErrCircuitOpen) {
+			t.Errorf("query with the breaker open: %v, want ErrCircuitOpen", err)
+		}
+	}
+
 	failing.Store(false)
 	time.Sleep(40 * time.Millisecond)
-	_, _, rec, err := sys.Query(q)
+	nodes, _, rec, err := sys.Query(q)
 	if err != nil {
 		t.Fatalf("post-recovery query: %v", err)
 	}
-	if rec.Stale || rec.Unverified {
-		t.Fatalf("post-recovery answer marked stale=%v unverified=%v", rec.Stale, rec.Unverified)
+	if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" || rec.Verify <= 0 {
+		t.Fatalf("post-recovery answer %v (verify %v), want a verified [Matt]", core.ResultStrings(nodes), rec.Verify)
 	}
-	if rec.BlockCacheHits == 0 || rec.BlockCacheMisses != 0 {
-		t.Errorf("post-recovery query hits=%d misses=%d, want all hits (cache should have survived the outage)",
-			rec.BlockCacheHits, rec.BlockCacheMisses)
-	}
-	if rec.Generation != cold.Generation || rec.Epoch != cold.Epoch {
+	if rec.Generation != warm.Generation || rec.Epoch != warm.Epoch {
 		t.Errorf("generation moved across the outage without an update: %d:%d -> %d:%d",
-			cold.Epoch, cold.Generation, rec.Epoch, rec.Generation)
+			warm.Epoch, warm.Generation, rec.Epoch, rec.Generation)
 	}
 }

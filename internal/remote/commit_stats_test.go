@@ -201,9 +201,6 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	}
 	var fsyncs atomic.Int64
 	sys, ts := durableOwner(t, doc, scSpecs, PersistOptions{FS: syncHookFS{hook: func() { fsyncs.Add(1) }}})
-	// Mirror reads keep each writer's read half off the wire, so the
-	// lock is held only for the prepare and members pile up behind it.
-	sys.EnableMirrorReads()
 	sys.EnableUpdateBatching(writers, 20*time.Millisecond)
 	fsyncs0 := fsyncs.Load()
 

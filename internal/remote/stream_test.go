@@ -170,70 +170,35 @@ func TestStreamResponseTooLarge(t *testing.T) {
 }
 
 // TestStreamWithIntegrityAndCache runs the streamed path with the
-// Merkle verifier and the block cache on: streamed answers verify,
-// their blocks decrypt only after verification and enter the cache,
-// and the same query, asked again through the same client, is served
-// every block from the cache.
+// Merkle verifier on: streamed answers verify and their blocks decrypt
+// while they arrive, and the same query, asked again and answered from
+// the server's answer cache, is streamed and verified again.
 func TestStreamWithIntegrityAndCache(t *testing.T) {
 	sys, cl, _ := remoteSystemClient(t)
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatalf("EnableIntegrity: %v", err)
 	}
 	cl.WithVerifier(sys.Verifier())
-	sys.EnableBlockCache(0, 0)
 
-	_, _, tm, err := sys.Query("//patient")
+	nodes, _, tm, err := sys.Query("//patient")
 	if err != nil {
 		t.Fatalf("streamed query: %v", err)
 	}
-	if !tm.Streamed {
-		t.Fatalf("answer was not streamed")
+	if !tm.Streamed || tm.Verify <= 0 {
+		t.Fatalf("answer streamed=%v verify=%v, want a streamed, verified answer", tm.Streamed, tm.Verify)
 	}
 	if tm.BlocksShipped == 0 {
-		t.Fatalf("query shipped no blocks; cache check is vacuous")
+		t.Fatalf("query shipped no blocks; the decrypt check is vacuous")
 	}
 
-	// The same query again: the blocks the first stream decrypted must
-	// already be in the cache.
-	_, _, tm2, err := sys.Query("//patient")
+	nodes2, _, tm2, err := sys.Query("//patient")
 	if err != nil {
 		t.Fatalf("repeated query: %v", err)
 	}
-	if tm2.BlockCacheHits != tm.BlocksShipped {
-		t.Errorf("repeated query hit %d cached blocks, want %d",
-			tm2.BlockCacheHits, tm.BlocksShipped)
+	if !tm2.Streamed || tm2.Verify <= 0 {
+		t.Errorf("repeated answer streamed=%v verify=%v, want a streamed, verified answer", tm2.Streamed, tm2.Verify)
 	}
-}
-
-// TestStreamStaleFallback: the stale-answer fallback of PR 1 survives
-// streaming — when the service dies, a streaming client still serves
-// the cached answer, marked stale, never a partial stream.
-func TestStreamStaleFallback(t *testing.T) {
-	sys, cl, ts := remoteSystemClient(t)
-	cl.WithRetry(NoRetry).WithBreaker(BreakerConfig{})
-	sys.EnableStaleFallback(0, 0)
-
-	nodes, _, tm, err := sys.Query("//patient/pname")
-	if err != nil {
-		t.Fatalf("live query: %v", err)
-	}
-	if !tm.Streamed {
-		t.Fatalf("live answer was not streamed")
-	}
-	want := core.ResultStrings(nodes)
-
-	ts.Close()
-	nodes, _, tm, err = sys.Query("//patient/pname")
-	if err != nil {
-		t.Fatalf("stale query: %v", err)
-	}
-	if !tm.Stale {
-		t.Errorf("answer after server death not marked stale")
-	}
-	if tm.Streamed {
-		t.Errorf("stale answer marked streamed")
-	}
-	if got := core.ResultStrings(nodes); !reflect.DeepEqual(got, want) {
-		t.Errorf("stale answer %v != live answer %v", got, want)
+	if got, want := core.ResultStrings(nodes2), core.ResultStrings(nodes); !reflect.DeepEqual(got, want) {
+		t.Errorf("repeated answer %v != first answer %v", got, want)
 	}
 }

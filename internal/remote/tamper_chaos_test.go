@@ -17,8 +17,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// TestTamperTripsBreakerAndServesStale is the full degradation story
-// for a server that turns byzantine mid-flight:
+// TestTamperTripsBreaker is the whole story for a server that turns
+// byzantine mid-flight:
 //
 //  1. the tampered answer carries a valid stream trailer checksum (the
 //     bytes are exactly what the server sent) but fails Merkle
@@ -27,9 +27,9 @@ import (
 //     it another oracle query;
 //  3. the breaker trips immediately (no waiting for the consecutive-
 //     failure threshold), so the next query never touches the wire;
-//  4. the client degrades to its stale-answer cache, with the answer
-//     explicitly marked Stale AND Unverified.
-func TestTamperTripsBreakerAndServesStale(t *testing.T) {
+//  4. neither query returns an answer: the owner surfaces the typed
+//     error (ErrTampered, then ErrCircuitOpen) and nothing else.
+func TestTamperTripsBreaker(t *testing.T) {
 	doc, _ := xmltree.ParseString(hospitalXML)
 	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("tamper-chaos"))
 	if err != nil {
@@ -38,7 +38,6 @@ func TestTamperTripsBreakerAndServesStale(t *testing.T) {
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatalf("EnableIntegrity: %v", err)
 	}
-	sys.EnableStaleFallback(16, 1<<20)
 
 	svc := NewService()
 	var tampering atomic.Bool
@@ -86,31 +85,22 @@ func TestTamperTripsBreakerAndServesStale(t *testing.T) {
 
 	const q = "//patient[.//disease='leukemia']/pname"
 
-	// Honest query: verified, cached, unmarked.
-	nodes, _, tm, err := sys.Query(q)
+	// Honest query: verified and answered.
+	nodes, _, _, err := sys.Query(q)
 	if err != nil {
 		t.Fatalf("honest query: %v", err)
 	}
 	if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" {
 		t.Fatalf("honest answer: %v", core.ResultStrings(nodes))
 	}
-	if tm.Stale || tm.Unverified {
-		t.Fatalf("honest answer marked stale=%v unverified=%v", tm.Stale, tm.Unverified)
-	}
 
-	// Byzantine phase: the query must still succeed — from the stale
-	// cache, explicitly marked — after exactly ONE wire attempt.
+	// Byzantine phase: ErrTampered and no answer, after exactly ONE
+	// wire attempt.
 	tampering.Store(true)
 	before := queryHits.Load()
-	nodes, _, tm, err = sys.Query(q)
-	if err != nil {
-		t.Fatalf("query during tampering (stale fallback expected): %v", err)
-	}
-	if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" {
-		t.Fatalf("stale answer: %v", core.ResultStrings(nodes))
-	}
-	if !tm.Stale || !tm.Unverified {
-		t.Fatalf("tampered-era answer must be marked stale+unverified, got stale=%v unverified=%v", tm.Stale, tm.Unverified)
+	nodes, _, _, err = sys.Query(q)
+	if !errors.Is(err, authtree.ErrTampered) || nodes != nil {
+		t.Fatalf("query during tampering: %d nodes, err %v; want ErrTampered and no answer", len(nodes), err)
 	}
 	if got := queryHits.Load() - before; got != 1 {
 		t.Errorf("tampered answer retried: %d wire attempts, want 1", got)
@@ -118,27 +108,14 @@ func TestTamperTripsBreakerAndServesStale(t *testing.T) {
 
 	// The single ErrTampered tripped the breaker (threshold 100 was
 	// nowhere near reached): the next query must not touch the wire
-	// at all, and still degrades to the marked stale answer.
+	// at all, and fails typed.
 	before = queryHits.Load()
-	_, _, tm, err = sys.Query(q)
-	if err != nil {
-		t.Fatalf("query with breaker open (stale fallback expected): %v", err)
-	}
-	if !tm.Stale || !tm.Unverified {
-		t.Errorf("breaker-open answer must be marked stale+unverified, got stale=%v unverified=%v", tm.Stale, tm.Unverified)
+	nodes, _, _, err = sys.Query(q)
+	if !errors.Is(err, ErrCircuitOpen) || nodes != nil {
+		t.Errorf("query with the breaker open: %d nodes, err %v; want ErrCircuitOpen and no answer", len(nodes), err)
 	}
 	if got := queryHits.Load() - before; got != 0 {
 		t.Errorf("breaker open but %d wire attempts reached the service", got)
-	}
-
-	// Without the stale cache the failure is loud and typed: a fresh
-	// query (different key, no cached copy) surfaces the breaker.
-	_, _, _, err = sys.Query("//patient[.//disease='diarrhea']/pname")
-	if err == nil {
-		t.Fatal("uncached query during outage succeeded")
-	}
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Errorf("uncached query error %v, want ErrCircuitOpen", err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/authtree"
 	"repro/internal/core"
+	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
@@ -97,12 +98,18 @@ func (p *replayProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (p *replayProxy) set(f func(*replayProxy)) { p.mu.Lock(); f(p); p.mu.Unlock() }
 func (p *replayProxy) seen() int                { p.mu.Lock(); defer p.mu.Unlock(); return p.queries }
 
+// ringChecks counts the answer passes a system's ring has made.
+func ringChecks(sys *core.System) uint64 {
+	return sys.Verifier().(interface{ AnswerChecks() uint64 }).AnswerChecks()
+}
+
 // TestAnswerVerifiedOncePerQuery: with the owner's ring installed in
 // the transport (WithVerifier(sys.Verifier()), as every integrity-on
 // dial does), a query's answer is checked once — inside Client.do, at
 // the floor the read pinned — and core does not check it again; where
 // the transport did not check for this read (an in-process backend, a
-// transport holding another system's ring), core still does.
+// transport holding another system's ring), core still does. An
+// update's read half is held to the same rule.
 func TestAnswerVerifiedOncePerQuery(t *testing.T) {
 	const q = "//patient[.//disease='leukemia']/pname"
 	host := func(t *testing.T) *core.System {
@@ -118,12 +125,16 @@ func TestAnswerVerifiedOncePerQuery(t *testing.T) {
 	}
 	mustMatt := func(t *testing.T, sys *core.System) core.Timings {
 		t.Helper()
+		before := ringChecks(sys)
 		nodes, _, tm, err := sys.Query(q)
 		if err != nil {
 			t.Fatalf("query: %v", err)
 		}
-		if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" || tm.Stale || tm.Unverified {
-			t.Fatalf("answer %v (stale %v, unverified %v)", core.ResultStrings(nodes), tm.Stale, tm.Unverified)
+		if len(nodes) != 1 || nodes[0].LeafValue() != "Matt" {
+			t.Fatalf("answer %v", core.ResultStrings(nodes))
+		}
+		if got := ringChecks(sys) - before; got != 1 {
+			t.Fatalf("one query answer took %d passes of the owner's ring, want 1", got)
 		}
 		return tm
 	}
@@ -224,6 +235,40 @@ func TestAnswerVerifiedOncePerQuery(t *testing.T) {
 		}
 	})
 
+	// An update's read half: through a verifying transport the
+	// transport's pass is the one (the spent proof would fail a second),
+	// and through a plain one core makes it.
+	t.Run("update read", func(t *testing.T) {
+		for _, verifying := range []bool{true, false} {
+			sys := host(t)
+			ts := httptest.NewServer(NewService())
+			defer ts.Close()
+			cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client())
+			cv := &countingVerifier{ContextVerifier: sys.Verifier().(wire.ContextVerifier), spent: true}
+			if verifying {
+				cl.WithVerifier(cv)
+			}
+			if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
+				t.Fatalf("Upload: %v", err)
+			}
+			sys.UseBackend(cl)
+			before := ringChecks(sys)
+			if n, err := sys.UpdateLeafValues("//patient[pname='Matt']//disease", "cholera"); err != nil || n == 0 {
+				t.Fatalf("verifying transport %v: update changed %d values: %v", verifying, n, err)
+			}
+			if got := ringChecks(sys) - before; got != 1 {
+				t.Errorf("verifying transport %v: the update read took %d passes of the owner's ring, want 1", verifying, got)
+			}
+			want := int32(0)
+			if verifying {
+				want = 1
+			}
+			if pinned, bare := cv.pinned.Load(), cv.bare.Load(); pinned != want || bare != 0 {
+				t.Errorf("verifying transport %v: %d pinned + %d unpinned transport checks, want %d + 0", verifying, pinned, bare, want)
+			}
+		}
+	})
+
 	// An in-process backend verifies nothing on the way: core's pass is
 	// the one, it is reported, and it is enforced.
 	t.Run("local", func(t *testing.T) {
@@ -249,4 +294,49 @@ func (p proofless) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, er
 		a = &cp
 	}
 	return a, err
+}
+
+// TestUpdateReadVerified: the read half of an update is an answer the
+// owner acts on, so a forged one must stop the update with ErrTampered
+// even where the transport verifies nothing: in process, and over a
+// remote client dialled without a verifier. The server swaps every
+// adjacent pair of blocks; each still decrypts, so an unverified read
+// would silently compute the update from the wrong values.
+func TestUpdateReadVerified(t *testing.T) {
+	const path = "//patient[pname='Matt']/treat[1]/disease"
+	for _, backend := range []string{"local", "remote without verifier"} {
+		t.Run(backend, func(t *testing.T) {
+			doc, _ := xmltree.ParseString(hospitalXML)
+			sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("update-read-verified"))
+			if err != nil {
+				t.Fatalf("Host: %v", err)
+			}
+			if err := sys.EnableIntegrity(); err != nil {
+				t.Fatalf("EnableIntegrity: %v", err)
+			}
+			forged := *sys.HostedDB
+			forged.Blocks = append([][]byte(nil), forged.Blocks...)
+			for i := 0; i+1 < len(forged.Blocks); i += 2 {
+				forged.Blocks[i], forged.Blocks[i+1] = forged.Blocks[i+1], forged.Blocks[i]
+			}
+			if backend == "local" {
+				sys.UseBackend(core.Local{S: server.New(&forged)})
+			} else {
+				svc := NewService()
+				if err := RegisterLocal(svc, "hospital", &forged); err != nil {
+					t.Fatalf("RegisterLocal: %v", err)
+				}
+				ts := httptest.NewServer(svc)
+				defer ts.Close()
+				sys.UseBackend(Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()))
+			}
+
+			if _, _, _, err := sys.Query(path); !errors.Is(err, authtree.ErrTampered) {
+				t.Fatalf("query over forged blocks: %v, want ErrTampered", err)
+			}
+			if n, err := sys.UpdateLeafValues(path, "cholera"); !errors.Is(err, authtree.ErrTampered) {
+				t.Fatalf("update over forged blocks: changed %d values, err %v; want ErrTampered", n, err)
+			}
+		})
+	}
 }

@@ -151,13 +151,10 @@ type Timings struct {
 	ClientPost      time.Duration
 	AnswerBytes     int
 	BlocksShipped   int
-	// Stale marks an answer served from the stale-fallback cache
-	// because the remote backend was unreachable.
-	Stale bool
 	// PlanStrategy reports which server execution strategy produced
 	// the answer: "twig" (holistic twig match over the structure
 	// synopsis) or "pairwise" (per-step interval joins). Empty when
-	// the backend predates the planner or the answer was stale.
+	// the backend predates the planner.
 	// PlanEstimate is the planner's admission-cost estimate.
 	PlanStrategy string
 	PlanEstimate int64
@@ -243,7 +240,6 @@ func convertTimings(tm core.Timings) Timings {
 		ClientPost:      tm.ClientPost,
 		AnswerBytes:     tm.AnswerBytes,
 		BlocksShipped:   tm.BlocksShipped,
-		Stale:           tm.Stale,
 		PlanStrategy:    tm.PlanStrategy,
 		PlanEstimate:    tm.PlanEstimate,
 	}
