@@ -52,7 +52,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "max queued requests before instant shed (0 = 64 default)")
 	queueWait := flag.Duration("queue-wait", 0, "max time a request queues for capacity before a 503 (0 = 2s default)")
 	streamWriteTimeout := flag.Duration("stream-write-timeout", 0, "write deadline per 16 KiB flush stride of a query answer; slow readers are cut off (0 = 30s default, negative disables)")
-	walGroupWait := flag.Duration("wal-group-wait", 0, "group-commit window: how long a WAL fsync waits to absorb concurrent updates (0 = sync immediately)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between full checkpoints truncating the WAL (0 = default 64)")
 	chaosRate := flag.Float64("chaos", 0, "inject faults (latency/5xx/truncation) at this rate per request — testing only")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic seed for -chaos")
@@ -68,7 +67,6 @@ func main() {
 	if *dataDir != "" {
 		var err error
 		svc, err = remote.NewPersistentServiceOpts(*dataDir, remote.PersistOptions{
-			WALGroupWait:    *walGroupWait,
 			CheckpointEvery: *checkpointEvery,
 		})
 		if err != nil {

@@ -2,10 +2,11 @@ package client
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/opess"
-	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -95,6 +96,53 @@ func (c *Client) RebuildEntries(tagKey string) ([]btree.Entry, uint8, error) {
 	return entries, band, nil
 }
 
+// TableMark is the client's translation state from before an update
+// edited it: the published transformer table and the occurrence
+// bookkeeping of the attributes the update touches. RestoreTables puts
+// it back when the update never reaches the server.
+type TableMark struct {
+	attrs *attrTable
+	occ   map[string]*tagOccurrences
+}
+
+// MarkTables records the translation state an update is about to edit
+// through ApplyValueEdit and RebuildEntries on the given attributes.
+// The marked bookkeeping is kept aside and the live tables edit a copy
+// of it, so restoring is two pointer swaps.
+func (c *Client) MarkTables(tagKeys []string) *TableMark {
+	m := &TableMark{attrs: c.attrs.Load(), occ: make(map[string]*tagOccurrences, len(tagKeys))}
+	for _, k := range tagKeys {
+		if o, ok := c.occ[k]; ok {
+			m.occ[k] = o
+			c.occ[k] = o.clone()
+		}
+	}
+	return m
+}
+
+// RestoreTables returns the translation state to mark m. Marks taken
+// after m must be restored first, newest first.
+func (c *Client) RestoreTables(m *TableMark) {
+	c.attrs.Store(m.attrs)
+	for k, o := range m.occ {
+		c.occ[k] = o
+	}
+}
+
+// clone deep-copies the bookkeeping, so edits to the copy never reach
+// the original's maps or slices.
+func (o *tagOccurrences) clone() *tagOccurrences {
+	cp := &tagOccurrences{
+		freq:   maps.Clone(o.freq),
+		blocks: make(map[string][]int, len(o.blocks)),
+		order:  slices.Clone(o.order),
+	}
+	for v, ids := range o.blocks {
+		cp.blocks[v] = slices.Clone(ids)
+	}
+	return cp
+}
+
 // ReencryptBlock rebuilds an encryption block from its (edited)
 // plaintext content node: fresh envelope, fresh decoy, fresh nonce.
 func (c *Client) ReencryptBlock(content *xmltree.Node) ([]byte, error) {
@@ -117,5 +165,3 @@ func (c *Client) IndexedBand(tagKey string) (uint8, bool) {
 	b, ok := c.bands[tagKey]
 	return b, ok
 }
-
-var _ = wire.Update{} // the update flow is orchestrated by core

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -34,41 +33,20 @@ func (s *System) AggregateMinMaxContext(ctx context.Context, pathStr string, max
 	if err != nil {
 		return "", Timings{}, err
 	}
-	skew := 0
-	for {
-		var (
-			v   string
-			tm  Timings
-			err error
-		)
-		if skew < maxSkewRetries {
-			v, tm, err = s.aggregateOnce(ctx, s.pin(), path, pathStr, max)
-		} else {
-			// Escalate like QueryPathContext: under the read lock no
-			// flush can race, so the attempt cannot skew again.
-			s.pin()
-			s.mu.RLock()
-			v, tm, err = s.aggregateOnce(ctx, s.snap.Load(), path, pathStr, max)
-			s.mu.RUnlock()
-		}
-		if errors.Is(err, errUpdateConflict) {
-			// A queued update touched the band this aggregate probes
-			// (or a band its predicates compare through); push the
-			// group commit out and retry against the settled state.
-			s.FlushUpdates(ctx)
-			continue
-		}
-		if errors.Is(err, errSnapshotSkew) {
-			skew++
-			continue
-		}
-		return v, tm, err
-	}
+	var (
+		v  string
+		tm Timings
+	)
+	err = s.read(ctx, func(sn *readSnap) (err error) {
+		v, tm, err = s.aggregateOnce(ctx, sn, path, pathStr, max)
+		return err
+	})
+	return v, tm, err
 }
 
 // aggregateOnce is one attempt of the aggregate pipeline against a
-// pinned readSnap; errUpdateConflict asks the entry point to flush
-// queued updates and retry, errSnapshotSkew to re-pin and retry.
+// pinned readSnap; errUpdateConflict asks the entry point to wait for
+// the unsettled batch and retry, errSnapshotSkew to re-pin and retry.
 func (s *System) aggregateOnce(ctx context.Context, sn *readSnap, path *xpath.Path, pathStr string, max bool) (string, Timings, error) {
 	// One pin covers both the index probe and the query fallback, so
 	// both halves translate through the same transformer table.

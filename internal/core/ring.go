@@ -44,15 +44,15 @@ type verifierRing struct {
 	cur     *wire.AuthVerifier
 	curSeq  uint64
 	retired []ringEntry // oldest first
-	// staged holds roots the owner computed at prepare time for
-	// commits whose frames are SENT but not yet acknowledged. The
-	// server applies a commit before its response travels back, so an
-	// answer can honestly carry the next root an entire round trip
-	// before Advance installs it; staging closes that window without
-	// waiting. Sound because a staged root is the owner's OWN
-	// commitment for an update it chose to send — a server cannot
-	// forge an answer into it, only apply the owner's update.
-	staged []*wire.AuthVerifier
+	// staged is the root the owner computed at prepare time for the
+	// one batch whose frame is SENT but not yet acknowledged (nil when
+	// none is). The server applies a commit before its response
+	// travels back, so an answer can honestly carry the next root an
+	// entire round trip before Advance installs it; staging closes
+	// that window without waiting. Sound because a staged root is the
+	// owner's OWN commitment for an update it chose to send — a server
+	// cannot forge an answer into it, only apply the owner's update.
+	staged *wire.AuthVerifier
 	// advanced is closed and replaced whenever the verifier set grows
 	// (Advance, Stage); verifySince waits on it as the last resort
 	// when an answer matches nothing yet.
@@ -100,17 +100,7 @@ func (r *verifierRing) Advance(next *wire.AuthVerifier) {
 	if r.cur != nil {
 		r.retired = append(r.retired, ringEntry{seq: r.curSeq, v: r.cur})
 	}
-	// Commits serialize under the System's write lock, so everything
-	// staged belongs to the window this Advance settles. Any staged
-	// root other than next (a sequential flush's mid-chain states)
-	// was a real, now superseded, server state: retire it at the
-	// outgoing verifier's floor so pins from before the window still
-	// accept it and pins after reject it.
-	for _, sv := range r.staged {
-		if sv != next {
-			r.retired = append(r.retired, ringEntry{seq: r.curSeq, v: sv})
-		}
-	}
+	// At most one batch is in flight, so the staged root is next.
 	r.staged = nil
 	if len(r.retired) > ringRetain {
 		r.retired = r.retired[len(r.retired)-ringRetain:]
@@ -130,12 +120,7 @@ func (r *verifierRing) Stage(v *wire.AuthVerifier) {
 	v.Root()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Copy-on-write: readers iterate the slice they captured under
-	// RLock after releasing it.
-	next := make([]*wire.AuthVerifier, len(r.staged)+1)
-	copy(next, r.staged)
-	next[len(r.staged)] = v
-	r.staged = next
+	r.staged = v
 	close(r.advanced)
 	r.advanced = make(chan struct{})
 }
@@ -144,18 +129,8 @@ func (r *verifierRing) Stage(v *wire.AuthVerifier) {
 func (r *verifierRing) Unstage(v *wire.AuthVerifier) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.unstageLocked(v)
-}
-
-func (r *verifierRing) unstageLocked(v *wire.AuthVerifier) {
-	for i, sv := range r.staged {
-		if sv == v {
-			// Copy-on-write, like Stage: never shift under a reader.
-			next := make([]*wire.AuthVerifier, 0, len(r.staged)-1)
-			next = append(next, r.staged[:i]...)
-			r.staged = append(next, r.staged[i+1:]...)
-			return
-		}
+	if r.staged == v {
+		r.staged = nil
 	}
 }
 
@@ -204,12 +179,10 @@ func (r *verifierRing) verifySince(minSeq uint64, check func(*wire.AuthVerifier)
 		if curErr == nil {
 			return nil
 		}
-		// Staged roots are strictly newer than cur, so they satisfy
-		// any pin floor; newest first, like the tail.
-		for i := len(staged) - 1; i >= 0; i-- {
-			if check(staged[i]) == nil {
-				return nil
-			}
+		// A staged root is strictly newer than cur, so it satisfies
+		// any pin floor.
+		if staged != nil && check(staged) == nil {
+			return nil
 		}
 		for i := len(tail) - 1; i >= 0; i-- {
 			if tail[i].seq < minSeq {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -26,12 +25,12 @@ type batchEdit struct {
 	err error
 }
 
-// RunCaseWithBatchedUpdates is RunCase with the group-commit update
-// pipeline engaged: between query passes, several concurrent callers
-// update disjoint (tag, value) targets through one System with
-// EnableUpdateBatching on, so the batcher coalesces them into shared
-// flushes (conflicting members are serialized by the barriers, which
-// is part of the coverage). Every caller then runs verified queries
+// RunCaseWithBatchedUpdates is RunCase with concurrent updaters on the
+// group-commit pipeline: between query passes, several callers update
+// disjoint (tag, value) targets through one System at once, so members
+// that queue behind an in-flight batch share the next one, and members
+// that conflict with an unsettled one wait at the barriers (which is
+// part of the coverage). Every caller then runs verified queries
 // of its own target — with integrity enabled, each answer's Merkle
 // proof is checked against the root the caller's batch advanced the
 // shared verifier to, so each member's individual edit is proven
@@ -51,9 +50,6 @@ func RunCaseWithBatchedUpdates(c *Case) error {
 		if err != nil {
 			return err
 		}
-		// Batch fills at the round's member count; the timer flush
-		// covers rounds where barrier conflicts split the batch.
-		sys.EnableUpdateBatching(membersMax, 20*time.Millisecond)
 		if err := runQueries(c, name, sys, ref); err != nil {
 			return err
 		}

@@ -21,10 +21,11 @@ import (
 //	go test ./internal/difftest -race -run UpdateSoak \
 //	    -updatesoak.duration=30s -updatesoak.workers=16 -updatesoak.writerpct=25
 //
-// Writers hammer the batcher continuously while readers run verified
-// queries and aggregates against the same System, so the soak
+// Writers hammer the group commit continuously while readers run
+// verified queries and aggregates against the same System, so the soak
 // exercises every barrier (band, block, aggregate) and the chained
-// verifier under real concurrency. The writer ratio is configurable;
+// verifier under real concurrency; writers that prepare while a batch
+// is in flight share the next one. The writer ratio is configurable;
 // `make soak-update-short` runs the 30-second variant inside `check`.
 var (
 	updateSoakDuration = flag.Duration("updatesoak.duration", 0,
@@ -38,7 +39,7 @@ var (
 // soakDoc builds a document with one leaf family per writer —
 // `<grp><name>gW</name><vW>…</vW>×L</grp>` — so each writer owns a
 // tag whose blocks and OPESS band no other writer touches, and the
-// batcher can genuinely coalesce their flushes.
+// group commit can genuinely coalesce their flushes.
 func soakDoc(writers, leavesPerFamily int) (*xmltree.Document, []string) {
 	var b strings.Builder
 	var scs []string
@@ -89,7 +90,6 @@ func TestUpdateSoak(t *testing.T) {
 	defer ts.Close()
 	sys.UseBackend(remote.Dial(ts.URL, "soak").WithHTTPClient(ts.Client()).
 		WithVerifier(sys.Verifier()))
-	sys.EnableUpdateBatching(writers, 2*time.Millisecond)
 
 	// Every value any writer will ever commit, precomputed so readers
 	// assert membership without synchronizing with the writers.
@@ -218,12 +218,10 @@ func TestUpdateSoak(t *testing.T) {
 		return
 	}
 
-	// Quiesce and check the end state: the last acked write of every
-	// family must be what a verified query reads back — zero acked
-	// loss across however many group commits the soak pushed through.
-	if err := sys.FlushUpdates(context.Background()); err != nil {
-		t.Fatalf("final flush: %v", err)
-	}
+	// Every writer has returned, so every batch has settled. Check the
+	// end state: the last acked write of every family must be what a
+	// verified query reads back — zero acked loss across however many
+	// group commits the soak pushed through.
 	for w := 0; w < writers; w++ {
 		want := finalVal[w]
 		if want == "" {

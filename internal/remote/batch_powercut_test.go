@@ -6,21 +6,51 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
+// parkedClient is the owner's remote client with its update-batch
+// sends held at a gate until the test lets them through, and its reads
+// counted, so a test can tell when a writer has prepared and form a
+// batch by count.
+type parkedClient struct {
+	*Client
+	arrived chan int      // the member count of every send reaching the gate; a cycle makes at most three
+	gate    chan struct{} // one token lets one send through; closed, all
+	reads   atomic.Int64
+}
+
+func parkClient(c *Client) *parkedClient {
+	return &parkedClient{Client: c, arrived: make(chan int, 8), gate: make(chan struct{})}
+}
+
+func (p *parkedClient) ExecuteStream(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+	p.reads.Add(1)
+	return p.Client.ExecuteStream(ctx, q, sink)
+}
+
+func (p *parkedClient) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
+	p.arrived <- len(b.Updates)
+	<-p.gate
+	return p.Client.ApplyUpdateBatch(ctx, b)
+}
+
 // TestPowercutBatchAtomicity crashes the durable service around the
-// group commit of whole update batches: every cycle, K concurrent
-// writers to disjoint leaf families coalesce into exactly one update-batch
-// frame (batch size K, a generous timer), and a power cut armed at a
-// random write offset lands before, inside, or after that batch's WAL
-// append + fsync. Invariants, checked every cycle:
+// group commit of whole update batches: every cycle, a starter update
+// on its own family is parked in its send while K concurrent writers
+// to disjoint leaf families prepare and queue behind it, so they
+// coalesce into exactly one update-batch frame; a power cut armed at a
+// random write offset once the starter has committed lands before,
+// inside, or after that batch's WAL append + fsync. Invariants,
+// checked every cycle:
 //
 //   - batch atomicity: after recovery (before any reconciliation) the
 //     server holds either every member's new value or every member's
@@ -53,7 +83,8 @@ func TestPowercutBatchAtomicity(t *testing.T) {
 		xml += "</grp>"
 		familySCs = append(familySCs, fmt.Sprintf("//v%d", w))
 	}
-	xml += "</db>"
+	xml += "<grp><name>s</name><vs>init</vs></grp></db>"
+	familySCs = append(familySCs, "//vs")
 	doc, err := xmltree.ParseString(xml)
 	if err != nil {
 		t.Fatal(err)
@@ -65,10 +96,6 @@ func TestPowercutBatchAtomicity(t *testing.T) {
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	// Batch fills at exactly the writer count, so each cycle's updates
-	// travel as one frame; the long timer never fires first.
-	sys.EnableUpdateBatching(families, time.Second)
-
 	svc, err := NewPersistentServiceOpts(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +110,6 @@ func TestPowercutBatchAtomicity(t *testing.T) {
 	if err := newClient(ts).Upload(context.Background(), sys.HostedDB); err != nil {
 		t.Fatalf("baseline upload: %v", err)
 	}
-	sys.UseBackend(newClient(ts))
-
 	// probeFamily reads a family's served values straight off the
 	// recovered server — translated and decrypted with the owner's
 	// tables but WITHOUT the verifier gate, so it can observe the
@@ -132,7 +157,18 @@ func TestPowercutBatchAtomicity(t *testing.T) {
 			newVals[w] = fmt.Sprintf("c%d-w%d", cycle, w)
 		}
 
-		fs.CrashAfterWrites(int64(20 + (cycle*997)%2500))
+		// The starter leads and parks; every writer's read runs while
+		// it is parked, so all of them queue behind it before it
+		// settles, and the first of them sends them all as one frame.
+		pc := parkClient(newClient(ts))
+		sys.UseBackend(pc)
+		starter := make(chan error, 1)
+		go func() {
+			_, err := sys.UpdateLeafValues("//vs", fmt.Sprintf("c%d-s", cycle))
+			starter <- err
+		}()
+		<-pc.arrived
+		reads := pc.reads.Load()
 		var wg sync.WaitGroup
 		for w := 0; w < families; w++ {
 			wg.Add(1)
@@ -142,6 +178,21 @@ func TestPowercutBatchAtomicity(t *testing.T) {
 					context.Background(), fmt.Sprintf("//v%d", w), newVals[w])
 			}(w)
 		}
+		for deadline := time.Now().Add(time.Minute); pc.reads.Load() < reads+families; {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: writers never read beside the parked starter", cycle)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		pc.gate <- struct{}{}
+		if err := <-starter; err != nil {
+			t.Fatalf("cycle %d: starter update: %v", cycle, err)
+		}
+		if n := <-pc.arrived; n != families {
+			t.Fatalf("cycle %d: the queued writers sent %d members, want %d", cycle, n, families)
+		}
+		fs.CrashAfterWrites(int64(20 + (cycle*997)%2500))
+		close(pc.gate)
 		wg.Wait()
 
 		// One frame, one outcome: the whole batch acked or the whole

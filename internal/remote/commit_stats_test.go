@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
@@ -182,9 +181,11 @@ func TestStatsSameForEveryCommit(t *testing.T) {
 }
 
 // TestGroupCommitSharesFsyncs is the count-based remainder of the
-// retired update-throughput harness: 16 concurrent writers at owner
-// batch size 16 over the durable service must share WAL records — at
-// most one fsync per two updates, and some batch of at least two.
+// retired update-throughput harness: 16 concurrent writers over the
+// durable service, with no batching configuration at all, must share
+// WAL records — writers that prepare while a batch is in flight ride
+// the next one — at most one fsync per two updates, and some batch of
+// at least two.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	const writers, perWriter = 16, 8
 	var sb strings.Builder
@@ -201,7 +202,6 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	}
 	var fsyncs atomic.Int64
 	sys, ts := durableOwner(t, doc, scSpecs, PersistOptions{FS: syncHookFS{hook: func() { fsyncs.Add(1) }}})
-	sys.EnableUpdateBatching(writers, 20*time.Millisecond)
 	fsyncs0 := fsyncs.Load()
 
 	var wg sync.WaitGroup

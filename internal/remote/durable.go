@@ -3,7 +3,6 @@ package remote
 import (
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/faultfs"
@@ -47,10 +46,6 @@ type PersistOptions struct {
 	// FS is the filesystem seam; nil means the real one (fault
 	// injection tests substitute faultfs.Faulty).
 	FS faultfs.FS
-	// WALGroupWait is the group-commit window: how long a WAL fsync
-	// leader waits to absorb concurrent appends into one fsync. Zero
-	// syncs immediately (lowest latency, one fsync per update).
-	WALGroupWait time.Duration
 	// CheckpointEvery is how many updates ride the WAL before a full
 	// checkpoint truncates it; 0 selects defaultCheckpointEvery.
 	CheckpointEvery int
@@ -107,7 +102,7 @@ func (s *Service) fs() faultfs.FS {
 }
 
 func (s *Service) walOpts() walog.Options {
-	return walog.Options{FS: s.fs(), GroupWait: s.walGroupWait, SegmentBytes: s.walSegBytes}
+	return walog.Options{FS: s.fs(), SegmentBytes: s.walSegBytes}
 }
 
 func (s *Service) checkpointThreshold() int {

@@ -33,10 +33,11 @@ func (p *fsyncPark) park() {
 // one durable update in flight and parked inside its fsync, 4 readers
 // each complete 25 verified queries before the fsync is allowed to
 // return; only then does the update ack, and its value reads back. In
-// the wal row the writer waits on its WAL group fsync, holding the
-// owner's update lock; in the checkpoint row every update checkpoints,
-// so it is parked while also holding the service's per-database
-// update lock. Neither may be on the query path. The timeouts only
+// the wal row the writer waits on its WAL group fsync, its batch in
+// flight (the owner's update lock is not held across the send); in the
+// checkpoint row every update checkpoints, so it is parked while also
+// holding the service's per-database update lock. Neither may be on
+// the query path. The timeouts only
 // bound how long a failure takes to report.
 func TestReadersProgressWhileWriterParkedInFsync(t *testing.T) {
 	const readers, perReader = 4, 25

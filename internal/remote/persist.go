@@ -115,13 +115,12 @@ func NewPersistentService(dir string) (*Service, error) {
 }
 
 // NewPersistentServiceOpts is NewPersistentService with explicit
-// durability tuning (WAL group-commit window, checkpoint interval,
+// durability tuning (checkpoint interval, WAL segment size,
 // filesystem seam).
 func NewPersistentServiceOpts(dir string, opts PersistOptions) (*Service, error) {
 	s := NewService()
 	s.persistDir = dir
 	s.pfs = opts.FS
-	s.walGroupWait = opts.WALGroupWait
 	s.checkpointEvery = opts.CheckpointEvery
 	s.walSegBytes = opts.WALSegmentBytes
 	fsys := s.fs()

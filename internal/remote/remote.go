@@ -93,9 +93,8 @@ type Service struct {
 	// pfs is the filesystem seam for the durable engine; nil means
 	// the real filesystem (see PersistOptions.FS).
 	pfs faultfs.FS
-	// walGroupWait, checkpointEvery and walSegBytes tune the durable
-	// engine (see PersistOptions); zero values select defaults.
-	walGroupWait    time.Duration
+	// checkpointEvery and walSegBytes tune the durable engine (see
+	// PersistOptions); zero values select defaults.
 	checkpointEvery int
 	walSegBytes     int64
 	// dedupHits counts update requests answered from the dedup table

@@ -9,9 +9,9 @@
 // Durability discipline:
 //
 //   - Append returns a Ticket; Ticket.Wait blocks until the record is
-//     fsynced. Waiters batch: the first becomes the group leader,
-//     sleeps up to Options.GroupWait to absorb concurrent appends,
-//     and issues one fsync for all of them.
+//     fsynced. Waiters batch: the first becomes the group leader and
+//     issues one fsync covering everything appended so far; whatever
+//     is appended while that fsync runs shares the next one.
 //   - Rotation fsyncs the outgoing segment BEFORE creating the next
 //     one, and fsyncs the new file and then the directory before any
 //     record lands in it — so segment N is wholly durable before
@@ -40,7 +40,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/faultfs"
 )
@@ -59,9 +58,6 @@ type Record struct {
 type Options struct {
 	// FS is the filesystem seam; nil means the real one.
 	FS faultfs.FS
-	// GroupWait is the longest a group-commit leader delays its fsync
-	// to absorb concurrent appends. Zero syncs immediately.
-	GroupWait time.Duration
 	// SegmentBytes is the rotation threshold. Zero means 4 MiB.
 	SegmentBytes int64
 }
@@ -165,17 +161,14 @@ type Log struct {
 	fs   faultfs.FS
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	f        faultfs.File
-	segNum   int
-	segSize  int64
-	appended uint64 // seq of last record written
-	durable  uint64 // seq of last record fsynced
-	syncing  bool
-	// wake interrupts a group leader's batching sleep early (Reset
-	// and Close close it so they are not stuck behind GroupWait).
-	wake      chan struct{}
+	mu        sync.Mutex
+	cond      *sync.Cond
+	f         faultfs.File
+	segNum    int
+	segSize   int64
+	appended  uint64 // seq of last record written
+	durable   uint64 // seq of last record fsynced
+	syncing   bool
 	resetting bool
 	err       error // sticky; once set the log is dead
 	// syncs counts completed group fsyncs — the denominator of the
@@ -232,7 +225,7 @@ func Open(dir string, opts Options) (*Log, *Replay, error) {
 	sort.Ints(segs)
 
 	rep := &Replay{Segments: len(segs)}
-	l := &Log{dir: dir, fs: fs, opts: opts, wake: make(chan struct{})}
+	l := &Log{dir: dir, fs: fs, opts: opts}
 	l.cond = sync.NewCond(&l.mu)
 
 	lastValidEnd := int64(0)
@@ -442,9 +435,9 @@ func (l *Log) Append(rec Record) (*Ticket, error) {
 
 // Wait blocks until the ticket's record is fsynced (possibly by a
 // batched group leader) and returns nil, or returns the log's sticky
-// error. Waiters elect the first among them leader; the leader
-// sleeps up to GroupWait so one fsync covers every record appended
-// meanwhile.
+// error. Waiters elect the first among them leader; the leader's one
+// fsync covers every record appended before it starts, and records
+// appended while it runs wait for the next leader's.
 func (t *Ticket) Wait() error {
 	l := t.l
 	l.mu.Lock()
@@ -455,22 +448,6 @@ func (t *Ticket) Wait() error {
 			continue
 		}
 		l.syncing = true
-		if l.opts.GroupWait > 0 {
-			wake := l.wake
-			l.mu.Unlock()
-			select {
-			case <-time.After(l.opts.GroupWait):
-			case <-wake: // Reset/Close cut the batching sleep short
-			}
-			l.mu.Lock()
-		}
-		if l.err != nil || l.durable >= l.appended {
-			// Poisoned, or a reset released everything while we slept
-			// — nothing left for this leader to sync.
-			l.syncing = false
-			l.cond.Broadcast()
-			continue
-		}
 		target, f := l.appended, l.f
 		l.mu.Unlock()
 		serr := f.Sync()
@@ -503,8 +480,8 @@ func (l *Log) Reset() error {
 	defer l.mu.Unlock()
 	// The checkpoint superseded every appended record; waiters are
 	// satisfied by it, not by an fsync of bytes about to be deleted.
-	// Block new appends, release every waiter, cut short a sleeping
-	// group leader, then wait out any in-flight fsync.
+	// Block new appends, release every waiter, then wait out any
+	// in-flight fsync.
 	l.resetting = true
 	defer func() {
 		l.resetting = false
@@ -512,8 +489,6 @@ func (l *Log) Reset() error {
 	}()
 	l.durable = l.appended
 	l.cond.Broadcast()
-	close(l.wake)
-	l.wake = make(chan struct{})
 	for l.syncing {
 		l.cond.Wait()
 	}
@@ -547,8 +522,6 @@ func (l *Log) Reset() error {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	close(l.wake)
-	l.wake = make(chan struct{})
 	for l.syncing {
 		l.cond.Wait()
 	}

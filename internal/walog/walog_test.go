@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,28 +216,89 @@ func TestResetEmptiesLog(t *testing.T) {
 	}
 }
 
+// parkedFS is the real filesystem with every file fsync passing
+// through park once it is armed: the first armed fsync signals parked,
+// and all of them wait until unpark.
+type parkedFS struct {
+	faultfs.OS
+	p *fsyncPark
+}
+
+type fsyncPark struct {
+	armed          atomic.Bool
+	once, released sync.Once
+	parked         chan struct{}
+	release        chan struct{}
+}
+
+func newFsyncPark() *fsyncPark {
+	return &fsyncPark{parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *fsyncPark) unpark() { p.released.Do(func() { close(p.release) }) }
+
+func (p *fsyncPark) park() {
+	if p.armed.Load() {
+		p.once.Do(func() { close(p.parked) })
+		<-p.release
+	}
+}
+
+// awaitParked blocks until an fsync is parked.
+func (p *fsyncPark) awaitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-p.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no fsync reached the park")
+	}
+}
+
+type parkedFile struct {
+	faultfs.File
+	p *fsyncPark
+}
+
+func (fs parkedFS) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := fs.OS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return parkedFile{File: f, p: fs.p}, nil
+}
+
+func (f parkedFile) Sync() error { f.p.park(); return f.File.Sync() }
+
+// openParked opens a log whose file fsyncs park once armed.
+func openParked(t *testing.T, dir string) (*Log, *fsyncPark) {
+	t.Helper()
+	p := newFsyncPark()
+	t.Cleanup(p.unpark)
+	l, _ := openT(t, dir, Options{FS: parkedFS{p: p}})
+	return l, p
+}
+
 func TestResetReleasesOutstandingTickets(t *testing.T) {
 	dir := t.TempDir()
-	// A huge group wait would hang Wait if Reset didn't release it.
-	l, _ := openT(t, dir, Options{GroupWait: time.Hour})
+	l, park := openParked(t, dir)
 	tk, err := l.Append(Record{Gen: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		// Second waiter, not the leader — must be released by Reset.
-		tk2, err := l.Append(Record{Gen: 2})
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- tk2.Wait()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := l.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
+	// The group leader hangs in its fsync; Reset must release the
+	// ticket queued behind it without waiting for that fsync.
+	park.armed.Store(true)
+	leader := make(chan error, 1)
+	go func() { leader <- tk.Wait() }()
+	park.awaitParked(t)
+	tk2, err := l.Append(Record{Gen: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	done := make(chan error, 1)
+	go func() { done <- tk2.Wait() }()
+	reset := make(chan error, 1)
+	go func() { reset <- l.Reset() }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -245,38 +307,59 @@ func TestResetReleasesOutstandingTickets(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Reset did not release outstanding ticket")
 	}
-	_ = tk
-	l.Close()
-}
-
-func TestGroupCommitBatchesConcurrentAppends(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{GroupWait: 5 * time.Millisecond})
-	var wg sync.WaitGroup
-	errs := make(chan error, 50)
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tk, err := l.Append(Record{Gen: uint64(i + 1), Payload: []byte(fmt.Sprintf("r%d", i))})
+	park.unpark()
+	for name, ch := range map[string]chan error{"leader": leader, "Reset": reset} {
+		select {
+		case err := <-ch:
 			if err != nil {
-				errs <- err
-				return
+				t.Fatalf("%s: %v", name, err)
 			}
-			errs <- tk.Wait()
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("concurrent append: %v", err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never returned after the fsync was released", name)
 		}
 	}
 	l.Close()
+}
+
+// With the first fsync parked, 49 more appends queue behind it; once it
+// returns, one more fsync covers them all.
+func TestGroupCommitBatchesConcurrentAppends(t *testing.T) {
+	const records = 50
+	dir := t.TempDir()
+	l, park := openParked(t, dir)
+	park.armed.Store(true)
+	syncs0 := l.Syncs()
+
+	errs := make(chan error, records)
+	wait := func(tk *Ticket) { errs <- tk.Wait() }
+	for i := 0; i < records; i++ {
+		tk, err := l.Append(Record{Gen: uint64(i + 1), Payload: []byte(fmt.Sprintf("r%d", i))})
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		go wait(tk)
+		if i == 0 {
+			park.awaitParked(t)
+		}
+	}
+	park.unpark()
+	for i := 0; i < records; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("concurrent append: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("appends never became durable")
+		}
+	}
+	if n := l.Syncs() - syncs0; n > 2 {
+		t.Errorf("%d appends took %d group fsyncs, want at most 2", records, n)
+	}
+	l.Close()
 	_, rep := openT(t, dir, Options{})
-	if len(rep.Records) != 50 {
-		t.Fatalf("replayed %d, want 50", len(rep.Records))
+	if len(rep.Records) != records {
+		t.Fatalf("replayed %d, want %d", len(rep.Records), records)
 	}
 }
 
