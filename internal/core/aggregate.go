@@ -96,44 +96,34 @@ func (s *System) aggregateViaIndex(ctx context.Context, sn *readSnap, tagKey str
 		return "", tm, false, nil
 	}
 
+	// With integrity on, the probe asks for a proof, which carries the
+	// full authenticated buckets of the probed range, so both the
+	// extreme and emptiness are checked against the Merkle root — once,
+	// at the read's floor, by a verifying transport or else here.
+	wantProof := sn.ring != nil
+	ctx, ck := withAnswerCheck(ctx, sn.ring, sn.verSeq)
 	start = time.Now()
-	var (
-		bid   int
-		ct    []byte
-		found bool
-	)
-	if pb, ok := sn.backend.(ProofBackend); ok && sn.ring != nil {
-		// Verified probe: the proof carries the full authenticated
-		// buckets of the probed range, so both the extreme and
-		// emptiness are checked against the Merkle root.
-		res, err := pb.ExtremeProof(ctx, lo, hi, max)
-		if err != nil {
-			tm.ServerExec = time.Since(start)
-			return "", tm, false, err
+	res, err := sn.backend.Extreme(ctx, lo, hi, max, wantProof)
+	if err == nil && ck != nil {
+		if ck.accepted != res {
+			err = sn.ring.VerifyExtremeContext(ctx, lo, hi, max, res)
 		}
-		if vErr := sn.ring.verifyExtremeSince(sn.verSeq, lo, hi, max, res.Found, res.BlockID, res.Block, res.Proof); vErr != nil {
-			tm.ServerExec = time.Since(start)
-			return "", tm, false, vErr
-		}
-		bid, ct, found = res.BlockID, res.Block, res.Found
-	} else {
-		var err error
-		bid, ct, found, err = sn.backend.Extreme(ctx, lo, hi, max)
-		if err != nil {
-			tm.ServerExec = time.Since(start)
-			return "", tm, false, err
-		}
+		tm.Verify = ck.took
 	}
-	tm.ServerExec = time.Since(start)
+	tm.ServerExec = time.Since(start) - tm.Verify
+	if err != nil {
+		return "", tm, false, err
+	}
 	if s.updSeq.Load() != sn.updSeq {
 		// The probe window came from the pinned transformer table; a
 		// flush that raced the probe may have re-banded it. Re-pin.
 		return "", tm, false, errSnapshotSkew
 	}
-	if !found {
+	if !res.Found {
 		return "", tm, false, fmt.Errorf("core: no indexed values for %s", tagKey)
 	}
-	ans := &wire.Answer{BlockIDs: []int{bid}, Blocks: [][]byte{ct}}
+	bid := res.BlockID
+	ans := &wire.Answer{BlockIDs: []int{bid}, Blocks: [][]byte{res.Block}}
 	tm.AnswerBytes = ans.ByteSize()
 	tm.BlocksShipped = 1
 	tm.Transmit = s.Link.TransferTime(tm.AnswerBytes)

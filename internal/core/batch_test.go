@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -39,9 +40,9 @@ func parkSends(t *testing.T, sys *System) *parkedSends {
 	return p
 }
 
-func (p *parkedSends) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, error) {
+func (p *parkedSends) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
 	p.reads.Add(1)
-	return p.Backend.Execute(ctx, q)
+	return p.Backend.Execute(ctx, q, sink)
 }
 
 func (p *parkedSends) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
@@ -527,9 +528,8 @@ func TestBatchOfOneTimings(t *testing.T) {
 }
 
 // lostAckBackend fails one batch send AFTER the inner backend applied
-// it — an acknowledgment lost in flight. Being a distinct type, not a
-// bare Local, makes the failure classify as ambiguous (only a bare
-// Local is known to fail atomically).
+// it — an acknowledgment lost in flight — and states the outcome in
+// doubt, as a transport must.
 type lostAckBackend struct {
 	Backend
 	mu       sync.Mutex
@@ -546,7 +546,7 @@ func (f *lostAckBackend) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBat
 		return err
 	}
 	if fail {
-		return errors.New("connection reset")
+		return fmt.Errorf("connection reset (%w)", wire.ErrUpdateInDoubt)
 	}
 	return nil
 }

@@ -218,22 +218,13 @@ func TestTimingsPopulated(t *testing.T) {
 	if tm.ClientWorkers < 1 {
 		t.Errorf("ClientWorkers = %d, want >= 1", tm.ClientWorkers)
 	}
-	// The backend is in-process here, so the server's width is
-	// visible and must be reported.
-	if tm.ServerWorkers < 1 {
-		t.Errorf("ServerWorkers = %d, want >= 1", tm.ServerWorkers)
-	}
 	sys.Client.SetParallelism(3)
-	if l, ok := sys.Server.(Local); ok {
-		l.S.SetParallelism(5)
-	}
 	_, _, tm, err = sys.Query("//patient/pname")
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if tm.ClientWorkers != 3 || tm.ServerWorkers != 5 {
-		t.Errorf("worker widths = (%d server, %d client), want (5, 3)",
-			tm.ServerWorkers, tm.ClientWorkers)
+	if tm.ClientWorkers != 3 {
+		t.Errorf("ClientWorkers = %d, want 3", tm.ClientWorkers)
 	}
 }
 

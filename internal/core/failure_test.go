@@ -101,7 +101,7 @@ func TestMissingBlockRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := sys.Server.Execute(context.Background(), qs)
+	ans, _, err := sys.Server.Execute(context.Background(), qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestPlaceholderScanMatchesTreeWalk(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: scheme %s query %q: translate: %v", seed, name, q, err)
 				}
-				ans, err := sys.Server.Execute(context.Background(), qs)
+				ans, _, err := sys.Server.Execute(context.Background(), qs, nil)
 				if err != nil {
 					t.Fatalf("seed %d: scheme %s query %q: %v", seed, name, q, err)
 				}

@@ -8,22 +8,14 @@
 // generations at once. Every Get/Put carries the generation the
 // caller observed; the first access under a new generation clears
 // the cache before anything is served, so a cached value can never
-// outlive the database state it was computed from. Two policies
-// cover the two trust directions:
+// outlive the database state it was computed from.
 //
-//   - Monotonic (server side): the generation only moves forward
-//     under the server's own write lock. An access tagged with an
-//     older generation is a late-running reader from before an
-//     update; it is answered with a miss and its inserts are
-//     dropped, so a slow pre-update query can never re-seed the
-//     cache with pre-update results.
-//
-//   - Adopt (client side): the pair identifies a *remote* server's
-//     state, and a restart or rollback may legitimately move it
-//     backwards (a fresh epoch) — the client must drop everything
-//     it decrypted against the previous incarnation rather than
-//     serve stale plaintext. Any change of the pair, in either
-//     direction, clears the cache and adopts the new pair.
+// The generation only moves forward, under the server's own write
+// lock. An access tagged with an older generation of the same epoch
+// is a late-running reader from before an update; it is answered with
+// a miss and its inserts are dropped, so a slow pre-update query can
+// never re-seed the cache with pre-update results. A larger generation
+// or another epoch clears the cache and adopts the new pair.
 package gencache
 
 import (
@@ -33,27 +25,13 @@ import (
 	"sync"
 )
 
-// Policy selects how a cache reacts to a change of the (epoch,
-// generation) pair. See the package comment.
-type Policy int
-
-const (
-	// Monotonic trusts the generation to only grow (server side,
-	// under the db write lock): larger pairs invalidate, smaller
-	// ones are rejected as stale readers.
-	Monotonic Policy = iota
-	// Adopt treats any change of the pair as a new world (client
-	// side, observing a possibly restarted remote server).
-	Adopt
-)
-
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
 	Invalidations uint64 `json:"invalidations"` // wholesale clears on generation change
-	Rejected      uint64 `json:"rejected"`      // stale-generation accesses refused (Monotonic)
+	Rejected      uint64 `json:"rejected"`      // stale-generation accesses refused
 	Entries       int    `json:"entries"`
 	Bytes         int    `json:"bytes"`
 }
@@ -65,7 +43,6 @@ type Stats struct {
 // ciphertexts).
 type Cache struct {
 	mu         sync.Mutex
-	policy     Policy
 	maxEntries int
 	maxBytes   int
 
@@ -86,7 +63,7 @@ type entry struct {
 // New builds a cache bounded to maxEntries entries and maxBytes
 // total accounted size. Non-positive limits default to 1024 entries
 // and 64 MiB.
-func New(policy Policy, maxEntries, maxBytes int) *Cache {
+func New(maxEntries, maxBytes int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
@@ -94,7 +71,6 @@ func New(policy Policy, maxEntries, maxBytes int) *Cache {
 		maxBytes = 64 << 20
 	}
 	return &Cache{
-		policy:     policy,
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		order:      list.New(),
@@ -109,15 +85,14 @@ func (c *Cache) admit(epoch, gen uint64) bool {
 	if epoch == c.epoch && gen == c.gen {
 		return true
 	}
-	if c.policy == Monotonic && epoch == c.epoch && gen < c.gen {
+	if epoch == c.epoch && gen < c.gen {
 		// A reader that started before the last update: its view of
 		// the db is gone; serving or storing under it would mix
 		// generations.
 		c.rejected++
 		return false
 	}
-	// New generation (or, under Adopt, any change at all — including
-	// a rollback): the cached state is unsalvageable.
+	// A new generation or epoch: the cached state is unsalvageable.
 	if c.order.Len() > 0 {
 		c.invalidations++
 	}

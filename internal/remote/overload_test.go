@@ -66,7 +66,7 @@ func TestDeadlineRejectOnArrival(t *testing.T) {
 	svc.Admission().SeedExpectedLatency(300 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, _, _, err := cl.Extreme(ctx, 1, 2, false)
+	_, err := cl.Extreme(ctx, 1, 2, false, false)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusGatewayTimeout {
 		t.Fatalf("infeasible deadline: err = %v, want 504", err)
@@ -82,7 +82,7 @@ func TestDeadlineRejectOnArrival(t *testing.T) {
 	attempts.Store(0)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
-	if _, _, _, err := cl.Extreme(ctx2, 1, 2, false); err != nil {
+	if _, err := cl.Extreme(ctx2, 1, 2, false, false); err != nil {
 		t.Fatalf("feasible deadline rejected: %v", err)
 	}
 	if svc.Admission().Snapshot().RejectedDeadline == 0 {
@@ -178,7 +178,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		WithHTTPClient(ts.Client()).
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1}).
 		WithBreaker(BreakerConfig{})
-	_, err := cl.Execute(context.Background(), &wire.Query{})
+	_, _, err := cl.Execute(context.Background(), &wire.Query{}, nil)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want 503", err)
@@ -203,7 +203,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = cl.Execute(ctx, &wire.Query{})
+	_, _, err = cl.Execute(ctx, &wire.Query{}, nil)
 	if err == nil {
 		t.Fatal("shed server succeeded")
 	}

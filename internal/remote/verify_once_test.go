@@ -20,13 +20,14 @@ import (
 
 // countingVerifier stands between the transport and the owner's ring.
 // It counts the checks the transport asks for, and — when spent is
-// set — strips the proof from every answer the ring accepted, so that
-// any LATER pass over that answer can only fail: a query that still
-// succeeds made no second pass.
+// set — strips the proof from every answer or extreme result the ring
+// accepted, so that any LATER pass over it can only fail: a query or
+// aggregate that still succeeds made no second pass.
 type countingVerifier struct {
 	wire.ContextVerifier
-	pinned, bare atomic.Int32
-	spent        bool
+	pinned, bare               atomic.Int32
+	pinnedExtreme, bareExtreme atomic.Int32
+	spent                      bool
 }
 
 func (c *countingVerifier) VerifyAnswerContext(ctx context.Context, ans *wire.Answer) error {
@@ -41,6 +42,20 @@ func (c *countingVerifier) VerifyAnswerContext(ctx context.Context, ans *wire.An
 func (c *countingVerifier) VerifyAnswer(ans *wire.Answer) error {
 	c.bare.Add(1)
 	return c.ContextVerifier.VerifyAnswer(ans)
+}
+
+func (c *countingVerifier) VerifyExtremeContext(ctx context.Context, lo, hi uint64, max bool, res *wire.ExtremeResult) error {
+	c.pinnedExtreme.Add(1)
+	err := c.ContextVerifier.VerifyExtremeContext(ctx, lo, hi, max, res)
+	if err == nil && c.spent {
+		res.Proof = nil
+	}
+	return err
+}
+
+func (c *countingVerifier) VerifyExtreme(lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error {
+	c.bareExtreme.Add(1)
+	return c.ContextVerifier.VerifyExtreme(lo, hi, max, found, blockID, block, proof)
 }
 
 // replayProxy fronts a Service: it can fail the next N query requests
@@ -286,14 +301,64 @@ func TestAnswerVerifiedOncePerQuery(t *testing.T) {
 // proofless is an in-process backend that drops every answer's proof.
 type proofless struct{ core.Backend }
 
-func (p proofless) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, error) {
-	a, err := p.Backend.Execute(ctx, q)
+func (p proofless) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+	a, st, err := p.Backend.Execute(ctx, q, sink)
 	if err == nil {
 		cp := *a
 		cp.Proof = nil
 		a = &cp
 	}
-	return a, err
+	return a, st, err
+}
+
+// TestExtremeVerifiedOncePerAggregate: a verified aggregate over a
+// verifying remote client checks its extreme probe once — inside
+// Client.do, at the floor the read pinned — and core does not check it
+// again: the ring makes one pass per aggregate, and the proof the
+// transport spent would fail a second. Over an in-process backend,
+// core's own pass is the one.
+func TestExtremeVerifiedOncePerAggregate(t *testing.T) {
+	doc, _ := xmltree.ParseString(hospitalXML)
+	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("extreme-once"))
+	if err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	if err := sys.EnableIntegrity(); err != nil {
+		t.Fatalf("EnableIntegrity: %v", err)
+	}
+	aggregate := func(t *testing.T, max bool, want string) {
+		t.Helper()
+		before := ringChecks(sys)
+		got, tm, err := sys.AggregateMinMax("//insurance/policy", max)
+		if err != nil {
+			t.Fatalf("aggregate max=%v: %v", max, err)
+		}
+		if got != want || tm.BlocksShipped != 1 {
+			t.Fatalf("aggregate max=%v = %q over %d blocks, want %q from the index probe", max, got, tm.BlocksShipped, want)
+		}
+		if n := ringChecks(sys) - before; n != 1 {
+			t.Fatalf("aggregate max=%v took %d passes of the owner's ring, want 1", max, n)
+		}
+		if tm.Verify <= 0 {
+			t.Errorf("aggregate max=%v: Timings.Verify = %v, the accepted pass is not reported", max, tm.Verify)
+		}
+	}
+
+	aggregate(t, false, "26544") // in process: core's pass
+
+	ts := httptest.NewServer(NewService())
+	defer ts.Close()
+	cv := &countingVerifier{ContextVerifier: sys.Verifier().(wire.ContextVerifier), spent: true}
+	cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithVerifier(cv)
+	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	sys.UseBackend(cl)
+	aggregate(t, false, "26544")
+	aggregate(t, true, "34221")
+	if pinned, bare := cv.pinnedExtreme.Load(), cv.bareExtreme.Load(); pinned != 2 || bare != 0 {
+		t.Errorf("two aggregates: %d pinned + %d unpinned transport checks, want 2 + 0", pinned, bare)
+	}
 }
 
 // TestUpdateReadVerified: the read half of an update is an answer the

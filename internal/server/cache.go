@@ -42,9 +42,9 @@ type queryCaches struct {
 
 func newQueryCaches() *queryCaches {
 	return &queryCaches{
-		plans:   gencache.New(gencache.Monotonic, 512, 8<<20),
-		ranges:  gencache.New(gencache.Monotonic, 4096, 32<<20),
-		answers: gencache.New(gencache.Monotonic, 256, 128<<20),
+		plans:   gencache.New(512, 8<<20),
+		ranges:  gencache.New(4096, 32<<20),
+		answers: gencache.New(256, 128<<20),
 	}
 }
 
@@ -215,15 +215,6 @@ func (s *Server) CacheStats() map[string]gencache.Stats {
 		"ranges":  s.caches.ranges.Stats(),
 		"answers": s.caches.answers.Stats(),
 	}
-}
-
-// ResetCaches drops every cached plan, range set and answer without
-// touching the generation (benchmarks use it to re-measure the cold
-// path; production code never needs it).
-func (s *Server) ResetCaches() {
-	s.caches.plans.Clear()
-	s.caches.ranges.Clear()
-	s.caches.answers.Clear()
 }
 
 // SetCaching turns the cross-query caches on (the default) or off.

@@ -68,11 +68,12 @@ func TestReturnedBytesImmutableUnderUpdates(t *testing.T) {
 		t.Fatal("block 0 missing")
 	}
 	want := append([]byte(nil), held...)
-	_, extremeHeld, found, err := s.Extreme(0, ^uint64(0), true)
+	res, err := s.Extreme(0, ^uint64(0), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found {
+	extremeHeld := res.Block
+	if !res.Found {
 		t.Fatal("extreme probe found nothing")
 	}
 	extremeWant := append([]byte(nil), extremeHeld...)

@@ -105,8 +105,3 @@ func (s *Server) SetParallelism(width int) {
 	}
 	s.par.Store(int32(width))
 }
-
-// Parallelism reports the configured worker-pool width.
-func (s *Server) Parallelism() int {
-	return int(s.par.Load())
-}

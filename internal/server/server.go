@@ -25,7 +25,7 @@ import (
 // update publishes a new immutable snapshot (copy-on-write block map
 // and value index over the shared structure), and queries pin one
 // snapshot for their whole lifetime. Readers never take a lock —
-// Execute, Extreme, ExtremeProof, cost estimation and the stats
+// Execute, Extreme, cost estimation and the stats
 // accessors all run against whatever snapshot was current when they
 // started, so a writer building generation N+1 never stalls them.
 // Writers serialize among themselves on wmu and commit by swapping
@@ -191,29 +191,6 @@ func (s *Server) IndexSize() int { return s.current().index.Len() }
 // racing ApplyUpdateBatch's block replacement.
 func (s *Server) NumBlocks() int { return len(s.current().db.Blocks) }
 
-// ExtremeBlock serves MIN/MAX aggregates (§6.4): it returns the ID
-// of the block containing the smallest (max=false) or largest
-// (max=true) indexed ciphertext within [lo, hi]. Order preservation
-// makes this a single index probe; the server learns which block
-// holds the extreme value but not the value itself.
-func (s *Server) ExtremeBlock(lo, hi uint64, max bool) (int, bool) {
-	return s.current().extremeBlock(lo, hi, max)
-}
-
-func (sn *snapshot) extremeBlock(lo, hi uint64, max bool) (int, bool) {
-	var e btree.Entry
-	var ok bool
-	if max {
-		e, ok = sn.index.Last(lo, hi)
-	} else {
-		e, ok = sn.index.First(lo, hi)
-	}
-	if !ok {
-		return 0, false
-	}
-	return e.BlockID, true
-}
-
 // BlockCiphertext returns one hosted block by ID (for aggregate
 // answers that ship a single block). The returned bytes belong to
 // the pinned snapshot and are immutable: an update that replaces
@@ -225,21 +202,6 @@ func (s *Server) BlockCiphertext(id int) ([]byte, bool) {
 		return nil, false
 	}
 	return sn.db.Blocks[id], true
-}
-
-// Extreme implements core.Backend: ExtremeBlock plus the block's
-// ciphertext in one call, against a single pinned snapshot so the
-// probe and the shipped ciphertext come from the same generation.
-func (s *Server) Extreme(lo, hi uint64, max bool) (int, []byte, bool, error) {
-	sn := s.current()
-	bid, found := sn.extremeBlock(lo, hi, max)
-	if !found {
-		return 0, nil, false, nil
-	}
-	if bid < 0 || bid >= len(sn.db.Blocks) {
-		return 0, nil, false, fmt.Errorf("server: extreme entry references missing block %d", bid)
-	}
-	return bid, sn.db.Blocks[bid], true, nil
 }
 
 // authState returns the Merkle prover state for this snapshot's
@@ -273,30 +235,42 @@ func (s *Server) AuthRoot() (authtree.Digest, error) {
 	return st.Root(), nil
 }
 
-// ExtremeProof is Extreme plus the Merkle verification object: the
-// probe, the returned block and the proof all come from one pinned
-// snapshot, so they describe a single generation even while updates
-// commit concurrently. As with Extreme, the returned block bytes are
-// snapshot-owned and safe to hold indefinitely.
-func (s *Server) ExtremeProof(lo, hi uint64, max bool) (*wire.ExtremeResult, error) {
+// Extreme serves MIN/MAX aggregates (§6.4): the block holding the
+// smallest (max=false) or largest (max=true) indexed ciphertext within
+// [lo, hi], with its ciphertext. Order preservation makes this a single
+// index probe; the server learns which block holds the extreme value
+// but not the value itself. With wantProof the result carries the
+// Merkle verification object, which also makes emptiness provable;
+// without it no prover state is built. The probe, the block and the
+// proof all come from one pinned snapshot, so they describe a single
+// generation even while updates commit concurrently, and the returned
+// block bytes are snapshot-owned and safe to hold indefinitely.
+func (s *Server) Extreme(lo, hi uint64, max, wantProof bool) (*wire.ExtremeResult, error) {
 	sn := s.current()
+	var e btree.Entry
+	var found bool
+	if max {
+		e, found = sn.index.Last(lo, hi)
+	} else {
+		e, found = sn.index.First(lo, hi)
+	}
 	res := &wire.ExtremeResult{}
-	bid, found := sn.extremeBlock(lo, hi, max)
 	if found {
-		if bid < 0 || bid >= len(sn.db.Blocks) {
-			return nil, fmt.Errorf("server: extreme entry references missing block %d", bid)
+		if e.BlockID < 0 || e.BlockID >= len(sn.db.Blocks) {
+			return nil, fmt.Errorf("server: extreme entry references missing block %d", e.BlockID)
 		}
-		res.Found, res.BlockID, res.Block = true, bid, sn.db.Blocks[bid]
+		res.Found, res.BlockID, res.Block = true, e.BlockID, sn.db.Blocks[e.BlockID]
+	}
+	if !wantProof {
+		return res, nil
 	}
 	st, err := sn.authState()
 	if err != nil {
 		return nil, err
 	}
-	proof, err := st.ProveExtreme(lo, hi, res.Found, res.BlockID)
-	if err != nil {
+	if res.Proof, err = st.ProveExtreme(lo, hi, res.Found, res.BlockID); err != nil {
 		return nil, err
 	}
-	res.Proof = proof
 	return res, nil
 }
 

@@ -395,16 +395,17 @@ type Verifier interface {
 	Root() authtree.Digest
 }
 
-// ContextVerifier is a Verifier whose answer check depends on which
-// read is asking: core's ring accepts an answer only against roots at
-// least as new as the commitment the read pinned, and the read states
-// that floor through its context. A transport holding one passes each
-// attempt's context along, so the check inside the attempt — where a
-// rejection stops the retries and trips the breaker — is the strict
-// one, and nobody repeats it.
+// ContextVerifier is a Verifier whose checks depend on which read is
+// asking: core's ring accepts an answer or an extreme probe only
+// against roots at least as new as the commitment the read pinned,
+// and the read states that floor through its context. A transport
+// holding one passes each attempt's context along, so the check inside
+// the attempt — where a rejection stops the retries and trips the
+// breaker — is the strict one, and nobody repeats it.
 type ContextVerifier interface {
 	Verifier
 	VerifyAnswerContext(ctx context.Context, ans *Answer) error
+	VerifyExtremeContext(ctx context.Context, lo, hi uint64, max bool, res *ExtremeResult) error
 }
 
 // AuthVerifier is the owner-side integrity state: the committed root

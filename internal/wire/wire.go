@@ -179,10 +179,10 @@ type Answer struct {
 	PlanCost     int64
 }
 
-// ExtremeResult is a MIN/MAX index probe's outcome in proof mode:
-// unlike the bare not-found/found split of the plain endpoint, a
-// negative result still carries a proof (the authenticated empty
-// buckets), so emptiness itself is verifiable.
+// ExtremeResult is a MIN/MAX index probe's outcome. Proof is set only
+// when the probe asked for one; a negative result then still carries
+// it (the authenticated empty buckets), so emptiness itself is
+// verifiable.
 type ExtremeResult struct {
 	Found   bool
 	BlockID int
