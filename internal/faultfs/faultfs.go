@@ -1,5 +1,5 @@
 // Package faultfs is the filesystem seam under the durable-storage
-// stack (internal/walog, internal/blockstore, internal/remote's
+// stack (internal/walog and internal/remote's snapshot
 // persistence). Production code runs on OS, a thin veneer over the
 // os package; tests run on Faulty, which wraps OS with the failure
 // modes real disks exhibit under power loss and exhaustion:

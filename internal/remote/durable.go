@@ -4,8 +4,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/blockstore"
 	"repro/internal/faultfs"
+	"repro/internal/server"
 	"repro/internal/walog"
 	"repro/internal/wire"
 )
@@ -13,8 +13,8 @@ import (
 // Durable update path. An acknowledged update is durable the moment
 // the client sees 200: the raw update-batch frame is appended to the
 // database's write-ahead log and group-fsynced before the request ID
-// enters the dedup table or the response goes out. Checkpoints — a
-// full snapshot (metadata) plus the dirty blocks (block store) — run
+// enters the dedup table or the response goes out. Checkpoints — the
+// whole database, blocks included, written as one snapshot file — run
 // every checkpointEvery updates and truncate the log; recovery
 // (persist.go) replays whatever the log holds past the last
 // checkpoint. See DESIGN.md, "Durability model".
@@ -28,17 +28,13 @@ const recUpdateBatch byte = 3
 
 // defaultCheckpointEvery bounds how many WAL records accumulate
 // before a checkpoint truncates the log. Small enough that recovery
-// replay stays cheap, large enough that the whole-metadata snapshot
+// replay stays cheap, large enough that the whole-database snapshot
 // write is amortized across many cheap WAL appends.
 const defaultCheckpointEvery = 64
 
-// Sidecar directory extensions: dir/<name>.sxdb (snapshot) is
-// accompanied by dir/<name>.wal/ (log segments) and
-// dir/<name>.blocks/ (block store).
-const (
-	walDirExt = ".wal"
-	blkDirExt = ".blocks"
-)
+// walDirExt names the one sidecar: dir/<name>.sxdb (snapshot) is
+// accompanied by dir/<name>.wal/ (log segments).
+const walDirExt = ".wal"
 
 // PersistOptions tunes the durable engine of a persistent service.
 // The zero value selects production defaults.
@@ -49,21 +45,13 @@ type PersistOptions struct {
 	// CheckpointEvery is how many updates ride the WAL before a full
 	// checkpoint truncates it; 0 selects defaultCheckpointEvery.
 	CheckpointEvery int
-	// WALSegmentBytes is the log rotation threshold; 0 selects the
-	// walog default (4 MiB).
-	WALSegmentBytes int64
 }
 
 // durable is the per-database persistence state, guarded by the
 // hosted struct's mu like everything else on the update path.
 type durable struct {
-	name   string
-	wal    *walog.Log // nil while unrecoverably degraded
-	blocks blockstore.Store
-	// dirty is the set of block IDs changed since the last
-	// checkpoint; a checkpoint writes exactly these to the block
-	// store.
-	dirty map[int]struct{}
+	name string
+	wal  *walog.Log // nil while unrecoverably degraded
 	// sinceCheckpoint counts WAL records since the last checkpoint.
 	sinceCheckpoint int
 	// degraded is set when the WAL cannot accept records (fsync
@@ -102,7 +90,7 @@ func (s *Service) fs() faultfs.FS {
 }
 
 func (s *Service) walOpts() walog.Options {
-	return walog.Options{FS: s.fs(), SegmentBytes: s.walSegBytes}
+	return walog.Options{FS: s.fs()}
 }
 
 func (s *Service) checkpointThreshold() int {
@@ -116,33 +104,35 @@ func (s *Service) walDir(name string) string {
 	return filepath.Join(s.persistDir, name+walDirExt)
 }
 
-func (s *Service) blkDir(name string) string {
-	return filepath.Join(s.persistDir, name+blkDirExt)
-}
-
-// openDurable creates the persistence state for a freshly uploaded
-// database: empty WAL, empty block store. fresh removes whatever
-// sidecars a previous incarnation of the name left behind, so a
-// re-upload cannot inherit stale blocks or replayable records.
-func (s *Service) openDurable(name string, fresh bool) (*durable, error) {
-	fsys := s.fs()
-	if fresh {
-		if err := fsys.RemoveAll(s.walDir(name)); err != nil {
-			return nil, newPersistError(name, "clear wal", err)
-		}
-		if err := fsys.RemoveAll(s.blkDir(name)); err != nil {
-			return nil, newPersistError(name, "clear blocks", err)
-		}
+// persistUpload makes an uploaded database durable before publish
+// exposes it: its snapshot goes over dir/<name>.sxdb, then the log is
+// reset, since whatever it held belongs to the previous incarnation.
+// A failed snapshot write leaves the previous incarnation's files as
+// they were. Called with old's lock held (old is nil for a new name).
+func (s *Service) persistUpload(name string, h, old *hosted) error {
+	d := &durable{name: name}
+	if old != nil {
+		// Continue the name's generation count: every record the
+		// previous incarnation logged is then at or below the new
+		// snapshot's generation, so replay skips it should a crash land
+		// between the snapshot's rename and the log reset below.
+		h.srv.RestoreGeneration(old.srv.Generation())
+	} else if err := s.fs().RemoveAll(s.walDir(name)); err != nil {
+		// A log with no snapshot belongs to no database.
+		return newPersistError(name, "clear wal", err)
 	}
-	bs, err := blockstore.Open(s.blkDir(name), fsys)
-	if err != nil {
-		return nil, newPersistError(name, "open blocks", err)
+	if err := s.writeSnapshot(name, h.srv); err != nil {
+		return err
 	}
-	wal, _, err := walog.Open(s.walDir(name), s.walOpts())
-	if err != nil {
-		return nil, newPersistError(name, "open wal", err)
+	if old != nil && old.dur != nil {
+		// Take over the name's log. Resetting it releases the previous
+		// incarnation's fsync waiters as durable: the new snapshot
+		// supersedes their records.
+		d.wal, old.dur.wal = old.dur.wal, nil
 	}
-	return &durable{name: name, wal: wal, blocks: bs, dirty: map[int]struct{}{}}, nil
+	d.degraded = !s.resetWAL(d)
+	h.dur = d
+	return nil
 }
 
 // walSize reports the log's current size in bytes (0 when degraded
@@ -171,7 +161,7 @@ func (d *durable) close() {
 // the next update's apply. A nil ticket with nil error means the
 // update is already durable (a checkpoint ran instead of, or in
 // addition to, the append).
-func (s *Service) stageDurable(h *hosted, raw []byte, us []*wire.Update) (*walog.Ticket, error) {
+func (s *Service) stageDurable(h *hosted, raw []byte) (*walog.Ticket, error) {
 	d := h.dur
 	var tk *walog.Ticket
 	if d.wal != nil && !d.degraded {
@@ -185,11 +175,6 @@ func (s *Service) stageDurable(h *hosted, raw []byte, us []*wire.Update) (*walog
 		if err != nil {
 			d.degraded = true
 			tk = nil
-		}
-	}
-	for _, upd := range us {
-		for _, b := range upd.Blocks {
-			d.dirty[b.ID] = struct{}{}
 		}
 	}
 	d.sinceCheckpoint++
@@ -219,54 +204,48 @@ func (s *Service) ensureDurable(h *hosted, tk *walog.Ticket) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.retired {
+		return errReplaced
+	}
 	h.dur.degraded = true
 	return s.checkpointLocked(h)
 }
 
-// checkpointLocked writes the database's full durable image — dirty
-// blocks to the block store, then metadata snapshot (generation +
-// Merkle root + elided-block SXDB frame) atomically over the .sxdb
-// file — and truncates the WAL. Called under h.mu. On success the
-// WAL is empty and the dirty set cleared; a WAL that cannot be
-// truncated or reopened leaves the database degraded (every
-// subsequent update checkpoints) without failing the update, because
-// the snapshot already made the state durable.
+// checkpointLocked writes the database's durable image over the
+// .sxdb file and truncates the WAL. Called under h.mu. On success the
+// WAL is empty; a WAL that cannot be truncated or reopened leaves the
+// database degraded (every subsequent update checkpoints) without
+// failing the update, because the snapshot already made the state
+// durable.
 func (s *Service) checkpointLocked(h *hosted) error {
 	d := h.dur
-	// Pin the server's committed snapshot: under MVCC the upload-time
-	// db object goes stale the moment the first copy-on-write update
-	// commits, so the checkpoint must read the current generation's
-	// view. h.mu (held here) excludes the update paths, so the db,
-	// root and generation below describe one committed state.
-	db := h.srv.CurrentDB()
-	if len(d.dirty) > 0 {
-		batch := make(map[int][]byte, len(d.dirty))
-		for id := range d.dirty {
-			if id >= 0 && id < len(db.Blocks) {
-				batch[id] = db.Blocks[id]
-			}
-		}
-		if err := d.blocks.PutBatch(batch); err != nil {
-			return newPersistError(d.name, "checkpoint blocks", err)
-		}
-	}
-	root, err := h.srv.AuthRoot()
-	if err != nil {
-		return newPersistError(d.name, "checkpoint root", err)
-	}
-	snap, err := wire.MarshalSnapshot(db, h.srv.Generation(), root[:])
-	if err != nil {
-		return newPersistError(d.name, "checkpoint snapshot", err)
-	}
-	if err := s.writeDBFile(d.name, appendChecksum(snap)); err != nil {
+	if err := s.writeSnapshot(d.name, h.srv); err != nil {
 		return err
 	}
 	// The snapshot is durable: the update this checkpoint covers is
 	// safe regardless of what happens to the log below.
-	d.dirty = map[int]struct{}{}
 	d.sinceCheckpoint = 0
 	d.degraded = !s.resetWAL(d)
 	return nil
+}
+
+// writeSnapshot writes srv's committed state — generation, Merkle
+// root and the whole database, blocks included — atomically over
+// dir/<name>.sxdb. The caller excludes updates (h.mu, or a server not
+// yet published), so the db, root and generation read below describe
+// one committed state. The db is the current generation's view: under
+// MVCC the upload-time object goes stale at the first copy-on-write
+// update.
+func (s *Service) writeSnapshot(name string, srv *server.Server) error {
+	root, err := srv.AuthRoot()
+	if err != nil {
+		return newPersistError(name, "snapshot root", err)
+	}
+	snap, err := wire.MarshalSnapshot(srv.CurrentDB(), srv.Generation(), root[:])
+	if err != nil {
+		return newPersistError(name, "snapshot encode", err)
+	}
+	return s.writeDBFile(name, snap)
 }
 
 // resetWAL empties the log after a checkpoint, replacing it wholesale

@@ -302,11 +302,7 @@ func TestSnapshotRootMismatchQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := splitChecksum(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, gen, root, err := wire.UnmarshalSnapshot(body)
+	db, gen, root, err := wire.UnmarshalSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +311,7 @@ func TestSnapshotRootMismatchQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, appendChecksum(forged), 0o644); err != nil {
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

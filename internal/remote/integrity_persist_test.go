@@ -1,8 +1,10 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -42,22 +44,27 @@ func persistDB(t *testing.T, dir, name string) *core.System {
 
 // TestBitFlipQuarantined: a single flipped bit anywhere in a
 // persisted file — including the opaque ciphertext regions whose
-// decode would happily accept garbage — must fail the SHA-256
-// trailer check at reload. The rotten file is quarantined, not
+// decode would happily accept garbage — must fail the snapshot's
+// SHA-256 at reload. The rotten file is quarantined, not
 // served, and not fatal: the healthy database beside it loads.
 func TestBitFlipQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	persistDB(t, dir, "rotten")
+	rotten := persistDB(t, dir, "rotten")
 	healthy := persistDB(t, dir, "healthy")
 
-	// Flip one bit in the middle of the file: deep inside block
-	// ciphertext, where no structural decode check can notice.
+	// Flip one bit inside a block's ciphertext, where no structural
+	// decode check can notice.
 	path := filepath.Join(dir, "rotten"+dbFileExt)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x01
+	blk := rotten.HostedDB.Blocks[len(rotten.HostedDB.Blocks)-1]
+	at := bytes.Index(data, blk)
+	if at < 0 {
+		t.Fatal("block ciphertext not found in the snapshot file")
+	}
+	data[at+len(blk)/2] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +106,8 @@ func TestBitFlipQuarantined(t *testing.T) {
 	}
 }
 
-// TestTruncationQuarantined: a file torn short (losing its trailer
-// and part of its body) must also be quarantined — the decode error
-// path, as opposed to the checksum-mismatch path.
+// TestTruncationQuarantined: a file torn short (losing its checksum
+// and part of its body) must also be quarantined.
 func TestTruncationQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	persistDB(t, dir, "torn")
@@ -122,62 +128,113 @@ func TestTruncationQuarantined(t *testing.T) {
 	}
 }
 
-// TestTrailerlessSnapshotQuarantined: a snapshot that lost exactly
-// its "SXCK" trailer (the body still decodes) is damage like any
-// other — every file this service writes carries one. It must be set
-// aside, never served, and a re-upload under the same name must start
-// clean beside the corpse.
+// TestTrailerlessSnapshotQuarantined: a snapshot that lost its
+// trailing SHA-256 (the rest still decodes), or whose SHA-256 does not
+// match, is damage like any other — every file this service writes
+// carries one. It must be set aside, never served, and a re-upload
+// under the same name must start clean beside the corpse.
 func TestTrailerlessSnapshotQuarantined(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"missing", func(d []byte) []byte { return d[:len(d)-sha256.Size] }},
+		{"wrong", func(d []byte) []byte { d[len(d)-1] ^= 0x01; return d }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys := persistDB(t, dir, "bare")
+			path := filepath.Join(dir, "bare"+dbFileExt)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewPersistentService(dir)
+			if err != nil {
+				t.Fatalf("reload with a bad checksum must not be fatal: %v", err)
+			}
+			q := svc.Quarantined()
+			if len(q) != 1 || q[0].File != "bare"+dbFileExt || !strings.Contains(q[0].Reason, "checksum") {
+				t.Fatalf("quarantined = %+v, want bare%s for its checksum", q, dbFileExt)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("damaged file still in serving directory")
+			}
+			ts := httptest.NewServer(svc)
+			defer ts.Close()
+			resp, err := ts.Client().Get(ts.URL + "/db/bare/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("quarantined database answered %d, want 404", resp.StatusCode)
+			}
+
+			// Re-hosting under the same name starts clean: generation
+			// 1, no recovery history. (TestRehostAfterQuarantinePersists
+			// covers the restart after a re-host, whatever the
+			// quarantine cause.)
+			cl := Dial(ts.URL, "bare").WithHTTPClient(ts.Client())
+			if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
+				t.Fatalf("re-upload: %v", err)
+			}
+			sys.UseBackend(cl)
+			_, _, tm, err := sys.Query("//patient/pname")
+			if err != nil || tm.Generation != 1 {
+				t.Fatalf("query after re-upload: generation %d, err %v", tm.Generation, err)
+			}
+			if rec, ok := svc.Recoveries()["bare"]; ok {
+				t.Errorf("re-uploaded database carries recovery history: %+v", rec)
+			}
+		})
+	}
+}
+
+// TestRetiredSnapshotFormatQuarantined: a file in the retired SXDS1
+// layout (blocks elided into a per-block store) has no reader. It is
+// quarantined, naming its magic, never loaded with empty blocks. The
+// retired layout's separate checksum trailer is left off: the magic
+// refuses the file before anything past it is read.
+func TestRetiredSnapshotFormatQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	sys := persistDB(t, dir, "bare")
-	path := filepath.Join(dir, "bare"+dbFileExt)
+	persistDB(t, dir, "old")
+	path := filepath.Join(dir, "old"+dbFileExt)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlen := len(trailerMagic) + sha256.Size
-	if _, _, _, err := wire.UnmarshalSnapshot(data[:len(data)-tlen]); err != nil {
-		t.Fatalf("stripped body is not a whole snapshot; test premise broken: %v", err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-tlen], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewPersistentService(dir)
-	if err != nil {
-		t.Fatalf("reload with trailerless file must not be fatal: %v", err)
-	}
-	q := svc.Quarantined()
-	if len(q) != 1 || q[0].File != "bare"+dbFileExt || !strings.Contains(q[0].Reason, "trailer missing") {
-		t.Fatalf("quarantined = %+v, want bare%s for its missing trailer", q, dbFileExt)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("trailerless file still in serving directory")
-	}
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/db/bare/stats")
+	db, gen, root, err := wire.UnmarshalSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("quarantined database answered %d, want 404", resp.StatusCode)
+	db.Blocks = make([][]byte, len(db.Blocks))
+	inner, err := wire.MarshalDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := binary.BigEndian.AppendUint64([]byte("SXDS1"), gen)
+	old = binary.AppendUvarint(old, uint64(len(root)))
+	old = append(old, root...)
+	old = binary.AppendUvarint(old, uint64(len(inner)))
+	old = append(old, inner...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// Re-hosting under the same name starts clean: generation 1, no
-	// recovery history. (TestRehostAfterQuarantinePersists covers the
-	// restart after a re-host, whatever the quarantine cause.)
-	cl := Dial(ts.URL, "bare").WithHTTPClient(ts.Client())
-	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
-		t.Fatalf("re-upload: %v", err)
+	svc, err := NewPersistentService(dir)
+	if err != nil {
+		t.Fatalf("reload with a retired-format file must not be fatal: %v", err)
 	}
-	sys.UseBackend(cl)
-	_, _, tm, err := sys.Query("//patient/pname")
-	if err != nil || tm.Generation != 1 {
-		t.Fatalf("query after re-upload: generation %d, err %v", tm.Generation, err)
+	q := svc.Quarantined()
+	if len(q) != 1 || !strings.Contains(q[0].Reason, "SXDS1") {
+		t.Fatalf("quarantined = %+v, want old%s refused by its SXDS1 magic", q, dbFileExt)
 	}
-	if rec, ok := svc.Recoveries()["bare"]; ok {
-		t.Errorf("re-uploaded database carries recovery history: %+v", rec)
+	if svc.dbs["old"] != nil {
+		t.Fatal("retired-format snapshot was loaded")
 	}
 }
 

@@ -2,30 +2,28 @@ package remote
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/blockstore"
 	"repro/internal/server"
 	"repro/internal/walog"
 	"repro/internal/wire"
 )
 
 // Disk persistence and recovery: a Service configured with a
-// directory keeps each hosted database as a checksummed metadata
-// snapshot (dir/<name>.sxdb), a block store (dir/<name>.blocks/) and
-// a write-ahead log (dir/<name>.wal/) — the hosting provider
+// directory keeps each hosted database as one checksummed snapshot
+// file holding the whole database, blocks included (dir/<name>.sxdb),
+// plus a write-ahead log (dir/<name>.wal/) — the hosting provider
 // surviving a crash at any instruction without ever holding a key.
+// The durable state is always exactly one committed generation plus
+// the log.
 //
 // Recovery, per database, at startup:
 //
-//  1. Load the snapshot; verify its SHA-256 trailer; fill its elided
-//     block ciphertexts from the block store (every block frame
-//     carries its own CRC).
+//  1. Load the snapshot and verify its SHA-256.
 //  2. Open the WAL. A torn final record — the signature of a crash
 //     mid-append — is truncated away; damage anywhere else is
 //     corruption and quarantines the database.
@@ -38,7 +36,7 @@ import (
 //     quarantined, never served.
 //
 // Corruption tolerance: a database that fails any step is moved —
-// snapshot and sidecars — to dir/quarantine/ and recorded, and
+// snapshot and log — to dir/quarantine/ and recorded, and
 // startup continues with the remaining databases: one rotten file
 // must not take down (or worse, silently poison) the whole host.
 
@@ -50,34 +48,6 @@ const (
 	tmpSuffix     = ".tmp"
 	quarantineDir = "quarantine"
 )
-
-// trailerMagic separates the database bytes from their checksum.
-var trailerMagic = []byte("SXCK")
-
-// appendChecksum wraps wire bytes in the on-disk trailer format.
-func appendChecksum(data []byte) []byte {
-	sum := sha256.Sum256(data)
-	out := make([]byte, 0, len(data)+len(trailerMagic)+len(sum))
-	out = append(out, data...)
-	out = append(out, trailerMagic...)
-	return append(out, sum[:]...)
-}
-
-// splitChecksum validates and strips the trailer. Every snapshot this
-// service writes carries one, so a file without it has lost its tail.
-func splitChecksum(data []byte) ([]byte, error) {
-	tlen := len(trailerMagic) + sha256.Size
-	if len(data) < tlen || !bytes.Equal(data[len(data)-tlen:len(data)-sha256.Size], trailerMagic) {
-		return nil, errors.New("checksum trailer missing")
-	}
-	body := data[:len(data)-tlen]
-	want := data[len(data)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], want) {
-		return nil, fmt.Errorf("checksum mismatch (stored %x, computed %x)", want[:8], sum[:8])
-	}
-	return body, nil
-}
 
 // QuarantineRecord describes one corrupt database that was set aside
 // at startup.
@@ -115,14 +85,12 @@ func NewPersistentService(dir string) (*Service, error) {
 }
 
 // NewPersistentServiceOpts is NewPersistentService with explicit
-// durability tuning (checkpoint interval, WAL segment size,
-// filesystem seam).
+// durability tuning (checkpoint interval, filesystem seam).
 func NewPersistentServiceOpts(dir string, opts PersistOptions) (*Service, error) {
 	s := NewService()
 	s.persistDir = dir
 	s.pfs = opts.FS
 	s.checkpointEvery = opts.CheckpointEvery
-	s.walSegBytes = opts.WALSegmentBytes
 	fsys := s.fs()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("remote: create %s: %w", dir, err)
@@ -154,10 +122,10 @@ func NewPersistentServiceOpts(dir string, opts PersistOptions) (*Service, error)
 	return s, nil
 }
 
-// loadDB recovers one database from its on-disk trio (snapshot, block
-// store, WAL). Corruption quarantines the database and returns nil —
-// recovery of the remaining databases continues; only filesystem-level
-// failures (unreadable directory, failed rename) are returned.
+// loadDB recovers one database from its snapshot and WAL. Corruption
+// quarantines the database and returns nil — recovery of the remaining
+// databases continues; only filesystem-level failures (unreadable
+// directory, failed rename) are returned.
 func (s *Service) loadDB(fileName string) error {
 	name := strings.TrimSuffix(fileName, dbFileExt)
 	path := filepath.Join(s.persistDir, fileName)
@@ -177,30 +145,11 @@ func (s *Service) loadDB(fileName string) error {
 	if err != nil {
 		return fmt.Errorf("remote: load %s: %w", fileName, err)
 	}
-	body, err := splitChecksum(data)
+	// Anything but an SXDS2 frame fails its magic check here, and
+	// damage past the magic fails the checksum.
+	db, snapGen, snapRoot, err := wire.UnmarshalSnapshot(data)
 	if err != nil {
 		return fail(err)
-	}
-
-	bs, err := blockstore.Open(s.blkDir(name), fsys)
-	if err != nil {
-		return fail(err)
-	}
-	// Anything but an SXDS1 snapshot frame fails its magic check here.
-	db, snapGen, snapRoot, err := wire.UnmarshalSnapshot(body)
-	if err != nil {
-		return fail(err)
-	}
-	all, err := bs.LoadAll()
-	if err != nil {
-		return fail(err)
-	}
-	for i := range db.Blocks {
-		ct, ok := all[i]
-		if !ok {
-			return fail(fmt.Errorf("block %d missing from block store", i))
-		}
-		db.Blocks[i] = ct
 	}
 
 	wal, rep, err := walog.Open(s.walDir(name), s.walOpts())
@@ -214,7 +163,6 @@ func (s *Service) loadDB(fileName string) error {
 	srv := server.New(db)
 	srv.RestoreGeneration(snapGen)
 	h := newHosted(srv)
-	dirty := map[int]struct{}{}
 	replayed, rootChecked := 0, false
 	var replayErr error
 	for i, rec := range rep.Records {
@@ -255,11 +203,6 @@ func (s *Service) loadDB(fileName string) error {
 		if b.RequestID != 0 {
 			h.rememberLocked(b.RequestID)
 		}
-		for _, upd := range b.Updates {
-			for _, blk := range upd.Blocks {
-				dirty[blk.ID] = struct{}{}
-			}
-		}
 		replayed++
 	}
 	if replayErr != nil {
@@ -281,10 +224,7 @@ func (s *Service) loadDB(fileName string) error {
 		rootChecked = true
 	}
 
-	h.dur = &durable{
-		name: name, wal: wal, blocks: bs,
-		dirty: dirty, sinceCheckpoint: replayed,
-	}
+	h.dur = &durable{name: name, wal: wal, sinceCheckpoint: replayed}
 	h.recovery = &RecoveryStats{
 		SnapshotGen:    snapGen,
 		RecoveredGen:   srv.Generation(),
@@ -298,7 +238,7 @@ func (s *Service) loadDB(fileName string) error {
 }
 
 // quarantineDB moves a corrupt database — snapshot file plus its WAL
-// and block-store sidecars — into dir/quarantine/, returning the
+// — into dir/quarantine/, returning the
 // snapshot's destination path. Destinations are made unique with a
 // ".N" suffix so a database quarantined twice (reload after re-host)
 // never silently overwrites the earlier corpse.
@@ -320,15 +260,13 @@ func (s *Service) quarantineDB(path, fileName string, cause error) (string, erro
 	if err := fsys.Rename(path, dest); err != nil {
 		return "", fmt.Errorf("remote: quarantine %s: %w (while handling: %v)", fileName, err, cause)
 	}
-	// Sidecars ride along under the same suffix, so the corpse stays
+	// The log rides along under the same suffix, so the corpse stays
 	// analyzable as a unit and a re-hosted database starts clean.
 	name := strings.TrimSuffix(fileName, dbFileExt)
-	for _, ext := range []string{walDirExt, blkDirExt} {
-		side := filepath.Join(s.persistDir, name+ext)
-		if _, err := fsys.Stat(side); err == nil {
-			if err := fsys.Rename(side, filepath.Join(qdir, name+ext+suffix)); err != nil {
-				return "", fmt.Errorf("remote: quarantine %s sidecar %s: %w (while handling: %v)", fileName, ext, err, cause)
-			}
+	wal := filepath.Join(s.persistDir, name+walDirExt)
+	if _, err := fsys.Stat(wal); err == nil {
+		if err := fsys.Rename(wal, filepath.Join(qdir, name+walDirExt+suffix)); err != nil {
+			return "", fmt.Errorf("remote: quarantine %s log: %w (while handling: %v)", fileName, err, cause)
 		}
 	}
 	if err := fsys.SyncDir(s.persistDir); err != nil {

@@ -68,9 +68,9 @@ func TestQuarantineUniqueDestinations(t *testing.T) {
 }
 
 // TestQuarantinedDBNotResurrected: once quarantined, a database must
-// stay gone across further reloads — leftover sidecars (WAL, block
-// store) must not re-materialize it, and the reload must not
-// re-quarantine phantom files.
+// stay gone across further reloads — a leftover WAL must not
+// re-materialize it, and the reload must not re-quarantine phantom
+// files.
 func TestQuarantinedDBNotResurrected(t *testing.T) {
 	dir := t.TempDir()
 	persistDB(t, dir, "rotten")
@@ -83,9 +83,9 @@ func TestQuarantinedDBNotResurrected(t *testing.T) {
 	if len(svc1.Quarantined()) != 1 {
 		t.Fatalf("setup: quarantine did not trigger")
 	}
-	// Sidecars went with the corpse: nothing of the database remains
+	// The log went with the corpse: nothing of the database remains
 	// in the data directory.
-	for _, ext := range []string{dbFileExt, walDirExt, blkDirExt} {
+	for _, ext := range []string{dbFileExt, walDirExt} {
 		if _, err := os.Stat(filepath.Join(dir, "rotten"+ext)); !os.IsNotExist(err) {
 			t.Errorf("quarantine left %s behind (err=%v)", "rotten"+ext, err)
 		}

@@ -93,10 +93,12 @@ type Service struct {
 	// pfs is the filesystem seam for the durable engine; nil means
 	// the real filesystem (see PersistOptions.FS).
 	pfs faultfs.FS
-	// checkpointEvery and walSegBytes tune the durable engine (see
-	// PersistOptions); zero values select defaults.
+	// checkpointEvery tunes the durable engine (see PersistOptions);
+	// zero selects the default.
 	checkpointEvery int
-	walSegBytes     int64
+	// uploadMu serializes publish: one name swap, and one write of
+	// its snapshot file, at a time.
+	uploadMu sync.Mutex
 	// dedupHits counts update requests answered from the dedup table
 	// instead of being re-applied (observability + tests).
 	dedupHits atomic.Int64
@@ -131,6 +133,9 @@ type hosted struct {
 	// the moment the first copy-on-write update commits.
 	mu  sync.Mutex
 	srv *server.Server
+	// retired is set, under mu, when a later upload replaced this
+	// incarnation of the name; its pending updates are then refused.
+	retired bool
 	// seen is the request-ID dedup table: IDs of updates already
 	// applied, so a retry of a lost acknowledgment is answered
 	// without re-applying. Guarded by mu.
@@ -380,48 +385,53 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request, name stri
 	if canceled(w, r) {
 		return
 	}
-	h := newHosted(server.New(db))
-	s.mu.Lock()
-	old := s.dbs[name]
-	s.dbs[name] = h
-	s.mu.Unlock()
-	if old != nil && old.dur != nil {
-		old.dur.close()
-	}
-	if s.persistDir != "" {
-		if err := s.persistUpload(name, h); err != nil {
-			h.persistFailures.Add(1)
-			http.Error(w, err.Error(), persistStatus(err, &h.diskFullFailures))
-			return
-		}
+	if err := s.publish(name, newHosted(server.New(db))); err != nil {
+		http.Error(w, err.Error(), persistStatus(err))
+		return
 	}
 	w.WriteHeader(http.StatusCreated)
 }
 
-// persistUpload makes a freshly uploaded database durable: fresh
-// sidecars (a previous incarnation's WAL and blocks are garbage for
-// the new state), every block dirty, one full checkpoint.
-func (s *Service) persistUpload(name string, h *hosted) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	dur, err := s.openDurable(name, true)
-	if err != nil {
-		return err
+// errReplaced refuses an update to a database incarnation that a
+// later upload replaced.
+var errReplaced = errors.New("database replaced by a new upload")
+
+// publish hosts h under name. A persistent service first makes h
+// durable and publishes it only once its snapshot is on disk, so a
+// refused upload leaves the name as it was: absent, or the previous
+// incarnation with its durable state. The previous incarnation's lock
+// is held across the swap, so none of its updates commits meanwhile;
+// those queued behind the lock find it retired.
+func (s *Service) publish(name string, h *hosted) error {
+	s.uploadMu.Lock()
+	defer s.uploadMu.Unlock()
+	s.mu.RLock()
+	old := s.dbs[name]
+	s.mu.RUnlock()
+	if old != nil {
+		old.mu.Lock()
+		defer old.mu.Unlock()
 	}
-	for id := range h.srv.CurrentDB().Blocks {
-		dur.dirty[id] = struct{}{}
+	if s.persistDir != "" {
+		if err := s.persistUpload(name, h, old); err != nil {
+			return err
+		}
 	}
-	h.dur = dur
-	return s.checkpointLocked(h)
+	s.mu.Lock()
+	s.dbs[name] = h
+	s.mu.Unlock()
+	if old != nil {
+		old.retired = true
+	}
+	return nil
 }
 
 // persistStatus maps a durability failure to its HTTP status: 507 for
 // storage exhaustion (degraded, retryable once space clears), 500 for
 // everything else. Both are >= 500, so the client's retry policy
-// treats them as temporary. Bumps the disk-full counter on the way.
-func persistStatus(err error, diskFull *atomic.Int64) int {
+// treats them as temporary.
+func persistStatus(err error) int {
 	if errors.Is(err, ErrDiskFull) {
-		diskFull.Add(1)
 		return http.StatusInsufficientStorage
 	}
 	return http.StatusInternalServerError
@@ -619,7 +629,10 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request, name stri
 	}
 	if persistErr != nil {
 		h.persistFailures.Add(1)
-		http.Error(w, persistErr.Error(), persistStatus(persistErr, &h.diskFullFailures))
+		if errors.Is(persistErr, ErrDiskFull) {
+			h.diskFullFailures.Add(1)
+		}
+		http.Error(w, persistErr.Error(), persistStatus(persistErr))
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -633,6 +646,10 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request, name stri
 // (now, or by an earlier attempt) and may be acknowledged.
 func (s *Service) commitUpdate(h *hosted, raw []byte, b *wire.UpdateBatch) (applyErr, persistErr error) {
 	h.mu.Lock()
+	if h.retired {
+		h.mu.Unlock()
+		return errReplaced, nil
+	}
 	if b.RequestID != 0 && h.seen[b.RequestID] {
 		// A retry of a batch we already committed: acknowledge
 		// without re-applying.
@@ -654,7 +671,7 @@ func (s *Service) commitUpdate(h *hosted, raw []byte, b *wire.UpdateBatch) (appl
 		// records enter the log in commit order; the fsync wait happens
 		// outside the lock so one commit's disk latency doesn't
 		// serialize the next commit's apply.
-		tk, persistErr = s.stageDurable(h, raw, b.Updates)
+		tk, persistErr = s.stageDurable(h, raw)
 	}
 	h.mu.Unlock()
 	if persistErr == nil {
@@ -734,7 +751,6 @@ func (s *Service) handleStats(w http.ResponseWriter, h *hosted) {
 			"degraded":        h.dur.degraded,
 			"walBytes":        h.dur.walSize(),
 			"sinceCheckpoint": h.dur.sinceCheckpoint,
-			"dirtyBlocks":     len(h.dur.dirty),
 			"persistFailures": h.persistFailures.Load(),
 			"diskFull":        h.diskFullFailures.Load(),
 		}
@@ -778,11 +794,7 @@ func (s *Service) registerLocal(name string, db *wire.HostedDB) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	h := newHosted(server.New(decoded))
-	s.dbs[name] = h
-	s.mu.Unlock()
-	return nil
+	return s.publish(name, newHosted(server.New(decoded)))
 }
 
 // RegisterLocal is the exported form of registerLocal.

@@ -188,9 +188,10 @@ func (s *Server) Epoch() uint64 { return s.epoch }
 // RestoreGeneration fast-forwards the generation counter to gen, the
 // value a durable snapshot captured, so that replayed WAL updates
 // re-commit at the generations they originally acknowledged and the
-// recovered server resumes exactly where the crashed one stopped.
-// Only recovery may call this, before the server takes traffic;
-// moving the counter backwards is refused (caches key on it).
+// recovered server resumes exactly where the crashed one stopped. A
+// re-upload also calls it, to continue the name's count. Only those
+// may call it, before the server takes traffic; moving the counter
+// backwards is refused (caches key on it).
 func (s *Server) RestoreGeneration(gen uint64) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()

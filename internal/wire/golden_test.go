@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/btree"
+	"repro/internal/dsi"
 	"repro/internal/opess"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -66,6 +68,65 @@ func rejectsMagic(t *testing.T, name string, err error) {
 	if err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("retired %s frame: err = %v, want a bad-magic rejection", name, err)
 	}
+}
+
+// TestGoldenSnapshotFrameBytes pins SXDS2, the durable image of a
+// hosted database: header, the upload's SXDB1 frame with its blocks
+// inline, then a SHA-256 of every byte before it. A drift strands
+// every .sxdb file on disk. The retired SXDS1 frame (blocks elided,
+// no checksum) must be refused by its magic.
+func TestGoldenSnapshotFrameBytes(t *testing.T) {
+	res, err := xmltree.ParseString(`<r><EncBlock id="0"/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &HostedDB{
+		Residue:          res,
+		ResidueIntervals: map[*xmltree.Node]dsi.Interval{res.Nodes()[0]: {Lo: 0, Hi: 1}},
+		Table:            &dsi.Table{ByTag: map[string][]dsi.Interval{"T": {{Lo: 0.5, Hi: 0.75}}}},
+		BlockReps:        []dsi.Interval{{Lo: 0.5, Hi: 0.75}},
+		Blocks:           [][]byte{{0xAB, 0xCD}},
+		IndexEntries:     []btree.Entry{{Key: 0x0700000000000001, BlockID: 0}},
+	}
+	db := "5358444231" + // magic "SXDB1"
+		"19" + hex.EncodeToString([]byte(`<r><EncBlock id="0"/></r>`)) + // residue XML
+		"01" + "00" + "0000000000000000" + "3ff0000000000000" + // 1 residue interval: node 0, [0, 1]
+		"01" + "01" + "54" + "01" + "3fe0000000000000" + "3fe8000000000000" + // 1 label "T", 1 interval [0.5, 0.75]
+		"01" + "3fe0000000000000" + "3fe8000000000000" + // 1 block rep [0.5, 0.75]
+		"01" + "02" + "abcd" + // 1 block, 2-byte ciphertext
+		"01" + "0700000000000001" + "00" // 1 index entry: key (fixed u64), block 0
+	body := "5358445332" + // magic "SXDS2"
+		"0000000000000009" + // generation 9 (fixed u64)
+		"02" + "0102" + // 2-byte root
+		db // the upload's frame, not length-prefixed
+	sum := sha256.Sum256(mustHex(t, body))
+	golden := body + hex.EncodeToString(sum[:]) // SHA-256 of every byte before it
+
+	upload, err := MarshalDB(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(upload); got != db {
+		t.Fatalf("database frame drifted:\n got %s\nwant %s", got, db)
+	}
+	data, err := MarshalSnapshot(h, 9, []byte{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("snapshot frame drifted:\n got %s\nwant %s", got, golden)
+	}
+	back, gen, root, err := UnmarshalSnapshot(data)
+	if err != nil || gen != 9 || hex.EncodeToString(root) != "0102" || hex.EncodeToString(back.Blocks[0]) != "abcd" {
+		t.Fatalf("golden snapshot decoded to gen %d, root %x, err %v", gen, root, err)
+	}
+
+	// The same database as a retired SXDS1 frame: generation, root,
+	// the frame length-prefixed with its block elided, no checksum.
+	elided := strings.Replace(db, "01"+"02"+"abcd", "01"+"00", 1)
+	sxds1 := "5358445331" + "0000000000000009" + "02" + "0102" + "62" + elided
+	_, _, _, err = UnmarshalSnapshot(mustHex(t, sxds1))
+	rejectsMagic(t, "SXDS1", err)
 }
 
 // TestGoldenAnswerFrameBytes pins SXS1, the one answer format: the

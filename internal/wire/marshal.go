@@ -179,6 +179,13 @@ func expectMagic(r *bytes.Reader, magic []byte) error {
 // MarshalDB serializes a hosted database.
 func MarshalDB(h *HostedDB) ([]byte, error) {
 	w := getWriter()
+	w.db(h)
+	return w.finish(), nil
+}
+
+// db appends h's SXDB1 frame: the upload body, and the inside of a
+// snapshot.
+func (w *writer) db(h *HostedDB) {
 	w.buf.Write(dbMagic)
 
 	// Residue: serialized XML plus, per residue element/attribute in
@@ -235,7 +242,6 @@ func MarshalDB(h *HostedDB) ([]byte, error) {
 		w.u64(e.Key)
 		w.uvarint(uint64(e.BlockID))
 	}
-	return w.finish(), nil
 }
 
 // UnmarshalDB reverses MarshalDB.

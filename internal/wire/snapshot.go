@@ -2,46 +2,48 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 )
 
-// Snapshot frames: the durable-storage split (ROADMAP item 3) stores
-// the hosted database's big immutable metadata (residue, DSI tables,
-// block table, index entries) in one snapshot file and the mutable
-// ciphertext blocks in a per-block store, so a checkpoint rewrites
-// only what changed. A snapshot is the SXDS1 magic, the database
-// generation it captures, the Merkle root of the full state at that
-// generation (the recovery-time trust anchor), and an embedded SXDB1
-// frame whose block ciphertexts are elided (length-zero, count
-// preserved) — block bytes live in the block store.
-var snapshotMagic = []byte("SXDS1")
+// Snapshot frames: the durable image of one hosted database, the
+// whole of its <name>.sxdb file. A snapshot is the SXDS2 magic, the
+// generation it captures (fixed u64), the Merkle root of the state at
+// that generation (the recovery-time trust anchor), the database's
+// SXDB1 frame with its blocks inline — the same bytes MarshalDB gives
+// the upload — and a SHA-256 over every byte before it. The SXDB1
+// frame is not length-prefixed: it runs up to the checksum.
+var snapshotMagic = []byte("SXDS2")
 
-// MarshalSnapshot serializes h's metadata (blocks elided) together
-// with the generation and Merkle root of the state it captures. The
-// root may be nil when the host keeps no auth state; recovery then
-// anchors on the WAL records' own roots.
+// MarshalSnapshot serializes h together with the generation and
+// Merkle root of the state it captures. The root may be nil when the
+// host keeps no auth state; recovery then anchors on the WAL records'
+// own roots.
 func MarshalSnapshot(h *HostedDB, gen uint64, root []byte) ([]byte, error) {
-	meta := *h
-	meta.Blocks = make([][]byte, len(h.Blocks))
-	inner, err := MarshalDB(&meta)
-	if err != nil {
-		return nil, err
-	}
 	w := getWriter()
 	w.buf.Write(snapshotMagic)
 	w.u64(gen)
 	w.bytes(root)
-	w.bytes(inner)
+	w.db(h)
+	sum := sha256.Sum256(w.buf.Bytes())
+	w.buf.Write(sum[:])
 	return w.finish(), nil
 }
 
-// UnmarshalSnapshot reverses MarshalSnapshot. The returned database
-// has its Blocks slice sized but empty; the caller fills it from the
-// block store.
+// UnmarshalSnapshot reverses MarshalSnapshot. A frame with another
+// magic (a retired SXDS1 file among them) fails on it; damage anywhere
+// after the magic fails the checksum.
 func UnmarshalSnapshot(data []byte) (h *HostedDB, gen uint64, root []byte, err error) {
 	r := &reader{r: bytes.NewReader(data)}
 	if err := expectMagic(r.r, snapshotMagic); err != nil {
 		return nil, 0, nil, err
+	}
+	end := len(data) - sha256.Size
+	if end < len(snapshotMagic) {
+		return nil, 0, nil, fmt.Errorf("wire: snapshot checksum missing (%d bytes)", len(data))
+	}
+	if sum := sha256.Sum256(data[:end]); !bytes.Equal(sum[:], data[end:]) {
+		return nil, 0, nil, fmt.Errorf("wire: snapshot checksum mismatch (stored %x, computed %x)", data[end:end+8], sum[:8])
 	}
 	if gen, err = r.u64(); err != nil {
 		return nil, 0, nil, fmt.Errorf("wire: snapshot generation: %w", err)
@@ -49,14 +51,11 @@ func UnmarshalSnapshot(data []byte) (h *HostedDB, gen uint64, root []byte, err e
 	if root, err = r.bytesN(); err != nil {
 		return nil, 0, nil, fmt.Errorf("wire: snapshot root: %w", err)
 	}
-	inner, err := r.bytesN()
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("wire: snapshot body: %w", err)
+	start := len(data) - r.r.Len()
+	if start > end {
+		return nil, 0, nil, fmt.Errorf("wire: snapshot header overruns its checksum")
 	}
-	if r.r.Len() != 0 {
-		return nil, 0, nil, fmt.Errorf("wire: snapshot: %d trailing bytes", r.r.Len())
-	}
-	if h, err = UnmarshalDB(inner); err != nil {
+	if h, err = UnmarshalDB(data[start:end]); err != nil {
 		return nil, 0, nil, err
 	}
 	if len(root) == 0 {

@@ -295,6 +295,9 @@ func TestStreamFrameGrowsToFit(t *testing.T) {
 // (its ciphertext) plus amortized slice growth — no allocation per tag
 // or varint byte.
 func TestStreamCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds need sync.Pool, which the race detector drains at random")
+	}
 	const n = 64
 	a := &Answer{Fragments: [][]byte{[]byte("<a/>")}, Proof: []byte("p"), Generation: 1}
 	for i := 0; i < n; i++ {
