@@ -240,180 +240,14 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// --- parallel pipeline benchmarks ---
-//
-// Each Benchmark*Parallel runs a seq sub-benchmark (worker width 1)
-// and a par sub-benchmark (parWorkers width) over the same queries,
-// reporting the ratio as a "speedup" metric on the par run. Answers
-// are asserted byte-identical across widths first — the pipeline's
-// order-preserving merges make parallel output deterministic, so no
-// sorting is needed.
-
-// parWorkers is the parallel width for the Benchmark*Parallel pairs:
-// every available CPU, but at least 4 so the fan-out code path is
-// exercised (not just measured) on small runners too.
-func parWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w > 4 {
-		return w
-	}
-	return 4
-}
-
-// setWidth configures both pipeline halves (server matcher pool,
-// client decrypt/splice pool) to one worker width.
-func setWidth(sys *core.System, w int) {
-	sys.Client.SetParallelism(w)
-	if l, ok := sys.Server.(core.Local); ok {
-		l.S.SetParallelism(w)
-	}
-}
-
-// checkSameAnswers fails the benchmark if any query's parallel answer
-// differs from its sequential answer, element for element.
-func checkSameAnswers(b *testing.B, sys *core.System, queries []string, workers int) {
-	b.Helper()
-	for _, q := range queries {
-		setWidth(sys, 1)
-		seq, _, _, err := sys.Query(q)
-		if err != nil {
-			b.Fatalf("seq %s: %v", q, err)
-		}
-		setWidth(sys, workers)
-		par, _, _, err := sys.Query(q)
-		if err != nil {
-			b.Fatalf("par %s: %v", q, err)
-		}
-		ss, ps := core.ResultStrings(seq), core.ResultStrings(par)
-		if len(ss) != len(ps) {
-			b.Fatalf("%s: %d answers sequential vs %d parallel", q, len(ss), len(ps))
-		}
-		for i := range ss {
-			if ss[i] != ps[i] {
-				b.Fatalf("%s: answer %d differs\n  seq: %s\n  par: %s", q, i, ss[i], ps[i])
-			}
-		}
-	}
-}
-
-// BenchmarkQueryParallel measures the full client+server round trip
-// at width 1 versus full width on NASA Ql queries (the class with the
-// most candidate work to shard).
-func BenchmarkQueryParallel(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	sys := s.Systems[core.SchemeOpt]
-	queries := s.Queries(datagen.Ql)
-	workers := parWorkers()
-	defer setWidth(sys, 1) // bench.Setup default; keeps later E1–E5 runs width-1
-	checkSameAnswers(b, sys, queries, workers)
-
-	var seqNs float64
-	b.Run("seq", func(b *testing.B) {
-		setWidth(sys, 1)
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := sys.Query(queries[i%len(queries)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		seqNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
-		setWidth(sys, workers)
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := sys.Query(queries[i%len(queries)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N); seqNs > 0 {
-			b.ReportMetric(seqNs/parNs, "speedup")
-		}
-	})
-}
-
-// BenchmarkServerExecParallel isolates the server matcher stage: the
-// client stays at width 1 while the matcher pool width varies, and
-// the stage is timed through Timings.ServerExec rather than wall
-// clock so client work does not dilute the ratio.
-func BenchmarkServerExecParallel(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	sys := s.Systems[core.SchemeOpt]
-	queries := s.Queries(datagen.Ql)
-	workers := parWorkers()
-	defer setWidth(sys, 1) // bench.Setup default; keeps later E1–E5 runs width-1
-	checkSameAnswers(b, sys, queries, workers)
-
-	run := func(b *testing.B, width int) float64 {
-		sys.Client.SetParallelism(1)
-		if l, ok := sys.Server.(core.Local); ok {
-			l.S.SetParallelism(width)
-		}
-		var server int64
-		for i := 0; i < b.N; i++ {
-			_, _, tm, err := sys.Query(queries[i%len(queries)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			server += tm.ServerExec.Nanoseconds()
-		}
-		ns := float64(server) / float64(b.N)
-		b.ReportMetric(ns/1e3, "server-µs/op")
-		return ns
-	}
-	var seqNs float64
-	b.Run("seq", func(b *testing.B) { seqNs = run(b, 1) })
-	b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
-		if parNs := run(b, workers); seqNs > 0 {
-			b.ReportMetric(seqNs/parNs, "speedup")
-		}
-	})
-}
-
-// BenchmarkDecryptParallel isolates the client decrypt stage: the
-// server stays at width 1 while DecryptBlocks width varies, timed
-// through Timings.ClientDecrypt.
-func BenchmarkDecryptParallel(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	sys := s.Systems[core.SchemeOpt]
-	queries := s.Queries(datagen.Ql)
-	workers := parWorkers()
-	defer setWidth(sys, 1) // bench.Setup default; keeps later E1–E5 runs width-1
-	checkSameAnswers(b, sys, queries, workers)
-
-	run := func(b *testing.B, width int) float64 {
-		sys.Client.SetParallelism(width)
-		if l, ok := sys.Server.(core.Local); ok {
-			l.S.SetParallelism(1)
-		}
-		var decrypt int64
-		for i := 0; i < b.N; i++ {
-			_, _, tm, err := sys.Query(queries[i%len(queries)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			decrypt += tm.ClientDecrypt.Nanoseconds()
-		}
-		ns := float64(decrypt) / float64(b.N)
-		b.ReportMetric(ns/1e3, "decrypt-µs/op")
-		return ns
-	}
-	var seqNs float64
-	b.Run("seq", func(b *testing.B) { seqNs = run(b, 1) })
-	b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
-		if parNs := run(b, workers); seqNs > 0 {
-			b.ReportMetric(seqNs/parNs, "speedup")
-		}
-	})
-}
-
 // BenchmarkConcurrentQueries measures cross-query concurrency: many
-// goroutines sharing one System under its reader lock, each query at
-// width 1, versus the same load issued serially. This is the remote
-// service's steady state (many clients, bounded in-flight).
+// goroutines sharing one System, each query on its own goroutine,
+// versus the same load issued serially. This is the remote service's
+// steady state (many clients, bounded in-flight).
 func BenchmarkConcurrentQueries(b *testing.B) {
 	s := datasetSetup(b, "nasa")
 	sys := s.Systems[core.SchemeOpt]
 	queries := s.Queries(datagen.Qm)
-	setWidth(sys, 1)
-	defer setWidth(sys, 1) // bench.Setup default; keeps later E1–E5 runs width-1
 
 	var seqNs float64
 	b.Run("serial", func(b *testing.B) {

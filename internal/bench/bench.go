@@ -89,12 +89,7 @@ func NewSetup(cfg Config) (*Setup, error) {
 		if cfg.PaperHW {
 			sys.SimDecryptMBps = PaperDecryptMBps
 		}
-		// The paper's §7 numbers come from single-threaded hardware;
-		// pin the reproduction to width 1 so measured columns stay
-		// comparable. Benchmark*Parallel widens the pools explicitly.
-		sys.Client.SetParallelism(1)
 		if l, ok := sys.Server.(core.Local); ok {
-			l.S.SetParallelism(1)
 			// The §7 experiments measure the cold query pipeline —
 			// parse, resolve, match, decrypt — not cache hits. Repeated
 			// trials of the same query would otherwise all be served

@@ -10,7 +10,6 @@ package client
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 
@@ -30,10 +29,6 @@ import (
 type Client struct {
 	keys    *cryptoprim.KeySet
 	rootTag string
-
-	// par is the worker width for answer decryption and fragment
-	// splicing (see postprocess.go); 1 = sequential.
-	par int
 
 	// encTags / plainTags record, per tag key ("tag" or "@attr"),
 	// whether nodes with that tag occur inside encryption blocks /
@@ -100,7 +95,6 @@ func New(masterKey []byte) (*Client, error) {
 	}
 	c := &Client{
 		keys:      keys,
-		par:       runtime.GOMAXPROCS(0),
 		encTags:   map[string]bool{},
 		plainTags: map[string]bool{},
 		occ:       map[string]*tagOccurrences{},
@@ -109,19 +103,6 @@ func New(masterKey []byte) (*Client, error) {
 	c.setAttrs(attrTable{})
 	return c, nil
 }
-
-// SetParallelism sets the worker width used by DecryptBlocks and the
-// splice stage of PostProcess; width <= 1 selects the sequential
-// path. Not safe to call concurrently with queries.
-func (c *Client) SetParallelism(width int) {
-	if width < 1 {
-		width = 1
-	}
-	c.par = width
-}
-
-// Parallelism reports the configured worker width.
-func (c *Client) Parallelism() int { return c.par }
 
 // Keys exposes the key set for white-box tests; production callers
 // never need it.

@@ -4,77 +4,28 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// decryptParallelThreshold is the minimum number of blocks before
-// DecryptBlocks spends goroutines on the fan-out; below it the
-// per-goroutine overhead would exceed the AES work saved.
-const decryptParallelThreshold = 4
-
 // DecryptBlocks decrypts the answer's encrypted blocks, keyed by
 // block ID. The result is the plaintext <_blk> envelope bytes of
 // each block; parsing and decoy-stripping happen in PostProcess.
 // This is the pure decryption cost the experiments measure
-// separately (§7.2). Blocks are independent AES-GCM ciphertexts, so
-// they decrypt across the client's worker width; each worker writes
-// only its own slot, and the ID-keyed map is assembled afterwards,
-// so the result is identical to the sequential loop.
+// separately (§7.2). Blocks decrypt in answer order on the caller's
+// goroutine; the first failure is returned.
 func (c *Client) DecryptBlocks(ans *wire.Answer) (map[int][]byte, error) {
-	n := len(ans.Blocks)
-	pts := make([][]byte, n)
-	errs := make([]error, n)
-	c.parallelFor(n, decryptParallelThreshold, func(i int) {
-		pt, err := c.keys.DecryptBlock(ans.Blocks[i])
+	out := make(map[int][]byte, len(ans.Blocks))
+	for i, blk := range ans.Blocks {
+		pt, err := c.keys.DecryptBlock(blk)
 		if err != nil {
-			errs[i] = fmt.Errorf("client: block %d: %w", ans.BlockIDs[i], err)
-			return
+			return nil, fmt.Errorf("client: block %d: %w", ans.BlockIDs[i], err)
 		}
-		pts[i] = pt
-	})
-	out := make(map[int][]byte, n)
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out[ans.BlockIDs[i]] = pts[i]
+		out[ans.BlockIDs[i]] = pt
 	}
 	return out, nil
-}
-
-// parallelFor runs fn(i) for i in [0, n) across up to c.par workers
-// (inline when n is below threshold or the width is 1). fn must only
-// write state owned by index i.
-func (c *Client) parallelFor(n, threshold int, fn func(i int)) {
-	workers := c.par
-	if workers > n/threshold {
-		workers = n / threshold
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	for i := 0; i < n/workers; i++ {
-		fn(i)
-	}
-	wg.Wait()
 }
 
 // PostResult is the outcome of answer reconstruction: the query's
@@ -101,37 +52,19 @@ func (c *Client) PostProcess(q *xpath.Path, ans *wire.Answer, blocks map[int][]b
 	return res.Nodes, res.Doc, nil
 }
 
-// spliceParallelThreshold is the minimum fragment count before the
-// splice stage fans out.
-const spliceParallelThreshold = 4
-
 // PostProcessFull is PostProcess with block provenance. Fragments
-// are independent byte streams, so the splice stage runs them across
-// the client's worker width with per-fragment placeholder
-// bookkeeping, merged afterwards; the single combined parse in
-// assemble then consumes the parts in their original order.
+// are spliced in answer order into one set of used blocks; the
+// single combined parse in assemble then consumes the parts in that
+// order.
 func (c *Client) PostProcessFull(q *xpath.Path, ans *wire.Answer, blocks map[int][]byte) (*PostResult, error) {
-	nf := len(ans.Fragments)
-	parts := make([][]byte, nf)
-	spliceErrs := make([]error, nf)
-	usedPer := make([]map[int]bool, nf)
-	c.parallelFor(nf, spliceParallelThreshold, func(i int) {
-		used := map[int]bool{}
-		spliced, err := c.splice(ans.Fragments[i], blocks, used)
-		if err != nil {
-			spliceErrs[i] = err
-			return
-		}
-		parts[i], usedPer[i] = spliced, used
-	})
+	parts := make([][]byte, 0, len(ans.Fragments))
 	referenced := map[int]bool{}
-	for i := 0; i < nf; i++ {
-		if spliceErrs[i] != nil {
-			return nil, spliceErrs[i]
+	for _, frag := range ans.Fragments {
+		spliced, err := c.splice(frag, blocks, referenced)
+		if err != nil {
+			return nil, err
 		}
-		for id := range usedPer[i] {
-			referenced[id] = true
-		}
+		parts = append(parts, spliced)
 	}
 	// Blocks matched directly (the anchor itself lay inside an
 	// encrypted block) become answer parts of their own.

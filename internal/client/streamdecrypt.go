@@ -2,26 +2,27 @@ package client
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/wire"
 )
 
 // streamBacklog bounds how many undecrypted blocks may queue between
-// the stream decoder and the decrypt workers. A full queue blocks the
+// the stream decoder and the decrypt worker. A full queue blocks the
 // receive loop — that backpressure is what keeps a fast sender from
-// ballooning client memory with ciphertext the workers haven't
-// reached yet.
+// ballooning client memory with ciphertext the worker hasn't reached
+// yet.
 const streamBacklog = 32
 
 // StreamDecryptor overlaps block decryption with a streamed answer's
-// network receive: it implements wire.BlockSink, dispatching each
-// ciphertext to a worker pool the moment its frame decodes, so by the
-// time the stream trailer verifies, most plaintexts are already done.
+// network receive: it implements wire.BlockSink, handing each
+// ciphertext to one worker goroutine the moment its frame decodes, so
+// by the time the stream trailer verifies, most plaintexts are
+// already done. The worker is that overlap, not a width: a query
+// decrypts on exactly one goroutine besides its receive loop.
 //
 // The transport may restart the stream (a retry after a torn read);
 // each Reset discards everything the previous attempt delivered and
-// starts a fresh pool. Collect then releases the results only when
+// starts a fresh worker. Collect then releases the results only when
 // they provably belong to the answer the transport finally returned —
 // each recorded ciphertext must be the very slice the answer carries
 // (pointer identity, not byte equality), and coverage must be exact.
@@ -31,7 +32,8 @@ const streamBacklog = 32
 //
 // All methods are called from one goroutine at a time (the transport
 // attempt loop, then the owner's query or update read); only the
-// internal workers run concurrently.
+// worker runs beside it. The worker alone writes out and err until it
+// exits, and they are read only after drain has waited for that.
 type StreamDecryptor struct {
 	c   *Client
 	cur *streamAttempt
@@ -39,8 +41,7 @@ type StreamDecryptor struct {
 
 type streamAttempt struct {
 	tasks chan streamTask
-	wg    sync.WaitGroup
-	mu    sync.Mutex
+	done  chan struct{} // closed when the worker exits
 	out   map[int]streamBlock
 	err   error
 }
@@ -56,49 +57,41 @@ type streamBlock struct {
 }
 
 // NewStreamDecryptor returns a decryptor feeding this client's key
-// set, with the client's configured parallelism as its worker width.
-// The caller must Close it (Collect also finalizes), or an unfinished
-// attempt's workers leak.
+// set; no worker starts until the first Reset. The caller must Close
+// it (Collect also finalizes), or an unfinished attempt's worker
+// leaks.
 func (c *Client) NewStreamDecryptor() *StreamDecryptor {
 	return &StreamDecryptor{c: c}
 }
 
 // Reset implements wire.BlockSink: it discards any previous attempt's
-// results and starts a fresh worker pool for the stream that is about
-// to arrive.
+// results and starts a fresh worker for the stream that is about to
+// arrive.
 func (sd *StreamDecryptor) Reset() {
 	sd.drain()
 	at := &streamAttempt{
 		tasks: make(chan streamTask, streamBacklog),
+		done:  make(chan struct{}),
 		out:   map[int]streamBlock{},
 	}
-	width := sd.c.par
-	if width < 1 {
-		width = 1
-	}
-	at.wg.Add(width)
-	for i := 0; i < width; i++ {
-		go func() {
-			defer at.wg.Done()
-			for t := range at.tasks {
-				pt, err := sd.c.keys.DecryptBlock(t.ct)
-				at.mu.Lock()
-				if err != nil {
-					if at.err == nil {
-						at.err = fmt.Errorf("client: block %d: %w", t.id, err)
-					}
-				} else {
-					at.out[t.id] = streamBlock{ct: t.ct, pt: pt}
+	go func() {
+		defer close(at.done)
+		for t := range at.tasks {
+			pt, err := sd.c.keys.DecryptBlock(t.ct)
+			if err != nil {
+				if at.err == nil {
+					at.err = fmt.Errorf("client: block %d: %w", t.id, err)
 				}
-				at.mu.Unlock()
+				continue
 			}
-		}()
-	}
+			at.out[t.id] = streamBlock{ct: t.ct, pt: pt}
+		}
+	}()
 	sd.cur = at
 }
 
 // Block implements wire.BlockSink: it hands one received ciphertext
-// to the decrypt pool, blocking when the backlog is full. A Block
+// to the decrypt worker, blocking when the backlog is full. A Block
 // without a preceding Reset is dropped (Collect will then report
 // ok=false, and the caller's own decryption pass surfaces whatever is
 // wrong with the answer).
@@ -114,7 +107,7 @@ func (sd *StreamDecryptor) Block(id int, ct []byte) {
 // they are precisely the blocks of ans: full coverage, and every
 // recorded ciphertext is the same slice ans carries. ok=false means
 // the caller must decrypt ans itself; any decryption error the
-// workers hit also surfaces that way (the caller's sequential pass
+// worker hit also surfaces that way (the caller's sequential pass
 // rediscovers and reports it).
 func (sd *StreamDecryptor) Collect(ans *wire.Answer) (map[int][]byte, bool) {
 	at := sd.cur
@@ -136,18 +129,18 @@ func (sd *StreamDecryptor) Collect(ans *wire.Answer) (map[int][]byte, bool) {
 	return out, true
 }
 
-// Close discards any unfinished attempt, stopping its workers. Safe
+// Close discards any unfinished attempt, stopping its worker. Safe
 // to call repeatedly and after Collect.
 func (sd *StreamDecryptor) Close() { sd.drain() }
 
 // drain closes the current attempt's task channel and waits for its
-// workers to exit.
+// worker to exit.
 func (sd *StreamDecryptor) drain() {
 	if sd.cur == nil {
 		return
 	}
 	close(sd.cur.tasks)
-	sd.cur.wg.Wait()
+	<-sd.cur.done
 	sd.cur = nil
 }
 

@@ -449,12 +449,6 @@ type Timings struct {
 	UpdateEnqueue   time.Duration
 	UpdateFlushWait time.Duration
 	UpdateApply     time.Duration
-
-	// ClientWorkers reports the client's decrypt/splice width for this
-	// query. It contextualizes the per-stage times above — the §7 cost
-	// columns were measured sequentially, so a width above 1 means
-	// ClientDecrypt is the wall time of a parallel stage, not CPU time.
-	ClientWorkers int
 }
 
 // Total sums every stage.
@@ -585,7 +579,6 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 			break
 		}
 	}
-	tm.ClientWorkers = s.Client.Parallelism()
 
 	start := time.Now()
 	qs, err := sn.view.Translate(path)
@@ -698,7 +691,6 @@ func (s *System) NaiveQuery(q string) ([]*xmltree.Node, *xmltree.Document, Timin
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var tm Timings
-	tm.ClientWorkers = s.Client.Parallelism()
 
 	// Server side: serialize the full residue, ship every block.
 	start := time.Now()

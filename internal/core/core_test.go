@@ -215,17 +215,6 @@ func TestTimingsPopulated(t *testing.T) {
 	if tm.Transmit <= 0 {
 		t.Errorf("Transmit = %v", tm.Transmit)
 	}
-	if tm.ClientWorkers < 1 {
-		t.Errorf("ClientWorkers = %d, want >= 1", tm.ClientWorkers)
-	}
-	sys.Client.SetParallelism(3)
-	_, _, tm, err = sys.Query("//patient/pname")
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if tm.ClientWorkers != 3 {
-		t.Errorf("ClientWorkers = %d, want 3", tm.ClientWorkers)
-	}
 }
 
 // TestNegatedPredicateEmptyAnswer pins the empty-answer semantics: a

@@ -282,8 +282,7 @@ func pickLeaf(r *datagen.Rand, sh *docShape) *xmltree.Node {
 
 // RunCase hosts the case's document under every scheme and compares
 // each query's encrypted answer against the plaintext evaluation,
-// node-for-node (order-insensitive: both sides sorted). The widths
-// force the parallel code paths even on a single-core runner. A
+// node-for-node (order-insensitive: both sides sorted). A
 // non-nil error pinpoints the first mismatch and leads with the seed
 // so the case replays exactly.
 //
@@ -309,8 +308,7 @@ func RunCase(c *Case) error {
 	return nil
 }
 
-// hostScheme boots one scheme's system for a case: integrity on,
-// both sides forced to the parallel code paths.
+// hostScheme boots one scheme's system for a case, integrity on.
 func hostScheme(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.System, error) {
 	sys, err := core.Host(doc, c.SCs, name, []byte(fmt.Sprintf("difftest-%d", c.Seed)))
 	if err != nil {
@@ -320,12 +318,6 @@ func hostScheme(c *Case, name core.SchemeName, doc *xmltree.Document) (*core.Sys
 	if err := sys.EnableIntegrity(); err != nil {
 		return nil, fmt.Errorf("seed %d (%s): scheme %s: EnableIntegrity: %w",
 			c.Seed, c.DocName, name, err)
-	}
-	// Exercise the parallel matcher and decrypt paths regardless
-	// of GOMAXPROCS.
-	sys.Client.SetParallelism(4)
-	if l, ok := sys.Server.(core.Local); ok {
-		l.S.SetParallelism(4)
 	}
 	return sys, nil
 }

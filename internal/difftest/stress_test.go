@@ -25,10 +25,6 @@ func TestConcurrentQueryUpdateStress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Host: %v", err)
 	}
-	sys.Client.SetParallelism(4)
-	if l, ok := sys.Server.(core.Local); ok {
-		l.S.SetParallelism(4)
-	}
 
 	// Settle every target leaf to a known value so the first reads
 	// already have a single-valued snapshot to assert against.

@@ -78,7 +78,6 @@ func TestUpdateSoak(t *testing.T) {
 	if err := sys.EnableIntegrity(); err != nil {
 		t.Fatalf("EnableIntegrity: %v", err)
 	}
-	sys.Client.SetParallelism(4)
 
 	// The full remote stack: update-batch frames over HTTP, verified
 	// answers, and the service's commit path behind it.

@@ -27,11 +27,12 @@ func genIntervals(seed uint32) []dsi.Interval {
 }
 
 // Properties of dedupeSorted, the compaction every matcher step's
-// merged fan-out passes through: the output is in SortIntervals
+// per-context results pass through: the output is in SortIntervals
 // order with no adjacent (hence, given the order, no) duplicates, it
 // has exactly the input's distinct values, and applying it twice
-// changes nothing — determinism of the parallel matcher rests on
-// this being a pure function of the input's value set.
+// changes nothing — a step's result rests on this being a pure
+// function of the input's value set, whatever order the contexts
+// produced it in.
 func TestDedupeSortedProperties(t *testing.T) {
 	f := func(seed uint32) bool {
 		in := genIntervals(seed)

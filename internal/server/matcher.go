@@ -28,28 +28,26 @@ import (
 
 // exec carries per-query state: sn is the snapshot the query pinned
 // (every db read goes through it, so the whole match sees one
-// generation), pool is the query's worker budget for the parallel
-// fan-outs (see parallel.go), and rangeMemo pointer-keys the range
-// resolutions this query already holds so a predicate evaluated
-// against thousands of context intervals does not even re-hash its
-// fingerprint. The memo is only a fast path in front of the server's
-// generation-keyed range cache (cache.go) — pointer identity is safe
-// HERE because the memo dies with the request, and the pinned
-// snapshot fixes the db state every resolution came from.
+// generation), and rangeMemo pointer-keys the range resolutions this
+// query already holds so a predicate evaluated against thousands of
+// context intervals does not even re-hash its fingerprint. The memo
+// is only a fast path in front of the server's generation-keyed
+// range cache (cache.go) — pointer identity is safe HERE because the
+// memo dies with the request, and the pinned snapshot fixes the db
+// state every resolution came from. A query runs on its caller's
+// goroutine, so the memo is a plain map.
 type exec struct {
-	srv  *Server
-	sn   *snapshot
-	pl   *plan
-	pool tokens
+	srv *Server
+	sn  *snapshot
+	pl  *plan
 
-	cacheMu   sync.Mutex
 	rangeMemo map[*wire.PredValue]map[int]bool
 }
 
 // newExec binds a query execution to its pinned snapshot; no lock is
-// held — the snapshot is immutable and the worker width is atomic.
+// held — the snapshot is immutable.
 func (s *Server) newExec(sn *snapshot, pl *plan) *exec {
-	return &exec{srv: s, sn: sn, pl: pl, pool: newTokens(int(s.par.Load())), rangeMemo: map[*wire.PredValue]map[int]bool{}}
+	return &exec{srv: s, sn: sn, pl: pl, rangeMemo: map[*wire.PredValue]map[int]bool{}}
 }
 
 // ivBufPool recycles the interval scratch slices the matcher chains
@@ -137,19 +135,6 @@ func (e *exec) matchChain(ctxs []dsi.Interval, st *wire.QStep, upper bool) []dsi
 		lists := e.stepLists(st)
 		if batched, ok := e.batchStep(cur, st, lists); ok {
 			next = batched
-		} else if len(cur) >= parallelThreshold {
-			// Shard the per-context probing; dedupeSorted below sorts,
-			// so the concatenation order cannot affect the result.
-			shards := make([][]dsi.Interval, len(cur))
-			parallelFor(e.pool, len(cur), func(i int) {
-				shards[i] = e.stepFrom(nil, cur[i], st, lists, upper)
-			})
-			nextOwned = getIvBuf()
-			presizeIvBuf(nextOwned, e.stepEstimate(st))
-			next = (*nextOwned)[:0]
-			for _, sh := range shards {
-				next = append(next, sh...)
-			}
 		} else {
 			nextOwned = getIvBuf()
 			presizeIvBuf(nextOwned, e.stepEstimate(st))
@@ -397,31 +382,15 @@ func (e *exec) filterCertain(cands []dsi.Interval, preds []wire.QPred) []dsi.Int
 	return cur
 }
 
-// filterPred evaluates one predicate over the candidate set, fanning
-// the (independent) per-candidate evaluations out across the query's
-// worker pool. Workers only fill their own keep slot; the compaction
-// happens in candidate order, so the survivors are exactly those of
-// the sequential loop. The survivors are compacted into the front of
-// cands — every caller owns its candidate buffer (matchFirst and
-// matchChain pass their own scratch), so filtering in place is safe
-// and the cold path stays allocation-free here.
+// filterPred evaluates one predicate over the candidate set. The
+// survivors are compacted into the front of cands — every caller owns
+// its candidate buffer (matchFirst and matchChain pass their own
+// scratch), so filtering in place is safe and the cold path stays
+// allocation-free here.
 func (e *exec) filterPred(cands []dsi.Interval, p wire.QPred, upper bool) []dsi.Interval {
-	if len(cands) < parallelThreshold {
-		kept := cands[:0]
-		for _, iv := range cands {
-			if e.evalPred(iv, p, upper) {
-				kept = append(kept, iv)
-			}
-		}
-		return kept
-	}
-	keep := make([]bool, len(cands))
-	parallelFor(e.pool, len(cands), func(i int) {
-		keep[i] = e.evalPred(cands[i], p, upper)
-	})
 	kept := cands[:0]
-	for i, iv := range cands {
-		if keep[i] {
+	for _, iv := range cands {
+		if e.evalPred(iv, p, upper) {
 			kept = append(kept, iv)
 		}
 	}
@@ -542,15 +511,10 @@ func (e *exec) isForestLeaf(iv dsi.Interval) bool {
 
 // rangeBlocksFor resolves the blocks whose indexed values fall in
 // any of the predicate's ciphertext ranges, first through the
-// request-scoped memo (shared by the query's parallel workers;
-// holding the mutex across the index lookup means concurrent
-// workers asking for the same predicate wait for one resolution
-// instead of duplicating it), then through the server's
-// generation-keyed cross-query cache. The resolved set is read-only
-// once published — concurrent queries share it.
+// request-scoped memo, then through the server's generation-keyed
+// cross-query cache. The resolved set is read-only once published —
+// concurrent queries share it.
 func (e *exec) rangeBlocksFor(v *wire.PredValue) map[int]bool {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
 	if cached, ok := e.rangeMemo[v]; ok {
 		return cached
 	}

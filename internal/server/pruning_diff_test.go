@@ -61,7 +61,6 @@ func runPruningCase(t *testing.T, c *difftest.Case) int64 {
 			fail("EnableIntegrity: %v", err)
 		}
 		on := sys.Server.(core.Local).S
-		on.SetParallelism(4)
 		on.SetCaching(false)
 		off := on.Unpruned()
 		off.SetCaching(false)

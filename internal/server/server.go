@@ -41,9 +41,6 @@ type Server struct {
 	// so two writers can never interleave their copy-on-write work.
 	wmu sync.Mutex
 
-	// par is the matcher's worker-pool width (see parallel.go).
-	par atomic.Int32
-
 	// Planner counters for the stats endpoint: executed queries whose
 	// plan pruned (twig) or did not (pairwise), and intervals pruned.
 	planTwigN  atomic.Int64
@@ -152,7 +149,6 @@ func New(db *wire.HostedDB) *Server {
 		epoch:  newEpoch(),
 		caches: newQueryCaches(),
 	}
-	s.par.Store(int32(defaultParallelism()))
 	s.snap.Store(&snapshot{gen: 1, db: snapshotDB(db), index: index, st: st, stats: rebuildSynStats(db.IndexEntries)})
 	return s
 }
@@ -303,13 +299,13 @@ func (s *Server) Execute(q *wire.Query) (*wire.Answer, error) {
 // ExecuteFrameCtx is Execute for a marshaled query frame (the remote
 // service's path; on a plan-cache hit the frame is not even
 // re-parsed) under a caller context: the pipeline checks for
-// cancellation between its stages (after the anchor match, per anchor
-// in the fan-out, before assembly, before the proof), so a request
-// whose caller deadline passed stops burning matcher workers instead
-// of computing an answer nobody will read. The check granularity is a
-// stage, not an instruction — a lone anchor's chain match runs to
-// completion — which bounds wasted work without peppering the hot
-// loops.
+// cancellation between its stages (after the anchor match, before
+// each anchor's survival check, before assembly, before the proof), so
+// a request whose caller deadline passed stops burning matcher time
+// instead of computing an answer nobody will read. The check
+// granularity is a stage, not an instruction — a lone anchor's chain
+// match runs to completion — which bounds wasted work without
+// peppering the hot loops.
 func (s *Server) ExecuteFrameCtx(ctx context.Context, frame []byte) (*wire.Answer, error) {
 	return s.executeFrame(ctx, frame, nil)
 }
@@ -373,24 +369,14 @@ func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire
 			surviving[i] = sn.lift(a, pl.lift)
 		}
 	} else {
-		// Anchor survival is the query's outer fan-out: each anchor
-		// evaluates the rest of the main path independently. Workers
-		// fill index-addressed slots; the in-order compaction below
-		// keeps the result identical to the sequential loop. A dead
-		// context skips remaining anchors (each worker checks before
-		// its chain match) rather than interrupting one mid-chain.
-		alive := make([]bool, len(anchors))
-		parallelFor(e.pool, len(anchors), func(i int) {
-			if ctx.Err() != nil {
-				return
+		// Each anchor evaluates the rest of the main path on its own.
+		// A dead context stops before the next anchor rather than
+		// interrupting one mid-chain.
+		for _, a := range anchors {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			alive[i] = len(e.matchChain([]dsi.Interval{anchors[i]}, q.First.Next, true)) > 0
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i, a := range anchors {
-			if alive[i] {
+			if len(e.matchChain([]dsi.Interval{a}, q.First.Next, true)) > 0 {
 				surviving = append(surviving, sn.lift(a, pl.lift))
 			}
 		}
