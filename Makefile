@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: check vet build bench-build bench-smoke test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut group-commit soak soak-short soak-update soak-update-short profile fmt
 
-check: vet build bench-build bench-smoke race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut group-commit soak-short soak-update-short
+check: vet build bench bench-build bench-smoke race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut group-commit soak-short soak-update-short
 
 vet:
 	$(GO) vet ./...
@@ -72,6 +72,8 @@ DIFFTEST_DURATION ?= 1m
 difftest:
 	$(GO) test ./internal/difftest/ -run OpenEnded -difftest.duration $(DIFFTEST_DURATION)
 
+# One pass over the root package's micro-benchmarks (part of
+# `check`): a benchmark that breaks or fails shows up here.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 

@@ -1,31 +1,19 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation
-// section (§7), plus micro-benchmarks of every substrate. The
-// experiment benchmarks wrap internal/bench; run the full-size
-// reproduction with cmd/xencbench (-size 25000000 for the paper's
-// 25 MB NASA document). Benchmark document size defaults to 2 MB and
-// is overridable with SECXML_BENCH_BYTES.
+// Micro-benchmarks of every substrate, plus §7.4's hosting-time
+// rung (BenchmarkEncryptionSchemes). The §7 figure shapes are
+// asserted as shipped-byte counts by internal/core's
+// TestWorkloadEquivalence, and end-to-end cost is measured by the
+// nested benchmark/ module.
 //
 //	go test -bench=. -benchmem
-//
-// Custom metrics: experiment benchmarks report the paper's columns
-// (server-µs/op, decrypt-µs/op, post-µs/op, answer-KB) per
-// scheme/class so the tables can be read straight off the benchmark
-// output.
 
 import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/cryptoprim"
@@ -40,148 +28,13 @@ import (
 	"repro/internal/xpath"
 )
 
-func benchSize() int {
-	if v := os.Getenv("SECXML_BENCH_BYTES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 2_000_000
-}
-
-var (
-	setupMu sync.Mutex
-	setups  = map[string]*bench.Setup{}
-)
-
-// datasetSetup hosts one dataset under all four schemes on first use
-// and caches it; the hosting cost is excluded from the per-query
-// benchmarks. Datasets are built lazily and individually — a 25 MB
-// SECXML_BENCH_BYTES run must never pay for (or hold) a dataset no
-// selected benchmark touches.
-func datasetSetup(b *testing.B, ds string) *bench.Setup {
-	b.Helper()
-	setupMu.Lock()
-	defer setupMu.Unlock()
-	if s, ok := setups[ds]; ok {
-		return s
-	}
-	cfg := bench.DefaultConfig(ds, benchSize())
-	cfg.QueriesPerClass = 5
-	cfg.Trials = 1
-	s, err := bench.NewSetup(cfg)
-	if err != nil {
-		b.Fatalf("setup %s: %v", ds, err)
-	}
-	setups[ds] = s
-	return s
-}
-
-// releaseSetup drops a cached dataset so its four hosted systems can
-// be collected. Benchmarks that are the sole consumer of a dataset
-// release it when done, keeping the peak footprint at one dataset.
-func releaseSetup(ds string) {
-	setupMu.Lock()
-	delete(setups, ds)
-	setupMu.Unlock()
-}
-
-// BenchmarkFig9 regenerates Figure 9: per scheme and query class,
-// the server query time, client decryption time and client query
-// (post-processing) time on the NASA dataset.
-func BenchmarkFig9(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	for _, schemeName := range bench.Schemes {
-		sys := s.Systems[schemeName]
-		for _, class := range bench.Classes {
-			queries := s.Queries(class)
-			b.Run(fmt.Sprintf("%s/%s", schemeName, class), func(b *testing.B) {
-				var server, decrypt, post, bytes int64
-				n := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q := queries[i%len(queries)]
-					_, _, tm, err := sys.Query(q)
-					if err != nil {
-						b.Fatalf("query %s: %v", q, err)
-					}
-					server += tm.ServerExec.Microseconds()
-					decrypt += tm.ClientDecrypt.Microseconds()
-					post += tm.ClientPost.Microseconds()
-					bytes += int64(tm.AnswerBytes)
-					n++
-				}
-				b.ReportMetric(float64(server)/float64(n), "server-µs/op")
-				b.ReportMetric(float64(decrypt)/float64(n), "decrypt-µs/op")
-				b.ReportMetric(float64(post)/float64(n), "post-µs/op")
-				b.ReportMetric(float64(bytes)/float64(n)/1024, "answer-KB")
-			})
-		}
-	}
-}
-
-// BenchmarkDivisionOfWork regenerates §7.2's table (E1): the full
-// stage breakdown including translation and (simulated) transmission
-// on the NASA dataset, one op per query round trip.
-func BenchmarkDivisionOfWork(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	for _, schemeName := range bench.Schemes {
-		sys := s.Systems[schemeName]
-		queries := s.Queries(datagen.Qm)
-		b.Run(string(schemeName), func(b *testing.B) {
-			var translate, transmit int64
-			n := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				_, _, tm, err := sys.Query(q)
-				if err != nil {
-					b.Fatalf("query %s: %v", q, err)
-				}
-				translate += tm.ClientTranslate.Microseconds()
-				transmit += tm.Transmit.Microseconds()
-				n++
-			}
-			b.ReportMetric(float64(translate)/float64(n), "translate-µs/op")
-			b.ReportMetric(float64(transmit)/float64(n), "transmit-µs/op")
-		})
-	}
-}
-
-// BenchmarkOursVsNaive regenerates §7.3 (E2): the selective pipeline
-// versus shipping the whole database, per scheme, on NASA Ql
-// queries. The ratio column is the paper's headline number.
-func BenchmarkOursVsNaive(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	for _, schemeName := range bench.Schemes {
-		sys := s.Systems[schemeName]
-		queries := s.Queries(datagen.Ql)
-		for _, mode := range []string{"ours", "naive"} {
-			b.Run(fmt.Sprintf("%s/%s", schemeName, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					q := queries[i%len(queries)]
-					var err error
-					if mode == "ours" {
-						_, _, _, err = sys.Query(q)
-					} else {
-						_, _, _, err = sys.NaiveQuery(q)
-					}
-					if err != nil {
-						b.Fatalf("%s %s: %v", mode, q, err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEncryptionSchemes regenerates §7.4's encryption-cost
-// measurements (E3): wall time to build blocks + metadata + value
-// index per scheme, with the hosted size as a custom metric.
+// BenchmarkEncryptionSchemes measures §7.4's encryption cost (E3):
+// wall time to build blocks + metadata + value index per scheme on a
+// 500 KB NASA-style document, with the hosted size as a custom metric.
 func BenchmarkEncryptionSchemes(b *testing.B) {
-	doc := datagen.NASAToSize(benchSize()/4, 7)
+	doc := datagen.NASAToSize(500_000, 7)
 	scs := datagen.NASASCs()
-	for _, schemeName := range bench.Schemes {
+	for _, schemeName := range []core.SchemeName{core.SchemeTop, core.SchemeSub, core.SchemeApp, core.SchemeOpt} {
 		b.Run(string(schemeName), func(b *testing.B) {
 			var hosted int
 			for i := 0; i < b.N; i++ {
@@ -194,88 +47,6 @@ func BenchmarkEncryptionSchemes(b *testing.B) {
 			b.ReportMetric(float64(hosted)/1024, "hosted-KB")
 		})
 	}
-}
-
-// BenchmarkFig10 regenerates Figure 10 (E5): saving ratios of the
-// app/opt schemes over top/sub, reported as custom metrics per
-// query class, for both datasets.
-func BenchmarkFig10(b *testing.B) {
-	for _, ds := range []string{"xmark", "nasa"} {
-		// Only one dataset stays resident: xmark runs first and is
-		// the only xmark consumer, so it is hosted fresh and released
-		// before nasa is (re)built.
-		if ds == "xmark" {
-			releaseSetup("nasa")
-		}
-		s := datasetSetup(b, ds)
-		b.Run(ds, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := s.DivisionOfWork()
-				if err != nil {
-					b.Fatalf("DivisionOfWork: %v", err)
-				}
-				if i == b.N-1 {
-					for _, r := range bench.SavingRatios(rows) {
-						b.ReportMetric(r.SaT, r.Class.String()+"-Sa/t")
-						b.ReportMetric(r.SaS, r.Class.String()+"-Sa/s")
-						b.ReportMetric(r.SoT, r.Class.String()+"-So/t")
-						b.ReportMetric(r.SoS, r.Class.String()+"-So/s")
-					}
-				}
-			}
-		})
-		if ds == "xmark" {
-			releaseSetup("xmark")
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6 (E6): the OPESS split of the
-// paper's skewed distribution.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Fig6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConcurrentQueries measures cross-query concurrency: many
-// goroutines sharing one System, each query on its own goroutine,
-// versus the same load issued serially. This is the remote service's
-// steady state (many clients, bounded in-flight).
-func BenchmarkConcurrentQueries(b *testing.B) {
-	s := datasetSetup(b, "nasa")
-	sys := s.Systems[core.SchemeOpt]
-	queries := s.Queries(datagen.Qm)
-
-	var seqNs float64
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := sys.Query(queries[i%len(queries)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		seqNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		if runtime.GOMAXPROCS(0) < 4 {
-			b.SetParallelism(4) // still exercise contention on small runners
-		}
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				q := queries[int(next.Add(1))%len(queries)]
-				if _, _, _, err := sys.Query(q); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		if parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N); seqNs > 0 {
-			b.ReportMetric(seqNs/parNs, "speedup")
-		}
-	})
 }
 
 // --- substrate micro-benchmarks ---

@@ -7,7 +7,7 @@
 // The public API lives in package repro/secxml; the paper's
 // subsystems live under internal/ (see DESIGN.md for the full
 // inventory and EXPERIMENTS.md for paper-vs-measured results).
-// The benchmarks in bench_test.go regenerate every table and figure
-// of the paper's evaluation section; `go run ./cmd/xencbench` prints
-// them as text tables.
+// The paper's evaluation section (§7) is asserted as shipped-byte
+// shapes by internal/core's TestWorkloadEquivalence; bench_test.go
+// holds the substrate micro-benchmarks.
 package repro

@@ -134,7 +134,6 @@ func (s *System) aggregateViaIndex(ctx context.Context, sn *readSnap, tagKey str
 	if err != nil {
 		return "", tm, false, err
 	}
-	s.applySimDecrypt(&tm, ans)
 
 	start = time.Now()
 	doc, err := xmltree.ParseCompact(blocks[bid])

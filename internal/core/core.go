@@ -165,16 +165,6 @@ type System struct {
 	// on a fresh pin instead of risking a silent miss.
 	updSeq atomic.Uint64
 
-	// SimDecryptMBps, when positive, REPLACES the measured client
-	// decryption time with bytes/throughput. It models the paper's
-	// 2006 experimental client (900 MHz single processor, Java
-	// crypto, ~5 MB/s), where decryption dominated every other cost
-	// (§7.2). On modern AES-NI hardware measured decryption is about
-	// three orders of magnitude faster, which moves the crossovers;
-	// this knob reproduces the paper's cost regime and is reported
-	// as a simulated column (see EXPERIMENTS.md).
-	SimDecryptMBps float64
-
 	// Scheme and HostedDB are retained for inspection and the
 	// experiments' size accounting.
 	Scheme   *scheme.Scheme
@@ -603,7 +593,6 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	tm.Transmit = s.Link.TransferTime(tm.AnswerBytes)
 	tm.Generation, tm.Epoch = ans.Generation, ans.Epoch
 	tm.PlanStrategy, tm.PlanEstimate = ans.PlanStrategy, ans.PlanCost
-	s.applySimDecrypt(&tm, ans)
 
 	start = time.Now()
 	nodes, doc, err := s.Client.PostProcess(path, ans, blocks)
@@ -667,19 +656,6 @@ func (s *System) execute(ctx context.Context, backend Backend, ring *verifierRin
 	return ans, blocks, nil
 }
 
-// applySimDecrypt substitutes the paper-era decryption cost model
-// when SimDecryptMBps is set.
-func (s *System) applySimDecrypt(tm *Timings, ans *wire.Answer) {
-	if s.SimDecryptMBps <= 0 {
-		return
-	}
-	bytes := 0
-	for _, b := range ans.Blocks {
-		bytes += len(b)
-	}
-	tm.ClientDecrypt = time.Duration(float64(bytes) / (s.SimDecryptMBps * 1e6) * float64(time.Second))
-}
-
 // NaiveQuery evaluates the query with the naive method of §7.3: the
 // server ships the entire hosted database; the client decrypts
 // everything and runs the query locally.
@@ -710,7 +686,6 @@ func (s *System) NaiveQuery(q string) ([]*xmltree.Node, *xmltree.Document, Timin
 	if err != nil {
 		return nil, nil, tm, err
 	}
-	s.applySimDecrypt(&tm, ans)
 
 	start = time.Now()
 	nodes, doc, err := s.Client.PostProcess(path, ans, blocks)

@@ -20,11 +20,6 @@ type Link struct {
 // Paper is the setup of §7.1: 100 Mbps LAN, sub-millisecond latency.
 var Paper = Link{BandwidthMbps: 100, LatencyMs: 0.2}
 
-// WAN is a wide-area alternative used by the ablation benches:
-// 20 Mbps with 20 ms latency, where shipping the whole database
-// (naive/top) hurts far more.
-var WAN = Link{BandwidthMbps: 20, LatencyMs: 20}
-
 // TransferTime returns the simulated time to move n bytes.
 func (l Link) TransferTime(n int) time.Duration {
 	if l.BandwidthMbps <= 0 {

@@ -28,8 +28,9 @@ func TestTransferTimeScalesLinearly(t *testing.T) {
 }
 
 func TestWANSlower(t *testing.T) {
-	if WAN.TransferTime(1_000_000) <= Paper.TransferTime(1_000_000) {
-		t.Errorf("WAN should be slower than the paper's LAN")
+	wan := Link{BandwidthMbps: 20, LatencyMs: 20}
+	if wan.TransferTime(1_000_000) <= Paper.TransferTime(1_000_000) {
+		t.Errorf("a 20 Mbps WAN should be slower than the paper's LAN")
 	}
 }
 

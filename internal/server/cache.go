@@ -220,8 +220,7 @@ func (s *Server) CacheStats() map[string]gencache.Stats {
 
 // SetCaching turns the cross-query caches on (the default) or off.
 // Off means every query takes the cold path — parse, plan, resolve,
-// match — which is what the paper-reproduction benchmarks measure;
-// turning caching off also drops everything currently cached.
+// match; turning caching off also drops everything currently cached.
 func (s *Server) SetCaching(on bool) {
 	s.cachingOff.Store(!on)
 	if !on {

@@ -53,8 +53,9 @@ type Server struct {
 	epoch uint64
 	// caches carries compiled plans, range resolutions and whole
 	// answers across queries, keyed under (epoch, generation); see
-	// cache.go. cachingOff forces every query onto the cold path —
-	// benchmarks measuring the matcher itself flip it via SetCaching.
+	// cache.go. cachingOff forces every query onto the cold path;
+	// tests that must exercise the matcher itself flip it via
+	// SetCaching.
 	caches     *queryCaches
 	cachingOff atomic.Bool
 }
