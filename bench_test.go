@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/authtree"
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/cryptoprim"
@@ -276,20 +277,64 @@ func BenchmarkRemoteRoundTrip(b *testing.B) {
 }
 
 // BenchmarkUpdate measures the future-work extension: one leaf-value
-// update including block re-encryption and index-band re-issue.
+// update including block re-encryption and index-band re-issue, with
+// and without the Merkle commitment both sides then advance.
 func BenchmarkUpdate(b *testing.B) {
-	doc := datagen.NASA(300, 3)
-	sys, err := core.Host(doc, datagen.NASASCs(), core.SchemeOpt, []byte("update-bench"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	vals := []string{"Zeta", "Yost", "Xu"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.UpdateLeafValues("//dataset[1]/author[1]/last", vals[i%len(vals)]); err != nil {
-			b.Fatal(err)
+	for _, integrity := range []bool{false, true} {
+		name := "integrity=off"
+		if integrity {
+			name = "integrity=on"
 		}
+		b.Run(name, func(b *testing.B) {
+			doc := datagen.NASA(300, 3)
+			sys, err := core.Host(doc, datagen.NASASCs(), core.SchemeOpt, []byte("update-bench"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if integrity {
+				if err := sys.EnableIntegrity(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			vals := []string{"Zeta", "Yost", "Xu"}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.UpdateLeafValues("//dataset[1]/author[1]/last", vals[i%len(vals)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+var treeSink *authtree.Tree
+
+// BenchmarkMerkleAdvance compares the two ways to commit a one-leaf
+// edit on a tree the size of the benchmark document's (30 000 leaves):
+// advancing along the leaf's root path, as updates do, or rebuilding.
+func BenchmarkMerkleAdvance(b *testing.B) {
+	const n = 30_000
+	leaves := make([]authtree.Digest, n)
+	for i := range leaves {
+		leaves[i] = authtree.LeafHash([]byte(fmt.Sprintf("leaf-%d", i)))
+	}
+	tree := authtree.New(leaves)
+	edit := authtree.LeafItem{Index: n / 3, Digest: authtree.LeafHash([]byte("edited"))}
+	b.Run("with", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var err error
+			if treeSink, err = tree.With([]authtree.LeafItem{edit}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("new", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			edited := append([]authtree.Digest(nil), leaves...)
+			edited[edit.Index] = edit.Digest
+			treeSink = authtree.New(edited)
+		}
+	})
 }
 
 // BenchmarkAggregateMinMax measures the §6.4 single-block path.

@@ -4,11 +4,12 @@
 // adds integrity and freshness. The client commits to the hosted
 // state with a Merkle tree built over a canonical leaf sequence
 // (encrypted blocks, residue fragments, value-index buckets — see
-// internal/wire's auth layer for the leaf schema), keeps only the
-// root digest, and verifies every server response against it with a
-// compact sibling-path proof. A response that was modified, spliced
-// from another version, or rolled back to a pre-update state fails
-// verification and surfaces as ErrTampered.
+// internal/wire's auth layer for the leaf schema), keeps the tree's
+// digests but none of the hosted data, and verifies every server
+// response against the root with a compact sibling-path proof. A
+// response that was modified, spliced from another version, or rolled
+// back to a pre-update state fails verification and surfaces as
+// ErrTampered.
 //
 // The tree is built over data the server already sees, so it leaks
 // nothing: the server can (and does) rebuild the identical tree from
@@ -49,8 +50,8 @@ func nodeHash(l, r Digest) Digest {
 	return cryptoprim.MerkleNodeHash(l, r)
 }
 
-// Tree is a Merkle tree over a fixed leaf sequence. Levels are
-// stored bottom-up; an odd node at the end of a level is promoted
+// Tree is an immutable Merkle tree over a fixed leaf sequence. Levels
+// are stored bottom-up; an odd node at the end of a level is promoted
 // unchanged, so the shape is fully determined by the leaf count.
 type Tree struct {
 	levels [][]Digest // levels[0] = leaf digests, last level = [root]
@@ -96,11 +97,50 @@ func (t *Tree) NumLeaves() int {
 // Leaf returns the digest of leaf i.
 func (t *Tree) Leaf(i int) Digest { return t.levels[0][i] }
 
-// Leaves returns a copy of the leaf digest sequence (the compact
-// client-side state: 32 bytes per leaf, enough to recompute the root
-// after an update without holding any data).
-func (t *Tree) Leaves() []Digest {
-	return append([]Digest(nil), t.levels[0]...)
+// With returns the tree whose leaves are the receiver's with the
+// given digests substituted; when an index appears twice, the later
+// item wins. Only the changed leaves' ancestors are rehashed — the
+// sorted, deduplicated, level-by-level halving Prove and VerifyMulti
+// walk — so k changed leaves cost O(k log n) node hashes where New
+// costs n. Every level is copied (a memcpy, no hashing), so the
+// receiver is left as it was and both trees stay immutable. An index
+// out of range is an error.
+func (t *Tree) With(items []LeafItem) (*Tree, error) {
+	n := t.NumLeaves()
+	known := make([]int, len(items))
+	for i, it := range items {
+		if it.Index < 0 || it.Index >= n {
+			return nil, fmt.Errorf("authtree: leaf index %d out of range [0,%d)", it.Index, n)
+		}
+		known[i] = it.Index
+	}
+	next := &Tree{levels: make([][]Digest, len(t.levels))}
+	for i, level := range t.levels {
+		next.levels[i] = slices.Clone(level)
+	}
+	for _, it := range items {
+		next.levels[0][it.Index] = it.Digest
+	}
+	slices.Sort(known)
+	known = slices.Compact(known)
+	for lvl := 0; lvl < len(next.levels)-1 && len(known) > 0; lvl++ {
+		level, up := next.levels[lvl], next.levels[lvl+1]
+		parents := known[:0]
+		for i := 0; i < len(known); i++ {
+			idx := known[i]
+			if left := idx &^ 1; left+1 < len(level) {
+				up[idx/2] = nodeHash(level[left], level[left+1])
+			} else {
+				up[idx/2] = level[idx] // odd node promoted
+			}
+			if idx&1 == 0 && i+1 < len(known) && known[i+1] == idx+1 {
+				i++ // both halves changed: one hash covers them
+			}
+			parents = append(parents, idx/2)
+		}
+		known = parents
+	}
+	return next, nil
 }
 
 // Root returns the root digest. The root of an empty tree is the
@@ -150,7 +190,8 @@ func (t *Tree) Prove(indices []int) ([]Digest, error) {
 	return siblings, nil
 }
 
-// LeafItem pairs a leaf index with its digest, for verification.
+// LeafItem pairs a leaf index with its digest, for verification and
+// for With.
 type LeafItem struct {
 	Index  int
 	Digest Digest

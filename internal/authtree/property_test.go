@@ -244,6 +244,95 @@ func TestProveVerifyProperties(t *testing.T) {
 	}
 }
 
+// cloneLevels deep-copies a tree's levels, to compare against later.
+func cloneLevels(t *Tree) [][]Digest {
+	out := make([][]Digest, len(t.levels))
+	for i, level := range t.levels {
+		out[i] = append([]Digest(nil), level...)
+	}
+	return out
+}
+
+func randomDigest(rng *rand.Rand) Digest {
+	var d Digest
+	rng.Read(d[:])
+	return d
+}
+
+// TestWithProperties: over random tree sizes (one leaf, 2^k ± 1 and
+// random widths up to 600) and random substitutions (empty, with
+// repeated indices, in random order), With equals New over the
+// substituted leaves at every level, leaves its receiver as it was,
+// changes exactly one node per level for a single leaf, and refuses an
+// index out of range.
+func TestWithProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sizes := []int{1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65, 127, 129, 255, 257, 511, 513}
+	for trial := 0; trial < 300; trial++ {
+		n := sizes[trial%len(sizes)]
+		if trial >= 2*len(sizes) {
+			n = 1 + rng.Intn(600)
+		}
+		tree := NewFromData(leafData(n))
+		before := cloneLevels(tree)
+
+		var items []LeafItem // every seventh trial: the empty substitution
+		if trial%7 != 0 {
+			for range 1 + rng.Intn(min(n, 20)) {
+				items = append(items, LeafItem{Index: rng.Intn(n), Digest: randomDigest(rng)})
+			}
+			if rng.Intn(2) == 0 {
+				// The same index again, with another digest: it must win.
+				items = append(items, LeafItem{Index: items[0].Index, Digest: randomDigest(rng)})
+			}
+		}
+		got, err := tree.With(items)
+		if err != nil {
+			t.Fatalf("n=%d, %d items: %v", n, len(items), err)
+		}
+		leaves := append([]Digest(nil), before[0]...)
+		for _, it := range items {
+			leaves[it.Index] = it.Digest
+		}
+		if want := New(leaves); !reflect.DeepEqual(got.levels, want.levels) {
+			t.Fatalf("n=%d, %d items: With differs from New over the substituted leaves", n, len(items))
+		}
+		if !reflect.DeepEqual(tree.levels, before) {
+			t.Fatalf("n=%d, %d items: With modified its receiver", n, len(items))
+		}
+
+		idx := rng.Intn(n)
+		one, err := tree.With([]LeafItem{{Index: idx, Digest: randomDigest(rng)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Root() == tree.Root() {
+			t.Fatalf("n=%d: changed leaf %d, same root", n, idx)
+		}
+		for lvl, level := range one.levels {
+			diff := 0
+			for i := range level {
+				if level[i] != before[lvl][i] {
+					diff++
+				}
+			}
+			if diff != 1 {
+				t.Fatalf("n=%d leaf %d: level %d differs in %d nodes, want 1", n, idx, lvl, diff)
+			}
+		}
+
+		for _, bad := range []int{-1, n, n + 1 + rng.Intn(n)} {
+			ok := []LeafItem{{Index: rng.Intn(n), Digest: randomDigest(rng)}}
+			if _, err := tree.With(append(ok, LeafItem{Index: bad})); err == nil {
+				t.Fatalf("n=%d: index %d accepted", n, bad)
+			}
+		}
+		if !reflect.DeepEqual(tree.levels, before) {
+			t.Fatalf("n=%d: a With call modified its receiver", n)
+		}
+	}
+}
+
 var digestSink Digest
 
 // TestVerifyMultiAllocations pins what the bulk answer path pays per

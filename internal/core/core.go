@@ -304,8 +304,8 @@ func (s *System) pin() *readSnap {
 
 // EnableIntegrity opts this system into answer verification: the
 // client builds the Merkle tree over its (pre-upload) hosted state,
-// keeps the compact verifier (root + leaf digests), and from then on
-// every query requests and checks a proof before anything is
+// keeps it as the verifier (digests only, no hosted data), and from
+// then on every query requests and checks a proof before anything is
 // decrypted. Verification failures surface as authtree.ErrTampered.
 func (s *System) EnableIntegrity() error {
 	s.lockIdle()

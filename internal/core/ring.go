@@ -35,10 +35,9 @@ import (
 // pins the current sequence: it accepts only the current root (or a
 // staged one).
 //
-// Every verifier inside the ring is finalized (Root() called) before
-// it is published, and never mutated afterwards, so Verify* calls
-// need no per-verifier locking — the ring's RWMutex only guards the
-// slot pointers.
+// No verifier inside the ring is mutated after it is published — an
+// update advances a clone — so Verify* calls need no per-verifier
+// locking: the ring's RWMutex only guards the slot pointers.
 type verifierRing struct {
 	mu      sync.RWMutex
 	cur     *wire.AuthVerifier
@@ -73,10 +72,9 @@ type ringEntry struct {
 // in-flight answer may still verify against.
 const ringRetain = 8
 
-// newVerifierRing wraps the initial commitment. Finalizes v's root;
-// v must not be mutated by the caller afterwards.
+// newVerifierRing wraps the initial commitment; v must not be
+// mutated by the caller afterwards.
 func newVerifierRing(v *wire.AuthVerifier) *verifierRing {
-	v.Root()
 	return &verifierRing{cur: v, advanced: make(chan struct{})}
 }
 
@@ -90,11 +88,9 @@ func (r *verifierRing) Current() *wire.AuthVerifier {
 }
 
 // Advance installs next as the current commitment and retires the
-// previous one into the tail. next's root is finalized here, before
-// any concurrent Verify* can reach it; next must not be mutated by
-// the caller afterwards.
+// previous one into the tail; next must not be mutated by the caller
+// afterwards.
 func (r *verifierRing) Advance(next *wire.AuthVerifier) {
-	next.Root()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cur != nil {
@@ -115,9 +111,8 @@ func (r *verifierRing) Advance(next *wire.AuthVerifier) {
 // the server's acknowledgment arrives. Call it after the frame is
 // handed to the transport; pair with Advance (acknowledged) or
 // Unstage (definitely rejected — the server never held the root).
-// v's root is finalized here; v must not be mutated afterwards.
+// v must not be mutated afterwards.
 func (r *verifierRing) Stage(v *wire.AuthVerifier) {
-	v.Root()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.staged = v

@@ -269,8 +269,7 @@ func (s *System) commitBatchLocked(b *wire.UpdateBatch, nextVerifier *wire.AuthV
 		// the transport sees the new root without re-wiring, while an
 		// answer produced against the pre-update root (a reader whose
 		// round trip this commit raced) still verifies against the
-		// retired tail. Advance finalizes the (possibly deferred)
-		// root before publication.
+		// retired tail.
 		s.ring.Advance(nextVerifier)
 	}
 	for _, u := range b.Updates {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // TestWorkloadEquivalence runs the paper's generated workloads —
@@ -49,7 +50,12 @@ func TestWorkloadEquivalence(t *testing.T) {
 	}
 	cells := map[key]*shipped{}
 	size := map[string]map[SchemeName]int{}
+	queries := map[string]map[datagen.QueryClass][]string{}
 	for _, d := range datasets {
+		queries[d.name] = map[datagen.QueryClass][]string{}
+		for _, class := range classes {
+			queries[d.name][class] = datagen.Queries(d.doc, class, 6, 7)
+		}
 		size[d.name] = map[SchemeName]int{}
 		for _, sn := range schemes {
 			sys, err := Host(d.doc, d.scs, sn, []byte("workload-"+d.name))
@@ -60,7 +66,7 @@ func TestWorkloadEquivalence(t *testing.T) {
 			for _, class := range classes {
 				c := &shipped{}
 				cells[key{d.name, sn, class}] = c
-				for _, q := range datagen.Queries(d.doc, class, 6, 7) {
+				for _, q := range queries[d.name][class] {
 					want := plaintextResults(t, d.doc, q)
 					nodes, _, tm, err := sys.Query(q)
 					if err != nil {
@@ -145,17 +151,46 @@ func TestWorkloadEquivalence(t *testing.T) {
 		}
 	})
 	t.Run("SavingRatiosShape", func(t *testing.T) {
-		// (e) Fig. 10: opt's saving over top is largest when the
-		// output is at the leaves.
+		// (e) Fig. 10: opt's saving over top grows as the output moves
+		// down the tree, Qs → Qm → Ql.
 		for _, d := range datasets {
 			saving := func(class datagen.QueryClass) float64 {
 				return float64(top(d.name, class)-opt(d.name, class)) / float64(top(d.name, class))
 			}
-			for _, class := range []datagen.QueryClass{datagen.Qs, datagen.Qm} {
-				if saving(datagen.Ql) <= saving(class) {
-					t.Errorf("%s: opt's byte saving over top at Ql %.3f <= at %v %.3f",
-						d.name, saving(datagen.Ql), class, saving(class))
+			for i := 1; i < len(classes); i++ {
+				lo, hi := classes[i-1], classes[i]
+				if saving(hi) <= saving(lo) {
+					t.Errorf("%s: opt's byte saving over top at %v %.3f <= at %v %.3f",
+						d.name, hi, saving(hi), lo, saving(lo))
 				}
+			}
+		}
+	})
+	t.Run("QueryClassesDistinct", func(t *testing.T) {
+		// (g) §7.1: the three classes are three workloads — no query
+		// is in two of them, and Qm outputs at another level than Qs.
+		for _, d := range datasets {
+			classOf := map[string]datagen.QueryClass{}
+			levels := map[datagen.QueryClass]map[int]bool{}
+			for _, class := range classes {
+				levels[class] = map[int]bool{}
+				for _, q := range queries[d.name][class] {
+					if other, dup := classOf[q]; dup && other != class {
+						t.Errorf("%s: %s is both a %v and a %v query", d.name, q, other, class)
+					}
+					classOf[q] = class
+					for _, n := range xpath.Evaluate(d.doc, xpath.MustParse(q)) {
+						levels[class][n.Level()] = true
+					}
+				}
+			}
+			for l := range levels[datagen.Qm] {
+				if levels[datagen.Qs][l] {
+					t.Errorf("%s: Qm and Qs both output level %d", d.name, l)
+				}
+			}
+			if len(levels[datagen.Qm]) == 0 {
+				t.Errorf("%s: Qm outputs nothing", d.name)
 			}
 		}
 	})

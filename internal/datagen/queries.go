@@ -14,7 +14,8 @@ type QueryClass int
 const (
 	// Qs queries output the children of the document root.
 	Qs QueryClass = iota
-	// Qm queries output nodes at level h/2 of the document tree.
+	// Qm queries output nodes halfway down the document tree: level
+	// (h+2)/2, and at least level 3, one below Qs.
 	Qm
 	// Ql queries output leaf nodes.
 	Ql
@@ -37,26 +38,31 @@ func (c QueryClass) String() string {
 // per §7.1: the output node's level is fixed by the class, and
 // queries alternate between pure structural paths and paths with a
 // value predicate drawn from an actual document value (so results
-// are non-empty). Deterministic per seed.
+// are non-empty). When the class has fewer output tags than queries
+// (NASA's Qs has one), a query already drawn gets a fresh value
+// predicate, drawn from any instance of its tag, so the class still
+// asks distinct queries. Deterministic per seed.
+//
+// Levels are 1-based from the root, so Qs outputs level 2. Qm's level
+// (h+2)/2, at least 3, lies in [3, h−1] on a document of depth h ≥ 4
+// (3 on NASA's depth 4 and XMark's 5); a shallower document has no
+// level between Qs and its leaves, and gets no Qm queries.
 func Queries(doc *xmltree.Document, class QueryClass, n int, seed uint64) []string {
 	r := NewRand(seed)
 	targetLevel := 2
 	switch class {
 	case Qm:
-		targetLevel = (doc.Depth() + 1) / 2
-		if targetLevel < 2 {
-			targetLevel = 2
-		}
+		targetLevel = max(3, (doc.Depth()+2)/2)
 	case Ql:
 		targetLevel = 0 // any leaf
 	}
 
-	// Collect candidate output tags with a sample instance each.
+	// Collect candidate output tags with every instance of each.
 	type cand struct {
-		tag      string
-		instance *xmltree.Node
+		tag       string
+		instances []*xmltree.Node
 	}
-	seen := map[string]bool{}
+	byTag := map[string]int{}
 	var cands []cand
 	for _, node := range doc.Nodes() {
 		if node.Kind != xmltree.Element {
@@ -71,18 +77,26 @@ func Queries(doc *xmltree.Document, class QueryClass, n int, seed uint64) []stri
 				ok = node.Level() == 2
 			}
 		}
-		if !ok || seen[node.Tag] {
+		if !ok {
 			continue
 		}
-		seen[node.Tag] = true
-		cands = append(cands, cand{tag: node.Tag, instance: node})
+		if i, seen := byTag[node.Tag]; seen {
+			cands[i].instances = append(cands[i].instances, node)
+			continue
+		}
+		byTag[node.Tag] = len(cands)
+		cands = append(cands, cand{tag: node.Tag, instances: []*xmltree.Node{node}})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].tag < cands[j].tag })
 	if len(cands) == 0 {
 		return nil
 	}
 
+	// Fresh predicates come from their own stream, so a repeat does not
+	// shift the draws of the queries after it.
+	fresh := NewRand(^seed)
 	var out []string
+	asked := map[string]bool{}
 	for i := 0; i < n; i++ {
 		c := cands[r.Intn(len(cands))]
 		q := "//" + c.tag
@@ -91,15 +105,24 @@ func Queries(doc *xmltree.Document, class QueryClass, n int, seed uint64) []stri
 			// Pure structural.
 		case 1:
 			// Existence predicate on a child (or self for leaves).
-			if ch := pickElementChild(r, c.instance); ch != "" {
+			if ch := pickElementChild(r, c.instances[0]); ch != "" {
 				q += "[" + ch + "]"
 			}
 		case 2:
 			// Value predicate drawn from the document.
-			if pred := pickValuePredicate(r, c.instance); pred != "" {
+			if pred := pickValuePredicate(r, c.instances[0]); pred != "" {
 				q += "[" + pred + "]"
 			}
 		}
+		// A bounded number of draws: a tag with few distinct values
+		// may have no fresh predicate left, and then the repeat stays.
+		for try := 0; len(cands) < n && asked[q] && try < 32; try++ {
+			inst := c.instances[fresh.Intn(len(c.instances))]
+			if pred := pickValuePredicate(fresh, inst); pred != "" {
+				q = "//" + c.tag + "[" + pred + "]"
+			}
+		}
+		asked[q] = true
 		out = append(out, q)
 	}
 	return out

@@ -18,12 +18,14 @@ package wire
 // A fragment leaf exists for every residue element/attribute node
 // and commits the exact serialized bytes the server ships when that
 // node anchors an answer. Band buckets commit each OPESS band's full
-// entry list, which is also the unit updates replace — so a client
-// holding only the 32-byte-per-leaf digest vector can recompute the
-// post-update root from the update message alone.
+// entry list, which is also the unit updates replace — so an owner
+// holding the tree's digests, and none of the hosted data, advances
+// the root from the update message alone, rehashing only the changed
+// leaves' root paths.
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -140,9 +142,19 @@ func appendU64(b []byte, v uint64) []byte {
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// canonicalBandEntries buckets index entries by band (top key byte)
-// and sorts each bucket by (key, block ID) — the canonical bucket
-// content both sides hash.
+// sortBand puts a band's entries in the canonical bucket order both
+// sides hash: by key, then block ID.
+func sortBand(entries []btree.Entry) {
+	slices.SortFunc(entries, func(a, b btree.Entry) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.BlockID, b.BlockID)
+	})
+}
+
+// canonicalBandEntries buckets index entries by band (top key byte),
+// each bucket in canonical order.
 func canonicalBandEntries(entries []btree.Entry) *[numBands][]btree.Entry {
 	var bands [numBands][]btree.Entry
 	for _, e := range entries {
@@ -150,22 +162,60 @@ func canonicalBandEntries(entries []btree.Entry) *[numBands][]btree.Entry {
 		bands[b] = append(bands[b], e)
 	}
 	for b := range bands {
-		sort.Slice(bands[b], func(i, j int) bool {
-			if bands[b][i].Key != bands[b][j].Key {
-				return bands[b][i].Key < bands[b][j].Key
-			}
-			return bands[b][i].BlockID < bands[b][j].BlockID
-		})
+		sortBand(bands[b])
 	}
 	return &bands
+}
+
+// leafLayout is the canonical leaf order's shape, which the prover and
+// the verifier share: the block and fragment counts fix every other
+// leaf's index.
+type leafLayout struct {
+	nBlocks int
+	nFrags  int
+}
+
+func (l leafLayout) bandLeafIndex(b uint8) int { return l.nBlocks + l.nFrags + int(b) }
+func (l leafLayout) structLeafIndex() int      { return l.nBlocks + l.nFrags + numBands }
+
+// updateLeaves returns the leaves an update changes — a fresh digest
+// for each replaced block and for each dropped band, whose bucket
+// becomes the update's entries for it — and the new buckets by band.
+// The update must stay inside the committed blocks and be band-closed
+// (every added entry's band among the dropped bands), which
+// owner-issued updates are by construction; otherwise neither side
+// could know a bucket's final content.
+func (l leafLayout) updateLeaves(u *Update) ([]authtree.LeafItem, map[uint8][]btree.Entry, error) {
+	bands := make(map[uint8][]btree.Entry, len(u.DropBands))
+	for _, b := range u.DropBands {
+		bands[b] = nil
+	}
+	for _, e := range u.AddEntries {
+		band := uint8(e.Key >> 56)
+		if _, ok := bands[band]; !ok {
+			return nil, nil, fmt.Errorf("entry in band %d, which the update does not replace", band)
+		}
+		bands[band] = append(bands[band], e)
+	}
+	items := make([]authtree.LeafItem, 0, len(u.Blocks)+len(bands))
+	for _, b := range u.Blocks {
+		if b.ID < 0 || b.ID >= l.nBlocks {
+			return nil, nil, fmt.Errorf("block %d outside committed range", b.ID)
+		}
+		items = append(items, authtree.LeafItem{Index: b.ID, Digest: authtree.LeafHash(blockLeafData(b.ID, b.Ciphertext))})
+	}
+	for band, entries := range bands {
+		sortBand(entries)
+		items = append(items, authtree.LeafItem{Index: l.bandLeafIndex(band), Digest: authtree.LeafHash(bandLeafData(band, entries))})
+	}
+	return items, bands, nil
 }
 
 // AuthState is the server-side prover: the full Merkle tree over a
 // hosted database plus the lookup structures proofs need. It holds
 // no secrets — everything in it derives from the upload.
 type AuthState struct {
-	nBlocks int
-	nFrags  int
+	leafLayout
 	tree    *authtree.Tree
 	fragIdx map[dsi.Interval]int // interval -> absolute leaf index
 	bands   *[numBands][]btree.Entry
@@ -210,10 +260,9 @@ func BuildAuthState(db *HostedDB) (*AuthState, error) {
 	}
 
 	st := &AuthState{
-		nBlocks: len(canon.Blocks),
-		nFrags:  len(frags),
-		fragIdx: make(map[dsi.Interval]int, len(frags)),
-		bands:   canonicalBandEntries(canon.IndexEntries),
+		leafLayout: leafLayout{nBlocks: len(canon.Blocks), nFrags: len(frags)},
+		fragIdx:    make(map[dsi.Interval]int, len(frags)),
+		bands:      canonicalBandEntries(canon.IndexEntries),
 	}
 	leaves := make([]authtree.Digest, 0, st.nBlocks+st.nFrags+numBands+1)
 	for id, ct := range canon.Blocks {
@@ -238,16 +287,11 @@ func (st *AuthState) Root() authtree.Digest { return st.tree.Root() }
 // state).
 func (st *AuthState) NumLeaves() int { return st.tree.NumLeaves() }
 
-// Verifier snapshots the compact client-side state: the root, the
-// layout, and one digest per leaf (enough to recompute the root
-// after an update without holding any hosted data).
+// Verifier returns the owner-side state: the layout and the tree,
+// which is immutable and so shared, not copied (enough to advance the
+// root after an update without holding any hosted data).
 func (st *AuthState) Verifier() *AuthVerifier {
-	return &AuthVerifier{
-		nBlocks: st.nBlocks,
-		nFrags:  st.nFrags,
-		leaves:  st.tree.Leaves(),
-		root:    st.tree.Root(),
-	}
+	return &AuthVerifier{leafLayout: st.leafLayout, tree: st.tree}
 }
 
 // ProveAnswer builds the verification object for a query answer: the
@@ -317,70 +361,41 @@ func (st *AuthState) ProveExtreme(lo, hi uint64, found bool, blockID int) ([]byt
 	return MarshalExtremeProof(p)
 }
 
-func (st *AuthState) bandLeafIndex(b uint8) int { return st.nBlocks + st.nFrags + int(b) }
-func (st *AuthState) structLeafIndex() int      { return st.nBlocks + st.nFrags + numBands }
-
 // ApplyUpdates advances the prover state across a batch of updates
 // with one multi-leaf delta: replaced blocks get fresh leaf digests,
-// dropped bands are replaced wholesale, and the tree is rebuilt once
-// at the end — the batched analogue of AuthVerifier.ApplyUpdate, and
-// the reason a group commit pays one root recomputation instead of a
-// per-update BuildAuthState (which round-trips the whole database
-// through the wire format). It returns a NEW state and leaves the
-// receiver untouched, so a caller that must revert (final-root
-// mismatch) simply keeps its old pointer. The fragment leaves and
-// layout are shared with the receiver: value updates never touch
-// residue fragments or the structure leaf.
+// dropped bands are replaced wholesale, and the tree advances once,
+// along the changed leaves' paths (authtree.Tree.With) — the batched
+// analogue of AuthVerifier.ApplyUpdate, and the reason a group commit
+// pays O(k log n) hashes instead of a per-update BuildAuthState (which
+// round-trips the whole database through the wire format). It returns
+// a NEW state and leaves the receiver untouched, so a caller that must
+// revert (final-root mismatch) simply keeps its old pointer. The
+// fragment leaves and layout are shared with the receiver: value
+// updates never touch residue fragments or the structure leaf.
 //
 // Equivalence with BuildAuthState: block leaves commit the raw
 // ciphertext bytes, which survive a wire round trip unchanged, and
-// band buckets are re-sorted here exactly as canonicalBandEntries
-// sorts them — so the incremental root equals the from-scratch root
-// for the updated database.
+// band buckets are sorted by sortBand as canonicalBandEntries sorts
+// them — so the incremental root equals the from-scratch root for the
+// updated database.
 func (st *AuthState) ApplyUpdates(us []*Update) (*AuthState, error) {
-	next := &AuthState{
-		nBlocks: st.nBlocks,
-		nFrags:  st.nFrags,
-		fragIdx: st.fragIdx,
-	}
 	bands := *st.bands
-	next.bands = &bands
-	leaves := st.tree.Leaves()
+	var changed []authtree.LeafItem
 	for _, u := range us {
-		for _, b := range u.Blocks {
-			if b.ID < 0 || b.ID >= st.nBlocks {
-				return nil, fmt.Errorf("wire: auth update: block %d outside committed range", b.ID)
-			}
+		items, replaced, err := st.updateLeaves(u)
+		if err != nil {
+			return nil, fmt.Errorf("wire: auth update: %w", err)
 		}
-		dropped := map[uint8]bool{}
-		for _, b := range u.DropBands {
-			dropped[b] = true
-		}
-		adds := map[uint8][]btree.Entry{}
-		for _, e := range u.AddEntries {
-			band := uint8(e.Key >> 56)
-			if !dropped[band] {
-				return nil, fmt.Errorf("wire: auth update: entry in band %d, which the update does not replace", band)
-			}
-			adds[band] = append(adds[band], e)
-		}
-		for _, b := range u.Blocks {
-			leaves[b.ID] = authtree.LeafHash(blockLeafData(b.ID, b.Ciphertext))
-		}
-		for band := range dropped {
-			entries := adds[band]
-			sort.Slice(entries, func(i, j int) bool {
-				if entries[i].Key != entries[j].Key {
-					return entries[i].Key < entries[j].Key
-				}
-				return entries[i].BlockID < entries[j].BlockID
-			})
-			next.bands[band] = entries
-			leaves[next.bandLeafIndex(band)] = authtree.LeafHash(bandLeafData(band, entries))
+		changed = append(changed, items...)
+		for band, entries := range replaced {
+			bands[band] = entries
 		}
 	}
-	next.tree = authtree.New(leaves)
-	return next, nil
+	tree, err := st.tree.With(changed)
+	if err != nil {
+		return nil, fmt.Errorf("wire: auth update: %w", err)
+	}
+	return &AuthState{leafLayout: st.leafLayout, tree: tree, fragIdx: st.fragIdx, bands: &bands}, nil
 }
 
 // Verifier is what an answer transport needs from the owner's
@@ -408,56 +423,35 @@ type ContextVerifier interface {
 	VerifyExtremeContext(ctx context.Context, lo, hi uint64, max bool, res *ExtremeResult) error
 }
 
-// AuthVerifier is the owner-side integrity state: the committed root
-// plus the leaf digest vector. All Verify* methods return an error
+// AuthVerifier is the owner-side integrity state: the layout and one
+// immutable Merkle tree, whose root is the commitment (about 64 bytes
+// per leaf, no hosted data). All Verify* methods return an error
 // wrapping authtree.ErrTampered on any mismatch; ApplyUpdate
-// advances the state so freshness survives updates.
+// advances the state so freshness survives updates. Nothing but
+// ApplyUpdate writes a verifier, and it only swaps the tree pointer,
+// so concurrent Verify* calls on a verifier nobody advances need no
+// lock.
 type AuthVerifier struct {
-	nBlocks int
-	nFrags  int
-	leaves  []authtree.Digest
-	root    authtree.Digest
-	// dirty marks a root trailing the leaf vector: ApplyUpdate defers
-	// the tree rebuild so a chain of N member advances (a batch being
-	// prepared) costs N leaf-digest updates but ONE rebuild, at the
-	// next Root() call. Verify* finalizes through Root() too, so a
-	// dirty verifier never checks against a stale root. Concurrent
-	// Verify* calls (the shared transport verifier) are safe because
-	// every promotion into shared use finalizes the root first, under
-	// the owner's exclusive lock.
-	dirty bool
+	leafLayout
+	tree *authtree.Tree
 }
 
 var _ Verifier = (*AuthVerifier)(nil)
 
-// Root returns the currently committed root digest, rebuilding it
-// first when deferred ApplyUpdate calls left it trailing the leaves.
-func (v *AuthVerifier) Root() authtree.Digest {
-	if v.dirty {
-		v.root = authtree.New(v.leaves).Root()
-		v.dirty = false
-	}
-	return v.root
-}
+// Root returns the committed root digest.
+func (v *AuthVerifier) Root() authtree.Digest { return v.tree.Root() }
 
 // NumBlocks reports the committed block count.
 func (v *AuthVerifier) NumBlocks() int { return v.nBlocks }
 
 // Clone returns an independent copy (used to precompute the
-// post-update root before the update is acknowledged).
+// post-update root before the update is acknowledged). The tree is
+// immutable, so the copy shares it: advancing either verifier swaps in
+// a new tree and leaves the other's as it was.
 func (v *AuthVerifier) Clone() *AuthVerifier {
-	return &AuthVerifier{
-		nBlocks: v.nBlocks,
-		nFrags:  v.nFrags,
-		leaves:  append([]authtree.Digest(nil), v.leaves...),
-		root:    v.root,
-		dirty:   v.dirty,
-	}
+	c := *v
+	return &c
 }
-
-func (v *AuthVerifier) numLeaves() int            { return v.nBlocks + v.nFrags + numBands + 1 }
-func (v *AuthVerifier) bandLeafIndex(b uint8) int { return v.nBlocks + v.nFrags + int(b) }
-func (v *AuthVerifier) structLeafIndex() int      { return v.nBlocks + v.nFrags + numBands }
 
 // VerifyAnswer checks a query answer against the committed root
 // before anything is decrypted: every fragment's bytes and every
@@ -500,9 +494,9 @@ func (v *AuthVerifier) VerifyAnswer(ans *Answer) error {
 	if len(items) == 0 {
 		// Empty answer: the proof must demonstrate liveness against
 		// the current root via the structure leaf.
-		items = append(items, authtree.LeafItem{Index: v.structLeafIndex(), Digest: v.leaves[v.structLeafIndex()]})
+		items = append(items, authtree.LeafItem{Index: v.structLeafIndex(), Digest: v.tree.Leaf(v.structLeafIndex())})
 	}
-	if err := authtree.VerifyMulti(v.Root(), v.numLeaves(), items, p.Siblings); err != nil {
+	if err := authtree.VerifyMulti(v.Root(), v.tree.NumLeaves(), items, p.Siblings); err != nil {
 		return err
 	}
 	return checkReferencedBlocks(ans)
@@ -581,7 +575,7 @@ func (v *AuthVerifier) VerifyExtreme(lo, hi uint64, max bool, found bool, blockI
 			Digest: authtree.LeafHash(blockLeafData(blockID, block)),
 		})
 	}
-	if err := authtree.VerifyMulti(v.Root(), v.numLeaves(), items, p.Siblings); err != nil {
+	if err := authtree.VerifyMulti(v.Root(), v.tree.NumLeaves(), items, p.Siblings); err != nil {
 		return err
 	}
 	// Recompute the extreme from the authenticated buckets.
@@ -610,44 +604,23 @@ func (v *AuthVerifier) VerifyExtreme(lo, hi uint64, max bool, found bool, blockI
 }
 
 // ApplyUpdate advances the verifier to the post-update state:
-// replaced blocks get fresh leaf digests and dropped bands are
-// replaced wholesale by the update's entries for that band. The root
-// rebuild is DEFERRED to the next Root() (or Verify*) call, so a
-// batch chain of N member advances pays for one tree build, not N.
-// The update must be band-closed (every added entry's band among the
-// dropped bands) — which owner-issued updates are by construction —
-// or the verifier could not know the bucket's final content.
+// replaced blocks get fresh leaf digests, dropped bands are replaced
+// wholesale by the update's entries for that band, and the tree
+// advances along the changed leaves' paths (authtree.Tree.With), so
+// one edit costs O(log n) hashes, not a rebuild. The update must be
+// band-closed (every added entry's band among the dropped bands) —
+// which owner-issued updates are by construction — or the verifier
+// could not know the bucket's final content. On error the verifier is
+// unchanged.
 func (v *AuthVerifier) ApplyUpdate(u *Update) error {
-	for _, b := range u.Blocks {
-		if b.ID < 0 || b.ID >= v.nBlocks {
-			return fmt.Errorf("wire: verifier update: block %d outside committed range", b.ID)
-		}
+	items, _, err := v.updateLeaves(u)
+	if err != nil {
+		return fmt.Errorf("wire: verifier update: %w", err)
 	}
-	dropped := map[uint8]bool{}
-	for _, b := range u.DropBands {
-		dropped[b] = true
+	tree, err := v.tree.With(items)
+	if err != nil {
+		return fmt.Errorf("wire: verifier update: %w", err)
 	}
-	adds := map[uint8][]btree.Entry{}
-	for _, e := range u.AddEntries {
-		band := uint8(e.Key >> 56)
-		if !dropped[band] {
-			return fmt.Errorf("wire: verifier update: entry in band %d, which the update does not replace", band)
-		}
-		adds[band] = append(adds[band], e)
-	}
-	for _, b := range u.Blocks {
-		v.leaves[b.ID] = authtree.LeafHash(blockLeafData(b.ID, b.Ciphertext))
-	}
-	for band := range dropped {
-		entries := adds[band]
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Key != entries[j].Key {
-				return entries[i].Key < entries[j].Key
-			}
-			return entries[i].BlockID < entries[j].BlockID
-		})
-		v.leaves[v.bandLeafIndex(band)] = authtree.LeafHash(bandLeafData(band, entries))
-	}
-	v.dirty = true
+	v.tree = tree
 	return nil
 }

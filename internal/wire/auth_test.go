@@ -240,6 +240,51 @@ func TestVerifierApplyUpdate(t *testing.T) {
 	}
 }
 
+// TestVerifierCloneIsolated: a clone shares its base's tree, so
+// advancing the clone must swap in a new tree and leave the base's
+// root, and its verdict on an answer proved against that root, as
+// they were.
+func TestVerifierCloneIsolated(t *testing.T) {
+	db := sampleDB(t)
+	st, err := BuildAuthState(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := st.Verifier()
+	oldRoot := base.Root()
+	patient, iv := residueNodeIv(t, db, "patient")
+	frag, err := SerializeFragment(patient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := &Answer{Fragments: [][]byte{frag}, BlockIDs: []int{0}, Blocks: [][]byte{db.Blocks[0]}}
+	if ans.Proof, err = st.ProveAnswer(ans, []dsi.Interval{iv}); err != nil {
+		t.Fatal(err)
+	}
+
+	next := base.Clone()
+	u := &Update{
+		Blocks:     []BlockUpdate{{ID: 0, Ciphertext: []byte{7, 7, 7, 7}}},
+		DropBands:  []uint8{0},
+		AddEntries: []btree.Entry{{Key: 88, BlockID: 0}},
+	}
+	if err := next.ApplyUpdate(u); err != nil {
+		t.Fatal(err)
+	}
+	if next.Root() == oldRoot {
+		t.Fatal("the clone's update did not change its root")
+	}
+	if base.Root() != oldRoot {
+		t.Fatal("advancing a clone changed its base's root")
+	}
+	if err := base.VerifyAnswer(ans); err != nil {
+		t.Fatalf("base rejects an answer proved against its root after a clone advanced: %v", err)
+	}
+	if err := next.VerifyAnswer(ans); !errors.Is(err, authtree.ErrTampered) {
+		t.Fatalf("advanced clone accepts the pre-update block: %v", err)
+	}
+}
+
 func TestProofRoundTrip(t *testing.T) {
 	ap := &AnswerProof{
 		Frags:    []FragRef{{Index: 3, Lo: 0.25, Hi: 0.5}, {Index: 7, Lo: 0.75, Hi: 1}},
