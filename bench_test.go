@@ -95,23 +95,52 @@ func BenchmarkDSIAssign(b *testing.B) {
 	}
 }
 
-func BenchmarkBTree(b *testing.B) {
-	b.Run("insert", func(b *testing.B) {
-		tr := btree.New(0)
-		for i := 0; i < b.N; i++ {
-			tr.Insert(uint64(i*2654435761), i)
-		}
-	})
+var (
+	indexSink  *btree.Index
+	blocksSink []int
+)
+
+// BenchmarkValueIndex measures the server's value index (§5.2): a
+// range lookup of 1 000 keys among 100 000 entries, and the one-band
+// replace an update commits (group the update's entries into their
+// band run, check its order, install it) on the index of the benchmark
+// document (550 KB NASA-style), replacing its most occupied band.
+func BenchmarkValueIndex(b *testing.B) {
 	b.Run("range", func(b *testing.B) {
-		tr := btree.New(0)
-		for i := 0; i < 100000; i++ {
-			tr.Insert(uint64(i), i)
+		entries := make([]btree.Entry, 100_000)
+		for i := range entries {
+			entries[i] = btree.Entry{Key: uint64(i), BlockID: i}
 		}
+		ix := btree.NewIndex(entries)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			lo := uint64(i % 90000)
-			tr.Range(lo, lo+1000)
+			blocksSink = ix.RangeBlocks(lo, lo+1000)
 		}
+	})
+	b.Run("replace-band", func(b *testing.B) {
+		sys, err := core.Host(datagen.NASAToSize(550_000, 2006), datagen.NASASCs(), core.SchemeOpt, []byte("index-bench"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix := btree.NewIndex(sys.HostedDB.IndexEntries)
+		var band uint8
+		for c := 0; c < btree.NumBands; c++ {
+			if len(ix.Band(uint8(c))) > len(ix.Band(band)) {
+				band = uint8(c)
+			}
+		}
+		us := []*wire.Update{{DropBands: []uint8{band}, AddEntries: ix.Band(band)}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bands, err := wire.ReplacedBands(us)
+			if err != nil {
+				b.Fatal(err)
+			}
+			indexSink = ix.With(bands)
+		}
+		b.ReportMetric(float64(ix.Len()), "entries")
+		b.ReportMetric(float64(len(ix.Band(band))), "band-entries")
 	})
 }
 

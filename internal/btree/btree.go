@@ -1,14 +1,24 @@
-// Package btree implements the B+-tree the paper places on the
-// server as the value index (§5.2): data entries are
+// Package btree is the server's value index (§5.2): data entries are
 // ⟨evalue, Bid⟩ pairs mapping an OPESS ciphertext value to the ID of
-// an encryption block containing an occurrence of it. Duplicate keys
-// are permitted (scaling replicates entries), leaves are linked for
-// range scans, and range lookups serve the translated range queries
-// of Figure 7(a).
+// an encryption block containing an occurrence of it, and the index
+// answers the translated range lookups of Figure 7(a) and the
+// single-probe MIN/MAX of §6.4.
+//
+// The paper places a B+-tree here. OPESS confines every indexed
+// attribute to one band — the top byte of its keys — and an update
+// re-issues whole bands, so the index is the leaf level of a
+// bulk-loaded B+-tree without its inner nodes: one sorted run per
+// band, in the canonical (key, block ID) order. Duplicate keys are
+// kept (scaling replicates entries). A range lookup is a binary search
+// per band the range touches, MIN/MAX one probe, and the Merkle
+// prover hashes each run as it stands. An Index is immutable: an
+// update publishes a new one that replaces the re-issued bands and
+// shares every other run with its predecessor.
 package btree
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -18,323 +28,162 @@ type Entry struct {
 	BlockID int    // encryption block containing an occurrence
 }
 
-// Tree is a B+-tree over uint64 keys with duplicates.
-type Tree struct {
-	order int // max keys per node; nodes split when exceeding it
-	root  node
-	size  int
-}
+// NumBands is the number of OPESS bands: one per value of a key's top
+// byte.
+const NumBands = 256
 
-// DefaultOrder is the fan-out used by New when 0 is passed.
-const DefaultOrder = 64
+// Band returns the OPESS band of a key: its top byte.
+func Band(key uint64) uint8 { return uint8(key >> 56) }
 
-type node interface {
-	// insert adds the entry and reports a split: the new right
-	// sibling and its separator key, or nil.
-	insert(e Entry, order int) (sep uint64, right node)
-	// firstGE descends to the leaf that may contain the first key >= k.
-	firstGE(k uint64) (*leaf, int)
-	height() int
-}
-
-type leaf struct {
-	entries []Entry
-	next    *leaf
-}
-
-type internal struct {
-	// children[i] holds keys < keys[i]; children[len(keys)] the rest.
-	keys     []uint64
-	children []node
-}
-
-// New returns an empty tree. order is the maximum number of entries
-// (or separators) a node holds before splitting; pass 0 for the
-// default.
-func New(order int) *Tree {
-	if order <= 0 {
-		order = DefaultOrder
+// Compare is the canonical entry order: by key, then block ID.
+func Compare(a, b Entry) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
 	}
-	if order < 3 {
-		order = 3
+	return cmp.Compare(a.BlockID, b.BlockID)
+}
+
+// SortBand puts a band's entries in canonical order in place. Input
+// already in that order (what the owner emits) is only checked.
+func SortBand(entries []Entry) {
+	if !slices.IsSortedFunc(entries, Compare) {
+		slices.SortFunc(entries, Compare)
 	}
-	return &Tree{order: order, root: &leaf{}}
+}
+
+// Index is the value index: one canonical run per band.
+type Index struct {
+	bands [NumBands][]Entry
+	n     int
+}
+
+// NewIndex buckets entries by band into a fresh index; entries is not
+// retained.
+func NewIndex(entries []Entry) *Index {
+	var counts [NumBands]int
+	for _, e := range entries {
+		counts[Band(e.Key)]++
+	}
+	ix := &Index{n: len(entries)}
+	for b, c := range counts {
+		if c > 0 {
+			ix.bands[b] = make([]Entry, 0, c)
+		}
+	}
+	for _, e := range entries {
+		b := Band(e.Key)
+		ix.bands[b] = append(ix.bands[b], e)
+	}
+	for _, run := range ix.bands {
+		SortBand(run)
+	}
+	return ix
 }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
+func (ix *Index) Len() int { return ix.n }
 
-// Height returns the number of levels (a lone leaf has height 1).
-func (t *Tree) Height() int { return t.root.height() }
+// Band returns band b's run in canonical order. Callers must not
+// modify it.
+func (ix *Index) Band(b uint8) []Entry { return ix.bands[b] }
 
-// Insert adds an entry; duplicates of Key (and even of the full
-// entry) are kept.
-func (t *Tree) Insert(key uint64, blockID int) {
-	sep, right := t.root.insert(Entry{Key: key, BlockID: blockID}, t.order)
-	if right != nil {
-		t.root = &internal{keys: []uint64{sep}, children: []node{t.root, right}}
-	}
-	t.size++
-}
-
-// Search returns every entry with exactly the given key.
-func (t *Tree) Search(key uint64) []Entry {
-	return t.Range(key, key)
-}
-
-// Range returns every entry with lo <= Key <= hi in key order.
-func (t *Tree) Range(lo, hi uint64) []Entry {
-	if lo > hi {
-		return nil
-	}
-	lf, i := t.root.firstGE(lo)
-	var out []Entry
-	for lf != nil {
-		for ; i < len(lf.entries); i++ {
-			e := lf.entries[i]
-			if e.Key > hi {
-				return out
-			}
-			out = append(out, e)
-		}
-		lf = lf.next
-		i = 0
+// Entries returns every entry, band by band, in canonical order, as a
+// fresh slice.
+func (ix *Index) Entries() []Entry {
+	out := make([]Entry, 0, ix.n)
+	for _, run := range ix.bands {
+		out = append(out, run...)
 	}
 	return out
 }
 
-// Count returns the number of entries with lo <= Key <= hi without
-// materializing them — the band-occupancy probe the admission layer
-// prices queries with (a Range would allocate the very entries the
-// estimate exists to avoid touching).
-func (t *Tree) Count(lo, hi uint64) int {
-	if lo > hi {
-		return 0
+// With returns a new index in which each band named in replaced holds
+// the given run (nil empties it). Every run must already be in
+// canonical order and is retained, so the caller must not modify it
+// afterwards. Bands not named are shared with ix, which is unchanged.
+func (ix *Index) With(replaced map[uint8][]Entry) *Index {
+	next := *ix
+	for b, run := range replaced {
+		next.n += len(run) - len(next.bands[b])
+		next.bands[b] = run
 	}
-	lf, i := t.root.firstGE(lo)
-	n := 0
-	for lf != nil {
-		for ; i < len(lf.entries); i++ {
-			if lf.entries[i].Key > hi {
-				return n
-			}
-			n++
-		}
-		lf = lf.next
-		i = 0
-	}
-	return n
+	return &next
 }
+
+// span returns the positions [i, j) of run's entries with
+// lo <= Key <= hi.
+func span(run []Entry, lo, hi uint64) (int, int) {
+	i := sort.Search(len(run), func(k int) bool { return run[k].Key >= lo })
+	j := i + sort.Search(len(run)-i, func(k int) bool { return run[i+k].Key > hi })
+	return i, j
+}
+
+// bandsOf returns the bands a range [lo, hi] touches.
+func bandsOf(lo, hi uint64) (int, int) { return int(Band(lo)), int(Band(hi)) }
 
 // RangeBlocks returns the deduplicated block IDs of entries in
 // [lo, hi], in ascending order — the set the server fetches for a
 // translated value constraint.
-func (t *Tree) RangeBlocks(lo, hi uint64) []int {
-	seen := map[int]bool{}
+func (ix *Index) RangeBlocks(lo, hi uint64) []int {
+	if lo > hi {
+		return nil
+	}
 	var out []int
-	for _, e := range t.Range(lo, hi) {
-		if !seen[e.BlockID] {
-			seen[e.BlockID] = true
+	first, last := bandsOf(lo, hi)
+	for b := first; b <= last; b++ {
+		run := ix.bands[b]
+		i, j := span(run, lo, hi)
+		for _, e := range run[i:j] {
 			out = append(out, e.BlockID)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // First returns the smallest entry with lo <= Key <= hi.
-func (t *Tree) First(lo, hi uint64) (Entry, bool) {
-	lf, i := t.root.firstGE(lo)
-	for lf != nil {
-		for ; i < len(lf.entries); i++ {
-			e := lf.entries[i]
-			if e.Key > hi {
-				return Entry{}, false
-			}
-			return e, true
+func (ix *Index) First(lo, hi uint64) (Entry, bool) {
+	if lo > hi {
+		return Entry{}, false
+	}
+	first, last := bandsOf(lo, hi)
+	for b := first; b <= last; b++ {
+		run := ix.bands[b]
+		if i, j := span(run, lo, hi); i < j {
+			return run[i], true
 		}
-		lf = lf.next
-		i = 0
 	}
 	return Entry{}, false
 }
 
 // Last returns the largest entry with lo <= Key <= hi.
-func (t *Tree) Last(lo, hi uint64) (Entry, bool) {
-	lf, i := t.root.firstGE(lo)
-	var best Entry
-	found := false
-	for lf != nil {
-		for ; i < len(lf.entries); i++ {
-			e := lf.entries[i]
-			if e.Key > hi {
-				return best, found
-			}
-			best, found = e, true
-		}
-		lf = lf.next
-		i = 0
+func (ix *Index) Last(lo, hi uint64) (Entry, bool) {
+	if lo > hi {
+		return Entry{}, false
 	}
-	return best, found
-}
-
-// Min returns the smallest entry.
-func (t *Tree) Min() (Entry, bool) {
-	lf, _ := t.root.firstGE(0)
-	for lf != nil {
-		if len(lf.entries) > 0 {
-			return lf.entries[0], true
+	first, last := bandsOf(lo, hi)
+	for b := last; b >= first; b-- {
+		run := ix.bands[b]
+		if i, j := span(run, lo, hi); i < j {
+			return run[j-1], true
 		}
-		lf = lf.next
 	}
 	return Entry{}, false
 }
 
-// Max returns the largest entry.
-func (t *Tree) Max() (Entry, bool) {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *leaf:
-			if len(v.entries) == 0 {
-				return Entry{}, false
-			}
-			return v.entries[len(v.entries)-1], true
-		case *internal:
-			n = v.children[len(v.children)-1]
-		}
+// Occupancy returns the number of entries in the bands [lo, hi]
+// touches — an upper bound on the entries in [lo, hi], read off the
+// run lengths without a search. It is the planner's and the admission
+// gate's selectivity currency: translated comparisons clamp to one
+// band, so the bound is that band's size.
+func (ix *Index) Occupancy(lo, hi uint64) int {
+	if lo > hi {
+		return 0
 	}
-}
-
-// Scan visits every entry in key order until fn returns false.
-func (t *Tree) Scan(fn func(Entry) bool) {
-	lf, _ := t.root.firstGE(0)
-	for lf != nil {
-		for _, e := range lf.entries {
-			if !fn(e) {
-				return
-			}
-		}
-		lf = lf.next
+	n := 0
+	first, last := bandsOf(lo, hi)
+	for b := first; b <= last; b++ {
+		n += len(ix.bands[b])
 	}
+	return n
 }
-
-// KeyFrequencies returns the number of entries per distinct key —
-// exactly the ciphertext-value distribution an attacker observes by
-// crawling the index (used by the attack simulator).
-func (t *Tree) KeyFrequencies() map[uint64]int {
-	out := map[uint64]int{}
-	t.Scan(func(e Entry) bool {
-		out[e.Key]++
-		return true
-	})
-	return out
-}
-
-// Check verifies structural invariants (sortedness, separator
-// consistency, balanced height); for tests.
-func (t *Tree) Check() error {
-	_, err := check(t.root, 0, ^uint64(0))
-	return err
-}
-
-func check(n node, lo, hi uint64) (int, error) {
-	switch v := n.(type) {
-	case *leaf:
-		for i, e := range v.entries {
-			if e.Key < lo || e.Key > hi {
-				return 0, fmt.Errorf("btree: leaf key %d outside [%d, %d]", e.Key, lo, hi)
-			}
-			if i > 0 && v.entries[i-1].Key > e.Key {
-				return 0, fmt.Errorf("btree: leaf keys out of order")
-			}
-		}
-		return 1, nil
-	case *internal:
-		if len(v.children) != len(v.keys)+1 {
-			return 0, fmt.Errorf("btree: internal node with %d keys, %d children", len(v.keys), len(v.children))
-		}
-		h := -1
-		curLo := lo
-		for i, c := range v.children {
-			// With duplicates, keys equal to a separator may sit on
-			// both sides of it, so child ranges share boundaries.
-			curHi := hi
-			if i < len(v.keys) {
-				curHi = v.keys[i]
-			}
-			ch, err := check(c, curLo, curHi)
-			if err != nil {
-				return 0, err
-			}
-			if h == -1 {
-				h = ch
-			} else if ch != h {
-				return 0, fmt.Errorf("btree: unbalanced: child heights %d vs %d", h, ch)
-			}
-			if i < len(v.keys) {
-				curLo = v.keys[i]
-			}
-		}
-		return h + 1, nil
-	}
-	return 0, fmt.Errorf("btree: unknown node type")
-}
-
-func (l *leaf) insert(e Entry, order int) (uint64, node) {
-	// Upper-bound position keeps duplicate keys adjacent and stable.
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Key > e.Key })
-	l.entries = append(l.entries, Entry{})
-	copy(l.entries[i+1:], l.entries[i:])
-	l.entries[i] = e
-	if len(l.entries) <= order {
-		return 0, nil
-	}
-	mid := len(l.entries) / 2
-	right := &leaf{entries: append([]Entry(nil), l.entries[mid:]...), next: l.next}
-	l.entries = l.entries[:mid]
-	l.next = right
-	return right.entries[0].Key, right
-}
-
-func (l *leaf) firstGE(k uint64) (*leaf, int) {
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Key >= k })
-	return l, i
-}
-
-func (l *leaf) height() int { return 1 }
-
-func (in *internal) insert(e Entry, order int) (uint64, node) {
-	// Descend left on equality so lookups (which also descend left)
-	// never miss duplicates of a separator key.
-	i := sort.Search(len(in.keys), func(i int) bool { return e.Key <= in.keys[i] })
-	sep, right := in.children[i].insert(e, order)
-	if right == nil {
-		return 0, nil
-	}
-	in.keys = append(in.keys, 0)
-	copy(in.keys[i+1:], in.keys[i:])
-	in.keys[i] = sep
-	in.children = append(in.children, nil)
-	copy(in.children[i+2:], in.children[i+1:])
-	in.children[i+1] = right
-	if len(in.keys) <= order {
-		return 0, nil
-	}
-	mid := len(in.keys) / 2
-	upKey := in.keys[mid]
-	rightNode := &internal{
-		keys:     append([]uint64(nil), in.keys[mid+1:]...),
-		children: append([]node(nil), in.children[mid+1:]...),
-	}
-	in.keys = in.keys[:mid]
-	in.children = in.children[:mid+1]
-	return upKey, rightNode
-}
-
-func (in *internal) firstGE(k uint64) (*leaf, int) {
-	i := sort.Search(len(in.keys), func(i int) bool { return k <= in.keys[i] })
-	return in.children[i].firstGE(k)
-}
-
-func (in *internal) height() int { return in.children[0].height() + 1 }

@@ -66,9 +66,11 @@ func (c *Client) ApplyValueEdit(tagKey, oldValue, newValue string, blockID int) 
 
 // RebuildEntries regenerates an attribute's OPESS transformer (same
 // band) and its complete set of index entries from the current
-// bookkeeping. The transformer table is replaced copy-on-write, so a
-// concurrent query that pinned a View keeps translating through the
-// pre-edit table.
+// bookkeeping, in the canonical (key, block ID) order the value index
+// and the Merkle band leaf keep, so neither the owner's verifier nor
+// the server has to sort the band again. The transformer table is
+// replaced copy-on-write, so a concurrent query that pinned a View
+// keeps translating through the pre-edit table.
 func (c *Client) RebuildEntries(tagKey string) ([]btree.Entry, uint8, error) {
 	o, ok := c.occ[tagKey]
 	if !ok {
@@ -93,6 +95,7 @@ func (c *Client) RebuildEntries(tagKey string) ([]btree.Entry, uint8, error) {
 		}
 		entries = append(entries, es...)
 	}
+	btree.SortBand(entries)
 	return entries, band, nil
 }
 

@@ -21,7 +21,7 @@ type tagOccurrences struct {
 
 // buildValueIndex constructs the OPESS transformer for every
 // encrypted leaf tag and emits the value-index entries the server
-// bulk-loads into its B-tree (§5.2.1). Each occurrence contributes
+// indexes (§5.2.1). Each occurrence contributes
 // its containing block's ID; the transformer splits occurrences into
 // chunk ciphertexts and replicates entries by the secret scale
 // factor. Decoys are added later, at block serialization, and are

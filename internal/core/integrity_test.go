@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/authtree"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // TestIntegrityEndToEnd walks the whole verified lifecycle against
@@ -158,5 +161,65 @@ func TestIntegrityRejectsForeignVerifier(t *testing.T) {
 	_, _, _, err = sys.Query("//patient/pname")
 	if !errors.Is(err, authtree.ErrTampered) {
 		t.Fatalf("mismatched commitment accepted: err=%v", err)
+	}
+}
+
+// TestTamperVerdictIgnoresConcurrentAdvance: the ring's verdict on an
+// answer depends only on the roots it holds when the check starts. An
+// answer that matches no current, staged or retained root is
+// ErrTampered even when a commit that would accept it lands while the
+// answer is being checked; a verdict that waited for such a commit
+// would make "tampered" a matter of timing. Honest answers need no
+// wait, because every commit stages its root before its frame is sent.
+func TestTamperVerdictIgnoresConcurrentAdvance(t *testing.T) {
+	doc, err := xmltree.ParseString(hospitalXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Host(doc, paperSCs, SchemeOpt, []byte("verdict-timing"))
+	if err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	if err := sys.EnableIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.ring.Current()
+	if _, err := sys.UpdateLeafValues("//patient[pname='Matt']//disease", "cholera"); err != nil {
+		t.Fatal(err)
+	}
+	after := sys.ring.Current()
+
+	// An answer of the post-update generation, checked by a ring that
+	// holds only the pre-update root.
+	q, err := sys.Client.Translate(xpath.MustParse("//patient[.//disease='cholera']/pname"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.WantProof = true
+	ans, _, err := sys.Server.Execute(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := after.VerifyAnswer(ans); err != nil {
+		t.Fatalf("answer does not verify against its own root: %v", err)
+	}
+	ring := newVerifierRing(before)
+	checks := 0
+	err = ring.verifySince(0, func(v *wire.AuthVerifier) error {
+		checks++
+		if checks == 1 {
+			ring.Advance(after) // a commit lands mid-check
+		}
+		return v.VerifyAnswer(ans)
+	})
+	if !errors.Is(err, authtree.ErrTampered) {
+		t.Fatalf("answer matching no held root: err = %v, want ErrTampered", err)
+	}
+	if checks != 1 {
+		t.Fatalf("the check ran %d times; a commit during it must not trigger a re-check", checks)
+	}
+	// The commit that landed is now current, and a fresh check holds.
+	if err := ring.verifyAnswerSince(0, ans); err != nil {
+		t.Fatalf("answer rejected after its root became current: %v", err)
 	}
 }

@@ -52,10 +52,6 @@ type verifierRing struct {
 	// owner's OWN commitment for an update it chose to send — a server
 	// cannot forge an answer into it, only apply the owner's update.
 	staged *wire.AuthVerifier
-	// advanced is closed and replaced whenever the verifier set grows
-	// (Advance, Stage); verifySince waits on it as the last resort
-	// when an answer matches nothing yet.
-	advanced chan struct{}
 	// checks counts answer and extreme-probe passes, whoever asked for
 	// them: core, or a transport holding the ring.
 	checks atomic.Uint64
@@ -75,7 +71,7 @@ const ringRetain = 8
 // newVerifierRing wraps the initial commitment; v must not be
 // mutated by the caller afterwards.
 func newVerifierRing(v *wire.AuthVerifier) *verifierRing {
-	return &verifierRing{cur: v, advanced: make(chan struct{})}
+	return &verifierRing{cur: v}
 }
 
 // Current returns the verifier of the latest commit, for chaining the
@@ -103,21 +99,18 @@ func (r *verifierRing) Advance(next *wire.AuthVerifier) {
 	}
 	r.cur = next
 	r.curSeq++
-	close(r.advanced)
-	r.advanced = make(chan struct{})
 }
 
 // Stage publishes an in-flight commit's root for verification before
-// the server's acknowledgment arrives. Call it after the frame is
-// handed to the transport; pair with Advance (acknowledged) or
-// Unstage (definitely rejected — the server never held the root).
-// v must not be mutated afterwards.
+// the server's acknowledgment arrives. Call it before the frame is
+// handed to the transport — the server cannot apply what it has not
+// received, so no honest answer can carry the root earlier; pair with
+// Advance (acknowledged) or Unstage (definitely rejected — the server
+// never held the root). v must not be mutated afterwards.
 func (r *verifierRing) Stage(v *wire.AuthVerifier) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.staged = v
-	close(r.advanced)
-	r.advanced = make(chan struct{})
 }
 
 // Unstage withdraws a staged root after a definite rejection.
@@ -141,60 +134,35 @@ func (r *verifierRing) pinSeq() uint64 {
 	return r.curSeq
 }
 
-// ringVerifyWait bounds how long a failing verification waits for
-// in-flight commits to advance the ring before the failure is final.
-// Commit responses arrive well inside this on any healthy link; a
-// genuinely tampered answer only delays its own rejection.
-const ringVerifyWait = 250 * time.Millisecond
-
-// verifySince runs check against the current verifier and then the
-// retired tail, newest first, skipping entries older than minSeq —
-// roots the reader's pin already superseded must not resurrect a
-// replayed answer. The first acceptance wins. On total failure the
-// answer may be from a commit the server already applied but whose
-// response has not yet advanced this ring; verifySince waits
-// (bounded) for the next Advance and re-checks before declaring the
-// CURRENT verifier's error — that is the commitment the answer
-// should have matched. Callers that exclude concurrent commits (the
-// update pipeline under the System's write lock, readers under the
-// read-lock fallback) never wait: no Advance can occur, so the first
-// failure stands after the timeout, and with no writer racing there
-// is no failure to begin with on honest answers.
+// verifySince runs check against the current verifier, the staged
+// one and then the retired tail, newest first, skipping entries older
+// than minSeq — roots the reader's pin already superseded must not
+// resurrect a replayed answer. The first acceptance wins; on total
+// failure the CURRENT verifier's error stands — that is the commitment
+// the answer should have matched. The verdict depends only on the
+// roots the ring holds when the check starts, never on what commits
+// while it runs: every commit stages its root before its frame is sent
+// (Stage), so an honest answer matches the current, staged or a
+// retained root already, and no wait could rescue one that does not.
 func (r *verifierRing) verifySince(minSeq uint64, check func(*wire.AuthVerifier) error) error {
-	deadline := time.NewTimer(ringVerifyWait)
-	defer deadline.Stop()
-	for {
-		r.mu.RLock()
-		cur := r.cur
-		staged := r.staged
-		tail := r.retired
-		advanced := r.advanced
-		r.mu.RUnlock()
-		curErr := check(cur)
-		if curErr == nil {
+	r.mu.RLock()
+	cur, staged, tail := r.cur, r.staged, r.retired
+	r.mu.RUnlock()
+	curErr := check(cur)
+	if curErr == nil {
+		return nil
+	}
+	// A staged root is strictly newer than cur, so it satisfies any
+	// pin floor.
+	if staged != nil && check(staged) == nil {
+		return nil
+	}
+	for i := len(tail) - 1; i >= 0 && tail[i].seq >= minSeq; i-- {
+		if check(tail[i].v) == nil {
 			return nil
-		}
-		// A staged root is strictly newer than cur, so it satisfies
-		// any pin floor.
-		if staged != nil && check(staged) == nil {
-			return nil
-		}
-		for i := len(tail) - 1; i >= 0; i-- {
-			if tail[i].seq < minSeq {
-				break
-			}
-			if check(tail[i].v) == nil {
-				return nil
-			}
-		}
-		select {
-		case <-advanced:
-			// A commit landed; the answer may verify against the new
-			// root. Loop and re-check.
-		case <-deadline.C:
-			return curErr
 		}
 	}
+	return curErr
 }
 
 // verifyAnswerSince checks an answer with the reader's pinned

@@ -1,7 +1,7 @@
 // Package opess implements the paper's order-preserving encryption
 // with splitting and scaling (§5.2.1, "OPESS"): the transform the
 // client applies to leaf values before placing them in the server's
-// B-tree value index.
+// value index (internal/btree).
 //
 // Splitting defeats the frequency-based attack on the index: the
 // occurrences of each distinct plaintext value are partitioned into
@@ -73,8 +73,9 @@ func Build(tag string, freq map[string]int, keys *cryptoprim.KeySet) (*Attribute
 
 // BuildBand is Build with an explicit ciphertext band: the client
 // assigns one band per indexed attribute so that attributes sharing
-// the server's B-tree never interleave (range windows and MIN/MAX
-// probes stay attribute-precise).
+// the server's value index never interleave (range windows and MIN/MAX
+// probes stay attribute-precise, and an update re-issues exactly the
+// edited attribute's band).
 func BuildBand(tag string, freq map[string]int, keys *cryptoprim.KeySet, band uint8) (*Attribute, error) {
 	if len(freq) == 0 {
 		return nil, fmt.Errorf("opess: attribute %q has no values", tag)
@@ -322,7 +323,7 @@ func (a *Attribute) CipherValues(v string) ([]uint64, error) {
 }
 
 // IndexEntries maps the occurrences of value v — given as the block
-// IDs containing them, in document order — to B-tree entries:
+// IDs containing them, in document order — to value-index entries:
 // occurrences are dealt to chunks in order, and every entry is
 // replicated by the value's secret scale factor.
 func (a *Attribute) IndexEntries(v string, blockIDs []int) ([]btree.Entry, error) {
@@ -378,25 +379,11 @@ type Range struct {
 // Empty reports an unsatisfiable range.
 func (r Range) Empty() bool { return r.Lo > r.Hi }
 
-// Band returns the OPESS band of a value-index ciphertext key: the
-// top byte, assigned one per indexed attribute (BuildBand) so that
-// attributes sharing the index never interleave. The server-side
-// synopsis histograms index occupancy per band under this function,
-// and the update pipeline's band drops select entries by it — one
-// definition keeps every consumer on the same currency.
-func Band(key uint64) uint8 { return uint8(key >> 56) }
-
-// Bands returns the inclusive span of bands the range touches. A
-// translated comparison never crosses its attribute's band (ranges
-// clamp to BandRange), so Lo==Hi in practice; the span form keeps
-// occupancy estimates conservative for hand-built ranges.
-func (r Range) Bands() (lo, hi uint8) { return Band(r.Lo), Band(r.Hi) }
-
 // TranslateRange implements Figure 7(a): it rewrites a comparison
-// "value op literal" into ciphertext ranges for the server's B-tree.
-// Equality and inequality bounds account for splitting: a value v's
-// ciphertexts all lie in [E(v + w1·δ), E(v + (Σw)·δ)]. OpNe yields
-// two ranges; every other operator yields one.
+// "value op literal" into ciphertext ranges for the server's value
+// index. Equality and inequality bounds account for splitting: a value
+// v's ciphertexts all lie in [E(v + w1·δ), E(v + (Σw)·δ)]. OpNe
+// yields two ranges; every other operator yields one.
 //
 // A non-numeric literal against a numeric attribute cannot be placed
 // in the order-preserving domain: equality then matches nothing, and

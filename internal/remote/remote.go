@@ -726,7 +726,6 @@ func (s *Service) handleStats(w http.ResponseWriter, h *hosted) {
 		"overload":     s.adm().Snapshot(),
 		"blocks":       h.srv.NumBlocks(),
 		"indexEntries": h.srv.IndexSize(),
-		"indexHeight":  h.srv.IndexHeight(),
 		"generation":   h.srv.Generation(),
 		"caches":       h.srv.CacheStats(),
 		"planner":      h.srv.PlannerStats(),

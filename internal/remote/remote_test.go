@@ -190,7 +190,7 @@ func TestServiceStats(t *testing.T) {
 		t.Fatalf("stats body: %v", err)
 	}
 	body := string(raw)
-	for _, key := range []string{"blocks", "indexEntries", "indexHeight", "overload"} {
+	for _, key := range []string{"blocks", "indexEntries", "overload"} {
 		if !strings.Contains(body, key) {
 			t.Errorf("stats missing %s: %s", key, body)
 		}

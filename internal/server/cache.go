@@ -90,7 +90,7 @@ func compilePlan(sn *snapshot, q *wire.Query) *plan {
 		collectPredFPs(st.Preds, pl.predFP)
 	}
 	pl.steps, pl.pruned = planSteps(sn, q)
-	orderPreds(sn.stats, q, pl.predOrder)
+	orderPreds(sn.index, q, pl.predOrder)
 	pl.cost = estimateCost(sn, pl.steps[q.First].est, pl.predFP)
 	return pl
 }
@@ -201,7 +201,7 @@ func (s *Server) RestoreGeneration(gen uint64) {
 	}
 	// snapshot embeds a mutex, so republish a fresh struct sharing the
 	// immutable parts instead of copying the old one by value.
-	next := &snapshot{gen: gen, db: cur.db, index: cur.index, st: cur.st, stats: cur.stats}
+	next := &snapshot{gen: gen, db: cur.db, index: cur.index, st: cur.st}
 	cur.authMu.Lock()
 	next.auth = cur.auth
 	cur.authMu.Unlock()

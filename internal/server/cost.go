@@ -22,10 +22,10 @@ const costCeil = 1 << 20
 // planner.go): the first step's candidate count — the surviving
 // interval-group count where the synopsis pruned, the full DSI label
 // fan-out otherwise — plus the OPESS band occupancy of every
-// translated value predicate, read from the snapshot's synopsis
-// histogram. Admission and planning price queries in one currency,
-// and pricing a frame compiles (and caches) the very plan its
-// execution reuses.
+// translated value predicate, read off the snapshot's value index
+// (each band's run length). Admission and planning price queries in
+// one currency, and pricing a frame compiles (and caches) the very
+// plan its execution reuses.
 //
 // The estimate is intentionally coarse (it prices relative
 // displacement, not wall time) and always >= 1. An unparseable frame

@@ -10,6 +10,6 @@ func (s *Server) Unpruned() *Server {
 	st := *cur.st
 	st.guide = nil
 	u := &Server{epoch: s.epoch, caches: newQueryCaches()}
-	u.snap.Store(&snapshot{gen: cur.gen, db: cur.db, index: cur.index, st: &st, stats: cur.stats})
+	u.snap.Store(&snapshot{gen: cur.gen, db: cur.db, index: cur.index, st: &st})
 	return u
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"sort"
 
+	"repro/internal/btree"
 	"repro/internal/dsi"
 	"repro/internal/wire"
 	"repro/internal/xpath"
@@ -47,8 +48,8 @@ import (
 // The same pass yields per-step cardinality estimates (class member
 // counts are exactly the DSI interval-group counts the server is
 // allowed to see), which drive the matcher's buffer capacity hints,
-// predicate ordering (together with OPESS band occupancy from
-// synStats) and the admission cost estimate — one cost currency end
+// predicate ordering (together with the value index's OPESS band
+// occupancy) and the admission cost estimate — one cost currency end
 // to end.
 
 // stepPlan is what the matcher reads for one main-path step: the
@@ -408,7 +409,7 @@ const (
 	predScorePos    = 1 << 20
 )
 
-func predScore(st *synStats, p wire.QPred) int {
+func predScore(ix *btree.Index, p wire.QPred) int {
 	switch v := p.(type) {
 	case *wire.PredValue:
 		// A residue comparison is one string compare; an indexed one
@@ -416,18 +417,18 @@ func predScore(st *synStats, p wire.QPred) int {
 		// resolution is shared per query, but selectivity still orders
 		// the filter usefully: low occupancy kills candidates fast).
 		s := 1 + pathLen(v.Path)
-		if len(v.Ranges) > 0 && st != nil {
-			s += st.occupancy(v.Ranges) / 8
+		if len(v.Ranges) > 0 {
+			s += occupancy(ix, v.Ranges) / 8
 		}
 		return s
 	case *wire.PredExists:
 		return predScoreExists + pathLen(v.Path)
 	case *wire.PredAnd:
-		return predScore(st, v.L) + predScore(st, v.R)
+		return predScore(ix, v.L) + predScore(ix, v.R)
 	case *wire.PredOr:
-		return predScoreOr + predScore(st, v.L) + predScore(st, v.R)
+		return predScoreOr + predScore(ix, v.L) + predScore(ix, v.R)
 	case *wire.PredNot:
-		return predScoreNot + predScore(st, v.E)
+		return predScoreNot + predScore(ix, v.E)
 	default: // PredPos: skipped upstream in upper mode, keep last
 		return predScorePos
 	}
@@ -444,7 +445,7 @@ func pathLen(st *wire.QStep) int {
 // orderPreds computes the evaluation order for every step (main path
 // and nested predicate paths), storing a reordered copy only when the
 // order actually changes — the query itself is never mutated.
-func orderPreds(st *synStats, q *wire.Query, into map[*wire.QStep][]wire.QPred) {
+func orderPreds(ix *btree.Index, q *wire.Query, into map[*wire.QStep][]wire.QPred) {
 	var walkStep func(s *wire.QStep)
 	var walkPred func(p wire.QPred)
 	walkStep = func(s *wire.QStep) {
@@ -452,12 +453,12 @@ func orderPreds(st *synStats, q *wire.Query, into map[*wire.QStep][]wire.QPred) 
 			if len(s.Preds) > 1 {
 				scores := make([]int, len(s.Preds))
 				for i, p := range s.Preds {
-					scores[i] = predScore(st, p)
+					scores[i] = predScore(ix, p)
 				}
 				if !sort.IntsAreSorted(scores) {
 					ord := append([]wire.QPred(nil), s.Preds...)
 					sort.SliceStable(ord, func(i, j int) bool {
-						return predScore(st, ord[i]) < predScore(st, ord[j])
+						return predScore(ix, ord[i]) < predScore(ix, ord[j])
 					})
 					into[s] = ord
 				}
@@ -489,16 +490,14 @@ func orderPreds(st *synStats, q *wire.Query, into map[*wire.QStep][]wire.QPred) 
 // estimateCost turns the plan's cardinality estimates into admission
 // cost units — the same formula the pre-planner EstimateFrameCost
 // used, now fed from the planner (the first step's candidate count)
-// and the synopsis histogram (band occupancy instead of exact B-tree
+// and the value index's band occupancy (instead of exact range
 // counts), so admission and planning price queries in one currency.
 func estimateCost(sn *snapshot, anchorEst int, predFP map[*wire.PredValue]string) int64 {
-	occupancy := 0
-	if sn.stats != nil {
-		for pred := range predFP {
-			occupancy += sn.stats.occupancy(pred.Ranges)
-		}
+	occ := 0
+	for pred := range predFP {
+		occ += occupancy(sn.index, pred.Ranges)
 	}
-	cost := int64(1) + int64(anchorEst+7)/8 + int64(occupancy+7)/8
+	cost := int64(1) + int64(anchorEst+7)/8 + int64(occ+7)/8
 	if nb := int64(len(sn.db.Blocks)); nb > 0 && cost > nb+1 {
 		cost = nb + 1
 	}

@@ -2,36 +2,41 @@ package server
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
-	"repro/internal/opess"
 	"repro/internal/wire"
 	"repro/internal/xpath"
 )
 
-// TestSynopsisIncrementalEqualsRebuild is the synopsis property test:
-// after every randomized batch of band-closed index updates, the
-// incrementally folded histogram must equal a from-scratch rebuild
-// over the committed entry list, and a snapshot pinned before the
-// updates must keep its original histogram untouched (MVCC).
+// TestSynopsisIncrementalEqualsRebuild is the value-index property
+// test: after every randomized batch of band-closed index updates, the
+// incrementally advanced bands must equal bands built from scratch over
+// the committed entry list, every band the batch did not drop must
+// share its backing array with the previous generation, and a snapshot
+// pinned before the updates must keep its original index untouched
+// (MVCC).
 func TestSynopsisIncrementalEqualsRebuild(t *testing.T) {
 	_, s := boot(t, "opt")
 	r := rand.New(rand.NewSource(7))
 	pinned := s.current()
-	pinnedCopy := *pinned.stats
+	pinnedEntries := pinned.index.Entries()
 
 	for round := 0; round < 8; round++ {
-		entries := s.CurrentDB().IndexEntries
+		prev := s.current().index
+		entries := prev.Entries()
 		if len(entries) == 0 {
 			break
 		}
 		var batch []*wire.Update
+		dropped := map[uint8]bool{}
 		for i := 0; i < 1+r.Intn(3); i++ {
-			band := opess.Band(entries[r.Intn(len(entries))].Key)
+			band := btree.Band(entries[r.Intn(len(entries))].Key)
+			dropped[band] = true
 			u := &wire.Update{DropBands: []uint8{band}}
 			for _, e := range entries {
-				if opess.Band(e.Key) != band || r.Intn(3) == 0 {
+				if btree.Band(e.Key) != band || r.Intn(3) == 0 {
 					continue // random deletions within the reissued band
 				}
 				key := uint64(band)<<56 | (r.Uint64() & (1<<56 - 1))
@@ -42,19 +47,27 @@ func TestSynopsisIncrementalEqualsRebuild(t *testing.T) {
 		if err := s.ApplyUpdateBatch(batch); err != nil {
 			t.Fatalf("round %d: apply batch: %v", round, err)
 		}
-		got := s.current().stats
-		want := rebuildSynStats(s.CurrentDB().IndexEntries)
-		if *got != *want {
-			t.Fatalf("round %d: incremental synopsis diverged from rebuild: %d entries vs %d",
-				round, got.entries, want.entries)
+		got := s.current().index
+		want := btree.NewIndex(s.CurrentDB().IndexEntries)
+		if got.Len() != want.Len() {
+			t.Fatalf("round %d: incremental index holds %d entries, rebuild %d", round, got.Len(), want.Len())
 		}
-		if syn := s.Synopsis(); syn.IndexEntries != want.entries {
+		for b := 0; b < btree.NumBands; b++ {
+			run := got.Band(uint8(b))
+			if !slices.Equal(run, want.Band(uint8(b))) {
+				t.Fatalf("round %d: band %d diverged from rebuild", round, b)
+			}
+			if old := prev.Band(uint8(b)); !dropped[uint8(b)] && len(old) > 0 && &old[0] != &run[0] {
+				t.Fatalf("round %d: untouched band %d was copied, not shared", round, b)
+			}
+		}
+		if syn := s.Synopsis(); syn.IndexEntries != want.Len() {
 			t.Fatalf("round %d: Synopsis reports %d entries, index has %d",
-				round, syn.IndexEntries, want.entries)
+				round, syn.IndexEntries, want.Len())
 		}
 	}
-	if *pinned.stats != pinnedCopy {
-		t.Fatal("pinned snapshot's synopsis was mutated by later updates")
+	if !slices.Equal(pinned.index.Entries(), pinnedEntries) {
+		t.Fatal("pinned snapshot's index was mutated by later updates")
 	}
 }
 

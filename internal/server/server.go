@@ -86,21 +86,19 @@ type structure struct {
 
 // snapshot is one committed generation of the hosted database. It is
 // immutable once published: the db holds this generation's own block
-// and index-entry slice headers (ciphertext byte slices are shared
-// across generations — updates replace whole slices, never mutate
-// bytes), the B-tree is the generation's value index, and st is the
-// shared immutable structure. Readers that pinned a snapshot may use
-// every part of it, including returned block ciphertexts, for as
-// long as they like — no later update can reach into it.
+// slice header (ciphertext byte slices are shared across generations —
+// updates replace whole slices, never mutate bytes) and no index
+// entries; index is the generation's value index, one canonical run
+// per OPESS band, which the matcher, Extreme, the planner and the
+// Merkle prover all read; st is the shared immutable structure.
+// Readers that pinned a snapshot may use every part of it, including
+// returned block ciphertexts, for as long as they like — no later
+// update can reach into it.
 type snapshot struct {
 	gen   uint64
 	db    *wire.HostedDB
-	index *btree.Tree
+	index *btree.Index
 	st    *structure
-	// stats is the per-generation value half of the synopsis (OPESS
-	// band occupancy), immutable like every other snapshot field;
-	// updates publish a freshly folded copy (see synopsis.go).
-	stats *synStats
 
 	// authMu guards the lazily built Merkle prover for THIS
 	// generation. Once built the AuthState itself is immutable and
@@ -115,12 +113,12 @@ type blockRef struct {
 	id int
 }
 
-// New boots a server from an uploaded database: it bulk-loads the
-// value index into a B-tree, builds the interval forest used by the
+// New boots a server from an uploaded database: it buckets the value
+// index into its band runs, builds the interval forest used by the
 // structural joins, and publishes generation 1. The snapshot takes
-// its own Blocks/IndexEntries slice headers, so an owner mutating
-// the uploaded HostedDB in place (the in-process mirror does) can
-// never tear a pinned reader.
+// its own Blocks slice header and index, so an owner mutating the
+// uploaded HostedDB in place (the in-process mirror does) can never
+// tear a pinned reader.
 func New(db *wire.HostedDB) *Server {
 	st := &structure{
 		forest:    dsi.BuildForest(db.Table),
@@ -142,26 +140,23 @@ func New(db *wire.HostedDB) *Server {
 	}
 	sort.Slice(st.blockIdx, func(i, j int) bool { return st.blockIdx[i].iv.Lo < st.blockIdx[j].iv.Lo })
 
-	index := btree.New(0)
-	for _, e := range db.IndexEntries {
-		index.Insert(e.Key, e.BlockID)
-	}
 	s := &Server{
 		epoch:  newEpoch(),
 		caches: newQueryCaches(),
 	}
-	s.snap.Store(&snapshot{gen: 1, db: snapshotDB(db), index: index, st: st, stats: rebuildSynStats(db.IndexEntries)})
+	s.snap.Store(&snapshot{gen: 1, db: snapshotDB(db), index: btree.NewIndex(db.IndexEntries), st: st})
 	return s
 }
 
-// snapshotDB gives a snapshot its own view of the hosted database:
-// fresh Blocks and IndexEntries slice headers over the shared
-// (immutable) payloads, so neither owner-side mirror writes nor the
-// next generation's copy-on-write can reach a pinned reader.
+// snapshotDB gives a snapshot its own view of the hosted database: a
+// fresh Blocks slice header over the shared (immutable) ciphertexts,
+// so neither owner-side mirror writes nor the next generation's
+// copy-on-write can reach a pinned reader. The index entries live in
+// the snapshot's index, not here.
 func snapshotDB(db *wire.HostedDB) *wire.HostedDB {
 	cp := *db
 	cp.Blocks = append([][]byte(nil), db.Blocks...)
-	cp.IndexEntries = append([]btree.Entry(nil), db.IndexEntries...)
+	cp.IndexEntries = nil
 	return &cp
 }
 
@@ -170,14 +165,17 @@ func snapshotDB(db *wire.HostedDB) *wire.HostedDB {
 func (s *Server) current() *snapshot { return s.snap.Load() }
 
 // CurrentDB returns the current snapshot's view of the hosted
-// database. The persistence layer reads it instead of the upload
-// object, which goes stale the moment the first copy-on-write update
-// commits. The returned object is immutable — callers must not write
-// to it.
-func (s *Server) CurrentDB() *wire.HostedDB { return s.current().db }
-
-// IndexHeight exposes the value index height (for stats/benchmarks).
-func (s *Server) IndexHeight() int { return s.current().index.Height() }
+// database, its IndexEntries the index's bands concatenated in
+// canonical order. The persistence layer reads it instead of the
+// upload object, which goes stale the moment the first copy-on-write
+// update commits. Only the entry list is fresh; callers must not write
+// to the rest.
+func (s *Server) CurrentDB() *wire.HostedDB {
+	sn := s.current()
+	cp := *sn.db
+	cp.IndexEntries = sn.index.Entries()
+	return &cp
+}
 
 // IndexSize exposes the number of value-index entries.
 func (s *Server) IndexSize() int { return s.current().index.Len() }
@@ -208,7 +206,7 @@ func (sn *snapshot) authState() (*wire.AuthState, error) {
 	sn.authMu.Lock()
 	defer sn.authMu.Unlock()
 	if sn.auth == nil {
-		st, err := wire.BuildAuthState(sn.db)
+		st, err := wire.NewAuthState(sn.db, sn.index)
 		if err != nil {
 			return nil, fmt.Errorf("server: auth state: %w", err)
 		}
@@ -234,7 +232,8 @@ func (s *Server) AuthRoot() (authtree.Digest, error) {
 
 // Extreme serves MIN/MAX aggregates (§6.4): the block holding the
 // smallest (max=false) or largest (max=true) indexed ciphertext within
-// [lo, hi], with its ciphertext. Order preservation makes this a single
+// [lo, hi], with its ciphertext; among tied keys, the lowest (MIN) or
+// highest (MAX) block ID. Order preservation makes this a single
 // index probe; the server learns which block holds the extreme value
 // but not the value itself. With wantProof the result carries the
 // Merkle verification object, which also makes emptiness provable;
@@ -273,7 +272,7 @@ func (s *Server) Extreme(lo, hi uint64, max, wantProof bool) (*wire.ExtremeResul
 
 // Execute answers a translated query (§6.2): (1) each query node is
 // labeled with its DSI intervals, (2) structural joins prune them,
-// (3) value constraints consult the B-tree and prune further, (4)
+// (3) value constraints consult the value index and prune further, (4)
 // the anchors — surviving bindings of the query's first step —
 // determine the blocks and plaintext fragments returned.
 //

@@ -92,9 +92,6 @@ func TestServerStats(t *testing.T) {
 	if s.IndexSize() == 0 {
 		t.Errorf("empty value index")
 	}
-	if s.IndexHeight() < 1 {
-		t.Errorf("index height %d", s.IndexHeight())
-	}
 }
 
 func TestExecuteEmptyQueryRejected(t *testing.T) {

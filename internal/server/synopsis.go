@@ -3,7 +3,6 @@ package server
 import (
 	"repro/internal/btree"
 	"repro/internal/opess"
-	"repro/internal/wire"
 )
 
 // The structure synopsis has two halves with different lifetimes:
@@ -15,83 +14,21 @@ import (
 //     every snapshot. The planner's holistic twig matcher walks it to
 //     prune whole path classes before any interval work.
 //
-//   - The value half is synStats: the OPESS band-occupancy histogram
-//     of the snapshot's value index. Bands move with updates, so the
-//     histogram is per-generation state: New builds it from scratch,
-//     ApplyUpdateBatch folds each batch member into a copy — the same
-//     drop-bands-then-add fold the index rebuild applies to the entry
-//     list — and publishes the copy with the next snapshot. Queries
-//     read whichever histogram their pinned snapshot carries,
-//     lock-free, exactly like every other snapshot field.
-//
-// rebuildSynStats is the from-scratch oracle the incremental fold
-// must agree with; the synopsis property test pins that equivalence
-// under randomized batched updates.
+//   - The value half is the OPESS band occupancy of the snapshot's
+//     value index: the length of each band's run, read off the index
+//     itself (btree.Index.Occupancy), so it moves with every update
+//     for free and cannot drift from the index.
 
-// synStats is the per-generation value half of the synopsis. It is
-// immutable once published with a snapshot — the update path mutates
-// only private clones.
-type synStats struct {
-	// entries is the total number of value-index entries.
-	entries int
-	// bands[b] counts the index entries whose ciphertext key lies in
-	// OPESS band b. The planner prices a translated comparison by the
-	// occupancy of the bands its ranges touch — a cheap upper bound on
-	// what a B-tree range count would return, usable without walking
-	// the tree (admission pricing must stay far cheaper than running
-	// the query).
-	bands [256]int
-}
-
-// rebuildSynStats computes the histogram from scratch off an entry
-// list — boot-time construction and the property-test oracle.
-func rebuildSynStats(entries []btree.Entry) *synStats {
-	st := &synStats{}
-	for _, e := range entries {
-		st.bands[opess.Band(e.Key)]++
-	}
-	st.entries = len(entries)
-	return st
-}
-
-// clone returns a private copy the update fold may mutate.
-func (st *synStats) clone() *synStats {
-	cp := *st
-	return &cp
-}
-
-// applyUpdate folds one update member into the histogram: dropped
-// bands lose every entry currently counted there (including entries
-// an earlier member of the same batch added — members fold in order,
-// mirroring the entry-list fold in ApplyUpdateBatch), then the
-// replacement entries are counted in.
-func (st *synStats) applyUpdate(u *wire.Update) {
-	for _, b := range u.DropBands {
-		st.entries -= st.bands[b]
-		st.bands[b] = 0
-	}
-	for _, e := range u.AddEntries {
-		st.bands[opess.Band(e.Key)]++
-		st.entries++
-	}
-}
-
-// occupancy returns the histogram's upper bound on how many index
-// entries the ranges can touch: the full occupancy of every band a
-// range overlaps. Translated comparisons clamp to one band, so the
-// bound is the band total — coarser than an exact B-tree count but
-// O(ranges) instead of O(log n), which is what admission pricing and
-// plan-time selectivity ordering want.
-func (st *synStats) occupancy(ranges []opess.Range) int {
+// occupancy returns the index's upper bound on how many entries the
+// ranges can touch: the full occupancy of every band a range
+// overlaps. Translated comparisons clamp to one band, so the bound is
+// the band total — coarser than an exact range count but O(ranges),
+// which is what admission pricing and plan-time selectivity ordering
+// want.
+func occupancy(ix *btree.Index, ranges []opess.Range) int {
 	n := 0
 	for _, r := range ranges {
-		if r.Empty() {
-			continue
-		}
-		lo, hi := r.Bands()
-		for b := int(lo); b <= int(hi); b++ {
-			n += st.bands[b]
-		}
+		n += ix.Occupancy(r.Lo, r.Hi)
 	}
 	return n
 }
@@ -101,8 +38,7 @@ type SynopsisStats struct {
 	// Classes is the number of guide path classes (0 when the hosted
 	// table yielded no usable guide and the planner runs pairwise).
 	Classes int `json:"classes"`
-	// IndexEntries is the histogram's entry total for the current
-	// snapshot (always equals the B-tree size).
+	// IndexEntries is the current snapshot's value-index size.
 	IndexEntries int `json:"indexEntries"`
 	// OccupiedBands counts bands with at least one entry.
 	OccupiedBands int `json:"occupiedBands"`
@@ -111,12 +47,12 @@ type SynopsisStats struct {
 // Synopsis reports the current snapshot's synopsis shape.
 func (s *Server) Synopsis() SynopsisStats {
 	sn := s.current()
-	out := SynopsisStats{IndexEntries: sn.stats.entries}
+	out := SynopsisStats{IndexEntries: sn.index.Len()}
 	if sn.st.guide != nil {
 		out.Classes = sn.st.guide.NumClasses()
 	}
-	for _, n := range sn.stats.bands {
-		if n > 0 {
+	for b := 0; b < btree.NumBands; b++ {
+		if len(sn.index.Band(uint8(b))) > 0 {
 			out.OccupiedBands++
 		}
 	}

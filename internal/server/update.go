@@ -5,31 +5,29 @@ import (
 	"fmt"
 
 	"repro/internal/authtree"
-	"repro/internal/btree"
-	"repro/internal/opess"
 	"repro/internal/wire"
 )
 
 // ApplyUpdateBatch applies one or more owner-issued mutations as one
-// atomic step: block ciphertexts are replaced and the value index is
-// rebuilt with the dropped attribute bands removed and the replacement
-// entries inserted. Structure (DSI tables, block table, forest) is
-// untouched — updates in this extension are value-level and
-// structure-preserving (see wire.Update). All members commit or none
-// do, with ONE value-index rebuild, ONE incremental Merkle advance (a
-// multi-leaf delta over the whole batch — never a per-update
-// from-scratch BuildAuthState) and ONE generation bump. Members are
-// applied in order, so a later member's band replacement supersedes an
-// earlier one's.
+// atomic step: block ciphertexts are replaced and every dropped band
+// of the value index is replaced by its new run. Structure (DSI
+// tables, block table, forest) is untouched — updates in this
+// extension are value-level and structure-preserving (see
+// wire.Update). All members commit or none do, with ONE index
+// advance, ONE incremental Merkle advance (a multi-leaf delta over the
+// whole batch — never a per-update from-scratch BuildAuthState) and
+// ONE generation bump. Members are applied in order, so a later
+// member's band replacement supersedes an earlier one's.
 //
 // Copy-on-write: the batch never mutates the committed snapshot. It
-// copies the block map header, folds the index entries, bulk-loads a
-// fresh B-tree when bands moved, and advances the auth state — all
-// into a candidate generation-N+1 snapshot. A validation or
-// root-check failure simply discards the candidate (there is nothing
-// to revert, the committed snapshot was never touched); success
-// publishes it with a single atomic store. Writers serialize on wmu;
-// readers pin whichever snapshot is current and proceed lock-free.
+// copies the block map header, installs the replaced band runs into a
+// new index that shares every untouched band with the committed one,
+// and advances the auth state — all into a candidate generation-N+1
+// snapshot. A validation or root-check failure simply discards the
+// candidate (there is nothing to revert, the committed snapshot was
+// never touched); success publishes it with a single atomic store.
+// Writers serialize on wmu; readers pin whichever snapshot is current
+// and proceed lock-free.
 //
 // Root cross-check: members are prepared against a chain (each sees
 // the state its predecessors produce), so only the final member's
@@ -62,17 +60,15 @@ func (s *Server) ApplyUpdateBatch(us []*wire.Update) error {
 			return fmt.Errorf("server: update root is %d bytes, want %d", len(u.NewRoot), authtree.DigestSize)
 		}
 	}
-
-	touchIndex := false
-	for _, u := range us {
-		if len(u.DropBands) > 0 || len(u.AddEntries) > 0 {
-			touchIndex = true
-		}
+	bands, err := wire.ReplacedBands(us)
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 
 	// Build generation N+1 off to the side. The new db shares every
 	// unchanged ciphertext slice with the old one; only the slice
-	// headers (and replaced positions) are fresh.
+	// header (and replaced positions) are fresh, and the new index
+	// shares every band the batch does not drop.
 	nextDB := snapshotDB(cur.db)
 	for _, u := range us {
 		for _, b := range u.Blocks {
@@ -80,46 +76,10 @@ func (s *Server) ApplyUpdateBatch(us []*wire.Update) error {
 		}
 	}
 	nextIndex := cur.index
-	nextStats := cur.stats
-	if touchIndex {
-		// Fold the batch into the synopsis histogram the same way the
-		// entry list folds below: member order matters (a later drop
-		// removes an earlier member's additions). The committed
-		// snapshot's stats are immutable — only the clone moves.
-		nextStats = cur.stats.clone()
-		for _, u := range us {
-			nextStats.applyUpdate(u)
-		}
+	if len(bands) > 0 {
+		nextIndex = cur.index.With(bands)
 	}
-	if touchIndex {
-		// Fold the members' band replacements over the entry list in
-		// order, then bulk-load the B-tree once — the batched analogue
-		// of the per-update drop-and-rebuild.
-		entries := cur.db.IndexEntries
-		for _, u := range us {
-			if len(u.DropBands) == 0 && len(u.AddEntries) == 0 {
-				continue
-			}
-			drop := map[uint8]bool{}
-			for _, b := range u.DropBands {
-				drop[b] = true
-			}
-			kept := make([]btree.Entry, 0, len(entries)+len(u.AddEntries))
-			for _, e := range entries {
-				if !drop[opess.Band(e.Key)] {
-					kept = append(kept, e)
-				}
-			}
-			entries = append(kept, u.AddEntries...)
-		}
-		rebuilt := btree.New(0)
-		for _, e := range entries {
-			rebuilt.Insert(e.Key, e.BlockID)
-		}
-		nextIndex = rebuilt
-		nextDB.IndexEntries = entries
-	}
-	next := &snapshot{gen: cur.gen + 1, db: nextDB, index: nextIndex, st: cur.st, stats: nextStats}
+	next := &snapshot{gen: cur.gen + 1, db: nextDB, index: nextIndex, st: cur.st}
 
 	// Seed the candidate's Merkle prover incrementally from the
 	// committed one when it exists: one multi-leaf delta replaces what
@@ -129,7 +89,7 @@ func (s *Server) ApplyUpdateBatch(us []*wire.Update) error {
 	prevAuth := cur.auth
 	cur.authMu.Unlock()
 	if prevAuth != nil {
-		adv, err := prevAuth.ApplyUpdates(us)
+		adv, err := prevAuth.ApplyUpdates(us, nextIndex)
 		if err != nil {
 			return fmt.Errorf("server: update auth advance: %w", err)
 		}

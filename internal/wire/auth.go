@@ -18,14 +18,15 @@ package wire
 // A fragment leaf exists for every residue element/attribute node
 // and commits the exact serialized bytes the server ships when that
 // node anchors an answer. Band buckets commit each OPESS band's full
-// entry list, which is also the unit updates replace — so an owner
-// holding the tree's digests, and none of the hosted data, advances
-// the root from the update message alone, rehashing only the changed
-// leaves' root paths.
+// entry run in canonical order — the value index's own runs
+// (btree.Index), which the prover reads rather than copies — and a
+// band is also the unit updates replace, so an owner holding the
+// tree's digests, and none of the hosted data, advances the root from
+// the update message alone, rehashing only the changed leaves' root
+// paths.
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -38,10 +39,6 @@ import (
 	"repro/internal/dsi"
 	"repro/internal/xmltree"
 )
-
-// numBands is the number of value-index bucket leaves: one per
-// possible OPESS band (the top byte of an index key).
-const numBands = 256
 
 // fragBufPool recycles the scratch buffer fragments serialize into;
 // the fragment bytes themselves are copied out exact-size, since the
@@ -142,31 +139,6 @@ func appendU64(b []byte, v uint64) []byte {
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// sortBand puts a band's entries in the canonical bucket order both
-// sides hash: by key, then block ID.
-func sortBand(entries []btree.Entry) {
-	slices.SortFunc(entries, func(a, b btree.Entry) int {
-		if c := cmp.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.BlockID, b.BlockID)
-	})
-}
-
-// canonicalBandEntries buckets index entries by band (top key byte),
-// each bucket in canonical order.
-func canonicalBandEntries(entries []btree.Entry) *[numBands][]btree.Entry {
-	var bands [numBands][]btree.Entry
-	for _, e := range entries {
-		b := uint8(e.Key >> 56)
-		bands[b] = append(bands[b], e)
-	}
-	for b := range bands {
-		sortBand(bands[b])
-	}
-	return &bands
-}
-
 // leafLayout is the canonical leaf order's shape, which the prover and
 // the verifier share: the block and fragment counts fix every other
 // leaf's index.
@@ -176,56 +148,56 @@ type leafLayout struct {
 }
 
 func (l leafLayout) bandLeafIndex(b uint8) int { return l.nBlocks + l.nFrags + int(b) }
-func (l leafLayout) structLeafIndex() int      { return l.nBlocks + l.nFrags + numBands }
+func (l leafLayout) structLeafIndex() int      { return l.nBlocks + l.nFrags + btree.NumBands }
 
-// updateLeaves returns the leaves an update changes — a fresh digest
-// for each replaced block and for each dropped band, whose bucket
-// becomes the update's entries for it — and the new buckets by band.
-// The update must stay inside the committed blocks and be band-closed
-// (every added entry's band among the dropped bands), which
-// owner-issued updates are by construction; otherwise neither side
-// could know a bucket's final content.
-func (l leafLayout) updateLeaves(u *Update) ([]authtree.LeafItem, map[uint8][]btree.Entry, error) {
-	bands := make(map[uint8][]btree.Entry, len(u.DropBands))
-	for _, b := range u.DropBands {
-		bands[b] = nil
-	}
-	for _, e := range u.AddEntries {
-		band := uint8(e.Key >> 56)
-		if _, ok := bands[band]; !ok {
-			return nil, nil, fmt.Errorf("entry in band %d, which the update does not replace", band)
+// changedLeaves returns the leaves a batch changes: a fresh digest for
+// each replaced block, and for each dropped band one over its final
+// run, band(b). The blocks must stay inside the committed range.
+func (l leafLayout) changedLeaves(us []*Update, band func(uint8) []btree.Entry) ([]authtree.LeafItem, error) {
+	var items []authtree.LeafItem
+	var dropped [btree.NumBands]bool
+	for _, u := range us {
+		for _, b := range u.Blocks {
+			if b.ID < 0 || b.ID >= l.nBlocks {
+				return nil, fmt.Errorf("block %d outside committed range", b.ID)
+			}
+			items = append(items, authtree.LeafItem{Index: b.ID, Digest: authtree.LeafHash(blockLeafData(b.ID, b.Ciphertext))})
 		}
-		bands[band] = append(bands[band], e)
-	}
-	items := make([]authtree.LeafItem, 0, len(u.Blocks)+len(bands))
-	for _, b := range u.Blocks {
-		if b.ID < 0 || b.ID >= l.nBlocks {
-			return nil, nil, fmt.Errorf("block %d outside committed range", b.ID)
+		for _, b := range u.DropBands {
+			dropped[b] = true
 		}
-		items = append(items, authtree.LeafItem{Index: b.ID, Digest: authtree.LeafHash(blockLeafData(b.ID, b.Ciphertext))})
 	}
-	for band, entries := range bands {
-		sortBand(entries)
-		items = append(items, authtree.LeafItem{Index: l.bandLeafIndex(band), Digest: authtree.LeafHash(bandLeafData(band, entries))})
+	for b, ok := range dropped {
+		if ok {
+			items = append(items, authtree.LeafItem{Index: l.bandLeafIndex(uint8(b)), Digest: authtree.LeafHash(bandLeafData(uint8(b), band(uint8(b))))})
+		}
 	}
-	return items, bands, nil
+	return items, nil
 }
 
 // AuthState is the server-side prover: the full Merkle tree over a
 // hosted database plus the lookup structures proofs need. It holds
-// no secrets — everything in it derives from the upload.
+// no secrets — everything in it derives from the upload. The value
+// index it proves from is the caller's, shared and immutable.
 type AuthState struct {
 	leafLayout
 	tree    *authtree.Tree
 	fragIdx map[dsi.Interval]int // interval -> absolute leaf index
-	bands   *[numBands][]btree.Entry
+	index   *btree.Index
 }
 
 // BuildAuthState computes the canonical tree for a hosted database.
-// The database is first round-tripped through the wire format, so a
-// client building from its pre-upload instance and a server building
-// from the unmarshaled upload arrive at the identical root.
 func BuildAuthState(db *HostedDB) (*AuthState, error) {
+	return NewAuthState(db, btree.NewIndex(db.IndexEntries))
+}
+
+// NewAuthState is BuildAuthState over a value index the caller already
+// holds (the server's snapshot index): the band leaves hash idx's
+// runs, proofs read them, and db.IndexEntries is ignored. The database
+// is first round-tripped through the wire format, so a client building
+// from its pre-upload instance and a server building from the
+// unmarshaled upload arrive at the identical root.
+func NewAuthState(db *HostedDB, idx *btree.Index) (*AuthState, error) {
 	data, err := MarshalDB(db)
 	if err != nil {
 		return nil, fmt.Errorf("wire: auth state: %w", err)
@@ -262,9 +234,9 @@ func BuildAuthState(db *HostedDB) (*AuthState, error) {
 	st := &AuthState{
 		leafLayout: leafLayout{nBlocks: len(canon.Blocks), nFrags: len(frags)},
 		fragIdx:    make(map[dsi.Interval]int, len(frags)),
-		bands:      canonicalBandEntries(canon.IndexEntries),
+		index:      idx,
 	}
-	leaves := make([]authtree.Digest, 0, st.nBlocks+st.nFrags+numBands+1)
+	leaves := make([]authtree.Digest, 0, st.nBlocks+st.nFrags+btree.NumBands+1)
 	for id, ct := range canon.Blocks {
 		leaves = append(leaves, authtree.LeafHash(blockLeafData(id, ct)))
 	}
@@ -272,8 +244,8 @@ func BuildAuthState(db *HostedDB) (*AuthState, error) {
 		st.fragIdx[f.iv] = st.nBlocks + i
 		leaves = append(leaves, authtree.LeafHash(f.data))
 	}
-	for b := 0; b < numBands; b++ {
-		leaves = append(leaves, authtree.LeafHash(bandLeafData(uint8(b), st.bands[b])))
+	for b := 0; b < btree.NumBands; b++ {
+		leaves = append(leaves, authtree.LeafHash(bandLeafData(uint8(b), idx.Band(uint8(b)))))
 	}
 	leaves = append(leaves, authtree.LeafHash(structLeafData(canon)))
 	st.tree = authtree.New(leaves)
@@ -344,7 +316,7 @@ func (st *AuthState) ProveExtreme(lo, hi uint64, found bool, blockID int) ([]byt
 	p := &ExtremeProof{Found: found, BlockID: blockID}
 	var idxs []int
 	for b := int(lo >> 56); b <= int(hi>>56); b++ {
-		p.Bands = append(p.Bands, BandBucket{Band: uint8(b), Entries: st.bands[b]})
+		p.Bands = append(p.Bands, BandBucket{Band: uint8(b), Entries: st.index.Band(uint8(b))})
 		idxs = append(idxs, st.bandLeafIndex(uint8(b)))
 	}
 	if found {
@@ -363,10 +335,13 @@ func (st *AuthState) ProveExtreme(lo, hi uint64, found bool, blockID int) ([]byt
 
 // ApplyUpdates advances the prover state across a batch of updates
 // with one multi-leaf delta: replaced blocks get fresh leaf digests,
-// dropped bands are replaced wholesale, and the tree advances once,
-// along the changed leaves' paths (authtree.Tree.With) — the batched
-// analogue of AuthVerifier.ApplyUpdate, and the reason a group commit
-// pays O(k log n) hashes instead of a per-update BuildAuthState (which
+// every dropped band's leaf is rehashed over its run in next — the
+// value index after the batch (the server's next snapshot index, i.e.
+// the receiver's index with ReplacedBands(us) installed), which the
+// new state adopts — and the tree advances once, along the changed
+// leaves' paths (authtree.Tree.With): the batched analogue of
+// AuthVerifier.ApplyUpdate, and the reason a group commit pays
+// O(k log n) hashes instead of a per-update BuildAuthState (which
 // round-trips the whole database through the wire format). It returns
 // a NEW state and leaves the receiver untouched, so a caller that must
 // revert (final-root mismatch) simply keeps its old pointer. The
@@ -375,27 +350,19 @@ func (st *AuthState) ProveExtreme(lo, hi uint64, found bool, blockID int) ([]byt
 //
 // Equivalence with BuildAuthState: block leaves commit the raw
 // ciphertext bytes, which survive a wire round trip unchanged, and
-// band buckets are sorted by sortBand as canonicalBandEntries sorts
-// them — so the incremental root equals the from-scratch root for the
-// updated database.
-func (st *AuthState) ApplyUpdates(us []*Update) (*AuthState, error) {
-	bands := *st.bands
-	var changed []authtree.LeafItem
-	for _, u := range us {
-		items, replaced, err := st.updateLeaves(u)
-		if err != nil {
-			return nil, fmt.Errorf("wire: auth update: %w", err)
-		}
-		changed = append(changed, items...)
-		for band, entries := range replaced {
-			bands[band] = entries
-		}
+// band buckets hash the index's canonical runs either way — so the
+// incremental root equals the from-scratch root for the updated
+// database.
+func (st *AuthState) ApplyUpdates(us []*Update, next *btree.Index) (*AuthState, error) {
+	changed, err := st.changedLeaves(us, next.Band)
+	if err != nil {
+		return nil, fmt.Errorf("wire: auth update: %w", err)
 	}
 	tree, err := st.tree.With(changed)
 	if err != nil {
 		return nil, fmt.Errorf("wire: auth update: %w", err)
 	}
-	return &AuthState{leafLayout: st.leafLayout, tree: tree, fragIdx: st.fragIdx, bands: &bands}, nil
+	return &AuthState{leafLayout: st.leafLayout, tree: tree, fragIdx: st.fragIdx, index: next}, nil
 }
 
 // Verifier is what an answer transport needs from the owner's
@@ -605,15 +572,17 @@ func (v *AuthVerifier) VerifyExtreme(lo, hi uint64, max bool, found bool, blockI
 
 // ApplyUpdate advances the verifier to the post-update state:
 // replaced blocks get fresh leaf digests, dropped bands are replaced
-// wholesale by the update's entries for that band, and the tree
-// advances along the changed leaves' paths (authtree.Tree.With), so
-// one edit costs O(log n) hashes, not a rebuild. The update must be
-// band-closed (every added entry's band among the dropped bands) —
-// which owner-issued updates are by construction — or the verifier
-// could not know the bucket's final content. On error the verifier is
-// unchanged.
+// wholesale by the update's entries for that band (ReplacedBands, so
+// the update must be band-closed), and the tree advances along the
+// changed leaves' paths (authtree.Tree.With), so one edit costs
+// O(log n) hashes, not a rebuild. On error the verifier is unchanged.
 func (v *AuthVerifier) ApplyUpdate(u *Update) error {
-	items, _, err := v.updateLeaves(u)
+	us := []*Update{u}
+	bands, err := ReplacedBands(us)
+	if err != nil {
+		return err
+	}
+	items, err := v.changedLeaves(us, func(b uint8) []btree.Entry { return bands[b] })
 	if err != nil {
 		return fmt.Errorf("wire: verifier update: %w", err)
 	}

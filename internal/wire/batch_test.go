@@ -127,7 +127,11 @@ func TestAuthStateApplyUpdates(t *testing.T) {
 			AddEntries: []btree.Entry{{Key: 90, BlockID: 1}},
 		},
 	}
-	next, err := st.ApplyUpdates(us)
+	bands, err := ReplacedBands(us)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := st.ApplyUpdates(us, st.index.With(bands))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +179,10 @@ func TestAuthStateApplyUpdates(t *testing.T) {
 	}
 
 	// Band closure and block range are enforced per member.
-	if _, err := st.ApplyUpdates([]*Update{{AddEntries: []btree.Entry{{Key: 5 << 56, BlockID: 0}}}}); err == nil {
+	if _, err := ReplacedBands([]*Update{{AddEntries: []btree.Entry{{Key: 5 << 56, BlockID: 0}}}}); err == nil {
 		t.Fatal("band-closure violation accepted")
 	}
-	if _, err := st.ApplyUpdates([]*Update{{Blocks: []BlockUpdate{{ID: 9, Ciphertext: []byte{1}}}}}); err == nil {
+	if _, err := st.ApplyUpdates([]*Update{{Blocks: []BlockUpdate{{ID: 9, Ciphertext: []byte{1}}}}}, st.index); err == nil {
 		t.Fatal("out-of-range block accepted")
 	}
 }

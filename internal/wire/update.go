@@ -40,6 +40,47 @@ type BlockUpdate struct {
 	Ciphertext []byte
 }
 
+// ReplacedBands folds the band replacements of a batch's members, in
+// order, into the final run of every band the batch drops: a member's
+// dropped band becomes exactly its added entries in that band, so a
+// later member's drop supersedes an earlier one's. Each run is fresh
+// (it never aliases an update's entries) and in canonical order. A
+// member must be band-closed — every added entry's band among its
+// dropped bands, as owner-issued updates are by construction —
+// otherwise nobody could know that band's final content.
+func ReplacedBands(us []*Update) (map[uint8][]btree.Entry, error) {
+	out := map[uint8][]btree.Entry{}
+	for _, u := range us {
+		var runs [btree.NumBands][]btree.Entry
+		var dropped [btree.NumBands]bool
+		var sizes [btree.NumBands]int
+		for _, b := range u.DropBands {
+			dropped[b] = true
+		}
+		for _, e := range u.AddEntries {
+			b := btree.Band(e.Key)
+			if !dropped[b] {
+				return nil, fmt.Errorf("wire: update adds an entry in band %d, which it does not replace", b)
+			}
+			sizes[b]++
+		}
+		for _, b := range u.DropBands {
+			runs[b] = make([]btree.Entry, 0, sizes[b])
+		}
+		for _, e := range u.AddEntries {
+			b := btree.Band(e.Key)
+			runs[b] = append(runs[b], e)
+		}
+		for _, b := range u.DropBands {
+			out[b] = runs[b]
+		}
+	}
+	for _, run := range out {
+		btree.SortBand(run)
+	}
+	return out, nil
+}
+
 // Smallest encodings of the repeated elements of a member, used to
 // bound a claimed count by the bytes actually left in the frame.
 const (

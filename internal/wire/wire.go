@@ -50,7 +50,7 @@ type HostedDB struct {
 	// Blocks holds the AES-GCM ciphertext of each block by ID.
 	Blocks [][]byte
 	// IndexEntries are the OPESS value-index entries; the server
-	// bulk-loads them into its B-tree.
+	// buckets them into one sorted run per band (btree.Index).
 	IndexEntries []btree.Entry
 }
 

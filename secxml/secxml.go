@@ -5,7 +5,7 @@
 // The database-as-service model: a data owner declares security
 // constraints over an XML document, encrypts the sensitive parts at
 // a chosen granularity, uploads ciphertext blocks plus structural
-// (DSI) and value (OPESS B-tree) metadata to an untrusted server,
+// (DSI) and value (OPESS index) metadata to an untrusted server,
 // and evaluates XPath queries so that the server prunes work without
 // ever learning the protected structure, values or associations.
 //
