@@ -55,15 +55,17 @@ fuzz:
 # Quick fuzz pass over the two text parsers (query strings and SC
 # specs are operator input), the WAL record decoder (crash-torn
 # frames are hostile input to recovery), the placeholder scanner
-# (server, verifier and client all read fragments through it) and
-# the one answer decoder (every query answer the untrusted server
-# sends); part of `check`.
+# (server, verifier and client all read fragments through it), the
+# one answer decoder (every query answer the untrusted server sends)
+# and the proof decoder (every verified answer's trailer, a probe's
+# band runs included); part of `check`.
 fuzz-smoke:
 	$(GO) test ./internal/xpath/ -fuzz FuzzParseXPath -fuzztime 10s
 	$(GO) test ./internal/sc/ -fuzz FuzzParseSC -fuzztime 10s
 	$(GO) test ./internal/walog/ -fuzz FuzzDecodeWALRecord -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzPlaceholderScan -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeStream -fuzztime 10s
+	$(GO) test ./internal/wire/ -fuzz FuzzDecodeProof -fuzztime 10s
 
 # Open-ended differential fuzzing: encrypted pipeline vs plaintext
 # evaluator on randomized documents/SCs/queries under every scheme.

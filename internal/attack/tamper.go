@@ -115,11 +115,6 @@ func (t *TamperBackend) Execute(ctx context.Context, q *wire.Query, sink wire.Bl
 	return ans, st, nil
 }
 
-// Extreme implements core.Backend (forwarded honestly).
-func (t *TamperBackend) Extreme(ctx context.Context, lo, hi uint64, max, wantProof bool) (*wire.ExtremeResult, error) {
-	return t.Inner.Extreme(ctx, lo, hi, max, wantProof)
-}
-
 // ApplyUpdateBatch implements core.Backend (forwarded honestly: the
 // rollback attack applies the update, then serves pre-update
 // answers). The inner backend's error passes through unchanged, so

@@ -147,6 +147,56 @@ func TestTamperProofStripped(t *testing.T) {
 	mustDetectTampering(t, sys, "stripped proof")
 }
 
+// TestTamperForgedAggregate: a server that proves its lies — every
+// leaf of its forged probe answer is committed and the multiproof
+// verifies — still cannot forge a MIN: the probed bands it must ship
+// show the extreme, so a false "no values" and a committed block that
+// does not hold the minimum both fail as ErrTampered.
+func TestTamperForgedAggregate(t *testing.T) {
+	sys, tb := tamperedSystem(t)
+	const agg = "//insurance/policy"
+	if got, _, err := sys.AggregateMinMax(agg, false); err != nil || got != "26544" {
+		t.Fatalf("honest MIN = %q, %v", got, err)
+	}
+	st, err := wire.BuildAuthState(sys.HostedDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// forge replaces the probe answer's block with pick(honest block)
+	// (none for -1) and proves the result over the same bands.
+	forge := func(pick func(int) int) func(*wire.Answer) {
+		return func(a *wire.Answer) {
+			p, err := wire.UnmarshalAnswerProof(a.Proof)
+			if err != nil || len(p.Bands) == 0 || len(a.BlockIDs) != 1 {
+				t.Errorf("not a probe answer: %v, %d bands, blocks %v", err, len(p.Bands), a.BlockIDs)
+				return
+			}
+			id := pick(a.BlockIDs[0])
+			a.BlockIDs, a.Blocks = nil, nil
+			if id >= 0 {
+				a.BlockIDs, a.Blocks = []int{id}, [][]byte{sys.HostedDB.Blocks[id]}
+			}
+			lo, hi := uint64(p.Bands[0].Band)<<56, uint64(p.Bands[len(p.Bands)-1].Band)<<56|(1<<56-1)
+			if a.Proof, err = st.ProveProbe(a, &wire.Probe{Lo: lo, Hi: hi}); err != nil {
+				t.Errorf("prove forgery: %v", err)
+			}
+		}
+	}
+	for name, pick := range map[string]func(int) int{
+		"false no-values": func(int) int { return -1 },
+		"wrong block":     func(id int) int { return (id + 1) % len(sys.HostedDB.Blocks) },
+	} {
+		tb.SetMutation(forge(pick))
+		if v, _, err := sys.AggregateMinMax(agg, false); !errors.Is(err, authtree.ErrTampered) {
+			t.Errorf("%s: MIN = %q, err %v; want ErrTampered", name, v, err)
+		}
+	}
+	tb.StopTampering()
+	if got, _, err := sys.AggregateMinMax(agg, false); err != nil || got != "26544" {
+		t.Fatalf("honest MIN after tampering = %q, %v", got, err)
+	}
+}
+
 // TestTamperRollbackReplay: the freshness attack. The server records
 // a valid answer (with its then-valid proof), lets the owner apply an
 // update — advancing the owner's root — and then replays the

@@ -84,9 +84,13 @@ func (s *System) aggregateOnce(ctx context.Context, sn *readSnap, path *xpath.Pa
 	return extremeOf(values, max), tm, nil
 }
 
-// aggregateViaIndex is the §6.4 single-block path. ok=false means
-// the tag is not exclusively encrypted-and-indexed and the caller
-// must fall back.
+// aggregateViaIndex is the §6.4 single-block path: one probe of the
+// value index, sent as a query (wire.Query.Probe) through the same
+// execute every query takes — verified once at the read's floor, the
+// extreme's block decrypted as it streams in, and with integrity on the
+// probed bands' runs proving the extreme (or emptiness) itself.
+// ok=false means the tag is not exclusively encrypted-and-indexed and
+// the caller must fall back.
 func (s *System) aggregateViaIndex(ctx context.Context, sn *readSnap, tagKey string, max bool) (string, Timings, bool, error) {
 	var tm Timings
 	start := time.Now()
@@ -96,21 +100,8 @@ func (s *System) aggregateViaIndex(ctx context.Context, sn *readSnap, tagKey str
 		return "", tm, false, nil
 	}
 
-	// With integrity on, the probe asks for a proof, which carries the
-	// full authenticated buckets of the probed range, so both the
-	// extreme and emptiness are checked against the Merkle root — once,
-	// at the read's floor, by a verifying transport or else here.
-	wantProof := sn.ring != nil
-	ctx, ck := withAnswerCheck(ctx, sn.ring, sn.verSeq)
-	start = time.Now()
-	res, err := sn.backend.Extreme(ctx, lo, hi, max, wantProof)
-	if err == nil && ck != nil {
-		if ck.accepted != res {
-			err = sn.ring.VerifyExtremeContext(ctx, lo, hi, max, res)
-		}
-		tm.Verify = ck.took
-	}
-	tm.ServerExec = time.Since(start) - tm.Verify
+	qs := &wire.Query{Probe: &wire.Probe{Lo: lo, Hi: hi, Max: max}}
+	ans, blocks, err := s.execute(ctx, sn.backend, sn.ring, sn.verSeq, qs, &tm)
 	if err != nil {
 		return "", tm, false, err
 	}
@@ -119,21 +110,14 @@ func (s *System) aggregateViaIndex(ctx context.Context, sn *readSnap, tagKey str
 		// flush that raced the probe may have re-banded it. Re-pin.
 		return "", tm, false, errSnapshotSkew
 	}
-	if !res.Found {
+	tm.AnswerBytes = ans.ByteSize()
+	tm.BlocksShipped = len(ans.Blocks)
+	tm.Transmit = s.Link.TransferTime(tm.AnswerBytes)
+	tm.Generation, tm.Epoch = ans.Generation, ans.Epoch
+	if len(ans.BlockIDs) == 0 {
 		return "", tm, false, fmt.Errorf("core: no indexed values for %s", tagKey)
 	}
-	bid := res.BlockID
-	ans := &wire.Answer{BlockIDs: []int{bid}, Blocks: [][]byte{res.Block}}
-	tm.AnswerBytes = ans.ByteSize()
-	tm.BlocksShipped = 1
-	tm.Transmit = s.Link.TransferTime(tm.AnswerBytes)
-
-	start = time.Now()
-	blocks, err := s.Client.DecryptBlocks(ans)
-	tm.ClientDecrypt = time.Since(start)
-	if err != nil {
-		return "", tm, false, err
-	}
+	bid := ans.BlockIDs[0]
 
 	start = time.Now()
 	doc, err := xmltree.ParseCompact(blocks[bid])

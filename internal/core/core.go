@@ -53,25 +53,21 @@ func BuildScheme(name SchemeName, doc *xmltree.Document, scs []*sc.Constraint) (
 	}
 }
 
-// Backend is the owner↔server boundary: the three calls of Fig. 1
+// Backend is the owner↔server boundary: the two calls of Fig. 1
 // that the wire carries. Local wraps the in-process server.Server, and
 // internal/remote provides an HTTP-transported implementation for
 // out-of-process deployments. Every call carries a context so remote
 // operations are cancellable and carry deadlines; the in-process
 // adapter honors cancellation between stages.
 type Backend interface {
-	// Execute answers a translated query (§6.2). A backend that
+	// Execute answers a translated query (§6.2) or a MIN/MAX probe of
+	// the value index (§6.4, wire.Query.Probe). A backend that
 	// receives the answer in pieces hands every block ciphertext to
 	// sink as it arrives, so the owner decrypts while the rest is
 	// still on the wire, and reports the transfer in stats; one that
 	// holds the whole answer at once ignores sink and returns nil
 	// stats.
 	Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error)
-	// Extreme serves MIN/MAX aggregates (§6.4): the ciphertext block
-	// holding the extreme indexed value within [lo, hi]. With
-	// wantProof the result carries the Merkle verification object,
-	// like Query.WantProof.
-	Extreme(ctx context.Context, lo, hi uint64, max, wantProof bool) (*wire.ExtremeResult, error)
 	// ApplyUpdateBatch applies one or more owner-issued mutations
 	// atomically: one generation, one root advance, one durability
 	// barrier (see wire.UpdateBatch). A lone update is a batch of one.
@@ -98,14 +94,6 @@ func (l Local) Execute(ctx context.Context, q *wire.Query, _ wire.BlockSink) (*w
 	}
 	ans, err := l.S.Execute(q)
 	return ans, nil, err
-}
-
-// Extreme implements Backend.
-func (l Local) Extreme(ctx context.Context, lo, hi uint64, max, wantProof bool) (*wire.ExtremeResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.S.Extreme(lo, hi, max, wantProof)
 }
 
 // ApplyUpdateBatch implements Backend.
@@ -409,15 +397,16 @@ type Timings struct {
 	// for this query: which execution strategy produced the answer
 	// ("twig" = holistic twig match over the structure synopsis,
 	// "pairwise" = classic per-step interval joins) and the plan's
-	// admission-cost estimate. Empty/zero when the backend predates
-	// the planner.
+	// admission-cost estimate. Empty/zero for a value-index probe,
+	// which the planner does not run, and for a remote answer served
+	// without the plan headers.
 	PlanStrategy string
 	PlanEstimate int64
 
 	// Generation and Epoch echo the server's db generation counter
-	// and boot nonce as carried by this query's answer (zero when the
-	// backend predates the echo). Readers can assert monotonicity: under one epoch, a
-	// later query must never observe a smaller generation.
+	// and boot nonce as carried by this query's answer. Readers can
+	// assert monotonicity: under one epoch, a later query must never
+	// observe a smaller generation.
 	Generation uint64
 	Epoch      uint64
 
@@ -603,9 +592,10 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 	return nodes, doc, tm, nil
 }
 
-// execute is the one way an answer reaches the owner, for a query and
-// for an update's read half alike: it sends the translated query to
-// the live backend, verifies the answer once, and decrypts its blocks.
+// execute is the one way an answer reaches the owner, for a query, a
+// MIN/MAX probe and an update's read half alike: it sends the
+// translated query to the live backend, verifies the answer once, and
+// decrypts its blocks.
 //
 // The backend gets a decrypt pipeline to feed, so a streamed answer's
 // blocks decrypt while the rest of it is still on the wire; Collect
@@ -623,7 +613,7 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 // checked here.
 func (s *System) execute(ctx context.Context, backend Backend, ring *verifierRing, floor uint64, qs *wire.Query, tm *Timings) (*wire.Answer, map[int][]byte, error) {
 	qs.WantProof = ring != nil
-	ctx, ck := withAnswerCheck(ctx, ring, floor)
+	ctx, ck := withAnswerCheck(ctx, ring, floor, qs.Probe)
 	start := time.Now()
 	sd := s.Client.NewStreamDecryptor()
 	defer sd.Close()

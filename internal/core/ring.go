@@ -52,7 +52,7 @@ type verifierRing struct {
 	// owner's OWN commitment for an update it chose to send — a server
 	// cannot forge an answer into it, only apply the owner's update.
 	staged *wire.AuthVerifier
-	// checks counts answer and extreme-probe passes, whoever asked for
+	// checks counts answer passes (probes included), whoever asked for
 	// them: core, or a transport holding the ring.
 	checks atomic.Uint64
 }
@@ -172,28 +172,21 @@ func (r *verifierRing) verifyAnswerSince(minSeq uint64, ans *wire.Answer) error 
 	return r.verifySince(minSeq, func(v *wire.AuthVerifier) error { return v.VerifyAnswer(ans) })
 }
 
-// verifyExtremeSince checks an extreme probe with the reader's pinned
-// sequence as the acceptance floor.
-func (r *verifierRing) verifyExtremeSince(minSeq uint64, lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error {
-	r.checks.Add(1)
-	return r.verifySince(minSeq, func(v *wire.AuthVerifier) error {
-		return v.VerifyExtreme(lo, hi, max, found, blockID, block, proof)
-	})
-}
-
 // answerCheck is how a read and the check of what it fetched find each
 // other. The read puts one in the context it hands the backend, naming
-// its ring and its pinned floor; a verifying transport passes that
-// context to VerifyAnswerContext or VerifyExtremeContext, which check
-// at the floor and record the answer or probe result they accepted and
-// how long that pass took. Core then checks only a result the carrier
-// does not name (an in-process backend's, a transport's with no
-// verifier or another system's ring), through the same methods. One
-// read, one goroutine: no lock.
+// its ring, its pinned floor and, for a MIN/MAX read, its probe; a
+// verifying transport passes that context to VerifyAnswerContext, which
+// checks at the floor — and, once the ring has accepted the answer,
+// checks what it claims about the probe (wire.CheckProbe) — and records
+// the answer it accepted and how long that pass took. Core then checks
+// only an answer the carrier does not name (an in-process backend's, a
+// transport's with no verifier or another system's ring), through the
+// same method. One read, one goroutine: no lock.
 type answerCheck struct {
 	ring     *verifierRing
 	floor    uint64
-	accepted any // the *wire.Answer or *wire.ExtremeResult accepted
+	probe    *wire.Probe
+	accepted *wire.Answer
 	took     time.Duration
 }
 
@@ -201,41 +194,34 @@ type answerCheckKey struct{}
 
 // withAnswerCheck returns ctx carrying a fresh answerCheck for a read
 // at floor, or ctx and nil when integrity is off (a nil ring).
-func withAnswerCheck(ctx context.Context, ring *verifierRing, floor uint64) (context.Context, *answerCheck) {
+func withAnswerCheck(ctx context.Context, ring *verifierRing, floor uint64, probe *wire.Probe) (context.Context, *answerCheck) {
 	if ring == nil {
 		return ctx, nil
 	}
-	ck := &answerCheck{ring: ring, floor: floor}
+	ck := &answerCheck{ring: ring, floor: floor, probe: probe}
 	return context.WithValue(ctx, answerCheckKey{}, ck), ck
 }
 
-// checkIn makes one pass over subject at the floor of the read whose
-// answerCheck ctx carries for this ring, recording the acceptance
-// there, or with no floor when it carries none (a check with no owner
-// read behind it).
-func (r *verifierRing) checkIn(ctx context.Context, subject any, check func(floor uint64) error) error {
+// VerifyAnswerContext implements wire.ContextVerifier: one pass over
+// ans at the floor of the read whose answerCheck ctx carries for this
+// ring, recording the acceptance there, or with no floor when it
+// carries none (a check with no owner read behind it).
+func (r *verifierRing) VerifyAnswerContext(ctx context.Context, ans *wire.Answer) error {
 	ck, _ := ctx.Value(answerCheckKey{}).(*answerCheck)
 	if ck == nil || ck.ring != r {
-		return check(0)
+		return r.verifyAnswerSince(0, ans)
 	}
 	start := time.Now()
-	if err := check(ck.floor); err != nil {
+	if err := r.verifyAnswerSince(ck.floor, ans); err != nil {
 		return err
 	}
-	ck.accepted, ck.took = subject, time.Since(start)
+	if ck.probe != nil {
+		if err := wire.CheckProbe(ck.probe, ans); err != nil {
+			return err
+		}
+	}
+	ck.accepted, ck.took = ans, time.Since(start)
 	return nil
-}
-
-// VerifyAnswerContext implements wire.ContextVerifier.
-func (r *verifierRing) VerifyAnswerContext(ctx context.Context, ans *wire.Answer) error {
-	return r.checkIn(ctx, ans, func(floor uint64) error { return r.verifyAnswerSince(floor, ans) })
-}
-
-// VerifyExtremeContext implements wire.ContextVerifier.
-func (r *verifierRing) VerifyExtremeContext(ctx context.Context, lo, hi uint64, max bool, res *wire.ExtremeResult) error {
-	return r.checkIn(ctx, res, func(floor uint64) error {
-		return r.verifyExtremeSince(floor, lo, hi, max, res.Found, res.BlockID, res.Block, res.Proof)
-	})
 }
 
 // VerifyAnswer implements wire.Verifier: a check with no read behind
@@ -244,14 +230,8 @@ func (r *verifierRing) VerifyAnswer(ans *wire.Answer) error {
 	return r.verifyAnswerSince(0, ans)
 }
 
-// VerifyExtreme implements wire.Verifier.
-func (r *verifierRing) VerifyExtreme(lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error {
-	return r.verifyExtremeSince(0, lo, hi, max, found, blockID, block, proof)
-}
-
-// AnswerChecks reports how many answer and extreme-probe passes the
-// ring has made. With integrity on, every answer or probe result the
-// owner uses costs exactly one.
+// AnswerChecks reports how many answer passes the ring has made. With
+// integrity on, every answer the owner uses costs exactly one.
 func (r *verifierRing) AnswerChecks() uint64 { return r.checks.Load() }
 
 // Root implements wire.Verifier: the latest committed root.

@@ -540,12 +540,16 @@ func faultyQuerySystem(t *testing.T, clientCfg FaultConfig) *core.System {
 }
 
 // TestChecksumDetectsCorruption: a response body damaged in flight
-// is caught by the integrity checksum, never parsed into an answer.
+// is caught by the integrity checksum, never parsed into an answer —
+// a query's and an aggregate's probe alike, both in the SXS1 trailer.
 func TestChecksumDetectsCorruption(t *testing.T) {
 	sys := faultyQuerySystem(t, FaultConfig{Seed: 6, CorruptRate: 1})
 	_, _, _, err := sys.Query("//patient/pname")
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("want ErrChecksum for corrupted body, got %v", err)
+	}
+	if _, _, err := sys.AggregateMinMax("//insurance/policy", false); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("want ErrChecksum for a corrupted probe answer, got %v", err)
 	}
 }
 

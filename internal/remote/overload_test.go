@@ -56,7 +56,7 @@ func overloadSystem(t *testing.T, configure func(*Service) *Service) (*core.Syst
 func TestDeadlineRejectOnArrival(t *testing.T) {
 	var attempts atomic.Int32
 	_, _, ts, svc := overloadSystem(t, nil)
-	// Count extreme attempts through a wrapper client transport — the
+	// Count probe attempts through a wrapper client transport — the
 	// service itself is already running, so count on the client side.
 	cl := Dial(ts.URL, "hospital").
 		WithHTTPClient(&http.Client{Transport: countingTransport{ts.Client().Transport, &attempts}}).
@@ -66,7 +66,8 @@ func TestDeadlineRejectOnArrival(t *testing.T) {
 	svc.Admission().SeedExpectedLatency(300 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := cl.Extreme(ctx, 1, 2, false, false)
+	probe := &wire.Query{Probe: &wire.Probe{Lo: 1, Hi: 2}}
+	_, _, err := cl.Execute(ctx, probe, nil)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusGatewayTimeout {
 		t.Fatalf("infeasible deadline: err = %v, want 504", err)
@@ -82,7 +83,7 @@ func TestDeadlineRejectOnArrival(t *testing.T) {
 	attempts.Store(0)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
-	if _, err := cl.Extreme(ctx2, 1, 2, false, false); err != nil {
+	if _, _, err := cl.Execute(ctx2, probe, nil); err != nil {
 		t.Fatalf("feasible deadline rejected: %v", err)
 	}
 	if svc.Admission().Snapshot().RejectedDeadline == 0 {

@@ -10,19 +10,17 @@
 // cancellation), failed attempts are retried under a configurable
 // exponential-backoff policy (see RetryPolicy for the idempotency
 // reasoning), a circuit breaker fails fast while the service is down
-// and half-opens on a /healthz probe, response bodies carry an
-// integrity checksum (query answers in their SXS1 trailer, extreme
-// probes in a header) so damaged bytes are detected and retried, and
-// updates carry request IDs the server deduplicates so a retried
-// update is never applied twice. See the chaos test suite and the
-// README's "Failure semantics" section.
+// and half-opens on a /healthz probe, every answer carries an
+// integrity checksum in its SXS1 trailer so damaged bytes are detected
+// and retried, and updates carry request IDs the server deduplicates
+// so a retried update is never applied twice. See the chaos test suite
+// and the README's "Failure semantics" section.
 //
 // Endpoints (all bodies are the binary wire formats of
 // internal/wire):
 //
 //	PUT  /db/{name}            upload a hosted database
-//	POST /db/{name}/query      translated query -> answer
-//	GET  /db/{name}/extreme    ?lo=..&hi=..&max=0|1[&proof=1] -> found, block id, proof, bytes
+//	POST /db/{name}/query      translated query or MIN/MAX probe -> answer
 //	POST /db/{name}/update     owner-signed update (see wire.Update)
 //	GET  /db/{name}/stats      JSON statistics
 //	GET  /healthz              liveness
@@ -32,9 +30,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,12 +54,6 @@ import (
 // maxUpload caps request bodies (default 1 GiB).
 const maxUpload = 1 << 30
 
-// checksumHeader carries a hex SHA-256 of the response body on the
-// extreme endpoint, so the client can tell damaged bytes from real
-// ones and retry instead of failing on (or worse, accepting) a torn
-// read. Query answers carry theirs in the SXS1 trailer instead.
-const checksumHeader = "X-Body-Sha256"
-
 // generationHeader carries the serving database's "epoch:generation"
 // pair on query responses — the same values the SXS1 stream header
 // echoes in-band. Observability only; clients key their caches off
@@ -77,9 +66,8 @@ const dedupWindow = 4096
 
 // streamContentType marks an SXS1 answer body, the one format every
 // query answer takes. Its integrity rides in the stream trailer (a
-// running SHA-256 the decoder verifies), not in the X-Body-Sha256
-// header — a whole-body checksum cannot be sent before a body that is
-// produced incrementally.
+// running SHA-256 the decoder verifies): a whole-body checksum cannot
+// be sent before a body that is produced incrementally.
 const streamContentType = "application/x-secxml-stream"
 
 // Service is the HTTP-facing untrusted server. It can host several
@@ -276,9 +264,9 @@ func shed(w http.ResponseWriter, rej *admission.Rejection) {
 	http.Error(w, rej.Reason, rej.Status)
 }
 
-// admit runs one query/extreme arrival through the admission
-// controller. On nil the rejection has been written; otherwise the
-// caller must Done() the ticket.
+// admit runs one query arrival through the admission controller. On
+// nil the rejection has been written; otherwise the caller must Done()
+// the ticket.
 func (s *Service) admit(w http.ResponseWriter, r *http.Request, req admission.Request) *admission.Ticket {
 	tk, rej := s.adm().Admit(r.Context(), req)
 	if rej != nil {
@@ -324,8 +312,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleUpload(w, r, name)
 	case action == "query" && r.Method == http.MethodPost:
 		s.withDB(w, name, func(h *hosted) { s.handleQuery(w, r, h) })
-	case action == "extreme" && r.Method == http.MethodGet:
-		s.withDB(w, name, func(h *hosted) { s.handleExtreme(w, r, h) })
 	case action == "update" && r.Method == http.MethodPost:
 		s.withDB(w, name, func(h *hosted) { s.handleUpdate(w, r, name, h) })
 	case action == "stats" && r.Method == http.MethodGet:
@@ -344,14 +330,6 @@ func (s *Service) withDB(w http.ResponseWriter, name string, fn func(*hosted)) {
 		return
 	}
 	fn(h)
-}
-
-// writeChecksummed sends a binary payload with its integrity header.
-func writeChecksummed(w http.ResponseWriter, payload []byte) {
-	sum := sha256.Sum256(payload)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(checksumHeader, hex.EncodeToString(sum[:]))
-	w.Write(payload)
 }
 
 // canceled reports (and answers) a request whose client already gave
@@ -535,67 +513,6 @@ func (s *Service) writeAnswer(w http.ResponseWriter, h *hosted, ans *wire.Answer
 	h.streamAnswers.Add(1)
 	h.streamBytes.Add(int64(n))
 	h.streamChunks.Add(int64(chunks))
-}
-
-func (s *Service) handleExtreme(w http.ResponseWriter, r *http.Request, h *hosted) {
-	lo, err1 := strconv.ParseUint(r.URL.Query().Get("lo"), 10, 64)
-	hi, err2 := strconv.ParseUint(r.URL.Query().Get("hi"), 10, 64)
-	if err1 != nil || err2 != nil {
-		http.Error(w, "lo and hi must be uint64", http.StatusBadRequest)
-		return
-	}
-	max := r.URL.Query().Get("max") == "1"
-	if canceled(w, r) {
-		return
-	}
-	tk := s.admit(w, r, requestMeta(r))
-	if tk == nil {
-		return
-	}
-	defer tk.Done()
-	// One format whether or not a proof was asked for: emptiness is an
-	// answer (found=0), not a 404, and with a proof it is a verifiable
-	// claim (the authenticated buckets are empty).
-	res, err := h.srv.Extreme(lo, hi, max, r.URL.Query().Get("proof") == "1")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeChecksummed(w, encodeExtremeResult(res))
-}
-
-// encodeExtremeResult frames an extreme response:
-// [1 found] [8 block id] [4 proof len] [proof] [block bytes], with a
-// zero proof length when no proof was asked for.
-func encodeExtremeResult(res *wire.ExtremeResult) []byte {
-	out := make([]byte, 13, 13+len(res.Proof)+len(res.Block))
-	if res.Found {
-		out[0] = 1
-	}
-	binary.BigEndian.PutUint64(out[1:9], uint64(res.BlockID))
-	binary.BigEndian.PutUint32(out[9:13], uint32(len(res.Proof)))
-	out = append(out, res.Proof...)
-	return append(out, res.Block...)
-}
-
-// decodeExtremeResult reverses encodeExtremeResult.
-func decodeExtremeResult(body []byte) (*wire.ExtremeResult, error) {
-	if len(body) < 13 {
-		return nil, fmt.Errorf("short extreme response: %w", io.ErrUnexpectedEOF)
-	}
-	plen := binary.BigEndian.Uint32(body[9:13])
-	if uint64(13)+uint64(plen) > uint64(len(body)) {
-		return nil, fmt.Errorf("extreme proof length overruns body: %w", io.ErrUnexpectedEOF)
-	}
-	res := &wire.ExtremeResult{
-		Found:   body[0] == 1,
-		BlockID: int(binary.BigEndian.Uint64(body[1:9])),
-		Proof:   body[13 : 13+plen],
-	}
-	if rest := body[13+plen:]; len(rest) > 0 {
-		res.Block = rest
-	}
-	return res, nil
 }
 
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request, name string, h *hosted) {
@@ -817,9 +734,8 @@ type Client struct {
 	// read; 0 selects the maxUpload default (see WithMaxResponseBytes).
 	maxResp int64
 
-	// verifier, when set via WithVerifier, checks every answer and
-	// extreme result against the owner's Merkle root inside the
-	// attempt — before the retry policy classifies the error — so a
+	// verifier, when set via WithVerifier, checks every answer
+	// against the owner's Merkle root inside the attempt — before the retry policy classifies the error — so a
 	// tampered response fails immediately (no retry, breaker tripped)
 	// rather than being mistaken for a transient fault.
 	verifier wire.Verifier
@@ -894,7 +810,7 @@ func stampDeadline(ctx context.Context, req *http.Request) {
 }
 
 // WithMaxResponseBytes caps how many response-body bytes the client
-// will read on any operation (answers, extreme probes, streams); a
+// will read on any operation; a
 // body that would exceed the cap surfaces as ErrResponseTooLarge
 // instead of being read without bound. n <= 0 restores the default
 // (1 GiB).
@@ -911,9 +827,9 @@ func (c *Client) respLimit() int64 {
 	return maxUpload
 }
 
-// WithVerifier installs the owner's integrity verifier: every query
-// answer and extreme result is checked against its Merkle root
-// inside the attempt that fetched it. The instance is shared with
+// WithVerifier installs the owner's integrity verifier: every answer
+// is checked against its Merkle root inside the attempt that fetched
+// it. The instance is shared with
 // core.System (typically its live verifier ring), so owner updates
 // (which advance the root) are visible here without re-dialing. The
 // ring is a wire.ContextVerifier: it reads the read's pinned floor
@@ -1024,10 +940,9 @@ func isDeadline(err error) bool {
 }
 
 // request performs one HTTP exchange: build, send, read the capped
-// body, verify the integrity checksum when present. It returns the
-// status code, body and response headers; err covers transport, read
-// and checksum failures only (non-2xx statuses are the caller's to
-// interpret).
+// body. It returns the status code, body and response headers; err
+// covers transport and read failures only (non-2xx statuses are the
+// caller's to interpret).
 func (c *Client) request(ctx context.Context, method, url string, payload []byte) (int, []byte, http.Header, error) {
 	var body io.Reader
 	if payload != nil {
@@ -1052,25 +967,8 @@ func (c *Client) request(ctx context.Context, method, url string, payload []byte
 		data, err := io.ReadAll(io.LimitReader(resp.Body, maxErrBody))
 		return resp.StatusCode, data, resp.Header, err
 	}
-	data, err := readChecksummedBody(resp, c.respLimit())
+	data, err := io.ReadAll(&cappedReader{r: resp.Body, n: c.respLimit()})
 	return resp.StatusCode, data, resp.Header, err
-}
-
-// readChecksummedBody reads a success body, bounded by limit (beyond
-// which ErrResponseTooLarge surfaces instead of an unbounded read),
-// and verifies the body-checksum header when the server sent one.
-func readChecksummedBody(resp *http.Response, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(&cappedReader{r: resp.Body, n: limit})
-	if err != nil {
-		return nil, err
-	}
-	if want := resp.Header.Get(checksumHeader); want != "" {
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != want {
-			return nil, ErrChecksum
-		}
-	}
-	return data, nil
 }
 
 // cappedReader reads at most n bytes from r; a body that keeps going
@@ -1220,18 +1118,6 @@ func (c *Client) verifyAnswer(ctx context.Context, a *wire.Answer) error {
 	}
 }
 
-// verifyExtreme is verifyAnswer for an extreme probe's result.
-func (c *Client) verifyExtreme(ctx context.Context, lo, hi uint64, max bool, r *wire.ExtremeResult) error {
-	switch v := c.verifier.(type) {
-	case nil:
-		return nil
-	case wire.ContextVerifier:
-		return v.VerifyExtremeContext(ctx, lo, hi, max, r)
-	default:
-		return v.VerifyExtreme(lo, hi, max, r.Found, r.BlockID, r.Block, r.Proof)
-	}
-}
-
 // queryAttempt performs one query exchange and decodes its SXS1
 // answer incrementally, forwarding blocks to sink as they arrive.
 func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
@@ -1286,46 +1172,6 @@ func readPlanHeaders(resp *http.Response, a *wire.Answer) {
 			a.PlanCost = c
 		}
 	}
-}
-
-// Extreme implements core.Backend over HTTP. With wantProof the
-// result carries the server's Merkle verification object, and when a
-// verifier is installed the result (including emptiness) is checked
-// inside the attempt, at the floor of the read its context names.
-// Without wantProof there is no proof to check, so nothing is.
-func (c *Client) Extreme(ctx context.Context, lo, hi uint64, max, wantProof bool) (*wire.ExtremeResult, error) {
-	url := fmt.Sprintf("%s?lo=%d&hi=%d", c.url("extreme"), lo, hi)
-	if max {
-		url += "&max=1"
-	}
-	if wantProof {
-		url += "&proof=1"
-	}
-	var res *wire.ExtremeResult
-	err := c.do(ctx, "extreme", func(ctx context.Context) error {
-		status, body, hdr, err := c.request(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return statusError("extreme", status, body, hdr)
-		}
-		r, err := decodeExtremeResult(body)
-		if err != nil {
-			return err
-		}
-		if wantProof {
-			if vErr := c.verifyExtreme(ctx, lo, hi, max, r); vErr != nil {
-				return vErr
-			}
-		}
-		res = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // ApplyUpdateBatch implements core.Backend over HTTP: it sends one or

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gencache"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -106,6 +107,66 @@ func TestRemoteAggregate(t *testing.T) {
 	}
 	if tm.BlocksShipped != 1 {
 		t.Errorf("remote aggregate shipped %d blocks", tm.BlocksShipped)
+	}
+}
+
+// TestRemoteAggregateRidesQueryPath: an aggregate's probe is a query,
+// so its Timings carry what a query's do — the generation echo and the
+// stream — a repeat is served from the server's answer cache, and the
+// next commit drops that answer: the probe after it sees generation + 1
+// and the updated minimum.
+func TestRemoteAggregateRidesQueryPath(t *testing.T) {
+	doc, _ := xmltree.ParseString(hospitalXML)
+	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("probe-query-path"))
+	if err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	if err := sys.EnableIntegrity(); err != nil {
+		t.Fatalf("EnableIntegrity: %v", err)
+	}
+	svc := NewService()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	cl := Dial(ts.URL, "hospital").WithHTTPClient(ts.Client()).WithVerifier(sys.Verifier())
+	if err := cl.Upload(context.Background(), sys.HostedDB); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	sys.UseBackend(cl)
+	answerCache := func() gencache.Stats { return svc.CacheStats()["hospital"]["answers"] }
+	aggregate := func(want string) core.Timings {
+		t.Helper()
+		got, tm, err := sys.AggregateMinMax("//insurance/policy", false)
+		if err != nil {
+			t.Fatalf("MIN(policy): %v", err)
+		}
+		if got != want || tm.BlocksShipped != 1 {
+			t.Fatalf("MIN(policy) = %q over %d blocks, want %q from one", got, tm.BlocksShipped, want)
+		}
+		return tm
+	}
+
+	first := aggregate("26544")
+	if !first.Streamed || first.StreamChunks == 0 || first.Generation == 0 || first.Epoch == 0 {
+		t.Errorf("probe timings: streamed %v (%d chunks), generation %d, epoch %d; want a streamed answer with the echo",
+			first.Streamed, first.StreamChunks, first.Generation, first.Epoch)
+	}
+	before := answerCache()
+	if again := aggregate("26544"); again.Generation != first.Generation || again.Epoch != first.Epoch {
+		t.Errorf("repeated probe at generation %d/%d, want %d/%d", again.Epoch, again.Generation, first.Epoch, first.Generation)
+	}
+	if hits := answerCache().Hits - before.Hits; hits != 1 {
+		t.Errorf("repeated probe: %d answer-cache hits, want 1", hits)
+	}
+
+	if _, err := sys.UpdateLeafValues("//patient[pname='Betty']/insurance/policy", "1"); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	before = answerCache()
+	if after := aggregate("1"); after.Generation != first.Generation+1 || after.Epoch != first.Epoch {
+		t.Errorf("probe after the update at generation %d/%d, want %d/%d", after.Epoch, after.Generation, first.Epoch, first.Generation+1)
+	}
+	if hits := answerCache().Hits - before.Hits; hits != 0 {
+		t.Errorf("probe after the update: %d answer-cache hits, want the commit to have dropped the cached answer", hits)
 	}
 }
 
@@ -230,12 +291,13 @@ func TestRemoteBadQueryBody(t *testing.T) {
 	}
 }
 
-// TestRemoteExtremeNotFound: /extreme answers in one format, found or
-// not, with or without a proof. An empty window is an answer (found=0,
-// no block), not an error; a proof is present exactly when asked for,
-// and it verifies — emptiness included. A client with a verifier
-// installed checks only the results it asked a proof for: a proofless
-// probe is never mistaken for a stripped proof.
+// TestRemoteExtremeNotFound: a MIN/MAX probe travels as a query frame
+// and answers in the one answer format, found or not, with or without
+// a proof. An empty window is an answer (no block), not an error; a
+// proof is present exactly when asked for, and it verifies — emptiness
+// included — both against the root and as a claim about the probe. A
+// client with a verifier installed checks the answer inside the
+// attempt, like any query's.
 func TestRemoteExtremeNotFound(t *testing.T) {
 	sys, cl, _ := remoteSystemClient(t)
 	st, err := wire.BuildAuthState(sys.HostedDB)
@@ -244,33 +306,37 @@ func TestRemoteExtremeNotFound(t *testing.T) {
 	}
 	v := st.Verifier()
 	for _, verifying := range []bool{false, true} {
+		// A verifying client refuses a proofless answer, probe or not.
+		wantProofs := []bool{false, true}
 		if verifying {
 			cl.WithVerifier(v)
+			wantProofs = wantProofs[1:]
 		}
 		for _, c := range []struct {
 			lo, hi uint64
 			found  bool
 		}{{1, 2, false}, {0, ^uint64(0), true}} {
-			for _, wantProof := range []bool{false, true} {
-				res, err := cl.Extreme(context.Background(), c.lo, c.hi, false, wantProof)
+			for _, wantProof := range wantProofs {
+				probe := &wire.Probe{Lo: c.lo, Hi: c.hi}
+				ans, _, err := cl.Execute(context.Background(), &wire.Query{WantProof: wantProof, Probe: probe}, nil)
 				if err != nil {
-					t.Fatalf("verifier=%v [%d,%d] proof=%v: Extreme: %v", verifying, c.lo, c.hi, wantProof, err)
+					t.Fatalf("verifier=%v [%d,%d] proof=%v: probe: %v", verifying, c.lo, c.hi, wantProof, err)
 				}
-				if res.Found != c.found {
-					t.Fatalf("verifier=%v [%d,%d] proof=%v: found=%v, want %v", verifying, c.lo, c.hi, wantProof, res.Found, c.found)
+				if got := len(ans.BlockIDs) == 1; got != c.found || len(ans.Blocks) > 1 || len(ans.Fragments) > 0 {
+					t.Fatalf("verifier=%v [%d,%d] proof=%v: %d fragments, blocks %v; want found=%v", verifying, c.lo, c.hi, wantProof, len(ans.Fragments), ans.BlockIDs, c.found)
 				}
-				if c.found && !bytes.Equal(res.Block, sys.HostedDB.Blocks[res.BlockID]) {
-					t.Errorf("verifier=%v [%d,%d] proof=%v: block %d is not the hosted ciphertext", verifying, c.lo, c.hi, wantProof, res.BlockID)
+				if c.found && !bytes.Equal(ans.Blocks[0], sys.HostedDB.Blocks[ans.BlockIDs[0]]) {
+					t.Errorf("verifier=%v [%d,%d] proof=%v: block %d is not the hosted ciphertext", verifying, c.lo, c.hi, wantProof, ans.BlockIDs[0])
 				}
-				if !c.found && res.Block != nil {
-					t.Errorf("verifier=%v [%d,%d] proof=%v: empty window shipped %d block bytes", verifying, c.lo, c.hi, wantProof, len(res.Block))
-				}
-				if got := len(res.Proof) > 0; got != wantProof {
-					t.Fatalf("verifier=%v [%d,%d] proof=%v: response carries a proof: %v", verifying, c.lo, c.hi, wantProof, got)
+				if got := len(ans.Proof) > 0; got != wantProof {
+					t.Fatalf("verifier=%v [%d,%d] proof=%v: answer carries a proof: %v", verifying, c.lo, c.hi, wantProof, got)
 				}
 				if wantProof {
-					if err := v.VerifyExtreme(c.lo, c.hi, false, res.Found, res.BlockID, res.Block, res.Proof); err != nil {
+					if err := v.VerifyAnswer(ans); err != nil {
 						t.Errorf("verifier=%v [%d,%d]: proof does not verify: %v", verifying, c.lo, c.hi, err)
+					}
+					if err := wire.CheckProbe(probe, ans); err != nil {
+						t.Errorf("verifier=%v [%d,%d]: probe check: %v", verifying, c.lo, c.hi, err)
 					}
 				}
 			}

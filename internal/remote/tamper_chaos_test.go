@@ -2,8 +2,6 @@ package remote
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -120,8 +118,9 @@ func TestTamperTripsBreaker(t *testing.T) {
 }
 
 // TestTamperedExtremeNotRetried: the aggregate path has the same
-// no-retry discipline — a forged extreme result fails VerifyExtreme
-// in-attempt, is not retried, and trips the breaker.
+// no-retry discipline — its probe is a query, so a forged probe answer
+// (with a valid SXS1 trailer) fails verification in-attempt, is not
+// retried, and trips the breaker.
 func TestTamperedExtremeNotRetried(t *testing.T) {
 	doc, _ := xmltree.ParseString(hospitalXML)
 	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("tamper-extreme"))
@@ -136,21 +135,24 @@ func TestTamperedExtremeNotRetried(t *testing.T) {
 	var tampering atomic.Bool
 	var extremeHits atomic.Int32
 	mux := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path == "/db/hospital/extreme" {
+		if r.Method == http.MethodPost && r.URL.Path == "/db/hospital/query" {
 			extremeHits.Add(1)
 			if tampering.Load() {
 				rec := &bufferedResponse{header: http.Header{}, code: http.StatusOK}
 				svc.ServeHTTP(rec, r)
-				res, err := decodeExtremeResult(rec.body.Bytes())
-				if err != nil {
-					t.Errorf("tamper middleware: %v", err)
+				ans, err := wire.UnmarshalAnswer(rec.body.Bytes())
+				if err != nil || len(ans.BlockIDs) != 1 {
+					t.Errorf("tamper middleware: %v (blocks=%d)", err, len(ans.BlockIDs))
+					http.Error(w, "tamper setup broken", http.StatusInternalServerError)
 					return
 				}
 				// Lie about which block holds the extreme.
-				res.BlockID++
-				out := encodeExtremeResult(res)
-				sum := sha256.Sum256(out)
-				w.Header().Set(checksumHeader, hex.EncodeToString(sum[:]))
+				ans.BlockIDs[0]++
+				out, err := wire.MarshalAnswer(ans)
+				if err != nil {
+					t.Errorf("remarshal: %v", err)
+					return
+				}
 				w.Write(out)
 				return
 			}

@@ -20,14 +20,13 @@ import (
 
 // countingVerifier stands between the transport and the owner's ring.
 // It counts the checks the transport asks for, and — when spent is
-// set — strips the proof from every answer or extreme result the ring
-// accepted, so that any LATER pass over it can only fail: a query or
-// aggregate that still succeeds made no second pass.
+// set — strips the proof from every answer the ring accepted, so that
+// any LATER pass over it can only fail: a query or aggregate that still
+// succeeds made no second pass.
 type countingVerifier struct {
 	wire.ContextVerifier
-	pinned, bare               atomic.Int32
-	pinnedExtreme, bareExtreme atomic.Int32
-	spent                      bool
+	pinned, bare atomic.Int32
+	spent        bool
 }
 
 func (c *countingVerifier) VerifyAnswerContext(ctx context.Context, ans *wire.Answer) error {
@@ -42,20 +41,6 @@ func (c *countingVerifier) VerifyAnswerContext(ctx context.Context, ans *wire.An
 func (c *countingVerifier) VerifyAnswer(ans *wire.Answer) error {
 	c.bare.Add(1)
 	return c.ContextVerifier.VerifyAnswer(ans)
-}
-
-func (c *countingVerifier) VerifyExtremeContext(ctx context.Context, lo, hi uint64, max bool, res *wire.ExtremeResult) error {
-	c.pinnedExtreme.Add(1)
-	err := c.ContextVerifier.VerifyExtremeContext(ctx, lo, hi, max, res)
-	if err == nil && c.spent {
-		res.Proof = nil
-	}
-	return err
-}
-
-func (c *countingVerifier) VerifyExtreme(lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error {
-	c.bareExtreme.Add(1)
-	return c.ContextVerifier.VerifyExtreme(lo, hi, max, found, blockID, block, proof)
 }
 
 // replayProxy fronts a Service: it can fail the next N query requests
@@ -312,11 +297,12 @@ func (p proofless) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSi
 }
 
 // TestExtremeVerifiedOncePerAggregate: a verified aggregate over a
-// verifying remote client checks its extreme probe once — inside
-// Client.do, at the floor the read pinned — and core does not check it
-// again: the ring makes one pass per aggregate, and the proof the
-// transport spent would fail a second. Over an in-process backend,
-// core's own pass is the one.
+// verifying remote client checks its probe's answer once — inside
+// Client.do, at the floor the read pinned, with the probe's own check
+// after the ring accepted it — and core does not check it again: the
+// ring makes one pass per aggregate, and the proof the transport spent
+// would fail a second. Over an in-process backend, core's own pass is
+// the one.
 func TestExtremeVerifiedOncePerAggregate(t *testing.T) {
 	doc, _ := xmltree.ParseString(hospitalXML)
 	sys, err := core.Host(doc, scs, core.SchemeOpt, []byte("extreme-once"))
@@ -356,7 +342,7 @@ func TestExtremeVerifiedOncePerAggregate(t *testing.T) {
 	sys.UseBackend(cl)
 	aggregate(t, false, "26544")
 	aggregate(t, true, "34221")
-	if pinned, bare := cv.pinnedExtreme.Load(), cv.bareExtreme.Load(); pinned != 2 || bare != 0 {
+	if pinned, bare := cv.pinned.Load(), cv.bare.Load(); pinned != 2 || bare != 0 {
 		t.Errorf("two aggregates: %d pinned + %d unpinned transport checks, want 2 + 0", pinned, bare)
 	}
 }

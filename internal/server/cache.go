@@ -78,8 +78,12 @@ type plan struct {
 // work (lift depth, predicate fingerprints) plus the per-step
 // candidate lists and the cost model. Plans are cached per (epoch,
 // generation), so baking snapshot-derived lists and estimates in is
-// safe — an update invalidates them wholesale.
+// safe — an update invalidates them wholesale. A probe has no steps to
+// plan: its plan is the parsed frame at cost 1.
 func compilePlan(sn *snapshot, q *wire.Query) *plan {
+	if q.Probe != nil {
+		return &plan{q: q, cost: 1}
+	}
 	pl := &plan{
 		q:         q,
 		lift:      liftDepth(q),

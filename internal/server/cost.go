@@ -28,8 +28,9 @@ const costCeil = 1 << 20
 // plan its execution reuses.
 //
 // The estimate is intentionally coarse (it prices relative
-// displacement, not wall time) and always >= 1. An unparseable frame
-// costs 1: it will be rejected cheaply downstream anyway.
+// displacement, not wall time) and always >= 1. A value-index probe
+// ships at most one block and costs 1; so does an unparseable frame,
+// which will be rejected cheaply downstream anyway.
 func (s *Server) EstimateFrameCost(frame []byte) int64 {
 	pl, err := s.planForFrame(s.current(), frame, s.fingerprint(frame), nil)
 	if err != nil {
@@ -65,7 +66,7 @@ func (s *Server) planForFrame(sn *snapshot, frame []byte, fp string, parsed *wir
 			return nil, err
 		}
 	}
-	if q == nil || q.First == nil {
+	if q == nil || (q.First == nil && q.Probe == nil) {
 		return nil, fmt.Errorf("server: empty query")
 	}
 	pl := compilePlan(sn, q)

@@ -117,3 +117,48 @@ func TestExecuteFrameCtxCanceled(t *testing.T) {
 		t.Errorf("successful execution did not cache (%d hits)", h)
 	}
 }
+
+// TestProbeFrame: a MIN/MAX probe is a query frame priced at 1 that
+// bumps no planner counter and answers with the extreme's block alone,
+// proved by the probed bands when asked; an inverted range is refused.
+func TestProbeFrame(t *testing.T) {
+	_, s := boot(t, "opt")
+	for _, max := range []bool{false, true} {
+		q := &wire.Query{WantProof: true, Probe: &wire.Probe{Lo: 0, Hi: ^uint64(0), Max: max}}
+		frame, err := wire.MarshalQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := s.EstimateFrameCost(frame); c != 1 {
+			t.Errorf("max=%v: probe priced at %d, want 1", max, c)
+		}
+		before := s.PlannerStats()
+		ans, err := s.ExecuteFrameCtx(context.Background(), frame)
+		if err != nil {
+			t.Fatalf("max=%v: %v", max, err)
+		}
+		if after := s.PlannerStats(); after != before {
+			t.Errorf("max=%v: probe moved the planner counters %+v -> %+v", max, before, after)
+		}
+		want, _ := s.current().index.First(0, ^uint64(0))
+		if max {
+			want, _ = s.current().index.Last(0, ^uint64(0))
+		}
+		if len(ans.Fragments) != 0 || len(ans.BlockIDs) != 1 || ans.BlockIDs[0] != want.BlockID {
+			t.Fatalf("max=%v: %d fragments, blocks %v; want block %d alone", max, len(ans.Fragments), ans.BlockIDs, want.BlockID)
+		}
+		st, err := wire.BuildAuthState(s.CurrentDB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Verifier().VerifyAnswer(ans); err != nil {
+			t.Fatalf("max=%v: probe proof: %v", max, err)
+		}
+		if err := wire.CheckProbe(q.Probe, ans); err != nil {
+			t.Fatalf("max=%v: probe check: %v", max, err)
+		}
+	}
+	if _, err := s.Execute(&wire.Query{Probe: &wire.Probe{Lo: 2, Hi: 1}}); err == nil {
+		t.Error("inverted probe range answered")
+	}
+}

@@ -54,9 +54,9 @@ func TestNumBlocksRaceWithUpdates(t *testing.T) {
 }
 
 // TestReturnedBytesImmutableUnderUpdates pins the aliasing contract
-// of BlockCiphertext and Extreme: the returned slices alias the
-// pinned snapshot's blocks, and updates must never write into them —
-// a new snapshot gets new slices. A caller can therefore hold the
+// of BlockCiphertext and a value-index probe's answer: the returned
+// slices alias the pinned snapshot's blocks, and updates must never
+// write into them — a new snapshot gets new slices. A caller can therefore hold the
 // bytes indefinitely, with no boundary copy. The race detector
 // verifies the "never written" half; the content comparison the
 // "still the pre-update bytes" half.
@@ -68,14 +68,14 @@ func TestReturnedBytesImmutableUnderUpdates(t *testing.T) {
 		t.Fatal("block 0 missing")
 	}
 	want := append([]byte(nil), held...)
-	res, err := s.Extreme(0, ^uint64(0), true, false)
+	res, err := s.Execute(&wire.Query{Probe: &wire.Probe{Lo: 0, Hi: ^uint64(0), Max: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	extremeHeld := res.Block
-	if !res.Found {
+	if len(res.Blocks) != 1 {
 		t.Fatal("extreme probe found nothing")
 	}
+	extremeHeld := res.Blocks[0]
 	extremeWant := append([]byte(nil), extremeHeld...)
 
 	var stop atomic.Bool
@@ -102,7 +102,7 @@ func TestReturnedBytesImmutableUnderUpdates(t *testing.T) {
 			t.Fatal("held BlockCiphertext bytes changed under an update")
 		}
 		if !bytes.Equal(extremeHeld, extremeWant) {
-			t.Fatal("held Extreme bytes changed under an update")
+			t.Fatal("held probe answer bytes changed under an update")
 		}
 	}
 	stop.Store(true)

@@ -25,7 +25,7 @@ import (
 // update publishes a new immutable snapshot (copy-on-write block map
 // and value index over the shared structure), and queries pin one
 // snapshot for their whole lifetime. Readers never take a lock —
-// Execute, Extreme, cost estimation and the stats
+// Execute, cost estimation and the stats
 // accessors all run against whatever snapshot was current when they
 // started, so a writer building generation N+1 never stalls them.
 // Writers serialize among themselves on wmu and commit by swapping
@@ -89,7 +89,7 @@ type structure struct {
 // slice header (ciphertext byte slices are shared across generations —
 // updates replace whole slices, never mutate bytes) and no index
 // entries; index is the generation's value index, one canonical run
-// per OPESS band, which the matcher, Extreme, the planner and the
+// per OPESS band, which the matcher, the probe, the planner and the
 // Merkle prover all read; st is the shared immutable structure.
 // Readers that pinned a snapshot may use every part of it, including
 // returned block ciphertexts, for as long as they like — no later
@@ -230,51 +230,51 @@ func (s *Server) AuthRoot() (authtree.Digest, error) {
 	return st.Root(), nil
 }
 
-// Extreme serves MIN/MAX aggregates (§6.4): the block holding the
-// smallest (max=false) or largest (max=true) indexed ciphertext within
-// [lo, hi], with its ciphertext; among tied keys, the lowest (MIN) or
-// highest (MAX) block ID. Order preservation makes this a single
-// index probe; the server learns which block holds the extreme value
-// but not the value itself. With wantProof the result carries the
-// Merkle verification object, which also makes emptiness provable;
-// without it no prover state is built. The probe, the block and the
-// proof all come from one pinned snapshot, so they describe a single
-// generation even while updates commit concurrently, and the returned
-// block bytes are snapshot-owned and safe to hold indefinitely.
-func (s *Server) Extreme(lo, hi uint64, max, wantProof bool) (*wire.ExtremeResult, error) {
-	sn := s.current()
+// probe answers a MIN/MAX probe (§6.4): the block holding the
+// smallest (Max false) or largest indexed ciphertext within [Lo, Hi],
+// among tied keys the lowest (MIN) or highest (MAX) block ID, or no
+// block when the range holds no entry. Order preservation makes this a
+// single index probe; the server learns which block holds the extreme
+// value but not the value itself. With wantProof the answer carries the
+// probed bands' runs (wire.AuthState.ProveProbe), which also makes
+// emptiness provable.
+func (sn *snapshot) probe(p *wire.Probe, wantProof bool) (*wire.Answer, error) {
+	if p.Hi < p.Lo {
+		return nil, fmt.Errorf("server: probe: inverted range")
+	}
 	var e btree.Entry
 	var found bool
-	if max {
-		e, found = sn.index.Last(lo, hi)
+	if p.Max {
+		e, found = sn.index.Last(p.Lo, p.Hi)
 	} else {
-		e, found = sn.index.First(lo, hi)
+		e, found = sn.index.First(p.Lo, p.Hi)
 	}
-	res := &wire.ExtremeResult{}
+	ans := &wire.Answer{}
 	if found {
 		if e.BlockID < 0 || e.BlockID >= len(sn.db.Blocks) {
-			return nil, fmt.Errorf("server: extreme entry references missing block %d", e.BlockID)
+			return nil, fmt.Errorf("server: probe entry references missing block %d", e.BlockID)
 		}
-		res.Found, res.BlockID, res.Block = true, e.BlockID, sn.db.Blocks[e.BlockID]
+		ans.BlockIDs, ans.Blocks = []int{e.BlockID}, [][]byte{sn.db.Blocks[e.BlockID]}
 	}
 	if !wantProof {
-		return res, nil
+		return ans, nil
 	}
 	st, err := sn.authState()
 	if err != nil {
 		return nil, err
 	}
-	if res.Proof, err = st.ProveExtreme(lo, hi, res.Found, res.BlockID); err != nil {
-		return nil, err
+	if ans.Proof, err = st.ProveProbe(ans, p); err != nil {
+		return nil, fmt.Errorf("server: probe proof: %w", err)
 	}
-	return res, nil
+	return ans, nil
 }
 
 // Execute answers a translated query (§6.2): (1) each query node is
 // labeled with its DSI intervals, (2) structural joins prune them,
 // (3) value constraints consult the value index and prune further, (4)
 // the anchors — surviving bindings of the query's first step —
-// determine the blocks and plaintext fragments returned.
+// determine the blocks and plaintext fragments returned. A query
+// carrying a Probe is instead one value-index probe (§6.4, see probe).
 //
 // Repeated queries are served from the generation-keyed caches: an
 // identical frame at the same db generation returns the cached
@@ -286,7 +286,7 @@ func (s *Server) Extreme(lo, hi uint64, max, wantProof bool) (*wire.ExtremeResul
 // generation an update has meanwhile superseded, so a pre-update
 // result can never be cached as post-update.
 func (s *Server) Execute(q *wire.Query) (*wire.Answer, error) {
-	if q == nil || q.First == nil {
+	if q == nil || (q.First == nil && q.Probe == nil) {
 		return nil, fmt.Errorf("server: empty query")
 	}
 	frame, err := wire.MarshalQuery(q)
@@ -333,7 +333,12 @@ func (s *Server) executeFrame(ctx context.Context, frame []byte, parsed *wire.Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ans, err := s.executePlan(ctx, sn, pl)
+	var ans *wire.Answer
+	if pl.q.Probe != nil {
+		ans, err = sn.probe(pl.q.Probe, pl.q.WantProof)
+	} else {
+		ans, err = s.executePlan(ctx, sn, pl)
+	}
 	if err != nil {
 		return nil, err
 	}

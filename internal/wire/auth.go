@@ -271,6 +271,18 @@ func (st *AuthState) Verifier() *AuthVerifier {
 // multiproof covering those fragment leaves and every shipped block
 // leaf. ivs is parallel to ans.Fragments.
 func (st *AuthState) ProveAnswer(ans *Answer, ivs []dsi.Interval) ([]byte, error) {
+	return st.prove(ans, ivs, nil)
+}
+
+// ProveProbe builds the verification object for the answer to a
+// MIN/MAX probe: the complete runs of every band [p.Lo, p.Hi] touches
+// (so the owner recomputes the extreme itself, emptiness included —
+// see CheckProbe) in the multiproof beside the returned block's leaf.
+func (st *AuthState) ProveProbe(ans *Answer, p *Probe) ([]byte, error) {
+	return st.prove(ans, nil, p)
+}
+
+func (st *AuthState) prove(ans *Answer, ivs []dsi.Interval, probe *Probe) ([]byte, error) {
 	if len(ivs) != len(ans.Fragments) {
 		return nil, fmt.Errorf("wire: prove answer: %d intervals for %d fragments", len(ivs), len(ans.Fragments))
 	}
@@ -290,6 +302,12 @@ func (st *AuthState) ProveAnswer(ans *Answer, ivs []dsi.Interval) ([]byte, error
 		}
 		idxs = append(idxs, id)
 	}
+	if probe != nil {
+		for b := int(probe.Lo >> 56); b <= int(probe.Hi>>56); b++ {
+			p.Bands = append(p.Bands, BandBucket{Band: uint8(b), Entries: st.index.Band(uint8(b))})
+			idxs = append(idxs, st.bandLeafIndex(uint8(b)))
+		}
+	}
 	if len(idxs) == 0 {
 		// An empty answer still gets a proof so a tampering server
 		// cannot strip results and omit the proof: commit the
@@ -302,35 +320,6 @@ func (st *AuthState) ProveAnswer(ans *Answer, ivs []dsi.Interval) ([]byte, error
 	}
 	p.Siblings = sib
 	return MarshalAnswerProof(p)
-}
-
-// ProveExtreme builds the verification object for a MIN/MAX index
-// probe over [lo, hi]: the complete entry lists of every band the
-// range intersects (so the client can recompute the extreme itself —
-// the completeness half) plus the multiproof covering those bucket
-// leaves and, when a block is returned, its block leaf.
-func (st *AuthState) ProveExtreme(lo, hi uint64, found bool, blockID int) ([]byte, error) {
-	if hi < lo {
-		return nil, fmt.Errorf("wire: prove extreme: inverted range")
-	}
-	p := &ExtremeProof{Found: found, BlockID: blockID}
-	var idxs []int
-	for b := int(lo >> 56); b <= int(hi>>56); b++ {
-		p.Bands = append(p.Bands, BandBucket{Band: uint8(b), Entries: st.index.Band(uint8(b))})
-		idxs = append(idxs, st.bandLeafIndex(uint8(b)))
-	}
-	if found {
-		if blockID < 0 || blockID >= st.nBlocks {
-			return nil, fmt.Errorf("wire: prove extreme: block %d out of range", blockID)
-		}
-		idxs = append(idxs, blockID)
-	}
-	sib, err := st.tree.Prove(idxs)
-	if err != nil {
-		return nil, err
-	}
-	p.Siblings = sib
-	return MarshalExtremeProof(p)
 }
 
 // ApplyUpdates advances the prover state across a batch of updates
@@ -366,38 +355,35 @@ func (st *AuthState) ApplyUpdates(us []*Update, next *btree.Index) (*AuthState, 
 }
 
 // Verifier is what an answer transport needs from the owner's
-// integrity state: check answers and extreme probes, expose the
-// committed root. *AuthVerifier implements it directly; core wraps a
-// ring of recent verifiers behind the same interface so lock-free
-// readers can verify an answer produced just before a concurrent
-// commit advanced the root.
+// integrity state: check answers, expose the committed root.
+// *AuthVerifier implements it directly; core wraps a ring of recent
+// verifiers behind the same interface so lock-free readers can verify
+// an answer produced just before a concurrent commit advanced the
+// root.
 type Verifier interface {
 	VerifyAnswer(ans *Answer) error
-	VerifyExtreme(lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error
 	Root() authtree.Digest
 }
 
 // ContextVerifier is a Verifier whose checks depend on which read is
-// asking: core's ring accepts an answer or an extreme probe only
-// against roots at least as new as the commitment the read pinned,
-// and the read states that floor through its context. A transport
-// holding one passes each attempt's context along, so the check inside
-// the attempt — where a rejection stops the retries and trips the
-// breaker — is the strict one, and nobody repeats it.
+// asking: core's ring accepts an answer only against roots at least
+// as new as the commitment the read pinned, and the read states that
+// floor through its context. A transport holding one passes each
+// attempt's context along, so the check inside the attempt — where a
+// rejection stops the retries and trips the breaker — is the strict
+// one, and nobody repeats it.
 type ContextVerifier interface {
 	Verifier
 	VerifyAnswerContext(ctx context.Context, ans *Answer) error
-	VerifyExtremeContext(ctx context.Context, lo, hi uint64, max bool, res *ExtremeResult) error
 }
 
 // AuthVerifier is the owner-side integrity state: the layout and one
 // immutable Merkle tree, whose root is the commitment (about 64 bytes
-// per leaf, no hosted data). All Verify* methods return an error
-// wrapping authtree.ErrTampered on any mismatch; ApplyUpdate
-// advances the state so freshness survives updates. Nothing but
-// ApplyUpdate writes a verifier, and it only swaps the tree pointer,
-// so concurrent Verify* calls on a verifier nobody advances need no
-// lock.
+// per leaf, no hosted data). VerifyAnswer returns an error wrapping
+// authtree.ErrTampered on any mismatch; ApplyUpdate advances the state
+// so freshness survives updates. Nothing but ApplyUpdate writes a
+// verifier, and it only swaps the tree pointer, so concurrent
+// VerifyAnswer calls on a verifier nobody advances need no lock.
 type AuthVerifier struct {
 	leafLayout
 	tree *authtree.Tree
@@ -420,12 +406,13 @@ func (v *AuthVerifier) Clone() *AuthVerifier {
 	return &c
 }
 
-// VerifyAnswer checks a query answer against the committed root
-// before anything is decrypted: every fragment's bytes and every
-// block's ciphertext must hash to a committed leaf, and every block
-// a fragment references must actually be present in the answer (the
-// omission check). A missing or undecodable proof is itself
-// tampering — a byzantine server must not be able to opt out.
+// VerifyAnswer checks an answer against the committed root before
+// anything is decrypted: every fragment's bytes, every block's
+// ciphertext and every band run the proof carries must hash to a
+// committed leaf, and every block a fragment references must actually
+// be present in the answer (the omission check). A missing or
+// undecodable proof is itself tampering — a byzantine server must not
+// be able to opt out.
 func (v *AuthVerifier) VerifyAnswer(ans *Answer) error {
 	if len(ans.Proof) == 0 {
 		return fmt.Errorf("%w: answer carries no proof", authtree.ErrTampered)
@@ -456,6 +443,12 @@ func (v *AuthVerifier) VerifyAnswer(ans *Answer) error {
 		items = append(items, authtree.LeafItem{
 			Index:  id,
 			Digest: authtree.LeafHash(blockLeafData(id, ans.Blocks[i])),
+		})
+	}
+	for _, bb := range p.Bands {
+		items = append(items, authtree.LeafItem{
+			Index:  v.bandLeafIndex(bb.Band),
+			Digest: authtree.LeafHash(bandLeafData(bb.Band, bb.Entries)),
 		})
 	}
 	if len(items) == 0 {
@@ -496,78 +489,54 @@ func checkReferencedBlocks(ans *Answer) error {
 	return nil
 }
 
-// VerifyExtreme checks a MIN/MAX probe result over [lo, hi]: the
-// proof must carry the full authenticated bucket of every band the
-// range touches, the recomputed extreme over those buckets must
-// match what the server returned (including "no entries"), and a
-// returned block must hash to its committed leaf.
-func (v *AuthVerifier) VerifyExtreme(lo, hi uint64, max bool, found bool, blockID int, block, proof []byte) error {
-	if len(proof) == 0 {
-		return fmt.Errorf("%w: extreme result carries no proof", authtree.ErrTampered)
-	}
-	p, err := UnmarshalExtremeProof(proof)
+// CheckProbe checks what an answer to probe p claims (§6.4): its
+// proof carries exactly the bands [p.Lo, p.Hi] touches, in order; the
+// answer has no fragments; with no in-range entry in those bands it
+// ships no block, and otherwise the one block holding the extreme
+// in-range key. It reads the bands without authenticating them, so it
+// runs after VerifyAnswer has accepted the answer against a root, and
+// depends on no root itself. Failures wrap authtree.ErrTampered.
+func CheckProbe(p *Probe, ans *Answer) error {
+	pr, err := UnmarshalAnswerProof(ans.Proof)
 	if err != nil {
 		return fmt.Errorf("%w: undecodable proof: %v", authtree.ErrTampered, err)
 	}
-	if p.Found != found || (found && p.BlockID != blockID) {
-		return fmt.Errorf("%w: proof disagrees with result", authtree.ErrTampered)
+	loBand := int(p.Lo >> 56)
+	if want := int(p.Hi>>56) - loBand + 1; len(pr.Bands) != want {
+		return fmt.Errorf("%w: proof covers %d bands, range touches %d", authtree.ErrTampered, len(pr.Bands), want)
 	}
-	loBand, hiBand := int(lo>>56), int(hi>>56)
-	if len(p.Bands) != hiBand-loBand+1 {
-		return fmt.Errorf("%w: proof covers %d bands, range touches %d",
-			authtree.ErrTampered, len(p.Bands), hiBand-loBand+1)
+	if len(ans.Fragments) > 0 || len(ans.BlockIDs) > 1 {
+		return fmt.Errorf("%w: probe answer ships %d fragments and %d blocks",
+			authtree.ErrTampered, len(ans.Fragments), len(ans.BlockIDs))
 	}
-	var items []authtree.LeafItem
-	var inRange []btree.Entry
-	for i, bb := range p.Bands {
+	var best uint64
+	found := false
+	for i, bb := range pr.Bands {
 		if int(bb.Band) != loBand+i {
 			return fmt.Errorf("%w: band %d out of place", authtree.ErrTampered, bb.Band)
 		}
-		items = append(items, authtree.LeafItem{
-			Index:  v.bandLeafIndex(bb.Band),
-			Digest: authtree.LeafHash(bandLeafData(bb.Band, bb.Entries)),
-		})
 		for _, e := range bb.Entries {
-			if e.Key >= lo && e.Key <= hi {
-				inRange = append(inRange, e)
+			if e.Key >= p.Lo && e.Key <= p.Hi && (!found || (p.Max && e.Key > best) || (!p.Max && e.Key < best)) {
+				best, found = e.Key, true
 			}
 		}
 	}
-	if found {
-		if blockID < 0 || blockID >= v.nBlocks {
-			return fmt.Errorf("%w: block ID %d outside committed range", authtree.ErrTampered, blockID)
-		}
-		items = append(items, authtree.LeafItem{
-			Index:  blockID,
-			Digest: authtree.LeafHash(blockLeafData(blockID, block)),
-		})
-	}
-	if err := authtree.VerifyMulti(v.Root(), v.tree.NumLeaves(), items, p.Siblings); err != nil {
-		return err
-	}
-	// Recompute the extreme from the authenticated buckets.
-	if len(inRange) == 0 {
-		if found {
-			return fmt.Errorf("%w: server returned an extreme for an empty range", authtree.ErrTampered)
-		}
+	switch {
+	case !found && len(ans.BlockIDs) == 0:
 		return nil
+	case !found:
+		return fmt.Errorf("%w: server returned a block for an empty range", authtree.ErrTampered)
+	case len(ans.BlockIDs) == 0:
+		return fmt.Errorf("%w: server claimed no entries, committed bands hold some in range", authtree.ErrTampered)
 	}
-	if !found {
-		return fmt.Errorf("%w: server claimed no entries, committed buckets hold %d in range",
-			authtree.ErrTampered, len(inRange))
-	}
-	best := inRange[0].Key
-	for _, e := range inRange[1:] {
-		if (max && e.Key > best) || (!max && e.Key < best) {
-			best = e.Key
+	for _, bb := range pr.Bands {
+		for _, e := range bb.Entries {
+			if e.Key == best && e.BlockID == ans.BlockIDs[0] {
+				return nil
+			}
 		}
 	}
-	for _, e := range inRange {
-		if e.Key == best && e.BlockID == blockID {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: returned block %d does not hold the extreme key", authtree.ErrTampered, blockID)
+	return fmt.Errorf("%w: returned block %d does not hold the extreme key", authtree.ErrTampered, ans.BlockIDs[0])
 }
 
 // ApplyUpdate advances the verifier to the post-update state:

@@ -150,45 +150,98 @@ func TestEmptyAnswerProofVerify(t *testing.T) {
 	}
 }
 
+// TestExtremeProofVerify: a probe's answer proof carries the runs of
+// the bands its range touches; VerifyAnswer authenticates them beside
+// the block, and CheckProbe recomputes the extreme from them. Every
+// forgery is refused by one of the two.
 func TestExtremeProofVerify(t *testing.T) {
-	db := sampleDB(t) // entries: {99,0}, {77,0} — both in band 0
+	db := sampleDB(t)
+	db.Blocks = append(db.Blocks, []byte{6, 6})
+	db.IndexEntries = append(db.IndexEntries, btree.Entry{Key: 55, BlockID: 1}) // band 0: 99@0, 77@0, 55@1
 	st, err := BuildAuthState(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := st.Verifier()
+	maxBand0 := &Probe{Lo: 0, Hi: 1<<56 - 1, Max: true}
+	emptyBand1 := &Probe{Lo: 1 << 56, Hi: 1<<56 + 5}
+	answer := func(p *Probe, ids ...int) *Answer {
+		t.Helper()
+		a := &Answer{}
+		for _, id := range ids {
+			a.BlockIDs, a.Blocks = append(a.BlockIDs, id), append(a.Blocks, db.Blocks[id])
+		}
+		if a.Proof, err = st.ProveProbe(a, p); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	check := func(p *Probe, a *Answer) error {
+		if err := v.VerifyAnswer(a); err != nil {
+			return err
+		}
+		return CheckProbe(p, a)
+	}
 
 	// Honest MAX over band 0: extreme key 99, block 0.
-	proof, err := st.ProveExtreme(0, 1<<56-1, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.VerifyExtreme(0, 1<<56-1, true, true, 0, db.Blocks[0], proof); err != nil {
+	if err := check(maxBand0, answer(maxBand0, 0)); err != nil {
 		t.Fatalf("honest extreme rejected: %v", err)
 	}
-	// Honest empty range in band 1: provable not-found.
-	nproof, err := st.ProveExtreme(1<<56, 1<<56+5, false, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Honest MIN over band 0: extreme key 55, block 1.
+	minBand0 := &Probe{Lo: 0, Hi: 1<<56 - 1}
+	if err := check(minBand0, answer(minBand0, 1)); err != nil {
+		t.Fatalf("honest minimum rejected: %v", err)
 	}
-	if err := v.VerifyExtreme(1<<56, 1<<56+5, false, false, 0, nil, nproof); err != nil {
+	// Honest empty range in band 1: provable not-found.
+	if err := check(emptyBand1, answer(emptyBand1)); err != nil {
 		t.Fatalf("honest not-found rejected: %v", err)
 	}
-	// Lying not-found over a populated range.
-	lie, err := st.ProveExtreme(0, 1<<56-1, false, 0)
-	if err != nil {
-		t.Fatal(err)
+
+	forgeries := map[string]func() (*Probe, *Answer){
+		// Lying not-found over a populated range.
+		"false not-found": func() (*Probe, *Answer) { return maxBand0, answer(maxBand0) },
+		// A block for a range the bands show empty.
+		"block for an empty range": func() (*Probe, *Answer) { return emptyBand1, answer(emptyBand1, 0) },
+		// A committed block that does not hold the extreme key.
+		"wrong block": func() (*Probe, *Answer) { return maxBand0, answer(maxBand0, 1) },
+		// Tampered block ciphertext with a valid band proof.
+		"tampered block": func() (*Probe, *Answer) {
+			a := answer(maxBand0, 0)
+			a.Blocks = [][]byte{{1, 2}}
+			return maxBand0, a
+		},
+		// Proofless result.
+		"proofless": func() (*Probe, *Answer) {
+			a := answer(maxBand0, 0)
+			a.Proof = nil
+			return maxBand0, a
+		},
+		// A proof of band 0 alone for a range that also touches band 1.
+		"missing band": func() (*Probe, *Answer) {
+			return &Probe{Lo: 0, Hi: 2<<56 - 1, Max: true}, answer(maxBand0, 0)
+		},
+		// A proof of band 1 for a range in band 0.
+		"band out of place": func() (*Probe, *Answer) { return minBand0, answer(emptyBand1) },
+		// Two blocks, one of them the extreme's.
+		"extra block": func() (*Probe, *Answer) { return maxBand0, answer(maxBand0, 0, 1) },
+		// A committed fragment riding along.
+		"fragment": func() (*Probe, *Answer) {
+			patient, iv := residueNodeIv(t, db, "patient")
+			frag, err := SerializeFragment(patient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := &Answer{Fragments: [][]byte{frag}, BlockIDs: []int{0}, Blocks: [][]byte{db.Blocks[0]}}
+			if a.Proof, err = st.prove(a, []dsi.Interval{iv}, maxBand0); err != nil {
+				t.Fatal(err)
+			}
+			return maxBand0, a
+		},
 	}
-	if err := v.VerifyExtreme(0, 1<<56-1, true, false, 0, nil, lie); !errors.Is(err, authtree.ErrTampered) {
-		t.Fatalf("false not-found accepted: %v", err)
-	}
-	// Tampered block ciphertext with a valid bucket proof.
-	if err := v.VerifyExtreme(0, 1<<56-1, true, true, 0, []byte{1, 2}, proof); !errors.Is(err, authtree.ErrTampered) {
-		t.Fatalf("tampered extreme block accepted: %v", err)
-	}
-	// Proofless result.
-	if err := v.VerifyExtreme(0, 1<<56-1, true, true, 0, db.Blocks[0], nil); !errors.Is(err, authtree.ErrTampered) {
-		t.Fatalf("proofless extreme accepted: %v", err)
+	for name, forge := range forgeries {
+		if err := check(forge()); !errors.Is(err, authtree.ErrTampered) {
+			t.Errorf("%s accepted: %v", name, err)
+		}
 	}
 }
 
@@ -302,31 +355,36 @@ func TestProofRoundTrip(t *testing.T) {
 		t.Fatal("answer proof round trip mismatch")
 	}
 
-	ep := &ExtremeProof{
-		Found:    true,
-		BlockID:  4,
-		Bands:    []BandBucket{{Band: 2, Entries: []btree.Entry{{Key: 2<<56 + 9, BlockID: 4}}}},
+	banded := &AnswerProof{
 		Siblings: []authtree.Digest{authtree.LeafHash([]byte("z"))},
+		Bands:    []BandBucket{{Band: 2, Entries: []btree.Entry{{Key: 2<<56 + 9, BlockID: 4}}}},
 	}
-	data, err = MarshalExtremeProof(ep)
+	data, err = MarshalAnswerProof(banded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotE, err := UnmarshalExtremeProof(data)
+	gotB, err := UnmarshalAnswerProof(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotE.Found || gotE.BlockID != 4 || len(gotE.Bands) != 1 ||
-		gotE.Bands[0].Band != 2 || gotE.Bands[0].Entries[0] != ep.Bands[0].Entries[0] {
-		t.Fatal("extreme proof round trip mismatch")
+	if len(gotB.Frags) != 0 || len(gotB.Siblings) != 1 || len(gotB.Bands) != 1 ||
+		gotB.Bands[0].Band != 2 || gotB.Bands[0].Entries[0] != banded.Bands[0].Entries[0] {
+		t.Fatal("banded proof round trip mismatch")
 	}
 
-	// Truncations of either encoding must error, never panic.
-	for _, blob := range [][]byte{data} {
-		for i := 0; i < len(blob); i++ {
-			if _, err := UnmarshalExtremeProof(blob[:i]); err == nil {
-				t.Fatalf("truncated proof (%d bytes) accepted", i)
+	// Truncations must error, never panic — except the cut right after
+	// the siblings, which is the band-less proof CheckProbe refuses.
+	bandless := len(data) - (1 + 1 + 1 + 8 + 1) // nBands, band, nEntries, key, block
+	for i := 0; i < len(data); i++ {
+		p, err := UnmarshalAnswerProof(data[:i])
+		if i == bandless {
+			if err != nil || len(p.Bands) != 0 {
+				t.Fatalf("proof cut after its siblings: %+v, %v; want the band-less proof", p, err)
 			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("truncated proof (%d bytes) accepted", i)
 		}
 	}
 }
@@ -366,25 +424,29 @@ func BenchmarkVerifyAnswer(b *testing.B) {
 	b.ReportMetric(float64(len(proof)), "proof-bytes")
 }
 
-func BenchmarkVerifyExtreme(b *testing.B) {
+func BenchmarkVerifyProbe(b *testing.B) {
 	db := sampleDBForBench(b)
 	st, err := BuildAuthState(db)
 	if err != nil {
 		b.Fatal(err)
 	}
 	v := st.Verifier()
-	proof, err := st.ProveExtreme(0, 1<<56-1, true, 0)
-	if err != nil {
+	p := &Probe{Lo: 0, Hi: 1<<56 - 1, Max: true}
+	ans := &Answer{BlockIDs: []int{0}, Blocks: [][]byte{db.Blocks[0]}}
+	if ans.Proof, err = st.ProveProbe(ans, p); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.VerifyExtreme(0, 1<<56-1, true, true, 0, db.Blocks[0], proof); err != nil {
+		if err := v.VerifyAnswer(ans); err != nil {
+			b.Fatal(err)
+		}
+		if err := CheckProbe(p, ans); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(proof)), "proof-bytes")
+	b.ReportMetric(float64(len(ans.Proof)), "proof-bytes")
 }
 
 // sampleDBForBench mirrors sampleDB for benchmarks (which get *B,

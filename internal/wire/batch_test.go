@@ -170,12 +170,16 @@ func TestAuthStateApplyUpdates(t *testing.T) {
 
 	// The advanced state must still prove: its band buckets and tree
 	// are coherent.
-	proof, err := next.ProveExtreme(0, 1<<56-1, true, 1)
-	if err != nil {
+	p := &Probe{Lo: 0, Hi: 1<<56 - 1, Max: true}
+	ans := &Answer{BlockIDs: []int{1}, Blocks: [][]byte{{6, 6}}}
+	if ans.Proof, err = next.ProveProbe(ans, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.VerifyExtreme(0, 1<<56-1, true, true, 1, []byte{6, 6}, proof); err != nil {
+	if err := v.VerifyAnswer(ans); err != nil {
 		t.Fatalf("proof from advanced state rejected: %v", err)
+	}
+	if err := CheckProbe(p, ans); err != nil {
+		t.Fatalf("probe answer from advanced state rejected: %v", err)
 	}
 
 	// Band closure and block range are enforced per member.

@@ -65,6 +65,9 @@ func FuzzUnmarshalDB(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SXDB1"))
 	f.Add([]byte("SXDB1\x00\x00\x00"))
+	for _, body := range forgedDBCounts {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := UnmarshalDB(data)
 		if err != nil {
@@ -85,6 +88,9 @@ func FuzzUnmarshalQuery(f *testing.F) {
 	f.Add([]byte("SXQ2"))
 	f.Add([]byte("SXQ2\x01\x00"))
 	f.Add([]byte("SXQ1\x01\x00")) // retired: must be rejected
+	if seed, err := MarshalQuery(&Query{WantProof: true, Probe: &Probe{Lo: 3, Hi: 1 << 60, Max: true}}); err == nil {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := UnmarshalQuery(data)
 		if err != nil {
@@ -192,11 +198,12 @@ func FuzzUnmarshalUpdateBatch(f *testing.F) {
 	})
 }
 
-// FuzzDecodeProof drives both proof decoders with hostile bytes: a
-// proof blob comes from the untrusted server with every answer, so
-// it is the single most attacker-exposed decoder in the system. It
-// must error (never panic, never over-allocate past the decode caps)
-// and anything accepted must re-marshal.
+// FuzzDecodeProof drives the proof decoder with hostile bytes: a proof
+// blob comes from the untrusted server with every answer, so it is the
+// single most attacker-exposed decoder in the system, and a probe's
+// proof carries whole band runs. It must error (never panic, never
+// allocate for a count the input cannot hold) and anything accepted
+// must re-marshal.
 func FuzzDecodeProof(f *testing.F) {
 	if seed, err := MarshalAnswerProof(&AnswerProof{
 		Frags:    []FragRef{{Index: 2, Lo: 0.25, Hi: 0.75}},
@@ -204,29 +211,30 @@ func FuzzDecodeProof(f *testing.F) {
 	}); err == nil {
 		f.Add(seed)
 	}
-	if seed, err := MarshalExtremeProof(&ExtremeProof{
-		Found:   true,
-		BlockID: 1,
+	if seed, err := MarshalAnswerProof(&AnswerProof{
+		Siblings: []authtree.Digest{{7, 7, 7}},
 		Bands: []BandBucket{{Band: 3, Entries: []btree.Entry{
 			{Key: 0x0301_0000_0000_0000, BlockID: 1},
-		}}},
-		Siblings: []authtree.Digest{{7, 7, 7}},
+		}}, {Band: 4}},
 	}); err == nil {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("SXP1"))
-	f.Add([]byte("SXP2"))
+	for _, body := range forgedProofCounts {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := UnmarshalAnswerProof(data); err == nil {
-			if _, err := MarshalAnswerProof(p); err != nil {
-				t.Fatalf("accepted answer proof cannot re-marshal: %v", err)
-			}
+		p, err := UnmarshalAnswerProof(data)
+		if err != nil {
+			return
 		}
-		if p, err := UnmarshalExtremeProof(data); err == nil {
-			if _, err := MarshalExtremeProof(p); err != nil {
-				t.Fatalf("accepted extreme proof cannot re-marshal: %v", err)
-			}
+		out, err := MarshalAnswerProof(p)
+		if err != nil {
+			t.Fatalf("accepted proof cannot re-marshal: %v", err)
+		}
+		if _, err := UnmarshalAnswerProof(out); err != nil {
+			t.Fatalf("re-marshal does not decode: %v", err)
 		}
 	})
 }
@@ -237,6 +245,10 @@ func FuzzDecodeProof(f *testing.F) {
 // into a plausible shorter one.
 func TestStrictPrefixesError(t *testing.T) {
 	queryBytes, err := MarshalQuery(sampleQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeBytes, err := MarshalQuery(&Query{Probe: &Probe{Lo: 1, Hi: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +276,7 @@ func TestStrictPrefixesError(t *testing.T) {
 	}{
 		{"db", dbBytes, func(b []byte) error { _, err := UnmarshalDB(b); return err }},
 		{"query", queryBytes, func(b []byte) error { _, err := UnmarshalQuery(b); return err }},
+		{"probe", probeBytes, func(b []byte) error { _, err := UnmarshalQuery(b); return err }},
 		{"answer", answerBytes, func(b []byte) error { _, err := UnmarshalAnswer(b); return err }},
 		{"update", updateBytes, func(b []byte) error { _, err := UnmarshalUpdateBatch(b); return err }},
 	}

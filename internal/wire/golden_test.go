@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/authtree"
 	"repro/internal/btree"
 	"repro/internal/dsi"
 	"repro/internal/opess"
@@ -235,5 +236,76 @@ func TestGoldenQueryFrameBytes(t *testing.T) {
 	rejectsMagic(t, "SXQ1", err)
 	if IsQueryFrame(sxq1) {
 		t.Error("IsQueryFrame accepted a retired SXQ1 frame")
+	}
+}
+
+// TestGoldenAnswerProofBytes pins SXP1, the answer proof the SXS1
+// trailer carries. A proof without bands is the frame every query
+// answer has always carried; a probe's proof appends its band section.
+func TestGoldenAnswerProofBytes(t *testing.T) {
+	var sib authtree.Digest
+	for i := range sib {
+		sib[i] = byte(i)
+	}
+	p := &AnswerProof{
+		Frags:    []FragRef{{Index: 3, Lo: 0.25, Hi: 0.5}},
+		Siblings: []authtree.Digest{sib},
+	}
+	const plain = "53585031" + // magic "SXP1"
+		"01" + "03" + "3fd0000000000000" + "3fe0000000000000" + // 1 fragment: leaf 3, [0.25, 0.5]
+		"01" + "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" // 1 sibling
+	data, err := MarshalAnswerProof(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != plain {
+		t.Fatalf("answer proof drifted:\n got %s\nwant %s", got, plain)
+	}
+
+	p.Bands = []BandBucket{{Band: 7, Entries: []btree.Entry{{Key: 0x0700000000000001, BlockID: 5}}}, {Band: 8}}
+	const banded = plain +
+		"02" + // 2 bands
+		"07" + "01" + "0700000000000001" + "05" + // band 7, 1 entry: key (fixed u64), block 5
+		"08" + "00" // band 8, empty
+	if data, err = MarshalAnswerProof(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != banded {
+		t.Fatalf("banded answer proof drifted:\n got %s\nwant %s", got, banded)
+	}
+	back, err := UnmarshalAnswerProof(data)
+	if err != nil || len(back.Bands) != 2 || back.Bands[0].Entries[0] != p.Bands[0].Entries[0] || len(back.Bands[1].Entries) != 0 {
+		t.Fatalf("golden banded proof decoded to %+v, %v", back, err)
+	}
+
+	// The retired SXP2 extreme proof (found, block 5, the same band 7,
+	// no siblings) must be refused by its magic.
+	_, err = UnmarshalAnswerProof(mustHex(t, "53585032"+"01"+"05"+"01"+"07"+"01"+"0700000000000001"+"05"+"00"))
+	rejectsMagic(t, "SXP2", err)
+}
+
+// TestGoldenProbeFrameBytes pins a MIN/MAX probe as an SXQ2 frame: the
+// want-proof byte, zero main-path steps, then the probe's bounds and
+// max byte, so every query with steps keeps its bytes.
+func TestGoldenProbeFrameBytes(t *testing.T) {
+	q := &Query{WantProof: true, Probe: &Probe{Lo: 0x0700000000000001, Hi: 0x07ffffffffffffff, Max: true}}
+	const golden = "53585132" + // magic "SXQ2"
+		"01" + // want proof
+		"00" + // no steps: a probe
+		"0700000000000001" + "07ffffffffffffff" + // bounds (fixed u64)
+		"01" // max
+	data, err := MarshalQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("probe frame drifted:\n got %s\nwant %s", got, golden)
+	}
+	back, err := UnmarshalQuery(data)
+	if err != nil || back.First != nil || back.Probe == nil || *back.Probe != *q.Probe || !back.WantProof {
+		t.Fatalf("golden probe decoded to %+v, %v", back, err)
+	}
+	if _, err := MarshalQuery(&Query{First: &QStep{}, Probe: q.Probe}); err == nil {
+		t.Error("a probe with steps marshalled")
 	}
 }

@@ -29,7 +29,9 @@ import (
 )
 
 // Format magics. There is one query frame, SXQ2, which always carries
-// its want-proof byte; answers are SXS1 streams (stream.go).
+// its want-proof byte; answers are SXS1 streams (stream.go). A query
+// frame with zero main-path steps is a value-index probe: its steps are
+// followed by the probe's bounds (fixed u64 each) and max byte.
 var (
 	dbMagic    = []byte("SXDB1")
 	queryMagic = []byte("SXQ2")
@@ -260,7 +262,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: residue: %w", err)
 	}
-	n, err := r.count("residue interval")
+	n, err := r.countOf("residue interval", 17)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +286,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		h.ResidueIntervals[node] = dsi.Interval{Lo: lo, Hi: hi}
 	}
 
-	nLabels, err := r.count("label")
+	nLabels, err := r.countOf("label", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +296,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		if err != nil {
 			return nil, err
 		}
-		nIvs, err := r.count("table interval")
+		nIvs, err := r.countOf("table interval", 16)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +312,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		h.Table.ByTag[label] = ivs
 	}
 
-	nReps, err := r.count("block rep")
+	nReps, err := r.countOf("block rep", 16)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +325,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 			return nil, err
 		}
 	}
-	nBlocks, err := r.count("block")
+	nBlocks, err := r.countOf("block", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +336,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		}
 	}
 
-	nEntries, err := r.count("index entry")
+	nEntries, err := r.countOf("index entry", minIndexEntryBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -367,11 +369,19 @@ const (
 
 // MarshalQuery serializes a translated query.
 func MarshalQuery(q *Query) ([]byte, error) {
+	if q.Probe != nil && q.First != nil {
+		return nil, fmt.Errorf("wire: a probe query has no steps")
+	}
 	w := getWriter()
 	w.buf.Write(queryMagic)
 	w.bool(q.WantProof)
 	if err := writeSteps(w, q.First); err != nil {
 		return nil, err
+	}
+	if p := q.Probe; p != nil {
+		w.u64(p.Lo)
+		w.u64(p.Hi)
+		w.bool(p.Max)
 	}
 	return w.finish(), nil
 }
@@ -466,14 +476,25 @@ func UnmarshalQuery(data []byte) (*Query, error) {
 		return nil, fmt.Errorf("wire: want-proof flag: %w", err)
 	}
 	q := &Query{WantProof: wp}
-	first, err := readSteps(r)
-	if err != nil {
+	if q.First, err = readSteps(r); err != nil {
 		return nil, err
+	}
+	if q.First == nil {
+		p := &Probe{}
+		if p.Lo, err = r.u64(); err != nil {
+			return nil, fmt.Errorf("wire: probe: %w", err)
+		}
+		if p.Hi, err = r.u64(); err != nil {
+			return nil, fmt.Errorf("wire: probe: %w", err)
+		}
+		if p.Max, err = r.bool(); err != nil {
+			return nil, fmt.Errorf("wire: probe: %w", err)
+		}
+		q.Probe = p
 	}
 	if r.r.Len() != 0 {
 		return nil, fmt.Errorf("wire: %d trailing bytes", r.r.Len())
 	}
-	q.First = first
 	return q, nil
 }
 
@@ -498,7 +519,7 @@ func readSteps(r *reader) (*QStep, error) {
 			return nil, err
 		}
 		if hasLabels {
-			nl, err := r.count("label")
+			nl, err := r.countOf("label", 1)
 			if err != nil {
 				return nil, err
 			}

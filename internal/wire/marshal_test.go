@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -239,5 +241,57 @@ func TestQuickAnswerRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Tiny frames whose one count claims up to 1<<22 elements (1<<20
+// siblings, the proof's own cap): a decoder must refuse each before it
+// allocates for the count. The residue is "<a/>".
+var (
+	forgedDBCounts = map[string]string{
+		"residue interval": "SXDB1\x04<a/>\x80\x80\x80\x02",
+		"label":            "SXDB1\x04<a/>\x00\x80\x80\x80\x02",
+		"table interval":   "SXDB1\x04<a/>\x00\x01\x01x\x80\x80\x80\x02",
+		"block rep":        "SXDB1\x04<a/>\x00\x00\x80\x80\x80\x02",
+		"block":            "SXDB1\x04<a/>\x00\x00\x00\x80\x80\x80\x02",
+		"index entry":      "SXDB1\x04<a/>\x00\x00\x00\x00\x80\x80\x80\x02",
+	}
+	forgedProofCounts = map[string]string{
+		"sibling digest": "SXP1\x00\x80\x80\x40",
+		"proof band":     "SXP1\x00\x00\x80\x80\x80\x02",
+		"band entry":     "SXP1\x00\x00\x01\x00\x80\x80\x80\x02",
+	}
+)
+
+// TestForgedCountsRefusedBeforeAllocation: a count is checked against
+// the bytes left before anything is allocated for it, so a body of a
+// few dozen bytes cannot make the server (an upload) or the owner (a
+// proof, once per ring verifier tried) allocate gigabytes.
+func TestForgedCountsRefusedBeforeAllocation(t *testing.T) {
+	type forged struct {
+		name, body string
+		decode     func([]byte) error
+	}
+	var cases []forged
+	for name, body := range forgedDBCounts {
+		cases = append(cases, forged{name, body, func(b []byte) error { _, err := UnmarshalDB(b); return err }})
+	}
+	for name, body := range forgedProofCounts {
+		cases = append(cases, forged{name, body, func(b []byte) error { _, err := UnmarshalAnswerProof(b); return err }})
+	}
+	for _, c := range cases {
+		if len(c.body) >= 32 {
+			t.Fatalf("%s: forged body is %d bytes", c.name, len(c.body))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode([]byte(c.body))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.name+" count") {
+			t.Errorf("%s: forged count: err = %v, want its count refused", c.name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes", c.name, d)
+		}
 	}
 }

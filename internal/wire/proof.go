@@ -1,10 +1,21 @@
 package wire
 
-// Binary encoding of the Merkle verification objects (auth.go). The
-// blobs travel opaquely inside Answer.Proof / ExtremeResult.Proof;
-// they are produced by an untrusted server, so the decoders are as
-// defensive as every other wire decoder (length caps, trailing-byte
-// checks) and are covered by FuzzDecodeProof.
+// Binary encoding of the Merkle verification object (auth.go). The
+// blob travels opaquely inside Answer.Proof, in the SXS1 trailer; it
+// is produced by an untrusted server, so the decoder is as defensive
+// as every other wire decoder (counts bounded by the bytes left,
+// trailing-byte checks) and is covered by FuzzDecodeProof.
+//
+// Layout (integers are uvarints unless noted):
+//
+//	"SXP1" nFrags { leafIndex lo(f64) hi(f64) } × nFrags
+//	       nSiblings { digest(32) } × nSiblings
+//	       [ nBands { band(1) nEntries { key(u64) blockID } × nEntries } × nBands ]
+//
+// The band section is present only in a probe's proof (nBands ≥ 1); a
+// query answer's proof ends at its siblings. A banded proof cut right
+// after its siblings therefore decodes as band-less, and CheckProbe
+// finds its bands missing.
 
 import (
 	"bytes"
@@ -15,10 +26,7 @@ import (
 	"repro/internal/btree"
 )
 
-var (
-	answerProofMagic  = []byte("SXP1")
-	extremeProofMagic = []byte("SXP2")
-)
+var answerProofMagic = []byte("SXP1")
 
 // FragRef binds one answer fragment to its committed leaf: the
 // absolute leaf index plus the fragment's DSI interval (part of the
@@ -28,32 +36,23 @@ type FragRef struct {
 	Lo, Hi float64
 }
 
-// AnswerProof is the verification object for a query answer:
-// leaf bindings for every shipped fragment, plus the multiproof
-// siblings covering those fragment leaves and every shipped block
-// leaf (block leaf indices are the block IDs themselves, so they
-// need no separate refs).
+// AnswerProof is the verification object for an answer: leaf bindings
+// for every shipped fragment, the complete runs of the value-index
+// bands a probe touched, and the multiproof siblings covering those
+// fragment and band leaves and every shipped block leaf (block leaf
+// indices are the block IDs themselves, so they need no separate
+// refs).
 type AnswerProof struct {
 	Frags    []FragRef
 	Siblings []authtree.Digest
+	Bands    []BandBucket
 }
 
 // BandBucket is one value-index band's complete, canonically ordered
-// entry list — the completeness half of an extreme proof.
+// entry run — the completeness half of a probe's proof.
 type BandBucket struct {
 	Band    uint8
 	Entries []btree.Entry
-}
-
-// ExtremeProof is the verification object for a MIN/MAX index probe:
-// the full buckets of every band the probed range touches plus the
-// multiproof covering them (and the returned block's leaf, when one
-// was found).
-type ExtremeProof struct {
-	Found    bool
-	BlockID  int
-	Bands    []BandBucket
-	Siblings []authtree.Digest
 }
 
 // maxProofSiblings caps decoded sibling counts; a legitimate proof
@@ -71,6 +70,17 @@ func MarshalAnswerProof(p *AnswerProof) ([]byte, error) {
 		w.f64(f.Hi)
 	}
 	writeDigests(w, p.Siblings)
+	if len(p.Bands) > 0 {
+		w.uvarint(uint64(len(p.Bands)))
+		for _, b := range p.Bands {
+			w.buf.WriteByte(b.Band)
+			w.uvarint(uint64(len(b.Entries)))
+			for _, e := range b.Entries {
+				w.u64(e.Key)
+				w.uvarint(uint64(e.BlockID))
+			}
+		}
+	}
 	return w.finish(), nil
 }
 
@@ -103,83 +113,50 @@ func UnmarshalAnswerProof(data []byte) (*AnswerProof, error) {
 	if p.Siblings, err = readDigests(r); err != nil {
 		return nil, err
 	}
+	if r.r.Len() > 0 {
+		if p.Bands, err = readBands(r); err != nil {
+			return nil, err
+		}
+	}
 	if r.r.Len() != 0 {
 		return nil, fmt.Errorf("wire: %d trailing bytes", r.r.Len())
 	}
 	return p, nil
 }
 
-// MarshalExtremeProof serializes an extreme proof.
-func MarshalExtremeProof(p *ExtremeProof) ([]byte, error) {
-	w := getWriter()
-	w.buf.Write(extremeProofMagic)
-	w.bool(p.Found)
-	w.uvarint(uint64(p.BlockID))
-	w.uvarint(uint64(len(p.Bands)))
-	for _, b := range p.Bands {
-		w.buf.WriteByte(b.Band)
-		w.uvarint(uint64(len(b.Entries)))
-		for _, e := range b.Entries {
-			w.u64(e.Key)
-			w.uvarint(uint64(e.BlockID))
-		}
-	}
-	writeDigests(w, p.Siblings)
-	return w.finish(), nil
-}
-
-// UnmarshalExtremeProof reverses MarshalExtremeProof.
-func UnmarshalExtremeProof(data []byte) (*ExtremeProof, error) {
-	r := &reader{r: bytes.NewReader(data)}
-	if err := expectMagic(r.r, extremeProofMagic); err != nil {
-		return nil, err
-	}
-	p := &ExtremeProof{}
-	var err error
-	if p.Found, err = r.bool(); err != nil {
-		return nil, err
-	}
-	bid, err := r.uvarint()
+// readBands decodes a proof's band section, which holds at least one
+// band (an empty one is not written).
+func readBands(r *reader) ([]BandBucket, error) {
+	nb, err := r.countOf("proof band", 2)
 	if err != nil {
 		return nil, err
 	}
-	p.BlockID = int(bid)
-	nb, err := r.count("proof band")
-	if err != nil {
-		return nil, err
+	if nb == 0 {
+		return nil, fmt.Errorf("wire: empty proof band section")
 	}
-	for i := 0; i < nb; i++ {
-		var b BandBucket
-		band, err := r.r.ReadByte()
+	bands := make([]BandBucket, nb)
+	for i := range bands {
+		if bands[i].Band, err = r.r.ReadByte(); err != nil {
+			return nil, err
+		}
+		ne, err := r.countOf("band entry", minIndexEntryBytes)
 		if err != nil {
 			return nil, err
 		}
-		b.Band = band
-		ne, err := r.count("band entry")
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < ne; j++ {
-			var e btree.Entry
+		bands[i].Entries = make([]btree.Entry, ne)
+		for j := range bands[i].Entries {
+			e := &bands[i].Entries[j]
 			if e.Key, err = r.u64(); err != nil {
 				return nil, err
 			}
-			ebid, err := r.uvarint()
+			bid, err := r.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			e.BlockID = int(ebid)
-			b.Entries = append(b.Entries, e)
+			e.BlockID = int(bid)
 		}
-		p.Bands = append(p.Bands, b)
 	}
-	if p.Siblings, err = readDigests(r); err != nil {
-		return nil, err
-	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes", r.r.Len())
-	}
-	return p, nil
+	return bands, nil
 }
 
 func writeDigests(w *writer, ds []authtree.Digest) {
@@ -190,7 +167,7 @@ func writeDigests(w *writer, ds []authtree.Digest) {
 }
 
 func readDigests(r *reader) ([]authtree.Digest, error) {
-	n, err := r.count("sibling digest")
+	n, err := r.countOf("sibling digest", authtree.DigestSize)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,7 @@ package wire
 // io.Reader incrementally, so a receiver can hand each block to the
 // decrypt pipeline while later chunks are still in flight; the
 // buffered form (MarshalAnswer / UnmarshalAnswer) is the same bytes in
-// one slice, for the stale-answer cache and for callers without a
-// connection.
+// one slice, for callers without a connection.
 //
 // Integrity: the trailer checksum covers the whole body, which is why
 // no body-checksum header travels with an answer (one cannot be sent

@@ -84,6 +84,18 @@ type Query struct {
 	// WantProof asks the server to attach a Merkle verification
 	// object (see auth.go) to the answer.
 	WantProof bool
+	// Probe, set instead of First, makes this a §6.4 MIN/MAX probe of
+	// the value index: the answer carries no fragments and the block
+	// holding the extreme indexed key in the probe's range, or none,
+	// and its proof the complete runs of the bands the range touches.
+	Probe *Probe
+}
+
+// Probe asks for the block holding the smallest (or, with Max, the
+// largest) indexed ciphertext key in [Lo, Hi].
+type Probe struct {
+	Lo, Hi uint64
+	Max    bool
 }
 
 // QStep is one location step of a translated path.
@@ -177,17 +189,6 @@ type Answer struct {
 	// response headers on the remote path (see remote.Service).
 	PlanStrategy string
 	PlanCost     int64
-}
-
-// ExtremeResult is a MIN/MAX index probe's outcome. Proof is set only
-// when the probe asked for one; a negative result then still carries
-// it (the authenticated empty buckets), so emptiness itself is
-// verifiable.
-type ExtremeResult struct {
-	Found   bool
-	BlockID int
-	Block   []byte
-	Proof   []byte
 }
 
 // ByteSize is the number of bytes shipped back to the client; the
