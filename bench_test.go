@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/authtree"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/remote"
 	"repro/internal/sc"
 	"repro/internal/scheme"
+	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -364,6 +366,91 @@ func BenchmarkMerkleAdvance(b *testing.B) {
 			treeSink = authtree.New(edited)
 		}
 	})
+}
+
+// The benchmark module's hosted document (benchmark/layers.go): NASA,
+// seed 2006, 512 KiB, hosted under the optimal scheme, with its first
+// 64 distinct altname values. It is built once per test binary and
+// shared by the rungs below.
+var benchHosted struct {
+	once     sync.Once
+	sys      *core.System
+	altnames []string
+	err      error
+}
+
+func benchDocSystem(b *testing.B) *core.System {
+	benchHosted.once.Do(func() {
+		doc := datagen.NASAToSize(512<<10, 2006)
+		seen := map[string]bool{}
+		doc.Root.Walk(func(n *xmltree.Node) bool {
+			if n.Kind != xmltree.Element || n.Tag != "altname" || len(seen) == 64 {
+				return true
+			}
+			if v := n.LeafValue(); !seen[v] {
+				seen[v] = true
+				benchHosted.altnames = append(benchHosted.altnames, v)
+			}
+			return true
+		})
+		benchHosted.sys, benchHosted.err = core.Host(doc, datagen.NASASCs(), core.SchemeOpt, []byte("benchmark-owner-key"))
+	})
+	if benchHosted.err != nil {
+		b.Fatalf("Host: %v", benchHosted.err)
+	}
+	return benchHosted.sys
+}
+
+var serverSink *server.Server
+
+// BenchmarkServerNew measures booting a server on the benchmark
+// document: forest, label inversion, residue facts, guide and value
+// index. The benchmark's set-up boots one twice (on hosting, then on
+// upload).
+func BenchmarkServerNew(b *testing.B) {
+	sys := benchDocSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serverSink = server.New(sys.HostedDB)
+	}
+}
+
+// BenchmarkPointQuery measures the server's side of the benchmark's
+// point workload: distinct //dataset[altname=K]/title frames with a
+// proof, executed cold (caching off) on the benchmark document.
+func BenchmarkPointQuery(b *testing.B) {
+	sys := benchDocSystem(b)
+	srv := server.New(sys.HostedDB)
+	srv.SetCaching(false)
+	var frames [][]byte
+	for _, k := range benchHosted.altnames {
+		q, err := sys.Client.Translate(xpath.MustParse(fmt.Sprintf("//dataset[altname='%s']/title", k)))
+		if err != nil {
+			b.Fatalf("translate: %v", err)
+		}
+		q.WantProof = true
+		frame, err := wire.MarshalQuery(q)
+		if err != nil {
+			b.Fatalf("marshal: %v", err)
+		}
+		frames = append(frames, frame)
+	}
+	if len(frames) == 0 {
+		b.Fatal("no altname in the document")
+	}
+	ctx := context.Background()
+	// The first proof builds the generation's Merkle prover.
+	if _, err := srv.ExecuteFrameCtx(ctx, frames[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.ExecuteFrameCtx(ctx, frames[i%len(frames)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAggregateMinMax measures the §6.4 single-block path.

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/dsi"
 	"repro/internal/gencache"
 	"repro/internal/wire"
+	"repro/internal/xpath"
 )
 
 // Cross-query caching. Three caches carry work across requests, all
@@ -17,7 +19,8 @@ import (
 //
 //   - plans: SXQ frame fingerprint -> compiled plan (the parsed
 //     query plus the traversal skeleton computed once per distinct
-//     query: anchor lift depth and per-predicate range-cache keys).
+//     query: anchor lift depth, per-predicate range-cache keys and
+//     decoded literals, per-step candidate lists).
 //   - ranges: value-predicate fingerprint -> the set of blocks whose
 //     indexed ciphertexts fall in the predicate's OPESS ranges. This
 //     replaces the old per-request cache keyed on *PredValue pointer
@@ -55,10 +58,14 @@ func newQueryCaches() *queryCaches {
 type plan struct {
 	q    *wire.Query
 	lift int
-	// predFP maps each value predicate of the plan to its range-cache
-	// fingerprint, precomputed so the per-context hot path does a
-	// pointer lookup instead of hashing.
-	predFP map[*wire.PredValue]string
+	// preds maps each value predicate of the plan to what its
+	// per-candidate evaluation reads (see predPlan), so the hot path
+	// does a pointer lookup instead of hashing or parsing.
+	preds map[*wire.PredValue]predPlan
+	// subLists holds the full table lists of every predicate sub-path
+	// step (the synopsis does not restrict them), resolved once here
+	// instead of once per candidate the predicate is evaluated at.
+	subLists map[*wire.QStep][][]dsi.Interval
 	// predOrder holds the planner's per-step predicate evaluation
 	// order (cheap/selective first) for steps where it differs from
 	// the query's; the query itself is never mutated (see planner.go).
@@ -74,11 +81,18 @@ type plan struct {
 	cost int64
 }
 
+// predPlan is a value predicate compiled once per plan: its
+// range-cache fingerprint and its literal decoded for comparison.
+type predPlan struct {
+	fp  string
+	lit xpath.Value
+}
+
 // compilePlan compiles a query against a pinned snapshot: shape-only
-// work (lift depth, predicate fingerprints) plus the per-step
-// candidate lists and the cost model. Plans are cached per (epoch,
-// generation), so baking snapshot-derived lists and estimates in is
-// safe — an update invalidates them wholesale. A probe has no steps to
+// work (lift depth, predicate fingerprints and literals) plus the
+// candidate lists of every step and the cost model. Plans are cached
+// per (epoch, generation), so baking snapshot-derived lists and
+// estimates in is safe — an update invalidates them wholesale. A probe has no steps to
 // plan: its plan is the parsed frame at cost 1.
 func compilePlan(sn *snapshot, q *wire.Query) *plan {
 	if q.Probe != nil {
@@ -87,15 +101,16 @@ func compilePlan(sn *snapshot, q *wire.Query) *plan {
 	pl := &plan{
 		q:         q,
 		lift:      liftDepth(q),
-		predFP:    map[*wire.PredValue]string{},
+		preds:     map[*wire.PredValue]predPlan{},
+		subLists:  map[*wire.QStep][][]dsi.Interval{},
 		predOrder: map[*wire.QStep][]wire.QPred{},
 	}
 	for st := q.First; st != nil; st = st.Next {
-		collectPredFPs(st.Preds, pl.predFP)
+		pl.collectPreds(sn, st.Preds)
 	}
 	pl.steps, pl.pruned = planSteps(sn, q)
 	orderPreds(sn.index, q, pl.predOrder)
-	pl.cost = estimateCost(sn, pl.steps[q.First].est, pl.predFP)
+	pl.cost = estimateCost(sn, pl.steps[q.First].est, pl.preds)
 	return pl
 }
 
@@ -110,10 +125,13 @@ func (pl *plan) strategy() string {
 	return "pairwise"
 }
 
-func collectPredFPs(preds []wire.QPred, into map[*wire.PredValue]string) {
+// collectPreds compiles every value predicate under preds and
+// resolves the table lists of every predicate sub-path step.
+func (pl *plan) collectPreds(sn *snapshot, preds []wire.QPred) {
 	var walk func(p wire.QPred)
 	walkStep := func(st *wire.QStep) {
 		for ; st != nil; st = st.Next {
+			pl.subLists[st] = sn.labelLists(st.Labels)
 			for _, p := range st.Preds {
 				walk(p)
 			}
@@ -122,7 +140,7 @@ func collectPredFPs(preds []wire.QPred, into map[*wire.PredValue]string) {
 	walk = func(p wire.QPred) {
 		switch v := p.(type) {
 		case *wire.PredValue:
-			into[v] = predFingerprint(v)
+			pl.preds[v] = predPlan{fp: predFingerprint(v), lit: xpath.DecodeValue(v.Lit)}
 			walkStep(v.Path)
 		case *wire.PredExists:
 			walkStep(v.Path)

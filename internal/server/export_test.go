@@ -1,5 +1,11 @@
 package server
 
+import (
+	"repro/internal/dsi"
+	"repro/internal/xmltree"
+	"repro/internal/xpath"
+)
+
 // Unpruned returns a server over s's current snapshot whose structure
 // carries no guide, so every plan keeps the full table lists — the
 // pruning-off side of TestPruningOnOffIdentical, and the only way to
@@ -12,4 +18,22 @@ func (s *Server) Unpruned() *Server {
 	u := &Server{epoch: s.epoch, caches: newQueryCaches()}
 	u.snap.Store(&snapshot{gen: cur.gen, db: cur.db, index: cur.index, st: &st})
 	return u
+}
+
+// ResidueFact is one residue interval's boot-time record, as
+// TestResidueFactsMatchTree reads it.
+type ResidueFact struct {
+	Node        *xmltree.Node
+	Placeholder bool
+	HidesBlock  bool
+	Val         xpath.Value
+}
+
+// ResidueFacts returns the boot-time record of every residue interval.
+func (s *Server) ResidueFacts() map[dsi.Interval]ResidueFact {
+	out := map[dsi.Interval]ResidueFact{}
+	for iv, r := range s.current().st.residue {
+		out[iv] = ResidueFact{Node: r.node, Placeholder: r.placeholder, HidesBlock: r.hidesBlock, Val: r.val}
+	}
+	return out
 }

@@ -302,16 +302,16 @@ func (e *exec) stepFrom(dst []dsi.Interval, ctx dsi.Interval, st *wire.QStep, li
 	return out
 }
 
-// stepLists returns a step's candidate lists: the plan's for a
-// main-path step (synopsis-restricted where the planner pruned), the
-// full table lists for predicate sub-path steps, which the plan does
-// not key. Restricted lists keep the labelLists shape and sort order,
-// so every join below runs unchanged — just over fewer intervals.
+// stepLists returns a step's candidate lists, both resolved when the
+// plan was compiled: a main-path step's (synopsis-restricted where the
+// planner pruned), or a predicate sub-path step's full table lists.
+// Restricted lists keep the labelLists shape and sort order, so every
+// join below runs unchanged — just over fewer intervals.
 func (e *exec) stepLists(st *wire.QStep) [][]dsi.Interval {
 	if sp, ok := e.pl.steps[st]; ok {
 		return sp.lists
 	}
-	return e.sn.labelLists(st.Labels)
+	return e.pl.subLists[st]
 }
 
 // orderedPreds returns the planner's predicate evaluation order for a
@@ -442,20 +442,25 @@ func (e *exec) evalPred(ctx dsi.Interval, p wire.QPred, upper bool) bool {
 //   - An encrypted interior target's string-value spans several
 //     indexed leaves and cannot be reconstructed server-side:
 //     possibly true, never certain.
+//
+// A residue target is decided from its boot-time facts (residueFact)
+// against the literal the plan decoded, so no candidate's subtree is
+// walked, concatenated or parsed here.
 func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bool {
 	targets := e.matchRelative(ctx, v.Path, upper)
 	if len(targets) == 0 {
 		return false
 	}
+	pp := e.pl.preds[v]
 	for _, tgt := range targets {
-		if n, ok := e.sn.st.residueAt[tgt]; ok && !isPlaceholder(n) {
-			if e.hasPlaceholderBelow(n) {
+		if r, ok := e.sn.st.residue[tgt]; ok && !r.placeholder {
+			if r.hidesBlock {
 				if upper {
 					return true
 				}
 				continue
 			}
-			if xpath.CompareHolds(xpath.StringValue(n), v.Op, v.Lit) {
+			if r.val.Holds(v.Op, pp.lit) {
 				return true
 			}
 			continue
@@ -466,7 +471,7 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 			continue
 		}
 		if e.isForestLeaf(tgt) && len(v.Ranges) > 0 {
-			if bid := e.sn.blockIDFor(tgt); bid >= 0 && e.rangeBlocksFor(v)[bid] {
+			if bid := e.sn.blockIDFor(tgt); bid >= 0 && e.rangeBlocksFor(v, pp.fp)[bid] {
 				return true
 			}
 			continue
@@ -480,20 +485,6 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 
 func isPlaceholder(n *xmltree.Node) bool {
 	return n.Kind == xmltree.Element && n.Tag == wire.PlaceholderTag
-}
-
-// hasPlaceholderBelow reports whether the residue subtree hides any
-// encrypted content (making its visible string-value incomplete).
-func (e *exec) hasPlaceholderBelow(n *xmltree.Node) bool {
-	found := false
-	n.Walk(func(m *xmltree.Node) bool {
-		if isPlaceholder(m) {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
 }
 
 // isForestLeaf reports that no table interval lies strictly inside
@@ -510,17 +501,13 @@ func (e *exec) isForestLeaf(iv dsi.Interval) bool {
 }
 
 // rangeBlocksFor resolves the blocks whose indexed values fall in
-// any of the predicate's ciphertext ranges, first through the
-// request-scoped memo, then through the server's generation-keyed
-// cross-query cache. The resolved set is read-only once published —
-// concurrent queries share it.
-func (e *exec) rangeBlocksFor(v *wire.PredValue) map[int]bool {
+// any of the predicate's ciphertext ranges (fp is its plan
+// fingerprint), first through the request-scoped memo, then through
+// the server's generation-keyed cross-query cache. The resolved set is
+// read-only once published — concurrent queries share it.
+func (e *exec) rangeBlocksFor(v *wire.PredValue, fp string) map[int]bool {
 	if cached, ok := e.rangeMemo[v]; ok {
 		return cached
-	}
-	fp := e.pl.predFP[v]
-	if fp == "" {
-		fp = predFingerprint(v)
 	}
 	if cached, ok := e.srv.caches.ranges.Get(e.srv.epoch, e.sn.gen, fp); ok {
 		blocks := cached.(map[int]bool)

@@ -492,9 +492,9 @@ func orderPreds(ix *btree.Index, q *wire.Query, into map[*wire.QStep][]wire.QPre
 // used, now fed from the planner (the first step's candidate count)
 // and the value index's band occupancy (instead of exact range
 // counts), so admission and planning price queries in one currency.
-func estimateCost(sn *snapshot, anchorEst int, predFP map[*wire.PredValue]string) int64 {
+func estimateCost(sn *snapshot, anchorEst int, preds map[*wire.PredValue]predPlan) int64 {
 	occ := 0
-	for pred := range predFP {
+	for pred := range preds {
 		occ += occupancy(sn.index, pred.Ranges)
 	}
 	cost := int64(1) + int64(anchorEst+7)/8 + int64(occ+7)/8

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -62,16 +63,17 @@ type Server struct {
 
 // structure is the part of the hosted state that never changes after
 // New: updates in this extension are value-level and
-// structure-preserving (see wire.Update), so the interval forest, the
-// label inversion, the residue index and the block containment index
-// are built once and shared by every snapshot.
+// structure-preserving (see wire.Update) and replace only blocks and
+// index bands, never the residue, so the interval forest, the label
+// inversion, the residue facts and the block containment index are
+// built once and shared by every snapshot.
 type structure struct {
 	forest *dsi.Forest
 	// labelsOf inverts the DSI table: interval -> table labels.
 	labelsOf map[dsi.Interval][]string
-	// residueAt locates the residue node carrying an interval
+	// residue holds the decided facts of every residue interval
 	// (placeholders carry their block root's interval).
-	residueAt map[dsi.Interval]*xmltree.Node
+	residue map[dsi.Interval]residueFact
 	// allIntervals is the Lo-sorted universe (for wildcards).
 	allIntervals []dsi.Interval
 	// blockIdx holds the (disjoint) block representative intervals
@@ -113,25 +115,79 @@ type blockRef struct {
 	id int
 }
 
+// residueFact is what a query needs to know about one residue
+// interval's node, decided once at boot: the residue never changes
+// after upload, so neither does any of this.
+type residueFact struct {
+	node *xmltree.Node
+	// placeholder marks a node standing for an encryption block.
+	placeholder bool
+	// hidesBlock marks a node with a placeholder in its subtree (itself
+	// included): its visible string-value is incomplete.
+	hidesBlock bool
+	// val is the node's string-value decoded for comparison, set only
+	// when hidesBlock is not.
+	val xpath.Value
+}
+
+// decideResidue fills st.residue in one post-order pass over the
+// residue tree and returns what n adds to its ancestors' string-value
+// (its text, "" for an attribute) and whether n hides a block. A
+// node's string-value is its children's text concatenated, so no node
+// is walked twice; a leaf reuses its text's string (strings.Join copies
+// only two or more), and nothing is concatenated for a node that hides
+// a block. parts is the pass's scratch stack of child texts.
+func (st *structure) decideResidue(n *xmltree.Node, ivs map[*xmltree.Node]dsi.Interval, parts *[]string) (string, bool) {
+	var text string
+	f := residueFact{node: n}
+	switch {
+	case n.Kind == xmltree.Text:
+		return n.Value, false
+	case n.Kind == xmltree.Attribute:
+		f.val = xpath.DecodeValue(n.Value)
+	case isPlaceholder(n):
+		f.placeholder, f.hidesBlock = true, true
+	default:
+		mark := len(*parts)
+		for _, c := range n.Children {
+			t, hides := st.decideResidue(c, ivs, parts)
+			f.hidesBlock = f.hidesBlock || hides
+			if t != "" && !f.hidesBlock {
+				*parts = append(*parts, t)
+			}
+		}
+		if !f.hidesBlock {
+			text = strings.Join((*parts)[mark:], "")
+			f.val = xpath.DecodeValue(text)
+		}
+		*parts = (*parts)[:mark]
+	}
+	if iv, ok := ivs[n]; ok {
+		st.residue[iv] = f
+	}
+	return text, f.hidesBlock
+}
+
 // New boots a server from an uploaded database: it buckets the value
 // index into its band runs, builds the interval forest used by the
-// structural joins, and publishes generation 1. The snapshot takes
+// structural joins, decides the residue facts value predicates read,
+// and publishes generation 1. The snapshot takes
 // its own Blocks slice header and index, so an owner mutating the
 // uploaded HostedDB in place (the in-process mirror does) can never
 // tear a pinned reader.
 func New(db *wire.HostedDB) *Server {
 	st := &structure{
-		forest:    dsi.BuildForest(db.Table),
-		labelsOf:  map[dsi.Interval][]string{},
-		residueAt: map[dsi.Interval]*xmltree.Node{},
+		forest:   dsi.BuildForest(db.Table),
+		labelsOf: make(map[dsi.Interval][]string, db.Table.NumEntries()),
+		residue:  make(map[dsi.Interval]residueFact, len(db.ResidueIntervals)),
 	}
 	for label, ivs := range db.Table.ByTag {
 		for _, iv := range ivs {
 			st.labelsOf[iv] = append(st.labelsOf[iv], label)
 		}
 	}
-	for n, iv := range db.ResidueIntervals {
-		st.residueAt[iv] = n
+	if db.Residue != nil && db.Residue.Root != nil {
+		st.decideResidue(db.Residue.Root, db.ResidueIntervals, new([]string))
 	}
 	st.allIntervals = st.forest.Intervals()
 	st.guide = dsi.BuildGuide(db.Table, st.forest)
@@ -515,13 +571,13 @@ func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interv
 			blockSet[bid] = true
 			continue
 		}
-		n, ok := sn.st.residueAt[a]
+		r, ok := sn.st.residue[a]
 		if !ok {
 			// A grouped interval outside every block cannot occur:
 			// grouping only happens inside blocks.
 			return nil, nil, fmt.Errorf("server: anchor interval %v has no residue node", a)
 		}
-		frag, err := wire.SerializeFragment(n)
+		frag, err := wire.SerializeFragment(r.node)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: serialize fragment: %w", err)
 		}

@@ -197,15 +197,20 @@ func evalExpr(ctx *xmltree.Node, e Expr) bool {
 	case *ExistsExpr:
 		return len(EvaluateFrom(ctx, v.Path)) > 0
 	case *CmpExpr:
-		for _, n := range EvaluateFrom(ctx, v.Path) {
-			if v.Range {
-				if compareValues(StringValue(n), v.Literal) >= 0 &&
-					compareValues(StringValue(n), v.Hi) <= 0 {
+		nodes := EvaluateFrom(ctx, v.Path)
+		if v.Range {
+			lo, hi := DecodeValue(v.Literal), DecodeValue(v.Hi)
+			for _, n := range nodes {
+				s := StringValue(n)
+				if compareValues(s, lo) >= 0 && compareValues(s, hi) <= 0 {
 					return true
 				}
-				continue
 			}
-			if opHolds(compareValues(StringValue(n), v.Literal), v.Op) {
+			return false
+		}
+		lit := DecodeValue(v.Literal)
+		for _, n := range nodes {
+			if opHolds(compareValues(StringValue(n), lit), v.Op) {
 				return true
 			}
 		}
@@ -243,30 +248,57 @@ func StringValue(n *xmltree.Node) string {
 	return sb.String()
 }
 
-// CompareHolds reports whether "val op lit" holds under XPath
-// comparison semantics (numeric when both sides parse as numbers,
-// lexicographic otherwise). Exported for the server's plaintext
-// predicate evaluation.
-func CompareHolds(val string, op Op, lit string) bool {
-	return opHolds(compareValues(val, lit), op)
+// Value is a string-value decoded for comparison: its text and, when
+// the text parses as a number, that number. Decoding once lets a value
+// compared many times (a residue node's string-value, a predicate's
+// literal) skip the float parse on every comparison.
+type Value struct {
+	S   string
+	F   float64
+	Num bool // S parses as a number, F
 }
 
-// compareValues compares two values numerically when both parse as
-// numbers and lexicographically otherwise, returning -1, 0 or 1.
-func compareValues(a, b string) int {
-	fa, errA := strconv.ParseFloat(a, 64)
-	fb, errB := strconv.ParseFloat(b, 64)
-	if errA == nil && errB == nil {
+// DecodeValue decodes s for comparison.
+func DecodeValue(s string) Value {
+	// Every string ParseFloat accepts starts with a sign, a digit, a
+	// point or the i/n of inf/nan; looking first spares most text the
+	// syntax error ParseFloat allocates.
+	if s == "" || strings.IndexByte("+-.0123456789iInN", s[0]) < 0 {
+		return Value{S: s}
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return Value{S: s, F: f, Num: err == nil}
+}
+
+// Holds reports whether "v op lit" holds under XPath comparison
+// semantics: numeric when both sides are numbers, lexicographic
+// otherwise.
+func (v Value) Holds(op Op, lit Value) bool {
+	return opHolds(compareDecoded(v, lit), op)
+}
+
+// compareValues compares a value with a decoded literal, returning -1,
+// 0 or 1. The value is parsed only when the literal is a number: a
+// non-numeric literal compares lexicographically whatever the value is.
+func compareValues(val string, lit Value) int {
+	if !lit.Num {
+		return strings.Compare(val, lit.S)
+	}
+	return compareDecoded(DecodeValue(val), lit)
+}
+
+func compareDecoded(a, b Value) int {
+	if a.Num && b.Num {
 		switch {
-		case fa < fb:
+		case a.F < b.F:
 			return -1
-		case fa > fb:
+		case a.F > b.F:
 			return 1
 		default:
 			return 0
 		}
 	}
-	return strings.Compare(a, b)
+	return strings.Compare(a.S, b.S)
 }
 
 func opHolds(cmp int, op Op) bool {

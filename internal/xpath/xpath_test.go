@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -409,6 +410,49 @@ func TestNumericVsStringComparison(t *testing.T) {
 	// "9" vs "10" is numeric even though the literal is quoted.
 	if n := count(t, d, "//v[.>'10']"); n != 1 {
 		t.Errorf("mixed compare: got %d, want 1 (abc only)", n)
+	}
+}
+
+// TestDecodedComparison checks the decoded comparison against the
+// definition it implements: numeric when both sides parse with
+// ParseFloat, lexicographic otherwise, over operands at the edges of
+// what ParseFloat accepts.
+func TestDecodedComparison(t *testing.T) {
+	operands := []string{"", "0", "9", "10", "-3", "+3", ".5", "5.", "3.0", "03", "1e3", "1e400",
+		"0x1p-2", "1_000", "0x_1p0", "inf", "+Inf", "-infinity", "NaN", "nan", "Nancy", "info",
+		"ADC-0042", "abc", " 3", "3 ", "e5", "_1", "1990-05"}
+	want := func(a, b string) int {
+		fa, errA := strconv.ParseFloat(a, 64)
+		fb, errB := strconv.ParseFloat(b, 64)
+		if errA == nil && errB == nil {
+			switch {
+			case fa < fb:
+				return -1
+			case fa > fb:
+				return 1
+			}
+			return 0
+		}
+		return strings.Compare(a, b)
+	}
+	for _, s := range operands {
+		_, err := strconv.ParseFloat(s, 64)
+		if got := DecodeValue(s).Num; got != (err == nil) {
+			t.Errorf("DecodeValue(%q).Num = %v, ParseFloat error %v", s, got, err)
+		}
+	}
+	for _, a := range operands {
+		for _, b := range operands {
+			cmp := want(a, b)
+			if got := compareValues(a, DecodeValue(b)); got != cmp {
+				t.Errorf("compareValues(%q, %q) = %d, want %d", a, b, got, cmp)
+			}
+			for _, op := range []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
+				if got := DecodeValue(a).Holds(op, DecodeValue(b)); got != opHolds(cmp, op) {
+					t.Errorf("%q %v %q: Holds = %v, want %v", a, op, b, got, opHolds(cmp, op))
+				}
+			}
+		}
 	}
 }
 
