@@ -379,7 +379,7 @@ var benchHosted struct {
 	err      error
 }
 
-func benchDocSystem(b *testing.B) *core.System {
+func benchDocSystem(tb testing.TB) *core.System {
 	benchHosted.once.Do(func() {
 		doc := datagen.NASAToSize(512<<10, 2006)
 		seen := map[string]bool{}
@@ -396,9 +396,50 @@ func benchDocSystem(b *testing.B) *core.System {
 		benchHosted.sys, benchHosted.err = core.Host(doc, datagen.NASASCs(), core.SchemeOpt, []byte("benchmark-owner-key"))
 	})
 	if benchHosted.err != nil {
-		b.Fatalf("Host: %v", benchHosted.err)
+		tb.Fatalf("Host: %v", benchHosted.err)
 	}
 	return benchHosted.sys
+}
+
+// bulkAnswer is the benchmark's first bulk query, //dataset[publisher=
+// 'NASA'] (a third to a half of the datasets, whole subtrees), answered
+// by the server on the benchmark document and decrypted: the input of
+// the owner's post-processing on the bulk workload.
+func bulkAnswer(tb testing.TB) (*core.System, *xpath.Path, *wire.Answer, map[int][]byte) {
+	sys := benchDocSystem(tb)
+	path := xpath.MustParse("//dataset[publisher='NASA']")
+	q, err := sys.Client.Translate(path)
+	if err != nil {
+		tb.Fatalf("translate: %v", err)
+	}
+	ans, _, err := sys.Server.Execute(context.Background(), q, nil)
+	if err != nil {
+		tb.Fatalf("execute: %v", err)
+	}
+	blocks, err := sys.Client.DecryptBlocks(ans)
+	if err != nil {
+		tb.Fatalf("decrypt: %v", err)
+	}
+	return sys, path, ans, blocks
+}
+
+var postSink []*xmltree.Node
+
+// BenchmarkBulkPostProcess measures the owner's answer reconstruction
+// (§6.4) on a bulk answer: the fragments and decrypted blocks assembled
+// into one tree and the query re-applied to it.
+func BenchmarkBulkPostProcess(b *testing.B) {
+	sys, path, ans, blocks := bulkAnswer(b)
+	b.SetBytes(int64(ans.ByteSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes, _, err := sys.Client.PostProcess(path, ans, blocks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		postSink = nodes
+	}
 }
 
 var serverSink *server.Server

@@ -278,14 +278,24 @@ func TestTranslateSchemeAwareness(t *testing.T) {
 	}
 }
 
+// TestUnwrapBlockErrors: the block reader refuses what is not one
+// <_blk> envelope holding exactly one content element besides its decoy.
 func TestUnwrapBlockErrors(t *testing.T) {
-	c, _, _ := fixture(t)
-	if _, err := c.unwrapBlock(xmltree.NewElement("wrong")); err == nil {
-		t.Errorf("non-envelope accepted")
+	for _, pt := range []string{
+		`<wrong><a>1</a></wrong>`,
+		`<_blk/>`,
+		`<_blk><_decoy>x</_decoy></_blk>`,
+		`<_blk><a>1</a><b>2</b></_blk>`,
+		`<_blk><a>1</a>`,
+		``,
+	} {
+		if n, err := ReadBlock([]byte(pt)); err == nil {
+			t.Errorf("ReadBlock(%q) = %v, want an error", pt, n)
+		}
 	}
-	empty := xmltree.NewElement(wire.BlockWrapTag)
-	if _, err := c.unwrapBlock(empty); err == nil {
-		t.Errorf("empty envelope accepted")
+	n, err := ReadBlock([]byte(`<_blk><_attr name="k">v</_attr><_decoy>x</_decoy></_blk>`))
+	if err != nil || n.Kind != xmltree.Attribute || n.Tag != "k" || n.Value != "v" || n.Parent != nil {
+		t.Errorf("attribute block read as %v, %v", n, err)
 	}
 }
 

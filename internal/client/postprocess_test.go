@@ -1,93 +1,80 @@
 package client
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/scheme"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
+// TestSpliceMalformedPlaceholder: a placeholder that is unterminated,
+// has no id or a non-numeric one, or names a block the answer does not
+// carry fails the assembly.
 func TestSpliceMalformedPlaceholder(t *testing.T) {
 	c, _, _ := fixture(t)
-	frag := []byte(`<patient><EncBlock id="0"`)
-	if _, err := c.splice(frag, map[int][]byte{0: []byte("<_blk/>")}, map[int]bool{}); err == nil {
-		t.Errorf("unterminated placeholder accepted")
+	cases := []struct {
+		frag   string
+		blocks map[int][]byte
+		why    string
+	}{
+		{`<patient><EncBlock id="0"`, map[int][]byte{0: []byte("<_blk><a/></_blk>")}, "unterminated placeholder"},
+		{`<patient><EncBlock nothing="1"/></patient>`, nil, "placeholder without id"},
+		{`<patient><EncBlock id="x"/></patient>`, nil, "placeholder with a non-numeric id"},
+		{`<patient><EncBlock id="7"/></patient>`, nil, "missing block"},
 	}
-	frag = []byte(`<patient><EncBlock nothing="1"/></patient>`)
-	if _, err := c.splice(frag, map[int][]byte{}, map[int]bool{}); err == nil {
-		t.Errorf("placeholder without id accepted")
-	}
-	frag = []byte(`<patient><EncBlock id="x"/></patient>`)
-	if _, err := c.splice(frag, map[int][]byte{}, map[int]bool{}); err == nil {
-		t.Errorf("placeholder with a non-numeric id accepted")
-	}
-	frag = []byte(`<patient><EncBlock id="7"/></patient>`)
-	if _, err := c.splice(frag, map[int][]byte{}, map[int]bool{}); err == nil {
-		t.Errorf("missing block accepted")
+	for _, tc := range cases {
+		ans := &wire.Answer{Fragments: [][]byte{[]byte(tc.frag)}}
+		if _, err := c.PostProcessFull(xpath.MustParse("//patient"), ans, tc.blocks); err == nil {
+			t.Errorf("%s accepted", tc.why)
+		}
 	}
 }
 
 // TestSpliceReplacesOnlyRealPlaceholders: every placeholder tag is
-// replaced by its block, byte for byte around it, and the escaped text
-// of one — in a value or an attribute — is data, not a placeholder.
+// replaced by its block's content, and the escaped text of one — in a
+// value or an attribute — is data, not a placeholder.
 func TestSpliceReplacesOnlyRealPlaceholders(t *testing.T) {
 	c, _, _ := fixture(t)
-	frag := []byte(`<p note="&lt;EncBlock id=&quot;9&quot;/&gt;"><EncBlock id="2" attr="1"/><v>&lt;EncBlock id="9"/&gt;</v><EncBlock id="0"/></p>`)
+	ans := &wire.Answer{
+		Fragments: [][]byte{[]byte(`<p note="&lt;EncBlock id=&quot;9&quot;/&gt;"><EncBlock id="2" attr="1"/><v>&lt;EncBlock id="9"/&gt;</v><EncBlock id="0"/></p>`)},
+		BlockIDs:  []int{0, 2},
+	}
 	blocks := map[int][]byte{0: []byte("<_blk><a>1</a></_blk>"), 2: []byte("<_blk><_attr name=\"k\">v</_attr></_blk>")}
-	used := map[int]bool{}
-	got, err := c.splice(frag, blocks, used)
+	res, err := c.PostProcessFull(xpath.MustParse("//p"), ans, blocks)
 	if err != nil {
-		t.Fatalf("splice: %v", err)
+		t.Fatalf("PostProcessFull: %v", err)
 	}
-	want := `<p note="&lt;EncBlock id=&quot;9&quot;/&gt;"><_blk id="2"><_attr name="k">v</_attr></_blk><v>&lt;EncBlock id="9"/&gt;</v><_blk id="0"><a>1</a></_blk></p>`
-	if string(got) != want {
-		t.Errorf("spliced:\n got  %s\n want %s", got, want)
+	want := `<hospital><p note="&lt;EncBlock id=&quot;9&quot;/&gt;" k="v"><v>&lt;EncBlock id="9"/&gt;</v><a>1</a></p></hospital>`
+	if got := res.Doc.String(); got != want {
+		t.Errorf("assembled:\n got  %s\n want %s", got, want)
 	}
-	if len(used) != 2 || !used[0] || !used[2] {
-		t.Errorf("used = %v, want blocks 0 and 2", used)
+	ids := map[int]string{}
+	for n, id := range res.BlockOf {
+		ids[id] = n.Path()
+	}
+	if len(ids) != 2 || ids[0] != "/hospital/p/a" || ids[2] != "/hospital/p/@k" {
+		t.Errorf("provenance = %v, want block 0 at /hospital/p/a and block 2 at /hospital/p/@k", ids)
 	}
 }
 
+// TestSpliceNoPlaceholderPassthrough: a fragment without placeholders
+// is its own parse, under the synthetic root.
 func TestSpliceNoPlaceholderPassthrough(t *testing.T) {
 	c, _, _ := fixture(t)
-	frag := []byte(`<patient><age>35</age></patient>`)
-	out, err := c.splice(frag, nil, map[int]bool{})
+	frag := `<patient><age>35</age></patient>`
+	ans := &wire.Answer{Fragments: [][]byte{[]byte(frag)}}
+	res, err := c.PostProcessFull(xpath.MustParse("//age"), ans, nil)
 	if err != nil {
-		t.Fatalf("splice: %v", err)
+		t.Fatalf("PostProcessFull: %v", err)
 	}
-	if string(out) != string(frag) {
-		t.Errorf("passthrough modified bytes")
+	if got, want := res.Doc.String(), "<hospital>"+frag+"</hospital>"; got != want {
+		t.Errorf("assembled %s, want %s", got, want)
 	}
-}
-
-func TestAnnotateBlockID(t *testing.T) {
-	got := appendAnnotated(nil, []byte("<_blk><a>1</a></_blk>"), 42)
-	if !strings.HasPrefix(string(got), `<_blk id="42">`) {
-		t.Errorf("annotation missing: %s", got)
-	}
-	// Non-envelope bytes pass through untouched.
-	raw := []byte("<other/>")
-	if string(appendAnnotated(nil, raw, 1)) != "<other/>" {
-		t.Errorf("non-envelope bytes modified")
-	}
-}
-
-func TestTopTag(t *testing.T) {
-	cases := map[string]string{
-		"<a>x</a>":      "a",
-		"<ab c=\"1\"/>": "ab",
-		"<a/>":          "a",
-		"":              "",
-		"plain":         "",
-		"<a\nb=\"1\">x": "a",
-	}
-	for in, want := range cases {
-		if got := topTag([]byte(in)); got != want {
-			t.Errorf("topTag(%q) = %q, want %q", in, got, want)
-		}
+	if len(res.Nodes) != 1 || len(res.BlockOf) != 0 {
+		t.Errorf("%d results and %d provenance entries, want 1 and 0", len(res.Nodes), len(res.BlockOf))
 	}
 }
 
@@ -201,39 +188,9 @@ func TestAttributeDomainRange(t *testing.T) {
 	}
 }
 
-// assembleBefore is assemble as it stood when the combined answer was
-// parsed into a Document (numbering it), rewritten, and wrapped in a
-// second Document (numbering it again): the reference for
-// TestAssembleNumbersOnce.
-func assembleBefore(c *Client, parts [][]byte) (*xmltree.Document, error) {
-	combined := parts[0]
-	wrapped := len(parts) != 1 || topTag(parts[0]) != c.rootTag
-	if wrapped {
-		combined = []byte("<" + c.rootTag + ">" + string(bytes.Join(parts, nil)) + "</" + c.rootTag + ">")
-	}
-	doc, err := xmltree.ParseCompact(combined)
-	if err != nil {
-		return nil, err
-	}
-	root, err := c.resolveTree(doc.Root, nil)
-	if err != nil {
-		return nil, err
-	}
-	if wrapped && root.Tag == c.rootTag && len(root.Children) == 1 {
-		if ch := root.Children[0]; ch.Kind == xmltree.Element && ch.Tag == c.rootTag {
-			ch.Parent = nil
-			root = ch
-		}
-	}
-	return xmltree.NewDocument(root), nil
-}
-
-// TestAssembleNumbersOnce: parsing to a bare root and numbering the
-// rewritten tree once yields the document the parse-number-rewrite-
-// renumber sequence did — same serialization, and the same preorder ID
-// on every node, which is what xpath.Evaluate orders results by.
-func TestAssembleNumbersOnce(t *testing.T) {
-	c, _, db := fixture(t)
+// decryptAll decrypts every block of a hosted database.
+func decryptAll(t *testing.T, c *Client, db *wire.HostedDB) map[int][]byte {
+	t.Helper()
 	blocks := map[int][]byte{}
 	for id, ct := range db.Blocks {
 		pt, err := c.keys.DecryptBlock(ct)
@@ -242,43 +199,121 @@ func TestAssembleNumbersOnce(t *testing.T) {
 		}
 		blocks[id] = pt
 	}
-	splice := func(n *xmltree.Node) []byte {
+	return blocks
+}
+
+// fragmentAnswer is the answer an honest server gives for the residue
+// fragments rooted at ns: their serialization, every block they
+// reference, and the extra directly matched blocks.
+func fragmentAnswer(t *testing.T, ns []*xmltree.Node, direct ...int) *wire.Answer {
+	t.Helper()
+	ans := &wire.Answer{}
+	for _, n := range ns {
 		frag, err := wire.SerializeFragment(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.splice(frag, blocks, map[int]bool{})
-		if err != nil {
+		ans.Fragments = append(ans.Fragments, frag)
+		if err := wire.PlaceholderIDs(frag, func(id, _, _ int) { ans.BlockIDs = append(ans.BlockIDs, id) }); err != nil {
 			t.Fatal(err)
 		}
-		return out
 	}
+	ans.BlockIDs = append(ans.BlockIDs, direct...)
+	return ans
+}
+
+// checkAgainstReference runs one answer through PostProcessFull and the
+// reference assembly under each query and requires the same outcome:
+// the same error, or the same tree, results and provenance.
+func checkAgainstReference(t *testing.T, name string, c *Client, ans *wire.Answer, blocks map[int][]byte, queries ...string) {
+	t.Helper()
+	for _, qs := range queries {
+		q := xpath.MustParse(qs)
+		want, wantErr := refPostProcessFull(c, q, ans, blocks)
+		got, gotErr := c.PostProcessFull(q, ans, blocks)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("%s, %s: error %v, the reference %v", name, qs, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if err := samePostResult(got, want); err != nil {
+			t.Fatalf("%s, %s: %v", name, qs, err)
+		}
+	}
+}
+
+// TestAssembleNumbersOnce: the one-pass build is numbered once, at the
+// end, and every node carries the preorder ID the reference assembly
+// gives it — which is what xpath.Evaluate orders results by.
+func TestAssembleNumbersOnce(t *testing.T) {
+	c, _, db := fixture(t)
+	blocks := decryptAll(t, c, db)
 	patients := db.Residue.Root.ElementChildren()
-	cases := map[string][][]byte{
-		"whole residue":    {splice(db.Residue.Root)},
-		"two fragments":    {splice(patients[0]), splice(patients[1])},
-		"a lone block":     {appendAnnotated(nil, blocks[0], 0)},
-		"fragment + block": {splice(patients[0]), appendAnnotated(nil, blocks[len(blocks)-1], len(blocks)-1)},
+	last := len(db.Blocks) - 1
+	cases := map[string]*wire.Answer{
+		"whole residue":    fragmentAnswer(t, []*xmltree.Node{db.Residue.Root}),
+		"two fragments":    fragmentAnswer(t, patients[:2]),
+		"a lone block":     {BlockIDs: []int{0}},
+		"fragment + block": fragmentAnswer(t, patients[:1], last),
 	}
-	for name, parts := range cases {
-		want, err := assembleBefore(c, parts)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		got, err := c.assemble(parts, map[*xmltree.Node]int{})
-		if err != nil {
-			t.Fatalf("%s: assemble: %v", name, err)
-		}
-		if got.String() != want.String() || got.Size() != want.Size() {
-			t.Fatalf("%s: assembled\n %s\nwant\n %s", name, got, want)
-		}
-		next := 0
-		got.Root.Walk(func(n *xmltree.Node) bool {
-			if w := want.NodeByID(next); n.ID != next || got.NodeByID(next) != n || w.Kind != n.Kind || w.Tag != n.Tag || w.Value != n.Value {
-				t.Fatalf("%s: node %d in document order is %s with ID %d; the reference has %s", name, next, n.Path(), n.ID, w.Path())
-			}
-			next++
-			return true
-		})
+	for name, ans := range cases {
+		checkAgainstReference(t, name, c, ans, blocks, "//patient", "//*", "/hospital/patient/pname", "//@coverage")
+	}
+}
+
+// TestAssemblyCraftedCases holds the one-pass build to the reference
+// assembly where they could part: attribute blocks inside and outside
+// fragments, a fragment or a block that is the document root itself,
+// an empty answer and missing blocks.
+func TestAssemblyCraftedCases(t *testing.T) {
+	c, doc, db := fixture(t)
+	blocks := decryptAll(t, c, db)
+	attrBlk := map[int][]byte{
+		5: []byte(`<_blk><_attr name="k">v</_attr><_decoy>zz</_decoy></_blk>`),
+		6: []byte(`<_blk><treat><disease>flu</disease></treat></_blk>`),
+	}
+	queries := []string{"//patient", "//@k", "//*", "/hospital", "//patient[@k='v']/pname", "//disease/.."}
+	cases := map[string]struct {
+		ans    *wire.Answer
+		blocks map[int][]byte
+	}{
+		"attribute block between element children": {
+			&wire.Answer{Fragments: [][]byte{[]byte(`<patient><pname>A</pname><EncBlock id="5" attr="1"/><EncBlock id="6"/><age>3</age></patient>`)}, BlockIDs: []int{5, 6}},
+			attrBlk,
+		},
+		"directly matched attribute block": {
+			&wire.Answer{Fragments: [][]byte{[]byte(`<patient><pname>A</pname></patient>`)}, BlockIDs: []int{5}},
+			attrBlk,
+		},
+		"a lone attribute block":      {&wire.Answer{BlockIDs: []int{5}}, attrBlk},
+		"fragment rooted at the root": {fragmentAnswer(t, []*xmltree.Node{db.Residue.Root}), blocks},
+		"empty answer":                {&wire.Answer{}, nil},
+		"missing fragment block": {
+			&wire.Answer{Fragments: [][]byte{[]byte(`<patient><EncBlock id="0"/><EncBlock id="7"/></patient>`)}, BlockIDs: []int{0}},
+			blocks,
+		},
+		"missing direct block": {&wire.Answer{BlockIDs: []int{99}}, blocks},
+	}
+	for name, tc := range cases {
+		checkAgainstReference(t, name, c, tc.ans, tc.blocks, queries...)
+	}
+
+	// The top scheme: the whole document is block 0, shipped under the
+	// residue's lone placeholder or matched directly.
+	top, err := New([]byte("top-key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topDB, err := top.Encrypt(doc, scheme.Top(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topBlocks := decryptAll(t, top, topDB)
+	checkAgainstReference(t, "top scheme, placeholder", top, fragmentAnswer(t, []*xmltree.Node{topDB.Residue.Root}), topBlocks, queries...)
+	checkAgainstReference(t, "top scheme, direct", top, &wire.Answer{BlockIDs: []int{0}}, topBlocks, queries...)
+	res, err := top.PostProcessFull(xpath.MustParse("/hospital/patient"), &wire.Answer{BlockIDs: []int{0}}, topBlocks)
+	if err != nil || len(res.Nodes) != 2 || res.Doc.Root.Tag != "hospital" || res.BlockOf[res.Doc.Root] != 0 {
+		t.Errorf("top scheme: %d patients under <%s>, %v; want 2 under the collapsed <hospital>, block 0", len(res.Nodes), res.Doc.Root.Tag, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -120,11 +121,11 @@ func (s *System) aggregateViaIndex(ctx context.Context, sn *readSnap, tagKey str
 	bid := ans.BlockIDs[0]
 
 	start = time.Now()
-	doc, err := xmltree.ParseCompact(blocks[bid])
+	content, err := client.ReadBlock(blocks[bid])
 	if err != nil {
 		return "", tm, false, fmt.Errorf("core: aggregate block: %w", err)
 	}
-	values := valuesOfTag(doc.Root, tagKey)
+	values := valuesOfTag(content, tagKey)
 	tm.ClientPost = time.Since(start)
 	if len(values) == 0 {
 		return "", tm, false, fmt.Errorf("core: block %d holds no %s values", bid, tagKey)
@@ -160,8 +161,8 @@ func hasPredicates(p *xpath.Path) bool {
 	return false
 }
 
-// valuesOfTag collects the leaf values of the given tag inside a
-// decrypted block envelope (decoys excluded).
+// valuesOfTag collects the leaf values of the given tag in a decrypted
+// block's content (client.ReadBlock has dropped the decoy).
 func valuesOfTag(n *xmltree.Node, tagKey string) []string {
 	var out []string
 	attr := false
@@ -171,9 +172,6 @@ func valuesOfTag(n *xmltree.Node, tagKey string) []string {
 		name = tagKey[1:]
 	}
 	n.Walk(func(m *xmltree.Node) bool {
-		if m.Kind == xmltree.Element && m.Tag == wire.DecoyTag {
-			return false
-		}
 		switch {
 		case attr && m.Kind == xmltree.Attribute && m.Tag == name:
 			out = append(out, m.Value)

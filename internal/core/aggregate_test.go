@@ -177,3 +177,35 @@ func TestLastNamedTagAndPredicates(t *testing.T) {
 		t.Errorf("predicate not detected")
 	}
 }
+
+// TestAggregateMinMaxEncryptedAttribute: MIN/MAX over an attribute that
+// is its own encryption block takes the single-block path, whose block
+// content is the attribute itself (an <_attr> wrapper in the envelope),
+// and returns the plaintext extreme.
+func TestAggregateMinMaxEncryptedAttribute(t *testing.T) {
+	doc := datagen.NASA(60, 3)
+	const q = "//dataset/@subject"
+	sys, err := Host(doc, []string{q}, SchemeOpt, []byte("agg-attr"))
+	if err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	if sys.Client.TagOccursPlain("@subject") {
+		t.Fatalf("@subject occurs in plaintext under SC %s", q)
+	}
+	nodes, _, _, err := sys.Query(q)
+	if err != nil || len(nodes) != 60 {
+		t.Fatalf("Query(%s) = %d nodes, %v; want 60", q, len(nodes), err)
+	}
+	for _, max := range []bool{false, true} {
+		got, tm, err := sys.AggregateMinMax(q, max)
+		if err != nil {
+			t.Fatalf("AggregateMinMax(%s, max=%v): %v", q, max, err)
+		}
+		if want := refExtreme(t, doc, q, max); got != want {
+			t.Errorf("max=%v: got %q, want %q", max, got, want)
+		}
+		if tm.BlocksShipped != 1 {
+			t.Errorf("max=%v: %d blocks shipped, want the single-block path's 1", max, tm.BlocksShipped)
+		}
+	}
+}

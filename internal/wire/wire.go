@@ -132,10 +132,13 @@ type PredAnd struct{ L, R QPred }
 type PredOr struct{ L, R QPred }
 type PredNot struct{ E QPred }
 
-// PredPos filters by 1-based position among the step's matches, in
-// interval (document) order. Grouped intervals make this
-// approximate on the server; the client re-applies the original
-// query, so over-selection is corrected downstream.
+// PredPos filters by 1-based position among the matches the step
+// selects from one context node, in document order (xpath.PosExpr).
+// The server never applies it: a grouped interval hides how many
+// siblings it stands for, so a position is possible, never certain,
+// and the client re-applies the original query to the answer. The
+// anchors of a query's first step ship without their parents, so
+// there the client counts a position among all anchors as siblings.
 type PredPos struct{ N int }
 
 func (*PredExists) qpred() {}

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,8 +124,10 @@ func sameTree(a, b *Node) error {
 // corpus, on random generated documents, and on those documents with
 // bytes deleted, doubled or replaced — most of which no longer parse —
 // the tree is node-for-node the same, IDs included, and an error is the
-// same error, message and all. ParseCompactRoot is the same tree with
-// no IDs assigned.
+// same error, message and all. A Builder that already holds a tree
+// parses the same standalone element, and fed the tree's serialization
+// in two pieces split at a tag, under a root of its own, it builds the
+// same tree below that root.
 func TestParseCompactUnchanged(t *testing.T) {
 	var inputs []string
 	for _, in := range compactDocs {
@@ -163,9 +166,13 @@ func TestParseCompactUnchanged(t *testing.T) {
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 			t.Fatalf("ParseCompact(%q): error %v, the reference %v", in, gotErr, wantErr)
 		}
-		root, rootErr := ParseCompactRoot([]byte(in))
-		if (rootErr == nil) != (gotErr == nil) {
-			t.Fatalf("ParseCompactRoot(%q): error %v, ParseCompact %v", in, rootErr, gotErr)
+		b := NewBuilder("w", 0)
+		if err := b.Feed([]byte(`<x k="v"><y>1</y></x>`)); err != nil {
+			t.Fatal(err)
+		}
+		root, rootErr := b.Parse([]byte(in))
+		if (rootErr == nil) != (gotErr == nil) || (rootErr != nil && rootErr.Error() != gotErr.Error()) {
+			t.Fatalf("Builder.Parse(%q): error %v, ParseCompact %v", in, rootErr, gotErr)
 		}
 		if wantErr != nil {
 			refused++
@@ -179,10 +186,96 @@ func TestParseCompactUnchanged(t *testing.T) {
 			t.Fatalf("ParseCompact(%q): document differs from the reference", in)
 		}
 		if err := sameTree(NewDocument(root).Root, want.Root); err != nil {
-			t.Fatalf("ParseCompactRoot(%q): %v", in, err)
+			t.Fatalf("Builder.Parse(%q): %v", in, err)
+		}
+		// Split the canonical form, where every '<' starts a tag.
+		canon := want.String()
+		cut := strings.LastIndexByte(canon[:len(canon)/2+1], '<')
+		fed := NewBuilder("w", len(canon))
+		for _, piece := range []string{canon[:cut], canon[cut:]} {
+			if err := fed.Feed([]byte(piece)); err != nil {
+				t.Fatalf("Feed(%q): %v", piece, err)
+			}
+		}
+		if err := fed.End(); err != nil {
+			t.Fatalf("Feed(%q): %v", canon, err)
+		}
+		if kids := fed.Root().Children; len(kids) != 1 || kids[0].Parent != fed.Root() {
+			t.Fatalf("Feed(%q): the root holds %d nodes, want 1", canon, len(kids))
+		}
+		canonWant, err := refParseCompact([]byte(canon))
+		if err != nil {
+			t.Fatalf("reference parse of %q: %v", canon, err)
+		}
+		top := fed.Root().Children[0]
+		top.Parent = nil
+		if err := sameTree(NewDocument(top).Root, canonWant.Root); err != nil {
+			t.Fatalf("Feed(%q): %v", in, err)
 		}
 	}
 	if parsed < 200 || refused < 200 {
 		t.Fatalf("corpus too thin: %d inputs parsed, %d refused", parsed, refused)
+	}
+}
+
+// TestBuilderPieces: fed bytes may open an element for a later Feed to
+// close, attached nodes land inside the innermost open element (an
+// attribute after its last attribute, ahead of element children), and
+// neither a closing tag for the root nor one for an element not open
+// is accepted.
+func TestBuilderPieces(t *testing.T) {
+	b := NewBuilder("r", 0)
+	blk, err := b.Parse([]byte(`<c>2</c>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []func() error{
+		func() error { return b.Feed([]byte(`<p k="1"><a>1</a>`)) },
+		func() error { b.Attach(blk); return nil },
+		func() error { b.Attach(NewAttribute("m", "2")); return nil },
+		func() error { return b.Feed([]byte(`</p>`)) },
+		func() error { b.Attach(NewAttribute("top", "3")); return nil },
+		func() error { return b.Feed([]byte(`<q/>`)) },
+		b.End,
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	const want = `<r top="3"><p k="1" m="2"><a>1</a><c>2</c></p><q/></r>`
+	if got := NewDocument(b.Root()).String(); got != want {
+		t.Errorf("built\n %s\nwant\n %s", got, want)
+	}
+	if blk.Parent == nil || blk.Parent.Tag != "p" {
+		t.Errorf("attached element's parent = %v", blk.Parent)
+	}
+
+	b = NewBuilder("r", 0)
+	if err := b.Feed([]byte(`<p>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.End(); err == nil {
+		t.Errorf("End with <p> open succeeded")
+	}
+	if err := b.Feed([]byte(`</p></r>`)); err == nil {
+		t.Errorf("closing the builder's root succeeded")
+	}
+	if err := NewBuilder("r", 0).Feed([]byte(`</x>`)); err == nil {
+		t.Errorf("closing an element never opened succeeded")
+	}
+	if err := NewBuilder("r", 0).Feed([]byte(`<a>1</a><b>x</b>`)); err != nil {
+		t.Errorf("two elements under the root: %v", err)
+	}
+
+	// Child lists share a slab but are capped: appending to one
+	// leaves the next element's list alone.
+	d, err := ParseCompact([]byte(`<r><a>1</a><b>2</b></r>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Root.Children[0].AppendChild(NewElement("z"))
+	if b := d.Root.Children[1]; len(b.Children) != 1 || b.Children[0].Kind != Text || b.Children[0].Value != "2" {
+		t.Errorf("appending under <a> changed <b>: %s", d)
 	}
 }

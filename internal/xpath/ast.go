@@ -188,7 +188,11 @@ type AndExpr struct{ L, R Expr }
 type OrExpr struct{ L, R Expr }
 type NotExpr struct{ E Expr }
 
-// PosExpr filters by 1-based position within the step's result.
+// PosExpr filters by 1-based position among the nodes the step's axis
+// selects from one context node (after the predicates before it), in
+// document order. Under "//" each node reached by
+// descendant-or-self::node() is a context of its own, so //x[1] is
+// the first x child of every parent, not the first x in the document.
 type PosExpr struct{ N int }
 
 func (e *ExistsExpr) String() string { return e.Path.String() }

@@ -1,7 +1,8 @@
 package xpath
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -47,9 +48,14 @@ func evalSteps(ctxs []*xmltree.Node, p *Path, virtualRoot bool) []*xmltree.Node 
 	for i, st := range p.Steps {
 		var next []*xmltree.Node
 		for _, c := range cur {
-			next = append(next, applyStep(c, st, p.Desc[i], virtualRoot && i == 0)...)
+			next = applyStep(next, c, st, p.Desc[i], virtualRoot && i == 0)
 		}
-		cur = dedupSort(next)
+		// One context's selection is already in document order
+		// without duplicates; only a union needs merging.
+		if len(cur) > 1 {
+			next = dedupSort(next)
+		}
+		cur = next
 		if len(cur) == 0 {
 			return nil
 		}
@@ -57,79 +63,150 @@ func evalSteps(ctxs []*xmltree.Node, p *Path, virtualRoot bool) []*xmltree.Node 
 	return cur
 }
 
-// applyStep evaluates one location step from a single context node.
+// applyStep evaluates one location step from a single context node and
+// appends the selection, in document order without duplicates, to out.
 // atRoot marks the first step of an absolute path, where the context
 // is the root element standing in for the document node.
-func applyStep(ctx *xmltree.Node, st Step, desc, atRoot bool) []*xmltree.Node {
-	bases := []*xmltree.Node{ctx}
-	if desc {
-		// "//" — descendant-or-self::node() before the step's axis.
-		// (From the virtual document node this covers the root and
-		// everything below: the same set.)
-		bases = append(bases, elementDescendants(ctx)...)
-	} else if atRoot {
+func applyStep(out []*xmltree.Node, ctx *xmltree.Node, st Step, desc, atRoot bool) []*xmltree.Node {
+	start := len(out)
+	if !desc {
+		if !atRoot {
+			return selectFrom(out, ctx, st)
+		}
 		// "/tag" from the document node selects the root element
 		// itself when it matches.
-		var out []*xmltree.Node
 		if st.Axis == AxisChild && matchTest(ctx, st.Test, false) {
-			out = applyPreds([]*xmltree.Node{ctx}, st.Preds)
+			out = filterPreds(append(out, ctx), start, st.Preds)
 		}
 		return out
 	}
-	var selected []*xmltree.Node
-	for _, b := range bases {
-		selected = append(selected, axisNodes(b, st)...)
+	// "//" — descendant-or-self::node() before the step's axis. (From
+	// the virtual document node this covers the root and everything
+	// below: the same set, plus the root as the document node's child.)
+	if atRoot && st.Axis == AxisChild && matchTest(ctx, st.Test, false) {
+		out = filterPreds(append(out, ctx), start, st.Preds)
 	}
-	if desc && atRoot && st.Axis == AxisChild && matchTest(ctx, st.Test, false) {
-		// "//tag" also matches the root element itself.
-		selected = append(selected, ctx)
+	if (st.Axis == AxisChild || st.Axis == AxisAttribute) && !hasPosition(st.Preds) {
+		// The children (attributes) of ctx and of every element below
+		// it are exactly the nodes (attributes) below ctx: one preorder
+		// walk meets each match once, in document order.
+		mid := len(out)
+		out = collectBelow(out, ctx, &st.Test, st.Axis == AxisAttribute)
+		return filterPreds(out, mid, st.Preds)
 	}
-	return applyPreds(dedupSort(selected), st.Preds)
+	// Predicates apply per base, as in descendant-or-self::node()/
+	// child::x[1]: positions count within each base's axis.
+	for _, b := range append([]*xmltree.Node{ctx}, elementDescendants(ctx)...) {
+		out = selectFrom(out, b, st)
+	}
+	return out[:start+len(dedupSort(out[start:]))]
 }
 
-func axisNodes(n *xmltree.Node, st Step) []*xmltree.Node {
-	var cands []*xmltree.Node
-	switch st.Axis {
-	case AxisChild:
-		for _, c := range n.Children {
-			if c.Kind == xmltree.Element || (st.Test.Text && c.Kind == xmltree.Text) {
-				cands = append(cands, c)
+// selectFrom appends what one step selects from base: its axis nodes
+// passing the node test, in document order, filtered by the step's
+// predicates.
+func selectFrom(out []*xmltree.Node, base *xmltree.Node, st Step) []*xmltree.Node {
+	start := len(out)
+	out = appendAxis(out, base, st)
+	// Reverse axes arrive nearest first; positions count in document
+	// order.
+	sel := dedupSort(out[start:])
+	return filterPreds(out[:start+len(sel)], start, st.Preds)
+}
+
+// filterPreds filters out[start:] in place through each predicate in
+// sequence. Positional predicates index into the nodes as filtered so
+// far, per XPath semantics.
+func filterPreds(out []*xmltree.Node, start int, preds []Expr) []*xmltree.Node {
+	for _, pred := range preds {
+		if pos, ok := pred.(*PosExpr); ok {
+			if pos.N <= len(out)-start {
+				out[start] = out[start+pos.N-1]
+				out = out[:start+1]
+			} else {
+				out = out[:start]
+			}
+			continue
+		}
+		kept := out[:start]
+		for _, n := range out[start:] {
+			if evalExpr(n, pred) {
+				kept = append(kept, n)
 			}
 		}
-	case AxisAttribute:
-		cands = n.Attributes()
-	case AxisDescendant:
-		cands = elementDescendants(n)
-	case AxisDescendantOrSelf:
-		cands = append([]*xmltree.Node{n}, elementDescendants(n)...)
-	case AxisSelf:
-		cands = []*xmltree.Node{n}
-	case AxisParent:
-		if n.Parent != nil {
-			cands = []*xmltree.Node{n.Parent}
-		}
-	case AxisAncestor:
-		cands = n.Ancestors()
-	case AxisAncestorOrSelf:
-		cands = append([]*xmltree.Node{n}, n.Ancestors()...)
-	case AxisFollowingSibling:
-		for _, s := range n.FollowingSiblings() {
-			if s.Kind == xmltree.Element {
-				cands = append(cands, s)
-			}
-		}
-	case AxisPrecedingSibling:
-		for _, s := range n.PrecedingSiblings() {
-			if s.Kind == xmltree.Element {
-				cands = append(cands, s)
-			}
+		out = kept
+	}
+	return out
+}
+
+func hasPosition(preds []Expr) bool {
+	for _, p := range preds {
+		if _, ok := p.(*PosExpr); ok {
+			return true
 		}
 	}
-	attrAxis := st.Axis == AxisAttribute
-	out := cands[:0]
-	for _, c := range cands {
-		if matchTest(c, st.Test, attrAxis) {
+	return false
+}
+
+// collectBelow appends the nodes below n that the child axis (or, with
+// attrAxis, the attribute axis) of n or of an element below it selects
+// under test, in document order.
+func collectBelow(out []*xmltree.Node, n *xmltree.Node, test *NodeTest, attrAxis bool) []*xmltree.Node {
+	for _, c := range n.Children {
+		if (c.Kind == xmltree.Attribute) == attrAxis && matchTest(c, *test, attrAxis) {
 			out = append(out, c)
+		}
+		if c.Kind == xmltree.Element {
+			out = collectBelow(out, c, test, attrAxis)
+		}
+	}
+	return out
+}
+
+// appendAxis appends the nodes on n's st.Axis that pass st.Test.
+func appendAxis(out []*xmltree.Node, n *xmltree.Node, st Step) []*xmltree.Node {
+	t, attrAxis := st.Test, st.Axis == AxisAttribute
+	add := func(c *xmltree.Node) {
+		if matchTest(c, t, attrAxis) {
+			out = append(out, c)
+		}
+	}
+	switch st.Axis {
+	case AxisChild, AxisAttribute:
+		for _, c := range n.Children {
+			if (c.Kind == xmltree.Attribute) == attrAxis {
+				add(c)
+			}
+		}
+	case AxisDescendantOrSelf:
+		add(n)
+		fallthrough
+	case AxisDescendant:
+		for _, d := range elementDescendants(n) {
+			add(d)
+		}
+	case AxisSelf:
+		add(n)
+	case AxisParent:
+		if n.Parent != nil {
+			add(n.Parent)
+		}
+	case AxisAncestorOrSelf:
+		add(n)
+		fallthrough
+	case AxisAncestor:
+		for _, a := range n.Ancestors() {
+			add(a)
+		}
+	case AxisFollowingSibling, AxisPrecedingSibling:
+		sib := n.FollowingSiblings()
+		if st.Axis == AxisPrecedingSibling {
+			sib = n.PrecedingSiblings()
+		}
+		for _, s := range sib {
+			if s.Kind == xmltree.Element {
+				add(s)
+			}
 		}
 	}
 	return out
@@ -167,31 +244,6 @@ func elementDescendants(n *xmltree.Node) []*xmltree.Node {
 	return out
 }
 
-// applyPreds filters nodes through each predicate in sequence.
-// Positional predicates index into the list as filtered so far,
-// per XPath semantics.
-func applyPreds(nodes []*xmltree.Node, preds []Expr) []*xmltree.Node {
-	cur := nodes
-	for _, pred := range preds {
-		if pos, ok := pred.(*PosExpr); ok {
-			if pos.N <= len(cur) {
-				cur = []*xmltree.Node{cur[pos.N-1]}
-			} else {
-				cur = nil
-			}
-			continue
-		}
-		var kept []*xmltree.Node
-		for _, n := range cur {
-			if evalExpr(n, pred) {
-				kept = append(kept, n)
-			}
-		}
-		cur = kept
-	}
-	return cur
-}
-
 func evalExpr(ctx *xmltree.Node, e Expr) bool {
 	switch v := e.(type) {
 	case *ExistsExpr:
@@ -222,7 +274,7 @@ func evalExpr(ctx *xmltree.Node, e Expr) bool {
 	case *NotExpr:
 		return !evalExpr(ctx, v.E)
 	case *PosExpr:
-		// Positional predicates are handled in applyPreds; reaching
+		// Positional predicates are handled in filterPreds; reaching
 		// here (e.g. inside and/or) treats [n] as "result size >= n",
 		// which is never needed by the paper's query classes.
 		return false
@@ -320,18 +372,12 @@ func opHolds(cmp int, op Op) bool {
 	}
 }
 
+// dedupSort puts nodes in document order and drops duplicates, in
+// place.
 func dedupSort(nodes []*xmltree.Node) []*xmltree.Node {
 	if len(nodes) <= 1 {
 		return nodes
 	}
-	seen := make(map[*xmltree.Node]bool, len(nodes))
-	out := nodes[:0]
-	for _, n := range nodes {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(nodes, func(a, b *xmltree.Node) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.Compact(nodes)
 }

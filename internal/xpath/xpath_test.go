@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,6 +187,24 @@ func TestPositionalPredicates(t *testing.T) {
 	}
 	if n := count(t, d, "//patient[3]"); n != 0 {
 		t.Errorf("//patient[3] = %d, want 0", n)
+	}
+	// Under "//" a position counts among each parent's children:
+	// //x[1] is descendant-or-self::node()/child::x[1].
+	two := xmltree.MustParse(`<r><a><x>1</x><x>2</x></a><a><x>3</x><x>4</x></a></r>`)
+	for q, want := range map[string]string{
+		"//x[1]":       "[1 3]",
+		"//x[2]":       "[2 4]",
+		"//x[3]":       "[]",
+		"/r//x[1]":     "[1 3]",
+		"//a//x[2]":    "[2 4]",
+		"//x[.>1][1]":  "[2 3]",
+		"//a[2]/x[1]":  "[3]",
+		"//r[1]//x[1]": "[1 3]",
+		"//*[1]":       "[1234 12 1 3]",
+	} {
+		if got := fmt.Sprint(evalStrings(t, two, q)); got != want {
+			t.Errorf("%s = %s, want %s", q, got, want)
+		}
 	}
 }
 
