@@ -12,7 +12,7 @@ import (
 )
 
 // TestPlaceholderScanMatchesTreeWalk holds wire.PlaceholderIDs — what
-// the server, the verifier and the client's splice read fragments with
+// the server, the verifier and the client's assembly read fragments with
 // — to the parse it replaced: for every fragment of every answer the
 // corpus produces, under every scheme, the scanner's id list is the
 // list a ParseCompact + Walk over the same bytes finds, and each

@@ -466,8 +466,8 @@ func (v *AuthVerifier) VerifyAnswer(ans *Answer) error {
 // confirms every <EncBlock> placeholder they reference arrived in
 // the answer — a server silently dropping a referenced block is an
 // omission, not a smaller answer. A placeholder the scanner cannot
-// read is tampering too: the client's splice would refuse it, and the
-// verdict belongs here.
+// read is tampering too: the client's answer assembly would refuse
+// it, and the verdict belongs here.
 func checkReferencedBlocks(ans *Answer) error {
 	have := slices.Clone(ans.BlockIDs) // an honest server ships them sorted already
 	slices.Sort(have)

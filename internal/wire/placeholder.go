@@ -17,10 +17,11 @@ var placeholderOpen = []byte("<" + PlaceholderTag)
 // delimiter can only start a placeholder element.
 //
 // The server (which blocks to ship), the verifier (which blocks the
-// answer must not omit) and the client's splice (where decrypted
-// blocks go) all read placeholders through this one function, so they
-// cannot disagree; a placeholder that is unterminated, not
-// self-closing, or has no decimal id is an error for all three.
+// answer must not omit) and the client's answer assembly (where each
+// block's content goes) all read placeholders through this one
+// function, so they cannot disagree; a placeholder that is
+// unterminated, not self-closing, or has no decimal id is an error for
+// all three.
 func PlaceholderIDs(fragment []byte, yield func(id, start, end int)) error {
 	for from := 0; ; {
 		i := bytes.Index(fragment[from:], placeholderOpen)
