@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build bench-build bench-smoke test race chaos tamper fuzz fuzz-smoke difftest bench mvcc-race overload-smoke cache-stress powercut group-commit soak soak-short soak-update soak-update-short profile fmt
+.PHONY: check vet build bench-build bench-smoke test race chaos tamper fuzz fuzz-smoke difftest bench rungs mvcc-race overload-smoke cache-stress powercut group-commit soak soak-short soak-update soak-update-short profile fmt
 
 check: vet build bench bench-build bench-smoke race tamper fuzz-smoke cache-stress mvcc-race overload-smoke powercut group-commit soak-short soak-update-short
 
@@ -78,6 +78,12 @@ difftest:
 # `check`): a benchmark that breaks or fails shows up here.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# The server's boot and point-lookup rungs, ten runs each with
+# allocation counts, for before/after comparisons (not part of
+# `check`).
+rungs:
+	$(GO) test -run '^$$' -bench 'BenchmarkServerNew|BenchmarkPointQuery' -benchmem -count 10 .
 
 # MVCC snapshot-read contract under -race (part of `check`): the
 # NumBlocks data-race regression, the returned-bytes aliasing

@@ -445,8 +445,8 @@ func BenchmarkBulkPostProcess(b *testing.B) {
 var serverSink *server.Server
 
 // BenchmarkServerNew measures booting a server on the benchmark
-// document: forest, label inversion, residue facts, guide and value
-// index. The benchmark's set-up boots one twice (on hosting, then on
+// document: node table (forest, labels and guide), residue facts and
+// value index. The benchmark's set-up boots one twice (on hosting, then on
 // upload).
 func BenchmarkServerNew(b *testing.B) {
 	sys := benchDocSystem(b)

@@ -155,7 +155,7 @@ func TestGroupingAblation(t *testing.T) {
 	// intervals. In the sorted laminar order a leaf-level interval is
 	// one that does not contain its successor.
 	var pairs [][2]int
-	all := md.Table.AllIntervals()
+	all := dsi.BuildForest(md.Table).Intervals()
 	for _, root := range s.BlockRoots {
 		leaves := 0
 		root.Walk(func(n *xmltree.Node) bool {

@@ -197,7 +197,7 @@ func (c *Client) Encrypt(doc *xmltree.Document, s *scheme.Scheme) (*wire.HostedD
 		Residue:          residue,
 		ResidueIntervals: ivs,
 		Table:            md.Table,
-		BlockReps:        md.Blocks.Reps,
+		BlockReps:        md.BlockReps,
 		Blocks:           blocks,
 		IndexEntries:     entries,
 	}, nil

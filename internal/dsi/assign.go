@@ -1,7 +1,6 @@
 package dsi
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/cryptoprim"
@@ -65,43 +64,4 @@ func indexableChildren(p *xmltree.Node) []*xmltree.Node {
 		}
 	}
 	return out
-}
-
-// Check verifies the two structural invariants the security and
-// correctness arguments rest on: (1) every child interval is
-// strictly inside its parent's, (2) sibling intervals are pairwise
-// disjoint with positive gaps, in document order. It returns the
-// first violation found, or nil.
-func (asg Assignment) Check(doc *xmltree.Document) error {
-	var visit func(n *xmltree.Node) error
-	visit = func(n *xmltree.Node) error {
-		piv, ok := asg[n]
-		if !ok {
-			return fmt.Errorf("dsi: node %s has no interval", n.Path())
-		}
-		if !piv.Valid() {
-			return fmt.Errorf("dsi: node %s has invalid interval %v", n.Path(), piv)
-		}
-		children := indexableChildren(n)
-		var prev *Interval
-		for _, c := range children {
-			civ, ok := asg[c]
-			if !ok {
-				return fmt.Errorf("dsi: child %s has no interval", c.Path())
-			}
-			if !piv.StrictlyContains(civ) {
-				return fmt.Errorf("dsi: child %s interval %v not strictly inside parent %v", c.Path(), civ, piv)
-			}
-			if prev != nil && !prev.Before(civ) {
-				return fmt.Errorf("dsi: sibling gap violated at %s: %v then %v", c.Path(), *prev, civ)
-			}
-			iv := civ
-			prev = &iv
-			if err := visit(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return visit(doc.Root)
 }

@@ -28,8 +28,6 @@ package dsi
 type Guide struct {
 	nodes []GuideNode
 	roots []int32
-	// classOf maps each table interval to its (single) class.
-	classOf map[Interval]int32
 }
 
 // GuideNode is one path class of the guide.
@@ -48,45 +46,34 @@ type GuideNode struct {
 	Intervals []Interval
 }
 
-// BuildGuide derives the path-class synopsis from a DSI table and its
-// interval forest. It returns nil when some interval is filed under
-// more than one table label — then the single-class-per-interval
-// invariant the planner's pruning relies on does not hold and callers
-// must treat the structure as having no synopsis. (The builder never
-// produces such tables: each node contributes its one tag label.)
-func BuildGuide(t *Table, f *Forest) *Guide {
-	labelOf := make(map[Interval]string, f.Size())
-	for label, ivs := range t.ByTag {
-		for _, iv := range ivs {
-			if prev, ok := labelOf[iv]; ok && prev != label {
-				return nil
-			}
-			labelOf[iv] = label
-		}
-	}
-	g := &Guide{classOf: make(map[Interval]int32, f.Size())}
-	type classKey struct {
-		parent int32
-		label  string
-	}
-	classIdx := map[classKey]int32{}
-	// Forest items are ordered containers-first, so a parent's class
-	// exists before any of its children are classified.
-	for _, it := range f.items {
-		iv := it.iv
-		label, ok := labelOf[iv]
-		if !ok {
-			return nil // table and forest disagree; no synopsis
+// buildGuide derives the path-class synopsis and the class column from
+// the forest's parent and label columns. It returns nil for both when
+// some interval is filed under more than one table label — then the
+// single-class-per-interval invariant the planner's pruning relies on
+// does not hold and callers must treat the structure as having no
+// synopsis. (The builder never produces such tables: each node
+// contributes its one tag label.)
+func buildGuide(f *Forest) (*Guide, []int32) {
+	g := &Guide{}
+	class := make([]int32, len(f.ivs))
+	classIdx := map[[2]int32]int32{} // (parent class, label) -> class
+	var counts []int
+	// Node numbers are pre-order, so a parent's class exists before
+	// any of its children are classified.
+	for i, label := range f.label {
+		if len(f.labels[label]) != 1 {
+			return nil, nil
 		}
 		parent := int32(-1)
-		if it.parent >= 0 {
-			parent = g.classOf[f.items[it.parent].iv]
+		if p := f.parent[i]; p >= 0 {
+			parent = class[p]
 		}
-		key := classKey{parent: parent, label: label}
+		key := [2]int32{parent, label}
 		ci, ok := classIdx[key]
 		if !ok {
 			ci = int32(len(g.nodes))
-			g.nodes = append(g.nodes, GuideNode{Label: label, Parent: parent})
+			g.nodes = append(g.nodes, GuideNode{Label: f.labels[label][0], Parent: parent})
+			counts = append(counts, 0)
 			classIdx[key] = ci
 			if parent < 0 {
 				g.roots = append(g.roots, ci)
@@ -94,12 +81,20 @@ func BuildGuide(t *Table, f *Forest) *Guide {
 				g.nodes[parent].Children = append(g.nodes[parent].Children, ci)
 			}
 		}
-		g.nodes[ci].Intervals = append(g.nodes[ci].Intervals, iv)
-		g.classOf[iv] = ci
+		class[i] = ci
+		counts[ci]++
 	}
-	// Forest iteration is (Lo asc, Hi desc)-ordered, so each class's
-	// member list is already Lo-sorted.
-	return g
+	// Every class's member list is a capped window of one backing
+	// array; pre-order keeps each Lo-sorted.
+	members, off := make([]Interval, len(f.ivs)), 0
+	for ci, c := range counts {
+		g.nodes[ci].Intervals = members[off : off : off+c]
+		off += c
+	}
+	for i, ci := range class {
+		g.nodes[ci].Intervals = append(g.nodes[ci].Intervals, f.ivs[i])
+	}
+	return g, class
 }
 
 // NumClasses returns the number of path classes (distinct label
@@ -111,15 +106,6 @@ func (g *Guide) Node(ci int32) *GuideNode { return &g.nodes[ci] }
 
 // Roots returns the root class indexes.
 func (g *Guide) Roots() []int32 { return g.roots }
-
-// ClassOf returns the class index of a table interval, -1 when the
-// interval is not in the table.
-func (g *Guide) ClassOf(iv Interval) int32 {
-	if ci, ok := g.classOf[iv]; ok {
-		return ci
-	}
-	return -1
-}
 
 // Count returns the number of intervals in class ci — the planner's
 // DSI interval-group cardinality for the class's label path. Grouping

@@ -19,10 +19,11 @@ func TestBuildGuideClasses(t *testing.T) {
 		"c": {c1, c2, d},
 	}}
 	f := BuildForest(tb)
-	g := BuildGuide(tb, f)
+	g := f.Guide()
 	if g == nil {
-		t.Fatal("BuildGuide returned nil for a clean table")
+		t.Fatal("BuildForest built no guide for a clean table")
 	}
+	classOf := func(iv Interval) int32 { return f.Class(f.Num(iv)) }
 	if g.NumClasses() != 4 {
 		t.Fatalf("NumClasses = %d, want 4 (a, a/b, a/b/c, a/c)", g.NumClasses())
 	}
@@ -30,37 +31,42 @@ func TestBuildGuideClasses(t *testing.T) {
 		t.Fatalf("roots = %v", g.Roots())
 	}
 	root := g.Roots()[0]
-	if g.ClassOf(b1) != g.ClassOf(b2) {
+	if classOf(b1) != classOf(b2) {
 		t.Fatal("same label under the same parent class split into two classes")
 	}
-	bClass := g.ClassOf(b1)
+	bClass := classOf(b1)
 	if g.Count(bClass) != 2 {
 		t.Fatalf("b class counts %d intervals, want 2", g.Count(bClass))
 	}
 	if g.Node(bClass).Parent != root {
 		t.Fatalf("b class parent = %d, want root %d", g.Node(bClass).Parent, root)
 	}
-	if g.ClassOf(c1) != g.ClassOf(c2) {
+	if classOf(c1) != classOf(c2) {
 		t.Fatal("c under the two b's must share one class (same parent class)")
 	}
-	if g.ClassOf(d) == g.ClassOf(c1) {
+	if classOf(d) == classOf(c1) {
 		t.Fatal("c under a and c under b must be distinct classes")
 	}
-	if g.Node(g.ClassOf(c1)).Parent != bClass {
+	if g.Node(classOf(c1)).Parent != bClass {
 		t.Fatal("a/b/c class must hang off the b class")
 	}
-	if g.Node(g.ClassOf(d)).Parent != root {
+	if g.Node(classOf(d)).Parent != root {
 		t.Fatal("a/c class must hang off the root class")
 	}
 }
 
 // TestBuildGuideRejectsMultiLabel: an interval filed under two table
-// labels breaks the single-class invariant; the builder must refuse
-// (callers then run pairwise, never over a wrong synopsis).
+// labels breaks the single-class invariant; the builder must build no
+// guide (callers then run pairwise, never over a wrong synopsis), and
+// the node table must still list both labels.
 func TestBuildGuideRejectsMultiLabel(t *testing.T) {
 	iv := Interval{Lo: 0.2, Hi: 0.4}
 	tb := &Table{ByTag: map[string][]Interval{"x": {iv}, "y": {iv}}}
-	if g := BuildGuide(tb, BuildForest(tb)); g != nil {
+	f := BuildForest(tb)
+	if f.Guide() != nil || f.Class(f.Num(iv)) != -1 {
 		t.Fatal("multi-label interval must disable the synopsis")
+	}
+	if got := f.Labels(f.Num(iv)); len(got) != 2 || got[0] != "x" || got[1] != "y" {
+		t.Fatalf("labels = %v, want [x y]", got)
 	}
 }

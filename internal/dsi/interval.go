@@ -9,12 +9,16 @@
 // The package also builds the two metadata tables placed on the
 // server (§5.1.1): the DSI index table (tag, encrypted when the node
 // is encrypted, → grouped intervals) and the encryption block table
-// (representative interval → block ID), and provides the interval
-// forest used to compute structural joins on the server.
+// (representative interval → block ID). For the server it builds one
+// node table (Forest): the table's distinct intervals numbered in
+// pre-order, with parent, label and path-class columns, from which
+// the structural joins and the planner's guide read.
 package dsi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,9 +30,6 @@ type Interval struct {
 }
 
 func (iv Interval) String() string { return fmt.Sprintf("[%.9f, %.9f]", iv.Lo, iv.Hi) }
-
-// Valid reports Lo < Hi within the unit interval.
-func (iv Interval) Valid() bool { return 0 <= iv.Lo && iv.Lo < iv.Hi && iv.Hi <= 1 }
 
 // StrictlyContains reports that o lies strictly inside iv.
 func (iv Interval) StrictlyContains(o Interval) bool {
@@ -46,12 +47,6 @@ func (iv Interval) Equal(o Interval) bool { return iv == o }
 // Before reports that iv ends before o starts (document order for
 // disjoint intervals; implements the following axis).
 func (iv Interval) Before(o Interval) bool { return iv.Hi < o.Lo }
-
-// Related reports laminar overlap: equal, containing or contained.
-// In a laminar family this is the only alternative to disjointness.
-func (iv Interval) Related(o Interval) bool {
-	return iv.Contains(o) || o.Contains(iv)
-}
 
 // Merge returns the interval spanning a run of grouped siblings:
 // lower bound of the leftmost, upper bound of the rightmost (§5.1.1).
@@ -72,11 +67,8 @@ func Merge(ivs []Interval) Interval {
 // precedes everything it contains; the order is also document order
 // for disjoint intervals.
 func SortIntervals(ivs []Interval) {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
-		}
-		return ivs[i].Hi > ivs[j].Hi
+	slices.SortFunc(ivs, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(b.Hi, a.Hi))
 	})
 }
 

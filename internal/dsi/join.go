@@ -1,7 +1,5 @@
 package dsi
 
-import "sort"
-
 // Batched structural joins over sorted interval lists — the
 // "standard structural join algorithms" the paper's server runs
 // (§6.2, citing Al-Khalifa et al.'s sort-merge joins). Where the
@@ -57,15 +55,4 @@ func ChildJoin(f *Forest, ctxs, cands []Interval) []Interval {
 		}
 	}
 	return out
-}
-
-// SortedByLo reports whether the list is in SortIntervals order;
-// join inputs are expected to satisfy it (debug helper for tests).
-func SortedByLo(ivs []Interval) bool {
-	return sort.SliceIsSorted(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
-		}
-		return ivs[i].Hi > ivs[j].Hi
-	})
 }

@@ -1,6 +1,7 @@
 package dsi
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +28,7 @@ func TestDescendantJoinMatchesPerContext(t *testing.T) {
 	d := genDoc(7)
 	ks := cryptoprim.MustKeySet("join")
 	md := BuildMetadata(d, nil, ks)
-	all := md.Table.AllIntervals()
+	all := BuildForest(md.Table).Intervals()
 	// Contexts: every interval of one tag; candidates: all intervals.
 	for tag := range md.Table.ByTag {
 		ctxs := md.Table.Lookup(tag)
@@ -59,7 +60,7 @@ func TestChildJoinMatchesForest(t *testing.T) {
 	ks := cryptoprim.MustKeySet("join2")
 	md := BuildMetadata(d, nil, ks)
 	f := BuildForest(md.Table)
-	all := md.Table.AllIntervals()
+	all := f.Intervals()
 	for tag := range md.Table.ByTag {
 		ctxs := md.Table.Lookup(tag)
 		got := ChildJoin(f, ctxs, all)
@@ -87,7 +88,7 @@ func TestQuickDescendantJoin(t *testing.T) {
 	f := func(seed uint32, pick uint8) bool {
 		d := genDoc(seed)
 		md := BuildMetadata(d, nil, ks)
-		all := md.Table.AllIntervals()
+		all := BuildForest(md.Table).Intervals()
 		if len(all) == 0 {
 			return true
 		}
@@ -108,7 +109,9 @@ func TestQuickDescendantJoin(t *testing.T) {
 				}
 			}
 		}
-		return len(got) == count && SortedByLo(got)
+		sorted := slices.Clone(got)
+		SortIntervals(sorted)
+		return len(got) == count && slices.Equal(got, sorted)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

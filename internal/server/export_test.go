@@ -31,9 +31,23 @@ type ResidueFact struct {
 
 // ResidueFacts returns the boot-time record of every residue interval.
 func (s *Server) ResidueFacts() map[dsi.Interval]ResidueFact {
+	f, facts := s.NodeTable()
 	out := map[dsi.Interval]ResidueFact{}
-	for iv, r := range s.current().st.residue {
-		out[iv] = ResidueFact{Node: r.node, Placeholder: r.placeholder, HidesBlock: r.hidesBlock, Val: r.val}
+	for i, r := range facts {
+		if r.Node != nil {
+			out[f.Interval(int32(i))] = r
+		}
 	}
 	return out
+}
+
+// NodeTable returns the node table New built and the residue fact of
+// every node by node number, a zero fact for nodes inside blocks.
+func (s *Server) NodeTable() (*dsi.Forest, []ResidueFact) {
+	st := s.current().st
+	out := make([]ResidueFact, len(st.residue))
+	for i, r := range st.residue {
+		out[i] = ResidueFact{Node: r.node, Placeholder: r.placeholder, HidesBlock: r.hidesBlock, Val: r.val}
+	}
+	return st.forest, out
 }

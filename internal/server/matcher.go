@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,16 +89,13 @@ func putIvBuf(p *[]dsi.Interval) {
 // is the virtual document node, so a non-descendant child step must
 // match a forest root, while a "//" step may match any interval.
 func (e *exec) matchFirst(st *wire.QStep) []dsi.Interval {
+	f := e.sn.st.forest
 	buf := getIvBuf()
 	presizeIvBuf(buf, e.stepEstimate(st))
 	cands := (*buf)[:0]
 	for _, list := range e.stepLists(st) {
 		for _, iv := range list {
-			if st.Desc {
-				cands = append(cands, iv)
-				continue
-			}
-			if _, hasParent := e.sn.st.forest.ParentOf(iv); !hasParent {
+			if st.Desc || f.Parent(f.Num(iv)) < 0 {
 				cands = append(cands, iv)
 			}
 		}
@@ -221,32 +219,18 @@ func (e *exec) stepFrom(dst []dsi.Interval, ctx dsi.Interval, st *wire.QStep, li
 	f := e.sn.st.forest
 	out := dst
 	switch st.Axis {
-	case xpath.AxisSelf:
-		if st.Labels == nil || e.sn.hasAnyLabel(ctx, st.Labels) {
-			out = append(out, ctx)
+	case xpath.AxisSelf, xpath.AxisParent, xpath.AxisAncestor, xpath.AxisAncestorOrSelf:
+		i := f.Num(ctx)
+		if st.Axis == xpath.AxisParent || st.Axis == xpath.AxisAncestor {
+			i = f.Parent(i)
 		}
-	case xpath.AxisParent:
-		if p, ok := f.ParentOf(ctx); ok {
-			if st.Labels == nil || e.sn.hasAnyLabel(p, st.Labels) {
-				out = append(out, p)
+		for ; i >= 0; i = f.Parent(i) {
+			if st.Labels == nil || hasAnyLabel(f.Labels(i), st.Labels) {
+				out = append(out, f.Interval(i))
 			}
-		}
-	case xpath.AxisAncestor, xpath.AxisAncestorOrSelf:
-		cur := ctx
-		if st.Axis == xpath.AxisAncestorOrSelf {
-			if st.Labels == nil || e.sn.hasAnyLabel(cur, st.Labels) {
-				out = append(out, cur)
-			}
-		}
-		for {
-			p, ok := f.ParentOf(cur)
-			if !ok {
+			if st.Axis == xpath.AxisSelf || st.Axis == xpath.AxisParent {
 				break
 			}
-			if st.Labels == nil || e.sn.hasAnyLabel(p, st.Labels) {
-				out = append(out, p)
-			}
-			cur = p
 		}
 	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
 		parent, hasParent := f.ParentOf(ctx)
@@ -282,7 +266,7 @@ func (e *exec) stepFrom(dst []dsi.Interval, ctx dsi.Interval, st *wire.QStep, li
 		for _, list := range lists {
 			out = append(out, dsi.Within(list, ctx)...)
 		}
-		if st.Labels == nil || e.sn.hasAnyLabel(ctx, st.Labels) {
+		if st.Labels == nil || hasAnyLabel(f.Labels(f.Num(ctx)), st.Labels) {
 			out = append(out, ctx)
 		}
 	default: // child, attribute
@@ -336,7 +320,7 @@ func (e *exec) stepEstimate(st *wire.QStep) int {
 // the node test matches; a wildcard yields the full sorted universe.
 func (sn *snapshot) labelLists(labels []string) [][]dsi.Interval {
 	if labels == nil {
-		return [][]dsi.Interval{sn.st.allIntervals}
+		return [][]dsi.Interval{sn.st.forest.Intervals()}
 	}
 	out := make([][]dsi.Interval, 0, len(labels))
 	for _, l := range labels {
@@ -347,12 +331,12 @@ func (sn *snapshot) labelLists(labels []string) [][]dsi.Interval {
 	return out
 }
 
-func (sn *snapshot) hasAnyLabel(iv dsi.Interval, labels []string) bool {
-	for _, have := range sn.st.labelsOf[iv] {
-		for _, want := range labels {
-			if have == want {
-				return true
-			}
+// hasAnyLabel reports that a node filed under the labels have passes
+// a node test naming the labels want.
+func hasAnyLabel(have, want []string) bool {
+	for _, l := range have {
+		if slices.Contains(want, l) {
+			return true
 		}
 	}
 	return false
@@ -452,8 +436,10 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 		return false
 	}
 	pp := e.pl.preds[v]
+	f := e.sn.st.forest
 	for _, tgt := range targets {
-		if r, ok := e.sn.st.residue[tgt]; ok && !r.placeholder {
+		i := f.Num(tgt) // every match is a table interval
+		if r := &e.sn.st.residue[i]; r.node != nil && !r.placeholder {
 			if r.hidesBlock {
 				if upper {
 					return true
@@ -470,7 +456,9 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 		if !upper {
 			continue
 		}
-		if e.isForestLeaf(tgt) && len(v.Ranges) > 0 {
+		// A forest leaf stands for leaf nodes only (grouping merges
+		// adjacent leaves, so groups remain forest leaves).
+		if f.IsLeaf(i) && len(v.Ranges) > 0 {
 			if bid := e.sn.blockIDFor(tgt); bid >= 0 && e.rangeBlocksFor(v, pp.fp)[bid] {
 				return true
 			}
@@ -485,19 +473,6 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 
 func isPlaceholder(n *xmltree.Node) bool {
 	return n.Kind == xmltree.Element && n.Tag == wire.PlaceholderTag
-}
-
-// isForestLeaf reports that no table interval lies strictly inside
-// iv — at table granularity the interval stands for leaf nodes only
-// (grouping merges adjacent leaves, so groups remain forest leaves).
-func (e *exec) isForestLeaf(iv dsi.Interval) bool {
-	inside := dsi.Within(e.sn.st.allIntervals, iv)
-	for _, in := range inside {
-		if !in.Equal(iv) {
-			return false
-		}
-	}
-	return true
 }
 
 // rangeBlocksFor resolves the blocks whose indexed values fall in

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/dsi"
 	"repro/internal/wire"
 	"repro/internal/xpath"
 )
@@ -125,5 +127,46 @@ func TestPredicateOnlyQueryShapes(t *testing.T) {
 	}
 	if len(ans.Fragments)+len(ans.Blocks) == 0 {
 		t.Errorf("wildcard-with-exists matched nothing")
+	}
+}
+
+// TestUpwardAxesMatchForest checks the self, parent, ancestor and
+// ancestor-or-self steps, which walk the node table's parent column,
+// against a walk up ParentOf from every interval of the hospital
+// document, with no node test and with one naming a table label.
+func TestUpwardAxesMatchForest(t *testing.T) {
+	_, s := boot(t, "opt")
+	sn := s.current()
+	e := &exec{srv: s, sn: sn}
+	f := sn.st.forest
+	for _, labels := range [][]string{nil, {"patient"}, {"hospital", "pname"}} {
+		for _, axis := range []xpath.Axis{xpath.AxisSelf, xpath.AxisParent, xpath.AxisAncestor, xpath.AxisAncestorOrSelf} {
+			st := &wire.QStep{Axis: axis, Labels: labels}
+			for _, ctx := range f.Intervals() {
+				path := []dsi.Interval{ctx}
+				for p, ok := f.ParentOf(ctx); ok; p, ok = f.ParentOf(p) {
+					path = append(path, p)
+				}
+				switch axis {
+				case xpath.AxisSelf:
+					path = path[:1]
+				case xpath.AxisParent:
+					path = path[1:min(2, len(path))]
+				case xpath.AxisAncestor:
+					path = path[1:]
+				}
+				var want []dsi.Interval
+				for _, iv := range path {
+					if labels == nil || slices.ContainsFunc(labels, func(l string) bool {
+						return slices.Contains(sn.db.Table.Lookup(l), iv)
+					}) {
+						want = append(want, iv)
+					}
+				}
+				if got := e.stepFrom(nil, ctx, st, nil, true); !slices.Equal(got, want) {
+					t.Fatalf("%v::%v from %v: %v, want %v", axis, labels, ctx, got, want)
+				}
+			}
+		}
 	}
 }

@@ -75,7 +75,7 @@ func TestSynopsisIncrementalEqualsRebuild(t *testing.T) {
 // against the forest it summarizes: every forest interval is in
 // exactly one class, member lists are Lo-sorted, and each member's
 // forest parent belongs to the class's parent class (the exactness
-// BuildGuide promises and the twig transitions rely on).
+// the guide promises and the twig transitions rely on).
 func TestGuideInvariants(t *testing.T) {
 	_, s := boot(t, "opt")
 	sn := s.current()
@@ -101,9 +101,9 @@ func TestGuideInvariants(t *testing.T) {
 			if !ok {
 				t.Fatalf("class %d holds %v without a forest parent", ci, iv)
 			}
-			if g.ClassOf(p) != node.Parent {
+			if pc := sn.st.forest.Class(sn.st.forest.Num(p)); pc != node.Parent {
 				t.Fatalf("class %d: member %v's parent classified as %d, want %d",
-					ci, iv, g.ClassOf(p), node.Parent)
+					ci, iv, pc, node.Parent)
 			}
 		}
 	}

@@ -64,18 +64,18 @@ type Server struct {
 // structure is the part of the hosted state that never changes after
 // New: updates in this extension are value-level and
 // structure-preserving (see wire.Update) and replace only blocks and
-// index bands, never the residue, so the interval forest, the label
-// inversion, the residue facts and the block containment index are
-// built once and shared by every snapshot.
+// index bands, never the residue, so the node table, the residue
+// facts and the block containment index are built once and shared by
+// every snapshot.
 type structure struct {
+	// forest is the node table (dsi.Forest): every table interval
+	// numbered in pre-order, with its parent, labels and guide class.
+	// Its Intervals are the Lo-sorted universe wildcards join over.
 	forest *dsi.Forest
-	// labelsOf inverts the DSI table: interval -> table labels.
-	labelsOf map[dsi.Interval][]string
-	// residue holds the decided facts of every residue interval
-	// (placeholders carry their block root's interval).
-	residue map[dsi.Interval]residueFact
-	// allIntervals is the Lo-sorted universe (for wildcards).
-	allIntervals []dsi.Interval
+	// residue holds the decided facts of every residue node by node
+	// number (placeholders carry their block root's interval); a fact
+	// with a nil node marks an interval inside a block.
+	residue []residueFact
 	// blockIdx holds the (disjoint) block representative intervals
 	// sorted by Lo for O(log m) containment lookup.
 	blockIdx []blockRef
@@ -163,34 +163,30 @@ func (st *structure) decideResidue(n *xmltree.Node, ivs map[*xmltree.Node]dsi.In
 		*parts = (*parts)[:mark]
 	}
 	if iv, ok := ivs[n]; ok {
-		st.residue[iv] = f
+		if i := st.forest.Num(iv); i >= 0 {
+			st.residue[i] = f
+		}
 	}
 	return text, f.hidesBlock
 }
 
 // New boots a server from an uploaded database: it buckets the value
-// index into its band runs, builds the interval forest used by the
-// structural joins, decides the residue facts value predicates read,
+// index into its band runs, builds the node table the structural
+// joins and the planner read, decides the residue facts value predicates read,
 // and publishes generation 1. The snapshot takes
 // its own Blocks slice header and index, so an owner mutating the
 // uploaded HostedDB in place (the in-process mirror does) can never
 // tear a pinned reader.
 func New(db *wire.HostedDB) *Server {
+	forest := dsi.BuildForest(db.Table)
 	st := &structure{
-		forest:   dsi.BuildForest(db.Table),
-		labelsOf: make(map[dsi.Interval][]string, db.Table.NumEntries()),
-		residue:  make(map[dsi.Interval]residueFact, len(db.ResidueIntervals)),
-	}
-	for label, ivs := range db.Table.ByTag {
-		for _, iv := range ivs {
-			st.labelsOf[iv] = append(st.labelsOf[iv], label)
-		}
+		forest:  forest,
+		residue: make([]residueFact, forest.Size()),
+		guide:   forest.Guide(),
 	}
 	if db.Residue != nil && db.Residue.Root != nil {
 		st.decideResidue(db.Residue.Root, db.ResidueIntervals, new([]string))
 	}
-	st.allIntervals = st.forest.Intervals()
-	st.guide = dsi.BuildGuide(db.Table, st.forest)
 	for id, rep := range db.BlockReps {
 		st.blockIdx = append(st.blockIdx, blockRef{iv: rep, id: id})
 	}
@@ -472,14 +468,12 @@ func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire
 // it widens the anchor when the query can escape the anchor subtree
 // via parent or sibling axes.
 func (sn *snapshot) lift(iv dsi.Interval, n int) dsi.Interval {
-	for ; n > 0; n-- {
-		p, ok := sn.st.forest.ParentOf(iv)
-		if !ok {
-			return iv
-		}
-		iv = p
+	f := sn.st.forest
+	i := f.Num(iv)
+	for ; n > 0 && f.Parent(i) >= 0; n-- {
+		i = f.Parent(i)
 	}
-	return iv
+	return f.Interval(i)
 }
 
 // liftDepth computes how many levels above the first-step match the
@@ -571,8 +565,8 @@ func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interv
 			blockSet[bid] = true
 			continue
 		}
-		r, ok := sn.st.residue[a]
-		if !ok {
+		r := &sn.st.residue[sn.st.forest.Num(a)] // anchors are table intervals
+		if r.node == nil {
 			// A grouped interval outside every block cannot occur:
 			// grouping only happens inside blocks.
 			return nil, nil, fmt.Errorf("server: anchor interval %v has no residue node", a)
@@ -605,12 +599,5 @@ func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interv
 // (their fragments subsume the inner ones).
 func dedupeOutermost(ivs []dsi.Interval) []dsi.Interval {
 	dsi.SortIntervals(ivs)
-	var out []dsi.Interval
-	for _, iv := range ivs {
-		if len(out) > 0 && out[len(out)-1].Contains(iv) {
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
+	return dsi.Outermost(ivs)
 }
