@@ -46,6 +46,7 @@ tamper:
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalDB -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalQuery -fuzztime 20s
+	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalAnswer -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz 'FuzzUnmarshalUpdate$$' -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalUpdateBatch -fuzztime 20s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeProof -fuzztime 20s

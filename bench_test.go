@@ -412,7 +412,7 @@ func bulkAnswer(tb testing.TB) (*core.System, *xpath.Path, *wire.Answer, map[int
 	if err != nil {
 		tb.Fatalf("translate: %v", err)
 	}
-	ans, _, err := sys.Server.Execute(context.Background(), q, nil)
+	ans, _, err := sys.Server.Execute(context.Background(), q)
 	if err != nil {
 		tb.Fatalf("execute: %v", err)
 	}

@@ -85,21 +85,14 @@ func copyAnswer(a *wire.Answer) *wire.Answer {
 }
 
 // Execute implements core.Backend with the configured tampering.
-// While a mutation is installed the inner backend gets no sink, so the
-// owner decrypts the answer as returned — a block flipped in place
-// included — and never what the inner backend streamed; a replayed
-// answer never reaches a sink either.
-func (t *TamperBackend) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+func (t *TamperBackend) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error) {
 	t.mu.Lock()
 	replay, mutate := t.replay, t.mutate
 	t.mu.Unlock()
 	if replay != nil {
 		return copyAnswer(replay), nil, nil
 	}
-	if mutate != nil {
-		sink = nil
-	}
-	ans, st, err := t.Inner.Execute(ctx, q, sink)
+	ans, st, err := t.Inner.Execute(ctx, q)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -38,7 +38,7 @@ func TestAssemblyMatchesReferenceOnCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: scheme %s query %q: translate: %v", seed, name, q, err)
 				}
-				ans, _, err := sys.Server.Execute(context.Background(), qs, nil)
+				ans, _, err := sys.Server.Execute(context.Background(), qs)
 				if err != nil {
 					t.Fatalf("seed %d: scheme %s query %q: %v", seed, name, q, err)
 				}

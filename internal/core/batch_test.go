@@ -40,9 +40,9 @@ func parkSends(t *testing.T, sys *System) *parkedSends {
 	return p
 }
 
-func (p *parkedSends) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+func (p *parkedSends) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error) {
 	p.reads.Add(1)
-	return p.Backend.Execute(ctx, q, sink)
+	return p.Backend.Execute(ctx, q)
 }
 
 func (p *parkedSends) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {

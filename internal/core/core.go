@@ -61,13 +61,11 @@ func BuildScheme(name SchemeName, doc *xmltree.Document, scs []*sc.Constraint) (
 // adapter honors cancellation between stages.
 type Backend interface {
 	// Execute answers a translated query (§6.2) or a MIN/MAX probe of
-	// the value index (§6.4, wire.Query.Probe). A backend that
-	// receives the answer in pieces hands every block ciphertext to
-	// sink as it arrives, so the owner decrypts while the rest is
-	// still on the wire, and reports the transfer in stats; one that
-	// holds the whole answer at once ignores sink and returns nil
+	// the value index (§6.4, wire.Query.Probe) with the whole answer,
+	// still encrypted. A backend that receives the answer as a stream
+	// reports the transfer in stats; an in-process one returns nil
 	// stats.
-	Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error)
+	Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error)
 	// ApplyUpdateBatch applies one or more owner-issued mutations
 	// atomically: one generation, one root advance, one durability
 	// barrier (see wire.UpdateBatch). A lone update is a batch of one.
@@ -82,13 +80,13 @@ type Backend interface {
 // Local adapts the in-process server.Server to the context-aware
 // Backend interface. The server's calls are synchronous and local,
 // so cancellation is only observed at call boundaries, answers arrive
-// whole (no stream to overlap with decryption), and an update either
-// commits or fails atomically — never in doubt. A batch the server
-// refuses is wire.ErrUpdateRejected.
+// whole (no stream, so no stats), and an update either commits or
+// fails atomically — never in doubt. A batch the server refuses is
+// wire.ErrUpdateRejected.
 type Local struct{ S *server.Server }
 
 // Execute implements Backend.
-func (l Local) Execute(ctx context.Context, q *wire.Query, _ wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+func (l Local) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -293,8 +291,10 @@ func (s *System) pin() *readSnap {
 // EnableIntegrity opts this system into answer verification: the
 // client builds the Merkle tree over its (pre-upload) hosted state,
 // keeps it as the verifier (digests only, no hosted data), and from
-// then on every query requests and checks a proof before anything is
-// decrypted. Verification failures surface as authtree.ErrTampered.
+// then on every answer, local or remote, a query's, a probe's or an
+// update read's, carries a proof that is checked before any of its
+// blocks is decrypted (see execute). Verification failures surface as
+// authtree.ErrTampered.
 func (s *System) EnableIntegrity() error {
 	s.lockIdle()
 	defer s.mu.Unlock()
@@ -595,13 +595,7 @@ func (s *System) queryAttempt(ctx context.Context, sn *readSnap, path *xpath.Pat
 // execute is the one way an answer reaches the owner, for a query, a
 // MIN/MAX probe and an update's read half alike: it sends the
 // translated query to the live backend, verifies the answer once, and
-// decrypts its blocks.
-//
-// The backend gets a decrypt pipeline to feed, so a streamed answer's
-// blocks decrypt while the rest of it is still on the wire; Collect
-// releases that work only if it matches the answer the transport
-// finally settled on, and anything else (an answer that arrived whole
-// and fed nothing) is decrypted here.
+// only then decrypts its blocks, once, on the caller's goroutine.
 //
 // With integrity on (a non-nil ring), the answer is checked at floor:
 // the commitment current at a read's pin, or the ring's current
@@ -615,9 +609,7 @@ func (s *System) execute(ctx context.Context, backend Backend, ring *verifierRin
 	qs.WantProof = ring != nil
 	ctx, ck := withAnswerCheck(ctx, ring, floor, qs.Probe)
 	start := time.Now()
-	sd := s.Client.NewStreamDecryptor()
-	defer sd.Close()
-	ans, st, err := backend.Execute(ctx, qs, sd)
+	ans, st, err := backend.Execute(ctx, qs)
 	if st != nil {
 		tm.Streamed = true
 		tm.StreamChunks = st.Chunks
@@ -635,10 +627,7 @@ func (s *System) execute(ctx context.Context, backend Backend, ring *verifierRin
 	}
 
 	start = time.Now()
-	blocks, ok := sd.Collect(ans)
-	if !ok {
-		blocks, err = s.Client.DecryptBlocks(ans)
-	}
+	blocks, err := s.Client.DecryptBlocks(ans)
 	tm.ClientDecrypt = time.Since(start)
 	if err != nil {
 		return nil, nil, err

@@ -101,7 +101,7 @@ func TestMissingBlockRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, _, err := sys.Server.Execute(context.Background(), qs, nil)
+	ans, _, err := sys.Server.Execute(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}

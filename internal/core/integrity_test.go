@@ -196,7 +196,7 @@ func TestTamperVerdictIgnoresConcurrentAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.WantProof = true
-	ans, _, err := sys.Server.Execute(context.Background(), q, nil)
+	ans, _, err := sys.Server.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"testing"
 	"time"
+
+	"repro/internal/xmltree"
 )
 
 // difftestDuration opts into the open-ended mode: keep generating
@@ -26,6 +28,25 @@ func TestDifferentialCorpus(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestFirstStepPositionalPredicates pins positions on a query's first
+// step: a position counts among the node's siblings, so the server
+// must ship each match inside its parent. When it shipped each x as
+// its own fragment, the client counted positions across fragments:
+// //x[1] returned only the first x under opt, app and leaf, and //a[1]
+// returned the second a under sub.
+func TestFirstStepPositionalPredicates(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><x>1</x><x>2</x><y>5</y></a><a><x>3</x><x>4</x></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"//x[1]", "//x[2]", "//a[1]", "//a[2]", "/r/a/x[1]", "//a/x[2]", "//x[1][.>2]", "/descendant::x[1]", "//a/descendant::x[3]", "//x/following-sibling::x[1]", "//y/preceding-sibling::x[1]", "/r/*[2]", "/r[1]/a[2]/x", "//*[2]", "//a[x[2]=4]"} {
+		c := &Case{DocName: "positions", Doc: doc, SCs: []string{"//a:(/x, /y)"}, Queries: []string{q}}
+		if err := RunCase(c); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

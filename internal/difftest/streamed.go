@@ -12,12 +12,12 @@ import (
 )
 
 // RunCaseStreamed runs the case's queries through a real HTTP round
-// trip, where every answer is an SXS1 stream whose blocks decrypt
-// while they arrive: an overlapped pass, then a repeat pass answered
-// from the server's caches. Every pass must match the plaintext
-// evaluation. Queries within a pass run concurrently, so under -race
-// this doubles as a data-race probe of the stream decode +
-// overlapped-decrypt pipeline.
+// trip, where every answer is an SXS1 stream that is decoded,
+// verified and then decrypted: a cold pass, then a repeat pass
+// answered from the server's caches. Every pass must match the
+// plaintext evaluation. Queries within a pass run concurrently, so
+// under -race this doubles as a data-race probe of the stream decode
+// and of concurrent queries sharing one owner.
 func RunCaseStreamed(c *Case) error {
 	for _, name := range Schemes {
 		if err := runStreamedScheme(c, name); err != nil {
@@ -27,9 +27,9 @@ func RunCaseStreamed(c *Case) error {
 	return nil
 }
 
-// streamWorkers is the per-pass query concurrency: enough to overlap
-// several streams (and their decrypt pools) without drowning the
-// race detector.
+// streamWorkers is the per-pass query concurrency: enough to keep
+// several streams in flight at once without drowning the race
+// detector.
 const streamWorkers = 4
 
 func runStreamedScheme(c *Case, name core.SchemeName) error {
@@ -44,7 +44,7 @@ func runStreamedScheme(c *Case, name core.SchemeName) error {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	sys.UseBackend(remote.Dial(ts.URL, "d").WithHTTPClient(ts.Client()).WithVerifier(sys.Verifier()))
-	for _, pass := range []string{"overlapped", "repeat"} {
+	for _, pass := range []string{"cold", "repeat"} {
 		if err := runQueriesConcurrent(c, name, sys, c.Doc, pass); err != nil {
 			return err
 		}

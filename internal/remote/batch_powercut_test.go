@@ -32,9 +32,9 @@ func parkClient(c *Client) *parkedClient {
 	return &parkedClient{Client: c, arrived: make(chan int, 8), gate: make(chan struct{})}
 }
 
-func (p *parkedClient) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+func (p *parkedClient) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error) {
 	p.reads.Add(1)
-	return p.Client.Execute(ctx, q, sink)
+	return p.Client.Execute(ctx, q)
 }
 
 func (p *parkedClient) ApplyUpdateBatch(ctx context.Context, b *wire.UpdateBatch) error {
@@ -126,7 +126,7 @@ func TestPowercutBatchAtomicity(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		ans, _, err := probe.Execute(context.Background(), qs, nil)
+		ans, _, err := probe.Execute(context.Background(), qs)
 		if err != nil {
 			return nil, err
 		}

@@ -308,11 +308,11 @@ func TestBreakerStaysOpenWhileUnhealthy(t *testing.T) {
 		WithBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 20 * time.Millisecond, ProbeTimeout: time.Second})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, _, err := cl.Execute(ctx, &wire.Query{}, nil); err == nil {
+		if _, _, err := cl.Execute(ctx, &wire.Query{}); err == nil {
 			t.Fatal("dead service succeeded")
 		}
 	}
-	if _, _, err := cl.Execute(ctx, &wire.Query{}, nil); !errors.Is(err, ErrCircuitOpen) {
+	if _, _, err := cl.Execute(ctx, &wire.Query{}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen, got %v", err)
 	}
 	time.Sleep(30 * time.Millisecond)
@@ -320,7 +320,7 @@ func TestBreakerStaysOpenWhileUnhealthy(t *testing.T) {
 	// fails and the call is rejected without reaching the query
 	// endpoint.
 	before := hits.Load()
-	if _, _, err := cl.Execute(ctx, &wire.Query{}, nil); !errors.Is(err, ErrCircuitOpen) {
+	if _, _, err := cl.Execute(ctx, &wire.Query{}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen after failed probe, got %v", err)
 	}
 	if hits.Load() != before+1 { // exactly the probe, not the query
@@ -347,7 +347,7 @@ func TestDeadlineExceededOnHungServer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := cl.Execute(ctx, &wire.Query{}, nil)
+	_, _, err := cl.Execute(ctx, &wire.Query{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
@@ -497,7 +497,7 @@ func TestPerAttemptTimeoutRetries(t *testing.T) {
 		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}).
 		WithBreaker(BreakerConfig{})
 	start := time.Now()
-	_, _, err := cl.Execute(context.Background(), &wire.Query{}, nil)
+	_, _, err := cl.Execute(context.Background(), &wire.Query{})
 	if err == nil {
 		t.Fatal("hung server succeeded")
 	}
@@ -632,7 +632,7 @@ func TestStatusErrorShape(t *testing.T) {
 		WithHTTPClient(ts.Client()).
 		WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}).
 		WithBreaker(BreakerConfig{})
-	_, _, err := cl.Execute(context.Background(), &wire.Query{}, nil)
+	_, _, err := cl.Execute(context.Background(), &wire.Query{})
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StatusError, got %T: %v", err, err)

@@ -67,7 +67,7 @@ func TestDeadlineRejectOnArrival(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	probe := &wire.Query{Probe: &wire.Probe{Lo: 1, Hi: 2}}
-	_, _, err := cl.Execute(ctx, probe, nil)
+	_, _, err := cl.Execute(ctx, probe)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusGatewayTimeout {
 		t.Fatalf("infeasible deadline: err = %v, want 504", err)
@@ -83,7 +83,7 @@ func TestDeadlineRejectOnArrival(t *testing.T) {
 	attempts.Store(0)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
-	if _, _, err := cl.Execute(ctx2, probe, nil); err != nil {
+	if _, _, err := cl.Execute(ctx2, probe); err != nil {
 		t.Fatalf("feasible deadline rejected: %v", err)
 	}
 	if svc.Admission().Snapshot().RejectedDeadline == 0 {
@@ -179,7 +179,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		WithHTTPClient(ts.Client()).
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1}).
 		WithBreaker(BreakerConfig{})
-	_, _, err := cl.Execute(context.Background(), &wire.Query{}, nil)
+	_, _, err := cl.Execute(context.Background(), &wire.Query{})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want 503", err)
@@ -204,7 +204,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = cl.Execute(ctx, &wire.Query{}, nil)
+	_, _, err = cl.Execute(ctx, &wire.Query{})
 	if err == nil {
 		t.Fatal("shed server succeeded")
 	}

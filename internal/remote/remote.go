@@ -1070,17 +1070,15 @@ func (c *Client) Upload(ctx context.Context, db *wire.HostedDB) error {
 	})
 }
 
-// Execute implements core.Backend over HTTP: every block ciphertext
-// of the SXS1 answer is handed to sink (when non-nil) the moment its
-// frame decodes — while later chunks are still on the wire — and the
-// returned stats describe the transfer.
+// Execute implements core.Backend over HTTP: it decodes the SXS1
+// answer and returns stats describing the transfer.
 //
 // A stream that dies mid-body surfaces as a torn read and the whole
-// attempt is retried — sink gets a fresh Reset and the caller never
-// sees a truncated answer. Every attempt's answer is verified
-// (WithVerifier) before it is returned, a retried attempt's included;
-// a verification failure is terminal.
-func (c *Client) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+// attempt is retried, so the caller never sees a truncated answer.
+// Every attempt's answer is verified (WithVerifier) before it is
+// returned, a retried attempt's included; a verification failure is
+// terminal.
+func (c *Client) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error) {
 	data, err := wire.MarshalQuery(q)
 	if err != nil {
 		return nil, nil, err
@@ -1088,7 +1086,7 @@ func (c *Client) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink
 	var ans *wire.Answer
 	var stats *wire.StreamStats
 	err = c.do(ctx, "query", func(ctx context.Context) error {
-		a, st, err := c.queryAttempt(ctx, data, sink)
+		a, st, err := c.queryAttempt(ctx, data)
 		if err != nil {
 			return err
 		}
@@ -1119,8 +1117,8 @@ func (c *Client) verifyAnswer(ctx context.Context, a *wire.Answer) error {
 }
 
 // queryAttempt performs one query exchange and decodes its SXS1
-// answer incrementally, forwarding blocks to sink as they arrive.
-func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
+// answer.
+func (c *Client) queryAttempt(ctx context.Context, payload []byte) (*wire.Answer, *wire.StreamStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("query"), bytes.NewReader(payload))
 	if err != nil {
 		return nil, nil, err
@@ -1136,16 +1134,8 @@ func (c *Client) queryAttempt(ctx context.Context, payload []byte, sink wire.Blo
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrBody))
 		return nil, nil, statusError("query", resp.StatusCode, body, resp.Header)
 	}
-	// Every attempt starts the sink over, so a retry after a torn
-	// stream can never leave a previous attempt's blocks mingled with
-	// this one's.
-	var sinkFn func(int, []byte)
-	if sink != nil {
-		sink.Reset()
-		sinkFn = sink.Block
-	}
 	cr := &countingReader{r: &cappedReader{r: resp.Body, n: c.respLimit()}}
-	a, err := wire.DecodeStreamAnswer(cr, sinkFn)
+	a, err := wire.DecodeStreamAnswer(cr, nil)
 	if err != nil {
 		if cr.err == nil {
 			// The body arrived whole but is not a well-formed stream. Its

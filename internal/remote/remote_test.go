@@ -318,7 +318,7 @@ func TestRemoteExtremeNotFound(t *testing.T) {
 		}{{1, 2, false}, {0, ^uint64(0), true}} {
 			for _, wantProof := range wantProofs {
 				probe := &wire.Probe{Lo: c.lo, Hi: c.hi}
-				ans, _, err := cl.Execute(context.Background(), &wire.Query{WantProof: wantProof, Probe: probe}, nil)
+				ans, _, err := cl.Execute(context.Background(), &wire.Query{WantProof: wantProof, Probe: probe})
 				if err != nil {
 					t.Fatalf("verifier=%v [%d,%d] proof=%v: probe: %v", verifying, c.lo, c.hi, wantProof, err)
 				}

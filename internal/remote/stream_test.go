@@ -114,8 +114,8 @@ func (f *faultOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestStreamFaultRetries exercises the fault model of PR 1 on the
 // streamed path: a stream that dies mid-body (or arrives corrupted,
 // caught by the trailer checksum) is a retryable torn read — the
-// client retries, the sink starts over, and the caller sees a
-// complete, correct answer, never a truncated one.
+// client retries the whole attempt, and the caller sees a complete,
+// correct answer, never a truncated one.
 func TestStreamFaultRetries(t *testing.T) {
 	for _, mode := range []string{"truncate", "flip"} {
 		t.Run(mode, func(t *testing.T) {

@@ -286,8 +286,8 @@ func TestAnswerVerifiedOncePerQuery(t *testing.T) {
 // proofless is an in-process backend that drops every answer's proof.
 type proofless struct{ core.Backend }
 
-func (p proofless) Execute(ctx context.Context, q *wire.Query, sink wire.BlockSink) (*wire.Answer, *wire.StreamStats, error) {
-	a, st, err := p.Backend.Execute(ctx, q, sink)
+func (p proofless) Execute(ctx context.Context, q *wire.Query) (*wire.Answer, *wire.StreamStats, error) {
+	a, st, err := p.Backend.Execute(ctx, q)
 	if err == nil {
 		cp := *a
 		cp.Proof = nil

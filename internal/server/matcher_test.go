@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -62,13 +63,39 @@ func TestGroupedSiblingUpperMatch(t *testing.T) {
 func TestPositionalPredicatesNotAppliedServerSide(t *testing.T) {
 	c, s := boot(t, "opt")
 	// The server must keep every candidate: positions are unreliable
-	// at interval granularity.
-	all := runQuery(t, c, s, "//patient")
-	second := runQuery(t, c, s, "//patient[2]")
-	if len(second.Fragments) != len(all.Fragments) {
-		t.Errorf("server applied positional predicate: %d vs %d fragments",
-			len(second.Fragments), len(all.Fragments))
+	// at interval granularity, so every //patient anchor ships, inside
+	// a fragment that holds its siblings for the client to count.
+	all := fragmentIntervals(t, s, runQuery(t, c, s, "//patient"))
+	second := fragmentIntervals(t, s, runQuery(t, c, s, "//patient[2]"))
+	if len(all) == 0 {
+		t.Fatal("//patient shipped no fragment")
 	}
+	for _, a := range all {
+		if !slices.ContainsFunc(second, func(f dsi.Interval) bool { return f.Contains(a) }) {
+			t.Errorf("server applied positional predicate: anchor %v is in no fragment of %v", a, second)
+		}
+	}
+}
+
+// fragmentIntervals maps each fragment of ans back to the interval of
+// the residue node it serializes.
+func fragmentIntervals(t *testing.T, s *Server, ans *wire.Answer) []dsi.Interval {
+	t.Helper()
+	db := s.current().db
+	var out []dsi.Interval
+	for _, f := range ans.Fragments {
+		n := len(out)
+		for node, iv := range db.ResidueIntervals {
+			if b, err := wire.SerializeFragment(node); err == nil && bytes.Equal(b, f) {
+				out = append(out, iv)
+				break
+			}
+		}
+		if len(out) == n {
+			t.Fatalf("fragment %q serializes no residue node", f)
+		}
+	}
+	return out
 }
 
 func TestOrAcrossGranularities(t *testing.T) {

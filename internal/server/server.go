@@ -544,6 +544,12 @@ func walkPred(p wire.QPred, depth int, minDepth *int) {
 		walkPred(v.R, depth, minDepth)
 	case *wire.PredNot:
 		walkPred(v.E, depth, minDepth)
+	case *wire.PredPos:
+		// A position counts among the node's siblings, so the
+		// fragment must hold their shared parent one level up.
+		if depth-1 < *minDepth {
+			*minDepth = depth - 1
+		}
 	}
 }
 

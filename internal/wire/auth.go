@@ -193,26 +193,17 @@ func BuildAuthState(db *HostedDB) (*AuthState, error) {
 
 // NewAuthState is BuildAuthState over a value index the caller already
 // holds (the server's snapshot index): the band leaves hash idx's
-// runs, proofs read them, and db.IndexEntries is ignored. The database
-// is first round-tripped through the wire format, so a client building
+// runs, proofs read them, and db.IndexEntries is ignored. Every leaf
+// commits bytes the wire format carries unchanged, so a client building
 // from its pre-upload instance and a server building from the
 // unmarshaled upload arrive at the identical root.
 func NewAuthState(db *HostedDB, idx *btree.Index) (*AuthState, error) {
-	data, err := MarshalDB(db)
-	if err != nil {
-		return nil, fmt.Errorf("wire: auth state: %w", err)
-	}
-	canon, err := UnmarshalDB(data)
-	if err != nil {
-		return nil, fmt.Errorf("wire: auth state: %w", err)
-	}
-
 	type fragLeaf struct {
 		iv   dsi.Interval
 		data []byte
 	}
-	frags := make([]fragLeaf, 0, len(canon.ResidueIntervals))
-	for n, iv := range canon.ResidueIntervals {
+	frags := make([]fragLeaf, 0, len(db.ResidueIntervals))
+	for n, iv := range db.ResidueIntervals {
 		fb, err := SerializeFragment(n)
 		if err != nil {
 			return nil, err
@@ -232,12 +223,12 @@ func NewAuthState(db *HostedDB, idx *btree.Index) (*AuthState, error) {
 	}
 
 	st := &AuthState{
-		leafLayout: leafLayout{nBlocks: len(canon.Blocks), nFrags: len(frags)},
+		leafLayout: leafLayout{nBlocks: len(db.Blocks), nFrags: len(frags)},
 		fragIdx:    make(map[dsi.Interval]int, len(frags)),
 		index:      idx,
 	}
 	leaves := make([]authtree.Digest, 0, st.nBlocks+st.nFrags+btree.NumBands+1)
-	for id, ct := range canon.Blocks {
+	for id, ct := range db.Blocks {
 		leaves = append(leaves, authtree.LeafHash(blockLeafData(id, ct)))
 	}
 	for i, f := range frags {
@@ -247,7 +238,7 @@ func NewAuthState(db *HostedDB, idx *btree.Index) (*AuthState, error) {
 	for b := 0; b < btree.NumBands; b++ {
 		leaves = append(leaves, authtree.LeafHash(bandLeafData(uint8(b), idx.Band(uint8(b)))))
 	}
-	leaves = append(leaves, authtree.LeafHash(structLeafData(canon)))
+	leaves = append(leaves, authtree.LeafHash(structLeafData(db)))
 	st.tree = authtree.New(leaves)
 	return st, nil
 }
@@ -331,17 +322,16 @@ func (st *AuthState) prove(ans *Answer, ivs []dsi.Interval, probe *Probe) ([]byt
 // leaves' paths (authtree.Tree.With): the batched analogue of
 // AuthVerifier.ApplyUpdate, and the reason a group commit pays
 // O(k log n) hashes instead of a per-update BuildAuthState (which
-// round-trips the whole database through the wire format). It returns
-// a NEW state and leaves the receiver untouched, so a caller that must
-// revert (final-root mismatch) simply keeps its old pointer. The
+// hashes every leaf). It returns a NEW state and leaves the receiver
+// untouched, so a caller that must revert (final-root mismatch)
+// simply keeps its old pointer. The
 // fragment leaves and layout are shared with the receiver: value
 // updates never touch residue fragments or the structure leaf.
 //
 // Equivalence with BuildAuthState: block leaves commit the raw
-// ciphertext bytes, which survive a wire round trip unchanged, and
-// band buckets hash the index's canonical runs either way — so the
-// incremental root equals the from-scratch root for the updated
-// database.
+// ciphertext bytes and band buckets hash the index's canonical runs
+// either way — so the incremental root equals the from-scratch root
+// for the updated database.
 func (st *AuthState) ApplyUpdates(us []*Update, next *btree.Index) (*AuthState, error) {
 	changed, err := st.changedLeaves(us, next.Band)
 	if err != nil {

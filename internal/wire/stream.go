@@ -207,18 +207,6 @@ func UnmarshalAnswer(data []byte) (*Answer, error) {
 	return DecodeStreamAnswer(bytes.NewReader(data), nil)
 }
 
-// BlockSink receives block ciphertexts as their stream frames decode,
-// before the stream has finished — the hook that lets a client overlap
-// decryption with the network receive. Reset marks the start of a
-// (re)attempted stream so the sink can discard anything a previous,
-// failed attempt delivered; Block hands over one ciphertext (the slice
-// is freshly allocated by the decoder and safe to retain). Both are
-// called from a single goroutine.
-type BlockSink interface {
-	Reset()
-	Block(id int, ct []byte)
-}
-
 // StreamStats reports what a streamed transfer moved: the chunked
 // body's size and frame count.
 type StreamStats struct {

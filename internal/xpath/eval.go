@@ -312,10 +312,11 @@ type Value struct {
 
 // DecodeValue decodes s for comparison.
 func DecodeValue(s string) Value {
-	// Every string ParseFloat accepts starts with a sign, a digit, a
-	// point or the i/n of inf/nan; looking first spares most text the
-	// syntax error ParseFloat allocates.
-	if s == "" || strings.IndexByte("+-.0123456789iInN", s[0]) < 0 {
+	// Every string ParseFloat accepts starts with a sign, a digit or a
+	// point, or is inf, infinity or nan in any case; looking first
+	// spares other text the syntax error ParseFloat allocates.
+	if s == "" || strings.IndexByte("+-.0123456789", s[0]) < 0 &&
+		!strings.EqualFold(s, "inf") && !strings.EqualFold(s, "infinity") && !strings.EqualFold(s, "nan") {
 		return Value{S: s}
 	}
 	f, err := strconv.ParseFloat(s, 64)

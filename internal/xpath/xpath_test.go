@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -470,6 +471,29 @@ func TestDecodedComparison(t *testing.T) {
 				if got := DecodeValue(a).Holds(op, DecodeValue(b)); got != opHolds(cmp, op) {
 					t.Errorf("%q %v %q: Holds = %v, want %v", a, op, b, got, opHolds(cmp, op))
 				}
+			}
+		}
+	}
+}
+
+// TestDecodeValueSpecials checks the words starting with i/I/n/N, which
+// DecodeValue decides without ParseFloat unless they are inf, infinity
+// or nan: each must decode exactly as ParseFloat reads it, and a word
+// that is not a number must cost no allocation.
+func TestDecodeValueSpecials(t *testing.T) {
+	for _, s := range []string{"Inf", "INFINITY", "nan", "NaN", "infin", "n", "i", "NASA", "nil"} {
+		f, err := strconv.ParseFloat(s, 64)
+		got := DecodeValue(s)
+		if got.S != s || got.Num != (err == nil) {
+			t.Errorf("DecodeValue(%q) = %+v, ParseFloat = %v, %v", s, got, f, err)
+			continue
+		}
+		if got.Num && got.F != f && !(math.IsNaN(got.F) && math.IsNaN(f)) {
+			t.Errorf("DecodeValue(%q).F = %v, ParseFloat = %v", s, got.F, f)
+		}
+		if !got.Num {
+			if allocs := testing.AllocsPerRun(10, func() { DecodeValue(s) }); allocs != 0 {
+				t.Errorf("DecodeValue(%q) allocates %v times", s, allocs)
 			}
 		}
 	}
