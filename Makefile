@@ -57,9 +57,11 @@ fuzz:
 # specs are operator input), the WAL record decoder (crash-torn
 # frames are hostile input to recovery), the placeholder scanner
 # (server, verifier and client all read fragments through it), the
-# one answer decoder (every query answer the untrusted server sends)
-# and the proof decoder (every verified answer's trailer, a probe's
-# band runs included); part of `check`.
+# one answer decoder (every query answer the untrusted server sends),
+# the proof decoder (every verified answer's trailer, a probe's band
+# runs included) and the database decoder (every upload and snapshot,
+# whose DSI bounds it must reject unless 0 <= Lo < Hi <= 1); part of
+# `check`.
 fuzz-smoke:
 	$(GO) test ./internal/xpath/ -fuzz FuzzParseXPath -fuzztime 10s
 	$(GO) test ./internal/sc/ -fuzz FuzzParseSC -fuzztime 10s
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -fuzz FuzzPlaceholderScan -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeStream -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeProof -fuzztime 10s
+	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalDB -fuzztime 10s
 
 # Open-ended differential fuzzing: encrypted pipeline vs plaintext
 # evaluator on randomized documents/SCs/queries under every scheme.

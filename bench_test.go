@@ -93,7 +93,9 @@ func BenchmarkDSIAssign(b *testing.B) {
 	keys := cryptoprim.MustKeySet("bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsi.Assign(doc, keys)
+		if _, err := dsi.Assign(doc, keys); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -147,19 +149,23 @@ func BenchmarkValueIndex(b *testing.B) {
 }
 
 // BenchmarkStructuralJoin compares the per-context binary-search
-// probe against the batched sort-merge structural join (§6.2) on a
-// realistic interval family.
+// probe against the batched structural join (§6.2) over node numbers
+// on a realistic node table.
 func BenchmarkStructuralJoin(b *testing.B) {
 	doc := datagen.NASA(3000, 3)
 	keys := cryptoprim.MustKeySet("join-bench")
-	md := dsi.BuildMetadata(doc, nil, keys)
-	ctxs := md.Table.Lookup("dataset")
-	cands := md.Table.Lookup("last")
+	md, err := dsi.BuildMetadata(doc, nil, keys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := dsi.BuildForest(md.Table)
+	ctxs := f.Nodes("dataset")
+	cands := f.Nodes("last")
 	b.Run("per-context", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			total := 0
 			for _, ctx := range ctxs {
-				total += len(dsi.Within(cands, ctx))
+				total += len(f.Descendants(cands, ctx))
 			}
 			if total == 0 {
 				b.Fatal("no matches")
@@ -167,8 +173,9 @@ func BenchmarkStructuralJoin(b *testing.B) {
 		}
 	})
 	b.Run("merge-join", func(b *testing.B) {
+		var out []int32
 		for i := 0; i < b.N; i++ {
-			if len(dsi.DescendantJoin(ctxs, cands)) == 0 {
+			if out = f.JoinDescendants(out[:0], ctxs, cands); len(out) == 0 {
 				b.Fatal("no matches")
 			}
 		}

@@ -140,7 +140,10 @@ func TestScalingAblation(t *testing.T) {
 func TestGroupingAblation(t *testing.T) {
 	doc := datagen.NASA(50, 23)
 	s := scheme.Top(doc)
-	md := dsi.BuildMetadata(doc, s.BlockRoots, cryptoprim.MustKeySet("ablation-grouping"))
+	md, err := dsi.BuildMetadata(doc, s.BlockRoots, cryptoprim.MustKeySet("ablation-grouping"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ungrouped := 0
 	for _, n := range doc.Nodes() {
 		if n.Kind != xmltree.Text {
@@ -152,10 +155,9 @@ func TestGroupingAblation(t *testing.T) {
 	}
 
 	// Per block, C(n-1, k-1) for n leaves represented by k leaf-level
-	// intervals. In the sorted laminar order a leaf-level interval is
-	// one that does not contain its successor.
+	// intervals: the forest leaves below the block's root.
 	var pairs [][2]int
-	all := dsi.BuildForest(md.Table).Intervals()
+	f := dsi.BuildForest(md.Table)
 	for _, root := range s.BlockRoots {
 		leaves := 0
 		root.Walk(func(n *xmltree.Node) bool {
@@ -165,9 +167,8 @@ func TestGroupingAblation(t *testing.T) {
 			return true
 		})
 		k := 0
-		inside := dsi.Within(all, md.Assignment[root])
-		for i, iv := range inside {
-			if i+1 == len(inside) || !iv.StrictlyContains(inside[i+1]) {
+		for _, n := range f.Descendants(f.All(), f.Num(md.Assignment[root])) {
+			if f.IsLeaf(n) {
 				k++
 			}
 		}

@@ -70,13 +70,13 @@ func TestCandidateDatabasesIndistinguishable(t *testing.T) {
 		t.Fatalf("DSI table entry counts differ")
 	}
 	for label, ivs1 := range db1.Table.ByTag {
-		ivs2 := db2.Table.Lookup(label)
+		ivs2 := db2.Table.ByTag[label]
 		if len(ivs1) != len(ivs2) {
 			t.Errorf("label %s: %d vs %d entries", label, len(ivs1), len(ivs2))
 			continue
 		}
 		for i := range ivs1 {
-			if !ivs1[i].Equal(ivs2[i]) {
+			if ivs1[i] != ivs2[i] {
 				t.Errorf("label %s entry %d differs", label, i)
 			}
 		}
@@ -86,7 +86,7 @@ func TestCandidateDatabasesIndistinguishable(t *testing.T) {
 		t.Fatalf("block counts differ: %d vs %d", len(db1.BlockReps), len(db2.BlockReps))
 	}
 	for i := range db1.BlockReps {
-		if !db1.BlockReps[i].Equal(db2.BlockReps[i]) {
+		if db1.BlockReps[i] != db2.BlockReps[i] {
 			t.Errorf("block rep %d differs", i)
 		}
 		if len(db1.Blocks[i]) != len(db2.Blocks[i]) {

@@ -138,7 +138,10 @@ func (c *Client) Encrypt(doc *xmltree.Document, s *scheme.Scheme) (*wire.HostedD
 	c.occ = map[string]*tagOccurrences{}
 	c.bands = map[string]uint8{}
 
-	md := dsi.BuildMetadata(doc, s.BlockRoots, c.keys)
+	md, err := dsi.BuildMetadata(doc, s.BlockRoots, c.keys)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
 
 	// Record tag placement for query translation.
 	for _, n := range doc.Nodes() {

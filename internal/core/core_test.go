@@ -267,7 +267,7 @@ func TestServerSeesNoPlaintextSecrets(t *testing.T) {
 		encrypted = append(encrypted, tag)
 	}
 	for _, tag := range encrypted {
-		if len(db.Table.Lookup(tag)) != 0 {
+		if len(db.Table.ByTag[tag]) != 0 {
 			t.Errorf("DSI table leaks plaintext tag %q", tag)
 		}
 	}

@@ -1,6 +1,7 @@
 package dsi
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/cryptoprim"
@@ -24,24 +25,31 @@ type Assignment map[*xmltree.Node]Interval
 // from the client's key set, so gaps between adjacent children — and
 // between each child and its parent's bounds — are positive but
 // unpredictable to the server.
-func Assign(doc *xmltree.Document, keys *cryptoprim.KeySet) Assignment {
+//
+// Every level spends about log2(2N+1) of a float64's bits, so a deep
+// or wide enough document runs out of them. Assign checks each child
+// as it assigns it — nonempty, strictly inside its parent and strictly
+// after its previous sibling — and fails, naming the depth and the
+// fan-out, rather than hand the server intervals that collapse onto
+// each other.
+func Assign(doc *xmltree.Document, keys *cryptoprim.KeySet) (Assignment, error) {
 	asg := make(Assignment, doc.Size())
 	if doc.Root == nil {
-		return asg
+		return asg, nil
 	}
 	asg[doc.Root] = Interval{0, 1}
-	assignChildren(doc.Root, Interval{0, 1}, keys, asg)
-	return asg
+	return asg, assignChildren(doc.Root, Interval{0, 1}, 1, keys, asg)
 }
 
-func assignChildren(p *xmltree.Node, iv Interval, keys *cryptoprim.KeySet, asg Assignment) {
+func assignChildren(p *xmltree.Node, iv Interval, depth int, keys *cryptoprim.KeySet, asg Assignment) error {
 	children := indexableChildren(p)
 	n := len(children)
 	if n == 0 {
-		return
+		return nil
 	}
 	d := (iv.Hi - iv.Lo) / float64(2*n+1)
 	sig := strconv.Itoa(p.ID)
+	prevHi := iv.Lo
 	for i, c := range children {
 		w1 := keys.DSIWeight(sig, i, 1)
 		w2 := keys.DSIWeight(sig, i, 2)
@@ -49,9 +57,17 @@ func assignChildren(p *xmltree.Node, iv Interval, keys *cryptoprim.KeySet, asg A
 			Lo: iv.Lo + float64(2*(i+1)-1)*d - w1*d,
 			Hi: iv.Lo + float64(2*(i+1))*d + w2*d,
 		}
+		if !(prevHi < ci.Lo && ci.Lo < ci.Hi && ci.Hi < iv.Hi) {
+			return fmt.Errorf("dsi: interval of child %d of %d at depth %d does not fit its parent %v: %v (float64 bounds exhausted)",
+				i+1, n, depth, iv, ci)
+		}
+		prevHi = ci.Hi
 		asg[c] = ci
-		assignChildren(c, ci, keys, asg)
+		if err := assignChildren(c, ci, depth+1, keys, asg); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // indexableChildren returns the children that receive intervals:

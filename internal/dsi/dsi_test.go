@@ -58,14 +58,8 @@ func TestIntervalOps(t *testing.T) {
 	a := Interval{0.1, 0.9}
 	b := Interval{0.2, 0.3}
 	c := Interval{0.5, 0.6}
-	if !a.StrictlyContains(b) || a.StrictlyContains(a) {
+	if !a.StrictlyContains(b) || a.StrictlyContains(a) || b.StrictlyContains(c) {
 		t.Errorf("StrictlyContains wrong")
-	}
-	if !a.Contains(a) {
-		t.Errorf("Contains should allow equality")
-	}
-	if !b.Before(c) || c.Before(b) {
-		t.Errorf("Before wrong")
 	}
 	m := Merge([]Interval{b, c})
 	if m.Lo != 0.2 || m.Hi != 0.6 {
@@ -75,7 +69,7 @@ func TestIntervalOps(t *testing.T) {
 
 func TestAssignInvariants(t *testing.T) {
 	d, _, ks := fixture(t)
-	asg := Assign(d, ks)
+	asg := mustAssign(t, d, ks)
 	if err := checkAssignment(asg, d); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -99,7 +93,7 @@ func TestAssignGapProperties(t *testing.T) {
 	// parent's, last child's upper bound is below the parent's, and
 	// gaps between adjacent children are positive.
 	d, _, ks := fixture(t)
-	asg := Assign(d, ks)
+	asg := mustAssign(t, d, ks)
 	var check func(n *xmltree.Node)
 	check = func(n *xmltree.Node) {
 		children := indexableChildren(n)
@@ -129,15 +123,15 @@ func TestAssignGapProperties(t *testing.T) {
 func TestAssignDeterministicPerKey(t *testing.T) {
 	d, _, _ := fixture(t)
 	k1 := cryptoprim.MustKeySet("k1")
-	a1 := Assign(d, k1)
-	a2 := Assign(d, k1)
+	a1 := mustAssign(t, d, k1)
+	a2 := mustAssign(t, d, k1)
 	for n, iv := range a1 {
 		if a2[n] != iv {
 			t.Fatalf("assignment not deterministic at %s", n.Path())
 		}
 	}
 	k2 := cryptoprim.MustKeySet("k2")
-	a3 := Assign(d, k2)
+	a3 := mustAssign(t, d, k2)
 	diff := false
 	for n, iv := range a1 {
 		if a3[n] != iv {
@@ -152,7 +146,7 @@ func TestAssignDeterministicPerKey(t *testing.T) {
 
 func TestBuildMetadataBlocks(t *testing.T) {
 	d, s, ks := fixture(t)
-	md := BuildMetadata(d, s.BlockRoots, ks)
+	md := mustMetadata(t, d, s.BlockRoots, ks)
 	if len(md.BlockReps) != s.NumBlocks() {
 		t.Fatalf("block table has %d entries, want %d", len(md.BlockReps), s.NumBlocks())
 	}
@@ -177,35 +171,35 @@ func TestBuildMetadataBlocks(t *testing.T) {
 
 func TestTagLabelEncryption(t *testing.T) {
 	d, s, ks := fixture(t)
-	md := BuildMetadata(d, s.BlockRoots, ks)
+	md := mustMetadata(t, d, s.BlockRoots, ks)
 	// Unencrypted tags appear in plaintext.
-	if len(md.Table.Lookup("patient")) != 2 {
-		t.Errorf("patient intervals = %v", md.Table.Lookup("patient"))
+	if len(md.Table.ByTag["patient"]) != 2 {
+		t.Errorf("patient intervals = %v", md.Table.ByTag["patient"])
 	}
-	if len(md.Table.Lookup("hospital")) != 1 {
+	if len(md.Table.ByTag["hospital"]) != 1 {
 		t.Errorf("hospital missing from table")
 	}
 	// Encrypted tags never appear in plaintext.
 	for _, tag := range []string{"insurance", "policy", "@coverage"} {
-		if len(md.Table.Lookup(tag)) != 0 {
+		if len(md.Table.ByTag[tag]) != 0 {
 			t.Errorf("encrypted tag %q leaked in plaintext", tag)
 		}
 	}
-	if got := len(md.Table.Lookup(ks.EncryptTag("insurance"))); got != 2 {
+	if got := len(md.Table.ByTag[ks.EncryptTag("insurance")]); got != 2 {
 		t.Errorf("encrypted insurance entries = %d, want 2", got)
 	}
 	// disease is in the optimal cover: encrypted.
-	if got := len(md.Table.Lookup(ks.EncryptTag("disease"))); got != 3 {
+	if got := len(md.Table.ByTag[ks.EncryptTag("disease")]); got != 3 {
 		t.Errorf("encrypted disease entries = %d, want 3", got)
 	}
 }
 
 func TestGroupingAdjacentSameBlock(t *testing.T) {
 	d, s, ks := fixture(t)
-	md := BuildMetadata(d, s.BlockRoots, ks)
+	md := mustMetadata(t, d, s.BlockRoots, ks)
 	// Betty's insurance block contains two adjacent policy elements:
 	// they must be grouped into ONE interval (§5.1.1).
-	entries := md.Table.Lookup(ks.EncryptTag("policy"))
+	entries := md.Table.ByTag[ks.EncryptTag("policy")]
 	// 2 policies grouped in block of patient 1 + 1 policy of patient 2 = 2 entries.
 	if len(entries) != 2 {
 		t.Fatalf("policy entries = %d (%v), want 2 after grouping", len(entries), entries)
@@ -217,7 +211,7 @@ func TestGroupingAdjacentSameBlock(t *testing.T) {
 	want := Merge([]Interval{p1, p2})
 	found := false
 	for _, e := range entries {
-		if e.Equal(want) {
+		if e == want {
 			found = true
 		}
 	}
@@ -228,55 +222,65 @@ func TestGroupingAdjacentSameBlock(t *testing.T) {
 
 func TestNoGroupingAcrossBlocks(t *testing.T) {
 	d, s, ks := fixture(t)
-	md := BuildMetadata(d, s.BlockRoots, ks)
+	md := mustMetadata(t, d, s.BlockRoots, ks)
 	// Matt has two adjacent treat elements, each containing a
 	// disease block — the two disease nodes are in DIFFERENT blocks
 	// and not siblings, so they are never grouped.
-	if got := len(md.Table.Lookup(ks.EncryptTag("disease"))); got != 3 {
+	if got := len(md.Table.ByTag[ks.EncryptTag("disease")]); got != 3 {
 		t.Errorf("disease entries = %d, want 3 (no cross-block grouping)", got)
 	}
 	// The two plaintext patient siblings are unencrypted: not grouped.
-	if got := len(md.Table.Lookup("patient")); got != 2 {
+	if got := len(md.Table.ByTag["patient"]); got != 2 {
 		t.Errorf("patient entries = %d, want 2 (plaintext, ungrouped)", got)
 	}
 }
 
 func TestForestStructure(t *testing.T) {
 	d, s, ks := fixture(t)
-	md := BuildMetadata(d, s.BlockRoots, ks)
+	md := mustMetadata(t, d, s.BlockRoots, ks)
 	f := BuildForest(md.Table)
 	if f.Size() != md.Table.NumEntries() {
 		t.Errorf("forest size %d != table entries %d", f.Size(), md.Table.NumEntries())
 	}
-	rootIv := md.Assignment[d.Root]
-	if _, ok := f.ParentOf(rootIv); ok {
-		t.Errorf("root interval has a parent")
+	root := f.Num(md.Assignment[d.Root])
+	if root != 0 || f.Parent(root) != -1 || f.End(root) != int32(f.Size())-1 {
+		t.Errorf("root is node %d with parent %d and end %d", root, f.Parent(root), f.End(root))
 	}
-	pat1 := md.Assignment[d.Root.ElementChildren()[0]]
-	if p, ok := f.ParentOf(pat1); !ok || !p.Equal(rootIv) {
-		t.Errorf("parent of patient = %v, %v", p, ok)
+	pat1 := f.Num(md.Assignment[d.Root.ElementChildren()[0]])
+	if f.Parent(pat1) != root {
+		t.Errorf("parent of patient = %d, want the root", f.Parent(pat1))
 	}
 	// Grandchild is a descendant but not a child.
-	pname1 := md.Assignment[d.Root.ElementChildren()[0].ElementChildren()[0]]
-	if p, ok := f.ParentOf(pname1); !ok || p.Equal(rootIv) || !rootIv.StrictlyContains(pname1) {
-		t.Errorf("parent of pname = %v, %v; want a descendant of the root that is not its child", p, ok)
+	pname1 := f.Num(md.Assignment[d.Root.ElementChildren()[0].ElementChildren()[0]])
+	if p := f.Parent(pname1); p == root || p < 0 || pname1 > f.End(root) {
+		t.Errorf("parent of pname = %d; want a descendant of the root that is not its child", p)
+	}
+	// Every subtree is the number range [i, End(i)]: exactly the
+	// intervals i strictly contains, and i itself.
+	for i := int32(0); i < int32(f.Size()); i++ {
+		for j := int32(0); j < int32(f.Size()); j++ {
+			inside := i < j && j <= f.End(i)
+			if inside != f.Interval(i).StrictlyContains(f.Interval(j)) {
+				t.Fatalf("node %d in subtree of %d: %v, intervals %v and %v", j, i, inside, f.Interval(i), f.Interval(j))
+			}
+		}
 	}
 }
 
 func TestForestSiblings(t *testing.T) {
 	d, s, ks := fixture(t)
-	md := BuildMetadata(d, s.BlockRoots, ks)
+	md := mustMetadata(t, d, s.BlockRoots, ks)
 	f := BuildForest(md.Table)
-	p1 := md.Assignment[d.Root.ElementChildren()[0]]
-	p2 := md.Assignment[d.Root.ElementChildren()[1]]
-	if !f.AreSiblings(p1, p2) {
+	p1 := f.Num(md.Assignment[d.Root.ElementChildren()[0]])
+	p2 := f.Num(md.Assignment[d.Root.ElementChildren()[1]])
+	if f.Parent(p1) < 0 || f.Parent(p1) != f.Parent(p2) {
 		t.Errorf("patients should be siblings")
 	}
-	if !f.FollowingSibling(p1, p2) || f.FollowingSibling(p2, p1) {
-		t.Errorf("FollowingSibling direction wrong")
+	if p1 >= p2 {
+		t.Errorf("sibling numbers out of document order: %d, %d", p1, p2)
 	}
-	pname1 := md.Assignment[d.Root.ElementChildren()[0].ElementChildren()[0]]
-	if f.AreSiblings(p1, pname1) {
+	pname1 := f.Num(md.Assignment[d.Root.ElementChildren()[0].ElementChildren()[0]])
+	if f.Parent(p1) == f.Parent(pname1) {
 		t.Errorf("parent/child are not siblings")
 	}
 }
@@ -289,20 +293,19 @@ func TestQuickAssignInvariant(t *testing.T) {
 	ks := cryptoprim.MustKeySet("quick")
 	f := func(seed uint32) bool {
 		d := genDoc(seed)
-		asg := Assign(d, ks)
+		asg := mustAssign(t, d, ks)
 		if err := checkAssignment(asg, d); err != nil {
 			t.Logf("Check: %v", err)
 			return false
 		}
-		md := BuildMetadata(d, nil, ks)
+		md := mustMetadata(t, d, nil, ks)
 		forest := BuildForest(md.Table)
 		ok := true
 		d.Root.Walk(func(n *xmltree.Node) bool {
 			if n.Kind == xmltree.Text || n.Parent == nil {
 				return true
 			}
-			p, has := forest.ParentOf(asg[n])
-			if !has || !p.Equal(asg[n.Parent]) {
+			if p := forest.Parent(forest.Num(asg[n])); p < 0 || forest.Interval(p) != asg[n.Parent] {
 				ok = false
 			}
 			return true
@@ -312,6 +315,24 @@ func TestQuickAssignInvariant(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+func mustAssign(t testing.TB, d *xmltree.Document, ks *cryptoprim.KeySet) Assignment {
+	t.Helper()
+	asg, err := Assign(d, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return asg
+}
+
+func mustMetadata(t testing.TB, d *xmltree.Document, roots []*xmltree.Node, ks *cryptoprim.KeySet) *Metadata {
+	t.Helper()
+	md, err := BuildMetadata(d, roots, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return md
 }
 
 func genDoc(seed uint32) *xmltree.Document {
@@ -362,7 +383,7 @@ func checkAssignment(asg Assignment, doc *xmltree.Document) error {
 			if !piv.StrictlyContains(civ) {
 				return fmt.Errorf("dsi: child %s interval %v not strictly inside parent %v", c.Path(), civ, piv)
 			}
-			if prev != nil && !prev.Before(civ) {
+			if prev != nil && prev.Hi >= civ.Lo {
 				return fmt.Errorf("dsi: sibling gap violated at %s: %v then %v", c.Path(), *prev, civ)
 			}
 			iv := civ

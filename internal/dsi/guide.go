@@ -41,19 +41,19 @@ type GuideNode struct {
 	// Children are the classes whose intervals are forest children of
 	// this class's intervals.
 	Children []int32
-	// Intervals are the class members, Lo-sorted (a subsequence of the
-	// table's sorted order, so Within's binary-search contract holds).
-	Intervals []Interval
+	// Nodes are the class members' node numbers, ascending (a
+	// subsequence of the forest's pre-order, so the joins' sorted-list
+	// contract holds).
+	Nodes []int32
 }
 
-// buildGuide derives the path-class synopsis and the class column from
-// the forest's parent and label columns. It returns nil for both when
-// some interval is filed under more than one table label — then the
-// single-class-per-interval invariant the planner's pruning relies on
-// does not hold and callers must treat the structure as having no
-// synopsis. (The builder never produces such tables: each node
+// buildGuide derives the path-class synopsis from the forest's parent
+// and label columns. It returns nil when some interval is filed under
+// more than one table label — then the single-class-per-interval
+// invariant the planner's pruning relies on does not hold and callers
+// must treat the structure as having no synopsis. (The builder never produces such tables: each node
 // contributes its one tag label.)
-func buildGuide(f *Forest) (*Guide, []int32) {
+func buildGuide(f *Forest) *Guide {
 	g := &Guide{}
 	class := make([]int32, len(f.ivs))
 	classIdx := map[[2]int32]int32{} // (parent class, label) -> class
@@ -62,7 +62,7 @@ func buildGuide(f *Forest) (*Guide, []int32) {
 	// any of its children are classified.
 	for i, label := range f.label {
 		if len(f.labels[label]) != 1 {
-			return nil, nil
+			return nil
 		}
 		parent := int32(-1)
 		if p := f.parent[i]; p >= 0 {
@@ -85,16 +85,16 @@ func buildGuide(f *Forest) (*Guide, []int32) {
 		counts[ci]++
 	}
 	// Every class's member list is a capped window of one backing
-	// array; pre-order keeps each Lo-sorted.
-	members, off := make([]Interval, len(f.ivs)), 0
+	// array; pre-order keeps each ascending.
+	members, off := make([]int32, len(f.ivs)), 0
 	for ci, c := range counts {
-		g.nodes[ci].Intervals = members[off : off : off+c]
+		g.nodes[ci].Nodes = members[off : off : off+c]
 		off += c
 	}
 	for i, ci := range class {
-		g.nodes[ci].Intervals = append(g.nodes[ci].Intervals, f.ivs[i])
+		g.nodes[ci].Nodes = append(g.nodes[ci].Nodes, int32(i))
 	}
-	return g, class
+	return g
 }
 
 // NumClasses returns the number of path classes (distinct label
@@ -111,4 +111,4 @@ func (g *Guide) Roots() []int32 { return g.roots }
 // DSI interval-group cardinality for the class's label path. Grouping
 // makes this a lower bound on the node count, which is exactly the
 // granularity the server is allowed to see.
-func (g *Guide) Count(ci int32) int { return len(g.nodes[ci].Intervals) }
+func (g *Guide) Count(ci int32) int { return len(g.nodes[ci].Nodes) }

@@ -11,15 +11,14 @@
 // is encrypted, → grouped intervals) and the encryption block table
 // (representative interval → block ID). For the server it builds one
 // node table (Forest): the table's distinct intervals numbered in
-// pre-order, with parent, label and path-class columns, from which
-// the structural joins and the planner's guide read.
+// pre-order, with parent, last-descendant and label columns and
+// per-label member lists, from which the structural joins and the
+// planner's guide read.
 package dsi
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Interval is a DSI index entry [Lo, Hi] ⊂ [0, 1]. Intervals of a
@@ -35,18 +34,6 @@ func (iv Interval) String() string { return fmt.Sprintf("[%.9f, %.9f]", iv.Lo, i
 func (iv Interval) StrictlyContains(o Interval) bool {
 	return iv.Lo < o.Lo && o.Hi < iv.Hi
 }
-
-// Contains reports o ⊆ iv (equality allowed).
-func (iv Interval) Contains(o Interval) bool {
-	return iv.Lo <= o.Lo && o.Hi <= iv.Hi
-}
-
-// Equal reports exact equality.
-func (iv Interval) Equal(o Interval) bool { return iv == o }
-
-// Before reports that iv ends before o starts (document order for
-// disjoint intervals; implements the following axis).
-func (iv Interval) Before(o Interval) bool { return iv.Hi < o.Lo }
 
 // Merge returns the interval spanning a run of grouped siblings:
 // lower bound of the leftmost, upper bound of the rightmost (§5.1.1).
@@ -67,18 +54,5 @@ func Merge(ivs []Interval) Interval {
 // precedes everything it contains; the order is also document order
 // for disjoint intervals.
 func SortIntervals(ivs []Interval) {
-	slices.SortFunc(ivs, func(a, b Interval) int {
-		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(b.Hi, a.Hi))
-	})
-}
-
-// Within returns the subslice of the Lo-sorted list ivs that lies
-// strictly inside ctx. In a laminar family an interval whose lower
-// bound falls inside ctx is entirely inside ctx, so a binary search
-// on Lo suffices — this is what makes the server's structural joins
-// O(log n + answer) instead of a scan.
-func Within(ivs []Interval, ctx Interval) []Interval {
-	lo := sort.Search(len(ivs), func(i int) bool { return ivs[i].Lo > ctx.Lo })
-	hi := sort.Search(len(ivs), func(i int) bool { return ivs[i].Lo >= ctx.Hi })
-	return ivs[lo:hi]
+	slices.SortFunc(ivs, compareIntervals)
 }

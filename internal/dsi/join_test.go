@@ -8,18 +8,34 @@ import (
 	"repro/internal/cryptoprim"
 )
 
+// numbersInside is the brute-force descendant relation the number
+// joins must reproduce: the nodes of the ascending list whose
+// intervals some context's interval strictly contains.
+func numbersInside(f *Forest, ctxs, list []int32) []int32 {
+	var out []int32
+	for _, c := range list {
+		for _, ctx := range ctxs {
+			if f.Interval(ctx).StrictlyContains(f.Interval(c)) {
+				out = append(out, c)
+				break
+			}
+		}
+	}
+	return out
+}
+
 func TestOutermost(t *testing.T) {
-	ivs := []Interval{
+	f := BuildForest(&Table{ByTag: map[string][]Interval{"x": {
 		{Lo: 0.1, Hi: 0.9},
 		{Lo: 0.2, Hi: 0.3}, // inside first
 		{Lo: 0.4, Hi: 0.5}, // inside first
 		{Lo: 0.91, Hi: 0.95},
-	}
-	out := Outermost(ivs)
-	if len(out) != 2 || out[0] != ivs[0] || out[1] != ivs[3] {
+	}}})
+	out := f.Outermost([]int32{0, 0, 1, 2, 3})
+	if !slices.Equal(out, []int32{0, 3}) {
 		t.Errorf("Outermost = %v", out)
 	}
-	if got := Outermost(nil); got != nil {
+	if got := f.Outermost(nil); len(got) != 0 {
 		t.Errorf("Outermost(nil) = %v", got)
 	}
 }
@@ -27,30 +43,14 @@ func TestOutermost(t *testing.T) {
 func TestDescendantJoinMatchesPerContext(t *testing.T) {
 	d := genDoc(7)
 	ks := cryptoprim.MustKeySet("join")
-	md := BuildMetadata(d, nil, ks)
-	all := BuildForest(md.Table).Intervals()
-	// Contexts: every interval of one tag; candidates: all intervals.
+	md := mustMetadata(t, d, nil, ks)
+	f := BuildForest(md.Table)
+	// Contexts: every node of one tag; candidates: all nodes.
 	for tag := range md.Table.ByTag {
-		ctxs := md.Table.Lookup(tag)
-		got := DescendantJoin(ctxs, all)
-		// Reference: per-context Within, deduped in order.
-		seen := map[Interval]bool{}
-		var want []Interval
-		for _, c := range all {
-			for _, ctx := range ctxs {
-				if ctx.StrictlyContains(c) && !seen[c] {
-					seen[c] = true
-					want = append(want, c)
-				}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("tag %s: join %d vs reference %d", tag, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("tag %s: element %d differs", tag, i)
-			}
+		ctxs := f.Nodes(tag)
+		got := f.JoinDescendants(nil, ctxs, f.All())
+		if want := numbersInside(f, ctxs, f.All()); !slices.Equal(got, want) {
+			t.Fatalf("tag %s: join %v, reference %v", tag, got, want)
 		}
 	}
 }
@@ -58,62 +58,64 @@ func TestDescendantJoinMatchesPerContext(t *testing.T) {
 func TestChildJoinMatchesForest(t *testing.T) {
 	d := genDoc(9)
 	ks := cryptoprim.MustKeySet("join2")
-	md := BuildMetadata(d, nil, ks)
+	md := mustMetadata(t, d, nil, ks)
 	f := BuildForest(md.Table)
-	all := f.Intervals()
-	for tag := range md.Table.ByTag {
-		ctxs := md.Table.Lookup(tag)
-		got := ChildJoin(f, ctxs, all)
-		var want []Interval
-		for _, c := range all {
-			if p, ok := f.ParentOf(c); ok {
-				for _, ctx := range ctxs {
-					if p.Equal(ctx) {
-						want = append(want, c)
-						break
-					}
-				}
+	// The reference parent is the tightest strictly containing
+	// interval, found by scanning every node.
+	parentOf := func(c int32) int32 {
+		p := int32(-1)
+		for i := int32(0); i < int32(f.Size()); i++ {
+			if f.Interval(i).StrictlyContains(f.Interval(c)) && (p < 0 || f.Interval(p).StrictlyContains(f.Interval(i))) {
+				p = i
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("tag %s: child join %d vs reference %d", tag, len(got), len(want))
+		return p
+	}
+	for tag := range md.Table.ByTag {
+		ctxs := f.Nodes(tag)
+		got := f.JoinChildren(nil, ctxs, f.All())
+		var want []int32
+		for _, c := range f.All() {
+			if slices.Contains(ctxs, parentOf(c)) {
+				want = append(want, c)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("tag %s: child join %v, reference %v", tag, got, want)
 		}
 	}
 }
 
-// Property: on random documents, DescendantJoin equals the
-// brute-force containment filter for random context subsets.
+// Property: on random documents, JoinDescendants equals the
+// brute-force containment filter for random context subsets, and
+// JoinChildren keeps exactly the members whose parent is a context.
 func TestQuickDescendantJoin(t *testing.T) {
 	ks := cryptoprim.MustKeySet("join-quick")
-	f := func(seed uint32, pick uint8) bool {
-		d := genDoc(seed)
-		md := BuildMetadata(d, nil, ks)
-		all := BuildForest(md.Table).Intervals()
-		if len(all) == 0 {
-			return true
-		}
-		// Random sorted context subset.
-		var ctxs []Interval
-		for i, iv := range all {
-			if (uint32(pick)+uint32(i))%3 == 0 {
-				ctxs = append(ctxs, iv)
+	check := func(seed uint32, pick uint8) bool {
+		f := BuildForest(mustMetadata(t, genDoc(seed), nil, ks).Table)
+		var ctxs []int32
+		for _, n := range f.All() {
+			if (uint32(pick)+uint32(n))%3 == 0 {
+				ctxs = append(ctxs, n)
 			}
 		}
-		got := DescendantJoin(ctxs, all)
-		count := 0
-		for _, c := range all {
-			for _, ctx := range ctxs {
-				if ctx.StrictlyContains(c) {
-					count++
-					break
-				}
+		if got, want := f.JoinDescendants(nil, ctxs, f.All()), numbersInside(f, ctxs, f.All()); !slices.Equal(got, want) {
+			t.Logf("seed %d: descendant join %v, reference %v", seed, got, want)
+			return false
+		}
+		var want []int32
+		for _, c := range f.All() {
+			if slices.Contains(ctxs, f.Parent(c)) {
+				want = append(want, c)
 			}
 		}
-		sorted := slices.Clone(got)
-		SortIntervals(sorted)
-		return len(got) == count && slices.Equal(got, sorted)
+		if got := f.JoinChildren(nil, ctxs, f.All()); !slices.Equal(got, want) {
+			t.Logf("seed %d: child join %v, reference %v", seed, got, want)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }

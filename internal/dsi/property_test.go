@@ -1,6 +1,7 @@
 package dsi
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,9 +10,9 @@ import (
 
 // familyOf assigns a random document and returns its intervals in
 // SortIntervals order — a laminar family, per TestQuickLaminar below,
-// which is the precondition Within's binary search rests on.
-func familyOf(seed uint32, ks *cryptoprim.KeySet) []Interval {
-	asg := Assign(genDoc(seed), ks)
+// which is the precondition the forest's number ranges rest on.
+func familyOf(t *testing.T, seed uint32, ks *cryptoprim.KeySet) []Interval {
+	asg := mustAssign(t, genDoc(seed), ks)
 	ivs := make([]Interval, 0, len(asg))
 	for _, iv := range asg {
 		ivs = append(ivs, iv)
@@ -25,7 +26,7 @@ func familyOf(seed uint32, ks *cryptoprim.KeySet) []Interval {
 func TestQuickSortIntervals(t *testing.T) {
 	ks := cryptoprim.MustKeySet("quick-sort")
 	f := func(seed uint32) bool {
-		asg := Assign(genDoc(seed), ks)
+		asg := mustAssign(t, genDoc(seed), ks)
 		var in []Interval
 		for _, iv := range asg {
 			in = append(in, iv) // map iteration: a fresh permutation each run
@@ -60,16 +61,17 @@ func TestQuickSortIntervals(t *testing.T) {
 
 // Property: assigned intervals form a laminar family — every pair is
 // related (one contains the other) or strictly disjoint with a gap.
-// This is the structural fact Within's binary search and the forest
-// construction both depend on.
+// This is the structural fact the forest construction and its number
+// ranges depend on.
 func TestQuickLaminar(t *testing.T) {
 	ks := cryptoprim.MustKeySet("quick-laminar")
 	f := func(seed uint32) bool {
-		ivs := familyOf(seed, ks)
+		ivs := familyOf(t, seed, ks)
 		for i := 0; i < len(ivs); i++ {
 			for j := i + 1; j < len(ivs); j++ {
 				a, b := ivs[i], ivs[j]
-				if !a.Contains(b) && !b.Contains(a) && !a.Before(b) && !b.Before(a) {
+				nested := (a.Lo <= b.Lo && b.Hi <= a.Hi) || (b.Lo <= a.Lo && a.Hi <= b.Hi)
+				if !nested && a.Hi >= b.Lo && b.Hi >= a.Lo {
 					t.Logf("non-laminar pair: %v, %v", a, b)
 					return false
 				}
@@ -82,28 +84,26 @@ func TestQuickLaminar(t *testing.T) {
 	}
 }
 
-// Property: on a Lo-sorted laminar family, Within agrees with the
-// naive O(n) strict-containment filter for every context interval in
-// the family — the binary search never clips or over-reaches.
+// Property: on a laminar family, Descendants agrees with the naive
+// O(n) strict-containment filter for every context node, over the
+// whole node list and over one label's list — the binary search on
+// numbers never clips or over-reaches.
 func TestQuickWithin(t *testing.T) {
 	ks := cryptoprim.MustKeySet("quick-within")
 	f := func(seed uint32) bool {
-		ivs := familyOf(seed, ks)
-		for _, ctx := range ivs {
-			got := Within(ivs, ctx)
-			var want []Interval
-			for _, iv := range ivs {
-				if ctx.StrictlyContains(iv) {
-					want = append(want, iv)
+		ivs := familyOf(t, seed, ks)
+		fr := BuildForest(&Table{ByTag: map[string][]Interval{"x": ivs[:len(ivs)/2], "y": ivs[len(ivs)/2:]}})
+		for ctx := int32(0); ctx < int32(fr.Size()); ctx++ {
+			for _, list := range [][]int32{fr.All(), fr.Nodes("y")} {
+				got := fr.Descendants(list, ctx)
+				var want []int32
+				for _, n := range list {
+					if fr.Interval(ctx).StrictlyContains(fr.Interval(n)) {
+						want = append(want, n)
+					}
 				}
-			}
-			if len(got) != len(want) {
-				t.Logf("ctx %v: Within %d, naive %d", ctx, len(got), len(want))
-				return false
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Logf("ctx %v: Within[%d]=%v, naive %v", ctx, i, got[i], want[i])
+				if !slices.Equal(got, want) {
+					t.Logf("ctx %v: Descendants %v, naive %v", fr.Interval(ctx), got, want)
 					return false
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/dsi"
 	"repro/internal/gencache"
 	"repro/internal/wire"
 	"repro/internal/xpath"
@@ -65,7 +64,7 @@ type plan struct {
 	// subLists holds the full table lists of every predicate sub-path
 	// step (the synopsis does not restrict them), resolved once here
 	// instead of once per candidate the predicate is evaluated at.
-	subLists map[*wire.QStep][][]dsi.Interval
+	subLists map[*wire.QStep][][]int32
 	// predOrder holds the planner's per-step predicate evaluation
 	// order (cheap/selective first) for steps where it differs from
 	// the query's; the query itself is never mutated (see planner.go).
@@ -102,7 +101,7 @@ func compilePlan(sn *snapshot, q *wire.Query) *plan {
 		q:         q,
 		lift:      liftDepth(q),
 		preds:     map[*wire.PredValue]predPlan{},
-		subLists:  map[*wire.QStep][][]dsi.Interval{},
+		subLists:  map[*wire.QStep][][]int32{},
 		predOrder: map[*wire.QStep][]wire.QPred{},
 	}
 	for st := q.First; st != nil; st = st.Next {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"repro/internal/dsi"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -51,3 +52,16 @@ func (s *Server) NodeTable() (*dsi.Forest, []ResidueFact) {
 	}
 	return st.forest, out
 }
+
+// Step applies one query step with the given strictness to the
+// ascending context nodes over the step's full table lists, as a
+// predicate sub-path step runs, and returns the survivors ascending.
+func (s *Server) Step(ctxs []int32, st *wire.QStep, upper bool) []int32 {
+	sn := s.current()
+	e := s.newExec(sn, &plan{subLists: map[*wire.QStep][][]int32{st: sn.labelLists(st.Labels)}})
+	return dedupeSorted(e.step(nil, ctxs, st, upper))
+}
+
+// BlockColumn returns the block ID of every node by node number, -1
+// for residue nodes.
+func (s *Server) BlockColumn() []int32 { return s.current().st.block }

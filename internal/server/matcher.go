@@ -2,36 +2,36 @@ package server
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
-	"repro/internal/dsi"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// The matcher implements §6.2's structural joins over DSI intervals
-// with *three-valued* semantics. Grouping (one interval may stand
-// for several sibling nodes) and block-granular value lookups mean
-// the server can only decide "possibly matches" or "certainly
-// matches" for some constructs. The main path prunes with the
-// possible (upper) semantics — over-selection is corrected by the
+// The matcher implements §6.2's structural joins over the node table
+// (dsi.Forest) with *three-valued* semantics. Grouping (one interval
+// may stand for several sibling nodes) and block-granular value
+// lookups mean the server can only decide "possibly matches" or
+// "certainly matches" for some constructs. The main path prunes with
+// the possible (upper) semantics — over-selection is corrected by the
 // client's post-processing — while negation flips to the certain
 // (lower) semantics so that not(...) never under-selects:
 //
 //	upper(not e) = !lower(e),   lower(not e) = !upper(e)
 //
-// Joins exploit laminarity: the intervals of each DSI table label
-// are kept sorted by lower bound, so the candidates inside a context
-// interval are found by binary search (dsi.Within) rather than a
-// scan.
+// Joins run on node numbers, never on intervals: the members of each
+// DSI table label are kept in ascending number (document) order, and a
+// node's subtree is the number range [i, end[i]], so the candidates
+// below a context are found by binary search (Forest.Descendants) and
+// the child and sibling tests read the parent column. Numbers become
+// intervals only at the answer edge (assemble).
 
 // exec carries per-query state: sn is the snapshot the query pinned
 // (every db read goes through it, so the whole match sees one
 // generation), and rangeMemo pointer-keys the range resolutions this
 // query already holds so a predicate evaluated against thousands of
-// context intervals does not even re-hash its fingerprint. The memo
+// context nodes does not even re-hash its fingerprint. The memo
 // is only a fast path in front of the server's generation-keyed
 // range cache (cache.go) — pointer identity is safe HERE because the
 // memo dies with the request, and the pinned snapshot fixes the db
@@ -51,72 +51,65 @@ func (s *Server) newExec(sn *snapshot, pl *plan) *exec {
 	return &exec{srv: s, sn: sn, pl: pl, rangeMemo: map[*wire.PredValue]map[int]bool{}}
 }
 
-// ivBufPool recycles the interval scratch slices the matcher chains
-// through. Aliasing rule: a pooled buffer's intervals never leave the
-// function that got it — results that escape (matchFirst, matchChain)
-// are copied out exact-size before the buffer is returned.
-var ivBufPool = sync.Pool{New: func() any { return new([]dsi.Interval) }}
+// numBufPool recycles the node-number scratch slices the matcher
+// chains through. Aliasing rule: a pooled buffer's numbers never leave
+// the function that got it — results that escape (matchFirst,
+// matchChain) are copied out exact-size before the buffer is returned.
+var numBufPool = sync.Pool{New: func() any { return new([]int32) }}
 
-// ivBufMaxCap bounds the capacity a returned buffer may retain
-// (256 KiB of intervals) so one giant step result cannot pin memory
+// numBufMaxCap bounds the capacity a returned buffer may retain
+// (256 KiB of node numbers) so one giant step result cannot pin memory
 // in the pool.
-const ivBufMaxCap = 1 << 14
+const numBufMaxCap = 1 << 16
 
-func getIvBuf() *[]dsi.Interval { return ivBufPool.Get().(*[]dsi.Interval) }
-
-// presizeIvBuf grows a pooled buffer to the planner's cardinality
-// estimate up front (clamped to the pool's retention cap), replacing
-// append's doubling-regrowth with a single allocation when the
-// estimate exceeds what the pool handed back.
-func presizeIvBuf(p *[]dsi.Interval, n int) {
-	if n > ivBufMaxCap {
-		n = ivBufMaxCap
+// getNumBuf takes an empty buffer from the pool, grown to the
+// planner's cardinality estimate up front (clamped to the pool's
+// retention cap): a single allocation instead of append's
+// doubling-regrowth when the estimate exceeds what the pool handed
+// back.
+func getNumBuf(est int) *[]int32 {
+	p := numBufPool.Get().(*[]int32)
+	if n := min(est, numBufMaxCap); n > cap(*p) {
+		*p = make([]int32, 0, n)
 	}
-	if n > cap(*p) {
-		*p = make([]dsi.Interval, 0, n)
-	}
+	return p
 }
 
-func putIvBuf(p *[]dsi.Interval) {
-	if cap(*p) > ivBufMaxCap {
+func putNumBuf(p *[]int32) {
+	if cap(*p) > numBufMaxCap {
 		return
 	}
 	*p = (*p)[:0]
-	ivBufPool.Put(p)
+	numBufPool.Put(p)
 }
 
 // matchFirst evaluates the first step of the main path: its context
 // is the virtual document node, so a non-descendant child step must
-// match a forest root, while a "//" step may match any interval.
-func (e *exec) matchFirst(st *wire.QStep) []dsi.Interval {
+// match a forest root, while a "//" step may match any node.
+func (e *exec) matchFirst(st *wire.QStep) []int32 {
 	f := e.sn.st.forest
-	buf := getIvBuf()
-	presizeIvBuf(buf, e.stepEstimate(st))
-	cands := (*buf)[:0]
+	buf := getNumBuf(e.stepEstimate(st))
+	cands := *buf
 	for _, list := range e.stepLists(st) {
-		for _, iv := range list {
-			if st.Desc || f.Parent(f.Num(iv)) < 0 {
-				cands = append(cands, iv)
+		for _, n := range list {
+			if st.Desc || f.Parent(n) < 0 {
+				cands = append(cands, n)
 			}
 		}
 	}
 	cands = e.applyPreds(dedupeSorted(cands), e.orderedPreds(st))
-	var out []dsi.Interval
+	var out []int32
 	if len(cands) > 0 {
-		out = append(make([]dsi.Interval, 0, len(cands)), cands...)
+		out = append(make([]int32, 0, len(cands)), cands...)
 	}
-	*buf = cands[:0]
-	putIvBuf(buf)
+	*buf = cands
+	putNumBuf(buf)
 	return out
 }
 
-// batchJoinThreshold switches downward steps from per-context
-// probing (O(|ctx| log n)) to the batched sort-merge structural join
-// (O(|ctx| + n)) once the context set is large enough to amortize.
-const batchJoinThreshold = 8
-
-// matchChain evaluates a step chain from a set of context intervals
-// with the given strictness, returning the final step's survivors.
+// matchChain evaluates a step chain from an ascending set of context
+// nodes with the given strictness, returning the final step's
+// survivors.
 //
 // Each step accumulates into a pooled scratch buffer; dedupeSorted
 // and the predicate filters then compact that buffer in place (safe:
@@ -124,24 +117,12 @@ const batchJoinThreshold = 8
 // step's buffer is recycled as soon as the next one is built, and the
 // final survivors are copied out exact-size so no pooled memory
 // escapes.
-func (e *exec) matchChain(ctxs []dsi.Interval, st *wire.QStep, upper bool) []dsi.Interval {
+func (e *exec) matchChain(ctxs []int32, st *wire.QStep, upper bool) []int32 {
 	cur := ctxs
-	var owned *[]dsi.Interval // pool token backing cur; nil while cur aliases ctxs or a batch result
+	var owned *[]int32 // pool token backing cur; nil while cur aliases ctxs
 	for ; st != nil; st = st.Next {
-		var next []dsi.Interval
-		var nextOwned *[]dsi.Interval
-		lists := e.stepLists(st)
-		if batched, ok := e.batchStep(cur, st, lists); ok {
-			next = batched
-		} else {
-			nextOwned = getIvBuf()
-			presizeIvBuf(nextOwned, e.stepEstimate(st))
-			next = (*nextOwned)[:0]
-			for _, ctx := range cur {
-				next = e.stepFrom(next, ctx, st, lists, upper)
-			}
-		}
-		res := dedupeSorted(next)
+		buf := getNumBuf(e.stepEstimate(st))
+		res := dedupeSorted(e.step(*buf, cur, st, upper))
 		preds := e.orderedPreds(st)
 		if upper {
 			res = e.applyPreds(res, preds)
@@ -149,149 +130,124 @@ func (e *exec) matchChain(ctxs []dsi.Interval, st *wire.QStep, upper bool) []dsi
 			res = e.filterCertain(res, preds)
 		}
 		if owned != nil {
-			putIvBuf(owned)
+			putNumBuf(owned)
 		}
-		owned, cur = nextOwned, res
-		if owned != nil {
-			*owned = res[:0] // track the (possibly regrown) backing
-		}
+		owned, cur = buf, res
+		*owned = res // track the (possibly regrown) backing
 		if len(cur) == 0 {
-			if owned != nil {
-				putIvBuf(owned)
-			}
+			putNumBuf(owned)
 			return nil
 		}
 	}
-	if owned == nil {
-		return cur
+	out := append(make([]int32, 0, len(cur)), cur...)
+	if owned != nil {
+		putNumBuf(owned)
 	}
-	out := append(make([]dsi.Interval, 0, len(cur)), cur...)
-	putIvBuf(owned)
 	return out
 }
 
-// batchStep applies one downward step to the whole context set with
-// the sort-merge structural join (§6.2's batched form). Only the
-// child/attribute/descendant axes are batchable; other axes (and
-// wildcard tests, whose candidate set is the whole forest) fall back
-// to per-context probing.
-func (e *exec) batchStep(ctxs []dsi.Interval, st *wire.QStep, lists [][]dsi.Interval) ([]dsi.Interval, bool) {
-	if len(ctxs) < batchJoinThreshold || st.Labels == nil {
-		return nil, false
-	}
-	desc := false
+// step applies one step's axis and node test to the ascending context
+// set, appending the survivors to dst (unsorted, possibly repeated:
+// callers dedupe). The downward axes join the whole set at once
+// (§6.2's batched structural joins); the upward and sibling axes walk
+// from each context.
+func (e *exec) step(dst, ctxs []int32, st *wire.QStep, upper bool) []int32 {
+	f := e.sn.st.forest
+	lists := e.stepLists(st)
 	switch st.Axis {
-	case xpath.AxisDescendant:
-		desc = true
+	case xpath.AxisDescendant, xpath.AxisDescendantOrSelf:
+		for _, list := range lists {
+			dst = f.JoinDescendants(dst, ctxs, list)
+		}
+		if st.Axis == xpath.AxisDescendantOrSelf {
+			for _, ctx := range ctxs {
+				if st.Labels == nil || hasAnyLabel(f.Labels(ctx), st.Labels) {
+					dst = append(dst, ctx)
+				}
+			}
+		}
 	case xpath.AxisChild, xpath.AxisAttribute:
-		desc = st.Desc
+		for _, list := range lists {
+			if st.Desc {
+				dst = f.JoinDescendants(dst, ctxs, list)
+			} else {
+				dst = f.JoinChildren(dst, ctxs, list)
+			}
+		}
 	default:
-		return nil, false
-	}
-	var out []dsi.Interval
-	for _, list := range lists {
-		if desc {
-			out = append(out, dsi.DescendantJoin(ctxs, list)...)
-		} else {
-			out = append(out, dsi.ChildJoin(e.sn.st.forest, ctxs, list)...)
+		for _, ctx := range ctxs {
+			dst = e.stepFrom(dst, ctx, st, lists, upper)
 		}
 	}
-	return out, true
+	return dst
 }
 
 // matchRelative evaluates a (predicate) path from one context.
-func (e *exec) matchRelative(ctx dsi.Interval, st *wire.QStep, upper bool) []dsi.Interval {
+func (e *exec) matchRelative(ctx int32, st *wire.QStep, upper bool) []int32 {
 	if st == nil {
-		return []dsi.Interval{ctx}
+		return []int32{ctx}
 	}
-	return e.matchChain([]dsi.Interval{ctx}, st, upper)
+	return e.matchChain([]int32{ctx}, st, upper)
 }
 
-// stepFrom applies one step's axis and node test from one context
-// interval, appending survivors to dst (which may be a pooled
-// buffer owned by the caller). lists must be e.stepLists(st),
-// resolved once per step rather than once per context. In upper mode,
-// sibling axes additionally match the context's own interval when it
-// lies inside an encryption block: such an interval may be a group
-// standing for several adjacent same-tag siblings (§5.1.1), and the
-// server cannot rule that out — by design.
-func (e *exec) stepFrom(dst []dsi.Interval, ctx dsi.Interval, st *wire.QStep, lists [][]dsi.Interval, upper bool) []dsi.Interval {
+// stepFrom applies one self, parent, ancestor or sibling step from one
+// context node, appending survivors to dst. lists must be
+// e.stepLists(st), resolved once per step rather than once per
+// context. In upper mode, sibling axes additionally match the context
+// itself when it lies inside an encryption block: its interval may be
+// a group standing for several adjacent same-tag siblings (§5.1.1),
+// and the server cannot rule that out — by design.
+func (e *exec) stepFrom(dst []int32, ctx int32, st *wire.QStep, lists [][]int32, upper bool) []int32 {
 	f := e.sn.st.forest
-	out := dst
 	switch st.Axis {
-	case xpath.AxisSelf, xpath.AxisParent, xpath.AxisAncestor, xpath.AxisAncestorOrSelf:
-		i := f.Num(ctx)
+	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
+		p := f.Parent(ctx)
+		for _, list := range lists {
+			sibs := list // a root has no siblings: only the grouped self can match
+			if p >= 0 {
+				sibs = f.Descendants(list, p)
+			}
+			for _, n := range sibs {
+				var ok bool
+				switch {
+				case n == ctx:
+					// A grouped interval may hide several adjacent
+					// same-tag siblings; possible but never certain.
+					ok = upper && e.sn.st.block[ctx] >= 0
+				case p < 0 || f.Parent(n) != p:
+				case st.Axis == xpath.AxisFollowingSibling:
+					ok = n > ctx
+				default:
+					ok = n < ctx
+				}
+				if ok {
+					dst = append(dst, n)
+				}
+			}
+		}
+	default: // self, parent, ancestor, ancestor-or-self
+		i := ctx
 		if st.Axis == xpath.AxisParent || st.Axis == xpath.AxisAncestor {
 			i = f.Parent(i)
 		}
 		for ; i >= 0; i = f.Parent(i) {
 			if st.Labels == nil || hasAnyLabel(f.Labels(i), st.Labels) {
-				out = append(out, f.Interval(i))
+				dst = append(dst, i)
 			}
 			if st.Axis == xpath.AxisSelf || st.Axis == xpath.AxisParent {
 				break
 			}
 		}
-	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
-		parent, hasParent := f.ParentOf(ctx)
-		for _, list := range lists {
-			var sibs []dsi.Interval
-			if hasParent {
-				sibs = dsi.Within(list, parent)
-			} else {
-				sibs = list // root level: siblings are other roots
-			}
-			for _, iv := range sibs {
-				var ok bool
-				switch {
-				case iv.Equal(ctx):
-					// A grouped interval may hide several adjacent
-					// same-tag siblings; possible but never certain.
-					ok = upper && e.sn.blockIDFor(ctx) >= 0
-				case st.Axis == xpath.AxisFollowingSibling:
-					ok = f.FollowingSibling(ctx, iv)
-				default:
-					ok = f.FollowingSibling(iv, ctx)
-				}
-				if ok {
-					out = append(out, iv)
-				}
-			}
-		}
-	case xpath.AxisDescendant:
-		for _, list := range lists {
-			out = append(out, dsi.Within(list, ctx)...)
-		}
-	case xpath.AxisDescendantOrSelf:
-		for _, list := range lists {
-			out = append(out, dsi.Within(list, ctx)...)
-		}
-		if st.Labels == nil || hasAnyLabel(f.Labels(f.Num(ctx)), st.Labels) {
-			out = append(out, ctx)
-		}
-	default: // child, attribute
-		for _, list := range lists {
-			inside := dsi.Within(list, ctx)
-			if st.Desc {
-				out = append(out, inside...)
-				continue
-			}
-			for _, iv := range inside {
-				if p, ok := f.ParentOf(iv); ok && p.Equal(ctx) {
-					out = append(out, iv)
-				}
-			}
-		}
 	}
-	return out
+	return dst
 }
 
 // stepLists returns a step's candidate lists, both resolved when the
 // plan was compiled: a main-path step's (synopsis-restricted where the
 // planner pruned), or a predicate sub-path step's full table lists.
 // Restricted lists keep the labelLists shape and sort order, so every
-// join below runs unchanged — just over fewer intervals.
-func (e *exec) stepLists(st *wire.QStep) [][]dsi.Interval {
+// join runs unchanged — just over fewer nodes.
+func (e *exec) stepLists(st *wire.QStep) [][]int32 {
 	if sp, ok := e.pl.steps[st]; ok {
 		return sp.lists
 	}
@@ -316,16 +272,17 @@ func (e *exec) stepEstimate(st *wire.QStep) int {
 	return e.pl.steps[st].est
 }
 
-// labelLists returns the Lo-sorted interval list of each table label
-// the node test matches; a wildcard yields the full sorted universe.
-func (sn *snapshot) labelLists(labels []string) [][]dsi.Interval {
+// labelLists returns the ascending node list of each table label the
+// node test matches; a wildcard yields every node.
+func (sn *snapshot) labelLists(labels []string) [][]int32 {
+	f := sn.st.forest
 	if labels == nil {
-		return [][]dsi.Interval{sn.st.forest.Intervals()}
+		return [][]int32{f.All()}
 	}
-	out := make([][]dsi.Interval, 0, len(labels))
+	out := make([][]int32, 0, len(labels))
 	for _, l := range labels {
-		if ivs := sn.db.Table.Lookup(l); len(ivs) > 0 {
-			out = append(out, ivs)
+		if nodes := f.Nodes(l); len(nodes) > 0 {
+			out = append(out, nodes)
 		}
 	}
 	return out
@@ -346,7 +303,7 @@ func hasAnyLabel(have, want []string) bool {
 // Positional predicates are NOT applied: an interval may group
 // several siblings, so server-side positions are unreliable; the
 // client re-applies the original query and restores them exactly.
-func (e *exec) applyPreds(cands []dsi.Interval, preds []wire.QPred) []dsi.Interval {
+func (e *exec) applyPreds(cands []int32, preds []wire.QPred) []int32 {
 	cur := cands
 	for _, p := range preds {
 		if _, ok := p.(*wire.PredPos); ok {
@@ -358,7 +315,7 @@ func (e *exec) applyPreds(cands []dsi.Interval, preds []wire.QPred) []dsi.Interv
 }
 
 // filterCertain keeps candidates whose predicates certainly hold.
-func (e *exec) filterCertain(cands []dsi.Interval, preds []wire.QPred) []dsi.Interval {
+func (e *exec) filterCertain(cands []int32, preds []wire.QPred) []int32 {
 	cur := cands
 	for _, p := range preds {
 		cur = e.filterPred(cur, p, false)
@@ -371,11 +328,11 @@ func (e *exec) filterCertain(cands []dsi.Interval, preds []wire.QPred) []dsi.Int
 // its candidate buffer (matchFirst and matchChain pass their own
 // scratch), so filtering in place is safe and the cold path stays
 // allocation-free here.
-func (e *exec) filterPred(cands []dsi.Interval, p wire.QPred, upper bool) []dsi.Interval {
+func (e *exec) filterPred(cands []int32, p wire.QPred, upper bool) []int32 {
 	kept := cands[:0]
-	for _, iv := range cands {
-		if e.evalPred(iv, p, upper) {
-			kept = append(kept, iv)
+	for _, n := range cands {
+		if e.evalPred(n, p, upper) {
+			kept = append(kept, n)
 		}
 	}
 	return kept
@@ -384,10 +341,10 @@ func (e *exec) filterPred(cands []dsi.Interval, p wire.QPred, upper bool) []dsi.
 // evalPred evaluates a predicate at a context with the given
 // strictness: upper=true asks "could this hold", upper=false asks
 // "does this certainly hold".
-func (e *exec) evalPred(ctx dsi.Interval, p wire.QPred, upper bool) bool {
+func (e *exec) evalPred(ctx int32, p wire.QPred, upper bool) bool {
 	switch v := p.(type) {
 	case *wire.PredExists:
-		if !upper && e.sn.blockIDFor(ctx) >= 0 {
+		if !upper && e.sn.st.block[ctx] >= 0 {
 			// An in-block context interval may be a group standing
 			// for several adjacent same-tag siblings (§5.1.1); a
 			// match found inside it proves existence for *some*
@@ -430,7 +387,7 @@ func (e *exec) evalPred(ctx dsi.Interval, p wire.QPred, upper bool) bool {
 // A residue target is decided from its boot-time facts (residueFact)
 // against the literal the plan decoded, so no candidate's subtree is
 // walked, concatenated or parsed here.
-func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bool {
+func (e *exec) evalValuePred(ctx int32, v *wire.PredValue, upper bool) bool {
 	targets := e.matchRelative(ctx, v.Path, upper)
 	if len(targets) == 0 {
 		return false
@@ -438,8 +395,7 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 	pp := e.pl.preds[v]
 	f := e.sn.st.forest
 	for _, tgt := range targets {
-		i := f.Num(tgt) // every match is a table interval
-		if r := &e.sn.st.residue[i]; r.node != nil && !r.placeholder {
+		if r := &e.sn.st.residue[tgt]; r.node != nil && !r.placeholder {
 			if r.hidesBlock {
 				if upper {
 					return true
@@ -458,8 +414,8 @@ func (e *exec) evalValuePred(ctx dsi.Interval, v *wire.PredValue, upper bool) bo
 		}
 		// A forest leaf stands for leaf nodes only (grouping merges
 		// adjacent leaves, so groups remain forest leaves).
-		if f.IsLeaf(i) && len(v.Ranges) > 0 {
-			if bid := e.sn.blockIDFor(tgt); bid >= 0 && e.rangeBlocksFor(v, pp.fp)[bid] {
+		if f.IsLeaf(tgt) && len(v.Ranges) > 0 {
+			if bid := e.sn.st.block[tgt]; bid >= 0 && e.rangeBlocksFor(v, pp.fp)[int(bid)] {
 				return true
 			}
 			continue
@@ -503,28 +459,9 @@ func (e *exec) rangeBlocksFor(v *wire.PredValue, fp string) map[int]bool {
 	return blocks
 }
 
-// blockIDFor locates the encryption block containing an interval via
-// binary search over the (disjoint, sorted) representative
-// intervals; -1 when the interval lies in the plaintext residue.
-func (sn *snapshot) blockIDFor(iv dsi.Interval) int {
-	idx := sn.st.blockIdx
-	i := sort.Search(len(idx), func(i int) bool { return idx[i].iv.Lo > iv.Lo }) - 1
-	if i >= 0 && idx[i].iv.Contains(iv) {
-		return idx[i].id
-	}
-	return -1
-}
-
-func dedupeSorted(ivs []dsi.Interval) []dsi.Interval {
-	if len(ivs) <= 1 {
-		return ivs
-	}
-	dsi.SortIntervals(ivs)
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		if !iv.Equal(out[len(out)-1]) {
-			out = append(out, iv)
-		}
-	}
-	return out
+// dedupeSorted sorts a step's node numbers ascending (document
+// order) and drops repeats, in place.
+func dedupeSorted(nums []int32) []int32 {
+	slices.Sort(nums)
+	return slices.Compact(nums)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -23,9 +24,9 @@ import (
 //     REST of the chain — an interval matching step k is useless if
 //     no step-(k+1) transition from its class reaches a completing
 //     class.
-//  3. Where that removed intervals, the surviving classes' (Lo-sorted)
-//     member lists replace the step's full table lists; the
-//     interval-join machinery runs unchanged over fewer intervals.
+//  3. Where that removed intervals, the surviving classes' (ascending)
+//     member lists replace the step's full table lists; the joins run
+//     unchanged over fewer nodes.
 //
 // There is one join engine and no mode: the synopsis only narrows the
 // candidate lists a plan hands the matcher, step by step.
@@ -34,9 +35,10 @@ import (
 // checked by TestPruningOnOffIdentical): the class transitions
 // over-approximate the interval-level axes — every interval a step
 // can produce lies in a class the class-level transition produces (the guide's parent map mirrors the forest's,
-// so Parent/Ancestor are exact; Within yields forest descendants,
-// whose classes are guide-subtree classes; siblings share the parent
-// class; the grouped-self sibling case stays in its own class). The
+// so Parent/Ancestor are exact; the descendant joins yield forest
+// descendants, whose classes are guide-subtree classes; siblings share
+// the parent class; the grouped-self sibling case stays in its own
+// class). The
 // backward pruning removes only intervals whose class provably cannot
 // complete the chain, and the predicate-skeleton filter removes only
 // classes on which the predicate's own evaluation (matchRelative over
@@ -53,11 +55,11 @@ import (
 // to end.
 
 // stepPlan is what the matcher reads for one main-path step: the
-// per-label candidate lists its joins run over (SortIntervals order;
-// empty means the synopsis proved the step unsatisfiable) and their
-// total size — the buffer capacity hint and the cost model's fan-out.
+// per-label candidate node lists its joins run over (ascending; empty
+// means the synopsis proved the step unsatisfiable) and their total
+// size — the buffer capacity hint and the cost model's fan-out.
 type stepPlan struct {
-	lists [][]dsi.Interval
+	lists [][]int32
 	est   int
 }
 
@@ -124,7 +126,7 @@ func (b *twigBuilder) firstSet(st *wire.QStep) classSet {
 }
 
 // markSubtree sets every proper descendant class of ci matching the
-// label test (the class-level image of dsi.Within).
+// label test (the class-level image of Forest.Descendants).
 func (b *twigBuilder) markSubtree(ci int32, labels []string, into classSet) {
 	for _, ch := range b.g.Node(ci).Children {
 		if b.matches(ch, labels) {
@@ -170,8 +172,8 @@ func (b *twigBuilder) stepOnce(from classSet, st *wire.QStep) classSet {
 			// ci itself — covering the grouped-self case, where an
 			// in-block interval may hide several adjacent same-tag
 			// siblings). Root-level contexts have no forest siblings
-			// (AreSiblings needs a shared parent); only grouped-self
-			// can fire there.
+			// (a sibling needs a shared parent); only grouped-self can
+			// fire there.
 			if node.Parent >= 0 {
 				for _, sib := range b.g.Node(node.Parent).Children {
 					if b.matches(sib, st.Labels) {
@@ -291,31 +293,30 @@ func (b *twigBuilder) setCount(set classSet) int {
 }
 
 // restrictedLists materializes a survivor set as per-label candidate
-// lists in the shape labelLists returns: one SortIntervals-ordered
-// list per query label (wildcards get one merged universe list).
-// Class member lists are already Lo-sorted; merging classes needs one
-// sort per list.
-func (b *twigBuilder) restrictedLists(set classSet, labels []string) [][]dsi.Interval {
-	gather := func(match func(int32) bool) []dsi.Interval {
-		var out []dsi.Interval
+// lists in the shape labelLists returns: one ascending node list per
+// query label (wildcards get one merged list). Class member lists are
+// already ascending; merging classes needs one sort per list.
+func (b *twigBuilder) restrictedLists(set classSet, labels []string) [][]int32 {
+	gather := func(match func(int32) bool) []int32 {
+		var out []int32
 		for ci, in := range set {
 			if in && match(int32(ci)) {
-				out = append(out, b.g.Node(int32(ci)).Intervals...)
+				out = append(out, b.g.Node(int32(ci)).Nodes...)
 			}
 		}
-		dsi.SortIntervals(out)
+		slices.Sort(out)
 		return out
 	}
 	if labels == nil {
-		if ivs := gather(func(int32) bool { return true }); ivs != nil {
-			return [][]dsi.Interval{ivs}
+		if nodes := gather(func(int32) bool { return true }); nodes != nil {
+			return [][]int32{nodes}
 		}
-		return [][]dsi.Interval{}
+		return [][]int32{}
 	}
-	out := make([][]dsi.Interval, 0, len(labels))
+	out := make([][]int32, 0, len(labels))
 	for _, l := range labels {
-		if ivs := gather(func(ci int32) bool { return b.g.Node(ci).Label == l }); ivs != nil {
-			out = append(out, ivs)
+		if nodes := gather(func(ci int32) bool { return b.g.Node(ci).Label == l }); nodes != nil {
+			out = append(out, nodes)
 		}
 	}
 	return out

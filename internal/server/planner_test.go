@@ -72,8 +72,8 @@ func TestSynopsisIncrementalEqualsRebuild(t *testing.T) {
 }
 
 // TestGuideInvariants checks the structural half of the synopsis
-// against the forest it summarizes: every forest interval is in
-// exactly one class, member lists are Lo-sorted, and each member's
+// against the forest it summarizes: every forest node is in exactly
+// one class, member lists are ascending, and each member's
 // forest parent belongs to the class's parent class (the exactness
 // the guide promises and the twig transitions rely on).
 func TestGuideInvariants(t *testing.T) {
@@ -83,32 +83,36 @@ func TestGuideInvariants(t *testing.T) {
 	if g == nil {
 		t.Fatal("boot produced no guide")
 	}
-	total := 0
+	f := sn.st.forest
+	class := make([]int32, f.Size())
+	for i := range class {
+		class[i] = -1
+	}
 	for ci := int32(0); ci < int32(g.NumClasses()); ci++ {
-		node := g.Node(ci)
-		total += len(node.Intervals)
-		for i, iv := range node.Intervals {
-			if i > 0 && node.Intervals[i-1].Lo > iv.Lo {
-				t.Fatalf("class %d member list not Lo-sorted", ci)
+		for i, n := range g.Node(ci).Nodes {
+			if i > 0 && g.Node(ci).Nodes[i-1] >= n {
+				t.Fatalf("class %d member list not ascending", ci)
 			}
-			p, ok := sn.st.forest.ParentOf(iv)
-			if node.Parent < 0 {
-				if ok {
-					t.Fatalf("root class %d holds %v, which has forest parent %v", ci, iv, p)
-				}
-				continue
+			if class[n] >= 0 {
+				t.Fatalf("node %d is in classes %d and %d", n, class[n], ci)
 			}
-			if !ok {
-				t.Fatalf("class %d holds %v without a forest parent", ci, iv)
-			}
-			if pc := sn.st.forest.Class(sn.st.forest.Num(p)); pc != node.Parent {
-				t.Fatalf("class %d: member %v's parent classified as %d, want %d",
-					ci, iv, pc, node.Parent)
-			}
+			class[n] = ci
 		}
 	}
-	if total != sn.st.forest.Size() {
-		t.Fatalf("classes cover %d intervals, forest has %d", total, sn.st.forest.Size())
+	for n, ci := range class {
+		if ci < 0 {
+			t.Fatalf("node %d is in no class", n)
+		}
+		p, want := f.Parent(int32(n)), g.Node(ci).Parent
+		if p < 0 {
+			if want >= 0 {
+				t.Fatalf("root node %d is in class %d, whose parent class is %d", n, ci, want)
+			}
+			continue
+		}
+		if class[p] != want {
+			t.Fatalf("class %d: member %d's parent classified as %d, want %d", ci, n, class[p], want)
+		}
 	}
 }
 

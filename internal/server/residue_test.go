@@ -101,8 +101,9 @@ func sameFact(a, b server.ResidueFact) bool {
 // TestPointQueryAllocs bounds the allocations of one cold point lookup
 // (caching off, proof on): the benchmark's //dataset[altname=K]/title
 // on a 400-dataset document. Deciding residue predicates from boot-time
-// facts took it from 3 284 allocations to 887; the bound is that count
-// plus 20 %.
+// facts took it from 3 284 allocations to 887 (883 later); carrying node
+// numbers, whose one-context predicate chains keep their context slice
+// on the stack, took it to 482. The bound is that count plus 20 %.
 func TestPointQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds need sync.Pool, which the race detector drains at random")
@@ -141,8 +142,10 @@ func TestPointQueryAllocs(t *testing.T) {
 		}
 	}
 	run() // builds the generation's Merkle prover
-	const bound = 1064
-	if got := testing.AllocsPerRun(20, run); got > bound {
+	const bound = 578
+	got := testing.AllocsPerRun(20, run)
+	t.Logf("cold point lookup: %.0f allocs", got)
+	if got > bound {
 		t.Errorf("cold point lookup: %.0f allocs, want <= %d", got, bound)
 	}
 }

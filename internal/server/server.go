@@ -9,6 +9,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,20 +66,23 @@ type Server struct {
 // New: updates in this extension are value-level and
 // structure-preserving (see wire.Update) and replace only blocks and
 // index bands, never the residue, so the node table, the residue
-// facts and the block containment index are built once and shared by
-// every snapshot.
+// facts and the block column are built once and shared by every
+// snapshot.
 type structure struct {
 	// forest is the node table (dsi.Forest): every table interval
-	// numbered in pre-order, with its parent, labels and guide class.
-	// Its Intervals are the Lo-sorted universe wildcards join over.
+	// numbered in pre-order, with its parent, last descendant and
+	// labels, and each table label's members. Inside the server a node
+	// is its number; an interval is looked up only here, at boot, and
+	// read back only for an answer's fragments.
 	forest *dsi.Forest
 	// residue holds the decided facts of every residue node by node
 	// number (placeholders carry their block root's interval); a fact
-	// with a nil node marks an interval inside a block.
+	// with a nil node marks a node inside a block.
 	residue []residueFact
-	// blockIdx holds the (disjoint) block representative intervals
-	// sorted by Lo for O(log m) containment lookup.
-	blockIdx []blockRef
+	// block holds, by node number, the ID of the encryption block the
+	// node lies in (its block representative's subtree), -1 for a
+	// node of the plaintext residue.
+	block []int32
 	// guide is the structural half of the synopsis: the strong
 	// DataGuide of path classes the planner's twig matcher prunes
 	// against (see synopsis.go and planner.go). nil when the table
@@ -108,11 +112,6 @@ type snapshot struct {
 	// snapshot's state incrementally from this one when it exists.
 	authMu sync.Mutex
 	auth   *wire.AuthState
-}
-
-type blockRef struct {
-	iv dsi.Interval
-	id int
 }
 
 // residueFact is what a query needs to know about one residue
@@ -163,7 +162,7 @@ func (st *structure) decideResidue(n *xmltree.Node, ivs map[*xmltree.Node]dsi.In
 		*parts = (*parts)[:mark]
 	}
 	if iv, ok := ivs[n]; ok {
-		if i := st.forest.Num(iv); i >= 0 {
+		if i := st.forest.Num(iv); i >= 0 { // an interval not in the table has no node
 			st.residue[i] = f
 		}
 	}
@@ -187,10 +186,17 @@ func New(db *wire.HostedDB) *Server {
 	if db.Residue != nil && db.Residue.Root != nil {
 		st.decideResidue(db.Residue.Root, db.ResidueIntervals, new([]string))
 	}
-	for id, rep := range db.BlockReps {
-		st.blockIdx = append(st.blockIdx, blockRef{iv: rep, id: id})
+	st.block = make([]int32, forest.Size())
+	for i := range st.block {
+		st.block[i] = -1
 	}
-	sort.Slice(st.blockIdx, func(i, j int) bool { return st.blockIdx[i].iv.Lo < st.blockIdx[j].iv.Lo })
+	for id, rep := range db.BlockReps {
+		if r := forest.Num(rep); r >= 0 { // a representative not in the table has no subtree
+			for i := r; i <= forest.End(r); i++ {
+				st.block[i] = int32(id)
+			}
+		}
+	}
 
 	s := &Server{
 		epoch:  newEpoch(),
@@ -419,9 +425,9 @@ func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var surviving []dsi.Interval
+	var surviving []int32
 	if q.First.Next == nil {
-		surviving = make([]dsi.Interval, len(anchors))
+		surviving = make([]int32, len(anchors))
 		for i, a := range anchors {
 			surviving[i] = sn.lift(a, pl.lift)
 		}
@@ -433,12 +439,12 @@ func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if len(e.matchChain([]dsi.Interval{a}, q.First.Next, true)) > 0 {
+			if len(e.matchChain([]int32{a}, q.First.Next, true)) > 0 {
 				surviving = append(surviving, sn.lift(a, pl.lift))
 			}
 		}
 	}
-	surviving = dedupeOutermost(surviving)
+	surviving = sn.dedupeOutermost(surviving)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -464,16 +470,15 @@ func (s *Server) executePlan(ctx context.Context, sn *snapshot, pl *plan) (*wire
 	return ans, nil
 }
 
-// lift walks n levels up the interval forest, stopping at a root;
-// it widens the anchor when the query can escape the anchor subtree
-// via parent or sibling axes.
-func (sn *snapshot) lift(iv dsi.Interval, n int) dsi.Interval {
+// lift walks levels up the node table's parent column, stopping at a
+// root; it widens the anchor when the query can escape the anchor
+// subtree via parent or sibling axes.
+func (sn *snapshot) lift(n int32, levels int) int32 {
 	f := sn.st.forest
-	i := f.Num(iv)
-	for ; n > 0 && f.Parent(i) >= 0; n-- {
-		i = f.Parent(i)
+	for ; levels > 0 && f.Parent(n) >= 0; levels-- {
+		n = f.Parent(n)
 	}
-	return f.Interval(i)
+	return n
 }
 
 // liftDepth computes how many levels above the first-step match the
@@ -558,20 +563,22 @@ func walkPred(p wire.QPred, depth int, minDepth *int) {
 // inside it; encrypted anchors ship their containing block. The
 // second result gives each fragment's DSI interval (parallel to
 // Fragments), which the Merkle prover needs to locate the committed
-// leaves. Fragment bytes come from wire.SerializeFragment — the same
+// leaves: here, and only here, a matched node becomes an interval.
+// Fragment bytes come from wire.SerializeFragment — the same
 // canonical serialization the auth leaves commit to. Shipped block
 // slices alias the snapshot's immutable block table (see
 // BlockCiphertext for the aliasing argument).
-func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interval, error) {
+func (sn *snapshot) assemble(anchors []int32) (*wire.Answer, []dsi.Interval, error) {
 	ans := &wire.Answer{}
 	var fragIvs []dsi.Interval
 	blockSet := map[int]bool{}
-	for _, a := range anchors {
-		if bid := sn.blockIDFor(a); bid >= 0 {
-			blockSet[bid] = true
+	for _, n := range anchors {
+		if bid := sn.st.block[n]; bid >= 0 {
+			blockSet[int(bid)] = true
 			continue
 		}
-		r := &sn.st.residue[sn.st.forest.Num(a)] // anchors are table intervals
+		a := sn.st.forest.Interval(n)
+		r := &sn.st.residue[n]
 		if r.node == nil {
 			// A grouped interval outside every block cannot occur:
 			// grouping only happens inside blocks.
@@ -602,8 +609,8 @@ func (sn *snapshot) assemble(anchors []dsi.Interval) (*wire.Answer, []dsi.Interv
 }
 
 // dedupeOutermost keeps only anchors not contained in another anchor
-// (their fragments subsume the inner ones).
-func dedupeOutermost(ivs []dsi.Interval) []dsi.Interval {
-	dsi.SortIntervals(ivs)
-	return dsi.Outermost(ivs)
+// (their fragments subsume the inner ones), ascending, in place.
+func (sn *snapshot) dedupeOutermost(anchors []int32) []int32 {
+	slices.Sort(anchors)
+	return sn.st.forest.Outermost(anchors)
 }

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/dsi"
 	"repro/internal/sc"
 	"repro/internal/scheme"
 	"repro/internal/wire"
@@ -224,5 +228,36 @@ func TestDedupeOutermost(t *testing.T) {
 	ans2 := runQuery(t, c, s, "//patient[insurance]")
 	if len(ans.Fragments) != 2 || len(ans2.Fragments) != 2 {
 		t.Errorf("fragments = %d / %d, want 2 each", len(ans.Fragments), len(ans2.Fragments))
+	}
+}
+
+// nanAgeDB returns the hospital database under opt, encoded, with the
+// lower bound of one plaintext age interval set to NaN.
+func nanAgeDB(t *testing.T) []byte {
+	t.Helper()
+	_, s := boot(t, "opt")
+	db := *s.CurrentDB()
+	db.Table = &dsi.Table{ByTag: maps.Clone(db.Table.ByTag)}
+	ages := slices.Clone(db.Table.ByTag["age"])
+	if len(ages) == 0 {
+		t.Fatal("no plaintext age interval under opt")
+	}
+	ages[0].Lo = math.NaN()
+	db.Table.ByTag["age"] = ages
+	data, err := wire.MarshalDB(&db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeRejectsNaNBound: a database with a NaN DSI bound used to
+// decode, and //age on the server booted from it then panicked with an
+// index of -1 (the interval was no table node). The decoder rejects
+// every bound outside 0 <= Lo < Hi <= 1; the same bytes seed
+// FuzzUnmarshalDB (testdata/fuzz/FuzzUnmarshalDB/nan-age-lo).
+func TestDecodeRejectsNaNBound(t *testing.T) {
+	if _, err := wire.UnmarshalDB(nanAgeDB(t)); err == nil || !strings.Contains(err.Error(), "invalid DSI interval") {
+		t.Fatalf("decoding a NaN bound: error %v, want an invalid-interval error", err)
 	}
 }

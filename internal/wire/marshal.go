@@ -110,6 +110,24 @@ func (r *reader) f64() (float64, error) {
 	return math.Float64frombits(u), nil
 }
 
+// interval reads a DSI interval, rejecting any outside
+// 0 <= Lo < Hi <= 1 (NaN and ±Inf bounds fail every comparison): the
+// server's node table assumes every interval it holds is one.
+func (r *reader) interval() (dsi.Interval, error) {
+	lo, err := r.f64()
+	if err != nil {
+		return dsi.Interval{}, err
+	}
+	hi, err := r.f64()
+	if err != nil {
+		return dsi.Interval{}, err
+	}
+	if !(0 <= lo && lo < hi && hi <= 1) {
+		return dsi.Interval{}, fmt.Errorf("wire: invalid DSI interval [%v, %v]", lo, hi)
+	}
+	return dsi.Interval{Lo: lo, Hi: hi}, nil
+}
+
 // maxWireSlice caps decoded slice lengths to keep a corrupted or
 // malicious length prefix from exhausting memory.
 const maxWireSlice = 1 << 28
@@ -271,11 +289,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		if err != nil {
 			return nil, err
 		}
-		lo, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.f64()
+		iv, err := r.interval()
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +297,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		if node == nil {
 			return nil, fmt.Errorf("wire: residue interval for unknown node %d", id)
 		}
-		h.ResidueIntervals[node] = dsi.Interval{Lo: lo, Hi: hi}
+		h.ResidueIntervals[node] = iv
 	}
 
 	nLabels, err := r.countOf("label", 2)
@@ -302,10 +316,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 		}
 		ivs := make([]dsi.Interval, nIvs)
 		for j := range ivs {
-			if ivs[j].Lo, err = r.f64(); err != nil {
-				return nil, err
-			}
-			if ivs[j].Hi, err = r.f64(); err != nil {
+			if ivs[j], err = r.interval(); err != nil {
 				return nil, err
 			}
 		}
@@ -318,10 +329,7 @@ func UnmarshalDB(data []byte) (*HostedDB, error) {
 	}
 	h.BlockReps = make([]dsi.Interval, nReps)
 	for i := range h.BlockReps {
-		if h.BlockReps[i].Lo, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if h.BlockReps[i].Hi, err = r.f64(); err != nil {
+		if h.BlockReps[i], err = r.interval(); err != nil {
 			return nil, err
 		}
 	}
